@@ -14,6 +14,7 @@ from .channel import (
     effective_matrix,
     random_channel,
     received_power,
+    slot_operators,
     tf_channel,
     tf_channel_factored,
     twisted_gains,

@@ -310,6 +310,40 @@ def dd_domain_operator(ch: DDChannelSpec, params: FrameParams) -> np.ndarray:
     return base * twist * wrap
 
 
+def slot_operators(ch: DDChannelSpec, params: FrameParams) -> np.ndarray:
+    """Per-slot time-frequency operators of ``per_slot_cp`` mode, (N, M, M).
+
+    With every delay inside the prefix, slot n's receive column is
+    Y[:, n] = B_n @ X[:, n] with no coupling between slots, where
+
+        B_n = sum_taps gain * w^(k*(n*M - l)) * C_k @ diag(exp(-2j*pi*m*l/M))
+
+    and w = exp(2j*pi/(M*N)).  C_k = F_M diag(w^(k*p)) F_M^H is the
+    circulant carrying the in-slot Doppler ramp; its first column is
+    fft(w^(k*p)) / M, so it costs one FFT per distinct Doppler bin.  The
+    delay phase is the circular shift by l seen on the subcarriers.
+    Every scheme's precoding is unitary, so this stack is the whole
+    channel as any scheme's detector sees it.
+    """
+    _check_taps(ch, params)
+    M, N = params.M, params.N
+    S = params.dof
+    l = np.array([t.delay_bin for t in ch.taps])
+    k = np.array([t.doppler_bin for t in ch.taps])
+    g = np.array([t.gain for t in ch.taps])
+    dopplers, k_idx = np.unique(k, return_inverse=True)
+    p = np.arange(M)
+    ramps = np.exp(2j * np.pi * dopplers[:, None] * p[None, :] / S)
+    first_cols = np.fft.fft(ramps, axis=1) / M
+    circulants = first_cols[:, (p[:, None] - p[None, :]) % M]  # (Doppler bins, M, M)
+    delay_phase = np.exp(-2j * np.pi * np.outer(l, p) / M)  # (taps, M)
+    tap_mats = circulants[k_idx] * delay_phase[:, None, :]  # (taps, M, M)
+    slot_gain = g[:, None] * np.exp(
+        2j * np.pi * k[:, None] * (np.arange(N)[None, :] * M - l[:, None]) / S
+    )  # (taps, N)
+    return (slot_gain.T @ tap_mats.reshape(len(g), M * M)).reshape(N, M, M)
+
+
 # ---------------------------------------------------------------------------
 # numerical ground truth: operators composed from the real signal chain
 # ---------------------------------------------------------------------------

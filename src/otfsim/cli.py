@@ -8,6 +8,7 @@ violation, 3 numerical guard refusal.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 
@@ -72,6 +73,8 @@ def _parse_snr_grid(text: str):
         start, stop, step = (float(x) for x in text.split(":"))
     except ValueError:
         raise ConfigError(f"--snr expects START:STOP:STEP, got {text!r}") from None
+    if not all(math.isfinite(x) for x in (start, stop, step)):
+        raise ConfigError(f"--snr grid {text!r} must be finite")
     if step <= 0 or stop < start:
         raise ConfigError(f"--snr grid {text!r} is not increasing")
     grid = []

@@ -5,9 +5,19 @@ Three detectors, in increasing order of cost:
 * :func:`one_tap_tf` — per-cell scalar MMSE on the time-frequency grid,
   the classic multicarrier equalizer (exact when the channel is diagonal
   on the grid, interference-blind otherwise).
-* :func:`mmse_dd` — linear MMSE against a full composed operator.
+* :func:`mmse_dd` — linear MMSE against a full composed operator;
+  :func:`mmse_filter` builds the same estimator as a matrix, or as a
+  stack of them.
 * :func:`ml_detect` — exhaustive maximum-likelihood search, guarded to
   tiny problems; the error-rate floor other detectors are compared to.
+
+In ``per_slot_cp`` mode the channel is block-diagonal over slots on the
+time-frequency grid and every scheme's precoding is unitary, so the joint
+LMMSE on the payload grid is a stack of N per-slot M x M filters
+(``mmse_filter(channel.slot_operators(ch, params), noise_var)``) applied
+column by column before the precoding is undone.  The Monte-Carlo runner
+detects that way; the dense :func:`mmse_dd` remains the reference and
+serves ``cyclic`` mode.
 """
 
 from __future__ import annotations
@@ -39,14 +49,20 @@ def one_tap_tf(y_tf: np.ndarray, h_tf: np.ndarray, noise_var: float) -> np.ndarr
 
 
 def mmse_filter(h_eff: np.ndarray, noise_var: float) -> np.ndarray:
-    """The LMMSE matrix W = H^H (H H^H + noise_var I)^-1 (precomputable)."""
+    """The LMMSE matrix W = H^H (H H^H + noise_var I)^-1 (precomputable).
+
+    ``h_eff`` may be a stack (..., rows, cols) of operators; each gets its
+    own filter.  If any Gram matrix is singular the whole stack falls back
+    to the pseudo-inverse.
+    """
     h_eff = np.asarray(h_eff, dtype=np.complex128)
-    gram = h_eff @ h_eff.conj().T + noise_var * np.eye(h_eff.shape[0])
+    h_adj = h_eff.swapaxes(-1, -2).conj()
+    gram = h_eff @ h_adj + noise_var * np.eye(h_eff.shape[-2])
     try:
         inv = np.linalg.inv(gram)
     except np.linalg.LinAlgError:
         inv = np.linalg.pinv(gram)
-    return h_eff.conj().T @ inv
+    return h_adj @ inv
 
 
 def mmse_dd(

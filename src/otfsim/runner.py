@@ -36,6 +36,7 @@ from .channel import (
     effective_matrix,
     chain_matrix,
     random_channel,
+    slot_operators,
     tf_channel,
     windowed_dd_channel,
 )
@@ -200,6 +201,12 @@ def scenario_from_dict(raw: dict) -> Scenario:
         raise ConfigError(f"equalizer must be one of {EQUALIZERS}")
     if not isinstance(snr_list, (list, tuple)) or not snr_list:
         raise ConfigError("snr_db_list must be a nonempty list")
+    try:
+        snr_db_list = tuple(float(s) for s in snr_list)
+    except (TypeError, ValueError):
+        raise ConfigError(f"snr_db_list entries must be numbers, got {snr_list}") from None
+    if not all(math.isfinite(s) for s in snr_db_list):
+        raise ConfigError(f"snr_db_list entries must be finite, got {list(snr_db_list)}")
     if trials < 1:
         raise ConfigError("trials must be >= 1")
     if seed < 0:
@@ -216,7 +223,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
         channel_random=rand,
         channel_mode=channel_mode,
         equalizer=equalizer,
-        snr_db_list=tuple(float(s) for s in snr_list),
+        snr_db_list=snr_db_list,
         trials=trials,
         seed=seed,
         multiuser=None if mu_raw is None else _parse_multiuser(mu_raw, "multiuser"),
@@ -328,6 +335,15 @@ class _SingleUserEngine:
                 Y = wigner(sig, params)
                 return modem.payload_from_tf(cfg, one_tap_tf(Y, H, noise_var))
 
+        elif sc.equalizer == "mmse_dd" and sc.channel_mode == "per_slot_cp":
+            # joint LMMSE on the payload grid: the channel is block-diagonal
+            # over slots and every scheme's precoding is unitary
+            W = mmse_filter(slot_operators(ch, params), noise_var)
+
+            def detect(sig):
+                Y = wigner(sig, params)
+                return modem.payload_from_tf(cfg, (W @ Y.T[:, :, None])[:, :, 0].T)
+
         elif sc.equalizer == "mmse_dd":
             H_eff = effective_matrix(cfg, ch, mode=sc.channel_mode)
             W = mmse_filter(H_eff, noise_var)
@@ -436,7 +452,9 @@ class _MultiuserEngine:
 
     def _mmse_stack(self, ch: DDChannelSpec, noise_var: float):
         """Joint MMSE over the stacked per-user symbol vector."""
-        key = (id(ch), noise_var)
+        # only the fixed channel outlives a trial; a random draw's id() can
+        # be reused by a later draw
+        key = (id(ch), noise_var) if ch is self.fixed else None
         if key in self._cache:
             return self._cache[key]
         sc, params = self.sc, self.params
@@ -458,7 +476,8 @@ class _MultiuserEngine:
 
         A = chain_matrix(tx, rx, dim)
         W = mmse_filter(A, noise_var)
-        self._cache[key] = W
+        if key is not None:
+            self._cache[key] = W
         return W
 
     def run_trial(self, rng, noise_var: float):
@@ -548,24 +567,26 @@ def _worker(args):
 def run(sc: Scenario, workers: int = 1) -> list:
     """Run the full scenario; one LinkResult per SNR point.
 
-    Results are independent of ``workers``: trials are partitioned into
-    contiguous ranges and merged in order, and every trial owns its RNG
-    stream.
+    Results are independent of ``workers``: each SNR point's trials are
+    partitioned into contiguous ranges, every (SNR point, range) job goes
+    to one process pool, and each point's ranges are merged in trial
+    order.  Every trial owns its RNG stream.
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
-    results = []
-    for si in range(len(sc.snr_db_list)):
-        if workers == 1 or sc.trials == 1:
-            results.append(run_trial_range(sc, si, 0, sc.trials))
-            continue
-        n_chunks = min(workers, sc.trials)
-        bounds = np.linspace(0, sc.trials, n_chunks + 1).astype(int)
-        jobs = [(sc, si, int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(_worker, jobs))
-        results.append(reduce(lambda a, b: a.merge(b), parts))
-    return results
+    n_snr = len(sc.snr_db_list)
+    if workers == 1 or sc.trials == 1:
+        return [run_trial_range(sc, si, 0, sc.trials) for si in range(n_snr)]
+    bounds = np.linspace(0, sc.trials, min(workers, sc.trials) + 1).astype(int)
+    ranges = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
+    jobs = [(sc, si, a, b) for si in range(n_snr) for a, b in ranges]
+    with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as ex:
+        parts = list(ex.map(_worker, jobs))
+    per_point = len(ranges)
+    return [
+        reduce(lambda a, b: a.merge(b), parts[si * per_point : (si + 1) * per_point])
+        for si in range(n_snr)
+    ]
 
 
 # ---------------------------------------------------------------------------

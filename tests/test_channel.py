@@ -369,3 +369,62 @@ class TestCouplingTensor:
         ch = ot.DDChannelSpec(taps=((0, 0, 1.0),))
         with pytest.raises(GuardError):
             ot.coupling_tensor(ch, params)
+
+
+def slot_stack_payload_operator(cfg, B):
+    """Payload-grid operator of a slot stack: precode, B_n per slot, undo precoding."""
+    from otfsim.modem import payload_from_tf, payload_shape, tf_from_payload
+
+    cols = []
+    for e in np.eye(cfg.params.dof, dtype=complex):
+        X = tf_from_payload(cfg, e.reshape(payload_shape(cfg)))
+        Y = np.einsum("nij,jn->in", B, X)
+        cols.append(payload_from_tf(cfg, Y).reshape(-1))
+    return np.column_stack(cols)
+
+
+class TestSlotOperators:
+    @pytest.mark.parametrize("scheme,M,N,identity", [
+        ("OTFS", 16, 8, False),
+        ("OTFS", 8, 4, True),
+        ("OSTF", 16, 8, False),
+        ("OSTF", 8, 2, False),
+        ("OFDM", 16, 1, False),
+        ("SCFDMA", 16, 1, False),
+    ])
+    def test_matches_probed_effective_matrix(self, scheme, M, N, identity):
+        # the closed-form stack against the chain itself, with the largest
+        # delay exactly at the prefix
+        rng = np.random.default_rng(40)
+        params = ot.make_frame(M, N)
+        for cp, V in [(1, 1), (3, N // 2 + 1), (M // 2, 2 if N > 1 else 1)]:
+            cfg = ot.SchemeConfig(scheme, params, cp_len=cp, identity_isfft=identity)
+            ch = ot.random_channel(cp + 1, V, rng)
+            assert ch.L_max - 1 == cp
+            A = ot.effective_matrix(cfg, ch, mode="per_slot_cp")
+            T = slot_stack_payload_operator(cfg, ot.slot_operators(ch, params))
+            assert np.abs(A - T).max() < 1e-10, f"cp={cp}"
+
+    def test_acts_per_slot_on_the_tf_grid(self):
+        from otfsim.transforms import heisenberg, wigner
+
+        params = ot.make_frame(8, 4)
+        rng = np.random.default_rng(41)
+        ch = ot.random_channel(3, 3, rng)
+        X = rng.normal(size=(8, 4)) + 1j * rng.normal(size=(8, 4))
+        sig = ot.apply_channel(heisenberg(X, params, cp_len=2), ch, params)
+        B = ot.slot_operators(ch, params)
+        assert B.shape == (4, 8, 8)
+        for n in range(4):
+            assert_allclose(B[n] @ X[:, n], wigner(sig, params)[:, n], atol=1e-12)
+
+    def test_delay_free_channel_is_diagonal(self):
+        # Doppler-free, delay-free taps: every slot is the scalar tap sum
+        params = ot.make_frame(8, 4)
+        ch = ot.DDChannelSpec(taps=((0, 0, 0.6 - 0.2j),))
+        B = ot.slot_operators(ch, params)
+        assert_allclose(B, np.broadcast_to((0.6 - 0.2j) * np.eye(8), B.shape), atol=1e-14)
+
+    def test_rejects_taps_outside_the_grid(self):
+        with pytest.raises(ValueError):
+            ot.slot_operators(ot.DDChannelSpec(taps=((0, 3, 1.0),)), ot.make_frame(8, 4))

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,6 +96,19 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg]) == EXIT_GUARD
         assert "guard" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_snr_is_exit_1_without_rows(self, tmp_path, config_file, bad, capsys):
+        # Python's JSON reader accepts NaN and Infinity literals; they are
+        # refused before any trial runs
+        cfg = config_file(snr_db_list=[10.0, float(bad)])
+        assert bad in Path(cfg).read_text()
+        dest = tmp_path / "out.csv"
+        assert main(["simulate", "--config", cfg]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and "finite" in captured.err
+        assert main(["simulate", "--config", cfg, "--out", str(dest)]) == EXIT_CONFIG
+        assert not dest.exists()
+
 
 class TestSweep:
     def test_grid_overrides_snr_list(self, config_file, capsys):
@@ -111,6 +125,11 @@ class TestSweep:
     @pytest.mark.parametrize("bad", ["abc", "0:10", "4:0:2", "0:10:0", "0:10:-1"])
     def test_bad_grids(self, config_file, bad, capsys):
         assert main(["sweep", "--config", config_file(), "--snr", bad]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("bad", ["nan:10:2", "0:inf:1", "-inf:0:1", "0:10:nan"])
+    def test_non_finite_grids(self, config_file, bad, capsys):
+        assert main(["sweep", "--config", config_file(), f"--snr={bad}"]) == EXIT_CONFIG
+        assert "finite" in capsys.readouterr().err
 
     def test_snr_required(self, config_file):
         assert main(["sweep", "--config", config_file()]) == EXIT_CONFIG

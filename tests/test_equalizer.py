@@ -121,6 +121,27 @@ class TestMMSE:
             err_zf += np.linalg.norm(Wzf @ y - x) ** 2
         assert err_mmse < err_zf
 
+    def test_stacked_filter_matches_per_slice(self):
+        rng = np.random.default_rng(308)
+        for shape in [(5, 6, 6), (2, 3, 4, 7)]:
+            H = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            W = mmse_filter(H, 0.2)
+            assert W.shape == shape[:-2] + (shape[-1], shape[-2])
+            for idx in np.ndindex(*shape[:-2]):
+                assert_allclose(W[idx], mmse_filter(H[idx], 0.2), atol=1e-12)
+
+    def test_stacked_filter_singular_slice_falls_back_to_pinv(self):
+        # one singular Gram matrix at zero noise moves the whole stack to
+        # pinv, which agrees with the inverse on the regular slices
+        rng = np.random.default_rng(309)
+        H = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+        H[1] = np.diag([1.0, 2.0, 0.0, 0.0])
+        W = mmse_filter(H, 0.0)
+        assert np.all(np.isfinite(W))
+        assert_allclose(W[1], np.diag([1.0, 0.5, 0.0, 0.0]), atol=1e-12)
+        for i in (0, 2):
+            assert_allclose(W[i], np.linalg.inv(H[i]), atol=1e-10)
+
 
 class TestMLDetect:
     def test_matches_exhaustive_oracle(self):

@@ -1,0 +1,34 @@
+"""Pinned simulate output: golden CSVs must be reproduced byte for byte.
+
+Each ``tests/golden/<name>.json`` scenario has a ``<name>.csv`` captured
+with ``otfsim simulate --config <name>.json`` from the dense
+impulse-probed engine, before any closed-form fast path replaced it.
+The set covers every single-user scheme under joint LMMSE with fixed and
+random channels, 16QAM, ``cyclic`` mode, the one-tap and ML detectors
+and a ``dd_mapped`` downlink.  Every scenario is re-run at 1, 2 and 8
+workers.  A mismatch means a fast path changed a hard decision, the RNG
+draw order or the merge order of trial ranges; do not regenerate a CSV
+to make it pass.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from otfsim.runner import format_csv, load_scenario, run
+
+GOLDEN = Path(__file__).parent / "golden"
+SCENARIOS = sorted(p.stem for p in GOLDEN.glob("*.json"))
+
+
+def test_golden_set_is_complete():
+    assert len(SCENARIOS) >= 8
+    for name in SCENARIOS:
+        assert (GOLDEN / f"{name}.csv").is_file(), name
+
+
+@pytest.mark.parametrize("workers", [1, 2, 8])
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_simulate_reproduces_golden_csv(name, workers):
+    sc = load_scenario(GOLDEN / f"{name}.json")
+    assert format_csv(run(sc, workers=workers)) == (GOLDEN / f"{name}.csv").read_text()

@@ -82,6 +82,17 @@ class TestConstellations:
         with pytest.raises(ValueError):
             map_bits(np.array([0, 2]), c)
 
+    @pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan])
+    def test_map_bits_rejects_non_bits(self, bad):
+        c = get_constellation("QPSK")
+        with pytest.raises(ValueError, match="0 or 1"):
+            map_bits(np.array([0, 1, bad, 1]), c)
+
+    def test_map_bits_accepts_bool_bits(self):
+        c = get_constellation("QPSK")
+        ref = map_bits(np.array([0, 1, 1, 0]), c)
+        assert_allclose(map_bits(np.array([False, True, True, False]), c), ref)
+
     def test_index_is_big_endian_group_value(self):
         c = get_constellation("16QAM")
         bits = np.array([1, 0, 1, 1])

@@ -7,11 +7,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 import otfsim as ot
+from otfsim.channel import EFFECTIVE_GUARD
 from otfsim.errors import ConfigError
 from otfsim.metrics import LinkResult
 from otfsim.runner import (
     CSV_HEADER,
     _MultiuserEngine,
+    _SingleUserEngine,
     format_csv,
     load_scenario,
     papr_ccdf,
@@ -121,6 +123,16 @@ class TestScenarioParsing:
     def test_bad_values(self, field, value):
         with pytest.raises(ConfigError):
             scenario_from_dict(base_dict(**{field: value}))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_snr_rejected(self, bad):
+        with pytest.raises(ConfigError, match="finite"):
+            scenario_from_dict(base_dict(snr_db_list=[10.0, bad]))
+
+    @pytest.mark.parametrize("bad", ["ten", None, {"db": 3}, [3.0]])
+    def test_non_numeric_snr_rejected(self, bad):
+        with pytest.raises(ConfigError, match="numbers"):
+            scenario_from_dict(base_dict(snr_db_list=[10.0, bad]))
 
     def test_invalid_frame_combo(self):
         # OFDM on a multislot frame is a ValueError downstream, surfaced
@@ -287,6 +299,50 @@ class TestExecution:
         (res,) = run(scenario_from_dict(d))
         assert res.bit_errors == 0 and res.total_bits == 16
 
+    @pytest.mark.parametrize("scheme,M,N", [
+        ("OTFS", 16, 8), ("OSTF", 8, 4), ("OFDM", 16, 1), ("SCFDMA", 16, 1),
+    ])
+    def test_per_slot_mmse_detector_is_joint_lmmse(self, scheme, M, N):
+        # the engine's per-slot detector against the dense LMMSE of the
+        # probed chain, on one random channel and a noisy block
+        from otfsim.modem import demodulate, modulate, payload_shape
+
+        d = base_dict(
+            scheme=scheme,
+            channel={"random": {"L_max": 3, "V_max": 2 if N > 1 else 1}},
+            channel_mode="per_slot_cp",
+            equalizer="mmse_dd",
+        )
+        d["frame"] = {"M": M, "N": N, "cp_len": 2}
+        engine = _SingleUserEngine(scenario_from_dict(d))
+        rng = trial_rng(3, 0, 0)
+        ch = engine.channel_for_trial(rng)
+        shape = payload_shape(engine.cfg)
+        x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        rx = ot.apply_channel(modulate(engine.cfg, x), ch, engine.params, 0.1, rng)
+        A = ot.effective_matrix(engine.cfg, ch, mode="per_slot_cp")
+        joint = ot.mmse_dd(demodulate(engine.cfg, rx), A, 0.1)
+        got = engine.detector(ch, 0.1)(rx)
+        assert got.shape == shape
+        assert np.abs(got.reshape(-1) - joint).max() < 1e-10
+
+    def test_per_slot_mmse_runs_beyond_the_dense_guard(self):
+        # 128 x 64 is refused by the probed effective matrix; the per-slot
+        # LMMSE never builds it
+        d = base_dict(
+            channel={"random": {"L_max": 5, "V_max": 3}},
+            channel_mode="per_slot_cp",
+            equalizer="mmse_dd",
+            snr_db_list=[20.0],
+            trials=1,
+        )
+        d["frame"] = {"M": 128, "N": 64, "cp_len": 4}
+        sc = scenario_from_dict(d)
+        assert sc.params.dof > EFFECTIVE_GUARD
+        (res,) = run(sc)
+        assert res.trials == 1 and res.total_symbols == 128 * 64
+        assert res.ber < 0.01
+
 
 class TestMultiuserExecution:
     def mu_dict(self, **over):
@@ -357,6 +413,24 @@ class TestMultiuserExecution:
         assert amp[0] > 0 and amp[1] == 0.0
         (res,) = run(sc)
         assert res.total_symbols == 2 * 8  # one user's block per trial
+
+    @pytest.mark.parametrize("mode", ["dd_mapped", "tf_alloc", "tf_spread"])
+    def test_random_channel_filters_not_reused_across_trials(self, mode):
+        # a random channel's LMMSE filter belongs to its trial: one engine
+        # over 12 trials must count what 12 fresh engines count
+        sc = scenario_from_dict(self.mu_dict(
+            frame={"M": 8, "N": 4, "cp_len": 2},
+            channel={"random": {"L_max": 3, "V_max": 2}},
+            channel_mode="per_slot_cp",
+            equalizer="mmse_dd",
+            snr_db_list=[10.0],
+            trials=12,
+            multiuser={"mode": mode, "K_d": 2, "K_D": 2},
+        ))
+        whole = run_trial_range(sc, 0, 0, 12)
+        fresh = [run_trial_range(sc, 0, t, t + 1) for t in range(12)]
+        assert whole.bit_errors == sum(r.bit_errors for r in fresh)
+        assert whole.symbol_errors == sum(r.symbol_errors for r in fresh)
 
     def test_interleaved_mapping_runs(self):
         d = self.mu_dict(multiuser={
