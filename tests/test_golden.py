@@ -5,17 +5,23 @@ with ``otfsim simulate --config <name>.json`` from the dense
 impulse-probed engine, before any closed-form fast path replaced it.
 The set covers every single-user scheme under joint LMMSE with fixed and
 random channels, 16QAM, ``cyclic`` mode, the one-tap and ML detectors
-and a ``dd_mapped`` downlink.  Every scenario is re-run at 1, 2 and 8
-workers.  A mismatch means a fast path changed a hard decision, the RNG
-draw order or the merge order of trial ranges; do not regenerate a CSV
-to make it pass.
+and downlinks in all three modes: ``dd_mapped`` (localized and
+interleaved, fixed and random channels, ``cyclic`` mode), ``tf_alloc``
+(joint LMMSE and water-filled one-tap), DFT ``tf_spread`` (joint LMMSE
+and one-tap) and Gaussian ``tf_spread``.  Every scenario is re-run at 1,
+2 and 8 workers.  A mismatch means a fast path changed a hard decision,
+the RNG draw order or the merge order of trial ranges; do not regenerate
+a CSV to make it pass.
+
+``<name>.papr.csv`` pins ``otfsim papr-ccdf --config <name>.json`` the
+same way: it fixes the transmit chain and its draw order.
 """
 
 from pathlib import Path
 
 import pytest
 
-from otfsim.runner import format_csv, load_scenario, run
+from otfsim.runner import format_csv, load_scenario, papr_ccdf, run
 
 GOLDEN = Path(__file__).parent / "golden"
 SCENARIOS = sorted(p.stem for p in GOLDEN.glob("*.json"))
@@ -25,6 +31,7 @@ def test_golden_set_is_complete():
     assert len(SCENARIOS) >= 8
     for name in SCENARIOS:
         assert (GOLDEN / f"{name}.csv").is_file(), name
+        assert (GOLDEN / f"{name}.papr.csv").is_file(), name
 
 
 @pytest.mark.parametrize("workers", [1, 2, 8])
@@ -32,3 +39,9 @@ def test_golden_set_is_complete():
 def test_simulate_reproduces_golden_csv(name, workers):
     sc = load_scenario(GOLDEN / f"{name}.json")
     assert format_csv(run(sc, workers=workers)) == (GOLDEN / f"{name}.csv").read_text()
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_papr_ccdf_reproduces_golden_csv(name):
+    sc = load_scenario(GOLDEN / f"{name}.json")
+    assert papr_ccdf(sc) == (GOLDEN / f"{name}.papr.csv").read_text()
