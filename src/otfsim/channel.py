@@ -38,7 +38,7 @@ from .transforms import basis_waveform, dft_matrix, wigner
 
 #: refuse to build coupling tensors above this many grid points
 COUPLING_GUARD = 512
-#: refuse to build effective matrices above this many grid points
+#: refuse to probe operators (chain_matrix, effective_matrix) above this many points
 EFFECTIVE_GUARD = 4096
 
 
@@ -354,8 +354,14 @@ def chain_matrix(tx, rx, dim: int) -> np.ndarray:
 
     ``tx`` maps a length-``dim`` coefficient vector to a TimeSignal (or
     anything ``rx`` accepts); ``rx`` maps it back to a coefficient vector.
-    The caller bakes the channel into one of the two closures.
+    The caller bakes the channel into one of the two closures.  Refuses
+    operators with more than ``EFFECTIVE_GUARD`` input points before any
+    probe runs.
     """
+    if dim > EFFECTIVE_GUARD:
+        raise GuardError(
+            f"probed operator on {dim} points exceeds guard {EFFECTIVE_GUARD}"
+        )
     cols = []
     e = np.zeros(dim, dtype=np.complex128)
     for c in range(dim):
@@ -374,16 +380,12 @@ def effective_matrix(cfg, ch: DDChannelSpec, mode: str = "cyclic") -> np.ndarray
     row-major over the scheme's grid — for the delay-Doppler schemes that
     is (doppler, delay) order.
 
-    ``cfg`` is a :class:`~otfsim.modem.SchemeConfig`; refuses grids larger
-    than ``EFFECTIVE_GUARD`` points.
+    ``cfg`` is a :class:`~otfsim.modem.SchemeConfig`; :func:`chain_matrix`
+    refuses grids larger than ``EFFECTIVE_GUARD`` points.
     """
     from . import modem  # local import: modem does not import channel
 
     params = cfg.params
-    if params.dof > EFFECTIVE_GUARD:
-        raise GuardError(
-            f"effective matrix for {params.dof} grid points exceeds guard {EFFECTIVE_GUARD}"
-        )
     shape = modem.payload_shape(cfg)
 
     def tx(v):

@@ -35,9 +35,6 @@ def _add_common(p: _Parser, needs_config: bool = True):
     p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     p.add_argument("--out", default=None, help="output path (default: stdout)")
     p.add_argument("--workers", type=int, default=1, help="parallel worker processes")
-    p.add_argument(
-        "--format", default="csv", choices=["csv"], help="output format (csv only)"
-    )
 
 
 def build_parser() -> _Parser:

@@ -116,22 +116,6 @@ class TimeSignal:
         return blocks[:, self.cp_len:].reshape(-1)
 
 
-def check_dd_grid(x: np.ndarray, params: FrameParams) -> np.ndarray:
-    """Validate a delay-Doppler grid (N rows of Doppler, M columns of delay)."""
-    x = np.asarray(x)
-    if x.shape != (params.N, params.M):
-        raise ValueError(f"expected DD grid of shape {(params.N, params.M)}, got {x.shape}")
-    return x.astype(np.complex128, copy=False)
-
-
-def check_tf_grid(x: np.ndarray, params: FrameParams) -> np.ndarray:
-    """Validate a time-frequency grid (M rows of subcarriers, N slot columns)."""
-    x = np.asarray(x)
-    if x.shape != (params.M, params.N):
-        raise ValueError(f"expected TF grid of shape {(params.M, params.N)}, got {x.shape}")
-    return x.astype(np.complex128, copy=False)
-
-
 @dataclass(frozen=True)
 class MappingMatrix:
     """A resource-mapping matrix: ``size`` columns of the ``ambient``-dim identity.
@@ -211,26 +195,6 @@ def extract_map(mapping: MappingMatrix, v: np.ndarray) -> np.ndarray:
     if v.shape != (mapping.ambient,):
         raise ValueError(f"expected vector of length {mapping.ambient}, got shape {v.shape}")
     return v[list(mapping.selected)]
-
-
-def embed_rows(mapping: MappingMatrix, A: np.ndarray) -> np.ndarray:
-    """Place the rows of A at the mapped row positions of a taller zero matrix."""
-    A = np.atleast_2d(np.asarray(A))
-    if A.shape[0] != mapping.size:
-        raise ValueError(f"expected {mapping.size} rows, got {A.shape[0]}")
-    out = np.zeros((mapping.ambient, A.shape[1]), dtype=np.complex128)
-    out[list(mapping.selected), :] = A
-    return out
-
-
-def embed_cols(mapping: MappingMatrix, A: np.ndarray) -> np.ndarray:
-    """Place the columns of A at the mapped column positions of a wider zero matrix."""
-    A = np.atleast_2d(np.asarray(A))
-    if A.shape[1] != mapping.size:
-        raise ValueError(f"expected {mapping.size} columns, got {A.shape[1]}")
-    out = np.zeros((A.shape[0], mapping.ambient), dtype=np.complex128)
-    out[:, list(mapping.selected)] = A
-    return out
 
 
 @dataclass(frozen=True)

@@ -81,8 +81,8 @@ def map_bits(bits: np.ndarray, constellation: Constellation) -> np.ndarray:
     bps = constellation.bits_per_symbol
     if bits.ndim != 1 or bits.size % bps != 0:
         raise ValueError(f"bit count {bits.size} not divisible by {bps}")
-    if not ((bits == 0) | (bits == 1)).all():
-        raise ValueError("bits must be 0 or 1")
+    if bits.dtype.kind not in "biu" or not ((bits == 0) | (bits == 1)).all():
+        raise ValueError("bits must be 0 or 1, in an integer or bool array")
     groups = bits.reshape(-1, bps)
     idx = groups @ (1 << np.arange(bps - 1, -1, -1))
     return constellation.points[idx]

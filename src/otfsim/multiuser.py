@@ -55,10 +55,6 @@ def vec_dd(x_dd: np.ndarray) -> np.ndarray:
     return np.asarray(x_dd).reshape(-1)
 
 
-def unvec_dd(v: np.ndarray, M: int, N: int) -> np.ndarray:
-    return np.asarray(v).reshape(N, M)
-
-
 # ---------------------------------------------------------------------------
 # uplink maps
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ from .channel import (
 )
 from .equalizer import ML_GUARD_BITS, ml_detect, mmse_filter, one_tap_tf
 from .errors import ConfigError
-from .frame import FrameParams, make_frame
+from .frame import FrameParams, interleaved_allocation, localized_allocation, make_frame
 from .metrics import (
     LinkResult,
     count_errors,
@@ -52,7 +52,7 @@ from .metrics import (
     slice_symbols,
 )
 from .modem import SchemeConfig
-from .transforms import heisenberg, wigner
+from .transforms import heisenberg, sfft, wigner
 
 EQUALIZERS = ("one_tap_tf", "mmse_dd", "ml")
 CHANNEL_MODES = ("cyclic", "per_slot_cp")
@@ -305,8 +305,14 @@ def system_rng(seed: int, slot: int) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 
-class _SingleUserEngine:
-    """Precomputes everything noise-independent for a fixed channel."""
+class _Link:
+    """One transmit chain and its detector, for a single user or a downlink.
+
+    A single user is one block on the scheme's payload grid; a downlink
+    is the K user blocks of its allocation, superposed on the time-
+    frequency grid by the user map.  Symbols, bits and detector output
+    are stacked user by user, each block flattened row-major.
+    """
 
     def __init__(self, sc: Scenario):
         self.sc = sc
@@ -314,88 +320,19 @@ class _SingleUserEngine:
         self.cfg = SchemeConfig(sc.scheme, self.params, cp_len=sc.cp_len)
         self.const = get_constellation(sc.constellation)
         self.fixed = None if sc.channel_taps is None else _fixed_channel(sc)
-        self._cache = {}
-
-    def channel_for_trial(self, rng) -> DDChannelSpec:
-        if self.fixed is not None:
-            return self.fixed
-        L, V = self.sc.channel_random
-        return random_channel(L, V, rng)
-
-    def detector(self, ch: DDChannelSpec, noise_var: float):
-        """Returns payload_hat = f(received TimeSignal)."""
-        sc, cfg, params = self.sc, self.cfg, self.params
-        key = (id(ch), noise_var) if ch is self.fixed else None
-        if key in self._cache:
-            return self._cache[key]
-        if sc.equalizer == "one_tap_tf":
-            H = tf_channel(ch, params)
-
-            def detect(sig):
-                Y = wigner(sig, params)
-                return modem.payload_from_tf(cfg, one_tap_tf(Y, H, noise_var))
-
-        elif sc.equalizer == "mmse_dd" and sc.channel_mode == "per_slot_cp":
-            # joint LMMSE on the payload grid: the channel is block-diagonal
-            # over slots and every scheme's precoding is unitary
-            W = mmse_filter(slot_operators(ch, params), noise_var)
-
-            def detect(sig):
-                Y = wigner(sig, params)
-                return modem.payload_from_tf(cfg, (W @ Y.T[:, :, None])[:, :, 0].T)
-
-        elif sc.equalizer == "mmse_dd":
-            H_eff = effective_matrix(cfg, ch, mode=sc.channel_mode)
-            W = mmse_filter(H_eff, noise_var)
-            shape = modem.payload_shape(cfg)
-
-            def detect(sig):
-                y = modem.demodulate(cfg, sig).reshape(-1)
-                return (W @ y).reshape(shape)
-
-        else:  # ml
-            H_eff = effective_matrix(cfg, ch, mode=sc.channel_mode)
-            shape = modem.payload_shape(cfg)
-
-            def detect(sig):
-                y = modem.demodulate(cfg, sig).reshape(-1)
-                return ml_detect(y, H_eff, self.const).reshape(shape)
-
-        if key is not None:
-            self._cache[key] = detect
-        return detect
-
-    def run_trial(self, rng, noise_var: float):
-        ch = self.channel_for_trial(rng)
-        detect = self.detector(ch, noise_var)
-        bps = self.const.bits_per_symbol
-        n_sym = self.params.dof
-        bits = rng.integers(0, 2, size=n_sym * bps)
-        payload = map_bits(bits, self.const).reshape(modem.payload_shape(self.cfg))
-        sig = modem.modulate(self.cfg, payload)
-        papr_val = papr(sig)
-        rx = apply_channel(sig, ch, self.params, noise_var, rng, mode=self.sc.channel_mode)
-        est = detect(rx)
-        rx_bits = slice_symbols(est.reshape(-1), self.const)
-        be, se = count_errors(bits, rx_bits, bps)
-        return be, se, bits.size, n_sym, papr_val
-
-
-class _MultiuserEngine:
-    """Downlink superposition of an orthogonal user grid, detected per user."""
-
-    def __init__(self, sc: Scenario):
-        from .frame import interleaved_allocation, localized_allocation
-
-        self.sc = sc
-        self.params = sc.params
-        self.const = get_constellation(sc.constellation)
-        self.fixed = None if sc.channel_taps is None else _fixed_channel(sc)
+        self._cache = {}  # noise_var -> detector, for the fixed channel only
         mu = sc.multiuser
+        # every user map tiles the grid unitarily except Gaussian spreading
+        self.unitary = mu is None or not (mu.mode == "tf_spread" and mu.spreader == "gaussian")
+        if mu is None:
+            self.users, self.K, self.block = None, 1, self.params.dof
+            return
         alloc_fn = localized_allocation if mu.mapping == "localized" else interleaved_allocation
         self.alloc = alloc_fn(self.params, mu.K_d, mu.K_D)
+        self.K = self.alloc.num_users
         self.M_d = sc.M // mu.K_d
         self.N_D = sc.N // mu.K_D
+        self.block = self.M_d * self.N_D
         if mu.mode == "tf_spread":
             # one reserved stream, drawn sequentially so users differ
             gauss_rng = system_rng(sc.seed, 1) if mu.spreader == "gaussian" else None
@@ -404,7 +341,11 @@ class _MultiuserEngine:
             ]
         else:
             self.users = list(self.alloc.users)
-        self._cache = {}
+            # each user's cells on the (N, M) grid, in block order
+            self._cells = np.concatenate([
+                (np.array(t.selected)[:, None] * sc.M + np.array(f.selected)).reshape(-1)
+                for f, t in self.users
+            ])
 
     def _make_pair(self, fmap, tmap, rng):
         if self.sc.multiuser.spreader == "dft":
@@ -418,10 +359,17 @@ class _MultiuserEngine:
             S_A=gauss(self.params.M, self.M_d), S_B=gauss(self.params.N, self.N_D)
         )
 
+    def channel_for_trial(self, rng) -> DDChannelSpec:
+        if self.fixed is not None:
+            return self.fixed
+        L, V = self.sc.channel_random
+        return random_channel(L, V, rng)
+
     def _beta(self, ch: DDChannelSpec, noise_var: float):
+        """Water-filled user amplitudes of a budgeted downlink: (beta, amp)."""
         mu = self.sc.multiuser
-        if mu.power_budget is None:
-            return None, np.ones(len(self.users))
+        if mu is None or mu.power_budget is None:
+            return None, None
         H = tf_channel(ch, self.params)
         gains = np.array(
             [
@@ -430,118 +378,122 @@ class _MultiuserEngine:
             ]
         )
         p = multiuser.water_fill(gains, mu.power_budget, noise_var)
-        amp = np.sqrt(p / (self.M_d * self.N_D))
+        amp = np.sqrt(p / self.block)
         beta = [np.full(self.N_D, a) for a in amp]
         return beta, amp
 
-    def channel_for_trial(self, rng) -> DDChannelSpec:
-        if self.fixed is not None:
-            return self.fixed
-        L, V = self.sc.channel_random
-        return random_channel(L, V, rng)
+    def tf_grid(self, symbols: np.ndarray, beta=None) -> np.ndarray:
+        """The user map: stacked symbols -> (M, N) time-frequency grid."""
+        if self.users is None:
+            return modem.tf_from_payload(
+                self.cfg, symbols.reshape(modem.payload_shape(self.cfg))
+            )
+        blocks = symbols.reshape(self.K, self.N_D, self.M_d)
+        return multiuser.downlink_superpose(blocks, self.users, self.sc.multiuser.mode, beta=beta)
 
-    def _despread(self, X_hat, user_idx):
-        mu = self.sc.multiuser
-        if mu.mode == "tf_spread":
-            return multiuser.despread_user(X_hat, pair=self.users[user_idx])
-        fmap, tmap = self.users[user_idx]
-        if mu.mode == "dd_mapped":
-            return multiuser.despread_user(X_hat, freq_map=fmap, time_map=tmap, domain="dd")
-        # tf_alloc: the placement adjoint is plain cell selection
-        return X_hat[np.ix_(list(fmap.selected), list(tmap.selected))].T
+    def adjoint(self, X: np.ndarray) -> np.ndarray:
+        """Adjoint of :meth:`tf_grid` (unit weights): grid -> stacked symbols."""
+        if self.users is None:
+            return modem.payload_from_tf(self.cfg, X).reshape(-1)
+        mode = self.sc.multiuser.mode
+        if mode == "tf_spread":
+            return np.concatenate(
+                [multiuser.despread_user(X, pair=pair).reshape(-1) for pair in self.users]
+            )
+        grid = sfft(X) if mode == "dd_mapped" else X.T
+        return grid.reshape(-1)[self._cells]
 
-    def _mmse_stack(self, ch: DDChannelSpec, noise_var: float):
-        """Joint MMSE over the stacked per-user symbol vector."""
-        # only the fixed channel outlives a trial; a random draw's id() can
-        # be reused by a later draw
-        key = (id(ch), noise_var) if ch is self.fixed else None
-        if key in self._cache:
-            return self._cache[key]
+    def transmit(self, rng, beta=None):
+        """Draw the trial's bits and synthesise them: (bits, TimeSignal)."""
+        bits = rng.integers(0, 2, size=self.K * self.block * self.const.bits_per_symbol)
+        X = self.tf_grid(map_bits(bits, self.const), beta)
+        return bits, heisenberg(X, self.params, cp_len=self.sc.cp_len)
+
+    def _probe(self, ch: DDChannelSpec):
+        """Impulse-probed operator and the observation it acts on."""
         sc, params = self.sc, self.params
-        block = self.M_d * self.N_D
-        dim = block * len(self.users)
+        if self.users is None:
+            # payload domain, as the dense single-user goldens were captured
+            return effective_matrix(self.cfg, ch, mode=sc.channel_mode), (
+                lambda sig: modem.demodulate(self.cfg, sig).reshape(-1)
+            )
 
         def tx(v):
-            blocks = [
-                v[u * block : (u + 1) * block].reshape(self.N_D, self.M_d)
-                for u in range(len(self.users))
-            ]
-            X = multiuser.downlink_superpose(blocks, self.users, sc.multiuser.mode)
-            return heisenberg(X, params, cp_len=sc.cp_len)
+            return heisenberg(self.tf_grid(v), params, cp_len=sc.cp_len)
 
         def rx(sig):
-            return wigner(
-                apply_channel(sig, ch, params, 0.0, None, sc.channel_mode), params
-            ).reshape(-1)
+            return wigner(apply_channel(sig, ch, params, 0.0, None, sc.channel_mode), params)
 
-        A = chain_matrix(tx, rx, dim)
-        W = mmse_filter(A, noise_var)
-        if key is not None:
-            self._cache[key] = W
-        return W
+        A = chain_matrix(tx, rx, self.K * self.block)
+        return A, lambda sig: wigner(sig, params).reshape(-1)
+
+    def detector(self, ch: DDChannelSpec, noise_var: float):
+        """Returns stacked symbol estimates = f(received TimeSignal)."""
+        # only the fixed channel outlives a trial; a random draw's id() can
+        # be reused by a later draw
+        if ch is self.fixed and noise_var in self._cache:
+            return self._cache[noise_var]
+        sc, params = self.sc, self.params
+        if sc.equalizer == "one_tap_tf":
+            H = tf_channel(ch, params)
+
+            def detect(sig):
+                return self.adjoint(one_tap_tf(wigner(sig, params), H, noise_var))
+
+        elif sc.equalizer == "mmse_dd" and sc.channel_mode == "per_slot_cp" and self.unitary:
+            # joint LMMSE: the channel is block-diagonal over slots and the
+            # user map is unitary, so filter per slot, then undo the map
+            W = mmse_filter(slot_operators(ch, params), noise_var)
+
+            def detect(sig):
+                Y = wigner(sig, params)
+                return self.adjoint((W @ Y.T[:, :, None])[:, :, 0].T)
+
+        else:
+            A, observe = self._probe(ch)
+            if sc.equalizer == "ml":
+
+                def detect(sig):
+                    return ml_detect(observe(sig), A, self.const)
+
+            else:
+                W = mmse_filter(A, noise_var)
+
+                def detect(sig):
+                    return W @ observe(sig)
+
+        if ch is self.fixed:
+            self._cache[noise_var] = detect
+        return detect
 
     def run_trial(self, rng, noise_var: float):
-        sc = self.sc
         ch = self.channel_for_trial(rng)
+        detect = self.detector(ch, noise_var)
         beta, amp = self._beta(ch, noise_var)
-        counted = amp > 1e-12  # users given zero power carry no data
-        bps = self.const.bits_per_symbol
-        block = self.M_d * self.N_D
-        K = len(self.users)
-        bits = rng.integers(0, 2, size=K * block * bps)
-        symbols = map_bits(bits, self.const)
-        blocks = [
-            symbols[u * block : (u + 1) * block].reshape(self.N_D, self.M_d)
-            for u in range(K)
-        ]
-        X = multiuser.downlink_superpose(blocks, self.users, sc.multiuser.mode, beta=beta)
-        sig = heisenberg(X, self.params, cp_len=sc.cp_len)
+        bits, sig = self.transmit(rng, beta)
         papr_val = papr(sig)
-        rx_sig = apply_channel(sig, ch, self.params, noise_var, rng, mode=sc.channel_mode)
-
-        if sc.equalizer == "mmse_dd":
-            if beta is not None:
-                raise ConfigError("mmse_dd multiuser detection assumes unit power weights")
-            W = self._mmse_stack(ch, noise_var)
-            est_stack = W @ wigner(rx_sig, self.params).reshape(-1)
-            per_user = [
-                est_stack[u * block : (u + 1) * block].reshape(self.N_D, self.M_d)
-                for u in range(K)
-            ]
-        else:
-            H = tf_channel(ch, self.params)
-            X_hat = one_tap_tf(wigner(rx_sig, self.params), H, noise_var)
-            per_user = [self._despread(X_hat, u) for u in range(K)]
-
-        be = se = nb = ns = 0
-        for u in range(K):
-            if not counted[u]:
-                continue
-            est = per_user[u].reshape(-1) / (amp[u] if beta is not None else 1.0)
-            rx_bits = slice_symbols(est, self.const)
-            tx_bits = bits[u * block * bps : (u + 1) * block * bps]
-            dbe, dse = count_errors(tx_bits, rx_bits, bps)
-            be += dbe
-            se += dse
-            nb += tx_bits.size
-            ns += block
-        return be, se, nb, ns, papr_val
-
-
-def _make_engine(sc: Scenario):
-    return _SingleUserEngine(sc) if sc.multiuser is None else _MultiuserEngine(sc)
+        rx = apply_channel(sig, ch, self.params, noise_var, rng, mode=self.sc.channel_mode)
+        est = detect(rx)
+        bps = self.const.bits_per_symbol
+        if beta is not None:
+            # undo each user's amplitude; users given zero power carry no data
+            on = np.repeat(amp > 1e-12, self.block)
+            est = est[on] / np.repeat(amp, self.block)[on]
+            bits = bits.reshape(-1, bps)[on].reshape(-1)
+        be, se = count_errors(bits, slice_symbols(est, self.const), bps)
+        return be, se, bits.size, est.size, papr_val
 
 
 def run_trial_range(sc: Scenario, snr_index: int, start: int, stop: int) -> LinkResult:
     """Run trials [start, stop) of one SNR point; mergeable partial result."""
-    engine = _make_engine(sc)
+    link = _Link(sc)
     snr_db = sc.snr_db_list[snr_index]
     noise_var = 10.0 ** (-snr_db / 10.0)  # unit-energy symbols
     be = se = nb = ns = 0
     paprs = []
     for t in range(start, stop):
         rng = trial_rng(sc.seed, snr_index, t)
-        dbe, dse, dnb, dns, pv = engine.run_trial(rng, noise_var)
+        dbe, dse, dnb, dns, pv = link.run_trial(rng, noise_var)
         be += dbe
         se += dse
         nb += dnb
@@ -660,27 +612,12 @@ def papr_ccdf(sc: Scenario) -> str:
     Blocks are generated with the trial streams of SNR index 0 but never
     touched by channel or noise.  Returns CSV text ``papr_db,ccdf``.
     """
-    engine = _make_engine(sc)
-    const = engine.const
+    link = _Link(sc)
     vals = []
     for t in range(sc.trials):
         rng = trial_rng(sc.seed, 0, t)
-        engine.channel_for_trial(rng)  # keep draw order aligned with simulate
-        if sc.multiuser is None:
-            bits = rng.integers(0, 2, size=sc.params.dof * const.bits_per_symbol)
-            payload = map_bits(bits, const).reshape(modem.payload_shape(engine.cfg))
-            sig = modem.modulate(engine.cfg, payload)
-        else:
-            block = engine.M_d * engine.N_D
-            K = len(engine.users)
-            bits = rng.integers(0, 2, size=K * block * const.bits_per_symbol)
-            symbols = map_bits(bits, const)
-            blocks = [
-                symbols[u * block : (u + 1) * block].reshape(engine.N_D, engine.M_d)
-                for u in range(K)
-            ]
-            X = multiuser.downlink_superpose(blocks, engine.users, sc.multiuser.mode)
-            sig = heisenberg(X, sc.params, cp_len=sc.cp_len)
+        link.channel_for_trial(rng)  # keep draw order aligned with simulate
+        _, sig = link.transmit(rng)
         vals.append(10.0 * math.log10(papr(sig)))
     vals = np.array(vals)
     hi = float(np.ceil(vals.max() * 4) / 4) if vals.size else 0.0

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import otfsim as ot
-from otfsim.channel import COUPLING_GUARD, EFFECTIVE_GUARD
+from otfsim.channel import COUPLING_GUARD, EFFECTIVE_GUARD, chain_matrix
 from otfsim.errors import ConfigError, GuardError
 
 
@@ -331,6 +331,13 @@ class TestEffectiveMatrix:
         assert params.dof > EFFECTIVE_GUARD
         with pytest.raises(GuardError):
             ot.effective_matrix(ot.SchemeConfig("OTFS", params), ch)
+
+    def test_chain_matrix_guard_refuses_before_probing(self):
+        def never(v):
+            raise AssertionError("probe ran")
+
+        with pytest.raises(GuardError):
+            chain_matrix(never, never, EFFECTIVE_GUARD + 1)
 
 
 class TestCouplingTensor:

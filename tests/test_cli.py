@@ -96,6 +96,30 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg]) == EXIT_GUARD
         assert "guard" in capsys.readouterr().err
 
+    def test_dense_downlink_guard_is_exit_3_before_probing(
+        self, config_file, capsys, monkeypatch
+    ):
+        # Gaussian spreading is not unitary, so its joint LMMSE is probed;
+        # 128 x 64 points are refused before the first probe reaches the channel
+        import otfsim.runner
+
+        calls = []
+        real = otfsim.runner.apply_channel
+        monkeypatch.setattr(
+            otfsim.runner, "apply_channel", lambda *a, **k: calls.append(1) or real(*a, **k)
+        )
+        cfg = config_file(
+            frame={"M": 128, "N": 64, "cp_len": 1},
+            channel_mode="per_slot_cp",
+            equalizer="mmse_dd",
+            snr_db_list=[10.0],
+            trials=1,
+            multiuser={"mode": "tf_spread", "K_d": 2, "K_D": 2, "spreader": "gaussian"},
+        )
+        assert main(["simulate", "--config", cfg]) == EXIT_GUARD
+        assert "guard" in capsys.readouterr().err
+        assert calls == []
+
     @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_snr_is_exit_1_without_rows(self, tmp_path, config_file, bad, capsys):
         # Python's JSON reader accepts NaN and Infinity literals; they are

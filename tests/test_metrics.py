@@ -82,8 +82,9 @@ class TestConstellations:
         with pytest.raises(ValueError):
             map_bits(np.array([0, 2]), c)
 
-    @pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan])
+    @pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan, 1.0])
     def test_map_bits_rejects_non_bits(self, bad):
+        # 1.0 makes a float array of 0/1 values: refused for its dtype
         c = get_constellation("QPSK")
         with pytest.raises(ValueError, match="0 or 1"):
             map_bits(np.array([0, 1, bad, 1]), c)

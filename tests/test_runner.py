@@ -7,13 +7,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 import otfsim as ot
-from otfsim.channel import EFFECTIVE_GUARD
+from otfsim.channel import EFFECTIVE_GUARD, chain_matrix
 from otfsim.errors import ConfigError
 from otfsim.metrics import LinkResult
 from otfsim.runner import (
     CSV_HEADER,
-    _MultiuserEngine,
-    _SingleUserEngine,
+    _Link,
     format_csv,
     load_scenario,
     papr_ccdf,
@@ -314,17 +313,17 @@ class TestExecution:
             equalizer="mmse_dd",
         )
         d["frame"] = {"M": M, "N": N, "cp_len": 2}
-        engine = _SingleUserEngine(scenario_from_dict(d))
+        link = _Link(scenario_from_dict(d))
         rng = trial_rng(3, 0, 0)
-        ch = engine.channel_for_trial(rng)
-        shape = payload_shape(engine.cfg)
+        ch = link.channel_for_trial(rng)
+        shape = payload_shape(link.cfg)
         x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        rx = ot.apply_channel(modulate(engine.cfg, x), ch, engine.params, 0.1, rng)
-        A = ot.effective_matrix(engine.cfg, ch, mode="per_slot_cp")
-        joint = ot.mmse_dd(demodulate(engine.cfg, rx), A, 0.1)
-        got = engine.detector(ch, 0.1)(rx)
-        assert got.shape == shape
-        assert np.abs(got.reshape(-1) - joint).max() < 1e-10
+        rx = ot.apply_channel(modulate(link.cfg, x), ch, link.params, 0.1, rng)
+        A = ot.effective_matrix(link.cfg, ch, mode="per_slot_cp")
+        joint = ot.mmse_dd(demodulate(link.cfg, rx), A, 0.1)
+        got = link.detector(ch, 0.1)(rx)
+        assert got.shape == (x.size,)  # the payload grid, flattened row-major
+        assert np.abs(got - joint).max() < 1e-10
 
     def test_per_slot_mmse_runs_beyond_the_dense_guard(self):
         # 128 x 64 is refused by the probed effective matrix; the per-slot
@@ -369,7 +368,7 @@ class TestMultiuserExecution:
         d = self.mu_dict(multiuser={
             "mode": "tf_spread", "K_d": 2, "K_D": 1, "spreader": "gaussian"
         })
-        eng = _MultiuserEngine(scenario_from_dict(d))
+        eng = _Link(scenario_from_dict(d))
         S0 = eng.users[0].S_A
         S1 = eng.users[1].S_A
         assert np.abs(S0 - S1).max() > 0.1
@@ -407,7 +406,7 @@ class TestMultiuserExecution:
             multiuser={"mode": "tf_alloc", "K_d": 2, "K_D": 1, "power_budget": 1e-4},
         )
         sc = scenario_from_dict(d)
-        eng = _MultiuserEngine(sc)
+        eng = _Link(sc)
         ch = eng.channel_for_trial(trial_rng(sc.seed, 0, 0))
         beta, amp = eng._beta(ch, noise_var=1e-3)
         assert amp[0] > 0 and amp[1] == 0.0
@@ -431,6 +430,65 @@ class TestMultiuserExecution:
         fresh = [run_trial_range(sc, 0, t, t + 1) for t in range(12)]
         assert whole.bit_errors == sum(r.bit_errors for r in fresh)
         assert whole.symbol_errors == sum(r.symbol_errors for r in fresh)
+
+    @pytest.mark.parametrize("mapping", ["localized", "interleaved"])
+    @pytest.mark.parametrize("mode", ["dd_mapped", "tf_alloc", "tf_spread"])
+    def test_per_slot_downlink_detector_is_joint_lmmse(self, mode, mapping, monkeypatch):
+        # unitary user maps detect per slot and never probe the chain; the
+        # result is the LMMSE of the probed chain on the stacked user vector
+        import otfsim.runner
+        from otfsim import multiuser
+
+        sc = scenario_from_dict(self.mu_dict(
+            frame={"M": 8, "N": 4, "cp_len": 2},
+            channel={"random": {"L_max": 3, "V_max": 2}},
+            channel_mode="per_slot_cp",
+            equalizer="mmse_dd",
+            multiuser={"mode": mode, "K_d": 2, "K_D": 2, "mapping": mapping},
+        ))
+        alloc_fn = (
+            ot.localized_allocation if mapping == "localized" else ot.interleaved_allocation
+        )
+        users = list(alloc_fn(sc.params, 2, 2).users)
+        if mode == "tf_spread":
+            users = [multiuser.dft_spreading_pair(f, t) for f, t in users]
+        link = _Link(sc)
+        rng = trial_rng(4, 0, 0)
+        ch = link.channel_for_trial(rng)
+
+        def tx(v):
+            blocks = v.reshape(4, 2, 4)  # 4 users of (N_D, M_d) = (2, 4)
+            X = multiuser.downlink_superpose(blocks, users, mode)
+            return ot.heisenberg(X, sc.params, cp_len=2)
+
+        def rx(sig):
+            return ot.wigner(ot.apply_channel(sig, ch, sc.params, mode="per_slot_cp"), sc.params)
+
+        W = ot.mmse_filter(chain_matrix(tx, rx, 32), 0.1)
+        x = rng.normal(size=32) + 1j * rng.normal(size=32)
+        sig = ot.apply_channel(tx(x), ch, sc.params, 0.1, rng)
+
+        def refuse(*a, **k):
+            raise AssertionError("chain_matrix called")
+
+        monkeypatch.setattr(otfsim.runner, "chain_matrix", refuse)
+        got = link.detector(ch, 0.1)(sig)
+        assert np.abs(got - W @ ot.wigner(sig, sc.params).reshape(-1)).max() < 1e-10
+
+    def test_per_slot_downlink_runs_beyond_the_dense_guard(self):
+        sc = scenario_from_dict(self.mu_dict(
+            frame={"M": 128, "N": 64, "cp_len": 4},
+            channel={"random": {"L_max": 5, "V_max": 3}},
+            channel_mode="per_slot_cp",
+            equalizer="mmse_dd",
+            snr_db_list=[20.0],
+            trials=1,
+            multiuser={"mode": "dd_mapped", "K_d": 2, "K_D": 2},
+        ))
+        assert sc.params.dof > EFFECTIVE_GUARD
+        (res,) = run(sc)
+        assert res.trials == 1 and res.total_symbols == 128 * 64
+        assert res.ber < 0.01
 
     def test_interleaved_mapping_runs(self):
         d = self.mu_dict(multiuser={
