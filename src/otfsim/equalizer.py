@@ -15,9 +15,11 @@ In ``per_slot_cp`` mode the channel is block-diagonal over slots on the
 time-frequency grid and every scheme's precoding is unitary, so the joint
 LMMSE on the payload grid is a stack of N per-slot M x M filters
 (``mmse_filter(channel.slot_operators(ch, params), noise_var)``) applied
-column by column before the precoding is undone.  The Monte-Carlo runner
-detects that way; the dense :func:`mmse_dd` remains the reference and
-serves ``cyclic`` mode.
+column by column before the precoding is undone.  A downlink whose user
+map is unitary (``dd_mapped``, ``tf_alloc``, DFT ``tf_spread``) detects the
+same way, with the map's adjoint in place of the precoding's.  The
+Monte-Carlo runner detects that way; the dense :func:`mmse_dd` remains the
+reference and serves ``cyclic`` mode and Gaussian spreading.
 """
 
 from __future__ import annotations
