@@ -38,7 +38,7 @@ from .transforms import basis_waveform, dft_matrix, wigner
 
 #: refuse to build coupling tensors above this many grid points
 COUPLING_GUARD = 512
-#: refuse to probe operators (chain_matrix, effective_matrix) above this many points
+#: refuse dense operators (probed, or cyclic-mode slot_operators) above this many points
 EFFECTIVE_GUARD = 4096
 
 
@@ -310,24 +310,40 @@ def dd_domain_operator(ch: DDChannelSpec, params: FrameParams) -> np.ndarray:
     return base * twist * wrap
 
 
-def slot_operators(ch: DDChannelSpec, params: FrameParams) -> np.ndarray:
-    """Per-slot time-frequency operators of ``per_slot_cp`` mode, (N, M, M).
+def slot_operators(ch: DDChannelSpec, params: FrameParams, mode: str = "per_slot_cp") -> np.ndarray:
+    """Channel blocks on the slot-major time-frequency grid ``Y.T.reshape(-1)``.
 
-    With every delay inside the prefix, slot n's receive column is
-    Y[:, n] = B_n @ X[:, n] with no coupling between slots, where
+    In ``per_slot_cp`` mode every delay stays inside the prefix, so slot
+    n's receive column is Y[:, n] = B_n @ X[:, n]; the result is the
+    (N, M, M) stack
 
         B_n = sum_taps gain * w^(k*(n*M - l)) * C_k @ diag(exp(-2j*pi*m*l/M))
 
-    and w = exp(2j*pi/(M*N)).  C_k = F_M diag(w^(k*p)) F_M^H is the
+    with w = exp(2j*pi/(M*N)).  C_k = F_M diag(w^(k*p)) F_M^H is the
     circulant carrying the in-slot Doppler ramp; its first column is
     fft(w^(k*p)) / M, so it costs one FFT per distinct Doppler bin.  The
     delay phase is the circular shift by l seen on the subcarriers.
-    Every scheme's precoding is unitary, so this stack is the whole
-    channel as any scheme's detector sees it.
+
+    In ``cyclic`` mode delays wrap round the block and couple the slots:
+    the result is one (1, M*N, M*N) block, the time-domain channel
+    sum_taps gain * Pi_l @ diag(w^(k*s)) seen through the per-slot DFT.
+    It is refused above ``EFFECTIVE_GUARD`` points before it is allocated.
     """
     _check_taps(ch, params)
     M, N = params.M, params.N
     S = params.dof
+    if mode == "cyclic":
+        if S > EFFECTIVE_GUARD:
+            raise GuardError(f"cyclic operator on {S} points exceeds guard {EFFECTIVE_GUARD}")
+        s = np.arange(S)
+        H = np.zeros((S, S), dtype=np.complex128)
+        for l, k, g in ch.taps:
+            src = (s - l) % S
+            H[s, src] += g * np.exp(2j * np.pi * k * src / S)
+        H = np.fft.fft(H.reshape(N, M, N, M), axis=1, norm="ortho")
+        return np.fft.ifft(H, axis=3, norm="ortho").reshape(1, S, S)
+    if mode != "per_slot_cp":
+        raise ConfigError(f"unknown channel mode {mode!r}")
     l = np.array([t.delay_bin for t in ch.taps])
     k = np.array([t.doppler_bin for t in ch.taps])
     g = np.array([t.gain for t in ch.taps])
@@ -366,7 +382,8 @@ def chain_matrix(tx, rx, dim: int) -> np.ndarray:
     e = np.zeros(dim, dtype=np.complex128)
     for c in range(dim):
         e[c] = 1.0
-        cols.append(np.asarray(rx(tx(e)), dtype=np.complex128).reshape(-1))
+        # a copy: rx(tx(e)) may be a view of the probe, which is reset below
+        cols.append(np.array(rx(tx(e)), dtype=np.complex128).reshape(-1))
         e[c] = 0.0
     return np.column_stack(cols)
 

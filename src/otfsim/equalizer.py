@@ -11,15 +11,12 @@ Three detectors, in increasing order of cost:
 * :func:`ml_detect` — exhaustive maximum-likelihood search, guarded to
   tiny problems; the error-rate floor other detectors are compared to.
 
-In ``per_slot_cp`` mode the channel is block-diagonal over slots on the
-time-frequency grid and every scheme's precoding is unitary, so the joint
-LMMSE on the payload grid is a stack of N per-slot M x M filters
-(``mmse_filter(channel.slot_operators(ch, params), noise_var)``) applied
-column by column before the precoding is undone.  A downlink whose user
-map is unitary (``dd_mapped``, ``tf_alloc``, DFT ``tf_spread``) detects the
-same way, with the map's adjoint in place of the precoding's.  The
-Monte-Carlo runner detects that way; the dense :func:`mmse_dd` remains the
-reference and serves ``cyclic`` mode and Gaussian spreading.
+The Monte-Carlo runner equalizes the time-frequency grid with
+``mmse_filter(channel.slot_operators(ch, params, mode), noise_var)``: N
+per-slot M x M filters in ``per_slot_cp`` mode, one MN x MN filter in
+``cyclic`` mode.  Every scheme's precoding and every user map but Gaussian
+spreading is unitary, so that filter followed by the map's adjoint is the
+joint LMMSE.  The dense :func:`mmse_dd` is the reference tests compare to.
 """
 
 from __future__ import annotations

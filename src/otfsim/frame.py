@@ -230,9 +230,9 @@ class UserAllocation:
 
 def _tiled_alloc(params: FrameParams, K_d: int, K_D: int, map_fn) -> UserAllocation:
     if K_d < 1 or params.M % K_d != 0:
-        raise AllocationError(f"K_d={K_d} does not tile M={params.M}")
+        raise AllocationError(f"K_d={K_d} gives no exact tiling of M={params.M}")
     if K_D < 1 or params.N % K_D != 0:
-        raise AllocationError(f"K_D={K_D} does not tile N={params.N}")
+        raise AllocationError(f"K_D={K_D} gives no exact tiling of N={params.N}")
     M_d = params.M // K_d
     N_D = params.N // K_D
     users = tuple(

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import AllocationError, IllConditionedError
 from .frame import MappingMatrix
-from .transforms import dft_matrix, sfft
+from .transforms import dft_matrix, isfft, sfft
 
 #: zf_precode refuses operators with condition number above this
 CONDITION_GUARD = 1e8
@@ -75,10 +75,8 @@ def uplink_map_tf(
 ) -> np.ndarray:
     """Small-block lattice transform, then placement on the (M, N) grid."""
     user_data = _check_block(user_data, freq_map, time_map)
-    small = np.fft.fft(user_data.T, axis=0, norm="ortho")
-    small = np.fft.ifft(small, axis=1, norm="ortho")  # (M_d, N_D)
     out = np.zeros((freq_map.ambient, time_map.ambient), dtype=np.complex128)
-    out[np.ix_(list(freq_map.selected), list(time_map.selected))] = small
+    out[np.ix_(list(freq_map.selected), list(time_map.selected))] = isfft(user_data)
     return out
 
 
@@ -91,10 +89,9 @@ def uplink_map_dd(
     frame DFT matrices.
     """
     user_data = _check_block(user_data, freq_map, time_map)
-    grid = np.zeros((freq_map.ambient, time_map.ambient), dtype=np.complex128)
-    grid[np.ix_(list(freq_map.selected), list(time_map.selected))] = user_data.T
-    out = np.fft.fft(grid, axis=0, norm="ortho")
-    return np.fft.ifft(out, axis=1, norm="ortho")
+    grid = np.zeros((time_map.ambient, freq_map.ambient), dtype=np.complex128)
+    grid[np.ix_(list(time_map.selected), list(freq_map.selected))] = user_data
+    return isfft(grid)
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +273,7 @@ def despread_user(
     if time_map is None:
         raise ValueError("time_map required with freq_map")
     if domain == "dd":
-        g = np.fft.ifft(y, axis=0, norm="ortho")
-        g = np.fft.fft(g, axis=1, norm="ortho")
-        return g[np.ix_(list(freq_map.selected), list(time_map.selected))].T
+        return sfft(y)[np.ix_(list(time_map.selected), list(freq_map.selected))]
     if domain == "tf":
         small = y[np.ix_(list(freq_map.selected), list(time_map.selected))]
         return sfft(small)

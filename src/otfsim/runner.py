@@ -24,7 +24,7 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from pathlib import Path
 
 import numpy as np
@@ -33,8 +33,8 @@ from . import modem, multiuser
 from .channel import (
     DDChannelSpec,
     apply_channel,
-    effective_matrix,
     chain_matrix,
+    effective_matrix,  # noqa: F401 -- unused here; bench/tracing.py wraps runner.effective_matrix
     random_channel,
     slot_operators,
     tf_channel,
@@ -98,12 +98,31 @@ class Scenario:
 # ---------------------------------------------------------------------------
 
 
-def _take(d: dict, ctx: str, key: str, required: bool = True, default=None):
+_REQUIRED = object()
+_KINDS = {int: "an integer", float: "a finite number", str: "a string", list: "a list",
+          dict: "an object"}
+
+
+def _is_kind(value, kind) -> bool:
+    """JSON kind check: booleans are never numbers, numbers must be finite."""
+    if isinstance(value, bool):
+        return False
+    if kind is float:
+        return isinstance(value, (int, float)) and abs(value) <= np.finfo(float).max
+    return isinstance(value, kind)
+
+
+def _take(d: dict, ctx: str, key: str, kind: type, default=_REQUIRED, choices=None):
     if key not in d:
-        if required:
+        if default is _REQUIRED:
             raise ConfigError(f"missing key {key!r} in {ctx}")
         return default
-    return d.pop(key)
+    value = d.pop(key)
+    if not _is_kind(value, kind):
+        raise ConfigError(f"{ctx}.{key} must be {_KINDS[kind]}, got {value!r}")
+    if choices is not None and value not in choices:
+        raise ConfigError(f"{ctx}.{key} must be one of {choices}, got {value!r}")
+    return float(value) if kind is float else value
 
 
 def _no_extras(d: dict, ctx: str):
@@ -111,102 +130,77 @@ def _no_extras(d: dict, ctx: str):
         raise ConfigError(f"unknown key {sorted(d)[0]!r} in {ctx}")
 
 
-def _parse_channel(raw, ctx: str):
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{ctx} must be an object")
+def _parse_channel(raw: dict, ctx: str):
     raw = dict(raw)
-    taps = _take(raw, ctx, "taps", required=False)
-    rand = _take(raw, ctx, "random", required=False)
+    taps = _take(raw, ctx, "taps", list, None)
+    rand = _take(raw, ctx, "random", dict, None)
     _no_extras(raw, ctx)
     if (taps is None) == (rand is None):
         raise ConfigError(f"{ctx} needs exactly one of 'taps' or 'random'")
     if taps is not None:
         parsed = []
         for i, t in enumerate(taps):
-            t = dict(t)
             tctx = f"{ctx}.taps[{i}]"
-            l = _take(t, tctx, "delay_bin")
-            k = _take(t, tctx, "doppler_bin")
-            re = _take(t, tctx, "re")
-            im = _take(t, tctx, "im")
+            if not isinstance(t, dict):
+                raise ConfigError(f"{tctx} must be an object")
+            t = dict(t)
+            parsed.append((
+                _take(t, tctx, "delay_bin", int),
+                _take(t, tctx, "doppler_bin", int),
+                _take(t, tctx, "re", float),
+                _take(t, tctx, "im", float),
+            ))
             _no_extras(t, tctx)
-            parsed.append((int(l), int(k), float(re), float(im)))
         if not parsed:
             raise ConfigError(f"{ctx}.taps must not be empty")
         return tuple(parsed), None
     rand = dict(rand)
     rctx = f"{ctx}.random"
-    L = int(_take(rand, rctx, "L_max"))
-    V = int(_take(rand, rctx, "V_max"))
+    L = _take(rand, rctx, "L_max", int)
+    V = _take(rand, rctx, "V_max", int)
     _no_extras(rand, rctx)
     return None, (L, V)
 
 
-def _parse_multiuser(raw, ctx: str) -> MultiuserSetup:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{ctx} must be an object")
+def _parse_multiuser(raw: dict, ctx: str) -> MultiuserSetup:
     raw = dict(raw)
-    mode = _take(raw, ctx, "mode")
-    K_d = int(_take(raw, ctx, "K_d"))
-    K_D = int(_take(raw, ctx, "K_D"))
-    mapping = _take(raw, ctx, "mapping", required=False, default="localized")
-    spreader = _take(raw, ctx, "spreader", required=False, default="dft")
-    budget = _take(raw, ctx, "power_budget", required=False)
+    mode = _take(raw, ctx, "mode", str, choices=multiuser.DOWNLINK_MODES)
+    K_d = _take(raw, ctx, "K_d", int)
+    K_D = _take(raw, ctx, "K_D", int)
+    mapping = _take(raw, ctx, "mapping", str, "localized", ("localized", "interleaved"))
+    spreader = _take(raw, ctx, "spreader", str, "dft", ("dft", "gaussian"))
+    budget = _take(raw, ctx, "power_budget", float, None)
     _no_extras(raw, ctx)
-    if mode not in multiuser.DOWNLINK_MODES:
-        raise ConfigError(f"{ctx}.mode must be one of {multiuser.DOWNLINK_MODES}")
-    if mapping not in ("localized", "interleaved"):
-        raise ConfigError(f"{ctx}.mapping must be 'localized' or 'interleaved'")
-    if spreader not in ("dft", "gaussian"):
-        raise ConfigError(f"{ctx}.spreader must be 'dft' or 'gaussian'")
-    return MultiuserSetup(
-        mode=mode,
-        K_d=K_d,
-        K_D=K_D,
-        mapping=mapping,
-        spreader=spreader,
-        power_budget=None if budget is None else float(budget),
-    )
+    return MultiuserSetup(mode, K_d, K_D, mapping, spreader, budget)
 
 
 def scenario_from_dict(raw: dict) -> Scenario:
-    """Build and validate a Scenario from parsed JSON (strict keys)."""
+    """Build and validate a Scenario from parsed JSON (strict keys and kinds)."""
     if not isinstance(raw, dict):
         raise ConfigError("scenario must be a JSON object")
     raw = dict(raw)
-    frame = _take(raw, "scenario", "frame")
-    if not isinstance(frame, dict):
-        raise ConfigError("'frame' must be an object")
-    frame = dict(frame)
-    M = int(_take(frame, "frame", "M"))
-    N = int(_take(frame, "frame", "N"))
-    delta_f = float(_take(frame, "frame", "delta_f_hz", required=False, default=15e3))
-    cp_len = int(_take(frame, "frame", "cp_len", required=False, default=0))
+    frame = dict(_take(raw, "scenario", "frame", dict))
+    M = _take(frame, "frame", "M", int)
+    N = _take(frame, "frame", "N", int)
+    delta_f = _take(frame, "frame", "delta_f_hz", float, 15e3)
+    cp_len = _take(frame, "frame", "cp_len", int, 0)
     _no_extras(frame, "frame")
 
-    scheme = _take(raw, "scenario", "scheme")
-    constellation = _take(raw, "scenario", "constellation")
-    taps, rand = _parse_channel(_take(raw, "scenario", "channel"), "channel")
-    channel_mode = _take(raw, "scenario", "channel_mode", required=False, default="per_slot_cp")
-    equalizer = _take(raw, "scenario", "equalizer", required=False, default="one_tap_tf")
-    snr_list = _take(raw, "scenario", "snr_db_list")
-    trials = int(_take(raw, "scenario", "trials"))
-    seed = int(_take(raw, "scenario", "seed"))
-    mu_raw = _take(raw, "scenario", "multiuser", required=False)
+    scheme = _take(raw, "scenario", "scheme", str)
+    constellation = _take(raw, "scenario", "constellation", str)
+    taps, rand = _parse_channel(_take(raw, "scenario", "channel", dict), "channel")
+    channel_mode = _take(raw, "scenario", "channel_mode", str, "per_slot_cp", CHANNEL_MODES)
+    equalizer = _take(raw, "scenario", "equalizer", str, "one_tap_tf", EQUALIZERS)
+    snr_list = _take(raw, "scenario", "snr_db_list", list)
+    trials = _take(raw, "scenario", "trials", int)
+    seed = _take(raw, "scenario", "seed", int)
+    mu_raw = _take(raw, "scenario", "multiuser", dict, None)
     _no_extras(raw, "scenario")
 
-    if channel_mode not in CHANNEL_MODES:
-        raise ConfigError(f"channel_mode must be one of {CHANNEL_MODES}")
-    if equalizer not in EQUALIZERS:
-        raise ConfigError(f"equalizer must be one of {EQUALIZERS}")
-    if not isinstance(snr_list, (list, tuple)) or not snr_list:
+    if not snr_list:
         raise ConfigError("snr_db_list must be a nonempty list")
-    try:
-        snr_db_list = tuple(float(s) for s in snr_list)
-    except (TypeError, ValueError):
-        raise ConfigError(f"snr_db_list entries must be numbers, got {snr_list}") from None
-    if not all(math.isfinite(s) for s in snr_db_list):
-        raise ConfigError(f"snr_db_list entries must be finite, got {list(snr_db_list)}")
+    if not all(_is_kind(s, float) for s in snr_list):
+        raise ConfigError(f"snr_db_list entries must be finite numbers, got {snr_list}")
     if trials < 1:
         raise ConfigError("trials must be >= 1")
     if seed < 0:
@@ -223,7 +217,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
         channel_random=rand,
         channel_mode=channel_mode,
         equalizer=equalizer,
-        snr_db_list=snr_db_list,
+        snr_db_list=tuple(float(s) for s in snr_list),
         trials=trials,
         seed=seed,
         multiuser=None if mu_raw is None else _parse_multiuser(mu_raw, "multiuser"),
@@ -239,6 +233,8 @@ def _validate_scenario(sc: Scenario) -> None:
         SchemeConfig(sc.scheme, params, cp_len=sc.cp_len)
         if sc.channel_taps is not None:
             _fixed_channel(sc)
+        if sc.multiuser is not None:
+            _allocation(sc)
     except (ValueError, TypeError) as e:
         raise ConfigError(str(e)) from e
     bits_total = params.dof * get_constellation(sc.constellation).bits_per_symbol
@@ -249,10 +245,6 @@ def _validate_scenario(sc: Scenario) -> None:
         )
     if sc.multiuser is not None:
         mu = sc.multiuser
-        if sc.M % mu.K_d or sc.N % mu.K_D:
-            raise ConfigError(
-                f"multiuser tiling {mu.K_d}x{mu.K_D} does not divide frame {sc.M}x{sc.N}"
-            )
         if sc.equalizer == "ml":
             raise ConfigError("equalizer 'ml' is not supported with multiuser scenarios")
         if mu.power_budget is not None and mu.mode != "tf_alloc":
@@ -275,6 +267,12 @@ def load_scenario(path) -> Scenario:
     except json.JSONDecodeError as e:
         raise ConfigError(f"scenario file {path} is not valid JSON: {e}") from e
     return scenario_from_dict(raw)
+
+
+def _allocation(sc: Scenario):
+    mu = sc.multiuser
+    alloc_fn = localized_allocation if mu.mapping == "localized" else interleaved_allocation
+    return alloc_fn(sc.params, mu.K_d, mu.K_D)
 
 
 def _fixed_channel(sc: Scenario) -> DDChannelSpec:
@@ -320,15 +318,14 @@ class _Link:
         self.cfg = SchemeConfig(sc.scheme, self.params, cp_len=sc.cp_len)
         self.const = get_constellation(sc.constellation)
         self.fixed = None if sc.channel_taps is None else _fixed_channel(sc)
-        self._cache = {}  # noise_var -> detector, for the fixed channel only
+        self._cache = {}  # noise_var -> (detector, beta, amp), for the fixed channel only
         mu = sc.multiuser
         # every user map tiles the grid unitarily except Gaussian spreading
         self.unitary = mu is None or not (mu.mode == "tf_spread" and mu.spreader == "gaussian")
         if mu is None:
             self.users, self.K, self.block = None, 1, self.params.dof
             return
-        alloc_fn = localized_allocation if mu.mapping == "localized" else interleaved_allocation
-        self.alloc = alloc_fn(self.params, mu.K_d, mu.K_D)
+        self.alloc = _allocation(sc)
         self.K = self.alloc.num_users
         self.M_d = sc.M // mu.K_d
         self.N_D = sc.N // mu.K_D
@@ -409,67 +406,53 @@ class _Link:
         X = self.tf_grid(map_bits(bits, self.const), beta)
         return bits, heisenberg(X, self.params, cp_len=self.sc.cp_len)
 
-    def _probe(self, ch: DDChannelSpec):
-        """Impulse-probed operator and the observation it acts on."""
-        sc, params = self.sc, self.params
-        if self.users is None:
-            # payload domain, as the dense single-user goldens were captured
-            return effective_matrix(self.cfg, ch, mode=sc.channel_mode), (
-                lambda sig: modem.demodulate(self.cfg, sig).reshape(-1)
-            )
-
-        def tx(v):
-            return heisenberg(self.tf_grid(v), params, cp_len=sc.cp_len)
-
-        def rx(sig):
-            return wigner(apply_channel(sig, ch, params, 0.0, None, sc.channel_mode), params)
-
-        A = chain_matrix(tx, rx, self.K * self.block)
-        return A, lambda sig: wigner(sig, params).reshape(-1)
+    @cached_property
+    def _map_matrix(self) -> np.ndarray:
+        """The channel-free user map as a matrix: stacked symbols -> slot-major grid."""
+        return chain_matrix(self.tf_grid, lambda X: X.T, self.K * self.block)
 
     def detector(self, ch: DDChannelSpec, noise_var: float):
-        """Returns stacked symbol estimates = f(received TimeSignal)."""
+        """Returns stacked symbol estimates = f(received TimeSignal).
+
+        Detection reads the grid Y = wigner(sig) through the channel's slot
+        operators T.  With a unitary user map U the joint LMMSE is T's block
+        filter followed by U's adjoint; ML and Gaussian spreading use T U.
+        """
+        sc, params = self.sc, self.params
+        if sc.equalizer == "one_tap_tf":
+            H = tf_channel(ch, params)
+            return lambda sig: self.adjoint(one_tap_tf(wigner(sig, params), H, noise_var))
+        T = slot_operators(ch, params, sc.channel_mode)
+        if sc.equalizer == "mmse_dd" and self.unitary:
+            W = mmse_filter(T, noise_var)
+
+            def detect(sig):
+                y = wigner(sig, params).T.reshape(len(W), -1)
+                Z = (W @ y[:, :, None])[:, :, 0].reshape(params.N, params.M)
+                return self.adjoint(Z.T)
+
+            return detect
+        U = self._map_matrix
+        A = (T @ U.reshape(len(T), T.shape[-1], -1)).reshape(params.dof, -1)
+        if sc.equalizer == "ml":
+            return lambda sig: ml_detect(wigner(sig, params).T.reshape(-1), A, self.const)
+        W = mmse_filter(A, noise_var)
+        return lambda sig: W @ wigner(sig, params).T.reshape(-1)
+
+    def receiver(self, ch: DDChannelSpec, noise_var: float):
+        """Detector and water-filled weights for one channel: (detect, beta, amp)."""
         # only the fixed channel outlives a trial; a random draw's id() can
         # be reused by a later draw
         if ch is self.fixed and noise_var in self._cache:
             return self._cache[noise_var]
-        sc, params = self.sc, self.params
-        if sc.equalizer == "one_tap_tf":
-            H = tf_channel(ch, params)
-
-            def detect(sig):
-                return self.adjoint(one_tap_tf(wigner(sig, params), H, noise_var))
-
-        elif sc.equalizer == "mmse_dd" and sc.channel_mode == "per_slot_cp" and self.unitary:
-            # joint LMMSE: the channel is block-diagonal over slots and the
-            # user map is unitary, so filter per slot, then undo the map
-            W = mmse_filter(slot_operators(ch, params), noise_var)
-
-            def detect(sig):
-                Y = wigner(sig, params)
-                return self.adjoint((W @ Y.T[:, :, None])[:, :, 0].T)
-
-        else:
-            A, observe = self._probe(ch)
-            if sc.equalizer == "ml":
-
-                def detect(sig):
-                    return ml_detect(observe(sig), A, self.const)
-
-            else:
-                W = mmse_filter(A, noise_var)
-
-                def detect(sig):
-                    return W @ observe(sig)
-
+        rx = (self.detector(ch, noise_var), *self._beta(ch, noise_var))
         if ch is self.fixed:
-            self._cache[noise_var] = detect
-        return detect
+            self._cache[noise_var] = rx
+        return rx
 
     def run_trial(self, rng, noise_var: float):
         ch = self.channel_for_trial(rng)
-        detect = self.detector(ch, noise_var)
-        beta, amp = self._beta(ch, noise_var)
+        detect, beta, amp = self.receiver(ch, noise_var)
         bits, sig = self.transmit(rng, beta)
         papr_val = papr(sig)
         rx = apply_channel(sig, ch, self.params, noise_var, rng, mode=self.sc.channel_mode)

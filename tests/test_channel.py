@@ -339,6 +339,10 @@ class TestEffectiveMatrix:
         with pytest.raises(GuardError):
             chain_matrix(never, never, EFFECTIVE_GUARD + 1)
 
+    def test_chain_matrix_keeps_responses_that_view_the_probe(self):
+        # an OFDM payload maps to its grid by a view of the probe vector
+        assert_allclose(chain_matrix(lambda v: v[:, None], lambda X: X.T, 3), np.eye(3))
+
 
 class TestCouplingTensor:
     @pytest.mark.parametrize("mode", ["cyclic", "per_slot_cp"])
@@ -435,3 +439,26 @@ class TestSlotOperators:
     def test_rejects_taps_outside_the_grid(self):
         with pytest.raises(ValueError):
             ot.slot_operators(ot.DDChannelSpec(taps=((0, 3, 1.0),)), ot.make_frame(8, 4))
+
+    @pytest.mark.parametrize("M,N", [(8, 4), (7, 4), (5, 1), (6, 3), (4, 8)])
+    def test_cyclic_matches_probed_chain(self, M, N):
+        # delays wrap round the whole block; Doppler bins reach -N/2 and +N/2
+        from otfsim.transforms import heisenberg, wigner
+
+        params = ot.make_frame(M, N)
+        ch = ot.random_channel(3, N // 2 + 1, np.random.default_rng(42))
+        probed = chain_matrix(
+            lambda v: heisenberg(v.reshape(N, M).T, params),
+            lambda sig: wigner(ot.apply_channel(sig, ch, params, mode="cyclic"), params).T,
+            params.dof,
+        )
+        T = ot.slot_operators(ch, params, "cyclic")
+        assert T.shape == (1, M * N, M * N)
+        assert np.abs(T[0] - probed).max() < 1e-10
+
+    def test_cyclic_guard_and_unknown_mode(self):
+        ch = ot.DDChannelSpec(taps=((0, 0, 1.0),))
+        with pytest.raises(GuardError):
+            ot.slot_operators(ch, ot.make_frame(128, 64), "cyclic")
+        with pytest.raises(ConfigError):
+            ot.slot_operators(ch, ot.make_frame(8, 4), "linear")

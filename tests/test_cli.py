@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -87,20 +88,28 @@ class TestSimulate:
         assert main(["simulate", "--config", config_file(), "--format", "json"]) == EXIT_CONFIG
 
     def test_guard_refusal_is_exit_3(self, config_file, capsys):
+        # a cyclic-mode LMMSE couples all 8192 points; the 8192 x 8192
+        # operator (1 GiB) is refused before it is allocated
         cfg = config_file(
             frame={"M": 128, "N": 64},
             equalizer="mmse_dd",
             snr_db_list=[10.0],
             trials=1,
         )
-        assert main(["simulate", "--config", cfg]) == EXIT_GUARD
+        tracemalloc.start()
+        try:
+            assert main(["simulate", "--config", cfg]) == EXIT_GUARD
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert "guard" in capsys.readouterr().err
+        assert peak < 64 * 2**20
 
     def test_dense_downlink_guard_is_exit_3_before_probing(
         self, config_file, capsys, monkeypatch
     ):
-        # Gaussian spreading is not unitary, so its joint LMMSE is probed;
-        # 128 x 64 points are refused before the first probe reaches the channel
+        # Gaussian spreading is not unitary, so its joint LMMSE needs the
+        # probed user map; 128 x 64 points are refused before the first probe
         import otfsim.runner
 
         calls = []
@@ -119,6 +128,34 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg]) == EXIT_GUARD
         assert "guard" in capsys.readouterr().err
         assert calls == []
+
+    @pytest.mark.parametrize("path,value", [
+        (("channel", "taps"), 5),
+        (("channel", "taps"), [3]),
+        (("frame", "M"), None),
+        (("multiuser", "K_d"), 0),
+        (("trials",), 2.7),
+        (("trials",), True),
+    ])
+    def test_ill_typed_scenario_is_exit_1(self, config_file, capsys, path, value):
+        # on a tf_alloc downlink these once ended in TypeError or
+        # ZeroDivisionError tracebacks, or silently ran 2 or 1 trials
+        d = {
+            "frame": {"M": 8, "N": 2},
+            "channel": {"taps": [{"delay_bin": 0, "doppler_bin": 0, "re": 1.0, "im": 0.0}]},
+            "multiuser": {"mode": "tf_alloc", "K_d": 2, "K_D": 1},
+            "trials": 4,
+        }
+        assert main(["simulate", "--config", config_file(**d)]) == EXIT_OK
+        capsys.readouterr()
+        node = d
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        assert main(["simulate", "--config", config_file(**d)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error" in captured.err and "Traceback" not in captured.err
 
     @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_snr_is_exit_1_without_rows(self, tmp_path, config_file, bad, capsys):

@@ -21,7 +21,8 @@ from pathlib import Path
 
 import pytest
 
-from otfsim.runner import format_csv, load_scenario, papr_ccdf, run
+from otfsim import modem, runner
+from otfsim.runner import _Link, format_csv, load_scenario, papr_ccdf, run, trial_rng
 
 GOLDEN = Path(__file__).parent / "golden"
 SCENARIOS = sorted(p.stem for p in GOLDEN.glob("*.json"))
@@ -45,3 +46,18 @@ def test_simulate_reproduces_golden_csv(name, workers):
 def test_papr_ccdf_reproduces_golden_csv(name):
     sc = load_scenario(GOLDEN / f"{name}.json")
     assert papr_ccdf(sc) == (GOLDEN / f"{name}.papr.csv").read_text()
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_detector_never_probes_the_channel(name, monkeypatch):
+    # every detector reads the time-frequency grid through closed-form
+    # channel operators; the probed chain is a test oracle only
+    def refuse(*args, **kwargs):
+        raise AssertionError("detector build probed the channel chain")
+
+    monkeypatch.setattr(runner, "apply_channel", refuse)
+    monkeypatch.setattr(runner, "effective_matrix", refuse)
+    monkeypatch.setattr(modem, "demodulate", refuse)
+    sc = load_scenario(GOLDEN / f"{name}.json")
+    link = _Link(sc)
+    assert callable(link.detector(link.channel_for_trial(trial_rng(sc.seed, 0, 0)), 0.1))

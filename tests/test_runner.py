@@ -1,12 +1,16 @@
 """Scenario parsing, deterministic execution, and CSV output."""
 
+import copy
 import json
+import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import otfsim as ot
+import otfsim.runner
 from otfsim.channel import EFFECTIVE_GUARD, chain_matrix
 from otfsim.errors import ConfigError
 from otfsim.metrics import LinkResult
@@ -23,6 +27,9 @@ from otfsim.runner import (
     trial_rng,
     write_csv,
 )
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def base_dict(**over):
@@ -118,6 +125,13 @@ class TestScenarioParsing:
         ("trials", 0),
         ("seed", -1),
         ("snr_db_list", []),
+        ("trials", 2.7),
+        ("trials", True),
+        ("seed", "7"),
+        ("snr_db_list", 10.0),
+        ("snr_db_list", [True]),
+        ("channel", [1]),
+        ("multiuser", "dd_mapped"),
     ])
     def test_bad_values(self, field, value):
         with pytest.raises(ConfigError):
@@ -212,6 +226,41 @@ class TestScenarioParsing:
         p = tmp_path / "sc.json"
         p.write_text(json.dumps(base_dict()))
         assert load_scenario(p) == scenario_from_dict(base_dict())
+
+    def test_mutated_golden_scenarios_parse_or_raise_config_error(self):
+        # seeded mutations of every golden scenario: replace a value with
+        # an ill-typed or out-of-range one, drop a key or add an unknown key
+        mutants = [None, True, False, 0, -1, 1, 3, 2.7, -0.5, float("nan"),
+                   float("inf"), "x", "", [], [3], {}, {"a": 1}]
+
+        def spots(node):
+            items = node.items() if isinstance(node, dict) else enumerate(node)
+            for key, value in list(items):
+                yield node, key
+                if isinstance(value, (dict, list)):
+                    yield from spots(value)
+
+        rng = random.Random(20)
+        parsed = refused = 0
+        for path in sorted(GOLDEN.glob("*.json")):
+            base = json.loads(path.read_text())
+            for _ in range(150):
+                d = copy.deepcopy(base)
+                for _ in range(rng.randint(1, 2)):
+                    node, key = rng.choice(list(spots(d)))
+                    op = rng.random()
+                    if op < 0.7 or isinstance(node, list):
+                        node[key] = copy.deepcopy(rng.choice(mutants))
+                    elif op < 0.85:
+                        del node[key]
+                    else:
+                        node["extra"] = 1
+                try:
+                    scenario_from_dict(d)
+                    parsed += 1
+                except ConfigError:
+                    refused += 1
+        assert parsed > 0 and refused > 0
 
 
 class TestRNGStreams:
@@ -325,6 +374,33 @@ class TestExecution:
         assert got.shape == (x.size,)  # the payload grid, flattened row-major
         assert np.abs(got - joint).max() < 1e-10
 
+    @pytest.mark.parametrize("channel_mode", ["cyclic", "per_slot_cp"])
+    @pytest.mark.parametrize("scheme,M,N", [
+        ("OTFS", 4, 2), ("OSTF", 4, 2), ("OFDM", 8, 1), ("SCFDMA", 8, 1),
+    ])
+    def test_tf_domain_ml_matches_payload_ml(self, scheme, M, N, channel_mode):
+        # ML on the time-frequency grid through T U picks the symbols that
+        # ML on the payload grid through the probed chain picks
+        from otfsim.modem import demodulate, modulate, payload_shape
+
+        d = base_dict(
+            scheme=scheme,
+            constellation="BPSK",
+            channel={"random": {"L_max": 2, "V_max": 2 if N > 1 else 1}},
+            channel_mode=channel_mode,
+            equalizer="ml",
+        )
+        d["frame"] = {"M": M, "N": N, "cp_len": 0 if channel_mode == "cyclic" else 1}
+        link = _Link(scenario_from_dict(d))
+        for t in range(6):
+            rng = trial_rng(5, 0, t)
+            ch = link.channel_for_trial(rng)
+            x = rng.choice([-1.0, 1.0], size=payload_shape(link.cfg)).astype(complex)
+            rx = ot.apply_channel(modulate(link.cfg, x), ch, link.params, 0.5, rng, channel_mode)
+            A = ot.effective_matrix(link.cfg, ch, mode=channel_mode)
+            ref = ot.ml_detect(demodulate(link.cfg, rx).reshape(-1), A, link.const)
+            assert np.array_equal(link.detector(ch, 0.5)(rx), ref)
+
     def test_per_slot_mmse_runs_beyond_the_dense_guard(self):
         # 128 x 64 is refused by the probed effective matrix; the per-slot
         # LMMSE never builds it
@@ -392,7 +468,7 @@ class TestMultiuserExecution:
         assert a.bit_errors == b.bit_errors
         assert_allclose(a.papr_values, b.papr_values, atol=1e-9)
 
-    def test_water_fill_shuts_off_weak_user(self):
+    def test_water_fill_shuts_off_weak_user(self, monkeypatch):
         # two-tap channel with a null centred on the upper band; a small
         # budget at low noise concentrates all power on the strong user,
         # and the silenced user's symbols leave the error accounting
@@ -410,8 +486,14 @@ class TestMultiuserExecution:
         ch = eng.channel_for_trial(trial_rng(sc.seed, 0, 0))
         beta, amp = eng._beta(ch, noise_var=1e-3)
         assert amp[0] > 0 and amp[1] == 0.0
+        calls = []
+        real = otfsim.runner.multiuser.water_fill
+        monkeypatch.setattr(
+            otfsim.runner.multiuser, "water_fill", lambda *a: calls.append(1) or real(*a)
+        )
         (res,) = run(sc)
         assert res.total_symbols == 2 * 8  # one user's block per trial
+        assert len(calls) == 1  # the fixed channel's weights are computed once
 
     @pytest.mark.parametrize("mode", ["dd_mapped", "tf_alloc", "tf_spread"])
     def test_random_channel_filters_not_reused_across_trials(self, mode):
@@ -472,6 +554,54 @@ class TestMultiuserExecution:
             raise AssertionError("chain_matrix called")
 
         monkeypatch.setattr(otfsim.runner, "chain_matrix", refuse)
+        got = link.detector(ch, 0.1)(sig)
+        assert np.abs(got - W @ ot.wigner(sig, sc.params).reshape(-1)).max() < 1e-10
+
+    @pytest.mark.parametrize("scheme,N,mode,spreader,channel_mode", [
+        ("OTFS", 4, None, None, "cyclic"),
+        ("OSTF", 4, None, None, "cyclic"),
+        ("OFDM", 1, None, None, "cyclic"),
+        ("SCFDMA", 1, None, None, "cyclic"),
+        ("OTFS", 4, "dd_mapped", "dft", "cyclic"),
+        ("OTFS", 4, "tf_alloc", "dft", "cyclic"),
+        ("OTFS", 4, "tf_spread", "dft", "cyclic"),
+        ("OTFS", 4, "tf_spread", "gaussian", "cyclic"),
+        ("OTFS", 4, "tf_spread", "gaussian", "per_slot_cp"),
+    ])
+    def test_detector_is_lmmse_of_the_probed_chain(self, scheme, N, mode, spreader, channel_mode):
+        # the detector against the LMMSE of the probed chain on the stacked
+        # symbol vector; Doppler bins reach -N/2 and +N/2
+        from otfsim import multiuser
+        from otfsim.modem import modulate, payload_shape
+
+        d = self.mu_dict(
+            scheme=scheme,
+            frame={"M": 8, "N": N, "cp_len": 0 if channel_mode == "cyclic" else 2},
+            channel={"random": {"L_max": 3, "V_max": N // 2 + 1}},
+            channel_mode=channel_mode,
+            equalizer="mmse_dd",
+            multiuser={"mode": mode, "K_d": 2, "K_D": 2, "spreader": spreader},
+        )
+        if mode is None:
+            del d["multiuser"]
+        sc = scenario_from_dict(d)
+        link = _Link(sc)
+        rng = trial_rng(6, 0, 0)
+        ch = link.channel_for_trial(rng)
+        dim = sc.params.dof
+
+        def tx(v):
+            if mode is None:
+                return modulate(link.cfg, v.reshape(payload_shape(link.cfg)))
+            X = multiuser.downlink_superpose(v.reshape(4, N // 2, 4), link.users, mode)
+            return ot.heisenberg(X, sc.params, cp_len=sc.cp_len)
+
+        def rx(sig):
+            return ot.wigner(ot.apply_channel(sig, ch, sc.params, mode=channel_mode), sc.params)
+
+        W = ot.mmse_filter(chain_matrix(tx, rx, dim), 0.1)
+        x = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        sig = ot.apply_channel(tx(x), ch, sc.params, 0.1, rng, channel_mode)
         got = link.detector(ch, 0.1)(sig)
         assert np.abs(got - W @ ot.wigner(sig, sc.params).reshape(-1)).max() < 1e-10
 
