@@ -22,7 +22,9 @@ Both modes implement, on body samples,
 
     r[s] = sum_taps gain * x[s - l] * exp(2j*pi*k*(s - l)/(M*N)) + noise
 
-with s the body-sample index.
+with s the body-sample index.  :func:`apply_channel` also takes a stack of
+frames, with one gain set per frame for channels that share tap positions
+(as random draws do), so each tap's phase ramp is computed once per stack.
 """
 
 from __future__ import annotations
@@ -38,8 +40,10 @@ from .transforms import basis_waveform, dft_matrix, wigner
 
 #: refuse to build coupling tensors above this many grid points
 COUPLING_GUARD = 512
-#: refuse dense operators (probed, or cyclic-mode slot_operators) above this many points
+#: refuse dense operators (probed, or built for cyclic mode) above this many points
 EFFECTIVE_GUARD = 4096
+#: scenario parsing refuses frames with more grid points (M*N) than this
+FRAME_GUARD = 1 << 20
 
 
 class ChannelTap(NamedTuple):
@@ -133,6 +137,16 @@ def _check_taps(ch: DDChannelSpec, params: FrameParams) -> None:
             raise ValueError(f"|doppler bin| {abs(t.doppler_bin)} > N/2={params.N / 2}")
 
 
+def draw_noise(rng: np.random.Generator, noise_var: float, size) -> tuple:
+    """Complex AWGN as drawn from ``rng``: (real parts, imaginary parts).
+
+    Two Gaussian draws of ``size`` samples each, real parts first, each of
+    variance ``noise_var / 2``.
+    """
+    scale = np.sqrt(noise_var / 2.0)
+    return rng.normal(scale=scale, size=size), rng.normal(scale=scale, size=size)
+
+
 def apply_channel(
     sig: TimeSignal,
     ch: DDChannelSpec,
@@ -140,11 +154,19 @@ def apply_channel(
     noise_var: float = 0.0,
     rng: np.random.Generator | None = None,
     mode: str = "per_slot_cp",
+    gains: np.ndarray | None = None,
+    noise: tuple | None = None,
 ) -> TimeSignal:
     """Pass a time signal through the channel and add complex AWGN.
 
     ``noise_var`` is the per-complex-sample noise variance (split evenly
-    between quadratures).  See the module docstring for the two modes.
+    between quadratures), drawn from ``rng`` by :func:`draw_noise`;
+    ``noise`` instead adds a pre-drawn (real, imaginary) pair.  See the
+    module docstring for the two modes.
+
+    ``sig`` may be a stack of frames (samples of shape (..., frame length)).
+    ``gains`` of shape (..., taps) then gives each frame its own tap
+    gains at the positions of ``ch``'s taps, in ``ch.taps`` order.
     """
     _check_taps(ch, params)
     if sig.num_slots != params.N or sig.body_len != params.M:
@@ -153,16 +175,25 @@ def apply_channel(
         raise ValueError(f"noise variance must be >= 0, got {noise_var}")
     if noise_var > 0 and rng is None:
         raise ValueError("rng required when noise_var > 0")
+    if noise_var > 0 and noise is not None:
+        raise ValueError("give noise_var or pre-drawn noise, not both")
     S = params.dof
     x = sig.samples
+    if gains is not None and gains.shape != (*x.shape[:-1], len(ch.taps)):
+        raise ValueError(f"gains of shape {gains.shape} do not match {len(ch.taps)} taps")
+
+    def tap_gain(i, g):
+        return g if gains is None else gains[..., i, None]
 
     if mode == "cyclic":
         if sig.cp_len != 0:
             raise ConfigError("cyclic mode requires a prefix-free signal (cp_len == 0)")
         s_idx = np.arange(S)
-        r = np.zeros(S, dtype=np.complex128)
-        for l, k, g in ch.taps:
-            r += g * np.roll(x, l) * np.exp(2j * np.pi * k * (s_idx - l) / S)
+        r = np.zeros(x.shape, dtype=np.complex128)
+        for i, (l, k, g) in enumerate(ch.taps):
+            r += tap_gain(i, g) * np.roll(x, l, axis=-1) * np.exp(
+                2j * np.pi * k * (s_idx - l) / S
+            )
     elif mode == "per_slot_cp":
         cp = sig.cp_len
         for t in ch.taps:
@@ -171,23 +202,25 @@ def apply_channel(
                     f"delay bin {t.delay_bin} exceeds cyclic prefix {cp} in per-slot mode"
                 )
         slot_len = sig.slot_len
-        total = sig.samples.size
+        total = x.shape[-1]
         q = np.arange(slot_len)
         clock = (
             np.arange(params.N)[:, None] * params.M + np.maximum(0, q[None, :] - cp)
         ).reshape(-1)
-        r = np.zeros(total, dtype=np.complex128)
-        for l, k, g in ch.taps:
-            delayed = np.concatenate([np.zeros(l, dtype=np.complex128), x[: total - l]])
-            r += g * delayed * np.exp(2j * np.pi * k * (clock - l) / S)
+        r = np.zeros(x.shape, dtype=np.complex128)
+        for i, (l, k, g) in enumerate(ch.taps):
+            delayed = np.concatenate(
+                [np.zeros((*x.shape[:-1], l), dtype=np.complex128), x[..., : total - l]],
+                axis=-1,
+            )
+            r += tap_gain(i, g) * delayed * np.exp(2j * np.pi * k * (clock - l) / S)
     else:
         raise ConfigError(f"unknown channel mode {mode!r}")
 
     if noise_var > 0:
-        scale = np.sqrt(noise_var / 2.0)
-        r = r + rng.normal(scale=scale, size=r.shape) + 1j * rng.normal(
-            scale=scale, size=r.shape
-        )
+        noise = draw_noise(rng, noise_var, r.shape)
+    if noise is not None:
+        r = r + noise[0] + 1j * noise[1]
     return TimeSignal(
         samples=r, cp_len=sig.cp_len, sample_rate=sig.sample_rate, num_slots=sig.num_slots
     )
@@ -267,6 +300,9 @@ def windowed_dd_channel(ch: DDChannelSpec, params: FrameParams) -> np.ndarray:
 
     at tap positions and 0 elsewhere.  Returned as an (N, M) grid indexed
     [doppler row, delay bin]; the cross phase uses the signed Doppler bin.
+    Rows are keyed by k mod N, so for even N the bins -N/2 and +N/2 share
+    row N/2 and their terms add there; :func:`dd_domain_operator` keeps
+    them apart.
     """
     _check_taps(ch, params)
     out = np.zeros((params.N, params.M), dtype=np.complex128)
@@ -275,39 +311,45 @@ def windowed_dd_channel(ch: DDChannelSpec, params: FrameParams) -> np.ndarray:
     return out
 
 
+def _cyclic_time_operator(ch: DDChannelSpec, params: FrameParams) -> np.ndarray:
+    """The ``cyclic``-mode channel on the M*N body samples: r = H @ x.
+
+    H = sum_taps gain * Pi_l @ diag(w^(k*s)), with Pi_l the cyclic delay by
+    l and each tap's signed Doppler bin k.  Refused above
+    ``EFFECTIVE_GUARD`` points before it is allocated.
+    """
+    _check_taps(ch, params)
+    S = params.dof
+    if S > EFFECTIVE_GUARD:
+        raise GuardError(f"cyclic operator on {S} points exceeds guard {EFFECTIVE_GUARD}")
+    s = np.arange(S)
+    H = np.zeros((S, S), dtype=np.complex128)
+    for l, k, g in ch.taps:
+        src = (s - l) % S
+        H[s, src] += g * np.exp(2j * np.pi * k * src / S)
+    return H
+
+
 def dd_domain_operator(ch: DDChannelSpec, params: FrameParams) -> np.ndarray:
-    """Analytic delay-Doppler input-output operator (M*N x M*N).
+    """Analytic delay-Doppler input-output operator of OTFS in ``cyclic`` mode.
 
-    Built purely from :func:`windowed_dd_channel` — never by running the
-    modulation chain — as the twisted circular convolution
+    Built from the taps, never by running the modulation chain.  With
+    rectangular pulses the ISFFT followed by slot synthesis is an inverse
+    DFT along the Doppler axis alone, x[n*M + p] = sum_k conj(F_N)[n, k]
+    x_dd[k, p], and the receiver applies its adjoint, so the operator is
 
-        y[n_o, m_o] = (1/(M*N)) * sum_{n_i, m_i} x[n_i, m_i]
-                        * h_w[(n_o - n_i) mod N, (m_o - m_i) mod M]
-                        * exp(2j*pi*k*m_o/(M*N)) * wrap(m_o, m_i, n_i)
+        (F_N kron I_M) @ H @ (F_N^H kron I_M)
 
-    where k is the signed Doppler offset recovered from the row difference
-    (centered convention), the per-output-column phase completes the tap's
-    Doppler ramp, and ``wrap`` is the quasi-periodic boundary factor
-    exp(-2j*pi*n_i/N) applied when the delay shift wraps past the block
-    edge (1 otherwise).  Vectorization is row-major over (doppler, delay),
-    matching :func:`effective_matrix`.
+    with H the time-domain channel of :func:`_cyclic_time_operator`.  Each
+    tap keeps its signed Doppler bin, so bins -N/2 and +N/2 (distinct
+    phase ramps over the block) stay distinct.  The result is M*N x M*N,
+    vectorized row-major over (doppler, delay) as :func:`effective_matrix`
+    is, and refused above ``EFFECTIVE_GUARD`` points.
     """
     M, N = params.M, params.N
-    MN = params.dof
-    hw = windowed_dd_channel(ch, params)
-    idx = np.arange(MN)
-    n_out, m_out = np.divmod(idx, M)
-    dn = (n_out[:, None] - n_out[None, :]) % N
-    dm = (m_out[:, None] - m_out[None, :]) % M
-    k_signed = np.where(dn <= N // 2, dn, dn - N)
-    base = hw[dn, dm] / MN
-    twist = np.exp(2j * np.pi * k_signed * m_out[:, None] / MN)
-    wrap = np.where(
-        m_out[:, None] >= dm,
-        1.0,
-        np.exp(-2j * np.pi * n_out[None, :] / N),
-    )
-    return base * twist * wrap
+    H = _cyclic_time_operator(ch, params).reshape(N, M, N, M)
+    H = np.fft.fft(H, axis=0, norm="ortho")
+    return np.fft.ifft(H, axis=2, norm="ortho").reshape(params.dof, params.dof)
 
 
 def slot_operators(ch: DDChannelSpec, params: FrameParams, mode: str = "per_slot_cp") -> np.ndarray:
@@ -333,14 +375,8 @@ def slot_operators(ch: DDChannelSpec, params: FrameParams, mode: str = "per_slot
     M, N = params.M, params.N
     S = params.dof
     if mode == "cyclic":
-        if S > EFFECTIVE_GUARD:
-            raise GuardError(f"cyclic operator on {S} points exceeds guard {EFFECTIVE_GUARD}")
-        s = np.arange(S)
-        H = np.zeros((S, S), dtype=np.complex128)
-        for l, k, g in ch.taps:
-            src = (s - l) % S
-            H[s, src] += g * np.exp(2j * np.pi * k * src / S)
-        H = np.fft.fft(H.reshape(N, M, N, M), axis=1, norm="ortho")
+        H = _cyclic_time_operator(ch, params).reshape(N, M, N, M)
+        H = np.fft.fft(H, axis=1, norm="ortho")
         return np.fft.ifft(H, axis=3, norm="ortho").reshape(1, S, S)
     if mode != "per_slot_cp":
         raise ConfigError(f"unknown channel mode {mode!r}")

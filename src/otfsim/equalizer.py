@@ -33,12 +33,13 @@ ML_GUARD_BITS = 16
 def one_tap_tf(y_tf: np.ndarray, h_tf: np.ndarray, noise_var: float) -> np.ndarray:
     """Scalar MMSE per grid cell: conj(H)*Y / (|H|^2 + noise_var).
 
-    With ``noise_var == 0`` this is zero-forcing and every cell gain must
-    be nonzero.
+    ``y_tf`` may be a stack of grids that share the response ``h_tf``
+    (whose shape must end ``y_tf``'s).  With ``noise_var == 0`` this is
+    zero-forcing and every cell gain must be nonzero.
     """
     y_tf = np.asarray(y_tf, dtype=np.complex128)
     h_tf = np.asarray(h_tf, dtype=np.complex128)
-    if y_tf.shape != h_tf.shape:
+    if h_tf.ndim > y_tf.ndim or y_tf.shape[y_tf.ndim - h_tf.ndim:] != h_tf.shape:
         raise ValueError(f"grid shapes differ: {y_tf.shape} vs {h_tf.shape}")
     if noise_var < 0:
         raise ValueError(f"noise variance must be >= 0, got {noise_var}")

@@ -73,10 +73,11 @@ def make_frame(M: int, N: int, delta_f: float = 15e3) -> FrameParams:
 
 @dataclass(frozen=True)
 class TimeSignal:
-    """One block of baseband samples at critical sampling.
+    """One block of baseband samples at critical sampling, or a stack of them.
 
-    ``samples`` holds ``num_slots`` slots of ``cp_len + M`` samples each;
-    the body (post-prefix) samples are the information-bearing part.
+    The last axis of ``samples`` holds ``num_slots`` slots of ``cp_len + M``
+    samples each; leading axes, if any, index frames of the same geometry.
+    The body (post-prefix) samples are the information-bearing part.
     """
 
     samples: np.ndarray
@@ -85,22 +86,23 @@ class TimeSignal:
     num_slots: int
 
     def __post_init__(self):
-        if self.samples.ndim != 1:
-            raise ValueError("TimeSignal.samples must be 1-D")
+        if self.samples.ndim < 1:
+            raise ValueError("TimeSignal.samples must have a sample axis")
         if self.cp_len < 0:
             raise ValueError("cp_len must be >= 0")
         if self.num_slots < 1:
             raise ValueError("num_slots must be >= 1")
-        if self.samples.size % self.num_slots != 0:
+        if self.samples.shape[-1] % self.num_slots != 0:
             raise ValueError(
-                f"sample count {self.samples.size} not divisible by num_slots {self.num_slots}"
+                f"sample count {self.samples.shape[-1]} not divisible by "
+                f"num_slots {self.num_slots}"
             )
         if self.slot_len <= self.cp_len:
             raise ValueError("slot shorter than its cyclic prefix")
 
     @property
     def slot_len(self) -> int:
-        return self.samples.size // self.num_slots
+        return self.samples.shape[-1] // self.num_slots
 
     @property
     def body_len(self) -> int:
@@ -109,11 +111,12 @@ class TimeSignal:
 
     @property
     def body(self) -> np.ndarray:
-        """All body samples, prefixes stripped, concatenated in time order."""
+        """Each frame's body samples, prefixes stripped, concatenated in time order."""
         if self.cp_len == 0:
             return self.samples
-        blocks = self.samples.reshape(self.num_slots, self.slot_len)
-        return blocks[:, self.cp_len:].reshape(-1)
+        lead = self.samples.shape[:-1]
+        blocks = self.samples.reshape(*lead, self.num_slots, self.slot_len)
+        return blocks[..., self.cp_len:].reshape(*lead, -1)
 
 
 @dataclass(frozen=True)
@@ -214,14 +217,20 @@ class UserAllocation:
     def __post_init__(self):
         if not self.users:
             raise AllocationError("allocation has no users")
-        # orthogonality: every (freq, time) resource claimed at most once
-        seen = set()
-        for fmap, tmap in self.users:
-            for i in fmap.selected:
-                for j in tmap.selected:
-                    if (i, j) in seen:
-                        raise AllocationError(f"resource {(i, j)} allocated twice")
-                    seen.add((i, j))
+        # orthogonality: every (freq, time) resource claimed at most once;
+        # cells are listed user by user, frequency-major, and the first
+        # repeat in that order is reported
+        cols = 1 + max(max(tmap.selected) for _, tmap in self.users)
+        cells = np.concatenate([
+            (np.array(fmap.selected)[:, None] * cols + np.array(tmap.selected)).reshape(-1)
+            for fmap, tmap in self.users
+        ])
+        _, first = np.unique(cells, return_index=True)
+        if first.size < cells.size:
+            repeat = np.ones(cells.size, dtype=bool)
+            repeat[first] = False
+            i, j = divmod(int(cells[np.argmax(repeat)]), cols)
+            raise AllocationError(f"resource {(i, j)} allocated twice")
 
     @property
     def num_users(self) -> int:

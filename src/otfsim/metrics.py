@@ -76,14 +76,20 @@ def get_constellation(name: str) -> Constellation:
 
 
 def map_bits(bits: np.ndarray, constellation: Constellation) -> np.ndarray:
-    """Map a flat 0/1 array (length divisible by bits/symbol) to symbols."""
+    """Map a 0/1 array to symbols along its last axis (length divisible by bits/symbol).
+
+    Leading axes index independent frames: bits of shape (..., n) give
+    symbols of shape (..., n / bits_per_symbol).
+    """
     bits = np.asarray(bits)
     bps = constellation.bits_per_symbol
-    if bits.ndim != 1 or bits.size % bps != 0:
-        raise ValueError(f"bit count {bits.size} not divisible by {bps}")
+    if bits.ndim < 1:
+        raise ValueError("bits must have at least one axis")
+    if bits.shape[-1] % bps != 0:
+        raise ValueError(f"bit count {bits.shape[-1]} not divisible by {bps}")
     if bits.dtype.kind not in "biu" or not ((bits == 0) | (bits == 1)).all():
         raise ValueError("bits must be 0 or 1, in an integer or bool array")
-    groups = bits.reshape(-1, bps)
+    groups = bits.reshape(*bits.shape[:-1], -1, bps)
     idx = groups @ (1 << np.arange(bps - 1, -1, -1))
     return constellation.points[idx]
 
@@ -96,36 +102,51 @@ def symbol_indices(symbols: np.ndarray, constellation: Constellation) -> np.ndar
 
 
 def slice_symbols(symbols: np.ndarray, constellation: Constellation) -> np.ndarray:
-    """Hard-decide symbols back to the flat bit array (inverse of map_bits)."""
+    """Hard-decide symbols back to bits (inverse of map_bits).
+
+    Symbols of shape (..., n) give bits of shape (..., n * bits_per_symbol).
+    """
+    symbols = np.asarray(symbols)
     idx = symbol_indices(symbols, constellation)
     bps = constellation.bits_per_symbol
     shifts = np.arange(bps - 1, -1, -1)
-    return ((idx[:, None] >> shifts[None, :]) & 1).reshape(-1).astype(np.int64)
+    bits = (idx[:, None] >> shifts[None, :]) & 1
+    return bits.reshape(*symbols.shape[:-1], -1).astype(np.int64)
 
 
-def papr_samples(x: np.ndarray) -> float:
-    """Peak-to-average power ratio (linear) of a sample array."""
+def papr_samples(x: np.ndarray):
+    """Peak-to-average power ratio (linear) of a sample array.
+
+    A 1-D array gives a float; an (..., n) stack gives one ratio per row
+    of its last axis.
+    """
     x = np.asarray(x)
     power = np.abs(x) ** 2
-    mean = power.mean()
-    if mean == 0:
+    mean = power.mean(axis=-1)
+    if np.any(mean == 0):
         raise ValueError("PAPR of an all-zero signal is undefined")
-    return float(power.max() / mean)
+    ratio = power.max(axis=-1) / mean
+    return float(ratio) if ratio.ndim == 0 else ratio
 
 
-def papr(sig: TimeSignal) -> float:
-    """PAPR of a block at critical sampling, prefixes excluded."""
+def papr(sig: TimeSignal):
+    """PAPR of a block at critical sampling, prefixes excluded (one per frame of a stack)."""
     return papr_samples(sig.body)
 
 
 def count_errors(tx_bits: np.ndarray, rx_bits: np.ndarray, bits_per_symbol: int = 1):
-    """(bit errors, symbol errors) between two equal-length bit arrays."""
+    """(bit errors, symbol errors) between two equal-shape bit arrays.
+
+    Symbols are groups of ``bits_per_symbol`` consecutive bits along the
+    last axis; counts are totals over every frame of a stack.
+    """
     tx_bits = np.asarray(tx_bits)
     rx_bits = np.asarray(rx_bits)
     if tx_bits.shape != rx_bits.shape:
         raise ValueError(f"shape mismatch {tx_bits.shape} vs {rx_bits.shape}")
-    if tx_bits.size % bits_per_symbol != 0:
-        raise ValueError(f"bit count {tx_bits.size} not divisible by {bits_per_symbol}")
+    n = tx_bits.shape[-1] if tx_bits.ndim else tx_bits.size
+    if n % bits_per_symbol != 0:
+        raise ValueError(f"bit count {n} not divisible by {bits_per_symbol}")
     wrong = tx_bits != rx_bits
     bit_errors = int(wrong.sum())
     symbol_errors = int(wrong.reshape(-1, bits_per_symbol).any(axis=1).sum())

@@ -64,35 +64,40 @@ def payload_shape(cfg: SchemeConfig) -> tuple:
 
 
 def tf_from_payload(cfg: SchemeConfig, symbols: np.ndarray) -> np.ndarray:
-    """The scheme's precoding stage: payload grid -> (M, N) TF grid."""
+    """The scheme's precoding stage: payload grid -> (M, N) TF grid.
+
+    Leading axes of ``symbols`` beyond the payload shape index a stack of
+    frames and are kept.
+    """
     symbols = np.asarray(symbols, dtype=np.complex128)
-    if symbols.shape != payload_shape(cfg):
+    shape = payload_shape(cfg)
+    if symbols.shape[symbols.ndim - len(shape):] != shape:
         raise ValueError(
-            f"{cfg.scheme} payload must have shape {payload_shape(cfg)}, got {symbols.shape}"
+            f"{cfg.scheme} payload must have shape {shape}, got {symbols.shape}"
         )
     if cfg.scheme == "OTFS":
-        return symbols.T.copy() if cfg.identity_isfft else isfft(symbols)
+        return symbols.swapaxes(-1, -2).copy() if cfg.identity_isfft else isfft(symbols)
     if cfg.scheme == "OSTF":
         return symbols
     if cfg.scheme == "OFDM":
-        return symbols[:, None]
-    return np.fft.fft(symbols, norm="ortho")[:, None]  # SCFDMA
+        return symbols[..., None]
+    return np.fft.fft(symbols, norm="ortho")[..., None]  # SCFDMA
 
 
 def payload_from_tf(cfg: SchemeConfig, y_tf: np.ndarray) -> np.ndarray:
-    """Inverse of the precoding stage: (M, N) TF grid -> payload grid."""
+    """Inverse of the precoding stage: (..., M, N) TF grid -> payload grid."""
     y_tf = np.asarray(y_tf, dtype=np.complex128)
-    if y_tf.shape != (cfg.params.M, cfg.params.N):
+    if y_tf.shape[-2:] != (cfg.params.M, cfg.params.N):
         raise ValueError(
             f"expected TF grid {(cfg.params.M, cfg.params.N)}, got {y_tf.shape}"
         )
     if cfg.scheme == "OTFS":
-        return y_tf.T.copy() if cfg.identity_isfft else sfft(y_tf)
+        return y_tf.swapaxes(-1, -2).copy() if cfg.identity_isfft else sfft(y_tf)
     if cfg.scheme == "OSTF":
         return y_tf
     if cfg.scheme == "OFDM":
-        return y_tf[:, 0]
-    return np.fft.ifft(y_tf[:, 0], norm="ortho")  # SCFDMA
+        return y_tf[..., 0]
+    return np.fft.ifft(y_tf[..., 0], norm="ortho")  # SCFDMA
 
 
 def modulate(cfg: SchemeConfig, symbols: np.ndarray) -> TimeSignal:

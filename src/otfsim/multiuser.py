@@ -62,7 +62,7 @@ def vec_dd(x_dd: np.ndarray) -> np.ndarray:
 
 def _check_block(user_data: np.ndarray, freq_map: MappingMatrix, time_map: MappingMatrix):
     user_data = np.asarray(user_data, dtype=np.complex128)
-    if user_data.shape != (time_map.size, freq_map.size):
+    if user_data.shape[-2:] != (time_map.size, freq_map.size):
         raise ValueError(
             f"user block must be (N_D={time_map.size}, M_d={freq_map.size}), "
             f"got {user_data.shape}"
@@ -86,11 +86,14 @@ def uplink_map_dd(
     """Placement on the full delay-Doppler grid, then the full transform.
 
     Equals spreading the block with the user's selected columns of the
-    frame DFT matrices.
+    frame DFT matrices.  A stack of blocks (..., N_D, M_d) gives a stack
+    of grids.
     """
     user_data = _check_block(user_data, freq_map, time_map)
-    grid = np.zeros((time_map.ambient, freq_map.ambient), dtype=np.complex128)
-    grid[np.ix_(list(time_map.selected), list(freq_map.selected))] = user_data
+    grid = np.zeros(
+        (*user_data.shape[:-2], time_map.ambient, freq_map.ambient), dtype=np.complex128
+    )
+    grid[(..., *np.ix_(time_map.selected, freq_map.selected))] = user_data
     return isfft(grid)
 
 
@@ -131,12 +134,12 @@ def dft_spreading_pair(
 
 
 def tf_spread(user_data: np.ndarray, pair: SpreadingPair) -> np.ndarray:
-    """General two-sided spreading X = S_A @ x.T @ S_B.T."""
+    """General two-sided spreading X = S_A @ x.T @ S_B.T (per block of a stack)."""
     user_data = np.asarray(user_data, dtype=np.complex128)
     N_D, M_d = pair.S_B.shape[1], pair.S_A.shape[1]
-    if user_data.shape != (N_D, M_d):
+    if user_data.shape[-2:] != (N_D, M_d):
         raise ValueError(f"user block must be ({N_D}, {M_d}), got {user_data.shape}")
-    return pair.S_A @ user_data.T @ pair.S_B.T
+    return pair.S_A @ user_data.swapaxes(-1, -2) @ pair.S_B.T
 
 
 def kron_spreader(pair: SpreadingPair) -> np.ndarray:
@@ -167,22 +170,23 @@ DOWNLINK_MODES = ("dd_mapped", "tf_spread", "tf_alloc")
 
 
 def _scale_block(x: np.ndarray, beta, beta_on_symbols: bool) -> np.ndarray:
-    """Apply per-user power weights to an (N_D, M_d) block.
+    """Apply per-user power weights to an (N_D, M_d) block, or a stack of them.
 
     ``beta`` of shape (N_D,) is the diagonal right-factor acting on the
     block's time/Doppler rows; with ``beta_on_symbols`` a full (N_D, M_d)
-    array scales each symbol individually.
+    array scales each symbol individually.  For a stack of blocks, beta
+    may carry the stack's leading axes too: one weight set per block.
     """
     if beta is None:
         return x
     beta = np.asarray(beta, dtype=float)
     if beta_on_symbols:
-        if beta.shape != x.shape:
+        if beta.shape[-2:] != x.shape[-2:]:
             raise ValueError(f"per-symbol beta must have shape {x.shape}, got {beta.shape}")
         return x * beta
-    if beta.shape != (x.shape[0],):
-        raise ValueError(f"beta must have shape ({x.shape[0]},), got {beta.shape}")
-    return x * beta[:, None]
+    if beta.shape[-1:] != x.shape[-2:-1]:
+        raise ValueError(f"beta must have shape ({x.shape[-2]},), got {beta.shape}")
+    return x * beta[..., None]
 
 
 def downlink_superpose(
@@ -197,9 +201,13 @@ def downlink_superpose(
     ``users`` holds one descriptor per block: (freq_map, time_map) pairs
     for modes ``dd_mapped`` and ``tf_alloc``, :class:`SpreadingPair`
     objects for ``tf_spread``.  ``beta`` is an optional list of per-user
-    power weights (see :func:`_scale_block`).  ``tf_alloc`` places blocks
-    directly on the grid and therefore requires non-overlapping
-    allocations.
+    power weights (see :func:`_scale_block`).  ``dd_mapped`` places every
+    block on one delay-Doppler grid and transforms it once, which by
+    linearity is the sum of the users' :func:`uplink_map_dd`.  ``tf_alloc``
+    places blocks directly on the grid and therefore requires
+    non-overlapping allocations.  Each user's block may be a stack (..., N_D, M_d) with
+    the same leading axes for every user; the result is then a stack of
+    grids.
     """
     if mode not in DOWNLINK_MODES:
         raise ValueError(f"unknown downlink mode {mode!r}, expected one of {DOWNLINK_MODES}")
@@ -229,14 +237,20 @@ def downlink_superpose(
             fmap, tmap = desc
             x = _scale_block(_check_block(block, fmap, tmap), b, beta_on_symbols)
             if mode == "dd_mapped":
-                contrib = uplink_map_dd(x, fmap, tmap)
+                # place on the delay-Doppler grid; one transform after the loop
+                contrib = np.zeros(
+                    (*x.shape[:-2], tmap.ambient, fmap.ambient), dtype=np.complex128
+                )
+                contrib[(..., *np.ix_(tmap.selected, fmap.selected))] = x
             else:  # tf_alloc
-                contrib = np.zeros((fmap.ambient, tmap.ambient), dtype=np.complex128)
-                contrib[np.ix_(list(fmap.selected), list(tmap.selected))] = x.T
+                contrib = np.zeros(
+                    (*x.shape[:-2], fmap.ambient, tmap.ambient), dtype=np.complex128
+                )
+                contrib[(..., *np.ix_(fmap.selected, tmap.selected))] = x.swapaxes(-1, -2)
         out = contrib if out is None else out + contrib
     if out is None:
         raise ValueError("no users to superpose")
-    return out
+    return isfft(out) if mode == "dd_mapped" else out
 
 
 def despread_user(
@@ -254,7 +268,8 @@ def despread_user(
     * ``freq_map``/``time_map`` with ``domain="dd"`` — adjoint of
       :func:`uplink_map_dd`; with ``domain="tf"`` — adjoint of
       :func:`uplink_map_tf`.  Returns an (N_D, M_d) block.
-    * ``pair`` — adjoint of :func:`tf_spread`.
+    * ``pair`` — adjoint of :func:`tf_spread`; a stack of grids
+      (..., M, N) gives a stack of blocks.
     * ``spreader`` — adjoint of a flattened spreader on a vectorised
       observation; returns a vector.
 
@@ -269,7 +284,7 @@ def despread_user(
         return np.asarray(spreader, dtype=np.complex128).conj().T @ y
     y = np.asarray(y_tf, dtype=np.complex128)
     if pair is not None:
-        return (pair.S_A.conj().T @ y @ pair.S_B.conj()).T
+        return (pair.S_A.conj().T @ y @ pair.S_B.conj()).swapaxes(-1, -2)
     if time_map is None:
         raise ValueError("time_map required with freq_map")
     if domain == "dd":

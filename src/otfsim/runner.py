@@ -14,6 +14,16 @@ and any execution order.  Auxiliary system randomness (e.g. a Gaussian
 spreading matrix, a single channel draw for inspection) uses reserved
 counter blocks that no trial stream can reach.
 
+Execution
+---------
+A range of trials runs in chunks of at most ``CHUNK_SAMPLES`` stacked
+time samples.  One generator serves the range: before each trial it is
+reset to that trial's counter, so it draws exactly what a fresh stream
+of the contract draws, into (T, ...) stacks.  Every layer (bit mapping,
+precoding, synthesis, channel, matched filter, detection, slicing and
+counting) then runs once per chunk on the stack.  A fixed channel has one
+detector for the whole stack; a random channel builds one per trial.
+
 Scenario files are strict JSON: every key is validated and unknown keys
 are rejected with an error naming the offending key.
 """
@@ -31,9 +41,11 @@ import numpy as np
 
 from . import modem, multiuser
 from .channel import (
+    FRAME_GUARD,
     DDChannelSpec,
     apply_channel,
     chain_matrix,
+    draw_noise,
     effective_matrix,  # noqa: F401 -- unused here; bench/tracing.py wraps runner.effective_matrix
     random_channel,
     slot_operators,
@@ -57,6 +69,9 @@ from .transforms import heisenberg, sfft, wigner
 EQUALIZERS = ("one_tap_tf", "mmse_dd", "ml")
 CHANNEL_MODES = ("cyclic", "per_slot_cp")
 CSV_HEADER = "scheme,snr_db,trials,ber,ser,papr_mean,papr_p99"
+#: time samples (over all frames) stacked in one chunk of trials, at most;
+#: a frame longer than this runs alone
+CHUNK_SAMPLES = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -201,10 +216,12 @@ def scenario_from_dict(raw: dict) -> Scenario:
         raise ConfigError("snr_db_list must be a nonempty list")
     if not all(_is_kind(s, float) for s in snr_list):
         raise ConfigError(f"snr_db_list entries must be finite numbers, got {snr_list}")
+    for snr in snr_list:
+        _noise_var(snr)
     if trials < 1:
         raise ConfigError("trials must be >= 1")
-    if seed < 0:
-        raise ConfigError("seed must be a nonnegative integer")
+    if not 0 <= seed < 2**128:
+        raise ConfigError("seed must be a nonnegative integer below 2**128 (the Philox key)")
 
     sc = Scenario(
         M=M,
@@ -229,10 +246,13 @@ def scenario_from_dict(raw: dict) -> Scenario:
 def _validate_scenario(sc: Scenario) -> None:
     try:
         params = sc.params
+        if params.dof > FRAME_GUARD:
+            raise ConfigError(
+                f"frame of {sc.M} x {sc.N} grid points exceeds the {FRAME_GUARD}-point cap"
+            )
         get_constellation(sc.constellation)
         SchemeConfig(sc.scheme, params, cp_len=sc.cp_len)
-        if sc.channel_taps is not None:
-            _fixed_channel(sc)
+        _check_channel(sc)
         if sc.multiuser is not None:
             _allocation(sc)
     except (ValueError, TypeError) as e:
@@ -247,6 +267,8 @@ def _validate_scenario(sc: Scenario) -> None:
         mu = sc.multiuser
         if sc.equalizer == "ml":
             raise ConfigError("equalizer 'ml' is not supported with multiuser scenarios")
+        if mu.power_budget is not None and mu.power_budget <= 0:
+            raise ConfigError(f"power_budget must be positive, got {mu.power_budget}")
         if mu.power_budget is not None and mu.mode != "tf_alloc":
             raise ConfigError("power_budget applies to multiuser mode 'tf_alloc' only")
         if mu.power_budget is not None and sc.equalizer == "mmse_dd":
@@ -281,6 +303,38 @@ def _fixed_channel(sc: Scenario) -> DDChannelSpec:
     )
 
 
+def _check_channel(sc: Scenario) -> None:
+    """Tap power, and the largest delay and Doppler bins against the frame and mode."""
+    if sc.channel_taps is not None:
+        ch = _fixed_channel(sc)
+        if all(t.gain == 0 for t in ch.taps):
+            raise ConfigError("channel taps carry no power (every gain is zero)")
+        delay, doppler = ch.L_max - 1, ch.V_max - 1
+    else:
+        L, V = sc.channel_random
+        if L < 1 or V < 1:
+            raise ConfigError(f"channel.random spreads must be >= 1, got L_max={L} V_max={V}")
+        delay, doppler = L - 1, V - 1
+    if delay >= sc.M:
+        raise ConfigError(f"channel delay bin {delay} >= M={sc.M}")
+    if doppler > sc.N / 2:
+        raise ConfigError(f"channel |doppler bin| {doppler} > N/2={sc.N / 2}")
+    if sc.channel_mode == "per_slot_cp" and delay > sc.cp_len:
+        raise ConfigError(
+            f"channel delay bin {delay} exceeds cyclic prefix {sc.cp_len} in per-slot mode"
+        )
+    if sc.channel_mode == "cyclic" and sc.cp_len != 0:
+        raise ConfigError("channel_mode 'cyclic' requires a prefix-free frame (cp_len == 0)")
+
+
+def _noise_var(snr_db: float) -> float:
+    """Complex noise variance of unit-energy symbols at ``snr_db``."""
+    try:
+        return 10.0 ** (-snr_db / 10.0)
+    except OverflowError:
+        raise ConfigError(f"snr_db {snr_db} gives no finite noise variance") from None
+
+
 # ---------------------------------------------------------------------------
 # deterministic RNG streams
 # ---------------------------------------------------------------------------
@@ -298,6 +352,24 @@ def system_rng(seed: int, slot: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, int(slot)]))
 
 
+class _TrialStreams:
+    """The trial streams of one SNR point, served by a single generator.
+
+    :meth:`at` resets the generator's counter and output buffer to those
+    of a fresh ``trial_rng(seed, snr_index, t)``, which is much cheaper
+    than building a new generator per trial.
+    """
+
+    def __init__(self, seed: int, snr_index: int, first: int):
+        self.rng = trial_rng(seed, snr_index, first)
+        self._fresh = self.rng.bit_generator.state
+
+    def at(self, trial_index: int) -> np.random.Generator:
+        self._fresh["state"]["counter"][1] = trial_index
+        self.rng.bit_generator.state = self._fresh
+        return self.rng
+
+
 # ---------------------------------------------------------------------------
 # trial execution
 # ---------------------------------------------------------------------------
@@ -309,7 +381,8 @@ class _Link:
     A single user is one block on the scheme's payload grid; a downlink
     is the K user blocks of its allocation, superposed on the time-
     frequency grid by the user map.  Symbols, bits and detector output
-    are stacked user by user, each block flattened row-major.
+    are stacked user by user, each block flattened row-major.  Every
+    stage takes a stack of frames along leading axes.
     """
 
     def __init__(self, sc: Scenario):
@@ -324,7 +397,14 @@ class _Link:
         self.unitary = mu is None or not (mu.mode == "tf_spread" and mu.spreader == "gaussian")
         if mu is None:
             self.users, self.K, self.block = None, 1, self.params.dof
-            return
+        else:
+            self._init_users(sc)
+        self.n_bits = self.K * self.block * self.const.bits_per_symbol
+        self.n_samples = sc.N * (sc.M + sc.cp_len)
+        self.chunk = max(1, CHUNK_SAMPLES // self.n_samples)
+
+    def _init_users(self, sc: Scenario):
+        mu = sc.multiuser
         self.alloc = _allocation(sc)
         self.K = self.alloc.num_users
         self.M_d = sc.M // mu.K_d
@@ -362,6 +442,31 @@ class _Link:
         L, V = self.sc.channel_random
         return random_channel(L, V, rng)
 
+    def draw(self, streams: _TrialStreams, start: int, stop: int, noise_var: float):
+        """Every draw of trials [start, stop), trial by trial in the contract's order.
+
+        Returns ``(channels, gains, bits, noise)``: the random channels
+        drawn and their (T, taps) gains (both None for a fixed channel),
+        the (T, n_bits) bits and the noise pair of (T, samples) arrays
+        (None at zero noise variance).
+        """
+        T = stop - start
+        channels = None if self.fixed is not None else []
+        bits = np.empty((T, self.n_bits), dtype=np.int64)
+        noise = None
+        if noise_var > 0:
+            noise = (np.empty((T, self.n_samples)), np.empty((T, self.n_samples)))
+        for i in range(T):
+            rng = streams.at(start + i)
+            if channels is not None:
+                channels.append(self.channel_for_trial(rng))
+            bits[i] = rng.integers(0, 2, size=self.n_bits)
+            if noise is not None:
+                noise[0][i], noise[1][i] = draw_noise(rng, noise_var, self.n_samples)
+        if channels is None:
+            return None, None, bits, noise
+        return channels, np.array([[t.gain for t in c.taps] for c in channels]), bits, noise
+
     def _beta(self, ch: DDChannelSpec, noise_var: float):
         """Water-filled user amplitudes of a budgeted downlink: (beta, amp)."""
         mu = self.sc.multiuser
@@ -379,32 +484,44 @@ class _Link:
         beta = [np.full(self.N_D, a) for a in amp]
         return beta, amp
 
+    def _stacked_beta(self, channels, noise_var: float):
+        """:meth:`_beta` of each random channel, stacked along a leading trial axis."""
+        mu = self.sc.multiuser
+        if mu is None or mu.power_budget is None:
+            return None, None
+        betas, amps = zip(*(self._beta(ch, noise_var) for ch in channels))
+        return [np.stack(b) for b in zip(*betas)], np.stack(amps)
+
     def tf_grid(self, symbols: np.ndarray, beta=None) -> np.ndarray:
-        """The user map: stacked symbols -> (M, N) time-frequency grid."""
+        """The user map: stacked symbols (..., n) -> (..., M, N) time-frequency grid."""
+        lead = symbols.shape[:-1]
         if self.users is None:
             return modem.tf_from_payload(
-                self.cfg, symbols.reshape(modem.payload_shape(self.cfg))
+                self.cfg, symbols.reshape(*lead, *modem.payload_shape(self.cfg))
             )
-        blocks = symbols.reshape(self.K, self.N_D, self.M_d)
-        return multiuser.downlink_superpose(blocks, self.users, self.sc.multiuser.mode, beta=beta)
+        blocks = symbols.reshape(*lead, self.K, self.N_D, self.M_d)
+        return multiuser.downlink_superpose(
+            np.moveaxis(blocks, -3, 0), self.users, self.sc.multiuser.mode, beta=beta
+        )
 
     def adjoint(self, X: np.ndarray) -> np.ndarray:
-        """Adjoint of :meth:`tf_grid` (unit weights): grid -> stacked symbols."""
+        """Adjoint of :meth:`tf_grid` (unit weights): (..., M, N) grid -> stacked symbols."""
+        lead = X.shape[:-2]
         if self.users is None:
-            return modem.payload_from_tf(self.cfg, X).reshape(-1)
+            return modem.payload_from_tf(self.cfg, X).reshape(*lead, -1)
         mode = self.sc.multiuser.mode
         if mode == "tf_spread":
             return np.concatenate(
-                [multiuser.despread_user(X, pair=pair).reshape(-1) for pair in self.users]
+                [multiuser.despread_user(X, pair=pair).reshape(*lead, -1) for pair in self.users],
+                axis=-1,
             )
-        grid = sfft(X) if mode == "dd_mapped" else X.T
-        return grid.reshape(-1)[self._cells]
+        grid = sfft(X) if mode == "dd_mapped" else X.swapaxes(-1, -2)
+        return grid.reshape(*lead, -1)[..., self._cells]
 
-    def transmit(self, rng, beta=None):
-        """Draw the trial's bits and synthesise them: (bits, TimeSignal)."""
-        bits = rng.integers(0, 2, size=self.K * self.block * self.const.bits_per_symbol)
+    def transmit(self, bits: np.ndarray, beta=None):
+        """Synthesise (..., n_bits) bits: a TimeSignal with one frame per bit row."""
         X = self.tf_grid(map_bits(bits, self.const), beta)
-        return bits, heisenberg(X, self.params, cp_len=self.sc.cp_len)
+        return heisenberg(X, self.params, cp_len=self.sc.cp_len)
 
     @cached_property
     def _map_matrix(self) -> np.ndarray:
@@ -412,32 +529,40 @@ class _Link:
         return chain_matrix(self.tf_grid, lambda X: X.T, self.K * self.block)
 
     def detector(self, ch: DDChannelSpec, noise_var: float):
-        """Returns stacked symbol estimates = f(received TimeSignal).
+        """Returns stacked symbol estimates = f(received grid Y), Y = wigner(sig).
 
-        Detection reads the grid Y = wigner(sig) through the channel's slot
-        operators T.  With a unitary user map U the joint LMMSE is T's block
-        filter followed by U's adjoint; ML and Gaussian spreading use T U.
+        Y may be one (M, N) grid or a stack of them.  Detection reads Y
+        through the channel's slot operators T.  With a unitary user map U
+        the joint LMMSE is T's block filter followed by U's adjoint; ML and
+        Gaussian spreading use T U.
         """
         sc, params = self.sc, self.params
         if sc.equalizer == "one_tap_tf":
             H = tf_channel(ch, params)
-            return lambda sig: self.adjoint(one_tap_tf(wigner(sig, params), H, noise_var))
+            return lambda Y: self.adjoint(one_tap_tf(Y, H, noise_var))
         T = slot_operators(ch, params, sc.channel_mode)
         if sc.equalizer == "mmse_dd" and self.unitary:
             W = mmse_filter(T, noise_var)
 
-            def detect(sig):
-                y = wigner(sig, params).T.reshape(len(W), -1)
-                Z = (W @ y[:, :, None])[:, :, 0].reshape(params.N, params.M)
-                return self.adjoint(Z.T)
+            def detect(Y):
+                lead = Y.shape[:-2]
+                y = Y.swapaxes(-1, -2).reshape(*lead, len(W), -1)
+                Z = (W @ y[..., None])[..., 0].reshape(*lead, params.N, params.M)
+                return self.adjoint(Z.swapaxes(-1, -2))
 
             return detect
         U = self._map_matrix
         A = (T @ U.reshape(len(T), T.shape[-1], -1)).reshape(params.dof, -1)
+
+        def slot_major(Y):
+            return Y.swapaxes(-1, -2).reshape(*Y.shape[:-2], -1)
+
         if sc.equalizer == "ml":
-            return lambda sig: ml_detect(wigner(sig, params).T.reshape(-1), A, self.const)
+            # one exhaustive search per frame: its Q^n x rows residuals are
+            # held once, not once per frame of the stack
+            return lambda Y: np.apply_along_axis(ml_detect, -1, slot_major(Y), A, self.const)
         W = mmse_filter(A, noise_var)
-        return lambda sig: W @ wigner(sig, params).T.reshape(-1)
+        return lambda Y: (W @ slot_major(Y)[..., None])[..., 0]
 
     def receiver(self, ch: DDChannelSpec, noise_var: float):
         """Detector and water-filled weights for one channel: (detect, beta, amp)."""
@@ -450,33 +575,56 @@ class _Link:
             self._cache[noise_var] = rx
         return rx
 
-    def run_trial(self, rng, noise_var: float):
-        ch = self.channel_for_trial(rng)
-        detect, beta, amp = self.receiver(ch, noise_var)
-        bits, sig = self.transmit(rng, beta)
-        papr_val = papr(sig)
-        rx = apply_channel(sig, ch, self.params, noise_var, rng, mode=self.sc.channel_mode)
-        est = detect(rx)
+    def _receive(self, streams: _TrialStreams, start: int, stop: int, noise_var: float):
+        """Draw, transmit and receive trials [start, stop) as one stack.
+
+        Returns (random channels or None, bits, received grids Y, user
+        amplitudes or None, PAPR per trial); the time-domain stacks are
+        freed on return.
+        """
+        channels, gains, bits, noise = self.draw(streams, start, stop, noise_var)
+        if channels is None:
+            ch, (_, beta, amp) = self.fixed, self.receiver(self.fixed, noise_var)
+        else:
+            # random draws share tap positions; gains holds one row per trial
+            ch, (beta, amp) = channels[0], self._stacked_beta(channels, noise_var)
+        sig = self.transmit(bits, beta)
+        rx = apply_channel(
+            sig, ch, self.params, mode=self.sc.channel_mode, gains=gains, noise=noise
+        )
+        return channels, bits, wigner(rx, self.params), amp, papr(sig)
+
+    def run_chunk(self, streams: _TrialStreams, start: int, stop: int, noise_var: float):
+        """Trials [start, stop) as one stack.
+
+        Returns (bit errors, symbol errors, bits, symbols, PAPR per trial).
+        """
+        channels, bits, Y, amp, paprs = self._receive(streams, start, stop, noise_var)
+        if channels is None:
+            est = self.receiver(self.fixed, noise_var)[0](Y)
+        else:
+            # one detector per draw, each with its own inv/pinv fallback
+            est = np.stack([self.detector(c, noise_var)(y) for c, y in zip(channels, Y)])
         bps = self.const.bits_per_symbol
-        if beta is not None:
+        if amp is not None:
             # undo each user's amplitude; users given zero power carry no data
-            on = np.repeat(amp > 1e-12, self.block)
-            est = est[on] / np.repeat(amp, self.block)[on]
-            bits = bits.reshape(-1, bps)[on].reshape(-1)
+            on = np.broadcast_to(np.repeat(amp > 1e-12, self.block, axis=-1), est.shape)
+            est = est[on] / np.broadcast_to(np.repeat(amp, self.block, axis=-1), est.shape)[on]
+            bits = bits.reshape(*on.shape, bps)[on].reshape(-1)
         be, se = count_errors(bits, slice_symbols(est, self.const), bps)
-        return be, se, bits.size, est.size, papr_val
+        return be, se, bits.size, est.size, paprs
 
 
 def run_trial_range(sc: Scenario, snr_index: int, start: int, stop: int) -> LinkResult:
     """Run trials [start, stop) of one SNR point; mergeable partial result."""
     link = _Link(sc)
     snr_db = sc.snr_db_list[snr_index]
-    noise_var = 10.0 ** (-snr_db / 10.0)  # unit-energy symbols
+    noise_var = _noise_var(snr_db)  # unit-energy symbols
+    streams = _TrialStreams(sc.seed, snr_index, start)
     be = se = nb = ns = 0
     paprs = []
-    for t in range(start, stop):
-        rng = trial_rng(sc.seed, snr_index, t)
-        dbe, dse, dnb, dns, pv = link.run_trial(rng, noise_var)
+    for a in range(start, stop, link.chunk):
+        dbe, dse, dnb, dns, pv = link.run_chunk(streams, a, min(a + link.chunk, stop), noise_var)
         be += dbe
         se += dse
         nb += dnb
@@ -490,7 +638,7 @@ def run_trial_range(sc: Scenario, snr_index: int, start: int, stop: int) -> Link
         symbol_errors=se,
         total_bits=nb,
         total_symbols=ns,
-        papr_values=np.array(paprs),
+        papr_values=np.concatenate(paprs) if paprs else np.empty(0),
     )
 
 
@@ -560,7 +708,9 @@ def inspect_channel(sc: Scenario, out_dir) -> list:
     """Write channel diagnostics as CSV files; returns the written paths.
 
     * ``tf_channel_db.csv`` — M x N grid of per-cell gains in dB
-    * ``windowed_dd_abs.csv`` — N x M delay-Doppler window response magnitudes
+    * ``windowed_dd_abs.csv`` — N x M delay-Doppler window response magnitudes,
+      rows keyed by Doppler bin mod N (for even N, bins -N/2 and +N/2 share
+      row N/2)
     * ``taps.csv`` — the tap listing
     """
     out = Path(out_dir)
@@ -596,12 +746,12 @@ def papr_ccdf(sc: Scenario) -> str:
     touched by channel or noise.  Returns CSV text ``papr_db,ccdf``.
     """
     link = _Link(sc)
+    streams = _TrialStreams(sc.seed, 0, 0)
     vals = []
-    for t in range(sc.trials):
-        rng = trial_rng(sc.seed, 0, t)
-        link.channel_for_trial(rng)  # keep draw order aligned with simulate
-        _, sig = link.transmit(rng)
-        vals.append(10.0 * math.log10(papr(sig)))
+    for a in range(0, sc.trials, link.chunk):
+        # the channel draws keep the draw order aligned with simulate
+        _, _, bits, _ = link.draw(streams, a, min(a + link.chunk, sc.trials), 0.0)
+        vals.extend(10.0 * math.log10(v) for v in papr(link.transmit(bits)))
     vals = np.array(vals)
     hi = float(np.ceil(vals.max() * 4) / 4) if vals.size else 0.0
     thresholds = np.arange(0.0, hi + 0.25, 0.25)

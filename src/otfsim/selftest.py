@@ -66,7 +66,7 @@ def _check_channel_oracle() -> CheckResult:
     worst = 0.0
     for M, N in [(8, 4), (4, 8)]:
         params = make_frame(M, N)
-        ch = channel.random_channel(3, max(1, N // 4), rng)
+        ch = channel.random_channel(3, N // 2 + 1, rng)  # Doppler bins -N/2 .. +N/2
         A = channel.effective_matrix(
             SchemeConfig("OTFS", params), ch, mode="cyclic"
         )

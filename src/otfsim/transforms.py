@@ -11,6 +11,10 @@ Normalization is fixed and unitary everywhere:
 * the receive side applies the exact adjoints, so every round trip is an
   identity and Parseval holds at machine precision.
 
+Every transform also takes a stack of grids or frames: leading axes index
+independent frames and the maps act on the last axes, so one call serves
+a chunk of Monte-Carlo trials.
+
 The FFT-backed fast paths (numpy, norm="ortho") implement the same
 matrices; the test suite checks them against direct double-sum
 evaluation.
@@ -32,50 +36,51 @@ def dft_matrix(n: int) -> np.ndarray:
 
 
 def isfft(x_dd: np.ndarray) -> np.ndarray:
-    """Map an (N, M) delay-Doppler grid to the (M, N) time-frequency grid.
+    """Map an (..., N, M) delay-Doppler grid to the (..., M, N) time-frequency grid.
 
     Computes F_M @ x_dd.T @ F_N^H with unitary DFT factors.
     """
     x_dd = np.asarray(x_dd, dtype=np.complex128)
-    if x_dd.ndim != 2:
+    if x_dd.ndim < 2:
         raise ValueError(f"expected 2-D delay-Doppler grid, got shape {x_dd.shape}")
-    xt = x_dd.T  # (M, N)
-    out = np.fft.fft(xt, axis=0, norm="ortho")
-    out = np.fft.ifft(out, axis=1, norm="ortho")
+    xt = x_dd.swapaxes(-1, -2)  # (..., M, N)
+    out = np.fft.fft(xt, axis=-2, norm="ortho")
+    out = np.fft.ifft(out, axis=-1, norm="ortho")
     return out
 
 
 def sfft(x_tf: np.ndarray) -> np.ndarray:
-    """Map an (M, N) time-frequency grid to the (N, M) delay-Doppler grid.
+    """Map an (..., M, N) time-frequency grid to the (..., N, M) delay-Doppler grid.
 
     Exact inverse (adjoint) of :func:`isfft`.
     """
     x_tf = np.asarray(x_tf, dtype=np.complex128)
-    if x_tf.ndim != 2:
+    if x_tf.ndim < 2:
         raise ValueError(f"expected 2-D time-frequency grid, got shape {x_tf.shape}")
-    out = np.fft.ifft(x_tf, axis=0, norm="ortho")
-    out = np.fft.fft(out, axis=1, norm="ortho")
-    return out.T
+    out = np.fft.ifft(x_tf, axis=-2, norm="ortho")
+    out = np.fft.fft(out, axis=-1, norm="ortho")
+    return out.swapaxes(-1, -2)
 
 
 def heisenberg(x_tf: np.ndarray, params: FrameParams, cp_len: int = 0) -> TimeSignal:
-    """Synthesise the time signal for a time-frequency grid.
+    """Synthesise the time signal for an (..., M, N) time-frequency grid.
 
     Each slot (column) becomes M body samples via the unitary inverse DFT;
     ``cp_len`` samples copied from the slot tail are prepended per slot.
     """
     x_tf = np.asarray(x_tf, dtype=np.complex128)
-    if x_tf.shape != (params.M, params.N):
+    if x_tf.shape[-2:] != (params.M, params.N):
         raise ValueError(f"expected TF grid {(params.M, params.N)}, got {x_tf.shape}")
     if not 0 <= cp_len < params.M:
         raise ValueError(f"cp_len must be in [0, M), got {cp_len}")
-    body = np.fft.ifft(x_tf, axis=0, norm="ortho").T  # (N, M) rows = slots
+    # (..., N, M): rows = slots
+    body = np.fft.ifft(x_tf, axis=-2, norm="ortho").swapaxes(-1, -2)
     if cp_len:
-        slots = np.concatenate([body[:, params.M - cp_len:], body], axis=1)
+        slots = np.concatenate([body[..., params.M - cp_len:], body], axis=-1)
     else:
         slots = body
     return TimeSignal(
-        samples=slots.reshape(-1),
+        samples=slots.reshape(*x_tf.shape[:-2], -1),
         cp_len=cp_len,
         sample_rate=params.bandwidth,
         num_slots=params.N,
@@ -83,7 +88,7 @@ def heisenberg(x_tf: np.ndarray, params: FrameParams, cp_len: int = 0) -> TimeSi
 
 
 def wigner(sig: TimeSignal, params: FrameParams) -> np.ndarray:
-    """Matched-filter bank: recover the (M, N) time-frequency grid.
+    """Matched-filter bank: recover the (..., M, N) time-frequency grid.
 
     Drops each slot's cyclic prefix and applies the unitary forward DFT —
     the exact adjoint of :func:`heisenberg` on the body samples.
@@ -93,8 +98,8 @@ def wigner(sig: TimeSignal, params: FrameParams) -> np.ndarray:
             f"signal geometry (slots={sig.num_slots}, body={sig.body_len}) "
             f"does not match frame (N={params.N}, M={params.M})"
         )
-    body = sig.body.reshape(params.N, params.M)
-    return np.fft.fft(body.T, axis=0, norm="ortho")
+    body = sig.body.reshape(*sig.samples.shape[:-1], params.N, params.M)
+    return np.fft.fft(body.swapaxes(-1, -2), axis=-2, norm="ortho")
 
 
 def basis_waveform(m: int, n: int, params: FrameParams, cp_len: int = 0) -> TimeSignal:

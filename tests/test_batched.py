@@ -1,0 +1,247 @@
+"""The chunked trial pipeline against the per-trial link it replaced.
+
+``per_trial_range`` below is the loop the runner ran before trials ran as
+(T, ...) stacks: a fresh contract stream per trial, one frame at a time
+through the library's single-frame calls, and the noise drawn by
+``apply_channel`` itself.  It is the reference: the chunked
+``run_trial_range`` must count the same errors and give bitwise-equal PAPR
+values for any split of a trial range, chunk boundaries included.
+"""
+
+import json
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import otfsim as ot
+from otfsim import multiuser, runner
+from otfsim.channel import draw_noise
+from otfsim.metrics import count_errors, papr, slice_symbols
+from otfsim.runner import _Link, _TrialStreams, run_trial_range, scenario_from_dict, trial_rng
+
+GOLDEN = Path(__file__).parent / "golden"
+SCENARIOS = sorted(p.stem for p in GOLDEN.glob("*.json"))
+
+# scenarios no golden pins: a water-filled downlink on a random channel
+# (one weight set per trial), cyclic-mode one-tap and Gaussian spreading
+# on a random channel
+EXTRA = {
+    "tf_alloc_water_fill_random": {
+        "frame": {"M": 16, "N": 8, "cp_len": 2},
+        "scheme": "OTFS",
+        "constellation": "QPSK",
+        "channel": {"random": {"L_max": 3, "V_max": 2}},
+        "channel_mode": "per_slot_cp",
+        "equalizer": "one_tap_tf",
+        "snr_db_list": [6.0, 30.0],
+        "trials": 12,
+        "seed": 11,
+        "multiuser": {"mode": "tf_alloc", "K_d": 2, "K_D": 2, "power_budget": 0.5},
+    },
+    "ostf_onetap_cyclic_16qam": {
+        "frame": {"M": 8, "N": 4},
+        "scheme": "OSTF",
+        "constellation": "16QAM",
+        "channel": {"random": {"L_max": 2, "V_max": 3}},
+        "channel_mode": "cyclic",
+        "equalizer": "one_tap_tf",
+        "snr_db_list": [12.0],
+        "trials": 12,
+        "seed": 3,
+    },
+    "tf_spread_gaussian_mmse_random": {
+        "frame": {"M": 8, "N": 4, "cp_len": 2},
+        "scheme": "OTFS",
+        "constellation": "QPSK",
+        "channel": {"random": {"L_max": 3, "V_max": 2}},
+        "channel_mode": "per_slot_cp",
+        "equalizer": "mmse_dd",
+        "snr_db_list": [10.0],
+        "trials": 12,
+        "seed": 4,
+        "multiuser": {"mode": "tf_spread", "K_d": 2, "K_D": 2, "spreader": "gaussian"},
+    },
+}
+
+
+def scenario(name):
+    if name in EXTRA:
+        return scenario_from_dict(EXTRA[name])
+    return scenario_from_dict(json.loads((GOLDEN / f"{name}.json").read_text()))
+
+
+def run_trial(link, rng, noise_var):
+    """One trial on one frame: (bit errors, symbol errors, bits, symbols, PAPR)."""
+    ch = link.channel_for_trial(rng)
+    detect, beta, amp = link.receiver(ch, noise_var)
+    bits = rng.integers(0, 2, size=link.n_bits)
+    sig = link.transmit(bits, beta)
+    papr_val = papr(sig)
+    rx = ot.apply_channel(sig, ch, link.params, noise_var, rng, mode=link.sc.channel_mode)
+    est = detect(ot.wigner(rx, link.params))
+    bps = link.const.bits_per_symbol
+    if beta is not None:
+        on = np.repeat(amp > 1e-12, link.block)
+        est = est[on] / np.repeat(amp, link.block)[on]
+        bits = bits.reshape(-1, bps)[on].reshape(-1)
+    be, se = count_errors(bits, slice_symbols(est, link.const), bps)
+    return be, se, bits.size, est.size, papr_val
+
+
+def per_trial_range(sc, snr_index, start, stop):
+    link = _Link(sc)
+    noise_var = 10.0 ** (-sc.snr_db_list[snr_index] / 10.0)
+    rows = [
+        run_trial(link, trial_rng(sc.seed, snr_index, t), noise_var) for t in range(start, stop)
+    ]
+    counts = tuple(sum(r[i] for r in rows) for i in range(4))
+    return counts, np.array([r[4] for r in rows])
+
+
+def chunked(sc, snr_index, start, stop):
+    res = run_trial_range(sc, snr_index, start, stop)
+    counts = (res.bit_errors, res.symbol_errors, res.total_bits, res.total_symbols)
+    return counts, res.papr_values
+
+
+@pytest.mark.parametrize("name", SCENARIOS + sorted(EXTRA))
+def test_chunked_range_equals_per_trial_link(name, monkeypatch):
+    sc = scenario(name)
+    link = _Link(sc)
+    # chunks of 3 trials, so ranges start and end inside chunks and on their edges
+    monkeypatch.setattr(runner, "CHUNK_SAMPLES", 3 * link.n_samples)
+    assert _Link(sc).chunk == 3
+    n = sc.trials
+    ranges = [(0, n), (0, 1), (n - 1, n), (1, 3), (2, 8), (3, 6), (4, n)]
+    for snr_index in {0, len(sc.snr_db_list) - 1}:
+        for start, stop in ranges:
+            want_counts, want_papr = per_trial_range(sc, snr_index, start, stop)
+            got_counts, got_papr = chunked(sc, snr_index, start, stop)
+            assert got_counts == want_counts, (snr_index, start, stop)
+            assert np.array_equal(got_papr, want_papr), (snr_index, start, stop)
+
+
+def test_default_chunk_equals_per_trial_link():
+    # one range over several default-size chunks, the last one short
+    sc = scenario_from_dict(dict(EXTRA["ostf_onetap_cyclic_16qam"], trials=1))
+    link = _Link(sc)
+    assert link.chunk * link.n_samples <= runner.CHUNK_SAMPLES < (link.chunk + 1) * link.n_samples
+    stop = 2 * link.chunk + 5
+    assert chunked(sc, 0, 0, stop)[0] == per_trial_range(sc, 0, 0, stop)[0]
+    assert np.array_equal(chunked(sc, 0, 0, stop)[1], per_trial_range(sc, 0, 0, stop)[1])
+
+
+def test_frame_longer_than_the_cap_runs_alone(monkeypatch):
+    sc = scenario("otfs_mmse_random")
+    monkeypatch.setattr(runner, "CHUNK_SAMPLES", 10)
+    assert _Link(sc).chunk == 1
+    assert chunked(sc, 0, 0, 3)[0] == per_trial_range(sc, 0, 0, 3)[0]
+
+
+def test_peak_memory_does_not_grow_with_trials(monkeypatch):
+    sc = scenario("ostf_onetap_cyclic_16qam")
+    monkeypatch.setattr(runner, "CHUNK_SAMPLES", 8 * _Link(sc).n_samples)
+
+    def peak(trials):
+        run_trial_range(sc, 0, 0, trials)  # warm caches
+        tracemalloc.start()
+        try:
+            run_trial_range(sc, 0, 0, trials)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # 40 chunks of 8 trials peak where 4 do, beyond the PAPR values
+    # (16 bytes a trial while they are merged) and a handle per chunk
+    assert peak(320) < peak(32) + 320 * 16 + 40 * 256 + 16 * 1024
+
+
+def draws(rng):
+    ch = ot.random_channel(3, 2, rng)
+    gains = np.array([tap.gain for tap in ch.taps])
+    return [gains, rng.integers(0, 2, size=37), *draw_noise(rng, 0.3, 11)]
+
+
+@pytest.mark.parametrize("snr_index,order", [(0, range(5, 14)), (3, [7, 2, 2, 9, 0])])
+def test_reset_stream_draws_what_trial_rng_draws(snr_index, order):
+    # channel, then bits, then the two noise draws, for trials in any order
+    streams = _TrialStreams(17, snr_index, 5)
+    for t in order:
+        got, want = draws(streams.at(t)), draws(trial_rng(17, snr_index, t))
+        assert all(np.array_equal(a, b) for a, b in zip(got, want)), t
+
+
+# ---------------------------------------------------------------------------
+# every layer on a stack of frames equals the same layer frame by frame
+# ---------------------------------------------------------------------------
+
+
+def stack_equals_frames(fn, stack, *args, **kwargs):
+    whole = fn(stack, *args, **kwargs)
+    frames = [fn(x, *args, **kwargs) for x in stack]
+    return all(np.array_equal(w, f) for w, f in zip(whole, frames))
+
+
+def test_transforms_on_a_stack():
+    rng = np.random.default_rng(5)
+    params = ot.make_frame(8, 4)
+    x = rng.normal(size=(5, 4, 8)) + 1j * rng.normal(size=(5, 4, 8))
+    assert stack_equals_frames(ot.isfft, x)
+    assert stack_equals_frames(ot.sfft, ot.isfft(x))
+    sig = ot.heisenberg(ot.isfft(x), params, cp_len=2)
+    assert sig.samples.shape == (5, 40) and sig.body.shape == (5, 32)
+    for i in range(5):
+        one = ot.heisenberg(ot.isfft(x[i]), params, cp_len=2)
+        assert np.array_equal(sig.samples[i], one.samples)
+        assert np.array_equal(ot.wigner(sig, params)[i], ot.wigner(one, params))
+        assert papr(sig)[i] == papr(one)
+
+
+def test_symbol_layers_on_a_stack():
+    rng = np.random.default_rng(6)
+    const = ot.get_constellation("16QAM")
+    bits = rng.integers(0, 2, size=(4, 32))
+    assert stack_equals_frames(ot.map_bits, bits, const)
+    sym = ot.map_bits(bits, const) + 0.3 * rng.normal(size=(4, 8))
+    assert stack_equals_frames(slice_symbols, sym, const)
+    rx = slice_symbols(sym, const)
+    per_frame = [count_errors(b, r, 4) for b, r in zip(bits, rx)]
+    assert count_errors(bits, rx, 4) == tuple(map(sum, zip(*per_frame)))
+
+
+@pytest.mark.parametrize("mode,cp_len", [("per_slot_cp", 2), ("cyclic", 0)])
+def test_apply_channel_on_a_stack(mode, cp_len):
+    # one gain row per frame at shared tap positions, pre-drawn noise
+    rng = np.random.default_rng(7)
+    params = ot.make_frame(8, 4)
+    chans = [ot.random_channel(3, 3, rng) for _ in range(4)]
+    gains = np.array([[t.gain for t in c.taps] for c in chans])
+    X = rng.normal(size=(4, 8, 4)) + 1j * rng.normal(size=(4, 8, 4))
+    sig = ot.heisenberg(X, params, cp_len=cp_len)
+    noise = draw_noise(rng, 0.2, sig.samples.shape)
+    got = ot.apply_channel(sig, chans[0], params, mode=mode, gains=gains, noise=noise)
+    for i, ch in enumerate(chans):
+        one = ot.heisenberg(X[i], params, cp_len=cp_len)
+        want = ot.apply_channel(one, ch, params, mode=mode, noise=(noise[0][i], noise[1][i]))
+        assert np.array_equal(got.samples[i], want.samples)
+    with pytest.raises(ValueError, match="taps"):
+        ot.apply_channel(sig, chans[0], params, mode=mode, gains=gains[:, :2])
+    with pytest.raises(ValueError, match="not both"):
+        ot.apply_channel(sig, chans[0], params, 0.1, rng, mode=mode, noise=noise)
+
+
+@pytest.mark.parametrize("mode", multiuser.DOWNLINK_MODES)
+def test_downlink_on_a_stack(mode):
+    rng = np.random.default_rng(8)
+    params = ot.make_frame(8, 4)
+    users = list(ot.localized_allocation(params, 2, 2).users)
+    if mode == "tf_spread":
+        users = [multiuser.dft_spreading_pair(f, t) for f, t in users]
+    blocks = rng.normal(size=(3, 4, 2, 4)) + 1j * rng.normal(size=(3, 4, 2, 4))
+    beta = [rng.uniform(0.5, 1.5, size=(3, 2)) for _ in users]
+    got = multiuser.downlink_superpose(np.moveaxis(blocks, 1, 0), users, mode, beta=beta)
+    for i in range(3):
+        want = multiuser.downlink_superpose(blocks[i], users, mode, beta=[b[i] for b in beta])
+        assert np.array_equal(got[i], want)

@@ -293,13 +293,22 @@ class TestEffectiveMatrix:
         assert_allclose(A, np.eye(32), atol=1e-12)
 
     def test_matches_analytic_operator(self):
+        # Doppler bins reach -N/2 and +N/2: a random draw over every bin,
+        # and one tap at each edge bin alone
         rng = np.random.default_rng(18)
-        for M, N in [(4, 4), (8, 4), (4, 8)]:
+        for M, N in [(4, 4), (8, 4), (4, 8), (5, 2), (4, 1)]:
             params = ot.make_frame(M, N)
-            ch = ot.random_channel(3, 2, rng)
-            A = ot.effective_matrix(ot.SchemeConfig("OTFS", params), ch, mode="cyclic")
-            T = ot.dd_domain_operator(ch, params)
-            assert np.abs(A - T).max() < 1e-9, f"mismatch at ({M},{N})"
+            chans = [ot.random_channel(3, N // 2 + 1, rng)]
+            chans += [ot.DDChannelSpec(taps=((1, k, 1.0),)) for k in (-(N // 2), N // 2)]
+            for ch in chans:
+                A = ot.effective_matrix(ot.SchemeConfig("OTFS", params), ch, mode="cyclic")
+                T = ot.dd_domain_operator(ch, params)
+                assert np.abs(A - T).max() < 1e-9, f"mismatch at ({M},{N}) for {ch.taps}"
+
+    def test_analytic_operator_guard(self):
+        params = ot.make_frame(128, 64)
+        with pytest.raises(ot.GuardError):
+            ot.dd_domain_operator(ot.DDChannelSpec(taps=((0, 0, 1.0),)), params)
 
     def test_acts_like_the_chain(self):
         # multiplying by the matrix reproduces modulate->channel->demodulate

@@ -157,6 +157,42 @@ class TestSimulate:
         assert captured.out == ""
         assert "config error" in captured.err and "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("over", [
+        # a tap set without power once printed a BER 0.51 row and exit 0
+        {"channel": {"taps": [{"delay_bin": 1, "doppler_bin": 0, "re": 0.0, "im": 0.0}]}},
+        # these parsed and then failed in the first trial
+        {"frame": {"M": 8, "N": 2, "cp_len": 1}, "channel_mode": "per_slot_cp",
+         "channel": {"taps": [{"delay_bin": 2, "doppler_bin": 0, "re": 1.0, "im": 0.0}]}},
+        {"frame": {"M": 8, "N": 2, "cp_len": 1}, "channel_mode": "per_slot_cp",
+         "channel": {"random": {"L_max": 3, "V_max": 1}}},
+        {"channel": {"random": {"L_max": 1, "V_max": 3}}},
+        {"channel": {"random": {"L_max": 0, "V_max": 1}}},
+        {"frame": {"M": 8, "N": 2, "cp_len": 1}},
+        {"multiuser": {"mode": "tf_alloc", "K_d": 2, "K_D": 1, "power_budget": 0.0}},
+        {"multiuser": {"mode": "tf_alloc", "K_d": 2, "K_D": 1, "power_budget": -1.0}},
+        {"seed": 2**128},
+        # an overflowing noise variance ended in a traceback
+        {"snr_db_list": [10.0, -1e308]},
+        # a numpy allocation traceback ("Unable to allocate 7.28 TiB")
+        {"frame": {"M": 10**12, "N": 2}},
+    ], ids=["zero_power_taps", "fixed_delay_over_cp", "random_delay_over_cp",
+            "random_doppler_over_half_N", "random_zero_spread", "cyclic_with_cp",
+            "power_budget_zero", "power_budget_negative", "seed_over_philox_key",
+            "snr_overflows_noise", "frame_over_cap"])
+    def test_scenario_outside_the_boundary_is_exit_1_before_any_trial(
+        self, config_file, capsys, monkeypatch, over
+    ):
+        import otfsim.runner
+
+        def refuse(*a, **k):
+            raise AssertionError("a link was built for a refused scenario")
+
+        monkeypatch.setattr(otfsim.runner, "_Link", refuse)
+        assert main(["simulate", "--config", config_file(**over)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error" in captured.err and "Traceback" not in captured.err
+
     @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_snr_is_exit_1_without_rows(self, tmp_path, config_file, bad, capsys):
         # Python's JSON reader accepts NaN and Infinity literals; they are

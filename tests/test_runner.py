@@ -12,7 +12,7 @@ from numpy.testing import assert_allclose
 import otfsim as ot
 import otfsim.runner
 from otfsim.channel import EFFECTIVE_GUARD, chain_matrix
-from otfsim.errors import ConfigError
+from otfsim.errors import ConfigError, GuardError
 from otfsim.metrics import LinkResult
 from otfsim.runner import (
     CSV_HEADER,
@@ -229,7 +229,9 @@ class TestScenarioParsing:
 
     def test_mutated_golden_scenarios_parse_or_raise_config_error(self):
         # seeded mutations of every golden scenario: replace a value with
-        # an ill-typed or out-of-range one, drop a key or add an unknown key
+        # an ill-typed or out-of-range one, drop a key or add an unknown key;
+        # a mutant that parses and has at most 512 grid points also runs
+        # one trial at one SNR point, which may refuse only by a guard
         mutants = [None, True, False, 0, -1, 1, 3, 2.7, -0.5, float("nan"),
                    float("inf"), "x", "", [], [3], {}, {"a": 1}]
 
@@ -241,7 +243,7 @@ class TestScenarioParsing:
                     yield from spots(value)
 
         rng = random.Random(20)
-        parsed = refused = 0
+        parsed = refused = ran = 0
         for path in sorted(GOLDEN.glob("*.json")):
             base = json.loads(path.read_text())
             for _ in range(150):
@@ -256,11 +258,18 @@ class TestScenarioParsing:
                     else:
                         node["extra"] = 1
                 try:
-                    scenario_from_dict(d)
+                    sc = scenario_from_dict(d)
                     parsed += 1
                 except ConfigError:
                     refused += 1
-        assert parsed > 0 and refused > 0
+                    continue
+                if sc.params.dof <= 512:
+                    try:
+                        run_trial_range(sc, len(sc.snr_db_list) - 1, 0, 1)
+                        ran += 1
+                    except GuardError:
+                        pass
+        assert parsed > 0 and refused > 0 and ran > 0
 
 
 class TestRNGStreams:
@@ -370,7 +379,7 @@ class TestExecution:
         rx = ot.apply_channel(modulate(link.cfg, x), ch, link.params, 0.1, rng)
         A = ot.effective_matrix(link.cfg, ch, mode="per_slot_cp")
         joint = ot.mmse_dd(demodulate(link.cfg, rx), A, 0.1)
-        got = link.detector(ch, 0.1)(rx)
+        got = link.detector(ch, 0.1)(ot.wigner(rx, link.params))
         assert got.shape == (x.size,)  # the payload grid, flattened row-major
         assert np.abs(got - joint).max() < 1e-10
 
@@ -399,7 +408,7 @@ class TestExecution:
             rx = ot.apply_channel(modulate(link.cfg, x), ch, link.params, 0.5, rng, channel_mode)
             A = ot.effective_matrix(link.cfg, ch, mode=channel_mode)
             ref = ot.ml_detect(demodulate(link.cfg, rx).reshape(-1), A, link.const)
-            assert np.array_equal(link.detector(ch, 0.5)(rx), ref)
+            assert np.array_equal(link.detector(ch, 0.5)(ot.wigner(rx, link.params)), ref)
 
     def test_per_slot_mmse_runs_beyond_the_dense_guard(self):
         # 128 x 64 is refused by the probed effective matrix; the per-slot
@@ -554,7 +563,7 @@ class TestMultiuserExecution:
             raise AssertionError("chain_matrix called")
 
         monkeypatch.setattr(otfsim.runner, "chain_matrix", refuse)
-        got = link.detector(ch, 0.1)(sig)
+        got = link.detector(ch, 0.1)(ot.wigner(sig, sc.params))
         assert np.abs(got - W @ ot.wigner(sig, sc.params).reshape(-1)).max() < 1e-10
 
     @pytest.mark.parametrize("scheme,N,mode,spreader,channel_mode", [
@@ -602,7 +611,7 @@ class TestMultiuserExecution:
         W = ot.mmse_filter(chain_matrix(tx, rx, dim), 0.1)
         x = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         sig = ot.apply_channel(tx(x), ch, sc.params, 0.1, rng, channel_mode)
-        got = link.detector(ch, 0.1)(sig)
+        got = link.detector(ch, 0.1)(ot.wigner(sig, sc.params))
         assert np.abs(got - W @ ot.wigner(sig, sc.params).reshape(-1)).max() < 1e-10
 
     def test_per_slot_downlink_runs_beyond_the_dense_guard(self):
