@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import ConfigError, GuardError
 from .frame import FrameParams, MappingMatrix, TimeSignal
-from .transforms import basis_waveform, dft_matrix, wigner
+from .transforms import dft_matrix, heisenberg, wigner
 
 #: refuse to build coupling tensors above this many grid points
 COUPLING_GUARD = 512
@@ -129,12 +129,26 @@ def random_channel(
     return DDChannelSpec(taps=tuple(taps))
 
 
-def _check_taps(ch: DDChannelSpec, params: FrameParams) -> None:
+def check_taps(
+    ch: DDChannelSpec, params: FrameParams, mode: str | None = None, cp_len: int = 0
+) -> None:
+    """Delays below M, Doppler bins within N/2 and, given a mode, its prefix rule.
+
+    ``cyclic`` takes no prefix; in ``per_slot_cp`` every delay fits ``cp_len``.
+    """
     for t in ch.taps:
         if t.delay_bin >= params.M:
             raise ValueError(f"delay bin {t.delay_bin} >= M={params.M}")
         if abs(t.doppler_bin) > params.N / 2:
             raise ValueError(f"|doppler bin| {abs(t.doppler_bin)} > N/2={params.N / 2}")
+    if mode == "cyclic" and cp_len != 0:
+        raise ConfigError("cyclic mode requires a prefix-free frame (cp_len == 0)")
+    if mode == "per_slot_cp" and ch.L_max - 1 > cp_len:
+        raise ConfigError(
+            f"delay bin {ch.L_max - 1} exceeds cyclic prefix {cp_len} in per-slot mode"
+        )
+    if mode not in (None, "cyclic", "per_slot_cp"):
+        raise ConfigError(f"unknown channel mode {mode!r}")
 
 
 def draw_noise(rng: np.random.Generator, noise_var: float, size) -> tuple:
@@ -168,7 +182,7 @@ def apply_channel(
     ``gains`` of shape (..., taps) then gives each frame its own tap
     gains at the positions of ``ch``'s taps, in ``ch.taps`` order.
     """
-    _check_taps(ch, params)
+    check_taps(ch, params, mode, sig.cp_len)
     if sig.num_slots != params.N or sig.body_len != params.M:
         raise ValueError("signal geometry does not match frame parameters")
     if noise_var < 0:
@@ -186,21 +200,14 @@ def apply_channel(
         return g if gains is None else gains[..., i, None]
 
     if mode == "cyclic":
-        if sig.cp_len != 0:
-            raise ConfigError("cyclic mode requires a prefix-free signal (cp_len == 0)")
         s_idx = np.arange(S)
         r = np.zeros(x.shape, dtype=np.complex128)
         for i, (l, k, g) in enumerate(ch.taps):
             r += tap_gain(i, g) * np.roll(x, l, axis=-1) * np.exp(
                 2j * np.pi * k * (s_idx - l) / S
             )
-    elif mode == "per_slot_cp":
+    else:  # per_slot_cp
         cp = sig.cp_len
-        for t in ch.taps:
-            if t.delay_bin > cp:
-                raise ConfigError(
-                    f"delay bin {t.delay_bin} exceeds cyclic prefix {cp} in per-slot mode"
-                )
         slot_len = sig.slot_len
         total = x.shape[-1]
         q = np.arange(slot_len)
@@ -214,8 +221,6 @@ def apply_channel(
                 axis=-1,
             )
             r += tap_gain(i, g) * delayed * np.exp(2j * np.pi * k * (clock - l) / S)
-    else:
-        raise ConfigError(f"unknown channel mode {mode!r}")
 
     if noise_var > 0:
         noise = draw_noise(rng, noise_var, r.shape)
@@ -240,7 +245,7 @@ def tf_channel(ch: DDChannelSpec, params: FrameParams) -> np.ndarray:
     gain H[m, n]; a delay-only channel is constant across slots and a
     Doppler-only channel constant across subcarriers.
     """
-    _check_taps(ch, params)
+    check_taps(ch, params)
     m = np.arange(params.M)[:, None]
     n = np.arange(params.N)[None, :]
     H = np.zeros((params.M, params.N), dtype=np.complex128)
@@ -256,7 +261,7 @@ def twisted_gains(ch: DDChannelSpec, params: FrameParams) -> tuple:
     Returns ``(l, k, gain * exp(-2j*pi*l*k/(M*N)))`` per tap — the form in
     which the response factors through plain DFT matrices.
     """
-    _check_taps(ch, params)
+    check_taps(ch, params)
     return tuple(
         ChannelTap(l, k, g * np.exp(-2j * np.pi * l * k / params.dof))
         for l, k, g in ch.taps
@@ -270,7 +275,7 @@ def tf_channel_factored(ch: DDChannelSpec, params: FrameParams) -> np.ndarray:
     embeddings at (delay bin, doppler bin mod N).  Requires M >= L_max and
     N >= V_max so the distinct taps occupy distinct grid cells.
     """
-    _check_taps(ch, params)
+    check_taps(ch, params)
     if params.M < ch.L_max:
         raise ValueError(f"M={params.M} < delay spread {ch.L_max}")
     if params.N < ch.V_max:
@@ -304,7 +309,7 @@ def windowed_dd_channel(ch: DDChannelSpec, params: FrameParams) -> np.ndarray:
     row N/2 and their terms add there; :func:`dd_domain_operator` keeps
     them apart.
     """
-    _check_taps(ch, params)
+    check_taps(ch, params)
     out = np.zeros((params.N, params.M), dtype=np.complex128)
     for l, k, g in ch.taps:
         out[k % params.N, l] += params.dof * g * np.exp(-2j * np.pi * l * k / params.dof)
@@ -318,7 +323,7 @@ def _cyclic_time_operator(ch: DDChannelSpec, params: FrameParams) -> np.ndarray:
     l and each tap's signed Doppler bin k.  Refused above
     ``EFFECTIVE_GUARD`` points before it is allocated.
     """
-    _check_taps(ch, params)
+    check_taps(ch, params)
     S = params.dof
     if S > EFFECTIVE_GUARD:
         raise GuardError(f"cyclic operator on {S} points exceeds guard {EFFECTIVE_GUARD}")
@@ -366,12 +371,15 @@ def slot_operators(ch: DDChannelSpec, params: FrameParams, mode: str = "per_slot
     fft(w^(k*p)) / M, so it costs one FFT per distinct Doppler bin.  The
     delay phase is the circular shift by l seen on the subcarriers.
 
+    Tap matrices and stack together are refused above ``EFFECTIVE_GUARD**2``
+    entries, the largest ``cyclic`` block, before they are allocated.
+
     In ``cyclic`` mode delays wrap round the block and couple the slots:
     the result is one (1, M*N, M*N) block, the time-domain channel
     sum_taps gain * Pi_l @ diag(w^(k*s)) seen through the per-slot DFT.
     It is refused above ``EFFECTIVE_GUARD`` points before it is allocated.
     """
-    _check_taps(ch, params)
+    check_taps(ch, params)
     M, N = params.M, params.N
     S = params.dof
     if mode == "cyclic":
@@ -380,6 +388,11 @@ def slot_operators(ch: DDChannelSpec, params: FrameParams, mode: str = "per_slot
         return np.fft.ifft(H, axis=3, norm="ortho").reshape(1, S, S)
     if mode != "per_slot_cp":
         raise ConfigError(f"unknown channel mode {mode!r}")
+    entries = (len(ch.taps) + N) * M * M
+    if entries > EFFECTIVE_GUARD**2:
+        raise GuardError(
+            f"per-slot operators of {entries} entries exceed guard {EFFECTIVE_GUARD**2}"
+        )
     l = np.array([t.delay_bin for t in ch.taps])
     k = np.array([t.doppler_bin for t in ch.taps])
     g = np.array([t.gain for t in ch.taps])
@@ -468,17 +481,19 @@ def coupling_tensor(
     ``COUPLING_GUARD`` points.  ``cp_len`` defaults to the smallest prefix
     covering the channel in per-slot mode, 0 in cyclic mode.
     """
-    _check_taps(ch, params)
+    check_taps(ch, params)
     if params.dof > COUPLING_GUARD:
         raise GuardError(
             f"coupling tensor for {params.dof} grid points exceeds guard {COUPLING_GUARD}"
         )
     if cp_len is None:
         cp_len = 0 if mode == "cyclic" else max(t.delay_bin for t in ch.taps)
-    H = np.zeros((params.M, params.N, params.M, params.N), dtype=np.complex128)
-    for mp in range(params.M):
-        for np_ in range(params.N):
-            pulse = basis_waveform(mp, np_, params, cp_len=cp_len)
-            r = apply_channel(pulse, ch, params, 0.0, None, mode)
-            H[:, :, mp, np_] = wigner(r, params)
-    return H
+    M, N = params.M, params.N
+
+    def tx(v):  # the basis pulse of grid cell (m', n') = divmod(c, N)
+        return heisenberg(v.reshape(M, N), params, cp_len=cp_len)
+
+    def rx(sig):
+        return wigner(apply_channel(sig, ch, params, mode=mode), params)
+
+    return chain_matrix(tx, rx, params.dof).reshape(M, N, M, N)

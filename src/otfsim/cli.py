@@ -85,8 +85,6 @@ def _parse_snr_grid(text: str):
 def _load(args) -> runner.Scenario:
     sc = runner.load_scenario(args.config)
     if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError("--seed must be nonnegative")
         sc = replace(sc, seed=args.seed)
     return sc
 

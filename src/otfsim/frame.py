@@ -200,6 +200,25 @@ def extract_map(mapping: MappingMatrix, v: np.ndarray) -> np.ndarray:
     return v[list(mapping.selected)]
 
 
+def check_orthogonal(users) -> None:
+    """Refuse (frequency map, time map) pairs that claim a (freq, time) resource twice.
+
+    Cells are listed user by user, frequency-major, and the first repeat
+    in that order is reported.
+    """
+    cols = 1 + max(max(tmap.selected) for _, tmap in users)
+    cells = np.concatenate([
+        (np.array(fmap.selected)[:, None] * cols + np.array(tmap.selected)).reshape(-1)
+        for fmap, tmap in users
+    ])
+    _, first = np.unique(cells, return_index=True)
+    if first.size < cells.size:
+        repeat = np.ones(cells.size, dtype=bool)
+        repeat[first] = False
+        i, j = divmod(int(cells[np.argmax(repeat)]), cols)
+        raise AllocationError(f"resource {(i, j)} allocated twice")
+
+
 @dataclass(frozen=True)
 class UserAllocation:
     """Orthogonal partition of the frame among K_d x K_D users.
@@ -217,20 +236,7 @@ class UserAllocation:
     def __post_init__(self):
         if not self.users:
             raise AllocationError("allocation has no users")
-        # orthogonality: every (freq, time) resource claimed at most once;
-        # cells are listed user by user, frequency-major, and the first
-        # repeat in that order is reported
-        cols = 1 + max(max(tmap.selected) for _, tmap in self.users)
-        cells = np.concatenate([
-            (np.array(fmap.selected)[:, None] * cols + np.array(tmap.selected)).reshape(-1)
-            for fmap, tmap in self.users
-        ])
-        _, first = np.unique(cells, return_index=True)
-        if first.size < cells.size:
-            repeat = np.ones(cells.size, dtype=bool)
-            repeat[first] = False
-            i, j = divmod(int(cells[np.argmax(repeat)]), cols)
-            raise AllocationError(f"resource {(i, j)} allocated twice")
+        check_orthogonal(self.users)
 
     @property
     def num_users(self) -> int:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllocationError, IllConditionedError
-from .frame import MappingMatrix
+from .frame import MappingMatrix, check_orthogonal
 from .transforms import dft_matrix, isfft, sfft
 
 #: zf_precode refuses operators with condition number above this
@@ -217,12 +217,7 @@ def downlink_superpose(
         raise ValueError(f"{len(beta)} beta entries but {len(users)} users")
 
     if mode == "tf_alloc":
-        claimed = set()
-        for fmap, tmap in users:
-            cells = {(i, j) for i in fmap.selected for j in tmap.selected}
-            if claimed & cells:
-                raise AllocationError("tf_alloc requires non-overlapping user allocations")
-            claimed |= cells
+        check_orthogonal(users)
 
     out = None
     for u, (block, desc) in enumerate(zip(user_blocks, users)):

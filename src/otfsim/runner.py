@@ -21,8 +21,10 @@ time samples.  One generator serves the range: before each trial it is
 reset to that trial's counter, so it draws exactly what a fresh stream
 of the contract draws, into (T, ...) stacks.  Every layer (bit mapping,
 precoding, synthesis, channel, matched filter, detection, slicing and
-counting) then runs once per chunk on the stack.  A fixed channel has one
-detector for the whole stack; a random channel builds one per trial.
+counting) then runs once per chunk on the stack.  Each SNR point runs one
+link bound to its noise variance: a fixed channel's detector and water-
+filled user amplitudes are built once for the point; a random channel
+builds them once per trial.
 
 Scenario files are strict JSON: every key is validated and unknown keys
 are rejected with an error naming the offending key.
@@ -45,6 +47,7 @@ from .channel import (
     DDChannelSpec,
     apply_channel,
     chain_matrix,
+    check_taps,
     draw_noise,
     effective_matrix,  # noqa: F401 -- unused here; bench/tracing.py wraps runner.effective_matrix
     random_channel,
@@ -86,7 +89,10 @@ class MultiuserSetup:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Full description of one simulation run (plain data, picklable)."""
+    """Full description of one simulation run (plain data, picklable).
+
+    Validated whenever it is built, parsed or copied by ``dataclasses.replace``.
+    """
 
     M: int
     N: int
@@ -102,6 +108,10 @@ class Scenario:
     trials: int
     seed: int
     multiuser: MultiuserSetup | None = None
+
+    def __post_init__(self):
+        _validate_scenario(self)
+        object.__setattr__(self, "snr_db_list", tuple(float(s) for s in self.snr_db_list))
 
     @property
     def params(self) -> FrameParams:
@@ -212,18 +222,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
     mu_raw = _take(raw, "scenario", "multiuser", dict, None)
     _no_extras(raw, "scenario")
 
-    if not snr_list:
-        raise ConfigError("snr_db_list must be a nonempty list")
-    if not all(_is_kind(s, float) for s in snr_list):
-        raise ConfigError(f"snr_db_list entries must be finite numbers, got {snr_list}")
-    for snr in snr_list:
-        _noise_var(snr)
-    if trials < 1:
-        raise ConfigError("trials must be >= 1")
-    if not 0 <= seed < 2**128:
-        raise ConfigError("seed must be a nonnegative integer below 2**128 (the Philox key)")
-
-    sc = Scenario(
+    return Scenario(
         M=M,
         N=N,
         delta_f_hz=delta_f,
@@ -234,16 +233,24 @@ def scenario_from_dict(raw: dict) -> Scenario:
         channel_random=rand,
         channel_mode=channel_mode,
         equalizer=equalizer,
-        snr_db_list=tuple(float(s) for s in snr_list),
+        snr_db_list=tuple(snr_list),
         trials=trials,
         seed=seed,
         multiuser=None if mu_raw is None else _parse_multiuser(mu_raw, "multiuser"),
     )
-    _validate_scenario(sc)
-    return sc
 
 
 def _validate_scenario(sc: Scenario) -> None:
+    if not sc.snr_db_list:
+        raise ConfigError("snr_db_list must be a nonempty list")
+    if not all(_is_kind(s, float) for s in sc.snr_db_list):
+        raise ConfigError(f"snr_db_list entries must be finite numbers, got {sc.snr_db_list}")
+    for snr in sc.snr_db_list:
+        _noise_var(snr)
+    if not _is_kind(sc.trials, int) or sc.trials < 1:
+        raise ConfigError(f"trials must be an integer >= 1, got {sc.trials!r}")
+    if not _is_kind(sc.seed, int) or not 0 <= sc.seed < 2**128:
+        raise ConfigError("seed must be a nonnegative integer below 2**128 (the Philox key)")
     try:
         params = sc.params
         if params.dof > FRAME_GUARD:
@@ -304,35 +311,28 @@ def _fixed_channel(sc: Scenario) -> DDChannelSpec:
 
 
 def _check_channel(sc: Scenario) -> None:
-    """Tap power, and the largest delay and Doppler bins against the frame and mode."""
+    """Tap power, and the widest tap the channel can hold against the frame and mode."""
     if sc.channel_taps is not None:
         ch = _fixed_channel(sc)
         if all(t.gain == 0 for t in ch.taps):
             raise ConfigError("channel taps carry no power (every gain is zero)")
-        delay, doppler = ch.L_max - 1, ch.V_max - 1
     else:
         L, V = sc.channel_random
         if L < 1 or V < 1:
             raise ConfigError(f"channel.random spreads must be >= 1, got L_max={L} V_max={V}")
-        delay, doppler = L - 1, V - 1
-    if delay >= sc.M:
-        raise ConfigError(f"channel delay bin {delay} >= M={sc.M}")
-    if doppler > sc.N / 2:
-        raise ConfigError(f"channel |doppler bin| {doppler} > N/2={sc.N / 2}")
-    if sc.channel_mode == "per_slot_cp" and delay > sc.cp_len:
-        raise ConfigError(
-            f"channel delay bin {delay} exceeds cyclic prefix {sc.cp_len} in per-slot mode"
-        )
-    if sc.channel_mode == "cyclic" and sc.cp_len != 0:
-        raise ConfigError("channel_mode 'cyclic' requires a prefix-free frame (cp_len == 0)")
+        ch = DDChannelSpec(taps=((L - 1, V - 1, 1.0),))
+    check_taps(ch, sc.params, sc.channel_mode, sc.cp_len)
 
 
 def _noise_var(snr_db: float) -> float:
     """Complex noise variance of unit-energy symbols at ``snr_db``."""
     try:
-        return 10.0 ** (-snr_db / 10.0)
+        noise_var = 10.0 ** (-snr_db / 10.0)
     except OverflowError:
-        raise ConfigError(f"snr_db {snr_db} gives no finite noise variance") from None
+        noise_var = math.inf
+    if not 0 < noise_var < math.inf:
+        raise ConfigError(f"snr_db {snr_db} gives no positive finite noise variance")
+    return noise_var
 
 
 # ---------------------------------------------------------------------------
@@ -382,16 +382,17 @@ class _Link:
     is the K user blocks of its allocation, superposed on the time-
     frequency grid by the user map.  Symbols, bits and detector output
     are stacked user by user, each block flattened row-major.  Every
-    stage takes a stack of frames along leading axes.
+    stage takes a stack of frames along leading axes.  A link serves one
+    SNR point: its noise variance is fixed when it is built.
     """
 
-    def __init__(self, sc: Scenario):
+    def __init__(self, sc: Scenario, noise_var: float = 0.0):
         self.sc = sc
+        self.noise_var = noise_var
         self.params = sc.params
         self.cfg = SchemeConfig(sc.scheme, self.params, cp_len=sc.cp_len)
         self.const = get_constellation(sc.constellation)
         self.fixed = None if sc.channel_taps is None else _fixed_channel(sc)
-        self._cache = {}  # noise_var -> (detector, beta, amp), for the fixed channel only
         mu = sc.multiuser
         # every user map tiles the grid unitarily except Gaussian spreading
         self.unitary = mu is None or not (mu.mode == "tf_spread" and mu.spreader == "gaussian")
@@ -442,7 +443,7 @@ class _Link:
         L, V = self.sc.channel_random
         return random_channel(L, V, rng)
 
-    def draw(self, streams: _TrialStreams, start: int, stop: int, noise_var: float):
+    def draw(self, streams: _TrialStreams, start: int, stop: int):
         """Every draw of trials [start, stop), trial by trial in the contract's order.
 
         Returns ``(channels, gains, bits, noise)``: the random channels
@@ -454,7 +455,7 @@ class _Link:
         channels = None if self.fixed is not None else []
         bits = np.empty((T, self.n_bits), dtype=np.int64)
         noise = None
-        if noise_var > 0:
+        if self.noise_var > 0:
             noise = (np.empty((T, self.n_samples)), np.empty((T, self.n_samples)))
         for i in range(T):
             rng = streams.at(start + i)
@@ -462,37 +463,28 @@ class _Link:
                 channels.append(self.channel_for_trial(rng))
             bits[i] = rng.integers(0, 2, size=self.n_bits)
             if noise is not None:
-                noise[0][i], noise[1][i] = draw_noise(rng, noise_var, self.n_samples)
+                noise[0][i], noise[1][i] = draw_noise(rng, self.noise_var, self.n_samples)
         if channels is None:
             return None, None, bits, noise
         return channels, np.array([[t.gain for t in c.taps] for c in channels]), bits, noise
 
-    def _beta(self, ch: DDChannelSpec, noise_var: float):
-        """Water-filled user amplitudes of a budgeted downlink: (beta, amp)."""
+    def amplitudes(self, channels):
+        """Water-filled user amplitudes of a budgeted downlink: (len(channels), K), or None."""
         mu = self.sc.multiuser
         if mu is None or mu.power_budget is None:
-            return None, None
-        H = tf_channel(ch, self.params)
-        gains = np.array(
-            [
+            return None
+        amps = []
+        for ch in channels:
+            H = tf_channel(ch, self.params)
+            gains = np.array([
                 np.mean(np.abs(H[np.ix_(list(f.selected), list(t.selected))]) ** 2)
                 for f, t in self.alloc.users
-            ]
-        )
-        p = multiuser.water_fill(gains, mu.power_budget, noise_var)
-        amp = np.sqrt(p / self.block)
-        beta = [np.full(self.N_D, a) for a in amp]
-        return beta, amp
+            ])
+            p = multiuser.water_fill(gains, mu.power_budget, self.noise_var)
+            amps.append(np.sqrt(p / self.block))
+        return np.stack(amps)
 
-    def _stacked_beta(self, channels, noise_var: float):
-        """:meth:`_beta` of each random channel, stacked along a leading trial axis."""
-        mu = self.sc.multiuser
-        if mu is None or mu.power_budget is None:
-            return None, None
-        betas, amps = zip(*(self._beta(ch, noise_var) for ch in channels))
-        return [np.stack(b) for b in zip(*betas)], np.stack(amps)
-
-    def tf_grid(self, symbols: np.ndarray, beta=None) -> np.ndarray:
+    def tf_grid(self, symbols: np.ndarray) -> np.ndarray:
         """The user map: stacked symbols (..., n) -> (..., M, N) time-frequency grid."""
         lead = symbols.shape[:-1]
         if self.users is None:
@@ -501,11 +493,11 @@ class _Link:
             )
         blocks = symbols.reshape(*lead, self.K, self.N_D, self.M_d)
         return multiuser.downlink_superpose(
-            np.moveaxis(blocks, -3, 0), self.users, self.sc.multiuser.mode, beta=beta
+            np.moveaxis(blocks, -3, 0), self.users, self.sc.multiuser.mode
         )
 
     def adjoint(self, X: np.ndarray) -> np.ndarray:
-        """Adjoint of :meth:`tf_grid` (unit weights): (..., M, N) grid -> stacked symbols."""
+        """Adjoint of :meth:`tf_grid`: (..., M, N) grid -> stacked symbols."""
         lead = X.shape[:-2]
         if self.users is None:
             return modem.payload_from_tf(self.cfg, X).reshape(*lead, -1)
@@ -518,17 +510,22 @@ class _Link:
         grid = sfft(X) if mode == "dd_mapped" else X.swapaxes(-1, -2)
         return grid.reshape(*lead, -1)[..., self._cells]
 
-    def transmit(self, bits: np.ndarray, beta=None):
-        """Synthesise (..., n_bits) bits: a TimeSignal with one frame per bit row."""
-        X = self.tf_grid(map_bits(bits, self.const), beta)
-        return heisenberg(X, self.params, cp_len=self.sc.cp_len)
+    def transmit(self, bits: np.ndarray, amp=None):
+        """Synthesise (..., n_bits) bits: a TimeSignal with one frame per bit row.
+
+        ``amp`` of shape (..., K) scales each user's symbols before the user map.
+        """
+        symbols = map_bits(bits, self.const)
+        if amp is not None:
+            symbols = symbols * np.repeat(amp, self.block, axis=-1)
+        return heisenberg(self.tf_grid(symbols), self.params, cp_len=self.sc.cp_len)
 
     @cached_property
     def _map_matrix(self) -> np.ndarray:
         """The channel-free user map as a matrix: stacked symbols -> slot-major grid."""
         return chain_matrix(self.tf_grid, lambda X: X.T, self.K * self.block)
 
-    def detector(self, ch: DDChannelSpec, noise_var: float):
+    def detector(self, ch: DDChannelSpec):
         """Returns stacked symbol estimates = f(received grid Y), Y = wigner(sig).
 
         Y may be one (M, N) grid or a stack of them.  Detection reads Y
@@ -536,7 +533,7 @@ class _Link:
         the joint LMMSE is T's block filter followed by U's adjoint; ML and
         Gaussian spreading use T U.
         """
-        sc, params = self.sc, self.params
+        sc, params, noise_var = self.sc, self.params, self.noise_var
         if sc.equalizer == "one_tap_tf":
             H = tf_channel(ch, params)
             return lambda Y: self.adjoint(one_tap_tf(Y, H, noise_var))
@@ -564,47 +561,34 @@ class _Link:
         W = mmse_filter(A, noise_var)
         return lambda Y: (W @ slot_major(Y)[..., None])[..., 0]
 
-    def receiver(self, ch: DDChannelSpec, noise_var: float):
-        """Detector and water-filled weights for one channel: (detect, beta, amp)."""
-        # only the fixed channel outlives a trial; a random draw's id() can
-        # be reused by a later draw
-        if ch is self.fixed and noise_var in self._cache:
-            return self._cache[noise_var]
-        rx = (self.detector(ch, noise_var), *self._beta(ch, noise_var))
-        if ch is self.fixed:
-            self._cache[noise_var] = rx
-        return rx
+    @cached_property
+    def _fixed_rx(self):
+        """The fixed channel's detector and (1, K) amplitudes (or None), built once."""
+        return self.detector(self.fixed), self.amplitudes([self.fixed])
 
-    def _receive(self, streams: _TrialStreams, start: int, stop: int, noise_var: float):
-        """Draw, transmit and receive trials [start, stop) as one stack.
+    def run_chunk(self, streams: _TrialStreams, start: int, stop: int):
+        """Draw, transmit, receive and detect trials [start, stop) as one stack.
 
-        Returns (random channels or None, bits, received grids Y, user
-        amplitudes or None, PAPR per trial); the time-domain stacks are
-        freed on return.
+        Returns ((bit errors, symbol errors, bits, symbols), PAPR per trial).
         """
-        channels, gains, bits, noise = self.draw(streams, start, stop, noise_var)
+        channels, gains, bits, noise = self.draw(streams, start, stop)
         if channels is None:
-            ch, (_, beta, amp) = self.fixed, self.receiver(self.fixed, noise_var)
+            ch, (detect, amp) = self.fixed, self._fixed_rx
         else:
             # random draws share tap positions; gains holds one row per trial
-            ch, (beta, amp) = channels[0], self._stacked_beta(channels, noise_var)
-        sig = self.transmit(bits, beta)
+            ch, amp = channels[0], self.amplitudes(channels)
+        sig = self.transmit(bits, amp)
+        paprs = papr(sig)
         rx = apply_channel(
             sig, ch, self.params, mode=self.sc.channel_mode, gains=gains, noise=noise
         )
-        return channels, bits, wigner(rx, self.params), amp, papr(sig)
-
-    def run_chunk(self, streams: _TrialStreams, start: int, stop: int, noise_var: float):
-        """Trials [start, stop) as one stack.
-
-        Returns (bit errors, symbol errors, bits, symbols, PAPR per trial).
-        """
-        channels, bits, Y, amp, paprs = self._receive(streams, start, stop, noise_var)
+        Y = wigner(rx, self.params)
+        del sig, noise, rx  # the time-domain stacks are not held through detection
         if channels is None:
-            est = self.receiver(self.fixed, noise_var)[0](Y)
+            est = detect(Y)
         else:
             # one detector per draw, each with its own inv/pinv fallback
-            est = np.stack([self.detector(c, noise_var)(y) for c, y in zip(channels, Y)])
+            est = np.stack([self.detector(c)(y) for c, y in zip(channels, Y)])
         bps = self.const.bits_per_symbol
         if amp is not None:
             # undo each user's amplitude; users given zero power carry no data
@@ -612,24 +596,20 @@ class _Link:
             est = est[on] / np.broadcast_to(np.repeat(amp, self.block, axis=-1), est.shape)[on]
             bits = bits.reshape(*on.shape, bps)[on].reshape(-1)
         be, se = count_errors(bits, slice_symbols(est, self.const), bps)
-        return be, se, bits.size, est.size, paprs
+        return (be, se, bits.size, est.size), paprs
 
 
 def run_trial_range(sc: Scenario, snr_index: int, start: int, stop: int) -> LinkResult:
     """Run trials [start, stop) of one SNR point; mergeable partial result."""
-    link = _Link(sc)
     snr_db = sc.snr_db_list[snr_index]
-    noise_var = _noise_var(snr_db)  # unit-energy symbols
+    link = _Link(sc, _noise_var(snr_db))  # unit-energy symbols
     streams = _TrialStreams(sc.seed, snr_index, start)
-    be = se = nb = ns = 0
-    paprs = []
+    counts, paprs = [0, 0, 0, 0], []
     for a in range(start, stop, link.chunk):
-        dbe, dse, dnb, dns, pv = link.run_chunk(streams, a, min(a + link.chunk, stop), noise_var)
-        be += dbe
-        se += dse
-        nb += dnb
-        ns += dns
-        paprs.append(pv)
+        chunk_counts, chunk_paprs = link.run_chunk(streams, a, min(a + link.chunk, stop))
+        counts = [x + y for x, y in zip(counts, chunk_counts)]
+        paprs.append(chunk_paprs)
+    be, se, nb, ns = counts
     return LinkResult(
         scheme=sc.scheme,
         snr_db=snr_db,
@@ -750,7 +730,7 @@ def papr_ccdf(sc: Scenario) -> str:
     vals = []
     for a in range(0, sc.trials, link.chunk):
         # the channel draws keep the draw order aligned with simulate
-        _, _, bits, _ = link.draw(streams, a, min(a + link.chunk, sc.trials), 0.0)
+        _, _, bits, _ = link.draw(streams, a, min(a + link.chunk, sc.trials))
         vals.extend(10.0 * math.log10(v) for v in papr(link.transmit(bits)))
     vals = np.array(vals)
     hi = float(np.ceil(vals.max() * 4) / 4) if vals.size else 0.0

@@ -72,17 +72,18 @@ def scenario(name):
     return scenario_from_dict(json.loads((GOLDEN / f"{name}.json").read_text()))
 
 
-def run_trial(link, rng, noise_var):
+def run_trial(link, rng):
     """One trial on one frame: (bit errors, symbol errors, bits, symbols, PAPR)."""
     ch = link.channel_for_trial(rng)
-    detect, beta, amp = link.receiver(ch, noise_var)
+    detect, amp = link.detector(ch), link.amplitudes([ch])
+    amp = None if amp is None else amp[0]
     bits = rng.integers(0, 2, size=link.n_bits)
-    sig = link.transmit(bits, beta)
+    sig = link.transmit(bits, amp)
     papr_val = papr(sig)
-    rx = ot.apply_channel(sig, ch, link.params, noise_var, rng, mode=link.sc.channel_mode)
+    rx = ot.apply_channel(sig, ch, link.params, link.noise_var, rng, mode=link.sc.channel_mode)
     est = detect(ot.wigner(rx, link.params))
     bps = link.const.bits_per_symbol
-    if beta is not None:
+    if amp is not None:
         on = np.repeat(amp > 1e-12, link.block)
         est = est[on] / np.repeat(amp, link.block)[on]
         bits = bits.reshape(-1, bps)[on].reshape(-1)
@@ -91,11 +92,8 @@ def run_trial(link, rng, noise_var):
 
 
 def per_trial_range(sc, snr_index, start, stop):
-    link = _Link(sc)
-    noise_var = 10.0 ** (-sc.snr_db_list[snr_index] / 10.0)
-    rows = [
-        run_trial(link, trial_rng(sc.seed, snr_index, t), noise_var) for t in range(start, stop)
-    ]
+    link = _Link(sc, 10.0 ** (-sc.snr_db_list[snr_index] / 10.0))
+    rows = [run_trial(link, trial_rng(sc.seed, snr_index, t)) for t in range(start, stop)]
     counts = tuple(sum(r[i] for r in rows) for i in range(4))
     return counts, np.array([r[4] for r in rows])
 

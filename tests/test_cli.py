@@ -1,6 +1,7 @@
 """Command-line behaviour: subcommands, exit codes, output plumbing."""
 
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -9,8 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import otfsim as ot
 import otfsim.transforms
 from otfsim.cli import EXIT_CONFIG, EXIT_GUARD, EXIT_INVARIANT, EXIT_OK, main
+from otfsim.runner import load_scenario
 from otfsim.selftest import run_selftest
 
 
@@ -35,6 +38,13 @@ def config_file(tmp_path):
         return str(p)
 
     return write
+
+
+# two taps that cancel on subcarrier 0: a null time-frequency cell
+NULL_CELL = {"taps": [
+    {"delay_bin": 0, "doppler_bin": 0, "re": 0.5, "im": 0.0},
+    {"delay_bin": 1, "doppler_bin": 0, "re": -0.5, "im": 0.0},
+]}
 
 
 class TestSimulate:
@@ -104,6 +114,28 @@ class TestSimulate:
             tracemalloc.stop()
         assert "guard" in capsys.readouterr().err
         assert peak < 64 * 2**20
+
+    def test_per_slot_lmmse_guard_is_exit_3(self, config_file, capsys):
+        # 65536 x 16 points pass the frame cap, but the per-slot operators
+        # would hold 32 GiB; they are refused before they are allocated
+        cfg = config_file(
+            frame={"M": 65536, "N": 16, "cp_len": 2},
+            channel={"random": {"L_max": 3, "V_max": 2}},
+            channel_mode="per_slot_cp",
+            equalizer="mmse_dd",
+            snr_db_list=[10.0],
+            trials=1,
+        )
+        tracemalloc.start()
+        try:
+            assert main(["simulate", "--config", cfg]) == EXIT_GUARD
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "guard" in captured.err and "Traceback" not in captured.err
+        assert peak < 256 * 2**20
 
     def test_dense_downlink_guard_is_exit_3_before_probing(
         self, config_file, capsys, monkeypatch
@@ -175,10 +207,15 @@ class TestSimulate:
         {"snr_db_list": [10.0, -1e308]},
         # a numpy allocation traceback ("Unable to allocate 7.28 TiB")
         {"frame": {"M": 10**12, "N": 2}},
+        # a zero noise variance: a ZeroDivisionError traceback from the
+        # one-tap equalizer on the null cell, a silent noise-free run with mmse_dd
+        {"channel": NULL_CELL, "snr_db_list": [4000]},
+        {"channel": NULL_CELL, "snr_db_list": [4000], "equalizer": "mmse_dd"},
     ], ids=["zero_power_taps", "fixed_delay_over_cp", "random_delay_over_cp",
             "random_doppler_over_half_N", "random_zero_spread", "cyclic_with_cp",
             "power_budget_zero", "power_budget_negative", "seed_over_philox_key",
-            "snr_overflows_noise", "frame_over_cap"])
+            "snr_overflows_noise", "frame_over_cap", "snr_underflows_noise",
+            "snr_underflows_noise_mmse"])
     def test_scenario_outside_the_boundary_is_exit_1_before_any_trial(
         self, config_file, capsys, monkeypatch, over
     ):
@@ -205,6 +242,38 @@ class TestSimulate:
         assert captured.out == "" and "finite" in captured.err
         assert main(["simulate", "--config", cfg, "--out", str(dest)]) == EXIT_CONFIG
         assert not dest.exists()
+
+
+class TestOverridesAreValidated:
+    """A scenario changed on the command line meets the file's checks, before any trial."""
+
+    def test_null_cell_scenario_is_valid(self, config_file):
+        sc = load_scenario(config_file(channel=NULL_CELL))
+        H = ot.tf_channel(ot.DDChannelSpec(taps=((0, 0, 0.5), (1, 0, -0.5))), sc.params)
+        assert np.abs(H).min() == 0.0
+
+    @pytest.mark.parametrize("argv,message", [
+        # 2**128 once parsed and failed in the first trial
+        (["simulate", "--seed", str(2**128)], "2**128"),
+        (["simulate", "--seed", "-1"], "2**128"),
+        # 10**-400 underflows to a zero noise variance; the one-tap
+        # equalizer then divided by the null cell's zero gain
+        (["sweep", "--snr", "4000:4000:1"], "noise variance"),
+    ], ids=["seed_over_philox_key", "seed_negative", "sweep_snr_without_noise"])
+    def test_override_outside_the_boundary_is_exit_1_before_any_trial(
+        self, config_file, capsys, monkeypatch, argv, message
+    ):
+        import otfsim.runner
+
+        def refuse(*a, **k):
+            raise AssertionError("a link was built for a refused scenario")
+
+        monkeypatch.setattr(otfsim.runner, "_Link", refuse)
+        assert main([*argv, "--config", config_file(channel=NULL_CELL)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error" in captured.err and "Traceback" not in captured.err
+        assert message in captured.err
 
 
 class TestSweep:
@@ -298,6 +367,13 @@ class TestSelftest:
         assert "RuntimeError" in capsys.readouterr().out
 
 
+def child_env():
+    """Environment for a fresh interpreter that imports this otfsim source tree."""
+    src = str(Path(otfsim.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
+
+
 class TestParserPlumbing:
     def test_no_arguments(self):
         assert main([]) == EXIT_CONFIG
@@ -314,6 +390,7 @@ class TestParserPlumbing:
             capture_output=True,
             text=True,
             timeout=120,
+            env=child_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert dest.read_text().startswith("scheme,")
@@ -325,5 +402,6 @@ class TestParserPlumbing:
             capture_output=True,
             text=True,
             timeout=120,
+            env=child_env(),
         )
         assert proc.returncode == 1

@@ -59,5 +59,5 @@ def test_detector_never_probes_the_channel(name, monkeypatch):
     monkeypatch.setattr(runner, "effective_matrix", refuse)
     monkeypatch.setattr(modem, "demodulate", refuse)
     sc = load_scenario(GOLDEN / f"{name}.json")
-    link = _Link(sc)
-    assert callable(link.detector(link.channel_for_trial(trial_rng(sc.seed, 0, 0)), 0.1))
+    link = _Link(sc, 0.1)
+    assert callable(link.detector(link.channel_for_trial(trial_rng(sc.seed, 0, 0))))

@@ -277,6 +277,14 @@ class TestDownlink:
         with pytest.raises(AllocationError):
             downlink_superpose(self.blocks, users, mode="tf_alloc")
 
+    def test_tf_alloc_overlap_names_the_first_repeated_resource(self):
+        # the third user's cells, frequency-major: (5, 0), (5, 1), then
+        # (2, 0), which user 0 holds
+        third = (ot.custom_map(M, [5, 2, 3, 6]), localized_map(N, 2, 0))
+        blocks = self.blocks + [rand_block(self.rng, 2, 4)]
+        with pytest.raises(AllocationError, match=r"resource \(2, 0\) allocated twice"):
+            downlink_superpose(blocks, self.users + [third], mode="tf_alloc")
+
     def test_dd_mapped_tolerates_overlap(self):
         # spread modes superpose in code space; same maps just add
         users = [self.users[0], self.users[0]]

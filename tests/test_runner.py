@@ -3,6 +3,7 @@
 import copy
 import json
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -136,6 +137,18 @@ class TestScenarioParsing:
     def test_bad_values(self, field, value):
         with pytest.raises(ConfigError):
             scenario_from_dict(base_dict(**{field: value}))
+
+    @pytest.mark.parametrize("field,value", [
+        ("trials", 0),
+        ("seed", 2**128),
+        ("snr_db_list", ()),
+        ("snr_db_list", (4000.0,)),  # the noise variance underflows to zero
+        ("cp_len", 2),  # cyclic mode takes no prefix
+    ])
+    def test_replaced_copy_is_validated(self, field, value):
+        sc = scenario_from_dict(base_dict())
+        with pytest.raises(ConfigError):
+            replace(sc, **{field: value})
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_snr_rejected(self, bad):
@@ -371,7 +384,7 @@ class TestExecution:
             equalizer="mmse_dd",
         )
         d["frame"] = {"M": M, "N": N, "cp_len": 2}
-        link = _Link(scenario_from_dict(d))
+        link = _Link(scenario_from_dict(d), 0.1)
         rng = trial_rng(3, 0, 0)
         ch = link.channel_for_trial(rng)
         shape = payload_shape(link.cfg)
@@ -379,7 +392,7 @@ class TestExecution:
         rx = ot.apply_channel(modulate(link.cfg, x), ch, link.params, 0.1, rng)
         A = ot.effective_matrix(link.cfg, ch, mode="per_slot_cp")
         joint = ot.mmse_dd(demodulate(link.cfg, rx), A, 0.1)
-        got = link.detector(ch, 0.1)(ot.wigner(rx, link.params))
+        got = link.detector(ch)(ot.wigner(rx, link.params))
         assert got.shape == (x.size,)  # the payload grid, flattened row-major
         assert np.abs(got - joint).max() < 1e-10
 
@@ -400,7 +413,7 @@ class TestExecution:
             equalizer="ml",
         )
         d["frame"] = {"M": M, "N": N, "cp_len": 0 if channel_mode == "cyclic" else 1}
-        link = _Link(scenario_from_dict(d))
+        link = _Link(scenario_from_dict(d), 0.5)
         for t in range(6):
             rng = trial_rng(5, 0, t)
             ch = link.channel_for_trial(rng)
@@ -408,7 +421,7 @@ class TestExecution:
             rx = ot.apply_channel(modulate(link.cfg, x), ch, link.params, 0.5, rng, channel_mode)
             A = ot.effective_matrix(link.cfg, ch, mode=channel_mode)
             ref = ot.ml_detect(demodulate(link.cfg, rx).reshape(-1), A, link.const)
-            assert np.array_equal(link.detector(ch, 0.5)(ot.wigner(rx, link.params)), ref)
+            assert np.array_equal(link.detector(ch)(ot.wigner(rx, link.params)), ref)
 
     def test_per_slot_mmse_runs_beyond_the_dense_guard(self):
         # 128 x 64 is refused by the probed effective matrix; the per-slot
@@ -491,9 +504,9 @@ class TestMultiuserExecution:
             multiuser={"mode": "tf_alloc", "K_d": 2, "K_D": 1, "power_budget": 1e-4},
         )
         sc = scenario_from_dict(d)
-        eng = _Link(sc)
+        eng = _Link(sc, 1e-3)
         ch = eng.channel_for_trial(trial_rng(sc.seed, 0, 0))
-        beta, amp = eng._beta(ch, noise_var=1e-3)
+        (amp,) = eng.amplitudes([ch])
         assert amp[0] > 0 and amp[1] == 0.0
         calls = []
         real = otfsim.runner.multiuser.water_fill
@@ -543,7 +556,7 @@ class TestMultiuserExecution:
         users = list(alloc_fn(sc.params, 2, 2).users)
         if mode == "tf_spread":
             users = [multiuser.dft_spreading_pair(f, t) for f, t in users]
-        link = _Link(sc)
+        link = _Link(sc, 0.1)
         rng = trial_rng(4, 0, 0)
         ch = link.channel_for_trial(rng)
 
@@ -563,7 +576,7 @@ class TestMultiuserExecution:
             raise AssertionError("chain_matrix called")
 
         monkeypatch.setattr(otfsim.runner, "chain_matrix", refuse)
-        got = link.detector(ch, 0.1)(ot.wigner(sig, sc.params))
+        got = link.detector(ch)(ot.wigner(sig, sc.params))
         assert np.abs(got - W @ ot.wigner(sig, sc.params).reshape(-1)).max() < 1e-10
 
     @pytest.mark.parametrize("scheme,N,mode,spreader,channel_mode", [
@@ -594,7 +607,7 @@ class TestMultiuserExecution:
         if mode is None:
             del d["multiuser"]
         sc = scenario_from_dict(d)
-        link = _Link(sc)
+        link = _Link(sc, 0.1)
         rng = trial_rng(6, 0, 0)
         ch = link.channel_for_trial(rng)
         dim = sc.params.dof
@@ -611,7 +624,7 @@ class TestMultiuserExecution:
         W = ot.mmse_filter(chain_matrix(tx, rx, dim), 0.1)
         x = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         sig = ot.apply_channel(tx(x), ch, sc.params, 0.1, rng, channel_mode)
-        got = link.detector(ch, 0.1)(ot.wigner(sig, sc.params))
+        got = link.detector(ch)(ot.wigner(sig, sc.params))
         assert np.abs(got - W @ ot.wigner(sig, sc.params).reshape(-1)).max() < 1e-10
 
     def test_per_slot_downlink_runs_beyond_the_dense_guard(self):
