@@ -25,7 +25,7 @@ M, N = 8, 4
 users = [(localized_map(M, 4, u), localized_map(N, 4, 0)) for u in range(2)]
 blocks = [rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) for _ in users]
 beta = [np.full(4, 1.0), np.full(4, 0.25)]  # one weight per transmit row
-Y = downlink_superpose(blocks, users, mode="dd_mapped", beta=beta)
+Y = downlink_superpose([x * w[:, None] for x, w in zip(blocks, beta)], users, mode="dd_mapped")
 for u, (x, (f, t)) in enumerate(zip(blocks, users)):
     est = despread_user(Y, freq_map=f, time_map=t, domain="dd")
     scale = np.median(np.abs(est / x))

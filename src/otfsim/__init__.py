@@ -52,9 +52,9 @@ from .multiuser import (
     SpreadingPair,
     despread_user,
     dft_spreading_pair,
+    downlink_split,
     downlink_superpose,
     kron_spreader,
-    spread_vec,
     tf_spread,
     uplink_map_dd,
     uplink_map_tf,

@@ -200,23 +200,29 @@ def extract_map(mapping: MappingMatrix, v: np.ndarray) -> np.ndarray:
     return v[list(mapping.selected)]
 
 
+def user_cells(fmap: MappingMatrix, tmap: MappingMatrix) -> np.ndarray:
+    """A user's flat cells ``t * M + f`` on the (N, M) grid, in its block's row-major order.
+
+    Entry j of the user's flattened (N_D, M_d) block sits at time/Doppler
+    index ``tmap.selected[j // M_d]`` and frequency/delay index
+    ``fmap.selected[j % M_d]``.
+    """
+    return (np.array(tmap.selected)[:, None] * fmap.ambient + np.array(fmap.selected)).reshape(-1)
+
+
 def check_orthogonal(users) -> None:
     """Refuse (frequency map, time map) pairs that claim a (freq, time) resource twice.
 
-    Cells are listed user by user, frequency-major, and the first repeat
-    in that order is reported.
+    Cells are listed user by user in block order (:func:`user_cells`),
+    and the first repeat in that order is reported.
     """
-    cols = 1 + max(max(tmap.selected) for _, tmap in users)
-    cells = np.concatenate([
-        (np.array(fmap.selected)[:, None] * cols + np.array(tmap.selected)).reshape(-1)
-        for fmap, tmap in users
-    ])
+    cells = np.concatenate([user_cells(fmap, tmap) for fmap, tmap in users])
     _, first = np.unique(cells, return_index=True)
     if first.size < cells.size:
         repeat = np.ones(cells.size, dtype=bool)
         repeat[first] = False
-        i, j = divmod(int(cells[np.argmax(repeat)]), cols)
-        raise AllocationError(f"resource {(i, j)} allocated twice")
+        t, f = divmod(int(cells[np.argmax(repeat)]), users[0][0].ambient)
+        raise AllocationError(f"resource {(f, t)} allocated twice")
 
 
 @dataclass(frozen=True)

@@ -21,10 +21,12 @@ Vectorisation conventions: time-frequency grids vectorise column-major
 grids, so the Kronecker identities hold exactly.
 
 Downlink: :func:`downlink_superpose` sums per-user blocks in three modes
-(delay-Doppler mapped, general spread, direct orthogonal placement with
-per-user power weights), :func:`zf_precode` inverts a composed channel
-operator under a power budget, and :func:`water_fill` allocates power
-across parallel subchannels.
+(delay-Doppler mapped, general spread, direct orthogonal placement) and
+:func:`downlink_split` is its exact adjoint, one block per user; both
+place a mapped user through its cells (:func:`~otfsim.frame.user_cells`).
+:func:`zf_precode` inverts a composed channel operator under a power
+budget, and :func:`water_fill` allocates power across parallel
+subchannels.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllocationError, IllConditionedError
-from .frame import MappingMatrix, check_orthogonal
+from .frame import MappingMatrix, check_orthogonal, user_cells
 from .transforms import dft_matrix, isfft, sfft
 
 #: zf_precode refuses operators with condition number above this
@@ -86,15 +88,10 @@ def uplink_map_dd(
     """Placement on the full delay-Doppler grid, then the full transform.
 
     Equals spreading the block with the user's selected columns of the
-    frame DFT matrices.  A stack of blocks (..., N_D, M_d) gives a stack
-    of grids.
+    frame DFT matrices: the one-user ``dd_mapped`` superposition.  A stack
+    of blocks (..., N_D, M_d) gives a stack of grids.
     """
-    user_data = _check_block(user_data, freq_map, time_map)
-    grid = np.zeros(
-        (*user_data.shape[:-2], time_map.ambient, freq_map.ambient), dtype=np.complex128
-    )
-    grid[(..., *np.ix_(time_map.selected, freq_map.selected))] = user_data
-    return isfft(grid)
+    return downlink_superpose([user_data], [(freq_map, time_map)], "dd_mapped")
 
 
 # ---------------------------------------------------------------------------
@@ -151,17 +148,6 @@ def kron_spreader(pair: SpreadingPair) -> np.ndarray:
     return np.kron(pair.S_B, pair.S_A)
 
 
-def spread_vec(data_vec: np.ndarray, spreader: np.ndarray) -> np.ndarray:
-    """Apply a flattened spreader to a vectorised block."""
-    data_vec = np.asarray(data_vec, dtype=np.complex128).reshape(-1)
-    spreader = np.asarray(spreader, dtype=np.complex128)
-    if spreader.shape[1] != data_vec.size:
-        raise ValueError(
-            f"spreader expects {spreader.shape[1]} symbols, got {data_vec.size}"
-        )
-    return spreader @ data_vec
-
-
 # ---------------------------------------------------------------------------
 # downlink
 # ---------------------------------------------------------------------------
@@ -169,83 +155,64 @@ def spread_vec(data_vec: np.ndarray, spreader: np.ndarray) -> np.ndarray:
 DOWNLINK_MODES = ("dd_mapped", "tf_spread", "tf_alloc")
 
 
-def _scale_block(x: np.ndarray, beta, beta_on_symbols: bool) -> np.ndarray:
-    """Apply per-user power weights to an (N_D, M_d) block, or a stack of them.
-
-    ``beta`` of shape (N_D,) is the diagonal right-factor acting on the
-    block's time/Doppler rows; with ``beta_on_symbols`` a full (N_D, M_d)
-    array scales each symbol individually.  For a stack of blocks, beta
-    may carry the stack's leading axes too: one weight set per block.
-    """
-    if beta is None:
-        return x
-    beta = np.asarray(beta, dtype=float)
-    if beta_on_symbols:
-        if beta.shape[-2:] != x.shape[-2:]:
-            raise ValueError(f"per-symbol beta must have shape {x.shape}, got {beta.shape}")
-        return x * beta
-    if beta.shape[-1:] != x.shape[-2:-1]:
-        raise ValueError(f"beta must have shape ({x.shape[-2]},), got {beta.shape}")
-    return x * beta[..., None]
+def _check_downlink(users, mode: str) -> None:
+    if mode not in DOWNLINK_MODES:
+        raise ValueError(f"unknown downlink mode {mode!r}, expected one of {DOWNLINK_MODES}")
+    if not users:
+        raise ValueError("no users in the downlink")
 
 
-def downlink_superpose(
-    user_blocks,
-    users,
-    mode: str,
-    beta=None,
-    beta_on_symbols: bool = False,
-) -> np.ndarray:
+def downlink_superpose(user_blocks, users, mode: str) -> np.ndarray:
     """Superpose all users' blocks into one (M, N) time-frequency grid.
 
     ``users`` holds one descriptor per block: (freq_map, time_map) pairs
     for modes ``dd_mapped`` and ``tf_alloc``, :class:`SpreadingPair`
-    objects for ``tf_spread``.  ``beta`` is an optional list of per-user
-    power weights (see :func:`_scale_block`).  ``dd_mapped`` places every
-    block on one delay-Doppler grid and transforms it once, which by
-    linearity is the sum of the users' :func:`uplink_map_dd`.  ``tf_alloc``
-    places blocks directly on the grid and therefore requires
-    non-overlapping allocations.  Each user's block may be a stack (..., N_D, M_d) with
-    the same leading axes for every user; the result is then a stack of
-    grids.
+    objects for ``tf_spread``.  ``dd_mapped`` and ``tf_alloc`` add every
+    block into one (N, M) grid at its cells, so overlapping users add;
+    ``dd_mapped`` then transforms the grid once, which by linearity is the
+    sum of the users' :func:`uplink_map_dd`, and ``tf_alloc`` transposes
+    it and requires non-overlapping allocations.  Each user's block may be
+    a stack (..., N_D, M_d) with the same leading axes for every user; the
+    result is then a stack of grids.
     """
-    if mode not in DOWNLINK_MODES:
-        raise ValueError(f"unknown downlink mode {mode!r}, expected one of {DOWNLINK_MODES}")
+    _check_downlink(users, mode)
     if len(user_blocks) != len(users):
         raise ValueError(f"{len(user_blocks)} blocks but {len(users)} user descriptors")
-    if beta is not None and len(beta) != len(users):
-        raise ValueError(f"{len(beta)} beta entries but {len(users)} users")
-
+    if mode == "tf_spread":
+        grids = [tf_spread(block, pair) for block, pair in zip(user_blocks, users)]
+        return sum(grids[1:], grids[0])
     if mode == "tf_alloc":
         check_orthogonal(users)
+    blocks = [_check_block(block, *desc) for block, desc in zip(user_blocks, users)]
+    fmap, tmap = users[0]
+    grid = np.zeros((*blocks[0].shape[:-2], tmap.ambient * fmap.ambient), dtype=np.complex128)
+    for block, desc in zip(blocks, users):
+        grid[..., user_cells(*desc)] += block.reshape(*block.shape[:-2], -1)
+    grid = grid.reshape(*grid.shape[:-1], tmap.ambient, fmap.ambient)
+    return isfft(grid) if mode == "dd_mapped" else grid.swapaxes(-1, -2)
 
-    out = None
-    for u, (block, desc) in enumerate(zip(user_blocks, users)):
-        b = None if beta is None else beta[u]
-        if mode == "tf_spread":
-            pair = desc
-            x = _scale_block(
-                np.asarray(block, dtype=np.complex128), b, beta_on_symbols
-            )
-            contrib = tf_spread(x, pair)
-        else:
-            fmap, tmap = desc
-            x = _scale_block(_check_block(block, fmap, tmap), b, beta_on_symbols)
-            if mode == "dd_mapped":
-                # place on the delay-Doppler grid; one transform after the loop
-                contrib = np.zeros(
-                    (*x.shape[:-2], tmap.ambient, fmap.ambient), dtype=np.complex128
-                )
-                contrib[(..., *np.ix_(tmap.selected, fmap.selected))] = x
-            else:  # tf_alloc
-                contrib = np.zeros(
-                    (*x.shape[:-2], fmap.ambient, tmap.ambient), dtype=np.complex128
-                )
-                contrib[(..., *np.ix_(fmap.selected, tmap.selected))] = x.swapaxes(-1, -2)
-        out = contrib if out is None else out + contrib
-    if out is None:
-        raise ValueError("no users to superpose")
-    return isfft(out) if mode == "dd_mapped" else out
+
+def downlink_split(y_tf: np.ndarray, users, mode: str) -> list:
+    """Adjoint of :func:`downlink_superpose`: one (..., N_D, M_d) block per user.
+
+    ``y_tf`` is one (M, N) time-frequency grid or a stack of them.  For
+    the mapped modes the grid becomes an (N, M) grid (an SFFT for
+    ``dd_mapped``, a transpose for ``tf_alloc``) from which each user's
+    cells are gathered; ``tf_spread`` despreads each user's pair.
+    """
+    _check_downlink(users, mode)
+    y = np.asarray(y_tf, dtype=np.complex128)
+    if mode == "tf_spread":
+        return [despread_user(y, pair=pair) for pair in users]
+    shape = (users[0][0].ambient, users[0][1].ambient)
+    if y.shape[-2:] != shape:
+        raise ValueError(f"expected {shape} grids, got {y.shape}")
+    grid = sfft(y) if mode == "dd_mapped" else y.swapaxes(-1, -2)
+    flat = grid.reshape(*grid.shape[:-2], -1)
+    return [
+        flat[..., user_cells(fmap, tmap)].reshape(*flat.shape[:-1], tmap.size, fmap.size)
+        for fmap, tmap in users
+    ]
 
 
 def despread_user(
@@ -254,36 +221,30 @@ def despread_user(
     time_map: MappingMatrix | None = None,
     domain: str = "dd",
     pair: SpreadingPair | None = None,
-    spreader: np.ndarray | None = None,
 ) -> np.ndarray:
     """Adjoint of one user's spreading/mapping, applied to an observation.
 
     Exactly one addressing style must be supplied:
 
     * ``freq_map``/``time_map`` with ``domain="dd"`` — adjoint of
-      :func:`uplink_map_dd`; with ``domain="tf"`` — adjoint of
-      :func:`uplink_map_tf`.  Returns an (N_D, M_d) block.
+      :func:`uplink_map_dd` (the one-user :func:`downlink_split`); with
+      ``domain="tf"`` — adjoint of :func:`uplink_map_tf`.  Returns an
+      (N_D, M_d) block.
     * ``pair`` — adjoint of :func:`tf_spread`; a stack of grids
       (..., M, N) gives a stack of blocks.
-    * ``spreader`` — adjoint of a flattened spreader on a vectorised
-      observation; returns a vector.
 
     For orthogonal (unitary-column) spreading this inverts the noiseless
     map and leaves white noise white.
     """
-    styles = sum([freq_map is not None, pair is not None, spreader is not None])
-    if styles != 1:
-        raise ValueError("supply exactly one of (freq_map/time_map), pair, spreader")
-    if spreader is not None:
-        y = np.asarray(y_tf, dtype=np.complex128).reshape(-1)
-        return np.asarray(spreader, dtype=np.complex128).conj().T @ y
+    if (freq_map is None) == (pair is None):
+        raise ValueError("supply exactly one of (freq_map/time_map), pair")
     y = np.asarray(y_tf, dtype=np.complex128)
     if pair is not None:
         return (pair.S_A.conj().T @ y @ pair.S_B.conj()).swapaxes(-1, -2)
     if time_map is None:
         raise ValueError("time_map required with freq_map")
     if domain == "dd":
-        return sfft(y)[np.ix_(list(time_map.selected), list(freq_map.selected))]
+        return downlink_split(y, [(freq_map, time_map)], "dd_mapped")[0]
     if domain == "tf":
         small = y[np.ix_(list(freq_map.selected), list(time_map.selected))]
         return sfft(small)

@@ -43,10 +43,11 @@ import numpy as np
 
 from . import modem, multiuser
 from .channel import (
+    EFFECTIVE_GUARD,
     FRAME_GUARD,
     DDChannelSpec,
     apply_channel,
-    chain_matrix,
+    chain_matrix,  # noqa: F401 -- unused here; bench/tracing.py wraps runner.chain_matrix
     check_taps,
     draw_noise,
     effective_matrix,  # noqa: F401 -- unused here; bench/tracing.py wraps runner.effective_matrix
@@ -56,7 +57,7 @@ from .channel import (
     windowed_dd_channel,
 )
 from .equalizer import ML_GUARD_BITS, ml_detect, mmse_filter, one_tap_tf
-from .errors import ConfigError
+from .errors import ConfigError, GuardError
 from .frame import FrameParams, interleaved_allocation, localized_allocation, make_frame
 from .metrics import (
     LinkResult,
@@ -67,7 +68,7 @@ from .metrics import (
     slice_symbols,
 )
 from .modem import SchemeConfig
-from .transforms import heisenberg, sfft, wigner
+from .transforms import heisenberg, wigner
 
 EQUALIZERS = ("one_tap_tf", "mmse_dd", "ml")
 CHANNEL_MODES = ("cyclic", "per_slot_cp")
@@ -380,10 +381,13 @@ class _Link:
 
     A single user is one block on the scheme's payload grid; a downlink
     is the K user blocks of its allocation, superposed on the time-
-    frequency grid by the user map.  Symbols, bits and detector output
-    are stacked user by user, each block flattened row-major.  Every
-    stage takes a stack of frames along leading axes.  A link serves one
-    SNR point: its noise variance is fixed when it is built.
+    frequency grid by ``multiuser.downlink_superpose`` and separated by
+    its adjoint ``multiuser.downlink_split``.  Symbols, bits and detector
+    output are stacked user by user, each block flattened row-major.
+    Every stage takes a stack of frames along leading axes, so the user
+    map's matrix (for ML and Gaussian spreading) is the map of one stack
+    of symbol impulses.  A link serves one SNR point: its noise variance
+    is fixed when it is built.
     """
 
     def __init__(self, sc: Scenario, noise_var: float = 0.0):
@@ -419,11 +423,6 @@ class _Link:
             ]
         else:
             self.users = list(self.alloc.users)
-            # each user's cells on the (N, M) grid, in block order
-            self._cells = np.concatenate([
-                (np.array(t.selected)[:, None] * sc.M + np.array(f.selected)).reshape(-1)
-                for f, t in self.users
-            ])
 
     def _make_pair(self, fmap, tmap, rng):
         if self.sc.multiuser.spreader == "dft":
@@ -501,14 +500,8 @@ class _Link:
         lead = X.shape[:-2]
         if self.users is None:
             return modem.payload_from_tf(self.cfg, X).reshape(*lead, -1)
-        mode = self.sc.multiuser.mode
-        if mode == "tf_spread":
-            return np.concatenate(
-                [multiuser.despread_user(X, pair=pair).reshape(*lead, -1) for pair in self.users],
-                axis=-1,
-            )
-        grid = sfft(X) if mode == "dd_mapped" else X.swapaxes(-1, -2)
-        return grid.reshape(*lead, -1)[..., self._cells]
+        blocks = multiuser.downlink_split(X, self.users, self.sc.multiuser.mode)
+        return np.concatenate([b.reshape(*lead, -1) for b in blocks], axis=-1)
 
     def transmit(self, bits: np.ndarray, amp=None):
         """Synthesise (..., n_bits) bits: a TimeSignal with one frame per bit row.
@@ -522,8 +515,15 @@ class _Link:
 
     @cached_property
     def _map_matrix(self) -> np.ndarray:
-        """The channel-free user map as a matrix: stacked symbols -> slot-major grid."""
-        return chain_matrix(self.tf_grid, lambda X: X.T, self.K * self.block)
+        """The channel-free user map as a matrix: stacked symbols -> slot-major grid.
+
+        Built from the map itself, one symbol impulse per frame of one
+        stack, under the probed builders' point guard.
+        """
+        n = self.K * self.block
+        if n > EFFECTIVE_GUARD:
+            raise GuardError(f"user map on {n} points exceeds guard {EFFECTIVE_GUARD}")
+        return self.tf_grid(np.eye(n)).swapaxes(-1, -2).reshape(n, -1).T
 
     def detector(self, ch: DDChannelSpec):
         """Returns stacked symbol estimates = f(received grid Y), Y = wigner(sig).

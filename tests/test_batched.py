@@ -238,8 +238,10 @@ def test_downlink_on_a_stack(mode):
     if mode == "tf_spread":
         users = [multiuser.dft_spreading_pair(f, t) for f, t in users]
     blocks = rng.normal(size=(3, 4, 2, 4)) + 1j * rng.normal(size=(3, 4, 2, 4))
-    beta = [rng.uniform(0.5, 1.5, size=(3, 2)) for _ in users]
-    got = multiuser.downlink_superpose(np.moveaxis(blocks, 1, 0), users, mode, beta=beta)
+    got = multiuser.downlink_superpose(np.moveaxis(blocks, 1, 0), users, mode)
+    split = multiuser.downlink_split(got, users, mode)
     for i in range(3):
-        want = multiuser.downlink_superpose(blocks[i], users, mode, beta=[b[i] for b in beta])
+        want = multiuser.downlink_superpose(blocks[i], users, mode)
         assert np.array_equal(got[i], want)
+        for stacked, one in zip(split, multiuser.downlink_split(want, users, mode)):
+            assert np.array_equal(stacked[i], one)

@@ -113,8 +113,8 @@ class TestUserAllocation:
             ot.UserAllocation(K_d=2, K_D=1, users=((fmap, tmap), (fmap, tmap)))
 
     def test_overlap_names_the_first_repeated_resource(self):
-        # cells are scanned user by user, frequency-major: (2, 1), (2, 0),
-        # (1, 1), then (1, 0), the first cell user 0 already holds
+        # cells are scanned user by user in block order: (2, 1), (1, 1),
+        # (2, 0), then (1, 0), the first cell user 0 already holds
         u0 = (ot.custom_map(4, (0, 1)), ot.custom_map(2, (0,)))
         u1 = (ot.custom_map(4, (2, 1)), ot.custom_map(2, (1, 0)))
         with pytest.raises(AllocationError, match=r"resource \(1, 0\) allocated twice"):

@@ -12,9 +12,9 @@ from otfsim.multiuser import (
     SpreadingPair,
     despread_user,
     dft_spreading_pair,
+    downlink_split,
     downlink_superpose,
     kron_spreader,
-    spread_vec,
     tf_spread,
     unvec_tf,
     uplink_map_dd,
@@ -152,15 +152,6 @@ class TestSpreadingIdentities:
             kron_spreader(pair) @ vec_dd(x), vec_tf(tf_spread(x, pair)), atol=1e-12
         )
 
-    def test_spread_vec_applies_flattened(self):
-        rng = np.random.default_rng(409)
-        pair = random_unitary_pair(rng, 2, 2)
-        S = kron_spreader(pair)
-        v = rng.normal(size=4) + 1j * rng.normal(size=4)
-        assert_allclose(spread_vec(v, S), S @ v, atol=1e-14)
-        with pytest.raises(ValueError):
-            spread_vec(np.ones(3), S)
-
     def test_pair_validates_column_norms(self):
         with pytest.raises(ValueError):
             SpreadingPair(S_A=2.0 * np.eye(4), S_B=np.eye(2))
@@ -201,13 +192,6 @@ class TestDespreading:
         pair = random_unitary_pair(rng, 3, 2)
         x = rand_block(rng, 2, 3)
         assert_allclose(despread_user(tf_spread(x, pair), pair=pair), x, atol=1e-12)
-
-    def test_spreader_round_trip(self):
-        rng = np.random.default_rng(413)
-        pair = random_unitary_pair(rng, 3, 2)
-        S = kron_spreader(pair)
-        v = rng.normal(size=6) + 1j * rng.normal(size=6)
-        assert_allclose(despread_user(S @ v, spreader=S), v, atol=1e-12)
 
     def test_zero_interference_between_users(self):
         # superpose two users, pull each back out exactly
@@ -278,8 +262,8 @@ class TestDownlink:
             downlink_superpose(self.blocks, users, mode="tf_alloc")
 
     def test_tf_alloc_overlap_names_the_first_repeated_resource(self):
-        # the third user's cells, frequency-major: (5, 0), (5, 1), then
-        # (2, 0), which user 0 holds
+        # the third user's cells, in block order: (5, 0), then (2, 0),
+        # which user 0 holds
         third = (ot.custom_map(M, [5, 2, 3, 6]), localized_map(N, 2, 0))
         blocks = self.blocks + [rand_block(self.rng, 2, 4)]
         with pytest.raises(AllocationError, match=r"resource \(2, 0\) allocated twice"):
@@ -292,32 +276,6 @@ class TestDownlink:
         ref = uplink_map_dd(self.blocks[0] + self.blocks[1], *self.users[0])
         assert_allclose(Y, ref, atol=1e-12)
 
-    def test_row_beta_scales_doppler_rows(self):
-        beta = [np.array([1.0, 0.5]), np.array([2.0, 1.0])]
-        Y = downlink_superpose(self.blocks, self.users, mode="dd_mapped", beta=beta)
-        ref = sum(
-            uplink_map_dd(b * w[:, None], f, t)
-            for b, w, (f, t) in zip(self.blocks, beta, self.users)
-        )
-        assert_allclose(Y, ref, atol=1e-13)
-
-    def test_per_symbol_beta(self):
-        beta = [np.abs(self.rng.normal(size=(2, 4))) for _ in range(2)]
-        Y = downlink_superpose(
-            self.blocks, self.users, mode="tf_alloc", beta=beta, beta_on_symbols=True
-        )
-        for b, w, (f, t) in zip(self.blocks, beta, self.users):
-            got = Y[np.ix_(list(f.selected), list(t.selected))]
-            assert_allclose(got, (b * w).T, atol=1e-13)
-
-    def test_beta_shape_validation(self):
-        with pytest.raises(ValueError):
-            downlink_superpose(
-                self.blocks, self.users, mode="dd_mapped", beta=[np.ones(3), np.ones(2)]
-            )
-        with pytest.raises(ValueError):
-            downlink_superpose(self.blocks, self.users, mode="dd_mapped", beta=[np.ones(2)])
-
     def test_mode_and_length_validation(self):
         with pytest.raises(ValueError):
             downlink_superpose(self.blocks, self.users, mode="cdma")
@@ -325,6 +283,49 @@ class TestDownlink:
             downlink_superpose(self.blocks[:1], self.users, mode="dd_mapped")
         with pytest.raises(ValueError):
             downlink_superpose([], [], mode="dd_mapped")
+
+    def test_split_refuses_a_grid_of_another_frame(self):
+        for mode in ("dd_mapped", "tf_alloc"):
+            with pytest.raises(ValueError, match=r"expected \(8, 4\) grids"):
+                downlink_split(np.ones((16, 4)), self.users, mode)
+        with pytest.raises(ValueError):
+            downlink_split(np.ones((M, N)), self.users, mode="cdma")
+        with pytest.raises(ValueError):
+            despread_user(np.ones((16, 4)), *self.users[0], domain="dd")
+
+
+def downlink_case(mode, alloc_fn, lead, seed):
+    """Four users on the 8 x 4 frame and one random block (stack) each."""
+    rng = np.random.default_rng(seed)
+    users = list(alloc_fn(ot.make_frame(M, N), 2, 2).users)
+    if mode == "tf_spread":
+        users = [dft_spreading_pair(f, t) for f, t in users]
+    blocks = [rng.normal(size=(*lead, 2, 4)) + 1j * rng.normal(size=(*lead, 2, 4)) for _ in users]
+    return rng, users, blocks
+
+
+ALLOCATIONS = [ot.localized_allocation, ot.interleaved_allocation]
+
+
+@pytest.mark.parametrize("lead", [(), (3,)])
+@pytest.mark.parametrize("alloc_fn", ALLOCATIONS)
+@pytest.mark.parametrize("mode", ot.multiuser.DOWNLINK_MODES)
+def test_downlink_split_is_the_adjoint_of_superpose(mode, alloc_fn, lead):
+    rng, users, x = downlink_case(mode, alloc_fn, lead, 417)
+    Y = rng.normal(size=(*lead, M, N)) + 1j * rng.normal(size=(*lead, M, N))
+    lhs = np.vdot(downlink_superpose(x, users, mode), Y)
+    rhs = sum(np.vdot(b, s) for b, s in zip(x, downlink_split(Y, users, mode)))
+    assert abs(lhs - rhs) < 1e-12
+
+
+@pytest.mark.parametrize("lead", [(), (3,)])
+@pytest.mark.parametrize("alloc_fn", ALLOCATIONS)
+@pytest.mark.parametrize("mode", ["dd_mapped", "tf_alloc"])
+def test_downlink_split_inverts_mapped_superpose(mode, alloc_fn, lead):
+    _, users, x = downlink_case(mode, alloc_fn, lead, 418)
+    for got, want in zip(downlink_split(downlink_superpose(x, users, mode), users, mode), x):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() < 1e-12
 
 
 class TestZFPrecode:
