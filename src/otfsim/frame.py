@@ -17,6 +17,7 @@ Array conventions used throughout the library:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -200,28 +201,46 @@ def extract_map(mapping: MappingMatrix, v: np.ndarray) -> np.ndarray:
     return v[list(mapping.selected)]
 
 
+@lru_cache(maxsize=1024)
 def user_cells(fmap: MappingMatrix, tmap: MappingMatrix) -> np.ndarray:
     """A user's flat cells ``t * M + f`` on the (N, M) grid, in its block's row-major order.
 
     Entry j of the user's flattened (N_D, M_d) block sits at time/Doppler
     index ``tmap.selected[j // M_d]`` and frequency/delay index
-    ``fmap.selected[j % M_d]``.
+    ``fmap.selected[j % M_d]``.  The maps are frozen, so each pair's index
+    is built once; it is read-only.
     """
-    return (np.array(tmap.selected)[:, None] * fmap.ambient + np.array(fmap.selected)).reshape(-1)
+    cells = (np.array(tmap.selected)[:, None] * fmap.ambient + np.array(fmap.selected)).reshape(-1)
+    cells.setflags(write=False)
+    return cells
+
+
+def grid_shape(users) -> tuple:
+    """The (N, M) grid that every (frequency map, time map) pair of ``users`` addresses.
+
+    Refuses pairs drawn on different frames: their cells ``t * M + f``
+    would name other resources.
+    """
+    shapes = sorted({(tmap.ambient, fmap.ambient) for fmap, tmap in users})
+    if len(shapes) != 1:
+        raise AllocationError(f"users on different frames: {shapes}")
+    return shapes[0]
 
 
 def check_orthogonal(users) -> None:
     """Refuse (frequency map, time map) pairs that claim a (freq, time) resource twice.
 
     Cells are listed user by user in block order (:func:`user_cells`),
-    and the first repeat in that order is reported.
+    and the first repeat in that order is reported.  All pairs must share
+    one frame (:func:`grid_shape`).
     """
+    M = grid_shape(users)[1]
     cells = np.concatenate([user_cells(fmap, tmap) for fmap, tmap in users])
     _, first = np.unique(cells, return_index=True)
     if first.size < cells.size:
         repeat = np.ones(cells.size, dtype=bool)
         repeat[first] = False
-        t, f = divmod(int(cells[np.argmax(repeat)]), users[0][0].ambient)
+        t, f = divmod(int(cells[np.argmax(repeat)]), M)
         raise AllocationError(f"resource {(f, t)} allocated twice")
 
 

@@ -31,12 +31,13 @@ subchannels.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AllocationError, IllConditionedError
-from .frame import MappingMatrix, check_orthogonal, user_cells
+from .frame import MappingMatrix, check_orthogonal, grid_shape, user_cells
 from .transforms import dft_matrix, isfft, sfft
 
 #: zf_precode refuses operators with condition number above this
@@ -155,40 +156,48 @@ def kron_spreader(pair: SpreadingPair) -> np.ndarray:
 DOWNLINK_MODES = ("dd_mapped", "tf_spread", "tf_alloc")
 
 
-def _check_downlink(users, mode: str) -> None:
+def _check_downlink(users, mode: str):
+    """Validate a downlink; returns the (N, M) grid of the mapped modes."""
     if mode not in DOWNLINK_MODES:
         raise ValueError(f"unknown downlink mode {mode!r}, expected one of {DOWNLINK_MODES}")
     if not users:
         raise ValueError("no users in the downlink")
+    return None if mode == "tf_spread" else grid_shape(users)
 
 
 def downlink_superpose(user_blocks, users, mode: str) -> np.ndarray:
     """Superpose all users' blocks into one (M, N) time-frequency grid.
 
     ``users`` holds one descriptor per block: (freq_map, time_map) pairs
-    for modes ``dd_mapped`` and ``tf_alloc``, :class:`SpreadingPair`
-    objects for ``tf_spread``.  ``dd_mapped`` and ``tf_alloc`` add every
-    block into one (N, M) grid at its cells, so overlapping users add;
-    ``dd_mapped`` then transforms the grid once, which by linearity is the
-    sum of the users' :func:`uplink_map_dd`, and ``tf_alloc`` transposes
-    it and requires non-overlapping allocations.  Each user's block may be
-    a stack (..., N_D, M_d) with the same leading axes for every user; the
-    result is then a stack of grids.
+    on one frame for modes ``dd_mapped`` and ``tf_alloc``,
+    :class:`SpreadingPair` objects for ``tf_spread``.  ``dd_mapped`` and
+    ``tf_alloc`` add every block into one (N, M) grid at its cells, so
+    overlapping users add; ``dd_mapped`` then transforms the grid once,
+    which by linearity is the sum of the users' :func:`uplink_map_dd`, and
+    ``tf_alloc`` transposes it and requires non-overlapping allocations.
+    ``tf_spread`` adds the users' spread grids into one.  Each user's
+    block may be a stack (..., N_D, M_d) with the same leading axes for
+    every user; the result is then a stack of grids.
     """
-    _check_downlink(users, mode)
+    shape = _check_downlink(users, mode)
     if len(user_blocks) != len(users):
         raise ValueError(f"{len(user_blocks)} blocks but {len(users)} user descriptors")
     if mode == "tf_spread":
-        grids = [tf_spread(block, pair) for block, pair in zip(user_blocks, users)]
-        return sum(grids[1:], grids[0])
+        out = tf_spread(user_blocks[0], users[0])
+        for block, pair in zip(user_blocks[1:], users[1:]):
+            out += tf_spread(block, pair)
+        return out
     if mode == "tf_alloc":
         check_orthogonal(users)
     blocks = [_check_block(block, *desc) for block, desc in zip(user_blocks, users)]
-    fmap, tmap = users[0]
-    grid = np.zeros((*blocks[0].shape[:-2], tmap.ambient * fmap.ambient), dtype=np.complex128)
-    for block, desc in zip(blocks, users):
-        grid[..., user_cells(*desc)] += block.reshape(*block.shape[:-2], -1)
-    grid = grid.reshape(*grid.shape[:-1], tmap.ambient, fmap.ambient)
+    lead = blocks[0].shape[:-2]
+    # cell-major (one row per cell, one column per frame of the stack), so
+    # that a user's cells select whole rows; made C-ordered again after, as
+    # a single frame is, so a stack transforms to the bits of its frames
+    grid = np.zeros((shape[0] * shape[1], math.prod(lead)), dtype=np.complex128)
+    for block, (fmap, tmap) in zip(blocks, users):
+        grid[user_cells(fmap, tmap)] += block.reshape(-1, fmap.size * tmap.size).T
+    grid = np.ascontiguousarray(grid.T).reshape(*lead, *shape)
     return isfft(grid) if mode == "dd_mapped" else grid.swapaxes(-1, -2)
 
 
@@ -200,13 +209,12 @@ def downlink_split(y_tf: np.ndarray, users, mode: str) -> list:
     ``dd_mapped``, a transpose for ``tf_alloc``) from which each user's
     cells are gathered; ``tf_spread`` despreads each user's pair.
     """
-    _check_downlink(users, mode)
+    shape = _check_downlink(users, mode)
     y = np.asarray(y_tf, dtype=np.complex128)
     if mode == "tf_spread":
         return [despread_user(y, pair=pair) for pair in users]
-    shape = (users[0][0].ambient, users[0][1].ambient)
-    if y.shape[-2:] != shape:
-        raise ValueError(f"expected {shape} grids, got {y.shape}")
+    if y.shape[-2:] != shape[::-1]:
+        raise ValueError(f"expected {shape[::-1]} grids, got {y.shape}")
     grid = sfft(y) if mode == "dd_mapped" else y.swapaxes(-1, -2)
     flat = grid.reshape(*grid.shape[:-2], -1)
     return [

@@ -384,10 +384,8 @@ class _Link:
     frequency grid by ``multiuser.downlink_superpose`` and separated by
     its adjoint ``multiuser.downlink_split``.  Symbols, bits and detector
     output are stacked user by user, each block flattened row-major.
-    Every stage takes a stack of frames along leading axes, so the user
-    map's matrix (for ML and Gaussian spreading) is the map of one stack
-    of symbol impulses.  A link serves one SNR point: its noise variance
-    is fixed when it is built.
+    Every stage takes a stack of frames along leading axes.  A link serves
+    one SNR point: its noise variance is fixed when it is built.
     """
 
     def __init__(self, sc: Scenario, noise_var: float = 0.0):
@@ -517,13 +515,17 @@ class _Link:
     def _map_matrix(self) -> np.ndarray:
         """The channel-free user map as a matrix: stacked symbols -> slot-major grid.
 
-        Built from the map itself, one symbol impulse per frame of one
-        stack, under the probed builders' point guard.
+        The map of stacks of symbol impulses, one chunk of frames at a time
+        so that no more grids are held, under the probed builders' guard.
         """
-        n = self.K * self.block
+        n, dof = self.K * self.block, self.params.dof
         if n > EFFECTIVE_GUARD:
             raise GuardError(f"user map on {n} points exceeds guard {EFFECTIVE_GUARD}")
-        return self.tf_grid(np.eye(n)).swapaxes(-1, -2).reshape(n, -1).T
+        U = np.empty((dof, n), dtype=np.complex128)
+        for a in range(0, n, self.chunk):
+            m = min(self.chunk, n - a)
+            U[:, a:a + m] = self.tf_grid(np.eye(m, n, k=a)).swapaxes(-1, -2).reshape(m, dof).T
+        return U
 
     def detector(self, ch: DDChannelSpec):
         """Returns stacked symbol estimates = f(received grid Y), Y = wigner(sig).

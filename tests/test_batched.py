@@ -17,7 +17,7 @@ import pytest
 
 import otfsim as ot
 from otfsim import multiuser, runner
-from otfsim.channel import draw_noise
+from otfsim.channel import chain_matrix, draw_noise
 from otfsim.metrics import count_errors, papr, slice_symbols
 from otfsim.runner import _Link, _TrialStreams, run_trial_range, scenario_from_dict, trial_rng
 
@@ -154,6 +154,36 @@ def test_peak_memory_does_not_grow_with_trials(monkeypatch):
     # 40 chunks of 8 trials peak where 4 do, beyond the PAPR values
     # (16 bytes a trial while they are merged) and a handle per chunk
     assert peak(320) < peak(32) + 320 * 16 + 40 * 256 + 16 * 1024
+
+
+@pytest.mark.parametrize("name", SCENARIOS + sorted(EXTRA))
+def test_user_map_matrix_is_the_probed_map(name, monkeypatch):
+    # built from stacks of 3 symbol impulses, the last one short when 3
+    # does not divide the symbol count
+    sc = scenario(name)
+    monkeypatch.setattr(runner, "CHUNK_SAMPLES", 3 * _Link(sc).n_samples)
+    link = _Link(sc)
+    n = link.K * link.block
+    assert np.array_equal(link._map_matrix, chain_matrix(link.tf_grid, lambda X: X.T, n))
+
+
+def test_user_map_matrix_peak_is_the_matrix():
+    # 64 Gaussian spreaders on a 32 x 32 frame: the map is built one chunk
+    # of impulses at a time, and the users' grids are added as they come,
+    # so the matrix itself is nearly all that is held
+    d = EXTRA["tf_spread_gaussian_mmse_random"]
+    sc = scenario_from_dict(dict(
+        d, frame={"M": 32, "N": 32, "cp_len": 2}, multiuser=dict(d["multiuser"], K_d=8, K_D=8)
+    ))
+    link = _Link(sc)
+    tracemalloc.start()
+    try:
+        U = link._map_matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert U.shape == (1024, 1024)
+    assert peak < U.nbytes + 2**20
 
 
 def draws(rng):

@@ -294,6 +294,22 @@ class TestDownlink:
             despread_user(np.ones((16, 4)), *self.users[0], domain="dd")
 
 
+    def test_users_on_different_frames_are_refused(self):
+        # an 8 x 4 and a 4 x 8 frame: cells t * M + f would mean other
+        # resources on each, so no grid is built for the pair
+        users = [
+            (ot.custom_map(8, [0, 1]), ot.custom_map(4, [0, 1])),
+            (ot.custom_map(4, [2, 3]), ot.custom_map(8, [2, 3])),
+        ]
+        blocks = [rand_block(self.rng, 2, 2) for _ in users]
+        for mode in ("dd_mapped", "tf_alloc"):
+            with pytest.raises(AllocationError, match="different frames"):
+                downlink_superpose(blocks, users, mode)
+            with pytest.raises(AllocationError, match="different frames"):
+                downlink_split(np.ones((8, 4)), users, mode)
+        with pytest.raises(AllocationError, match="different frames"):
+            ot.UserAllocation(2, 1, users=tuple(users))
+
 def downlink_case(mode, alloc_fn, lead, seed):
     """Four users on the 8 x 4 frame and one random block (stack) each."""
     rng = np.random.default_rng(seed)
