@@ -316,6 +316,39 @@ def windowed_dd_channel(ch: DDChannelSpec, params: FrameParams) -> np.ndarray:
     return out
 
 
+def check_blocks(ch: DDChannelSpec, params: FrameParams, mode: str) -> None:
+    """Refuse dense channel blocks above ``EFFECTIVE_GUARD**2`` entries, before allocation.
+
+    That is the ``cyclic`` M*N x M*N block, or the N ``per_slot_cp`` M x M
+    blocks together with the tap matrices they are built from.
+    """
+    size = params.dof**2 if mode == "cyclic" else (len(ch.taps) + params.N) * params.M**2
+    if size > EFFECTIVE_GUARD**2:
+        raise GuardError(
+            f"{mode} channel blocks of {size} entries exceed guard {EFFECTIVE_GUARD**2}"
+        )
+
+
+def delay_band(ch: DDChannelSpec, params: FrameParams, gains: np.ndarray | None = None):
+    """The time-domain channel by its delay diagonals: (..., L_max, N, M).
+
+    Body sample s = n*M + p receives sample s - l, wrapping round its block
+    (slot n in ``per_slot_cp`` mode, the frame in ``cyclic`` mode), with
+    weight D[l, n, p] = sum over taps at delay l of gain * w^(k*(s - l)),
+    w = exp(2j*pi/(M*N)).  ``gains`` (..., taps) gives each frame its own
+    gains at ``ch``'s tap positions, as in :func:`apply_channel`.
+    """
+    check_taps(ch, params)
+    l, k, g = (np.array(v) for v in zip(*ch.taps))
+    if gains is not None and gains.shape[-1:] != g.shape:
+        raise ValueError(f"gains of shape {gains.shape} do not match {g.size} taps")
+    g = g if gains is None else gains
+    S = params.dof
+    ramps = np.exp(2j * np.pi * np.arange(S) / S)[k[:, None] * (np.arange(S) - l[:, None]) % S]
+    band = (g[..., None, :] * (np.arange(ch.L_max)[:, None] == l)) @ ramps
+    return band.reshape(*g.shape[:-1], ch.L_max, params.N, params.M)
+
+
 def _cyclic_time_operator(ch: DDChannelSpec, params: FrameParams) -> np.ndarray:
     """The ``cyclic``-mode channel on the M*N body samples: r = H @ x.
 
@@ -324,9 +357,8 @@ def _cyclic_time_operator(ch: DDChannelSpec, params: FrameParams) -> np.ndarray:
     ``EFFECTIVE_GUARD`` points before it is allocated.
     """
     check_taps(ch, params)
+    check_blocks(ch, params, "cyclic")
     S = params.dof
-    if S > EFFECTIVE_GUARD:
-        raise GuardError(f"cyclic operator on {S} points exceeds guard {EFFECTIVE_GUARD}")
     s = np.arange(S)
     H = np.zeros((S, S), dtype=np.complex128)
     for l, k, g in ch.taps:
@@ -388,11 +420,7 @@ def slot_operators(ch: DDChannelSpec, params: FrameParams, mode: str = "per_slot
         return np.fft.ifft(H, axis=3, norm="ortho").reshape(1, S, S)
     if mode != "per_slot_cp":
         raise ConfigError(f"unknown channel mode {mode!r}")
-    entries = (len(ch.taps) + N) * M * M
-    if entries > EFFECTIVE_GUARD**2:
-        raise GuardError(
-            f"per-slot operators of {entries} entries exceed guard {EFFECTIVE_GUARD**2}"
-        )
+    check_blocks(ch, params, mode)
     l = np.array([t.delay_bin for t in ch.taps])
     k = np.array([t.doppler_bin for t in ch.taps])
     g = np.array([t.gain for t in ch.taps])

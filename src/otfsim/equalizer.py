@@ -11,18 +11,24 @@ Three detectors, in increasing order of cost:
 * :func:`ml_detect` — exhaustive maximum-likelihood search, guarded to
   tiny problems; the error-rate floor other detectors are compared to.
 
-The Monte-Carlo runner equalizes the time-frequency grid with
-``mmse_filter(channel.slot_operators(ch, params, mode), noise_var)``: N
-per-slot M x M filters in ``per_slot_cp`` mode, one MN x MN filter in
-``cyclic`` mode.  Every scheme's precoding and every user map but Gaussian
-spreading is unitary, so that filter followed by the map's adjoint is the
-joint LMMSE.  The dense :func:`mmse_dd` is the reference tests compare to.
+Every scheme's precoding and every user map but Gaussian spreading is
+unitary, so the Monte-Carlo runner's joint LMMSE is a per-block LMMSE in
+the time domain followed by the per-slot DFT and the map's adjoint.  A
+block is one slot of M body samples in ``per_slot_cp`` mode and the whole
+MN-sample frame in ``cyclic`` mode; the channel on it is periodic-banded
+(``channel.delay_band``), and :func:`band_filter` solves its Gram, built
+from the band by :func:`band_gram`, for a whole chunk of random channels
+at once, or inverts it once for a fixed channel.  Gaussian spreading and
+ML read the time-frequency grid through ``channel.slot_operators``; the
+dense :func:`mmse_filter` of those blocks and :func:`mmse_dd` are the
+references tests compare to.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .channel import EFFECTIVE_GUARD
 from .errors import GuardError
 from .metrics import Constellation
 
@@ -63,6 +69,67 @@ def mmse_filter(h_eff: np.ndarray, noise_var: float) -> np.ndarray:
     except np.linalg.LinAlgError:
         inv = np.linalg.pinv(gram)
     return h_adj @ inv
+
+
+def band_gram(band: np.ndarray, noise_var: float) -> np.ndarray:
+    """The Gram A A^H + noise_var I of periodic-banded blocks: (..., blocks, B, B).
+
+    ``band`` (..., L, blocks, B), L <= B, holds the blocks' delay diagonals,
+    A[p, (p - l) mod B] = band[..., l, b, p] (``channel.delay_band``).  Gram
+    diagonal d, at (p, (p - d) mod B), sums band_l[p] * conj(band_m[p - d])
+    over l - m = d: L^2 vectorised products, never a dense product.
+    """
+    L, B = band.shape[-3], band.shape[-1]
+    p = np.arange(B)
+    # conj(band), extended circularly by L - 1 samples at each end: its
+    # window starting at L - 1 - d is conj(band) delayed by d
+    ext = np.concatenate([band[..., B - L + 1:], band, band[..., :L - 1]], axis=-1).conj()
+    gram = np.zeros((*band.shape[:-3], band.shape[-2], B * B), dtype=np.complex128)
+    gram[..., p * (B + 1)] = noise_var
+    for d in range(1 - L, L):
+        w = slice(L - 1 - d, L - 1 - d + B)
+        gram[..., p * B + (p - d) % B] += sum(
+            band[..., l, :, :] * ext[..., l - d, :, w] for l in range(max(0, d), L + min(0, d))
+        )
+    return gram.reshape(*gram.shape[:-1], B, B)
+
+
+def band_adjoint(band: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """A^H z for the periodic-banded blocks of ``band`` (:func:`band_gram`), z (..., blocks, B)."""
+    return sum(np.roll(band[..., l, :, :].conj() * z, -l, axis=-1) for l in range(band.shape[-3]))
+
+
+def band_filter(band: np.ndarray, noise_var: float):
+    """The LMMSE of periodic-banded blocks, y -> A^H (A A^H + noise_var I)^-1 y.
+
+    A ``band`` (L, blocks, B) serves every frame of y (..., blocks, B), and
+    its Gram inverse is formed once.  A ``band`` (T, L, blocks, B) gives
+    frame t of y (T, blocks, B) its own blocks: the Grams of as many frames
+    as fit ``EFFECTIVE_GUARD**2`` entries (one at least) are solved in one
+    call, a call that raises or returns non-finite values is redone frame by
+    frame, and only a frame whose own solve fails takes the pseudo-inverse.
+    """
+    if band.ndim == 3:  # the inverse, solved against the identity
+        inv = _solve(band_gram(band[None], noise_var), np.eye(band.shape[-1]))[0]
+        return lambda y: band_adjoint(band, (inv @ y[..., None])[..., 0])
+    per = max(1, EFFECTIVE_GUARD**2 // (band[0, 0].size * band.shape[-1]))
+    return lambda y: band_adjoint(band, np.concatenate([
+        _solve(band_gram(band[a:a + per], noise_var), y[a:a + per, ..., None])[..., 0]
+        for a in range(0, len(y), per)
+    ]))
+
+
+def _solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """gram^-1 rhs for a stack of frames, each (blocks, B, B) against (blocks, B, k)."""
+    try:
+        z = np.linalg.solve(gram, rhs)
+        if np.all(np.isfinite(z)):
+            return z
+    except np.linalg.LinAlgError:
+        pass
+    if len(gram) > 1:  # redo frame by frame
+        return np.concatenate([_solve(gram[t:t + 1], rhs[t:t + 1]) for t in range(len(gram))])
+    return np.linalg.pinv(gram) @ rhs
 
 
 def mmse_dd(

@@ -230,18 +230,20 @@ def grid_shape(users) -> tuple:
 def check_orthogonal(users) -> None:
     """Refuse (frequency map, time map) pairs that claim a (freq, time) resource twice.
 
-    Cells are listed user by user in block order (:func:`user_cells`),
-    and the first repeat in that order is reported.  All pairs must share
+    One count over the M*N cells answers the usual no-overlap case; cells
+    are listed user by user in block order (:func:`user_cells`), and the
+    first repeat in that order is reported.  All pairs must share
     one frame (:func:`grid_shape`).
     """
-    M = grid_shape(users)[1]
+    N, M = grid_shape(users)
     cells = np.concatenate([user_cells(fmap, tmap) for fmap, tmap in users])
+    if np.bincount(cells, minlength=N * M).max() < 2:
+        return
     _, first = np.unique(cells, return_index=True)
-    if first.size < cells.size:
-        repeat = np.ones(cells.size, dtype=bool)
-        repeat[first] = False
-        t, f = divmod(int(cells[np.argmax(repeat)]), M)
-        raise AllocationError(f"resource {(f, t)} allocated twice")
+    repeat = np.ones(cells.size, dtype=bool)
+    repeat[first] = False
+    t, f = divmod(int(cells[np.argmax(repeat)]), M)
+    raise AllocationError(f"resource {(f, t)} allocated twice")
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,10 @@ of the contract draws, into (T, ...) stacks.  Every layer (bit mapping,
 precoding, synthesis, channel, matched filter, detection, slicing and
 counting) then runs once per chunk on the stack.  Each SNR point runs one
 link bound to its noise variance: a fixed channel's detector and water-
-filled user amplitudes are built once for the point; a random channel
-builds them once per trial.
+filled user amplitudes are built once for the point.  With a random
+channel the joint LMMSE of a unitary user map solves the whole chunk in
+one call from the taps' delay band (:meth:`_Link.lmmse`); the other
+detectors and the amplitudes are built once per trial.
 
 Scenario files are strict JSON: every key is validated and unknown keys
 are rejected with an error naming the offending key.
@@ -48,7 +50,9 @@ from .channel import (
     DDChannelSpec,
     apply_channel,
     chain_matrix,  # noqa: F401 -- unused here; bench/tracing.py wraps runner.chain_matrix
+    check_blocks,
     check_taps,
+    delay_band,
     draw_noise,
     effective_matrix,  # noqa: F401 -- unused here; bench/tracing.py wraps runner.effective_matrix
     random_channel,
@@ -56,7 +60,7 @@ from .channel import (
     tf_channel,
     windowed_dd_channel,
 )
-from .equalizer import ML_GUARD_BITS, ml_detect, mmse_filter, one_tap_tf
+from .equalizer import ML_GUARD_BITS, band_filter, ml_detect, mmse_filter, one_tap_tf
 from .errors import ConfigError, GuardError
 from .frame import FrameParams, interleaved_allocation, localized_allocation, make_frame
 from .metrics import (
@@ -396,8 +400,10 @@ class _Link:
         self.const = get_constellation(sc.constellation)
         self.fixed = None if sc.channel_taps is None else _fixed_channel(sc)
         mu = sc.multiuser
-        # every user map tiles the grid unitarily except Gaussian spreading
-        self.unitary = mu is None or not (mu.mode == "tf_spread" and mu.spreader == "gaussian")
+        # every user map tiles the grid unitarily except Gaussian spreading,
+        # and a unitary map's joint LMMSE is solved on the channel's delay band
+        unitary = mu is None or not (mu.mode == "tf_spread" and mu.spreader == "gaussian")
+        self.banded = unitary and sc.equalizer == "mmse_dd"
         if mu is None:
             self.users, self.K, self.block = None, 1, self.params.dof
         else:
@@ -527,29 +533,41 @@ class _Link:
             U[:, a:a + m] = self.tf_grid(np.eye(m, n, k=a)).swapaxes(-1, -2).reshape(m, dof).T
         return U
 
+    def lmmse(self, ch: DDChannelSpec, gains: np.ndarray | None = None):
+        """Joint LMMSE of a unitary user map: stacked estimates = f(received body samples).
+
+        Blocks (slots of M body samples in ``per_slot_cp`` mode, the frame
+        in ``cyclic`` mode) are equalised on the channel's delay band
+        (``equalizer.band_filter``), then the per-slot DFT and the map's
+        adjoint follow.  ``gains`` (T, taps) gives frame t of the stack
+        ``ch``'s taps with gains[t]; without it every frame sees ``ch``.
+        """
+        params, mode = self.params, self.sc.channel_mode
+        check_blocks(ch, params, mode)
+        blocks = 1 if mode == "cyclic" else params.N
+        band = delay_band(ch, params, gains)
+        equalize = band_filter(band.reshape(*band.shape[:-2], blocks, -1), self.noise_var)
+
+        def detect(body):
+            lead = body.shape[:-1]
+            z = equalize(body.reshape(*lead, blocks, -1)).reshape(*lead, params.N, params.M)
+            return self.adjoint(np.fft.fft(z, axis=-1, norm="ortho").swapaxes(-1, -2))
+
+        return detect
+
     def detector(self, ch: DDChannelSpec):
         """Returns stacked symbol estimates = f(received grid Y), Y = wigner(sig).
 
-        Y may be one (M, N) grid or a stack of them.  Detection reads Y
-        through the channel's slot operators T.  With a unitary user map U
-        the joint LMMSE is T's block filter followed by U's adjoint; ML and
-        Gaussian spreading use T U.
+        Y may be one (M, N) grid or a stack of them.  The one-tap detector
+        reads Y per cell; ML and the LMMSE of a Gaussian spreading map U
+        read it through the channel's slot operators T as T U.  A unitary
+        map's LMMSE is :meth:`lmmse`.
         """
         sc, params, noise_var = self.sc, self.params, self.noise_var
         if sc.equalizer == "one_tap_tf":
             H = tf_channel(ch, params)
             return lambda Y: self.adjoint(one_tap_tf(Y, H, noise_var))
         T = slot_operators(ch, params, sc.channel_mode)
-        if sc.equalizer == "mmse_dd" and self.unitary:
-            W = mmse_filter(T, noise_var)
-
-            def detect(Y):
-                lead = Y.shape[:-2]
-                y = Y.swapaxes(-1, -2).reshape(*lead, len(W), -1)
-                Z = (W @ y[..., None])[..., 0].reshape(*lead, params.N, params.M)
-                return self.adjoint(Z.swapaxes(-1, -2))
-
-            return detect
         U = self._map_matrix
         A = (T @ U.reshape(len(T), T.shape[-1], -1)).reshape(params.dof, -1)
 
@@ -566,7 +584,8 @@ class _Link:
     @cached_property
     def _fixed_rx(self):
         """The fixed channel's detector and (1, K) amplitudes (or None), built once."""
-        return self.detector(self.fixed), self.amplitudes([self.fixed])
+        detect = (self.lmmse if self.banded else self.detector)(self.fixed)
+        return detect, self.amplitudes([self.fixed])
 
     def run_chunk(self, streams: _TrialStreams, start: int, stop: int):
         """Draw, transmit, receive and detect trials [start, stop) as one stack.
@@ -579,18 +598,18 @@ class _Link:
         else:
             # random draws share tap positions; gains holds one row per trial
             ch, amp = channels[0], self.amplitudes(channels)
+            detect = self.lmmse(ch, gains) if self.banded else None
         sig = self.transmit(bits, amp)
         paprs = papr(sig)
         rx = apply_channel(
             sig, ch, self.params, mode=self.sc.channel_mode, gains=gains, noise=noise
         )
-        Y = wigner(rx, self.params)
+        received = rx.body if self.banded else wigner(rx, self.params)
         del sig, noise, rx  # the time-domain stacks are not held through detection
-        if channels is None:
-            est = detect(Y)
+        if channels is None or self.banded:
+            est = detect(received)
         else:
-            # one detector per draw, each with its own inv/pinv fallback
-            est = np.stack([self.detector(c)(y) for c, y in zip(channels, Y)])
+            est = np.stack([self.detector(c)(y) for c, y in zip(channels, received)])  # per draw
         bps = self.const.bits_per_symbol
         if amp is not None:
             # undo each user's amplitude; users given zero power carry no data

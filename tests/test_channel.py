@@ -471,3 +471,55 @@ class TestSlotOperators:
             ot.slot_operators(ch, ot.make_frame(128, 64), "cyclic")
         with pytest.raises(ConfigError):
             ot.slot_operators(ch, ot.make_frame(8, 4), "linear")
+
+
+def band_blocks(band):
+    """Dense blocks of a band (..., L, blocks, B): A[p, (p - l) mod B] = band[l, b, p]."""
+    L, blocks, B = band.shape[-3:]
+    A = np.zeros((*band.shape[:-3], blocks, B, B), dtype=complex)
+    p = np.arange(B)
+    for l in range(L):
+        A[..., p, (p - l) % B] += band[..., l, :, :]
+    return A
+
+
+class TestDelayBand:
+    @pytest.mark.parametrize("M,N,cp", [(8, 4, 3), (7, 4, 2), (9, 1, 2), (5, 6, 4), (16, 8, 2)])
+    def test_per_slot_band_is_the_slot_operator_in_time(self, M, N, cp):
+        # the largest delay at the prefix, Doppler bins -N/2 to +N/2
+        from otfsim.channel import delay_band
+
+        params = ot.make_frame(M, N)
+        ch = ot.random_channel(cp + 1, N // 2 + 1, np.random.default_rng(43))
+        F = ot.dft_matrix(M)
+        want = F.conj().T @ ot.slot_operators(ch, params) @ F
+        band = delay_band(ch, params)
+        assert band.shape == (cp + 1, N, M)
+        assert np.abs(band_blocks(band) - want).max() < 1e-12
+
+    @pytest.mark.parametrize("M,N,L", [(8, 4, 3), (7, 4, 7), (5, 1, 3), (6, 3, 2), (4, 8, 4)])
+    def test_cyclic_band_is_the_frame_operator(self, M, N, L):
+        from otfsim.channel import _cyclic_time_operator, delay_band
+
+        params = ot.make_frame(M, N)
+        ch = ot.random_channel(L, N // 2 + 1, np.random.default_rng(44))
+        band = delay_band(ch, params).reshape(L, 1, M * N)
+        want = _cyclic_time_operator(ch, params)
+        assert np.abs(band_blocks(band)[0] - want).max() < 1e-12
+
+    def test_gain_stack_is_one_band_per_frame(self):
+        from otfsim.channel import delay_band
+
+        params = ot.make_frame(8, 4)
+        rng = np.random.default_rng(45)
+        ch = ot.random_channel(3, 3, rng)
+        gains = rng.normal(size=(2, 3, len(ch.taps))) + 1j * rng.normal(size=(2, 3, len(ch.taps)))
+        band = delay_band(ch, params, gains)
+        assert band.shape == (2, 3, 3, 4, 8)
+        for idx in np.ndindex(2, 3):
+            own = ot.DDChannelSpec(taps=tuple(
+                (l, k, g) for (l, k, _), g in zip(ch.taps, gains[idx])
+            ))
+            assert_allclose(band[idx], delay_band(own, params), atol=1e-14)
+        with pytest.raises(ValueError, match="taps"):
+            delay_band(ch, params, gains[..., 1:])

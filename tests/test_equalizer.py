@@ -7,7 +7,16 @@ import pytest
 from numpy.testing import assert_allclose
 
 import otfsim as ot
-from otfsim.equalizer import ML_GUARD_BITS, ml_detect, mmse_dd, mmse_filter, one_tap_tf
+from otfsim.equalizer import (
+    ML_GUARD_BITS,
+    band_adjoint,
+    band_filter,
+    band_gram,
+    ml_detect,
+    mmse_dd,
+    mmse_filter,
+    one_tap_tf,
+)
 from otfsim.errors import GuardError
 from otfsim.metrics import get_constellation, map_bits, symbol_indices
 
@@ -205,3 +214,94 @@ class TestMLDetect:
             mmse_err += int(np.sum(symbol_indices(mmse_dd(y, H, noise_var), c) != tx_idx))
         assert ml_err <= mmse_err
         assert mmse_err > 0  # the comparison actually exercised errors
+
+
+def random_band(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def band_blocks(band):
+    """Dense blocks of a band (..., L, blocks, B): A[p, (p - l) mod B] = band[l, b, p]."""
+    L, blocks, B = band.shape[-3:]
+    A = np.zeros((*band.shape[:-3], blocks, B, B), dtype=complex)
+    p = np.arange(B)
+    for l in range(L):
+        A[..., p, (p - l) % B] += band[..., l, :, :]
+    return A
+
+
+class TestBandLMMSE:
+    # (L, B): wide blocks, the band as wide as the block, and Gram
+    # diagonals that alias round small blocks
+    @pytest.mark.parametrize("L,B", [(3, 8), (3, 3), (3, 4), (5, 5), (1, 1), (2, 7)])
+    def test_gram_and_adjoint_match_the_dense_blocks(self, L, B):
+        rng = np.random.default_rng(310)
+        band = random_band(rng, (2, L, 3, B))
+        A = band_blocks(band)
+        A_adj = A.swapaxes(-1, -2).conj()
+        assert_allclose(band_gram(band, 0.3), A @ A_adj + 0.3 * np.eye(B), atol=1e-12)
+        z = random_band(rng, (2, 3, B))
+        assert_allclose(band_adjoint(band, z), (A_adj @ z[..., None])[..., 0], atol=1e-12)
+
+    def test_filter_is_the_lmmse_of_the_blocks(self):
+        # one band for every frame (its Gram inverse formed once), and one
+        # band per frame (solved)
+        rng = np.random.default_rng(311)
+        band, y = random_band(rng, (4, 3, 5, 8)), random_band(rng, (4, 5, 8))
+        A = band_blocks(band)
+        want = (mmse_filter(A, 0.2) @ y[..., None])[..., 0]
+        assert_allclose(band_filter(band, 0.2)(y), want, atol=1e-12)
+        want = (mmse_filter(A[0], 0.2) @ y[..., None])[..., 0]
+        assert_allclose(band_filter(band[0], 0.2)(y), want, atol=1e-12)
+
+    @pytest.mark.parametrize("failure", ["raise", "nan"])
+    def test_failed_stack_is_redone_trial_by_trial(self, failure, monkeypatch):
+        # the stack's solve fails, and so does trial 1's on its own: only
+        # trial 1 takes the pseudo-inverse, the others solve as alone
+        rng = np.random.default_rng(312)
+        band, y = random_band(rng, (4, 3, 2, 8)), random_band(rng, (4, 2, 8))
+        bad = band_gram(band[1:2], 0.2)
+        solve, pinv = np.linalg.solve, np.linalg.pinv
+
+        def flaky(G, b):
+            if len(G) > 1 or np.array_equal(G, bad):
+                if failure == "raise":
+                    raise np.linalg.LinAlgError("Singular matrix")
+                return np.full(b.shape, np.nan + 0j)
+            return solve(G, b)
+
+        pinvs = []
+        monkeypatch.setattr(np.linalg, "solve", flaky)
+        monkeypatch.setattr(np.linalg, "pinv", lambda G: pinvs.append(G) or pinv(G))
+        got = band_filter(band, 0.2)(y)
+        monkeypatch.undo()
+        assert len(pinvs) == 1 and np.array_equal(pinvs[0], bad)
+        for t in (0, 2, 3):
+            assert np.array_equal(got[t:t + 1], band_filter(band[t:t + 1], 0.2)(y[t:t + 1]))
+        assert_allclose(got[1:2], band_filter(band[1:2], 0.2)(y[1:2]), atol=1e-10)
+
+    def test_singular_gram_takes_the_pseudo_inverse(self):
+        # a trial with no channel at zero noise has a zero Gram, stacked or
+        # serving every frame
+        rng = np.random.default_rng(313)
+        band, y = random_band(rng, (3, 2, 2, 6)), random_band(rng, (3, 2, 6))
+        band[1] = 0
+        got = band_filter(band, 0.0)(y)
+        assert np.array_equal(got[1], np.zeros((2, 6)))
+        assert np.array_equal(band_filter(band[1], 0.0)(y), np.zeros((3, 2, 6)))
+        for t in (0, 2):
+            assert np.array_equal(got[t:t + 1], band_filter(band[t:t + 1], 0.0)(y[t:t + 1]))
+
+    def test_stack_is_bounded_by_the_guard(self, monkeypatch):
+        # 4 blocks of 8 x 8 are 256 Gram entries a trial; a guard of 23
+        # (529 entries) solves 7 trials as 2 + 2 + 2 + 1, bitwise as one stack
+        from otfsim import equalizer
+
+        rng = np.random.default_rng(314)
+        band, y = random_band(rng, (7, 3, 4, 8)), random_band(rng, (7, 4, 8))
+        whole = band_filter(band, 0.1)(y)
+        sizes, solve = [], np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda G, b: sizes.append(len(G)) or solve(G, b))
+        monkeypatch.setattr(equalizer, "EFFECTIVE_GUARD", 23)
+        assert np.array_equal(band_filter(band, 0.1)(y), whole)
+        assert sizes == [2, 2, 2, 1]

@@ -19,6 +19,7 @@ same way: it fixes the transmit chain and its draw order.
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from otfsim import modem, runner
@@ -50,8 +51,9 @@ def test_papr_ccdf_reproduces_golden_csv(name):
 
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_detector_never_probes_the_channel(name, monkeypatch):
-    # every detector reads the time-frequency grid through closed-form
-    # channel operators; the probed chain is a test oracle only
+    # every detector reads the received samples or the time-frequency grid
+    # through closed-form channel operators; the probed chain is a test
+    # oracle only
     def refuse(*args, **kwargs):
         raise AssertionError("detector build probed the channel chain")
 
@@ -60,4 +62,23 @@ def test_detector_never_probes_the_channel(name, monkeypatch):
     monkeypatch.setattr(modem, "demodulate", refuse)
     sc = load_scenario(GOLDEN / f"{name}.json")
     link = _Link(sc, 0.1)
-    assert callable(link.detector(link.channel_for_trial(trial_rng(sc.seed, 0, 0))))
+    build = link.lmmse if link.banded else link.detector
+    assert callable(build(link.channel_for_trial(trial_rng(sc.seed, 0, 0))))
+
+
+@pytest.mark.parametrize("name", ["otfs_mmse_random", "tf_alloc_mmse_random"])
+def test_random_lmmse_solves_once_per_chunk(name, monkeypatch):
+    # the band LMMSE builds no slot operators and no filter: one solve of
+    # its Gram stack per chunk of trials, here 5 trials
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense LMMSE built")
+
+    solves = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(runner, "slot_operators", refuse)
+    monkeypatch.setattr(runner, "mmse_filter", refuse)
+    monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(1) or solve(*a))
+    sc = load_scenario(GOLDEN / f"{name}.json")
+    monkeypatch.setattr(runner, "CHUNK_SAMPLES", 5 * _Link(sc).n_samples)
+    assert format_csv(run(sc)) == (GOLDEN / f"{name}.csv").read_text()
+    assert len(solves) == -(-sc.trials // 5) * len(sc.snr_db_list)

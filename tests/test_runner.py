@@ -373,8 +373,8 @@ class TestExecution:
         ("OTFS", 16, 8), ("OSTF", 8, 4), ("OFDM", 16, 1), ("SCFDMA", 16, 1),
     ])
     def test_per_slot_mmse_detector_is_joint_lmmse(self, scheme, M, N):
-        # the engine's per-slot detector against the dense LMMSE of the
-        # probed chain, on one random channel and a noisy block
+        # the engine's LMMSE, solved on the channel's delay band, against the
+        # dense LMMSE of the probed chain, on one random channel and a noisy block
         from otfsim.modem import demodulate, modulate, payload_shape
 
         d = base_dict(
@@ -392,7 +392,7 @@ class TestExecution:
         rx = ot.apply_channel(modulate(link.cfg, x), ch, link.params, 0.1, rng)
         A = ot.effective_matrix(link.cfg, ch, mode="per_slot_cp")
         joint = ot.mmse_dd(demodulate(link.cfg, rx), A, 0.1)
-        got = link.detector(ch)(ot.wigner(rx, link.params))
+        got = link.lmmse(ch)(rx.body)
         assert got.shape == (x.size,)  # the payload grid, flattened row-major
         assert np.abs(got - joint).max() < 1e-10
 
@@ -538,8 +538,9 @@ class TestMultiuserExecution:
     @pytest.mark.parametrize("mapping", ["localized", "interleaved"])
     @pytest.mark.parametrize("mode", ["dd_mapped", "tf_alloc", "tf_spread"])
     def test_per_slot_downlink_detector_is_joint_lmmse(self, mode, mapping, monkeypatch):
-        # unitary user maps detect per slot and never probe the chain; the
-        # result is the LMMSE of the probed chain on the stacked user vector
+        # unitary user maps detect per slot on the delay band and never probe
+        # the chain; the result is the LMMSE of the probed chain on the
+        # stacked user vector
         import otfsim.runner
         from otfsim import multiuser
 
@@ -576,7 +577,7 @@ class TestMultiuserExecution:
             raise AssertionError("chain_matrix called")
 
         monkeypatch.setattr(otfsim.runner, "chain_matrix", refuse)
-        got = link.detector(ch)(ot.wigner(sig, sc.params))
+        got = link.lmmse(ch)(sig.body)
         assert np.abs(got - W @ ot.wigner(sig, sc.params).reshape(-1)).max() < 1e-10
 
     @pytest.mark.parametrize("scheme,N,mode,spreader,channel_mode", [
@@ -624,7 +625,10 @@ class TestMultiuserExecution:
         W = ot.mmse_filter(chain_matrix(tx, rx, dim), 0.1)
         x = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         sig = ot.apply_channel(tx(x), ch, sc.params, 0.1, rng, channel_mode)
-        got = link.detector(ch)(ot.wigner(sig, sc.params))
+        if link.banded:  # a unitary map's LMMSE reads the body samples
+            got = link.lmmse(ch)(sig.body)
+        else:
+            got = link.detector(ch)(ot.wigner(sig, sc.params))
         assert np.abs(got - W @ ot.wigner(sig, sc.params).reshape(-1)).max() < 1e-10
 
     def test_per_slot_downlink_runs_beyond_the_dense_guard(self):
@@ -648,6 +652,88 @@ class TestMultiuserExecution:
         })
         (res,) = run(scenario_from_dict(d))
         assert res.bit_errors == 0
+
+
+class TestBandLMMSE:
+    """The runner's LMMSE of a unitary user map, solved on the delay band."""
+
+    @staticmethod
+    def link(scheme, M, N, mu, channel_mode):
+        cp = 0 if channel_mode == "cyclic" else 3
+        d = base_dict(
+            scheme=scheme,
+            frame={"M": M, "N": N, "cp_len": cp},
+            channel={"random": {"L_max": 4, "V_max": N // 2 + 1}},
+            channel_mode=channel_mode,
+            equalizer="mmse_dd",
+        )
+        if mu is not None:
+            d["multiuser"] = mu
+        link = _Link(scenario_from_dict(d), 0.2)
+        assert link.banded
+        return link
+
+    @staticmethod
+    def received(link, rng, T):
+        """T frames through one random tap set with T gain sets: (ch, gains, body)."""
+        params = link.params
+        ch = link.channel_for_trial(rng)
+        gains = np.stack([[t.gain for t in link.channel_for_trial(rng).taps] for _ in range(T)])
+        bits = rng.integers(0, 2, size=(T, link.n_bits))
+        noise = tuple(rng.normal(scale=0.3, size=(T, link.n_samples)) for _ in range(2))
+        rx = ot.apply_channel(
+            link.transmit(bits), ch, params, mode=link.sc.channel_mode, gains=gains, noise=noise
+        )
+        return ch, gains, rx
+
+    @staticmethod
+    def dense(link, ch, Y):
+        """The block filter of the slot operators, then the map's adjoint."""
+        params = link.params
+        W = ot.mmse_filter(ot.slot_operators(ch, params, link.sc.channel_mode), link.noise_var)
+        y = Y.swapaxes(-1, -2).reshape(*Y.shape[:-2], len(W), -1)
+        Z = (W @ y[..., None])[..., 0].reshape(*Y.shape[:-2], params.N, params.M)
+        return link.adjoint(Z.swapaxes(-1, -2))
+
+    @pytest.mark.parametrize("channel_mode", ["per_slot_cp", "cyclic"])
+    @pytest.mark.parametrize("scheme,M,N,mu", [
+        ("OTFS", 8, 4, None),
+        ("OTFS", 7, 4, None),
+        ("OSTF", 9, 2, None),
+        ("OFDM", 7, 1, None),
+        ("SCFDMA", 8, 1, None),
+        ("OTFS", 8, 4, {"mode": "dd_mapped", "K_d": 2, "K_D": 2}),
+        ("OTFS", 9, 4, {"mode": "dd_mapped", "K_d": 3, "K_D": 2, "mapping": "interleaved"}),
+        ("OTFS", 9, 1, {"mode": "dd_mapped", "K_d": 3, "K_D": 1}),
+        ("OTFS", 8, 4, {"mode": "tf_alloc", "K_d": 2, "K_D": 2}),
+        ("OSTF", 8, 4, {"mode": "tf_alloc", "K_d": 4, "K_D": 1, "mapping": "interleaved"}),
+        ("OTFS", 8, 4, {"mode": "tf_spread", "K_d": 2, "K_D": 2}),
+        ("OTFS", 7, 2, {"mode": "tf_spread", "K_d": 7, "K_D": 1, "mapping": "interleaved"}),
+    ])
+    def test_matches_the_slot_operator_filter(self, scheme, M, N, mu, channel_mode):
+        # delays up to 3 (the prefix in per-slot mode), Doppler bins -N/2
+        # to +N/2; one channel for the stack and one gain set per frame
+        link = self.link(scheme, M, N, mu, channel_mode)
+        ch, gains, rx = self.received(link, np.random.default_rng(70), 3)
+        Y = ot.wigner(rx, link.params)
+        got = link.lmmse(ch)(rx.body)
+        assert got.shape == (3, link.K * link.block)
+        assert np.abs(got - self.dense(link, ch, Y)).max() < 1e-10
+        got = link.lmmse(ch, gains)(rx.body)
+        for t in range(3):
+            own = ot.DDChannelSpec(taps=tuple(
+                (l, k, g) for (l, k, _), g in zip(ch.taps, gains[t])
+            ))
+            assert np.abs(got[t] - self.dense(link, own, Y[t])).max() < 1e-10
+
+    @pytest.mark.parametrize("channel_mode", ["per_slot_cp", "cyclic"])
+    def test_chunk_equals_one_trial_detections(self, channel_mode):
+        link = self.link("OTFS", 8, 4, {"mode": "dd_mapped", "K_d": 2, "K_D": 2}, channel_mode)
+        ch, gains, rx = self.received(link, np.random.default_rng(71), 5)
+        got = link.lmmse(ch, gains)(rx.body)
+        for t in range(5):
+            alone = link.lmmse(ch, gains[t:t + 1])(rx.body[t:t + 1])
+            assert np.array_equal(got[t:t + 1], alone)
 
 
 class TestOutput:
