@@ -343,9 +343,12 @@ def delay_band(ch: DDChannelSpec, params: FrameParams, gains: np.ndarray | None 
     if gains is not None and gains.shape[-1:] != g.shape:
         raise ValueError(f"gains of shape {gains.shape} do not match {g.size} taps")
     g = g if gains is None else gains
-    S = params.dof
-    ramps = np.exp(2j * np.pi * np.arange(S) / S)[k[:, None] * (np.arange(S) - l[:, None]) % S]
-    band = (g[..., None, :] * (np.arange(ch.L_max)[:, None] == l)) @ ramps
+    S, delays = params.dof, np.arange(ch.L_max)[:, None]
+    # each delay's Doppler spectrum; one unscaled inverse FFT gives its
+    # ramp sum_k g * w^(k*s), read at s - l: O(L_max * S) per frame
+    spectra = np.zeros((*g.shape[:-1], ch.L_max, S), dtype=np.complex128)
+    np.add.at(spectra, (..., l, k % S), g)
+    band = np.fft.ifft(spectra, axis=-1, norm="forward")[..., delays, (np.arange(S) - delays) % S]
     return band.reshape(*g.shape[:-1], ch.L_max, params.N, params.M)
 
 

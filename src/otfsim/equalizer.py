@@ -12,16 +12,12 @@ Three detectors, in increasing order of cost:
   tiny problems; the error-rate floor other detectors are compared to.
 
 Every scheme's precoding and every user map but Gaussian spreading is
-unitary, so the Monte-Carlo runner's joint LMMSE is a per-block LMMSE in
-the time domain followed by the per-slot DFT and the map's adjoint.  A
-block is one slot of M body samples in ``per_slot_cp`` mode and the whole
-MN-sample frame in ``cyclic`` mode; the channel on it is periodic-banded
-(``channel.delay_band``), and :func:`band_filter` solves its Gram, built
-from the band by :func:`band_gram`, for a whole chunk of random channels
-at once, or inverts it once for a fixed channel.  Gaussian spreading and
-ML read the time-frequency grid through ``channel.slot_operators``; the
-dense :func:`mmse_filter` of those blocks and :func:`mmse_dd` are the
-references tests compare to.
+unitary, so the Monte-Carlo runner's joint LMMSE is :func:`band_filter` on
+each time-domain block (a slot in ``per_slot_cp`` mode, the frame in
+``cyclic`` mode), whose channel is periodic-banded (``channel.delay_band``),
+then the per-slot DFT and the map's adjoint.  Gaussian spreading and ML
+read the grid through ``channel.slot_operators``; :func:`mmse_filter` of
+those blocks and :func:`mmse_dd` are the references tests compare to.
 """
 
 from __future__ import annotations
@@ -81,22 +77,15 @@ def band_gram(band: np.ndarray, noise_var: float) -> np.ndarray:
     """
     L, B = band.shape[-3], band.shape[-1]
     p = np.arange(B)
-    # conj(band), extended circularly by L - 1 samples at each end: its
-    # window starting at L - 1 - d is conj(band) delayed by d
-    ext = np.concatenate([band[..., B - L + 1:], band, band[..., :L - 1]], axis=-1).conj()
+    conj = band.conj()
     gram = np.zeros((*band.shape[:-3], band.shape[-2], B * B), dtype=np.complex128)
     gram[..., p * (B + 1)] = noise_var
     for d in range(1 - L, L):
-        w = slice(L - 1 - d, L - 1 - d + B)
+        late = np.roll(conj, d, axis=-1)  # conj(band) delayed by d round each block
         gram[..., p * B + (p - d) % B] += sum(
-            band[..., l, :, :] * ext[..., l - d, :, w] for l in range(max(0, d), L + min(0, d))
+            band[..., l, :, :] * late[..., l - d, :, :] for l in range(max(0, d), L + min(0, d))
         )
     return gram.reshape(*gram.shape[:-1], B, B)
-
-
-def band_adjoint(band: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """A^H z for the periodic-banded blocks of ``band`` (:func:`band_gram`), z (..., blocks, B)."""
-    return sum(np.roll(band[..., l, :, :].conj() * z, -l, axis=-1) for l in range(band.shape[-3]))
 
 
 def band_filter(band: np.ndarray, noise_var: float):
@@ -111,12 +100,23 @@ def band_filter(band: np.ndarray, noise_var: float):
     """
     if band.ndim == 3:  # the inverse, solved against the identity
         inv = _solve(band_gram(band[None], noise_var), np.eye(band.shape[-1]))[0]
-        return lambda y: band_adjoint(band, (inv @ y[..., None])[..., 0])
-    per = max(1, EFFECTIVE_GUARD**2 // (band[0, 0].size * band.shape[-1]))
-    return lambda y: band_adjoint(band, np.concatenate([
-        _solve(band_gram(band[a:a + per], noise_var), y[a:a + per, ..., None])[..., 0]
-        for a in range(0, len(y), per)
-    ]))
+    else:
+        per = max(1, EFFECTIVE_GUARD**2 // (band[0, 0].size * band.shape[-1]))
+
+    def equalize(y):
+        if band.ndim == 3:
+            z = (inv @ y[..., None])[..., 0]
+        else:
+            z = np.concatenate([
+                _solve(band_gram(band[a:a + per], noise_var), y[a:a + per, ..., None])[..., 0]
+                for a in range(0, len(y), per)
+            ])
+        # A^H z: sample p - l of a block takes conj(band_l[p]) * z[p]
+        return sum(
+            np.roll(band[..., l, :, :].conj() * z, -l, axis=-1) for l in range(band.shape[-3])
+        )
+
+    return equalize
 
 
 def _solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:

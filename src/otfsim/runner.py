@@ -20,13 +20,13 @@ A range of trials runs in chunks of at most ``CHUNK_SAMPLES`` stacked
 time samples.  One generator serves the range: before each trial it is
 reset to that trial's counter, so it draws exactly what a fresh stream
 of the contract draws, into (T, ...) stacks.  Every layer (bit mapping,
-precoding, synthesis, channel, matched filter, detection, slicing and
-counting) then runs once per chunk on the stack.  Each SNR point runs one
-link bound to its noise variance: a fixed channel's detector and water-
-filled user amplitudes are built once for the point.  With a random
-channel the joint LMMSE of a unitary user map solves the whole chunk in
-one call from the taps' delay band (:meth:`_Link.lmmse`); the other
-detectors and the amplitudes are built once per trial.
+precoding, synthesis, channel, detection from the received body samples,
+slicing and counting) then runs once per chunk on the stack.  Each SNR
+point runs one link bound to its noise variance: a fixed channel's
+detector and water-filled user amplitudes are built once for the point.
+With a random channel the joint LMMSE of a unitary user map solves the
+whole chunk in one call from the taps' delay band (:meth:`_Link.detector`);
+the other detectors and the amplitudes are built once per trial.
 
 Scenario files are strict JSON: every key is validated and unknown keys
 are rejected with an error naming the offending key.
@@ -72,7 +72,11 @@ from .metrics import (
     slice_symbols,
 )
 from .modem import SchemeConfig
-from .transforms import heisenberg, wigner
+from .transforms import (
+    heisenberg,
+    slot_dft,
+    wigner,  # noqa: F401 -- unused here; bench/tracing.py wraps runner.wigner
+)
 
 EQUALIZERS = ("one_tap_tf", "mmse_dd", "ml")
 CHANNEL_MODES = ("cyclic", "per_slot_cp")
@@ -533,59 +537,54 @@ class _Link:
             U[:, a:a + m] = self.tf_grid(np.eye(m, n, k=a)).swapaxes(-1, -2).reshape(m, dof).T
         return U
 
-    def lmmse(self, ch: DDChannelSpec, gains: np.ndarray | None = None):
-        """Joint LMMSE of a unitary user map: stacked estimates = f(received body samples).
+    def detector(self, ch: DDChannelSpec, gains: np.ndarray | None = None):
+        """Returns stacked symbol estimates = f(received body samples (..., M*N)).
 
-        Blocks (slots of M body samples in ``per_slot_cp`` mode, the frame
-        in ``cyclic`` mode) are equalised on the channel's delay band
-        (``equalizer.band_filter``), then the per-slot DFT and the map's
-        adjoint follow.  ``gains`` (T, taps) gives frame t of the stack
-        ``ch``'s taps with gains[t]; without it every frame sees ``ch``.
-        """
-        params, mode = self.params, self.sc.channel_mode
-        check_blocks(ch, params, mode)
-        blocks = 1 if mode == "cyclic" else params.N
-        band = delay_band(ch, params, gains)
-        equalize = band_filter(band.reshape(*band.shape[:-2], blocks, -1), self.noise_var)
-
-        def detect(body):
-            lead = body.shape[:-1]
-            z = equalize(body.reshape(*lead, blocks, -1)).reshape(*lead, params.N, params.M)
-            return self.adjoint(np.fft.fft(z, axis=-1, norm="ortho").swapaxes(-1, -2))
-
-        return detect
-
-    def detector(self, ch: DDChannelSpec):
-        """Returns stacked symbol estimates = f(received grid Y), Y = wigner(sig).
-
-        Y may be one (M, N) grid or a stack of them.  The one-tap detector
-        reads Y per cell; ML and the LMMSE of a Gaussian spreading map U
-        read it through the channel's slot operators T as T U.  A unitary
-        map's LMMSE is :meth:`lmmse`.
+        ``gains`` (T, taps) gives frame t ``ch``'s taps with gains[t].  A
+        unitary map's LMMSE equalises the blocks (slots, or the ``cyclic``
+        frame) of all frames at once on the delay band; the other detectors
+        read each frame's grid, ML and Gaussian spreading through the slot
+        operators T as T U.
         """
         sc, params, noise_var = self.sc, self.params, self.noise_var
+        if self.banded:
+            check_blocks(ch, params, sc.channel_mode)
+            blocks = 1 if sc.channel_mode == "cyclic" else params.N
+            band = delay_band(ch, params, gains)
+            equalize = band_filter(band.reshape(*band.shape[:-2], blocks, -1), noise_var)
+
+            def detect(body):
+                z = equalize(body.reshape(*body.shape[:-1], blocks, -1))
+                return self.adjoint(slot_dft(z.reshape(body.shape), params).swapaxes(-1, -2))
+
+            return detect
+        if gains is not None:  # one detector per draw, each with its own inv/pinv fallback
+            at = [(t.delay_bin, t.doppler_bin) for t in ch.taps]
+            each = [self.detector(DDChannelSpec([(*p, g) for p, g in zip(at, gs)])) for gs in gains]
+            return lambda body: np.stack([d(b) for d, b in zip(each, body)])
         if sc.equalizer == "one_tap_tf":
             H = tf_channel(ch, params)
-            return lambda Y: self.adjoint(one_tap_tf(Y, H, noise_var))
+            return lambda body: self.adjoint(
+                one_tap_tf(slot_dft(body, params).swapaxes(-1, -2), H, noise_var)
+            )
         T = slot_operators(ch, params, sc.channel_mode)
         U = self._map_matrix
         A = (T @ U.reshape(len(T), T.shape[-1], -1)).reshape(params.dof, -1)
 
-        def slot_major(Y):
-            return Y.swapaxes(-1, -2).reshape(*Y.shape[:-2], -1)
+        def slot_major(body):
+            return slot_dft(body, params).reshape(body.shape)
 
         if sc.equalizer == "ml":
             # one exhaustive search per frame: its Q^n x rows residuals are
             # held once, not once per frame of the stack
-            return lambda Y: np.apply_along_axis(ml_detect, -1, slot_major(Y), A, self.const)
+            return lambda body: np.apply_along_axis(ml_detect, -1, slot_major(body), A, self.const)
         W = mmse_filter(A, noise_var)
-        return lambda Y: (W @ slot_major(Y)[..., None])[..., 0]
+        return lambda body: (W @ slot_major(body)[..., None])[..., 0]
 
     @cached_property
     def _fixed_rx(self):
         """The fixed channel's detector and (1, K) amplitudes (or None), built once."""
-        detect = (self.lmmse if self.banded else self.detector)(self.fixed)
-        return detect, self.amplitudes([self.fixed])
+        return self.detector(self.fixed), self.amplitudes([self.fixed])
 
     def run_chunk(self, streams: _TrialStreams, start: int, stop: int):
         """Draw, transmit, receive and detect trials [start, stop) as one stack.
@@ -598,18 +597,14 @@ class _Link:
         else:
             # random draws share tap positions; gains holds one row per trial
             ch, amp = channels[0], self.amplitudes(channels)
-            detect = self.lmmse(ch, gains) if self.banded else None
+            detect = self.detector(ch, gains)
         sig = self.transmit(bits, amp)
         paprs = papr(sig)
-        rx = apply_channel(
+        body = apply_channel(
             sig, ch, self.params, mode=self.sc.channel_mode, gains=gains, noise=noise
-        )
-        received = rx.body if self.banded else wigner(rx, self.params)
-        del sig, noise, rx  # the time-domain stacks are not held through detection
-        if channels is None or self.banded:
-            est = detect(received)
-        else:
-            est = np.stack([self.detector(c)(y) for c, y in zip(channels, received)])  # per draw
+        ).body
+        del sig, noise  # the transmitted stacks are not held through detection
+        est = detect(body)
         bps = self.const.bits_per_symbol
         if amp is not None:
             # undo each user's amplitude; users given zero power carry no data

@@ -98,8 +98,13 @@ def wigner(sig: TimeSignal, params: FrameParams) -> np.ndarray:
             f"signal geometry (slots={sig.num_slots}, body={sig.body_len}) "
             f"does not match frame (N={params.N}, M={params.M})"
         )
-    body = sig.body.reshape(*sig.samples.shape[:-1], params.N, params.M)
-    return np.fft.fft(body.swapaxes(-1, -2), axis=-2, norm="ortho")
+    return slot_dft(sig.body, params).swapaxes(-1, -2)
+
+
+def slot_dft(body: np.ndarray, params: FrameParams) -> np.ndarray:
+    """Unitary DFT of each slot of (..., N*M) body samples: (..., N, M), wigner's transpose."""
+    body = body.reshape(*body.shape[:-1], params.N, params.M)
+    return np.fft.fft(body, axis=-1, norm="ortho")
 
 
 def basis_waveform(m: int, n: int, params: FrameParams, cp_len: int = 0) -> TimeSignal:

@@ -81,10 +81,7 @@ def run_trial(link, rng):
     sig = link.transmit(bits, amp)
     papr_val = papr(sig)
     rx = ot.apply_channel(sig, ch, link.params, link.noise_var, rng, mode=link.sc.channel_mode)
-    if link.banded:
-        est = link.lmmse(ch)(rx.body)
-    else:
-        est = link.detector(ch)(ot.wigner(rx, link.params))
+    est = link.detector(ch)(rx.body)
     bps = link.const.bits_per_symbol
     if amp is not None:
         on = np.repeat(amp > 1e-12, link.block)

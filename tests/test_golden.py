@@ -51,9 +51,8 @@ def test_papr_ccdf_reproduces_golden_csv(name):
 
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_detector_never_probes_the_channel(name, monkeypatch):
-    # every detector reads the received samples or the time-frequency grid
-    # through closed-form channel operators; the probed chain is a test
-    # oracle only
+    # every detector reads the received body samples through closed-form
+    # channel operators; the probed chain is a test oracle only
     def refuse(*args, **kwargs):
         raise AssertionError("detector build probed the channel chain")
 
@@ -62,8 +61,7 @@ def test_detector_never_probes_the_channel(name, monkeypatch):
     monkeypatch.setattr(modem, "demodulate", refuse)
     sc = load_scenario(GOLDEN / f"{name}.json")
     link = _Link(sc, 0.1)
-    build = link.lmmse if link.banded else link.detector
-    assert callable(build(link.channel_for_trial(trial_rng(sc.seed, 0, 0))))
+    assert callable(link.detector(link.channel_for_trial(trial_rng(sc.seed, 0, 0))))
 
 
 @pytest.mark.parametrize("name", ["otfs_mmse_random", "tf_alloc_mmse_random"])

@@ -392,7 +392,7 @@ class TestExecution:
         rx = ot.apply_channel(modulate(link.cfg, x), ch, link.params, 0.1, rng)
         A = ot.effective_matrix(link.cfg, ch, mode="per_slot_cp")
         joint = ot.mmse_dd(demodulate(link.cfg, rx), A, 0.1)
-        got = link.lmmse(ch)(rx.body)
+        got = link.detector(ch)(rx.body)
         assert got.shape == (x.size,)  # the payload grid, flattened row-major
         assert np.abs(got - joint).max() < 1e-10
 
@@ -421,7 +421,7 @@ class TestExecution:
             rx = ot.apply_channel(modulate(link.cfg, x), ch, link.params, 0.5, rng, channel_mode)
             A = ot.effective_matrix(link.cfg, ch, mode=channel_mode)
             ref = ot.ml_detect(demodulate(link.cfg, rx).reshape(-1), A, link.const)
-            assert np.array_equal(link.detector(ch)(ot.wigner(rx, link.params)), ref)
+            assert np.array_equal(link.detector(ch)(rx.body), ref)
 
     def test_per_slot_mmse_runs_beyond_the_dense_guard(self):
         # 128 x 64 is refused by the probed effective matrix; the per-slot
@@ -577,7 +577,7 @@ class TestMultiuserExecution:
             raise AssertionError("chain_matrix called")
 
         monkeypatch.setattr(otfsim.runner, "chain_matrix", refuse)
-        got = link.lmmse(ch)(sig.body)
+        got = link.detector(ch)(sig.body)
         assert np.abs(got - W @ ot.wigner(sig, sc.params).reshape(-1)).max() < 1e-10
 
     @pytest.mark.parametrize("scheme,N,mode,spreader,channel_mode", [
@@ -625,10 +625,7 @@ class TestMultiuserExecution:
         W = ot.mmse_filter(chain_matrix(tx, rx, dim), 0.1)
         x = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         sig = ot.apply_channel(tx(x), ch, sc.params, 0.1, rng, channel_mode)
-        if link.banded:  # a unitary map's LMMSE reads the body samples
-            got = link.lmmse(ch)(sig.body)
-        else:
-            got = link.detector(ch)(ot.wigner(sig, sc.params))
+        got = link.detector(ch)(sig.body)
         assert np.abs(got - W @ ot.wigner(sig, sc.params).reshape(-1)).max() < 1e-10
 
     def test_per_slot_downlink_runs_beyond_the_dense_guard(self):
@@ -716,10 +713,10 @@ class TestBandLMMSE:
         link = self.link(scheme, M, N, mu, channel_mode)
         ch, gains, rx = self.received(link, np.random.default_rng(70), 3)
         Y = ot.wigner(rx, link.params)
-        got = link.lmmse(ch)(rx.body)
+        got = link.detector(ch)(rx.body)
         assert got.shape == (3, link.K * link.block)
         assert np.abs(got - self.dense(link, ch, Y)).max() < 1e-10
-        got = link.lmmse(ch, gains)(rx.body)
+        got = link.detector(ch, gains)(rx.body)
         for t in range(3):
             own = ot.DDChannelSpec(taps=tuple(
                 (l, k, g) for (l, k, _), g in zip(ch.taps, gains[t])
@@ -730,10 +727,40 @@ class TestBandLMMSE:
     def test_chunk_equals_one_trial_detections(self, channel_mode):
         link = self.link("OTFS", 8, 4, {"mode": "dd_mapped", "K_d": 2, "K_D": 2}, channel_mode)
         ch, gains, rx = self.received(link, np.random.default_rng(71), 5)
-        got = link.lmmse(ch, gains)(rx.body)
+        got = link.detector(ch, gains)(rx.body)
         for t in range(5):
-            alone = link.lmmse(ch, gains[t:t + 1])(rx.body[t:t + 1])
+            alone = link.detector(ch, gains[t:t + 1])(rx.body[t:t + 1])
             assert np.array_equal(got[t:t + 1], alone)
+
+    def test_memory_is_linear_in_the_band(self):
+        # 16 x 1024 with delays 0..15 and Doppler bins -512..512: 16400 taps,
+        # so a (taps, M*N) table would hold 269M entries; the band holds
+        # 16 * M*N = 262k, and building and applying both detectors (one
+        # channel for every frame, and a chunk's own gains) stays within a
+        # few bands
+        import tracemalloc
+
+        d = base_dict(
+            frame={"M": 16, "N": 1024, "cp_len": 15},
+            channel={"random": {"L_max": 16, "V_max": 513}},
+            channel_mode="per_slot_cp",
+            equalizer="mmse_dd",
+        )
+        link = _Link(scenario_from_dict(d), 0.1)
+        rng = np.random.default_rng(72)
+        ch = link.channel_for_trial(rng)
+        gains = np.array([[t.gain for t in ch.taps]])
+        body = rng.normal(size=(1, link.params.dof)) + 0j
+        band_bytes = 16 * link.params.dof * 16
+        tracemalloc.start()
+        try:
+            link.detector(ch)(body)
+            link.detector(ch, gains)(body)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(ch.taps) == 16400
+        assert peak < 10 * band_bytes
 
 
 class TestOutput:
