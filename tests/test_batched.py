@@ -24,33 +24,8 @@ from otfsim.runner import _Link, _TrialStreams, run_trial_range, scenario_from_d
 GOLDEN = Path(__file__).parent / "golden"
 SCENARIOS = sorted(p.stem for p in GOLDEN.glob("*.json"))
 
-# scenarios no golden pins: a water-filled downlink on a random channel
-# (one weight set per trial), cyclic-mode one-tap and Gaussian spreading
-# on a random channel
+# a scenario no golden pins: Gaussian spreading on a random channel
 EXTRA = {
-    "tf_alloc_water_fill_random": {
-        "frame": {"M": 16, "N": 8, "cp_len": 2},
-        "scheme": "OTFS",
-        "constellation": "QPSK",
-        "channel": {"random": {"L_max": 3, "V_max": 2}},
-        "channel_mode": "per_slot_cp",
-        "equalizer": "one_tap_tf",
-        "snr_db_list": [6.0, 30.0],
-        "trials": 12,
-        "seed": 11,
-        "multiuser": {"mode": "tf_alloc", "K_d": 2, "K_D": 2, "power_budget": 0.5},
-    },
-    "ostf_onetap_cyclic_16qam": {
-        "frame": {"M": 8, "N": 4},
-        "scheme": "OSTF",
-        "constellation": "16QAM",
-        "channel": {"random": {"L_max": 2, "V_max": 3}},
-        "channel_mode": "cyclic",
-        "equalizer": "one_tap_tf",
-        "snr_db_list": [12.0],
-        "trials": 12,
-        "seed": 3,
-    },
     "tf_spread_gaussian_mmse_random": {
         "frame": {"M": 8, "N": 4, "cp_len": 2},
         "scheme": "OTFS",
@@ -123,7 +98,8 @@ def test_chunked_range_equals_per_trial_link(name, monkeypatch):
 
 def test_default_chunk_equals_per_trial_link():
     # one range over several default-size chunks, the last one short
-    sc = scenario_from_dict(dict(EXTRA["ostf_onetap_cyclic_16qam"], trials=1))
+    d = json.loads((GOLDEN / "ostf_onetap_cyclic_16qam.json").read_text())
+    sc = scenario_from_dict(dict(d, trials=1))
     link = _Link(sc)
     assert link.chunk * link.n_samples <= runner.CHUNK_SAMPLES < (link.chunk + 1) * link.n_samples
     stop = 2 * link.chunk + 5

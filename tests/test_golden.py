@@ -8,8 +8,12 @@ random channels, 16QAM, ``cyclic`` mode, the one-tap and ML detectors
 and downlinks in all three modes: ``dd_mapped`` (localized and
 interleaved, fixed and random channels, ``cyclic`` mode), ``tf_alloc``
 (joint LMMSE and water-filled one-tap), DFT ``tf_spread`` (joint LMMSE
-and one-tap) and Gaussian ``tf_spread``.  Every scenario is re-run at 1,
-2 and 8 workers.  A mismatch means a fast path changed a hard decision,
+and one-tap) and Gaussian ``tf_spread``.  Two were captured later, from
+the per-tap channel before it was rebuilt from the delay band: a
+water-filled ``tf_alloc`` downlink on a random channel
+(``tf_alloc_water_fill_random``) and ``cyclic``-mode one-tap OSTF
+(``ostf_onetap_cyclic_16qam``).  Every scenario is re-run at 1, 2 and 8
+workers.  A mismatch means a fast path changed a hard decision,
 the RNG draw order or the merge order of trial ranges; do not regenerate
 a CSV to make it pass.
 
