@@ -22,9 +22,11 @@ Both modes implement, on body samples,
 
     r[s] = sum_taps gain * x[s - l] * exp(2j*pi*k*(s - l)/(M*N)) + noise
 
-with s the body-sample index.  :func:`apply_channel` also takes a stack of
-frames, with one gain set per frame for channels that share tap positions
-(as random draws do), so each tap's phase ramp is computed once per stack.
+with s the body-sample index.  :func:`delay_band` holds this channel by
+its L_max delay diagonals, built from the taps; :func:`apply_channel` and
+:func:`tf_channel` read it, and the LMMSE of a unitary map solves on it.
+Each takes one gain set per frame for a stack of channels that share tap
+positions (as random draws do), so the band of a stack is one call.
 """
 
 from __future__ import annotations
@@ -178,6 +180,10 @@ def apply_channel(
     ``noise`` instead adds a pre-drawn (real, imaginary) pair.  See the
     module docstring for the two modes.
 
+    Each delay l of :func:`delay_band`, read at each sample's Doppler
+    clock, weights the stream delayed by l (round the frame in ``cyclic``
+    mode, zero-filled in ``per_slot_cp`` mode); prefixes are received too.
+
     ``sig`` may be a stack of frames (samples of shape (..., frame length)).
     ``gains`` of shape (..., taps) then gives each frame its own tap
     gains at the positions of ``ch``'s taps, in ``ch.taps`` order.
@@ -191,36 +197,22 @@ def apply_channel(
         raise ValueError("rng required when noise_var > 0")
     if noise_var > 0 and noise is not None:
         raise ValueError("give noise_var or pre-drawn noise, not both")
-    S = params.dof
     x = sig.samples
     if gains is not None and gains.shape != (*x.shape[:-1], len(ch.taps)):
         raise ValueError(f"gains of shape {gains.shape} do not match {len(ch.taps)} taps")
-
-    def tap_gain(i, g):
-        return g if gains is None else gains[..., i, None]
-
-    if mode == "cyclic":
-        s_idx = np.arange(S)
-        r = np.zeros(x.shape, dtype=np.complex128)
-        for i, (l, k, g) in enumerate(ch.taps):
-            r += tap_gain(i, g) * np.roll(x, l, axis=-1) * np.exp(
-                2j * np.pi * k * (s_idx - l) / S
-            )
-    else:  # per_slot_cp
-        cp = sig.cp_len
-        slot_len = sig.slot_len
-        total = x.shape[-1]
-        q = np.arange(slot_len)
-        clock = (
-            np.arange(params.N)[:, None] * params.M + np.maximum(0, q[None, :] - cp)
-        ).reshape(-1)
-        r = np.zeros(x.shape, dtype=np.complex128)
-        for i, (l, k, g) in enumerate(ch.taps):
-            delayed = np.concatenate(
-                [np.zeros((*x.shape[:-1], l), dtype=np.complex128), x[..., : total - l]],
-                axis=-1,
-            )
-            r += tap_gain(i, g) * delayed * np.exp(2j * np.pi * k * (clock - l) / S)
+    band = delay_band(ch, params, gains)
+    L, total = ch.L_max, x.shape[-1]
+    # delay l's weight on every sample, read at the sample's Doppler clock
+    clock = np.maximum(0, np.arange(sig.slot_len) - sig.cp_len)
+    weights = band[..., clock].reshape(*band.shape[:-2], total)
+    # the stream led by its L - 1 earlier samples (the frame's tail in
+    # cyclic mode, zeros before a prefixed stream); summing one delay at a
+    # time keeps each temporary the size of the stream stack
+    lead = x[..., total - L + 1:] if mode == "cyclic" else np.zeros((*x.shape[:-1], L - 1))
+    stream = np.concatenate([lead, x], axis=-1)
+    r = weights[..., 0, :] * x
+    for l in range(1, L):
+        r += weights[..., l, :] * stream[..., L - 1 - l : L - 1 - l + total]
 
     if noise_var > 0:
         noise = draw_noise(rng, noise_var, r.shape)
@@ -236,23 +228,21 @@ def apply_channel(
 # ---------------------------------------------------------------------------
 
 
-def tf_channel(ch: DDChannelSpec, params: FrameParams) -> np.ndarray:
-    """Per-cell time-frequency response H[m, n] (M x N).
+def tf_channel(
+    ch: DDChannelSpec, params: FrameParams, gains: np.ndarray | None = None
+) -> np.ndarray:
+    """Per-cell time-frequency response H[m, n] (..., M, N).
 
     H[m, n] = sum_taps gain * exp(-2j*pi*(m*l/M - n*k/N)) * exp(-2j*pi*l*k/(M*N))
 
+    is the FFT over delay (length M) of each slot's weights D[l, n, 0] at
+    its first body sample in :func:`delay_band`.  ``gains`` (..., taps)
+    gives each frame its own gains at ``ch``'s tap positions, as there.
     Under the ideal-pulse approximation each grid cell sees the scalar
     gain H[m, n]; a delay-only channel is constant across slots and a
     Doppler-only channel constant across subcarriers.
     """
-    check_taps(ch, params)
-    m = np.arange(params.M)[:, None]
-    n = np.arange(params.N)[None, :]
-    H = np.zeros((params.M, params.N), dtype=np.complex128)
-    for l, k, g in ch.taps:
-        cross = np.exp(-2j * np.pi * l * k / params.dof)
-        H += g * cross * np.exp(-2j * np.pi * (m * l / params.M - n * k / params.N))
-    return H
+    return np.fft.fft(delay_band(ch, params, gains)[..., 0], n=params.M, axis=-2)
 
 
 def twisted_gains(ch: DDChannelSpec, params: FrameParams) -> tuple:

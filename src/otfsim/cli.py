@@ -21,6 +21,9 @@ EXIT_CONFIG = 1
 EXIT_INVARIANT = 2
 EXIT_GUARD = 3
 
+#: ``sweep --snr`` refuses grids of more points than this
+SNR_GRID_CAP = 10_000
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems as ConfigError (exit 1)."""
@@ -75,10 +78,12 @@ def _parse_snr_grid(text: str):
     if step <= 0 or stop < start:
         raise ConfigError(f"--snr grid {text!r} is not increasing")
     grid = []
-    v = start
-    while v <= stop + 1e-9:
+    while (v := start + len(grid) * step) <= stop + 1e-9:
+        if len(grid) == SNR_GRID_CAP:
+            raise ConfigError(f"--snr grid {text!r} exceeds {SNR_GRID_CAP} points")
         grid.append(round(v, 9))
-        v += step
+        if len(grid) > 1 and grid[-1] == grid[-2]:
+            raise ConfigError(f"--snr grid {text!r}: step {step:g} does not advance it")
     return tuple(grid)
 
 

@@ -24,9 +24,11 @@ precoding, synthesis, channel, detection from the received body samples,
 slicing and counting) then runs once per chunk on the stack.  Each SNR
 point runs one link bound to its noise variance: a fixed channel's
 detector and water-filled user amplitudes are built once for the point.
-With a random channel the joint LMMSE of a unitary user map solves the
-whole chunk in one call from the taps' delay band (:meth:`_Link.detector`);
-the other detectors and the amplitudes are built once per trial.
+A random chunk's draws share tap positions, so its channel is one tap
+set with a (T, taps) gain stack: the channel, a unitary map's LMMSE, the
+one-tap responses and the water-filled amplitudes (frame by frame) each
+take one call per chunk; ML and Gaussian spreading build one detector
+per draw.
 
 Scenario files are strict JSON: every key is validated and unknown keys
 are rejected with an error naming the offending key.
@@ -453,41 +455,43 @@ class _Link:
     def draw(self, streams: _TrialStreams, start: int, stop: int):
         """Every draw of trials [start, stop), trial by trial in the contract's order.
 
-        Returns ``(channels, gains, bits, noise)``: the random channels
-        drawn and their (T, taps) gains (both None for a fixed channel),
-        the (T, n_bits) bits and the noise pair of (T, samples) arrays
-        (None at zero noise variance).
+        Returns ``(ch, gains, bits, noise)``: the channel (the last draw),
+        the draws' (T, taps) gains at its tap positions (None for a fixed
+        channel), the (T, n_bits) bits and the noise pair of (T, samples)
+        arrays (None at zero noise variance).
         """
         T = stop - start
-        channels = None if self.fixed is not None else []
+        ch, gains = self.fixed, []
         bits = np.empty((T, self.n_bits), dtype=np.int64)
         noise = None
         if self.noise_var > 0:
             noise = (np.empty((T, self.n_samples)), np.empty((T, self.n_samples)))
         for i in range(T):
             rng = streams.at(start + i)
-            if channels is not None:
-                channels.append(self.channel_for_trial(rng))
+            if self.fixed is None:
+                ch = self.channel_for_trial(rng)
+                gains.append([t.gain for t in ch.taps])
             bits[i] = rng.integers(0, 2, size=self.n_bits)
             if noise is not None:
                 noise[0][i], noise[1][i] = draw_noise(rng, self.noise_var, self.n_samples)
-        if channels is None:
-            return None, None, bits, noise
-        return channels, np.array([[t.gain for t in c.taps] for c in channels]), bits, noise
+        return ch, np.array(gains) if gains else None, bits, noise
 
-    def amplitudes(self, channels):
-        """Water-filled user amplitudes of a budgeted downlink: (len(channels), K), or None."""
+    def amplitudes(self, ch: DDChannelSpec, gains: np.ndarray | None = None):
+        """Water-filled user amplitudes of a budgeted downlink: (frames, K), or None.
+
+        One frame per row of the (T, taps) ``gains``, from one ``tf_channel``
+        call; each is averaged alone, as a mean over a stack rounds differently.
+        """
         mu = self.sc.multiuser
         if mu is None or mu.power_budget is None:
             return None
         amps = []
-        for ch in channels:
-            H = tf_channel(ch, self.params)
-            gains = np.array([
+        for H in tf_channel(ch, self.params, gains).reshape(-1, self.params.M, self.params.N):
+            power = np.array([
                 np.mean(np.abs(H[np.ix_(list(f.selected), list(t.selected))]) ** 2)
                 for f, t in self.alloc.users
             ])
-            p = multiuser.water_fill(gains, mu.power_budget, self.noise_var)
+            p = multiuser.water_fill(power, mu.power_budget, self.noise_var)
             amps.append(np.sqrt(p / self.block))
         return np.stack(amps)
 
@@ -542,9 +546,10 @@ class _Link:
 
         ``gains`` (T, taps) gives frame t ``ch``'s taps with gains[t].  A
         unitary map's LMMSE equalises the blocks (slots, or the ``cyclic``
-        frame) of all frames at once on the delay band; the other detectors
-        read each frame's grid, ML and Gaussian spreading through the slot
-        operators T as T U.
+        frame) of all frames at once on the delay band, and the one-tap
+        detector reads all frames' responses from one ``tf_channel`` call.
+        ML and Gaussian spreading read each frame's grid through the slot
+        operators T as T U, one detector per draw.
         """
         sc, params, noise_var = self.sc, self.params, self.noise_var
         if self.banded:
@@ -558,15 +563,15 @@ class _Link:
                 return self.adjoint(slot_dft(z.reshape(body.shape), params).swapaxes(-1, -2))
 
             return detect
+        if sc.equalizer == "one_tap_tf":
+            H = tf_channel(ch, params, gains)
+            return lambda body: self.adjoint(
+                one_tap_tf(slot_dft(body, params).swapaxes(-1, -2), H, noise_var)
+            )
         if gains is not None:  # one detector per draw, each with its own inv/pinv fallback
             at = [(t.delay_bin, t.doppler_bin) for t in ch.taps]
             each = [self.detector(DDChannelSpec([(*p, g) for p, g in zip(at, gs)])) for gs in gains]
             return lambda body: np.stack([d(b) for d, b in zip(each, body)])
-        if sc.equalizer == "one_tap_tf":
-            H = tf_channel(ch, params)
-            return lambda body: self.adjoint(
-                one_tap_tf(slot_dft(body, params).swapaxes(-1, -2), H, noise_var)
-            )
         T = slot_operators(ch, params, sc.channel_mode)
         U = self._map_matrix
         A = (T @ U.reshape(len(T), T.shape[-1], -1)).reshape(params.dof, -1)
@@ -584,20 +589,18 @@ class _Link:
     @cached_property
     def _fixed_rx(self):
         """The fixed channel's detector and (1, K) amplitudes (or None), built once."""
-        return self.detector(self.fixed), self.amplitudes([self.fixed])
+        return self.detector(self.fixed), self.amplitudes(self.fixed)
 
     def run_chunk(self, streams: _TrialStreams, start: int, stop: int):
         """Draw, transmit, receive and detect trials [start, stop) as one stack.
 
         Returns ((bit errors, symbol errors, bits, symbols), PAPR per trial).
         """
-        channels, gains, bits, noise = self.draw(streams, start, stop)
-        if channels is None:
-            ch, (detect, amp) = self.fixed, self._fixed_rx
+        ch, gains, bits, noise = self.draw(streams, start, stop)
+        if gains is None:
+            detect, amp = self._fixed_rx
         else:
-            # random draws share tap positions; gains holds one row per trial
-            ch, amp = channels[0], self.amplitudes(channels)
-            detect = self.detector(ch, gains)
+            detect, amp = self.detector(ch, gains), self.amplitudes(ch, gains)
         sig = self.transmit(bits, amp)
         paprs = papr(sig)
         body = apply_channel(

@@ -50,7 +50,7 @@ def scenario(name):
 def run_trial(link, rng):
     """One trial on one frame: (bit errors, symbol errors, bits, symbols, PAPR)."""
     ch = link.channel_for_trial(rng)
-    amp = link.amplitudes([ch])
+    amp = link.amplitudes(ch)
     amp = None if amp is None else amp[0]
     bits = rng.integers(0, 2, size=link.n_bits)
     sig = link.transmit(bits, amp)

@@ -23,6 +23,28 @@ def one_tap_response_oracle(taps, M, N):
     return H
 
 
+def per_tap_channel_oracle(sig, ch, params, mode, gains=None):
+    """Independent oracle: r[s] = sum_taps g * x[s - l] * w^(k*(clock - l)), tap by tap.
+
+    w = exp(2j*pi/(M*N)).  The delay wraps round the frame in ``cyclic``
+    mode and fills with zeros in ``per_slot_cp`` mode, where the clock
+    counts body samples and holds at the slot's first one inside its
+    prefix.  ``gains`` (..., taps) gives each frame of a stack its own.
+    """
+    x = sig.samples
+    q = np.arange(sig.slot_len)
+    clock = (np.arange(params.N)[:, None] * params.M + np.maximum(0, q - sig.cp_len)).reshape(-1)
+    r = np.zeros(x.shape, dtype=complex)
+    for i, (l, k, g) in enumerate(ch.taps):
+        if mode == "cyclic":
+            delayed = np.roll(x, l, axis=-1)
+        else:
+            delayed = np.concatenate([np.zeros((*x.shape[:-1], l)), x[..., : x.shape[-1] - l]], -1)
+        g = g if gains is None else gains[..., i, None]
+        r += g * delayed * np.exp(2j * np.pi * k * (clock - l) / params.dof)
+    return r
+
+
 def lattice_window_oracle(delta_l, delta_k, M, N):
     """Independent oracle: the full double geometric sum of lattice phases."""
     acc = 0.0
@@ -162,6 +184,27 @@ class TestApplyChannel:
         ch = ot.DDChannelSpec(taps=((0, 0, 1.0),))
         with pytest.raises(ValueError):
             ot.apply_channel(self.sig, ch, self.params, noise_var=0.1, mode="cyclic")
+
+    @pytest.mark.parametrize("mode,M,N,cp", [
+        ("per_slot_cp", 8, 4, 3), ("per_slot_cp", 7, 4, 6), ("per_slot_cp", 7, 3, 2),
+        ("per_slot_cp", 7, 1, 2), ("cyclic", 8, 4, 0), ("cyclic", 7, 1, 0), ("cyclic", 5, 4, 0),
+    ])
+    def test_matches_per_tap_oracle(self, mode, M, N, cp):
+        # the full stream, prefixes included, of one frame and of a stack
+        # with a (T, taps) gain stack; the largest delay the mode allows
+        # (cp_len, or M - 1 round the frame) and Doppler bins up to N/2
+        params = ot.make_frame(M, N)
+        rng = np.random.default_rng(14)
+        ch = ot.random_channel(cp + 1 if cp else M, N // 2 + 1, rng)
+        assert max(abs(t.doppler_bin) for t in ch.taps) == N // 2
+        X = rng.normal(size=(3, M, N)) + 1j * rng.normal(size=(3, M, N))
+        sig = ot.heisenberg(X, params, cp_len=cp)
+        one = ot.heisenberg(X[0], params, cp_len=cp)
+        gains = rng.normal(size=(3, len(ch.taps))) + 1j * rng.normal(size=(3, len(ch.taps)))
+        got = ot.apply_channel(sig, ch, params, mode=mode, gains=gains).samples
+        assert np.abs(got - per_tap_channel_oracle(sig, ch, params, mode, gains)).max() <= 1e-12
+        got = ot.apply_channel(one, ch, params, mode=mode).samples
+        assert np.abs(got - per_tap_channel_oracle(one, ch, params, mode)).max() <= 1e-12
 
 
 class TestNoiseWhiteness:
@@ -516,10 +559,20 @@ class TestDelayBand:
         gains = rng.normal(size=(2, 3, len(ch.taps))) + 1j * rng.normal(size=(2, 3, len(ch.taps)))
         band = delay_band(ch, params, gains)
         assert band.shape == (2, 3, 3, 4, 8)
+        # the time-frequency response and the received streams of a stack
+        # equal the one-frame calls bit for bit
+        H = ot.tf_channel(ch, params, gains)
+        assert H.shape == (2, 3, 8, 4)
+        X = rng.normal(size=(2, 3, 8, 4)) + 1j * rng.normal(size=(2, 3, 8, 4))
+        sig = ot.heisenberg(X, params, cp_len=2)
+        rx = ot.apply_channel(sig, ch, params, gains=gains).samples
         for idx in np.ndindex(2, 3):
             own = ot.DDChannelSpec(taps=tuple(
                 (l, k, g) for (l, k, _), g in zip(ch.taps, gains[idx])
             ))
             assert_allclose(band[idx], delay_band(own, params), atol=1e-14)
+            assert np.array_equal(H[idx], ot.tf_channel(own, params))
+            one = ot.heisenberg(X[idx], params, cp_len=2)
+            assert np.array_equal(rx[idx], ot.apply_channel(one, own, params).samples)
         with pytest.raises(ValueError, match="taps"):
             delay_band(ch, params, gains[..., 1:])

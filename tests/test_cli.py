@@ -12,7 +12,9 @@ import pytest
 
 import otfsim as ot
 import otfsim.transforms
-from otfsim.cli import EXIT_CONFIG, EXIT_GUARD, EXIT_INVARIANT, EXIT_OK, main
+from otfsim.cli import (
+    EXIT_CONFIG, EXIT_GUARD, EXIT_INVARIANT, EXIT_OK, SNR_GRID_CAP, _parse_snr_grid, main,
+)
 from otfsim.runner import load_scenario
 from otfsim.selftest import run_selftest
 
@@ -288,9 +290,18 @@ class TestSweep:
         lines = capsys.readouterr().out.splitlines()
         assert [ln.split(",")[1] for ln in lines[1:]] == ["0", "0.5", "1"]
 
-    @pytest.mark.parametrize("bad", ["abc", "0:10", "4:0:2", "0:10:0", "0:10:-1"])
+    def test_tenth_step_keeps_its_rounded_points(self):
+        assert _parse_snr_grid("0:1:0.1") == tuple(i / 10 for i in range(11))
+
+    # steps that cannot move the rounded grid from its first point or from a
+    # later one, and a grid over the point cap
+    @pytest.mark.parametrize("bad", [
+        "abc", "0:10", "4:0:2", "0:10:0", "0:10:-1",
+        "1:2:1e-20", "1:2:1e-10", "0:1:6e-10", f"0:1:{1 / SNR_GRID_CAP}",
+    ])
     def test_bad_grids(self, config_file, bad, capsys):
         assert main(["sweep", "--config", config_file(), "--snr", bad]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad", ["nan:10:2", "0:inf:1", "-inf:0:1", "0:10:nan"])
     def test_non_finite_grids(self, config_file, bad, capsys):

@@ -84,3 +84,21 @@ def test_random_lmmse_solves_once_per_chunk(name, monkeypatch):
     monkeypatch.setattr(runner, "CHUNK_SAMPLES", 5 * _Link(sc).n_samples)
     assert format_csv(run(sc)) == (GOLDEN / f"{name}.csv").read_text()
     assert len(solves) == -(-sc.trials // 5) * len(sc.snr_db_list)
+
+
+@pytest.mark.parametrize("name,per_chunk", [
+    ("otfs_onetap_random", 1), ("tf_alloc_water_fill_random", 2),
+])
+def test_random_one_tap_reads_one_response_per_chunk(name, per_chunk, monkeypatch):
+    # the one-tap detector of a chunk of random draws, here 5 trials, reads
+    # every frame's response from one stacked tf_channel call; water-filled
+    # amplitudes take one more
+    calls = []
+    tf_channel = runner.tf_channel
+    monkeypatch.setattr(
+        runner, "tf_channel", lambda *a, **k: calls.append(1) or tf_channel(*a, **k)
+    )
+    sc = load_scenario(GOLDEN / f"{name}.json")
+    monkeypatch.setattr(runner, "CHUNK_SAMPLES", 5 * _Link(sc).n_samples)
+    assert format_csv(run(sc)) == (GOLDEN / f"{name}.csv").read_text()
+    assert len(calls) == per_chunk * -(-sc.trials // 5) * len(sc.snr_db_list)

@@ -506,7 +506,7 @@ class TestMultiuserExecution:
         sc = scenario_from_dict(d)
         eng = _Link(sc, 1e-3)
         ch = eng.channel_for_trial(trial_rng(sc.seed, 0, 0))
-        (amp,) = eng.amplitudes([ch])
+        (amp,) = eng.amplitudes(ch)
         assert amp[0] > 0 and amp[1] == 0.0
         calls = []
         real = otfsim.runner.multiuser.water_fill
