@@ -22,16 +22,14 @@ Both modes implement, on body samples,
 
     r[s] = sum_taps gain * x[s - l] * exp(2j*pi*k*(s - l)/(M*N)) + noise
 
-with s the body-sample index.  :func:`delay_band` holds this channel by
-its L_max delay diagonals, built from the taps; :func:`apply_channel` and
-:func:`tf_channel` read it, and the LMMSE of a unitary map solves on it.
-Each takes one gain set per frame for a stack of channels that share tap
-positions (as random draws do), so the band of a stack is one call.
+with s the body-sample index.  :func:`delay_band` holds this channel as its
+L_max delay diagonals; :func:`apply_channel` builds them one delay at a time
+and :func:`tf_channel` their first column, each with a gain set per frame.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -180,9 +178,8 @@ def apply_channel(
     ``noise`` instead adds a pre-drawn (real, imaginary) pair.  See the
     module docstring for the two modes.
 
-    Each delay l of :func:`delay_band`, read at each sample's Doppler
-    clock, weights the stream delayed by l (round the frame in ``cyclic``
-    mode, zero-filled in ``per_slot_cp`` mode); prefixes are received too.
+    Delay l's row of :func:`delay_band`, built alone and read at the Doppler
+    clock, weights the stream delayed by l (rolled or zero-filled by mode).
 
     ``sig`` may be a stack of frames (samples of shape (..., frame length)).
     ``gains`` of shape (..., taps) then gives each frame its own tap
@@ -200,27 +197,26 @@ def apply_channel(
     x = sig.samples
     if gains is not None and gains.shape != (*x.shape[:-1], len(ch.taps)):
         raise ValueError(f"gains of shape {gains.shape} do not match {len(ch.taps)} taps")
-    band = delay_band(ch, params, gains)
-    L, total = ch.L_max, x.shape[-1]
-    # delay l's weight on every sample, read at the sample's Doppler clock
-    clock = np.maximum(0, np.arange(sig.slot_len) - sig.cp_len)
-    weights = band[..., clock].reshape(*band.shape[:-2], total)
-    # the stream led by its L - 1 earlier samples (the frame's tail in
-    # cyclic mode, zeros before a prefixed stream); summing one delay at a
-    # time keeps each temporary the size of the stream stack
+    l, k, g = _tap_arrays(ch, gains)
+    S, L, total = params.dof, ch.L_max, x.shape[-1]
+    # the Doppler clock, held at the slot's first body sample in its prefix
+    q = np.maximum(0, np.arange(sig.slot_len) - sig.cp_len)
+    clock = (np.arange(params.N)[:, None] * params.M + q).reshape(-1)
+    # the stream led by the frame's tail (cyclic) or zeros (prefixed)
     lead = x[..., total - L + 1:] if mode == "cyclic" else np.zeros((*x.shape[:-1], L - 1))
     stream = np.concatenate([lead, x], axis=-1)
-    r = weights[..., 0, :] * x
-    for l in range(1, L):
-        r += weights[..., l, :] * stream[..., L - 1 - l : L - 1 - l + total]
+    r = np.zeros(x.shape, dtype=np.complex128)
+    # one delay d (that carries taps) at a time: no temporary outgrows the stream stack
+    for d in np.unique(l):
+        at = l == d
+        ramp = _doppler_ramps(0, k[at], g[..., at], (1, S))[..., 0, :]
+        r += np.take(ramp, (clock - d) % S, axis=-1) * stream[..., L - 1 - d : L - 1 - d + total]
 
     if noise_var > 0:
         noise = draw_noise(rng, noise_var, r.shape)
     if noise is not None:
         r = r + noise[0] + 1j * noise[1]
-    return TimeSignal(
-        samples=r, cp_len=sig.cp_len, sample_rate=sig.sample_rate, num_slots=sig.num_slots
-    )
+    return replace(sig, samples=r)
 
 
 # ---------------------------------------------------------------------------
@@ -228,21 +224,21 @@ def apply_channel(
 # ---------------------------------------------------------------------------
 
 
-def tf_channel(
-    ch: DDChannelSpec, params: FrameParams, gains: np.ndarray | None = None
-) -> np.ndarray:
+def tf_channel(ch: DDChannelSpec, params: FrameParams, gains: np.ndarray | None = None):
     """Per-cell time-frequency response H[m, n] (..., M, N).
 
     H[m, n] = sum_taps gain * exp(-2j*pi*(m*l/M - n*k/N)) * exp(-2j*pi*l*k/(M*N))
 
-    is the FFT over delay (length M) of each slot's weights D[l, n, 0] at
-    its first body sample in :func:`delay_band`.  ``gains`` (..., taps)
-    gives each frame its own gains at ``ch``'s tap positions, as there.
+    is the FFT over delay of :func:`delay_band`'s D[l, n, 0], the length-N
+    inverse DFT of delay l's twisted gains; ``gains`` (..., taps) as there.
     Under the ideal-pulse approximation each grid cell sees the scalar
     gain H[m, n]; a delay-only channel is constant across slots and a
     Doppler-only channel constant across subcarriers.
     """
-    return np.fft.fft(delay_band(ch, params, gains)[..., 0], n=params.M, axis=-2)
+    check_taps(ch, params)
+    l, k, g = _tap_arrays(ch, gains)
+    twisted = g * np.exp(-2j * np.pi * l * k / params.dof)
+    return np.fft.fft(_doppler_ramps(l, k, twisted, (params.M, params.N)), axis=-2)
 
 
 def twisted_gains(ch: DDChannelSpec, params: FrameParams) -> tuple:
@@ -319,6 +315,21 @@ def check_blocks(ch: DDChannelSpec, params: FrameParams, mode: str) -> None:
         )
 
 
+def _tap_arrays(ch: DDChannelSpec, gains: np.ndarray | None = None) -> tuple:
+    """Arrays of the taps' delay bins, Doppler bins and gains (or ``gains``, (..., taps))."""
+    l, k, g = (np.array(v) for v in zip(*ch.taps))
+    if gains is not None and gains.shape[-1:] != g.shape:
+        raise ValueError(f"gains of shape {gains.shape} do not match {g.size} taps")
+    return l, k, g if gains is None else gains
+
+
+def _doppler_ramps(rows, k, g, shape) -> np.ndarray:
+    """Row r of (..., R, n): the sum of g * exp(2j*pi*k*s/n) over taps in row r, by one IFFT."""
+    spectra = np.zeros((*g.shape[:-1], *shape), dtype=np.complex128)
+    np.add.at(spectra, (..., rows, k % shape[-1]), g)
+    return np.fft.ifft(spectra, axis=-1, norm="forward")
+
+
 def delay_band(ch: DDChannelSpec, params: FrameParams, gains: np.ndarray | None = None):
     """The time-domain channel by its delay diagonals: (..., L_max, N, M).
 
@@ -329,16 +340,10 @@ def delay_band(ch: DDChannelSpec, params: FrameParams, gains: np.ndarray | None 
     gains at ``ch``'s tap positions, as in :func:`apply_channel`.
     """
     check_taps(ch, params)
-    l, k, g = (np.array(v) for v in zip(*ch.taps))
-    if gains is not None and gains.shape[-1:] != g.shape:
-        raise ValueError(f"gains of shape {gains.shape} do not match {g.size} taps")
-    g = g if gains is None else gains
+    l, k, g = _tap_arrays(ch, gains)
     S, delays = params.dof, np.arange(ch.L_max)[:, None]
-    # each delay's Doppler spectrum; one unscaled inverse FFT gives its
-    # ramp sum_k g * w^(k*s), read at s - l: O(L_max * S) per frame
-    spectra = np.zeros((*g.shape[:-1], ch.L_max, S), dtype=np.complex128)
-    np.add.at(spectra, (..., l, k % S), g)
-    band = np.fft.ifft(spectra, axis=-1, norm="forward")[..., delays, (np.arange(S) - delays) % S]
+    # each delay's ramp sum_k g * w^(k*s), read at s - l: O(L_max * S) per frame
+    band = _doppler_ramps(l, k, g, (ch.L_max, S))[..., delays, (np.arange(S) - delays) % S]
     return band.reshape(*g.shape[:-1], ch.L_max, params.N, params.M)
 
 

@@ -24,11 +24,9 @@ precoding, synthesis, channel, detection from the received body samples,
 slicing and counting) then runs once per chunk on the stack.  Each SNR
 point runs one link bound to its noise variance: a fixed channel's
 detector and water-filled user amplitudes are built once for the point.
-A random chunk's draws share tap positions, so its channel is one tap
-set with a (T, taps) gain stack: the channel, a unitary map's LMMSE, the
-one-tap responses and the water-filled amplitudes (frame by frame) each
-take one call per chunk; ML and Gaussian spreading build one detector
-per draw.
+A random chunk is one tap set with a (T, taps) gain stack: its channel,
+a unitary map's LMMSE, one-tap responses and water-filled amplitudes take
+one call each; ML and Gaussian spreading build one detector per draw.
 
 Scenario files are strict JSON: every key is validated and unknown keys
 are rejected with an error naming the offending key.
@@ -455,10 +453,9 @@ class _Link:
     def draw(self, streams: _TrialStreams, start: int, stop: int):
         """Every draw of trials [start, stop), trial by trial in the contract's order.
 
-        Returns ``(ch, gains, bits, noise)``: the channel (the last draw),
-        the draws' (T, taps) gains at its tap positions (None for a fixed
-        channel), the (T, n_bits) bits and the noise pair of (T, samples)
-        arrays (None at zero noise variance).
+        Returns ``(ch, gains, bits, noise)``: the (last drawn) channel, the draws' (T, taps)
+        gains at its tap positions (None for a fixed channel), the (T, n_bits) bits and
+        the noise pair of (T, samples) arrays (None at zero noise variance).
         """
         T = stop - start
         ch, gains = self.fixed, []
@@ -479,8 +476,7 @@ class _Link:
     def amplitudes(self, ch: DDChannelSpec, gains: np.ndarray | None = None):
         """Water-filled user amplitudes of a budgeted downlink: (frames, K), or None.
 
-        One frame per row of the (T, taps) ``gains``, from one ``tf_channel``
-        call; each is averaged alone, as a mean over a stack rounds differently.
+        One ``tf_channel`` call; each frame is averaged alone (a stacked mean rounds differently).
         """
         mu = self.sc.multiuser
         if mu is None or mu.power_budget is None:
@@ -546,10 +542,9 @@ class _Link:
 
         ``gains`` (T, taps) gives frame t ``ch``'s taps with gains[t].  A
         unitary map's LMMSE equalises the blocks (slots, or the ``cyclic``
-        frame) of all frames at once on the delay band, and the one-tap
-        detector reads all frames' responses from one ``tf_channel`` call.
-        ML and Gaussian spreading read each frame's grid through the slot
-        operators T as T U, one detector per draw.
+        frame) of all frames at once on the delay band, one-tap reads one
+        ``tf_channel`` call; ML and Gaussian spreading read each frame's
+        grid through the slot operators T as T U, one detector per draw.
         """
         sc, params, noise_var = self.sc, self.params, self.noise_var
         if self.banded:

@@ -763,6 +763,30 @@ class TestBandLMMSE:
         assert peak < 10 * band_bytes
 
 
+@pytest.mark.parametrize("channel", [
+    {"taps": [
+        {"delay_bin": 0, "doppler_bin": 0, "re": 1.0, "im": 0.0},
+        {"delay_bin": 511, "doppler_bin": 3, "re": 0.5, "im": 0.0},
+    ]},
+    {"random": {"L_max": 512, "V_max": 2}},
+])
+def test_channel_memory_is_linear_in_the_frame(channel):
+    # a 512 x 64 cyclic one-tap link with a delay of M - 1: a (delays,
+    # M*N) table of the channel would hold 512 frames, while applying the
+    # channel and reading its response hold a few frames at a time
+    import tracemalloc
+
+    sc = scenario_from_dict(base_dict(frame={"M": 512, "N": 64}, channel=channel, trials=2))
+    frame_bytes = 512 * 64 * 16
+    tracemalloc.start()
+    try:
+        run_trial_range(sc, 0, 0, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * frame_bytes
+
+
 class TestOutput:
     def test_csv_frozen_format(self):
         r = LinkResult(
