@@ -17,7 +17,6 @@ from .channel import (
     slot_operators,
     tf_channel,
     tf_channel_factored,
-    twisted_gains,
     windowed_dd_channel,
 )
 from .equalizer import ml_detect, mmse_dd, mmse_filter, one_tap_tf
@@ -27,9 +26,6 @@ from .frame import (
     MappingMatrix,
     TimeSignal,
     UserAllocation,
-    apply_map,
-    custom_map,
-    extract_map,
     interleaved_allocation,
     interleaved_map,
     localized_allocation,

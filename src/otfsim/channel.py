@@ -25,6 +25,9 @@ Both modes implement, on body samples,
 with s the body-sample index.  :func:`delay_band` holds this channel as its
 L_max delay diagonals; :func:`apply_channel` builds them one delay at a time
 and :func:`tf_channel` their first column, each with a gain set per frame.
+:func:`band_blocks` scatters them into the dense time-domain blocks, which
+:func:`slot_operators` sees through the per-slot DFT (the OFDM/OSTF view)
+and :func:`dd_domain_operator` through the Doppler DFT (the OTFS view).
 """
 
 from __future__ import annotations
@@ -241,23 +244,11 @@ def tf_channel(ch: DDChannelSpec, params: FrameParams, gains: np.ndarray | None 
     return np.fft.fft(_doppler_ramps(l, k, twisted, (params.M, params.N)), axis=-2)
 
 
-def twisted_gains(ch: DDChannelSpec, params: FrameParams) -> tuple:
-    """Taps with the delay-Doppler cross phase folded in.
-
-    Returns ``(l, k, gain * exp(-2j*pi*l*k/(M*N)))`` per tap — the form in
-    which the response factors through plain DFT matrices.
-    """
-    check_taps(ch, params)
-    return tuple(
-        ChannelTap(l, k, g * np.exp(-2j * np.pi * l * k / params.dof))
-        for l, k, g in ch.taps
-    )
-
-
 def tf_channel_factored(ch: DDChannelSpec, params: FrameParams) -> np.ndarray:
     """Time-frequency response built as sqrt(M*N) * F_M @ G @ F_N^H.
 
-    G is the sparse M x N grid of twisted gains placed via identity-column
+    G is the sparse M x N grid of twisted gains, gain * exp(-2j*pi*l*k/(M*N))
+    with the delay-Doppler cross phase folded in, placed via identity-column
     embeddings at (delay bin, doppler bin mod N).  Requires M >= L_max and
     N >= V_max so the distinct taps occupy distinct grid cells.
     """
@@ -266,12 +257,12 @@ def tf_channel_factored(ch: DDChannelSpec, params: FrameParams) -> np.ndarray:
         raise ValueError(f"M={params.M} < delay spread {ch.L_max}")
     if params.N < ch.V_max:
         raise ValueError(f"N={params.N} < Doppler spread {ch.V_max}")
-    tw = twisted_gains(ch, params)
-    delays = sorted({t.delay_bin for t in tw})
-    rows = sorted({t.doppler_bin % params.N for t in tw})
+    delays = sorted({t.delay_bin for t in ch.taps})
+    rows = sorted({t.doppler_bin % params.N for t in ch.taps})
     small = np.zeros((len(delays), len(rows)), dtype=np.complex128)
-    for l, k, g in tw:
-        small[delays.index(l), rows.index(k % params.N)] += g
+    for l, k, g in ch.taps:
+        twisted = g * np.exp(-2j * np.pi * l * k / params.dof)
+        small[delays.index(l), rows.index(k % params.N)] += twisted
     P_delay = MappingMatrix(params.M, tuple(delays)).dense()
     P_doppler = MappingMatrix(params.N, tuple(rows)).dense()
     G = P_delay @ small @ P_doppler.T
@@ -305,8 +296,9 @@ def windowed_dd_channel(ch: DDChannelSpec, params: FrameParams) -> np.ndarray:
 def check_blocks(ch: DDChannelSpec, params: FrameParams, mode: str) -> None:
     """Refuse dense channel blocks above ``EFFECTIVE_GUARD**2`` entries, before allocation.
 
-    That is the ``cyclic`` M*N x M*N block, or the N ``per_slot_cp`` M x M
-    blocks together with the tap matrices they are built from.
+    That is the ``cyclic`` M*N x M*N block, or in ``per_slot_cp`` mode the
+    N M x M blocks; the bound counts one more M x M block per tap, wider
+    than the build needs.
     """
     size = params.dof**2 if mode == "cyclic" else (len(ch.taps) + params.N) * params.M**2
     if size > EFFECTIVE_GUARD**2:
@@ -347,22 +339,33 @@ def delay_band(ch: DDChannelSpec, params: FrameParams, gains: np.ndarray | None 
     return band.reshape(*g.shape[:-1], ch.L_max, params.N, params.M)
 
 
-def _cyclic_time_operator(ch: DDChannelSpec, params: FrameParams) -> np.ndarray:
-    """The ``cyclic``-mode channel on the M*N body samples: r = H @ x.
+def band_blocks(band: np.ndarray) -> np.ndarray:
+    """Dense blocks of a band (..., L, blocks, B): A[b, p, (p - l) mod B] = band[l, b, p].
 
-    H = sum_taps gain * Pi_l @ diag(w^(k*s)), with Pi_l the cyclic delay by
-    l and each tap's signed Doppler bin k.  Refused above
-    ``EFFECTIVE_GUARD`` points before it is allocated.
+    Row p of block b takes delay l's weight at column p - l, wrapping round
+    the block; :func:`delay_band` reshaped to N slots or one frame gives the
+    time-domain channel of either mode.
     """
-    check_taps(ch, params)
-    check_blocks(ch, params, "cyclic")
-    S = params.dof
-    s = np.arange(S)
-    H = np.zeros((S, S), dtype=np.complex128)
-    for l, k, g in ch.taps:
-        src = (s - l) % S
-        H[s, src] += g * np.exp(2j * np.pi * k * src / S)
-    return H
+    L, blocks, B = band.shape[-3:]
+    A = np.zeros((*band.shape[:-3], blocks, B, B), dtype=np.complex128)
+    p = np.arange(B)
+    for l in range(L):
+        A[..., p, (p - l) % B] += band[..., l, :, :]
+    return A
+
+
+def _time_blocks(ch: DDChannelSpec, params: FrameParams, mode: str) -> np.ndarray:
+    """The time-domain channel of ``mode`` as (blocks, slots, M, slots, M), refused above the guard.
+
+    One block of N slots in ``cyclic`` mode, N blocks of one slot in ``per_slot_cp``.
+    """
+    if mode not in ("cyclic", "per_slot_cp"):
+        raise ConfigError(f"unknown channel mode {mode!r}")
+    check_blocks(ch, params, mode)
+    blocks = 1 if mode == "cyclic" else params.N
+    band = delay_band(ch, params).reshape(ch.L_max, blocks, -1)
+    n, M = params.N // blocks, params.M
+    return band_blocks(band).reshape(blocks, n, M, n, M)
 
 
 def dd_domain_operator(ch: DDChannelSpec, params: FrameParams) -> np.ndarray:
@@ -375,64 +378,30 @@ def dd_domain_operator(ch: DDChannelSpec, params: FrameParams) -> np.ndarray:
 
         (F_N kron I_M) @ H @ (F_N^H kron I_M)
 
-    with H the time-domain channel of :func:`_cyclic_time_operator`.  Each
-    tap keeps its signed Doppler bin, so bins -N/2 and +N/2 (distinct
-    phase ramps over the block) stay distinct.  The result is M*N x M*N,
-    vectorized row-major over (doppler, delay) as :func:`effective_matrix`
-    is, and refused above ``EFFECTIVE_GUARD`` points.
+    with H the ``cyclic`` time-domain channel, :func:`band_blocks` of the
+    frame's :func:`delay_band`.  Each tap keeps its signed Doppler bin, so
+    bins -N/2 and +N/2 (distinct phase ramps over the block) stay distinct.
+    The result is M*N x M*N, vectorized row-major over (doppler, delay) as
+    :func:`effective_matrix` is, and refused above ``EFFECTIVE_GUARD`` points.
     """
-    M, N = params.M, params.N
-    H = _cyclic_time_operator(ch, params).reshape(N, M, N, M)
-    H = np.fft.fft(H, axis=0, norm="ortho")
+    H = np.fft.fft(_time_blocks(ch, params, "cyclic")[0], axis=0, norm="ortho")
     return np.fft.ifft(H, axis=2, norm="ortho").reshape(params.dof, params.dof)
 
 
 def slot_operators(ch: DDChannelSpec, params: FrameParams, mode: str = "per_slot_cp") -> np.ndarray:
     """Channel blocks on the slot-major time-frequency grid ``Y.T.reshape(-1)``.
 
-    In ``per_slot_cp`` mode every delay stays inside the prefix, so slot
-    n's receive column is Y[:, n] = B_n @ X[:, n]; the result is the
-    (N, M, M) stack
-
-        B_n = sum_taps gain * w^(k*(n*M - l)) * C_k @ diag(exp(-2j*pi*m*l/M))
-
-    with w = exp(2j*pi/(M*N)).  C_k = F_M diag(w^(k*p)) F_M^H is the
-    circulant carrying the in-slot Doppler ramp; its first column is
-    fft(w^(k*p)) / M, so it costs one FFT per distinct Doppler bin.  The
-    delay phase is the circular shift by l seen on the subcarriers.
-
-    Tap matrices and stack together are refused above ``EFFECTIVE_GUARD**2``
-    entries, the largest ``cyclic`` block, before they are allocated.
-
-    In ``cyclic`` mode delays wrap round the block and couple the slots:
-    the result is one (1, M*N, M*N) block, the time-domain channel
-    sum_taps gain * Pi_l @ diag(w^(k*s)) seen through the per-slot DFT.
-    It is refused above ``EFFECTIVE_GUARD`` points before it is allocated.
+    The time-domain channel, :func:`band_blocks` of :func:`delay_band`, seen
+    through the per-slot DFT: F_M on each slot of the output, F_M^H on each
+    slot of the input.  In ``per_slot_cp`` mode every delay stays inside the
+    prefix, so slot n's receive column is Y[:, n] = B_n @ X[:, n] and the
+    result is the (N, M, M) stack of B_n.  In ``cyclic`` mode delays wrap
+    round the block and couple the slots: the result is one (1, M*N, M*N)
+    block.  Either is refused by :func:`check_blocks` before it is allocated.
     """
-    check_taps(ch, params)
-    M, N = params.M, params.N
-    S = params.dof
-    if mode == "cyclic":
-        H = _cyclic_time_operator(ch, params).reshape(N, M, N, M)
-        H = np.fft.fft(H, axis=1, norm="ortho")
-        return np.fft.ifft(H, axis=3, norm="ortho").reshape(1, S, S)
-    if mode != "per_slot_cp":
-        raise ConfigError(f"unknown channel mode {mode!r}")
-    check_blocks(ch, params, mode)
-    l = np.array([t.delay_bin for t in ch.taps])
-    k = np.array([t.doppler_bin for t in ch.taps])
-    g = np.array([t.gain for t in ch.taps])
-    dopplers, k_idx = np.unique(k, return_inverse=True)
-    p = np.arange(M)
-    ramps = np.exp(2j * np.pi * dopplers[:, None] * p[None, :] / S)
-    first_cols = np.fft.fft(ramps, axis=1) / M
-    circulants = first_cols[:, (p[:, None] - p[None, :]) % M]  # (Doppler bins, M, M)
-    delay_phase = np.exp(-2j * np.pi * np.outer(l, p) / M)  # (taps, M)
-    tap_mats = circulants[k_idx] * delay_phase[:, None, :]  # (taps, M, M)
-    slot_gain = g[:, None] * np.exp(
-        2j * np.pi * k[:, None] * (np.arange(N)[None, :] * M - l[:, None]) / S
-    )  # (taps, N)
-    return (slot_gain.T @ tap_mats.reshape(len(g), M * M)).reshape(N, M, M)
+    H = np.fft.fft(_time_blocks(ch, params, mode), axis=2, norm="ortho")
+    H = np.fft.ifft(H, axis=4, norm="ortho")
+    return H.reshape(len(H), H.shape[1] * params.M, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -126,8 +126,8 @@ class MappingMatrix:
 
     Stored as the tuple of selected indices; ``dense()`` materialises the
     (ambient x size) 0/1 matrix for algebraic checks.  Applying the map
-    embeds a small vector into the ambient space; ``extract`` is the
-    transpose (a selection).
+    embeds a small vector into the ambient space; its transpose selects
+    the mapped entries back out.
     """
 
     ambient: int
@@ -177,28 +177,6 @@ def interleaved_map(ambient: int, block: int, user: int) -> MappingMatrix:
         raise AllocationError(f"user {user} out of range for {num_users} users")
     sel = tuple(user + i * num_users for i in range(block))
     return MappingMatrix(ambient, sel, kind="interleaved")
-
-
-def custom_map(ambient: int, indices) -> MappingMatrix:
-    return MappingMatrix(ambient, tuple(indices), kind="custom")
-
-
-def apply_map(mapping: MappingMatrix, v: np.ndarray) -> np.ndarray:
-    """Embed ``v`` (length mapping.size) into the ambient space."""
-    v = np.asarray(v)
-    if v.shape != (mapping.size,):
-        raise ValueError(f"expected vector of length {mapping.size}, got shape {v.shape}")
-    out = np.zeros(mapping.ambient, dtype=np.result_type(v.dtype, np.complex128))
-    out[list(mapping.selected)] = v
-    return out
-
-
-def extract_map(mapping: MappingMatrix, v: np.ndarray) -> np.ndarray:
-    """Select the mapped entries back out of an ambient-space vector."""
-    v = np.asarray(v)
-    if v.shape != (mapping.ambient,):
-        raise ValueError(f"expected vector of length {mapping.ambient}, got shape {v.shape}")
-    return v[list(mapping.selected)]
 
 
 @lru_cache(maxsize=1024)

@@ -49,10 +49,6 @@ def vec_tf(x_tf: np.ndarray) -> np.ndarray:
     return np.asarray(x_tf).reshape(-1, order="F")
 
 
-def unvec_tf(v: np.ndarray, M: int, N: int) -> np.ndarray:
-    return np.asarray(v).reshape(M, N, order="F")
-
-
 def vec_dd(x_dd: np.ndarray) -> np.ndarray:
     """Row-major vectorisation of an (N, M) delay-Doppler grid."""
     return np.asarray(x_dd).reshape(-1)

@@ -567,8 +567,8 @@ class _Link:
             at = [(t.delay_bin, t.doppler_bin) for t in ch.taps]
             each = [self.detector(DDChannelSpec([(*p, g) for p, g in zip(at, gs)])) for gs in gains]
             return lambda body: np.stack([d(b) for d, b in zip(each, body)])
+        U = self._map_matrix  # refused by its guard before the channel blocks are built
         T = slot_operators(ch, params, sc.channel_mode)
-        U = self._map_matrix
         A = (T @ U.reshape(len(T), T.shape[-1], -1)).reshape(params.dof, -1)
 
         def slot_major(body):

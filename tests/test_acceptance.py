@@ -234,7 +234,7 @@ def test_criterion_07_papr_bounds():
     fmap = localized_map(M, M, 0)
     worst_one = 0.0
     for slot in range(N):
-        tmap = ot.custom_map(N, (slot,))
+        tmap = ot.MappingMatrix(N, (slot,))
         bits = rng.integers(0, 2, size=2 * M)
         x = map_bits(bits, qpsk).reshape(1, M)
         sig = heisenberg(uplink_map_tf(x, fmap, tmap), params)

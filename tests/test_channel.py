@@ -1,11 +1,13 @@
 """Channel application, analytic views and operator-level oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import otfsim as ot
-from otfsim.channel import COUPLING_GUARD, EFFECTIVE_GUARD, chain_matrix
+from otfsim.channel import COUPLING_GUARD, EFFECTIVE_GUARD, band_blocks, chain_matrix, delay_band
 from otfsim.errors import ConfigError, GuardError
 
 
@@ -259,12 +261,6 @@ class TestTFChannel:
             atol=1e-12,
         )
 
-    def test_twisted_gains(self):
-        params = ot.make_frame(8, 4)
-        ch = ot.DDChannelSpec(taps=((2, 1, 1.0 + 1.0j),))
-        (tw,) = ot.twisted_gains(ch, params)
-        assert tw.gain == pytest.approx((1 + 1j) * np.exp(-2j * np.pi * 2 / 32))
-
     def test_factored_equals_direct(self):
         rng = np.random.default_rng(16)
         for M, N in [(8, 4), (16, 8), (4, 4)]:
@@ -508,6 +504,21 @@ class TestSlotOperators:
         assert T.shape == (1, M * N, M * N)
         assert np.abs(T[0] - probed).max() < 1e-10
 
+    @pytest.mark.parametrize("mode,M,N,L", [
+        ("per_slot_cp", 128, 64, 3), ("per_slot_cp", 512, 1, 9), ("cyclic", 32, 32, 3),
+    ])
+    def test_peak_memory_is_twice_the_output(self, mode, M, N, L):
+        # the blocks and one transform of them, whatever the tap count
+        params = ot.make_frame(M, N)
+        ch = ot.random_channel(L, min(2, N // 2 + 1), np.random.default_rng(46))
+        tracemalloc.start()
+        try:
+            B = ot.slot_operators(ch, params, mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * B.nbytes + 2**20
+
     def test_cyclic_guard_and_unknown_mode(self):
         ch = ot.DDChannelSpec(taps=((0, 0, 1.0),))
         with pytest.raises(GuardError):
@@ -516,43 +527,46 @@ class TestSlotOperators:
             ot.slot_operators(ch, ot.make_frame(8, 4), "linear")
 
 
-def band_blocks(band):
-    """Dense blocks of a band (..., L, blocks, B): A[p, (p - l) mod B] = band[l, b, p]."""
-    L, blocks, B = band.shape[-3:]
-    A = np.zeros((*band.shape[:-3], blocks, B, B), dtype=complex)
-    p = np.arange(B)
-    for l in range(L):
-        A[..., p, (p - l) % B] += band[..., l, :, :]
-    return A
+def probed_time_channel(ch, params, mode, cp):
+    """The channel on the M*N body samples, probed through ``apply_channel``.
+
+    Each slot of the probe takes the last ``cp`` of its samples as prefix,
+    and the receiver strips them.
+    """
+    def tx(v):
+        slots = v.reshape(params.N, params.M)
+        samples = np.concatenate([slots[:, params.M - cp:], slots], axis=1).reshape(-1)
+        return ot.TimeSignal(samples, cp, params.bandwidth, params.N)
+
+    return chain_matrix(tx, lambda sig: ot.apply_channel(sig, ch, params, mode=mode).body, params.dof)
 
 
 class TestDelayBand:
     @pytest.mark.parametrize("M,N,cp", [(8, 4, 3), (7, 4, 2), (9, 1, 2), (5, 6, 4), (16, 8, 2)])
-    def test_per_slot_band_is_the_slot_operator_in_time(self, M, N, cp):
-        # the largest delay at the prefix, Doppler bins -N/2 to +N/2
-        from otfsim.channel import delay_band
-
+    def test_per_slot_blocks_are_the_probed_channel(self, M, N, cp):
+        # the largest delay at the prefix, Doppler bins -N/2 to +N/2: the
+        # channel acts slot by slot on the body samples
         params = ot.make_frame(M, N)
         ch = ot.random_channel(cp + 1, N // 2 + 1, np.random.default_rng(43))
-        F = ot.dft_matrix(M)
-        want = F.conj().T @ ot.slot_operators(ch, params) @ F
         band = delay_band(ch, params)
         assert band.shape == (cp + 1, N, M)
-        assert np.abs(band_blocks(band) - want).max() < 1e-12
+        A = band_blocks(band)
+        assert A.shape == (N, M, M)
+        probed = probed_time_channel(ch, params, "per_slot_cp", cp)
+        want = np.zeros_like(probed)
+        for n in range(N):
+            want[n * M:(n + 1) * M, n * M:(n + 1) * M] = A[n]
+        assert np.abs(probed - want).max() < 1e-12
 
     @pytest.mark.parametrize("M,N,L", [(8, 4, 3), (7, 4, 7), (5, 1, 3), (6, 3, 2), (4, 8, 4)])
-    def test_cyclic_band_is_the_frame_operator(self, M, N, L):
-        from otfsim.channel import _cyclic_time_operator, delay_band
-
+    def test_cyclic_block_is_the_probed_channel(self, M, N, L):
         params = ot.make_frame(M, N)
         ch = ot.random_channel(L, N // 2 + 1, np.random.default_rng(44))
-        band = delay_band(ch, params).reshape(L, 1, M * N)
-        want = _cyclic_time_operator(ch, params)
-        assert np.abs(band_blocks(band)[0] - want).max() < 1e-12
+        A = band_blocks(delay_band(ch, params).reshape(L, 1, M * N))
+        probed = probed_time_channel(ch, params, "cyclic", 0)
+        assert np.abs(A[0] - probed).max() < 1e-12
 
     def test_gain_stack_is_one_band_per_frame(self):
-        from otfsim.channel import delay_band
-
         params = ot.make_frame(8, 4)
         rng = np.random.default_rng(45)
         ch = ot.random_channel(3, 3, rng)

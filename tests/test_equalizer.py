@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import otfsim as ot
+from otfsim.channel import band_blocks
 from otfsim.equalizer import (
     ML_GUARD_BITS,
     band_filter,
@@ -217,16 +218,6 @@ class TestMLDetect:
 
 def random_band(rng, shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
-
-
-def band_blocks(band):
-    """Dense blocks of a band (..., L, blocks, B): A[p, (p - l) mod B] = band[l, b, p]."""
-    L, blocks, B = band.shape[-3:]
-    A = np.zeros((*band.shape[:-3], blocks, B, B), dtype=complex)
-    p = np.arange(B)
-    for l in range(L):
-        A[..., p, (p - l) % B] += band[..., l, :, :]
-    return A
 
 
 class TestBandLMMSE:

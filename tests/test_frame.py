@@ -66,21 +66,11 @@ class TestMappingMatrix:
         # P P^T is the 0/1 indicator of the selected rows
         assert_allclose(np.diag(P @ P.T), [1.0 if i in m.selected else 0.0 for i in range(12)])
 
-    def test_apply_extract_roundtrip(self):
-        rng = np.random.default_rng(0)
-        m = ot.interleaved_map(8, 4, 1)
-        v = rng.normal(size=4) + 1j * rng.normal(size=4)
-        up = ot.apply_map(m, v)
-        assert up.shape == (8,)
-        assert_allclose(ot.extract_map(m, up), v)
-        # embedding matches the dense matrix product
-        assert_allclose(up, m.dense() @ v)
-
     def test_invalid_maps(self):
         with pytest.raises(AllocationError):
-            ot.custom_map(4, [1, 1])
+            ot.MappingMatrix(4, (1, 1))
         with pytest.raises(AllocationError):
-            ot.custom_map(4, [4])
+            ot.MappingMatrix(4, (4,))
         with pytest.raises(AllocationError):
             ot.localized_map(10, 3, 0)  # 3 does not tile 10
         with pytest.raises(AllocationError):
@@ -115,7 +105,7 @@ class TestUserAllocation:
     def test_overlap_names_the_first_repeated_resource(self):
         # cells are scanned user by user in block order: (2, 1), (1, 1),
         # (2, 0), then (1, 0), the first cell user 0 already holds
-        u0 = (ot.custom_map(4, (0, 1)), ot.custom_map(2, (0,)))
-        u1 = (ot.custom_map(4, (2, 1)), ot.custom_map(2, (1, 0)))
+        u0 = (ot.MappingMatrix(4, (0, 1)), ot.MappingMatrix(2, (0,)))
+        u1 = (ot.MappingMatrix(4, (2, 1)), ot.MappingMatrix(2, (1, 0)))
         with pytest.raises(AllocationError, match=r"resource \(1, 0\) allocated twice"):
             ot.UserAllocation(K_d=2, K_D=1, users=(u0, u1))

@@ -16,7 +16,6 @@ from otfsim.multiuser import (
     downlink_superpose,
     kron_spreader,
     tf_spread,
-    unvec_tf,
     uplink_map_dd,
     uplink_map_tf,
     vec_dd,
@@ -45,7 +44,6 @@ class TestVecConventions:
     def test_vec_tf_column_major(self):
         x = np.arange(6).reshape(2, 3)
         assert vec_tf(x).tolist() == [0, 3, 1, 4, 2, 5]
-        assert np.array_equal(unvec_tf(vec_tf(x), 2, 3), x)
 
     def test_vec_dd_row_major(self):
         x = np.arange(6).reshape(2, 3)
@@ -264,7 +262,7 @@ class TestDownlink:
     def test_tf_alloc_overlap_names_the_first_repeated_resource(self):
         # the third user's cells, in block order: (5, 0), then (2, 0),
         # which user 0 holds
-        third = (ot.custom_map(M, [5, 2, 3, 6]), localized_map(N, 2, 0))
+        third = (ot.MappingMatrix(M, (5, 2, 3, 6)), localized_map(N, 2, 0))
         blocks = self.blocks + [rand_block(self.rng, 2, 4)]
         with pytest.raises(AllocationError, match=r"resource \(2, 0\) allocated twice"):
             downlink_superpose(blocks, self.users + [third], mode="tf_alloc")
@@ -298,8 +296,8 @@ class TestDownlink:
         # an 8 x 4 and a 4 x 8 frame: cells t * M + f would mean other
         # resources on each, so no grid is built for the pair
         users = [
-            (ot.custom_map(8, [0, 1]), ot.custom_map(4, [0, 1])),
-            (ot.custom_map(4, [2, 3]), ot.custom_map(8, [2, 3])),
+            (ot.MappingMatrix(8, (0, 1)), ot.MappingMatrix(4, (0, 1))),
+            (ot.MappingMatrix(4, (2, 3)), ot.MappingMatrix(8, (2, 3))),
         ]
         blocks = [rand_block(self.rng, 2, 2) for _ in users]
         for mode in ("dd_mapped", "tf_alloc"):
@@ -470,7 +468,7 @@ class TestUplinkEnvelope:
         rng = np.random.default_rng(420)
         fmap = localized_map(M, M, 0)
         for slot in range(N):
-            tmap = ot.custom_map(N, (slot,))
+            tmap = ot.MappingMatrix(N, (slot,))
             x = np.exp(2j * np.pi * rng.integers(0, 4, size=(1, M)) / 4) / np.sqrt(M)
             grid = uplink_map_tf(x, fmap, tmap)
             s = self.active_body(grid, params, tmap)
@@ -503,7 +501,7 @@ class TestUplinkEnvelope:
             x = np.exp(2j * np.pi * rng.integers(0, 4, size=(2, M)) / 4) / np.sqrt(M)
             s = self.active_body(tf_spread(x, dft_pair), params, tmap)
             acc_dft += ot.papr_samples(s)
-            grid = unvec_tf(gauss @ vec_dd(x), M, N)
+            grid = (gauss @ vec_dd(x)).reshape(N, M).T
             sig = ot.heisenberg(grid, params)
             acc_gauss += ot.papr_samples(sig.body)
         assert acc_dft / trials < acc_gauss / trials
