@@ -293,14 +293,13 @@ def windowed_dd_channel(ch: DDChannelSpec, params: FrameParams) -> np.ndarray:
     return out
 
 
-def check_blocks(ch: DDChannelSpec, params: FrameParams, mode: str) -> None:
+def check_blocks(params: FrameParams, mode: str) -> None:
     """Refuse dense channel blocks above ``EFFECTIVE_GUARD**2`` entries, before allocation.
 
     That is the ``cyclic`` M*N x M*N block, or in ``per_slot_cp`` mode the
-    N M x M blocks; the bound counts one more M x M block per tap, wider
-    than the build needs.
+    N M x M slot blocks: N * M**2 entries.
     """
-    size = params.dof**2 if mode == "cyclic" else (len(ch.taps) + params.N) * params.M**2
+    size = params.dof**2 if mode == "cyclic" else params.N * params.M**2
     if size > EFFECTIVE_GUARD**2:
         raise GuardError(
             f"{mode} channel blocks of {size} entries exceed guard {EFFECTIVE_GUARD**2}"
@@ -361,7 +360,7 @@ def _time_blocks(ch: DDChannelSpec, params: FrameParams, mode: str) -> np.ndarra
     """
     if mode not in ("cyclic", "per_slot_cp"):
         raise ConfigError(f"unknown channel mode {mode!r}")
-    check_blocks(ch, params, mode)
+    check_blocks(params, mode)
     blocks = 1 if mode == "cyclic" else params.N
     band = delay_band(ch, params).reshape(ch.L_max, blocks, -1)
     n, M = params.N // blocks, params.M

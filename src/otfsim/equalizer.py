@@ -18,6 +18,12 @@ each time-domain block (a slot in ``per_slot_cp`` mode, the frame in
 then the per-slot DFT and the map's adjoint.  Gaussian spreading and ML
 read the grid through ``channel.slot_operators``; :func:`mmse_filter` of
 those blocks and :func:`mmse_dd` are the references tests compare to.
+
+:func:`mmse_dd`, :func:`mmse_filter` and :func:`band_filter` invert their
+Gram matrices by one rule (``_solve``): one solve for the whole stack,
+redone frame by frame if it raises or returns non-finite values, and the
+pseudo-inverse only for a frame whose own Gram is singular (possible only
+at zero noise).
 """
 
 from __future__ import annotations
@@ -54,17 +60,16 @@ def mmse_filter(h_eff: np.ndarray, noise_var: float) -> np.ndarray:
     """The LMMSE matrix W = H^H (H H^H + noise_var I)^-1 (precomputable).
 
     ``h_eff`` may be a stack (..., rows, cols) of operators; each gets its
-    own filter.  If any Gram matrix is singular the whole stack falls back
-    to the pseudo-inverse.
+    own filter.  The Gram inverses are solved against the identity, and
+    only an operator whose own Gram is singular takes the pseudo-inverse
+    (see :func:`band_filter`).
     """
     h_eff = np.asarray(h_eff, dtype=np.complex128)
     h_adj = h_eff.swapaxes(-1, -2).conj()
     gram = h_eff @ h_adj + noise_var * np.eye(h_eff.shape[-2])
-    try:
-        inv = np.linalg.inv(gram)
-    except np.linalg.LinAlgError:
-        inv = np.linalg.pinv(gram)
-    return h_adj @ inv
+    stack = gram.reshape(-1, *gram.shape[-2:])
+    inv = _solve(stack, np.broadcast_to(np.eye(gram.shape[-1]), stack.shape))
+    return h_adj @ inv.reshape(gram.shape)
 
 
 def band_gram(band: np.ndarray, noise_var: float) -> np.ndarray:
@@ -120,7 +125,7 @@ def band_filter(band: np.ndarray, noise_var: float):
 
 
 def _solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """gram^-1 rhs for a stack of frames, each (blocks, B, B) against (blocks, B, k)."""
+    """gram^-1 rhs for a stack of frames on axis 0: (T, ..., B, B) against (T, ..., B, k)."""
     try:
         z = np.linalg.solve(gram, rhs)
         if np.all(np.isfinite(z)):
@@ -132,17 +137,11 @@ def _solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.pinv(gram) @ rhs
 
 
-def mmse_dd(
-    y: np.ndarray,
-    h_eff: np.ndarray,
-    noise_var: float,
-    return_info: bool = False,
-):
+def mmse_dd(y: np.ndarray, h_eff: np.ndarray, noise_var: float) -> np.ndarray:
     """Linear MMSE estimate x_hat = H^H (H H^H + noise_var I)^-1 y.
 
     For unit-energy i.i.d. symbols.  A singular Gram matrix (possible only
-    at zero noise) falls back to the pseudo-inverse; ``return_info=True``
-    additionally returns ``{"used_pinv": bool}`` reporting that fallback.
+    at zero noise) takes the pseudo-inverse, as in :func:`band_filter`.
     """
     y = np.asarray(y, dtype=np.complex128).reshape(-1)
     h_eff = np.asarray(h_eff, dtype=np.complex128)
@@ -151,18 +150,7 @@ def mmse_dd(
     if noise_var < 0:
         raise ValueError(f"noise variance must be >= 0, got {noise_var}")
     gram = h_eff @ h_eff.conj().T + noise_var * np.eye(h_eff.shape[0])
-    used_pinv = False
-    try:
-        sol = np.linalg.solve(gram, y)
-        if not np.all(np.isfinite(sol)):
-            raise np.linalg.LinAlgError
-    except np.linalg.LinAlgError:
-        sol = np.linalg.pinv(gram) @ y
-        used_pinv = True
-    x_hat = h_eff.conj().T @ sol
-    if return_info:
-        return x_hat, {"used_pinv": used_pinv}
-    return x_hat
+    return h_eff.conj().T @ _solve(gram[None], y[None, :, None])[0, :, 0]
 
 
 def ml_detect(y: np.ndarray, h_eff: np.ndarray, constellation: Constellation) -> np.ndarray:
@@ -188,4 +176,4 @@ def ml_detect(y: np.ndarray, h_eff: np.ndarray, constellation: Constellation) ->
     resid = y[None, :, None] - h_eff[None, :, :] @ cands[:, :, None]
     cost = np.sum(np.abs(resid[:, :, 0]) ** 2, axis=1)
     best = int(np.argmin(cost))  # argmin keeps the first (lowest) index on ties
-    return cands[best]
+    return constellation.points[idx[best]]  # a copy, not a view of the candidate table

@@ -311,8 +311,13 @@ def water_fill(gains: np.ndarray, total_power: float, noise_var: float) -> np.nd
     """Water-filling power allocation over parallel subchannels.
 
     Maximises sum log(1 + g_i p_i / noise_var) subject to sum p_i = P:
-    p_i = max(0, mu - noise_var/g_i) with the level mu found by bisection
-    to |sum p_i - P| <= 1e-10.
+    p_i = max(0, mu - f_i) with floors f_i = noise_var / g_i.  The level is
+    exact, not searched: with the floors sorted ascending, the k active
+    subchannels are the prefixes whose level (P + sum of their floors) / j
+    lies above their last floor (at least one), and mu is P/k plus the mean
+    of the k lowest floors (Palomar & Fonollosa, IEEE TSP 53(2), 2005).
+    Each p_i is formed as P/k + (mean - f_i), so a budget far below the
+    floors still goes wholly to the strongest subchannel.
     """
     gains = np.asarray(gains, dtype=float)
     if gains.ndim != 1 or gains.size == 0:
@@ -321,28 +326,8 @@ def water_fill(gains: np.ndarray, total_power: float, noise_var: float) -> np.nd
         raise ValueError("gains must be positive")
     if total_power < 0 or noise_var <= 0:
         raise ValueError("need total_power >= 0 and noise_var > 0")
-    if total_power == 0:
-        return np.zeros_like(gains)
     floors = noise_var / gains
-
-    def allocated(mu):
-        return np.maximum(0.0, mu - floors)
-
-    lo, hi = floors.min(), floors.max() + total_power
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if allocated(mid).sum() > total_power:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo < 1e-14 * max(1.0, hi):
-            break
-    mu = 0.5 * (lo + hi)
-    p = allocated(mu)
-    excess = p.sum() - total_power
-    if abs(excess) > 1e-10:
-        # distribute the residual over the active set (exact closure)
-        active = p > 0
-        p[active] -= excess / active.sum()
-        p = np.maximum(p, 0.0)
-    return p
+    ranked = np.sort(floors)
+    levels = (total_power + np.cumsum(ranked)) / np.arange(1, ranked.size + 1)
+    k = max(1, int(np.count_nonzero(levels > ranked)))
+    return np.maximum(0.0, total_power / k + (ranked[:k].mean() - floors))

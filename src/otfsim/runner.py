@@ -548,7 +548,7 @@ class _Link:
         """
         sc, params, noise_var = self.sc, self.params, self.noise_var
         if self.banded:
-            check_blocks(ch, params, sc.channel_mode)
+            check_blocks(params, sc.channel_mode)
             blocks = 1 if sc.channel_mode == "cyclic" else params.N
             band = delay_band(ch, params, gains)
             equalize = band_filter(band.reshape(*band.shape[:-2], blocks, -1), noise_var)
@@ -563,7 +563,7 @@ class _Link:
             return lambda body: self.adjoint(
                 one_tap_tf(slot_dft(body, params).swapaxes(-1, -2), H, noise_var)
             )
-        if gains is not None:  # one detector per draw, each with its own inv/pinv fallback
+        if gains is not None:  # one detector per draw: a stacked filter is no faster and holds more
             at = [(t.delay_bin, t.doppler_bin) for t in ch.taps]
             each = [self.detector(DDChannelSpec([(*p, g) for p, g in zip(at, gs)])) for gs in gains]
             return lambda body: np.stack([d(b) for d, b in zip(each, body)])

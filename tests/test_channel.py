@@ -7,7 +7,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 import otfsim as ot
-from otfsim.channel import COUPLING_GUARD, EFFECTIVE_GUARD, band_blocks, chain_matrix, delay_band
+from otfsim.channel import (
+    COUPLING_GUARD, EFFECTIVE_GUARD, band_blocks, chain_matrix, check_blocks, delay_band,
+)
 from otfsim.errors import ConfigError, GuardError
 
 
@@ -518,6 +520,17 @@ class TestSlotOperators:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * B.nbytes + 2**20
+
+    def test_guard_counts_the_blocks_built(self):
+        # N * M**2 entries in per_slot_cp mode and (M*N)**2 in cyclic mode,
+        # whatever the taps: 512 x 64 slot blocks and the 64 x 64 cyclic
+        # block sit at the guard's 2**24 entries and pass
+        check_blocks(ot.make_frame(512, 64), "per_slot_cp")
+        check_blocks(ot.make_frame(64, 64), "cyclic")
+        for M, N, mode in [(512, 128, "per_slot_cp"), (65536, 16, "per_slot_cp"),
+                           (128, 64, "cyclic"), (512, 64, "cyclic")]:
+            with pytest.raises(GuardError):
+                check_blocks(ot.make_frame(M, N), mode)
 
     def test_cyclic_guard_and_unknown_mode(self):
         ch = ot.DDChannelSpec(taps=((0, 0, 1.0),))

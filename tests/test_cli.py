@@ -139,6 +139,19 @@ class TestSimulate:
         assert "guard" in captured.err and "Traceback" not in captured.err
         assert peak < 256 * 2**20
 
+    def test_water_fill_far_below_the_floors_runs(self, tmp_path, capsys):
+        # at -200 dB every user's floor is ~1e20 times the budget; the whole
+        # budget goes to the strongest user, where it once rounded away to
+        # an all-zero frame and an exit-1 PAPR error after the scenario parsed
+        golden = Path(__file__).parent / "golden" / "tf_alloc_onetap_water_fill.json"
+        d = json.loads(golden.read_text())
+        d["snr_db_list"] = [-200]
+        cfg = tmp_path / "sc.json"
+        cfg.write_text(json.dumps(d))
+        assert main(["simulate", "--config", str(cfg)]) == EXIT_OK
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 1 and rows[0].startswith("OTFS,-200,8,")
+
     def test_dense_downlink_guard_is_exit_3_before_probing(
         self, config_file, capsys, monkeypatch
     ):

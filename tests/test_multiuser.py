@@ -438,6 +438,23 @@ class TestWaterFill:
             q = rng.dirichlet(np.ones(6)) * P
             assert capacity(q) <= best + 1e-9
 
+    def test_budget_far_below_the_floors_goes_to_the_strongest(self):
+        p = water_fill(np.array([1.0, 0.5, 2.0]), 1e-6, 1e20)
+        assert np.array_equal(p, [0.0, 0.0, 1e-6])
+
+    def test_exact_over_wide_scales(self):
+        # the budget is spent to rounding and the active set shares one
+        # level, with gains, budget and noise each over 1e-12..1e12
+        rng = np.random.default_rng(420)
+        for _ in range(300):
+            gains = 10.0 ** rng.uniform(-12, 12, size=rng.integers(1, 9))
+            P, s2 = 10.0 ** rng.uniform(-12, 12, size=2)
+            p = water_fill(gains, P, s2)
+            assert np.all(p >= 0)
+            assert p.sum() == pytest.approx(P, rel=1e-12)
+            levels = (p + s2 / gains)[p > 0]
+            assert np.ptp(levels) <= 1e-12 * levels.max()
+
     def test_zero_power(self):
         assert_allclose(water_fill(np.array([1.0, 2.0]), 0.0, 1.0), [0.0, 0.0])
 
