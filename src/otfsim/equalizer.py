@@ -19,11 +19,9 @@ then the per-slot DFT and the map's adjoint.  Gaussian spreading and ML
 read the grid through ``channel.slot_operators``; :func:`mmse_filter` of
 those blocks and :func:`mmse_dd` are the references tests compare to.
 
-:func:`mmse_dd`, :func:`mmse_filter` and :func:`band_filter` invert their
-Gram matrices by one rule (``_solve``): one solve for the whole stack,
-redone frame by frame if it raises or returns non-finite values, and the
-pseudo-inverse only for a frame whose own Gram is singular (possible only
-at zero noise).
+:func:`band_filter`, :func:`mmse_filter` and :func:`mmse_dd` share one
+singular-Gram rule (``_solve``): only a frame whose own Gram fails takes
+the pseudo-inverse.
 """
 
 from __future__ import annotations
