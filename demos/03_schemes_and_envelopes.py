@@ -2,8 +2,8 @@
 
 One modulator covers all four schemes.  With a single slot the
 full-spread scheme becomes classic DFT-precoded single carrier, and the
-transposed-grid scheme becomes plain OFDM; skipping the lattice
-transform turns one scheme into the other.  The envelope statistics at
+transposed-grid scheme becomes plain OFDM; and the full-spread scheme
+is the transposed-grid scheme run on the ISFFT of its payload.  The envelope statistics at
 the bottom are the practical reason to care.
 """
 
@@ -42,9 +42,9 @@ c = modulate(SchemeConfig("OSTF", single), x[:, None]).samples
 d = modulate(SchemeConfig("OFDM", single), x).samples
 print(f"  transposed, one slot   vs OFDM:    max diff {np.abs(c - d).max():.2e}")
 g = rng.normal(size=(8, 16)) + 1j * rng.normal(size=(8, 16))
-e = modulate(SchemeConfig("OTFS", params, identity_isfft=True), g).samples
-f = modulate(SchemeConfig("OSTF", params), g.T).samples
-print(f"  lattice transform skipped vs transposed grid: max diff {np.abs(e - f).max():.2e}")
+e = modulate(SchemeConfig("OTFS", params), g).samples
+f = modulate(SchemeConfig("OSTF", params), ot.isfft(g)).samples
+print(f"  full-spread vs transposed grid after ISFFT: max diff {np.abs(e - f).max():.2e}")
 
 rule("envelope statistics (2000 QPSK blocks each)")
 qpsk = get_constellation("QPSK")

@@ -37,9 +37,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import modem
 from .errors import ConfigError, GuardError
 from .frame import FrameParams, MappingMatrix, TimeSignal
-from .transforms import dft_matrix, heisenberg, wigner
+from .transforms import dft_matrix
 
 #: refuse to build coupling tensors above this many grid points
 COUPLING_GUARD = 512
@@ -443,8 +444,6 @@ def effective_matrix(cfg, ch: DDChannelSpec, mode: str = "cyclic") -> np.ndarray
     ``cfg`` is a :class:`~otfsim.modem.SchemeConfig`; :func:`chain_matrix`
     refuses grids larger than ``EFFECTIVE_GUARD`` points.
     """
-    from . import modem  # local import: modem does not import channel
-
     params = cfg.params
     shape = modem.payload_shape(cfg)
 
@@ -466,10 +465,10 @@ def coupling_tensor(
     """Cross-symbol coupling H[m, n, m', n'] between lattice basis pulses.
 
     Entry (m, n, m', n') is the response on receive pulse (m, n) to a unit
-    transmit pulse at (m', n'), measured by passing each basis waveform
-    through the noiseless channel and correlating against the receive
-    bank.  By linearity, contracting the tensor with any transmit grid
-    reproduces the chain's receive grid exactly.
+    transmit pulse at (m', n'): OSTF places its payload on the basis
+    pulses, so this is OSTF's :func:`effective_matrix`, reshaped.  By
+    linearity, contracting the tensor with any transmit grid reproduces
+    the chain's receive grid exactly.
 
     Diagnostic (cost grows as (M*N)^2 * M): refuses frames larger than
     ``COUPLING_GUARD`` points.  ``cp_len`` defaults to the smallest prefix
@@ -482,12 +481,5 @@ def coupling_tensor(
         )
     if cp_len is None:
         cp_len = 0 if mode == "cyclic" else max(t.delay_bin for t in ch.taps)
-    M, N = params.M, params.N
-
-    def tx(v):  # the basis pulse of grid cell (m', n') = divmod(c, N)
-        return heisenberg(v.reshape(M, N), params, cp_len=cp_len)
-
-    def rx(sig):
-        return wigner(apply_channel(sig, ch, params, mode=mode), params)
-
-    return chain_matrix(tx, rx, params.dof).reshape(M, N, M, N)
+    cfg = modem.SchemeConfig("OSTF", params, cp_len)
+    return effective_matrix(cfg, ch, mode).reshape(params.M, params.N, params.M, params.N)

@@ -32,9 +32,8 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_common(p: _Parser, needs_config: bool = True):
-    if needs_config:
-        p.add_argument("--config", required=True, help="scenario JSON file")
+def _add_common(p: _Parser):
+    p.add_argument("--config", required=True, help="scenario JSON file")
     p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     p.add_argument("--out", default=None, help="output path (default: stdout)")
     p.add_argument("--workers", type=int, default=1, help="parallel worker processes")

@@ -132,7 +132,6 @@ class MappingMatrix:
 
     ambient: int
     selected: tuple
-    kind: str = "custom"
 
     def __post_init__(self):
         sel = tuple(int(i) for i in self.selected)
@@ -165,7 +164,7 @@ def localized_map(ambient: int, block: int, user: int) -> MappingMatrix:
     if not 0 <= user < num_users:
         raise AllocationError(f"user {user} out of range for {num_users} users")
     sel = tuple(range(user * block, (user + 1) * block))
-    return MappingMatrix(ambient, sel, kind="localized")
+    return MappingMatrix(ambient, sel)
 
 
 def interleaved_map(ambient: int, block: int, user: int) -> MappingMatrix:
@@ -176,7 +175,7 @@ def interleaved_map(ambient: int, block: int, user: int) -> MappingMatrix:
     if not 0 <= user < num_users:
         raise AllocationError(f"user {user} out of range for {num_users} users")
     sel = tuple(user + i * num_users for i in range(block))
-    return MappingMatrix(ambient, sel, kind="interleaved")
+    return MappingMatrix(ambient, sel)
 
 
 @lru_cache(maxsize=1024)

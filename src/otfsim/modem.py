@@ -2,18 +2,18 @@
 
 All four schemes share the same slot synthesis (unitary per-slot inverse
 DFT plus optional cyclic prefix); they differ only in the precoding
-applied to the payload grid before synthesis:
+applied to the payload grid before synthesis, and there are two:
 
 * ``OTFS``    — payload on the (N, M) delay-Doppler grid, spread over the
-  whole frame by the unitary lattice transform.
-* ``OSTF``    — payload directly on the (M, N) time-frequency grid (equal
-  to OTFS with the lattice DFT factors replaced by identity).
-* ``OFDM``    — one slot (N = 1), payload straight on the M subcarriers.
-* ``SCFDMA``  — one slot (N = 1), payload DFT-precoded across the M
-  subcarriers (single-carrier envelope).
+  whole frame by the unitary lattice transform (ISFFT).
+* ``OSTF``    — payload directly on the (M, N) time-frequency grid.
+* ``SCFDMA``  — OTFS with one slot (N = 1): the ISFFT of a (1, M) grid is
+  the M-point DFT precoding of single-carrier FDMA.
+* ``OFDM``    — OSTF with one slot (N = 1), payload straight on the M
+  subcarriers.
 
-OFDM is OSTF at N = 1, and SC-FDMA is OTFS at N = 1; the test suite pins
-both reductions sample-exactly.
+OTFS embeds OSTF: modulating x with OTFS is modulating ``isfft(x)`` with
+OSTF.  The one-slot schemes carry their payload as a length-M vector.
 """
 
 from __future__ import annotations
@@ -30,17 +30,11 @@ SCHEMES = ("OTFS", "OSTF", "OFDM", "SCFDMA")
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Waveform scheme bound to a frame geometry and prefix length.
-
-    ``identity_isfft`` replaces the OTFS lattice transform with a bare
-    transpose (payload placed directly on the time-frequency grid), the
-    structural reduction that turns OTFS into OSTF.
-    """
+    """Waveform scheme bound to a frame geometry and prefix length."""
 
     scheme: str
     params: FrameParams
     cp_len: int = 0
-    identity_isfft: bool = False
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -49,8 +43,6 @@ class SchemeConfig:
             raise ValueError(f"{self.scheme} requires single-slot framing (N=1), got N={self.params.N}")
         if not 0 <= self.cp_len < self.params.M:
             raise ValueError(f"cp_len must be in [0, M), got {self.cp_len}")
-        if self.identity_isfft and self.scheme != "OTFS":
-            raise ValueError("identity_isfft only applies to OTFS")
 
 
 def payload_shape(cfg: SchemeConfig) -> tuple:
@@ -66,22 +58,22 @@ def payload_shape(cfg: SchemeConfig) -> tuple:
 def tf_from_payload(cfg: SchemeConfig, symbols: np.ndarray) -> np.ndarray:
     """The scheme's precoding stage: payload grid -> (M, N) TF grid.
 
+    OTFS and SC-FDMA take the payload as an (N, M) delay-Doppler grid
+    through the ISFFT; OSTF and OFDM place it on the grid as it is.
     Leading axes of ``symbols`` beyond the payload shape index a stack of
     frames and are kept.
     """
     symbols = np.asarray(symbols, dtype=np.complex128)
     shape = payload_shape(cfg)
-    if symbols.shape[symbols.ndim - len(shape):] != shape:
+    lead = symbols.shape[: symbols.ndim - len(shape)]
+    if symbols.shape[len(lead):] != shape:
         raise ValueError(
             f"{cfg.scheme} payload must have shape {shape}, got {symbols.shape}"
         )
-    if cfg.scheme == "OTFS":
-        return symbols.swapaxes(-1, -2).copy() if cfg.identity_isfft else isfft(symbols)
-    if cfg.scheme == "OSTF":
-        return symbols
-    if cfg.scheme == "OFDM":
-        return symbols[..., None]
-    return np.fft.fft(symbols, norm="ortho")[..., None]  # SCFDMA
+    M, N = cfg.params.M, cfg.params.N
+    if cfg.scheme in ("OTFS", "SCFDMA"):
+        return isfft(symbols.reshape(*lead, N, M))
+    return symbols.reshape(*lead, M, N)
 
 
 def payload_from_tf(cfg: SchemeConfig, y_tf: np.ndarray) -> np.ndarray:
@@ -91,13 +83,9 @@ def payload_from_tf(cfg: SchemeConfig, y_tf: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"expected TF grid {(cfg.params.M, cfg.params.N)}, got {y_tf.shape}"
         )
-    if cfg.scheme == "OTFS":
-        return y_tf.swapaxes(-1, -2).copy() if cfg.identity_isfft else sfft(y_tf)
-    if cfg.scheme == "OSTF":
-        return y_tf
-    if cfg.scheme == "OFDM":
-        return y_tf[..., 0]
-    return np.fft.ifft(y_tf[..., 0], norm="ortho")  # SCFDMA
+    if cfg.scheme in ("OTFS", "SCFDMA"):
+        y_tf = sfft(y_tf)
+    return y_tf.reshape(*y_tf.shape[:-2], *payload_shape(cfg))
 
 
 def modulate(cfg: SchemeConfig, symbols: np.ndarray) -> TimeSignal:

@@ -5,7 +5,8 @@ delay/frequency columns):
 
 * :func:`uplink_map_tf` — transform the small block, then place it on the
   user's subcarrier and slot sets (localized maps generalise LFDMA,
-  interleaved maps IFDMA).
+  interleaved maps IFDMA): the one-user ``tf_alloc`` downlink of the
+  transformed block.
 * :func:`uplink_map_dd` — place the block on the full delay-Doppler grid
   first, then apply the full-frame lattice transform; identical to
   spreading with the user's selected DFT columns.
@@ -72,11 +73,13 @@ def _check_block(user_data: np.ndarray, freq_map: MappingMatrix, time_map: Mappi
 def uplink_map_tf(
     user_data: np.ndarray, freq_map: MappingMatrix, time_map: MappingMatrix
 ) -> np.ndarray:
-    """Small-block lattice transform, then placement on the (M, N) grid."""
-    user_data = _check_block(user_data, freq_map, time_map)
-    out = np.zeros((freq_map.ambient, time_map.ambient), dtype=np.complex128)
-    out[np.ix_(list(freq_map.selected), list(time_map.selected))] = isfft(user_data)
-    return out
+    """Small-block lattice transform, then placement on the (M, N) grid.
+
+    The one-user ``tf_alloc`` superposition of the block's transformed
+    (M_d, N_D) grid; a stack of blocks (..., N_D, M_d) gives a stack of grids.
+    """
+    block = isfft(user_data).swapaxes(-1, -2)
+    return downlink_superpose([block], [(freq_map, time_map)], "tf_alloc")
 
 
 def uplink_map_dd(
@@ -231,11 +234,13 @@ def despread_user(
     Exactly one addressing style must be supplied:
 
     * ``freq_map``/``time_map`` with ``domain="dd"`` — adjoint of
-      :func:`uplink_map_dd` (the one-user :func:`downlink_split`); with
-      ``domain="tf"`` — adjoint of :func:`uplink_map_tf`.  Returns an
-      (N_D, M_d) block.
-    * ``pair`` — adjoint of :func:`tf_spread`; a stack of grids
-      (..., M, N) gives a stack of blocks.
+      :func:`uplink_map_dd` (the one-user ``dd_mapped``
+      :func:`downlink_split`); with ``domain="tf"`` — adjoint of
+      :func:`uplink_map_tf` (the SFFT of the one-user ``tf_alloc`` split,
+      transposed).  Returns an (N_D, M_d) block.
+    * ``pair`` — adjoint of :func:`tf_spread`.
+
+    A stack of grids (..., M, N) gives a stack of blocks in every style.
 
     For orthogonal (unitary-column) spreading this inverts the noiseless
     map and leaves white noise white.
@@ -250,8 +255,8 @@ def despread_user(
     if domain == "dd":
         return downlink_split(y, [(freq_map, time_map)], "dd_mapped")[0]
     if domain == "tf":
-        small = y[np.ix_(list(freq_map.selected), list(time_map.selected))]
-        return sfft(small)
+        small = downlink_split(y, [(freq_map, time_map)], "tf_alloc")[0]
+        return sfft(small.swapaxes(-1, -2))
     raise ValueError(f"unknown despreading domain {domain!r}")
 
 
@@ -317,16 +322,18 @@ def water_fill(gains: np.ndarray, total_power: float, noise_var: float) -> np.nd
     lies above their last floor (at least one), and mu is P/k plus the mean
     of the k lowest floors (Palomar & Fonollosa, IEEE TSP 53(2), 2005).
     Each p_i is formed as P/k + (mean - f_i), so a budget far below the
-    floors still goes wholly to the strongest subchannel.
+    floors still goes wholly to the strongest subchannel.  A subchannel
+    of zero gain (a user in a channel null) has an infinite floor and
+    gets no power.
     """
     gains = np.asarray(gains, dtype=float)
     if gains.ndim != 1 or gains.size == 0:
         raise ValueError("gains must be a nonempty 1-D array")
-    if np.any(gains <= 0):
-        raise ValueError("gains must be positive")
+    if not np.all(gains >= 0) or not np.any(gains > 0):
+        raise ValueError("gains must be nonnegative, and not all zero")
     if total_power < 0 or noise_var <= 0:
         raise ValueError("need total_power >= 0 and noise_var > 0")
-    floors = noise_var / gains
+    floors = np.divide(noise_var, gains, out=np.full(gains.shape, np.inf), where=gains > 0)
     ranked = np.sort(floors)
     levels = (total_power + np.cumsum(ranked)) / np.arange(1, ranked.size + 1)
     k = max(1, int(np.count_nonzero(levels > ranked)))

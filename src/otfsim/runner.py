@@ -682,10 +682,6 @@ def format_csv(results) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_csv(results, path) -> None:
-    Path(path).write_text(format_csv(results))
-
-
 # ---------------------------------------------------------------------------
 # channel inspection and PAPR CCDF
 # ---------------------------------------------------------------------------

@@ -55,8 +55,8 @@ def _check_reductions() -> CheckResult:
     worst = max(worst, np.max(np.abs(c - d)))
     params = make_frame(8, 4)
     g = rng.normal(size=(4, 8)) + 1j * rng.normal(size=(4, 8))
-    e = modem.modulate(SchemeConfig("OTFS", params, identity_isfft=True), g).samples
-    f = modem.modulate(SchemeConfig("OSTF", params), g.T).samples
+    e = modem.modulate(SchemeConfig("OTFS", params), g).samples
+    f = modem.modulate(SchemeConfig("OSTF", params), transforms.isfft(g)).samples
     worst = max(worst, np.max(np.abs(e - f)))
     return CheckResult("scheme_reductions", worst < _TOL, f"max deviation {worst:.3e}")
 

@@ -55,7 +55,7 @@ def test_criterion_01_transform_unitarity():
 
 
 def test_criterion_02_scheme_reductions():
-    """Single-slot and identity-transform reductions, 100 payloads, < 1e-12."""
+    """Single-slot reductions and OTFS as OSTF after the ISFFT, 100 payloads, < 1e-12."""
     rng = np.random.default_rng(1002)
     M = 16
     p1 = ot.make_frame(M, 1)
@@ -70,8 +70,8 @@ def test_criterion_02_scheme_reductions():
         d = modulate(SchemeConfig("OFDM", p1), x).samples
         worst = max(worst, np.abs(c - d).max())
         g = rng.normal(size=(4, 8)) + 1j * rng.normal(size=(4, 8))
-        e = modulate(SchemeConfig("OTFS", p84, identity_isfft=True), g).samples
-        f = modulate(SchemeConfig("OSTF", p84), g.T).samples
+        e = modulate(SchemeConfig("OTFS", p84), g).samples
+        f = modulate(SchemeConfig("OSTF", p84), isfft(g)).samples
         worst = max(worst, np.abs(e - f).max())
     report("scheme_reductions", worst < 1e-12, f"worst deviation {worst:.3e} (tol 1e-12)")
 

@@ -445,21 +445,21 @@ def slot_stack_payload_operator(cfg, B):
 
 
 class TestSlotOperators:
-    @pytest.mark.parametrize("scheme,M,N,identity", [
-        ("OTFS", 16, 8, False),
-        ("OTFS", 8, 4, True),
-        ("OSTF", 16, 8, False),
-        ("OSTF", 8, 2, False),
-        ("OFDM", 16, 1, False),
-        ("SCFDMA", 16, 1, False),
+    @pytest.mark.parametrize("scheme,M,N", [
+        ("OTFS", 16, 8),
+        ("OTFS", 8, 4),
+        ("OSTF", 16, 8),
+        ("OSTF", 8, 2),
+        ("OFDM", 16, 1),
+        ("SCFDMA", 16, 1),
     ])
-    def test_matches_probed_effective_matrix(self, scheme, M, N, identity):
+    def test_matches_probed_effective_matrix(self, scheme, M, N):
         # the closed-form stack against the chain itself, with the largest
         # delay exactly at the prefix
         rng = np.random.default_rng(40)
         params = ot.make_frame(M, N)
         for cp, V in [(1, 1), (3, N // 2 + 1), (M // 2, 2 if N > 1 else 1)]:
-            cfg = ot.SchemeConfig(scheme, params, cp_len=cp, identity_isfft=identity)
+            cfg = ot.SchemeConfig(scheme, params, cp_len=cp)
             ch = ot.random_channel(cp + 1, V, rng)
             assert ch.L_max - 1 == cp
             A = ot.effective_matrix(cfg, ch, mode="per_slot_cp")

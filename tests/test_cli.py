@@ -152,6 +152,21 @@ class TestSimulate:
         rows = capsys.readouterr().out.splitlines()[1:]
         assert len(rows) == 1 and rows[0].startswith("OTFS,-200,8,")
 
+    def test_water_fill_user_in_a_channel_null_runs(self, config_file, capsys):
+        # the first user sits alone on the null subcarrier, so its gain is
+        # zero: it gets no power instead of failing the trial
+        cfg = config_file(
+            channel=NULL_CELL,
+            equalizer="one_tap_tf",
+            snr_db_list=[10.0],
+            trials=2,
+            multiuser={"mode": "tf_alloc", "K_d": 8, "K_D": 1,
+                       "mapping": "localized", "power_budget": 1.0},
+        )
+        assert main(["simulate", "--config", cfg]) == EXIT_OK
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 1 and rows[0].startswith("OTFS,10,2,")
+
     def test_dense_downlink_guard_is_exit_3_before_probing(
         self, config_file, capsys, monkeypatch
     ):

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 import otfsim as ot
 from otfsim.modem import demodulate, modulate, payload_from_tf, payload_shape, tf_from_payload
+from otfsim.transforms import isfft, sfft
 
 
 def random_payload(cfg, rng):
@@ -28,10 +29,6 @@ class TestConfigValidation:
             ot.SchemeConfig("OTFS", ot.make_frame(8, 4), cp_len=8)
         with pytest.raises(ValueError):
             ot.SchemeConfig("OTFS", ot.make_frame(8, 4), cp_len=-1)
-
-    def test_identity_isfft_only_otfs(self):
-        with pytest.raises(ValueError):
-            ot.SchemeConfig("OSTF", ot.make_frame(8, 4), identity_isfft=True)
 
     def test_payload_shapes(self):
         params = ot.make_frame(8, 4)
@@ -67,12 +64,6 @@ class TestRoundTrips:
         x = random_payload(cfg, rng)
         assert_allclose(demodulate(cfg, modulate(cfg, x)), x, atol=1e-12)
 
-    def test_identity_isfft_round_trip(self):
-        rng = np.random.default_rng(101)
-        cfg = ot.SchemeConfig("OTFS", ot.make_frame(8, 4), identity_isfft=True)
-        x = random_payload(cfg, rng)
-        assert_allclose(demodulate(cfg, modulate(cfg, x)), x, atol=1e-13)
-
     @pytest.mark.parametrize("scheme,M,N", [("OTFS", 8, 4), ("OSTF", 8, 4), ("SCFDMA", 8, 1)])
     def test_energy_preserved(self, scheme, M, N):
         rng = np.random.default_rng(102)
@@ -107,18 +98,18 @@ class TestReductions:
             sb = modulate(b, x)
             assert np.abs(sa.samples - sb.samples).max() < 1e-13
 
-    def test_identity_isfft_is_ostf(self):
-        # replacing the lattice transform by a transpose turns the OTFS
-        # modulator into the OSTF modulator on the transposed payload
+    def test_otfs_is_ostf_after_the_isfft(self):
+        # OTFS embeds OSTF: its modulator is OSTF's on the ISFFT of the
+        # payload, and its demodulator OSTF's followed by the SFFT
         rng = np.random.default_rng(105)
         params = ot.make_frame(8, 4)
-        a = ot.SchemeConfig("OTFS", params, identity_isfft=True)
-        b = ot.SchemeConfig("OSTF", params)
+        a = ot.SchemeConfig("OTFS", params, cp_len=2)
+        b = ot.SchemeConfig("OSTF", params, cp_len=2)
         for _ in range(20):
             x = rng.normal(size=(4, 8)) + 1j * rng.normal(size=(4, 8))
-            sa = modulate(a, x)
-            sb = modulate(b, x.T)
-            assert np.abs(sa.samples - sb.samples).max() == 0.0
+            sig = modulate(a, x)
+            assert np.array_equal(sig.samples, modulate(b, isfft(x)).samples)
+            assert np.array_equal(demodulate(a, sig), sfft(demodulate(b, sig)))
 
     def test_reduction_chain_with_cp(self):
         rng = np.random.default_rng(106)

@@ -116,6 +116,16 @@ class TestUplinkMaps:
         with pytest.raises(ValueError):
             uplink_map_tf(np.ones((4, 2)), fmap, tmap)  # transposed
 
+    @pytest.mark.parametrize("map_fn", [localized_map, interleaved_map])
+    def test_tf_route_maps_a_stack_block_by_block(self, map_fn):
+        rng = np.random.default_rng(415)
+        fmap, tmap = map_fn(M, 4, 1), map_fn(N, 2, 0)
+        xs = rng.normal(size=(3, 2, 4)) + 1j * rng.normal(size=(3, 2, 4))
+        out = uplink_map_tf(xs, fmap, tmap)
+        assert out.shape == (3, M, N)
+        for x, grid in zip(xs, out):
+            assert np.array_equal(grid, uplink_map_tf(x, fmap, tmap))
+
 
 class TestSpreadingIdentities:
     @pytest.mark.parametrize("map_fn", [localized_map, interleaved_map])
@@ -184,6 +194,16 @@ class TestDespreading:
         x = rand_block(rng, 2, 4)
         y = uplink_map_tf(x, fmap, tmap)
         assert_allclose(despread_user(y, fmap, tmap, domain="tf"), x, atol=1e-12)
+
+    @pytest.mark.parametrize("map_fn", [localized_map, interleaved_map])
+    def test_tf_despreads_a_stack_frame_by_frame(self, map_fn):
+        rng = np.random.default_rng(416)
+        fmap, tmap = map_fn(M, 4, 1), map_fn(N, 2, 0)
+        ys = rng.normal(size=(3, M, N)) + 1j * rng.normal(size=(3, M, N))
+        out = despread_user(ys, fmap, tmap, domain="tf")
+        assert out.shape == (3, 2, 4)
+        for y, block in zip(ys, out):
+            assert np.array_equal(block, despread_user(y, fmap, tmap, domain="tf"))
 
     def test_pair_round_trip(self):
         rng = np.random.default_rng(412)
@@ -458,9 +478,17 @@ class TestWaterFill:
     def test_zero_power(self):
         assert_allclose(water_fill(np.array([1.0, 2.0]), 0.0, 1.0), [0.0, 0.0])
 
+    def test_zero_gain_gets_no_power(self):
+        p = water_fill(np.array([0.0, 1.0, 0.5]), 1.0, 0.1)
+        assert np.array_equal(p, [0.0, *water_fill(np.array([1.0, 0.5]), 1.0, 0.1)])
+
     def test_validation(self):
         with pytest.raises(ValueError):
             water_fill(np.array([1.0, -1.0]), 1.0, 1.0)
+        with pytest.raises(ValueError):
+            water_fill(np.array([0.0, 0.0]), 1.0, 1.0)
+        with pytest.raises(ValueError):
+            water_fill(np.array([np.nan, 1.0]), 1.0, 1.0)
         with pytest.raises(ValueError):
             water_fill(np.array([[1.0]]), 1.0, 1.0)
         with pytest.raises(ValueError):

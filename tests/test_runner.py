@@ -26,7 +26,6 @@ from otfsim.runner import (
     scenario_from_dict,
     system_rng,
     trial_rng,
-    write_csv,
 )
 
 
@@ -803,14 +802,6 @@ class TestOutput:
         assert text.splitlines()[0] == CSV_HEADER
         assert text.splitlines()[1] == "OTFS,2.5,3,0.333333333333,0.5,3,3.98"
         assert text.endswith("\n")
-
-    def test_write_csv(self, tmp_path):
-        sc = scenario_from_dict(base_dict(trials=2))
-        results = run(sc)
-        p = tmp_path / "out.csv"
-        write_csv(results, p)
-        assert p.read_text() == format_csv(results)
-        assert len(p.read_text().splitlines()) == 2
 
 
 class TestChannelViews:
