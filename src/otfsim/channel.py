@@ -91,39 +91,19 @@ def received_power(ch: DDChannelSpec) -> float:
     return float(sum(abs(t.gain) ** 2 for t in ch.taps))
 
 
-def random_channel(
-    L_max: int,
-    V_max: int,
-    rng: np.random.Generator,
-    power_profile="uniform",
-) -> DDChannelSpec:
+def random_channel(L_max: int, V_max: int, rng: np.random.Generator) -> DDChannelSpec:
     """Draw a random channel on the full delay x Doppler tap grid.
 
     Taps cover delay bins [0, L_max) and Doppler bins (-V_max, V_max)
-    (centered on zero), gains i.i.d. circular complex Gaussian weighted
-    by ``power_profile`` and rescaled so the realised received power is
-    exactly 1.
-
-    ``power_profile`` is ``"uniform"`` or a nonnegative array of shape
-    (L_max, 2*V_max - 1) of relative tap powers.
+    (centered on zero), gains i.i.d. circular complex Gaussian of equal
+    power, rescaled so the realised received power is exactly 1.
     """
     if L_max < 1 or V_max < 1:
         raise ValueError(f"spreads must be >= 1, got L_max={L_max} V_max={V_max}")
     dopplers = np.arange(-(V_max - 1), V_max)
     shape = (L_max, dopplers.size)
-    if isinstance(power_profile, str):
-        if power_profile != "uniform":
-            raise ValueError(f"unknown power profile {power_profile!r}")
-        weights = np.full(shape, 1.0 / (shape[0] * shape[1]))
-    else:
-        weights = np.asarray(power_profile, dtype=float)
-        if weights.shape != shape:
-            raise ValueError(f"power profile shape {weights.shape} != tap grid {shape}")
-        if np.any(weights < 0) or weights.sum() <= 0:
-            raise ValueError("power profile must be nonnegative with positive sum")
-        weights = weights / weights.sum()
     g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    g *= np.sqrt(weights / 2.0)
+    g *= np.sqrt(1.0 / (shape[0] * shape[1]) / 2.0)
     g /= np.linalg.norm(g)
     taps = [
         (l, int(dopplers[j]), g[l, j])

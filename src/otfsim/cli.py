@@ -122,9 +122,6 @@ def main(argv=None) -> int:
         elif args.command == "papr-ccdf":
             _emit(runner.papr_ccdf(sc), args.out)
         return EXIT_OK
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
     except GuardError as e:
         print(f"numerical guard: {e}", file=sys.stderr)
         return EXIT_GUARD

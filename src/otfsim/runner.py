@@ -22,11 +22,12 @@ reset to that trial's counter, so it draws exactly what a fresh stream
 of the contract draws, into (T, ...) stacks.  Every layer (bit mapping,
 precoding, synthesis, channel, detection from the received body samples,
 slicing and counting) then runs once per chunk on the stack.  Each SNR
-point runs one link bound to its noise variance: a fixed channel's
-detector and water-filled user amplitudes are built once for the point.
-A random chunk is one tap set with a (T, taps) gain stack: its channel,
-a unitary map's LMMSE, one-tap responses and water-filled amplitudes take
-one call each; ML and Gaussian spreading build one detector per draw.
+point runs one link bound to its noise variance, whose receiver reads a
+channel once for its detector and, on a budgeted downlink, the water-filled
+user amplitudes: a fixed channel's receiver is built once for the point.
+A random chunk is one tap set with a (T, taps) gain stack: its channel, a
+unitary map's LMMSE and one-tap responses take one call each; ML and
+Gaussian spreading build one detector per draw.
 
 Scenario files are strict JSON: every key is validated and unknown keys
 are rejected with an error naming the offending key.
@@ -146,7 +147,7 @@ def _is_kind(value, kind) -> bool:
     return isinstance(value, kind)
 
 
-def _take(d: dict, ctx: str, key: str, kind: type, default=_REQUIRED, choices=None):
+def _take(d: dict, ctx: str, key: str, kind: type, default=_REQUIRED):
     if key not in d:
         if default is _REQUIRED:
             raise ConfigError(f"missing key {key!r} in {ctx}")
@@ -154,8 +155,6 @@ def _take(d: dict, ctx: str, key: str, kind: type, default=_REQUIRED, choices=No
     value = d.pop(key)
     if not _is_kind(value, kind):
         raise ConfigError(f"{ctx}.{key} must be {_KINDS[kind]}, got {value!r}")
-    if choices is not None and value not in choices:
-        raise ConfigError(f"{ctx}.{key} must be one of {choices}, got {value!r}")
     return float(value) if kind is float else value
 
 
@@ -169,8 +168,6 @@ def _parse_channel(raw: dict, ctx: str):
     taps = _take(raw, ctx, "taps", list, None)
     rand = _take(raw, ctx, "random", dict, None)
     _no_extras(raw, ctx)
-    if (taps is None) == (rand is None):
-        raise ConfigError(f"{ctx} needs exactly one of 'taps' or 'random'")
     if taps is not None:
         parsed = []
         for i, t in enumerate(taps):
@@ -187,22 +184,22 @@ def _parse_channel(raw: dict, ctx: str):
             _no_extras(t, tctx)
         if not parsed:
             raise ConfigError(f"{ctx}.taps must not be empty")
-        return tuple(parsed), None
-    rand = dict(rand)
-    rctx = f"{ctx}.random"
-    L = _take(rand, rctx, "L_max", int)
-    V = _take(rand, rctx, "V_max", int)
-    _no_extras(rand, rctx)
-    return None, (L, V)
+        taps = tuple(parsed)
+    if rand is not None:
+        rand, rctx = dict(rand), f"{ctx}.random"
+        spreads = (_take(rand, rctx, "L_max", int), _take(rand, rctx, "V_max", int))
+        _no_extras(rand, rctx)
+        rand = spreads
+    return taps, rand
 
 
 def _parse_multiuser(raw: dict, ctx: str) -> MultiuserSetup:
     raw = dict(raw)
-    mode = _take(raw, ctx, "mode", str, choices=multiuser.DOWNLINK_MODES)
+    mode = _take(raw, ctx, "mode", str)
     K_d = _take(raw, ctx, "K_d", int)
     K_D = _take(raw, ctx, "K_D", int)
-    mapping = _take(raw, ctx, "mapping", str, "localized", ("localized", "interleaved"))
-    spreader = _take(raw, ctx, "spreader", str, "dft", ("dft", "gaussian"))
+    mapping = _take(raw, ctx, "mapping", str, "localized")
+    spreader = _take(raw, ctx, "spreader", str, "dft")
     budget = _take(raw, ctx, "power_budget", float, None)
     _no_extras(raw, ctx)
     return MultiuserSetup(mode, K_d, K_D, mapping, spreader, budget)
@@ -223,8 +220,8 @@ def scenario_from_dict(raw: dict) -> Scenario:
     scheme = _take(raw, "scenario", "scheme", str)
     constellation = _take(raw, "scenario", "constellation", str)
     taps, rand = _parse_channel(_take(raw, "scenario", "channel", dict), "channel")
-    channel_mode = _take(raw, "scenario", "channel_mode", str, "per_slot_cp", CHANNEL_MODES)
-    equalizer = _take(raw, "scenario", "equalizer", str, "one_tap_tf", EQUALIZERS)
+    channel_mode = _take(raw, "scenario", "channel_mode", str, "per_slot_cp")
+    equalizer = _take(raw, "scenario", "equalizer", str, "one_tap_tf")
     snr_list = _take(raw, "scenario", "snr_db_list", list)
     trials = _take(raw, "scenario", "trials", int)
     seed = _take(raw, "scenario", "seed", int)
@@ -260,7 +257,32 @@ def _validate_scenario(sc: Scenario) -> None:
         raise ConfigError(f"trials must be an integer >= 1, got {sc.trials!r}")
     if not _is_kind(sc.seed, int) or not 0 <= sc.seed < 2**128:
         raise ConfigError("seed must be a nonnegative integer below 2**128 (the Philox key)")
+    mu = sc.multiuser
+    if mu is not None and not isinstance(mu, MultiuserSetup):
+        raise ConfigError(f"multiuser must be a MultiuserSetup, got {mu!r}")
+    kinds = [("M", sc.M, int), ("N", sc.N, int), ("cp_len", sc.cp_len, int),
+             ("delta_f_hz", sc.delta_f_hz, float)]
+    choices = [("equalizer", sc.equalizer, EQUALIZERS),
+               ("channel_mode", sc.channel_mode, CHANNEL_MODES)]
+    if mu is not None:
+        kinds += [("multiuser.K_d", mu.K_d, int), ("multiuser.K_D", mu.K_D, int)]
+        choices += [("multiuser.mode", mu.mode, multiuser.DOWNLINK_MODES),
+                    ("multiuser.mapping", mu.mapping, ("localized", "interleaved")),
+                    ("multiuser.spreader", mu.spreader, ("dft", "gaussian"))]
     try:
+        for i, tap in enumerate(sc.channel_taps or ()):
+            keys = [f"channel.taps[{i}].{k}" for k in ("delay_bin", "doppler_bin", "re", "im")]
+            kinds += zip(keys, tap, (int, int, float, float))
+        for key, value in zip(("L_max", "V_max"), sc.channel_random or ()):
+            kinds.append((f"channel.random.{key}", value, int))
+        for key, value, kind in kinds:
+            if not _is_kind(value, kind):
+                raise ConfigError(f"{key} must be {_KINDS[kind]}, got {value!r}")
+        if (sc.channel_taps is None) == (sc.channel_random is None):
+            raise ConfigError("channel needs exactly one of 'taps' or 'random'")
+        for key, value, allowed in choices:
+            if value not in allowed:
+                raise ConfigError(f"{key} must be one of {allowed}, got {value!r}")
         params = sc.params
         if params.dof > FRAME_GUARD:
             raise ConfigError(
@@ -269,7 +291,7 @@ def _validate_scenario(sc: Scenario) -> None:
         get_constellation(sc.constellation)
         SchemeConfig(sc.scheme, params, cp_len=sc.cp_len)
         _check_channel(sc)
-        if sc.multiuser is not None:
+        if mu is not None:
             _allocation(sc)
     except (ValueError, TypeError) as e:
         raise ConfigError(str(e)) from e
@@ -279,15 +301,15 @@ def _validate_scenario(sc: Scenario) -> None:
             f"equalizer 'ml' with {bits_total} bits per block exceeds the "
             f"{ML_GUARD_BITS}-bit exhaustive-search guard"
         )
-    if sc.multiuser is not None:
-        mu = sc.multiuser
+    if mu is not None:
         if sc.equalizer == "ml":
             raise ConfigError("equalizer 'ml' is not supported with multiuser scenarios")
-        if mu.power_budget is not None and mu.power_budget <= 0:
-            raise ConfigError(f"power_budget must be positive, got {mu.power_budget}")
-        if mu.power_budget is not None and mu.mode != "tf_alloc":
+        budget = mu.power_budget
+        if budget is not None and not (_is_kind(budget, float) and budget > 0):
+            raise ConfigError(f"power_budget must be a positive number, got {budget!r}")
+        if budget is not None and mu.mode != "tf_alloc":
             raise ConfigError("power_budget applies to multiuser mode 'tf_alloc' only")
-        if mu.power_budget is not None and sc.equalizer == "mmse_dd":
+        if budget is not None and sc.equalizer == "mmse_dd":
             raise ConfigError(
                 "power_budget is incompatible with equalizer 'mmse_dd' "
                 "(joint MMSE assumes unit power weights)"
@@ -385,7 +407,7 @@ class _TrialStreams:
 
 
 class _Link:
-    """One transmit chain and its detector, for a single user or a downlink.
+    """One transmit chain and its receiver, for a single user or a downlink.
 
     A single user is one block on the scheme's payload grid; a downlink
     is the K user blocks of its allocation, superposed on the time-
@@ -393,7 +415,9 @@ class _Link:
     its adjoint ``multiuser.downlink_split``.  Symbols, bits and detector
     output are stacked user by user, each block flattened row-major.
     Every stage takes a stack of frames along leading axes.  A link serves
-    one SNR point: its noise variance is fixed when it is built.
+    one SNR point: its noise variance is fixed when it is built, and its
+    :meth:`receiver` gives the detector and any water-filled user powers
+    of a channel from one view of it.
     """
 
     def __init__(self, sc: Scenario, noise_var: float = 0.0):
@@ -473,24 +497,6 @@ class _Link:
                 noise[0][i], noise[1][i] = draw_noise(rng, self.noise_var, self.n_samples)
         return ch, np.array(gains) if gains else None, bits, noise
 
-    def amplitudes(self, ch: DDChannelSpec, gains: np.ndarray | None = None):
-        """Water-filled user amplitudes of a budgeted downlink: (frames, K), or None.
-
-        One ``tf_channel`` call; each frame is averaged alone (a stacked mean rounds differently).
-        """
-        mu = self.sc.multiuser
-        if mu is None or mu.power_budget is None:
-            return None
-        amps = []
-        for H in tf_channel(ch, self.params, gains).reshape(-1, self.params.M, self.params.N):
-            power = np.array([
-                np.mean(np.abs(H[np.ix_(list(f.selected), list(t.selected))]) ** 2)
-                for f, t in self.alloc.users
-            ])
-            p = multiuser.water_fill(power, mu.power_budget, self.noise_var)
-            amps.append(np.sqrt(p / self.block))
-        return np.stack(amps)
-
     def tf_grid(self, symbols: np.ndarray) -> np.ndarray:
         """The user map: stacked symbols (..., n) -> (..., M, N) time-frequency grid."""
         lead = symbols.shape[:-1]
@@ -537,13 +543,15 @@ class _Link:
             U[:, a:a + m] = self.tf_grid(np.eye(m, n, k=a)).swapaxes(-1, -2).reshape(m, dof).T
         return U
 
-    def detector(self, ch: DDChannelSpec, gains: np.ndarray | None = None):
-        """Returns stacked symbol estimates = f(received body samples (..., M*N)).
+    def receiver(self, ch: DDChannelSpec, gains: np.ndarray | None = None):
+        """Returns ``(detect, amp)``: symbol estimates of received body samples
+        (..., M*N), and a budgeted downlink's (frames, K) water-filled user amplitudes or None.
 
         ``gains`` (T, taps) gives frame t ``ch``'s taps with gains[t].  A
         unitary map's LMMSE equalises the blocks (slots, or the ``cyclic``
         frame) of all frames at once on the delay band, one-tap reads one
-        ``tf_channel`` call; ML and Gaussian spreading read each frame's
+        ``tf_channel`` call, for its detector and (a budget implies one-tap)
+        the users' water-filling; ML and Gaussian spreading read each frame's
         grid through the slot operators T as T U, one detector per draw.
         """
         sc, params, noise_var = self.sc, self.params, self.noise_var
@@ -557,16 +565,27 @@ class _Link:
                 z = equalize(body.reshape(*body.shape[:-1], blocks, -1))
                 return self.adjoint(slot_dft(z.reshape(body.shape), params).swapaxes(-1, -2))
 
-            return detect
+            return detect, None
         if sc.equalizer == "one_tap_tf":
             H = tf_channel(ch, params, gains)
-            return lambda body: self.adjoint(
+            amp, mu = None, sc.multiuser
+            if mu is not None and mu.power_budget is not None:
+                # user k's cells f*N + t in np.ix_ order; gathered contiguous,
+                # each user's mean rounds as its lone (f, t) block's does
+                cells = np.array([np.add.outer(np.multiply(f.selected, params.N), t.selected)
+                                  .ravel() for f, t in self.alloc.users])
+                gathered = (np.abs(H) ** 2).reshape(-1, params.dof)[:, cells]
+                power = np.ascontiguousarray(gathered).mean(axis=-1)
+                p = np.stack([multiuser.water_fill(q, mu.power_budget, noise_var) for q in power])
+                amp = np.sqrt(p / self.block)
+            return (lambda body: self.adjoint(
                 one_tap_tf(slot_dft(body, params).swapaxes(-1, -2), H, noise_var)
-            )
+            )), amp
         if gains is not None:  # one detector per draw: a stacked filter is no faster and holds more
             at = [(t.delay_bin, t.doppler_bin) for t in ch.taps]
-            each = [self.detector(DDChannelSpec([(*p, g) for p, g in zip(at, gs)])) for gs in gains]
-            return lambda body: np.stack([d(b) for d, b in zip(each, body)])
+            each = [self.receiver(DDChannelSpec([(*p, g) for p, g in zip(at, gs)]))[0]
+                    for gs in gains]
+            return (lambda body: np.stack([d(b) for d, b in zip(each, body)])), None
         U = self._map_matrix  # refused by its guard before the channel blocks are built
         T = slot_operators(ch, params, sc.channel_mode)
         A = (T @ U.reshape(len(T), T.shape[-1], -1)).reshape(params.dof, -1)
@@ -577,14 +596,16 @@ class _Link:
         if sc.equalizer == "ml":
             # one exhaustive search per frame: its Q^n x rows residuals are
             # held once, not once per frame of the stack
-            return lambda body: np.apply_along_axis(ml_detect, -1, slot_major(body), A, self.const)
+            return (lambda body: np.apply_along_axis(
+                ml_detect, -1, slot_major(body), A, self.const
+            )), None
         W = mmse_filter(A, noise_var)
-        return lambda body: (W @ slot_major(body)[..., None])[..., 0]
+        return (lambda body: (W @ slot_major(body)[..., None])[..., 0]), None
 
     @cached_property
     def _fixed_rx(self):
-        """The fixed channel's detector and (1, K) amplitudes (or None), built once."""
-        return self.detector(self.fixed), self.amplitudes(self.fixed)
+        """The fixed channel's ``receiver``, built once."""
+        return self.receiver(self.fixed)
 
     def run_chunk(self, streams: _TrialStreams, start: int, stop: int):
         """Draw, transmit, receive and detect trials [start, stop) as one stack.
@@ -592,10 +613,7 @@ class _Link:
         Returns ((bit errors, symbol errors, bits, symbols), PAPR per trial).
         """
         ch, gains, bits, noise = self.draw(streams, start, stop)
-        if gains is None:
-            detect, amp = self._fixed_rx
-        else:
-            detect, amp = self.detector(ch, gains), self.amplitudes(ch, gains)
+        detect, amp = self._fixed_rx if gains is None else self.receiver(ch, gains)
         sig = self.transmit(bits, amp)
         paprs = papr(sig)
         body = apply_channel(
@@ -733,7 +751,9 @@ def papr_ccdf(sc: Scenario) -> str:
     """CCDF of per-block PAPR (dB) for the scenario's transmit chain.
 
     Blocks are generated with the trial streams of SNR index 0 but never
-    touched by channel or noise.  Returns CSV text ``papr_db,ccdf``.
+    touched by channel or noise.  Water-filling needs an SNR, so a budgeted
+    downlink's users all get unit power here, and its CCDF is not that of
+    the PAPR ``run`` reports.  Returns CSV text ``papr_db,ccdf``.
     """
     link = _Link(sc)
     streams = _TrialStreams(sc.seed, 0, 0)

@@ -50,13 +50,13 @@ def scenario(name):
 def run_trial(link, rng):
     """One trial on one frame: (bit errors, symbol errors, bits, symbols, PAPR)."""
     ch = link.channel_for_trial(rng)
-    amp = link.amplitudes(ch)
+    detect, amp = link.receiver(ch)
     amp = None if amp is None else amp[0]
     bits = rng.integers(0, 2, size=link.n_bits)
     sig = link.transmit(bits, amp)
     papr_val = papr(sig)
     rx = ot.apply_channel(sig, ch, link.params, link.noise_var, rng, mode=link.sc.channel_mode)
-    est = link.detector(ch)(rx.body)
+    est = detect(rx.body)
     bps = link.const.bits_per_symbol
     if amp is not None:
         on = np.repeat(amp > 1e-12, link.block)

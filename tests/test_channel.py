@@ -91,11 +91,6 @@ class TestChannelSpec:
         assert sorted({t.doppler_bin for t in ch.taps}) == [-2, -1, 0, 1, 2]
         assert ch.V_max == 3
 
-    def test_profile_shape_mismatch(self):
-        rng = np.random.default_rng(3)
-        with pytest.raises(ValueError):
-            ot.random_channel(2, 2, rng, power_profile=np.ones((2, 2)))
-
 
 class TestApplyChannel:
     def setup_method(self):

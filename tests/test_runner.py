@@ -17,6 +17,7 @@ from otfsim.errors import ConfigError, GuardError
 from otfsim.metrics import LinkResult
 from otfsim.runner import (
     CSV_HEADER,
+    MultiuserSetup,
     _Link,
     format_csv,
     load_scenario,
@@ -149,6 +150,28 @@ class TestScenarioParsing:
         with pytest.raises(ConfigError):
             replace(sc, **{field: value})
 
+    @pytest.mark.parametrize("field,value,named", [
+        ("equalizer", "zf", "equalizer"),
+        ("channel_mode", "linear", "channel_mode"),
+        ("M", 8.0, "M"),
+        ("N", 2.0, "N"),
+        ("cp_len", 0.0, "cp_len"),
+        ("delta_f_hz", None, "delta_f_hz"),
+        ("channel_random", (2, 1), "exactly one"),  # next to the taps
+        ("channel_random", (2.0, 1), "L_max"),
+        ("channel_taps", None, "exactly one"),  # no channel left
+        ("channel_taps", ((0, 0, 1.0, 0.0), (1.5, 0, 1.0, 0.0)), r"taps\[1\].delay_bin"),
+        ("multiuser", MultiuserSetup("uplink", 2, 1), "multiuser.mode"),
+        ("multiuser", MultiuserSetup("tf_alloc", 2, 1, mapping="random"), "multiuser.mapping"),
+        ("multiuser", MultiuserSetup("tf_spread", 2, 1, spreader="walsh"), "multiuser.spreader"),
+        ("multiuser", MultiuserSetup("tf_alloc", 2.0, 1), "multiuser.K_d"),
+        ("multiuser", {"mode": "tf_alloc", "K_d": 2, "K_D": 1}, "MultiuserSetup"),
+    ])
+    def test_replaced_copy_is_held_to_the_parser_rules(self, field, value, named):
+        sc = scenario_from_dict(base_dict())
+        with pytest.raises(ConfigError, match=named):
+            replace(sc, **{field: value})
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_snr_rejected(self, bad):
         with pytest.raises(ConfigError, match="finite"):
@@ -225,6 +248,8 @@ class TestScenarioParsing:
             multiuser={"mode": "tf_alloc", "K_d": 2, "K_D": 1, "power_budget": 2.0}
         ))
         assert ok.multiuser.power_budget == 2.0
+        with pytest.raises(ConfigError, match="power_budget"):
+            replace(ok, multiuser=replace(ok.multiuser, power_budget="2"))
 
     def test_load_scenario_file_errors(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
@@ -391,7 +416,7 @@ class TestExecution:
         rx = ot.apply_channel(modulate(link.cfg, x), ch, link.params, 0.1, rng)
         A = ot.effective_matrix(link.cfg, ch, mode="per_slot_cp")
         joint = ot.mmse_dd(demodulate(link.cfg, rx), A, 0.1)
-        got = link.detector(ch)(rx.body)
+        got = link.receiver(ch)[0](rx.body)
         assert got.shape == (x.size,)  # the payload grid, flattened row-major
         assert np.abs(got - joint).max() < 1e-10
 
@@ -420,7 +445,7 @@ class TestExecution:
             rx = ot.apply_channel(modulate(link.cfg, x), ch, link.params, 0.5, rng, channel_mode)
             A = ot.effective_matrix(link.cfg, ch, mode=channel_mode)
             ref = ot.ml_detect(demodulate(link.cfg, rx).reshape(-1), A, link.const)
-            assert np.array_equal(link.detector(ch)(rx.body), ref)
+            assert np.array_equal(link.receiver(ch)[0](rx.body), ref)
 
     def test_per_slot_mmse_runs_beyond_the_dense_guard(self):
         # 128 x 64 is refused by the probed effective matrix; the per-slot
@@ -505,7 +530,7 @@ class TestMultiuserExecution:
         sc = scenario_from_dict(d)
         eng = _Link(sc, 1e-3)
         ch = eng.channel_for_trial(trial_rng(sc.seed, 0, 0))
-        (amp,) = eng.amplitudes(ch)
+        _, (amp,) = eng.receiver(ch)
         assert amp[0] > 0 and amp[1] == 0.0
         calls = []
         real = otfsim.runner.multiuser.water_fill
@@ -515,6 +540,40 @@ class TestMultiuserExecution:
         (res,) = run(sc)
         assert res.total_symbols == 2 * 8  # one user's block per trial
         assert len(calls) == 1  # the fixed channel's weights are computed once
+
+    @pytest.mark.parametrize("T", [1, 5])
+    @pytest.mark.parametrize("mapping", ["localized", "interleaved"])
+    @pytest.mark.parametrize("M,N,K_d,K_D", [(64, 16, 8, 4), (12, 6, 3, 2)])
+    def test_gathered_user_powers_match_the_per_frame_loop(
+        self, M, N, K_d, K_D, mapping, T, monkeypatch
+    ):
+        # the receiver gathers every frame's |H|^2 at every user's cells at
+        # once; each user's mean power, and so its amplitude, is bitwise what
+        # averaging its np.ix_ block frame by frame gives
+        sc = scenario_from_dict(self.mu_dict(
+            frame={"M": M, "N": N},
+            channel={"random": {"L_max": 3, "V_max": 2}},
+            multiuser={"mode": "tf_alloc", "K_d": K_d, "K_D": K_D, "mapping": mapping,
+                       "power_budget": 1.0},
+        ))
+        link = _Link(sc, 0.3)
+        rng = np.random.default_rng(73)
+        draws = [link.channel_for_trial(rng) for _ in range(T)]
+        ch, gains = draws[-1], np.array([[t.gain for t in c.taps] for c in draws])
+        powers = []
+        real = otfsim.runner.multiuser.water_fill
+        monkeypatch.setattr(
+            otfsim.runner.multiuser, "water_fill", lambda g, *a: powers.append(g) or real(g, *a)
+        )
+        _, amp = link.receiver(ch, gains)
+        assert amp.shape == (T, link.K) and len(powers) == T
+        for H, got, got_amp in zip(ot.tf_channel(ch, link.params, gains), powers, amp):
+            power = np.array([
+                np.mean(np.abs(H[np.ix_(list(f.selected), list(t.selected))]) ** 2)
+                for f, t in link.alloc.users
+            ])
+            assert np.array_equal(got, power)
+            assert np.array_equal(got_amp, np.sqrt(real(power, 1.0, 0.3) / link.block))
 
     @pytest.mark.parametrize("mode", ["dd_mapped", "tf_alloc", "tf_spread"])
     def test_random_channel_filters_not_reused_across_trials(self, mode):
@@ -576,7 +635,7 @@ class TestMultiuserExecution:
             raise AssertionError("chain_matrix called")
 
         monkeypatch.setattr(otfsim.runner, "chain_matrix", refuse)
-        got = link.detector(ch)(sig.body)
+        got = link.receiver(ch)[0](sig.body)
         assert np.abs(got - W @ ot.wigner(sig, sc.params).reshape(-1)).max() < 1e-10
 
     @pytest.mark.parametrize("scheme,N,mode,spreader,channel_mode", [
@@ -624,7 +683,7 @@ class TestMultiuserExecution:
         W = ot.mmse_filter(chain_matrix(tx, rx, dim), 0.1)
         x = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         sig = ot.apply_channel(tx(x), ch, sc.params, 0.1, rng, channel_mode)
-        got = link.detector(ch)(sig.body)
+        got = link.receiver(ch)[0](sig.body)
         assert np.abs(got - W @ ot.wigner(sig, sc.params).reshape(-1)).max() < 1e-10
 
     def test_per_slot_downlink_runs_beyond_the_dense_guard(self):
@@ -712,10 +771,10 @@ class TestBandLMMSE:
         link = self.link(scheme, M, N, mu, channel_mode)
         ch, gains, rx = self.received(link, np.random.default_rng(70), 3)
         Y = ot.wigner(rx, link.params)
-        got = link.detector(ch)(rx.body)
+        got = link.receiver(ch)[0](rx.body)
         assert got.shape == (3, link.K * link.block)
         assert np.abs(got - self.dense(link, ch, Y)).max() < 1e-10
-        got = link.detector(ch, gains)(rx.body)
+        got = link.receiver(ch, gains)[0](rx.body)
         for t in range(3):
             own = ot.DDChannelSpec(taps=tuple(
                 (l, k, g) for (l, k, _), g in zip(ch.taps, gains[t])
@@ -726,9 +785,9 @@ class TestBandLMMSE:
     def test_chunk_equals_one_trial_detections(self, channel_mode):
         link = self.link("OTFS", 8, 4, {"mode": "dd_mapped", "K_d": 2, "K_D": 2}, channel_mode)
         ch, gains, rx = self.received(link, np.random.default_rng(71), 5)
-        got = link.detector(ch, gains)(rx.body)
+        got = link.receiver(ch, gains)[0](rx.body)
         for t in range(5):
-            alone = link.detector(ch, gains[t:t + 1])(rx.body[t:t + 1])
+            alone = link.receiver(ch, gains[t:t + 1])[0](rx.body[t:t + 1])
             assert np.array_equal(got[t:t + 1], alone)
 
     def test_memory_is_linear_in_the_band(self):
@@ -753,8 +812,8 @@ class TestBandLMMSE:
         band_bytes = 16 * link.params.dof * 16
         tracemalloc.start()
         try:
-            link.detector(ch)(body)
-            link.detector(ch, gains)(body)
+            link.receiver(ch)[0](body)
+            link.receiver(ch, gains)[0](body)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
