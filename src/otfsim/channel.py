@@ -48,6 +48,8 @@ COUPLING_GUARD = 512
 EFFECTIVE_GUARD = 4096
 #: scenario parsing refuses frames with more grid points (M*N) than this
 FRAME_GUARD = 1 << 20
+#: the application modes described above
+CHANNEL_MODES = ("cyclic", "per_slot_cp")
 
 
 class ChannelTap(NamedTuple):
@@ -131,7 +133,7 @@ def check_taps(
         raise ConfigError(
             f"delay bin {ch.L_max - 1} exceeds cyclic prefix {cp_len} in per-slot mode"
         )
-    if mode not in (None, "cyclic", "per_slot_cp"):
+    if mode not in (None, *CHANNEL_MODES):
         raise ConfigError(f"unknown channel mode {mode!r}")
 
 
@@ -339,7 +341,7 @@ def _time_blocks(ch: DDChannelSpec, params: FrameParams, mode: str) -> np.ndarra
 
     One block of N slots in ``cyclic`` mode, N blocks of one slot in ``per_slot_cp``.
     """
-    if mode not in ("cyclic", "per_slot_cp"):
+    if mode not in CHANNEL_MODES:
         raise ConfigError(f"unknown channel mode {mode!r}")
     check_blocks(params, mode)
     blocks = 1 if mode == "cyclic" else params.N

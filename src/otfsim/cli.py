@@ -36,7 +36,6 @@ def _add_common(p: _Parser):
     p.add_argument("--config", required=True, help="scenario JSON file")
     p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     p.add_argument("--out", default=None, help="output path (default: stdout)")
-    p.add_argument("--workers", type=int, default=1, help="parallel worker processes")
 
 
 def build_parser() -> _Parser:
@@ -54,6 +53,8 @@ def build_parser() -> _Parser:
         metavar="START:STOP:STEP",
         help="inclusive SNR grid in dB, e.g. 0:20:2",
     )
+    for runs in (sim, sweep):
+        runs.add_argument("--workers", type=int, default=1, help="parallel worker processes")
 
     insp = sub.add_parser("inspect-channel", help="write channel view CSV files")
     insp.add_argument("--config", required=True, help="scenario JSON file")

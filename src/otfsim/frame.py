@@ -16,6 +16,7 @@ Array conventions used throughout the library:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -68,8 +69,12 @@ class FrameParams:
 
 
 def make_frame(M: int, N: int, delta_f: float = 15e3) -> FrameParams:
-    """Validate and build FrameParams."""
-    return FrameParams(M=int(M), N=int(N), delta_f=float(delta_f))
+    """Validate and build FrameParams; M and N must be integers (Python or numpy)."""
+    try:
+        M, N = operator.index(M), operator.index(N)
+    except TypeError:
+        raise ValueError(f"grid dims must be integers, got M={M!r} N={N!r}") from None
+    return FrameParams(M=M, N=N, delta_f=float(delta_f))
 
 
 @dataclass(frozen=True)

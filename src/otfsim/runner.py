@@ -29,8 +29,10 @@ A random chunk is one tap set with a (T, taps) gain stack: its channel, a
 unitary map's LMMSE and one-tap responses take one call each; ML and
 Gaussian spreading build one detector per draw.
 
-Scenario files are strict JSON: every key is validated and unknown keys
-are rejected with an error naming the offending key.
+Scenario files are strict JSON.  One reader walks each object against its
+key table and refuses unknown, missing and null keys by name; every value
+rule lives in the validation a ``Scenario`` runs whenever it is built,
+parsed or copied, and its messages name the JSON key.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from functools import cached_property, reduce
 from pathlib import Path
 
@@ -46,6 +48,7 @@ import numpy as np
 
 from . import modem, multiuser
 from .channel import (
+    CHANNEL_MODES,
     EFFECTIVE_GUARD,
     FRAME_GUARD,
     DDChannelSpec,
@@ -80,7 +83,6 @@ from .transforms import (
 )
 
 EQUALIZERS = ("one_tap_tf", "mmse_dd", "ml")
-CHANNEL_MODES = ("cyclic", "per_slot_cp")
 CSV_HEADER = "scheme,snr_db,trials,ber,ser,papr_mean,papr_p99"
 #: time samples (over all frames) stacked in one chunk of trials, at most;
 #: a frame longer than this runs alone
@@ -133,9 +135,18 @@ class Scenario:
 # ---------------------------------------------------------------------------
 
 
-_REQUIRED = object()
-_KINDS = {int: "an integer", float: "a finite number", str: "a string", list: "a list",
-          dict: "an object"}
+_KINDS = {int: "an integer", float: "a finite number", str: "a string"}
+
+# One table per JSON object of a scenario: each key's default, or MISSING
+# when the key is required.  A multiuser object holds MultiuserSetup's fields.
+_SCENARIO_KEYS = {"frame": MISSING, "scheme": MISSING, "constellation": MISSING,
+                  "channel": MISSING, "channel_mode": "per_slot_cp", "equalizer": "one_tap_tf",
+                  "snr_db_list": MISSING, "trials": MISSING, "seed": MISSING, "multiuser": None}
+_FRAME_KEYS = {"M": MISSING, "N": MISSING, "delta_f_hz": 15e3, "cp_len": 0}
+_CHANNEL_KEYS = {"taps": None, "random": None}
+_TAP_KEYS = {"delay_bin": MISSING, "doppler_bin": MISSING, "re": MISSING, "im": MISSING}
+_RANDOM_KEYS = {"L_max": MISSING, "V_max": MISSING}
+_MULTIUSER_KEYS = {f.name: f.default for f in fields(MultiuserSetup)}
 
 
 def _is_kind(value, kind) -> bool:
@@ -147,108 +158,49 @@ def _is_kind(value, kind) -> bool:
     return isinstance(value, kind)
 
 
-def _take(d: dict, ctx: str, key: str, kind: type, default=_REQUIRED):
-    if key not in d:
-        if default is _REQUIRED:
+def _read(raw, ctx: str, keys: dict) -> dict:
+    """JSON object ``raw`` as a dict in the order of ``keys``, defaults filled in.
+
+    Checks structure only: an object, with no unknown, missing or null key.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{ctx} must be an object, got {raw!r}")
+    for key, value in raw.items():
+        if key not in keys:
+            raise ConfigError(f"unknown key {key!r} in {ctx}")
+        if value is None:
+            raise ConfigError(f"key {key!r} in {ctx} is null")
+    for key, default in keys.items():
+        if default is MISSING and key not in raw:
             raise ConfigError(f"missing key {key!r} in {ctx}")
-        return default
-    value = d.pop(key)
-    if not _is_kind(value, kind):
-        raise ConfigError(f"{ctx}.{key} must be {_KINDS[kind]}, got {value!r}")
-    return float(value) if kind is float else value
-
-
-def _no_extras(d: dict, ctx: str):
-    if d:
-        raise ConfigError(f"unknown key {sorted(d)[0]!r} in {ctx}")
-
-
-def _parse_channel(raw: dict, ctx: str):
-    raw = dict(raw)
-    taps = _take(raw, ctx, "taps", list, None)
-    rand = _take(raw, ctx, "random", dict, None)
-    _no_extras(raw, ctx)
-    if taps is not None:
-        parsed = []
-        for i, t in enumerate(taps):
-            tctx = f"{ctx}.taps[{i}]"
-            if not isinstance(t, dict):
-                raise ConfigError(f"{tctx} must be an object")
-            t = dict(t)
-            parsed.append((
-                _take(t, tctx, "delay_bin", int),
-                _take(t, tctx, "doppler_bin", int),
-                _take(t, tctx, "re", float),
-                _take(t, tctx, "im", float),
-            ))
-            _no_extras(t, tctx)
-        if not parsed:
-            raise ConfigError(f"{ctx}.taps must not be empty")
-        taps = tuple(parsed)
-    if rand is not None:
-        rand, rctx = dict(rand), f"{ctx}.random"
-        spreads = (_take(rand, rctx, "L_max", int), _take(rand, rctx, "V_max", int))
-        _no_extras(rand, rctx)
-        rand = spreads
-    return taps, rand
-
-
-def _parse_multiuser(raw: dict, ctx: str) -> MultiuserSetup:
-    raw = dict(raw)
-    mode = _take(raw, ctx, "mode", str)
-    K_d = _take(raw, ctx, "K_d", int)
-    K_D = _take(raw, ctx, "K_D", int)
-    mapping = _take(raw, ctx, "mapping", str, "localized")
-    spreader = _take(raw, ctx, "spreader", str, "dft")
-    budget = _take(raw, ctx, "power_budget", float, None)
-    _no_extras(raw, ctx)
-    return MultiuserSetup(mode, K_d, K_D, mapping, spreader, budget)
+    return {**keys, **raw}
 
 
 def scenario_from_dict(raw: dict) -> Scenario:
-    """Build and validate a Scenario from parsed JSON (strict keys and kinds)."""
-    if not isinstance(raw, dict):
-        raise ConfigError("scenario must be a JSON object")
-    raw = dict(raw)
-    frame = dict(_take(raw, "scenario", "frame", dict))
-    M = _take(frame, "frame", "M", int)
-    N = _take(frame, "frame", "N", int)
-    delta_f = _take(frame, "frame", "delta_f_hz", float, 15e3)
-    cp_len = _take(frame, "frame", "cp_len", int, 0)
-    _no_extras(frame, "frame")
+    """Build a Scenario from parsed JSON.
 
-    scheme = _take(raw, "scenario", "scheme", str)
-    constellation = _take(raw, "scenario", "constellation", str)
-    taps, rand = _parse_channel(_take(raw, "scenario", "channel", dict), "channel")
-    channel_mode = _take(raw, "scenario", "channel_mode", str, "per_slot_cp")
-    equalizer = _take(raw, "scenario", "equalizer", str, "one_tap_tf")
-    snr_list = _take(raw, "scenario", "snr_db_list", list)
-    trials = _take(raw, "scenario", "trials", int)
-    seed = _take(raw, "scenario", "seed", int)
-    mu_raw = _take(raw, "scenario", "multiuser", dict, None)
-    _no_extras(raw, "scenario")
-
-    return Scenario(
-        M=M,
-        N=N,
-        delta_f_hz=delta_f,
-        cp_len=cp_len,
-        scheme=scheme,
-        constellation=constellation,
-        channel_taps=taps,
-        channel_random=rand,
-        channel_mode=channel_mode,
-        equalizer=equalizer,
-        snr_db_list=tuple(snr_list),
-        trials=trials,
-        seed=seed,
-        multiuser=None if mu_raw is None else _parse_multiuser(mu_raw, "multiuser"),
-    )
+    The key tables fix each object's keys and defaults; every value is
+    checked by Scenario validation, whose messages name the JSON key.
+    """
+    top = _read(raw, "scenario", _SCENARIO_KEYS)
+    frame = _read(top.pop("frame"), "frame", _FRAME_KEYS)
+    taps, rand = _read(top.pop("channel"), "channel", _CHANNEL_KEYS).values()
+    mu = top.pop("multiuser")
+    if taps is not None:
+        if not isinstance(taps, list):
+            raise ConfigError(f"channel.taps must be a list, got {taps!r}")
+        taps = tuple(tuple(_read(t, f"channel.taps[{i}]", _TAP_KEYS).values())
+                     for i, t in enumerate(taps))
+    if rand is not None:
+        rand = tuple(_read(rand, "channel.random", _RANDOM_KEYS).values())
+    if mu is not None:
+        mu = MultiuserSetup(**_read(mu, "multiuser", _MULTIUSER_KEYS))
+    return Scenario(**frame, **top, channel_taps=taps, channel_random=rand, multiuser=mu)
 
 
 def _validate_scenario(sc: Scenario) -> None:
-    if not sc.snr_db_list:
-        raise ConfigError("snr_db_list must be a nonempty list")
+    if not isinstance(sc.snr_db_list, (list, tuple)) or not sc.snr_db_list:
+        raise ConfigError(f"snr_db_list must be a nonempty list, got {sc.snr_db_list!r}")
     if not all(_is_kind(s, float) for s in sc.snr_db_list):
         raise ConfigError(f"snr_db_list entries must be finite numbers, got {sc.snr_db_list}")
     for snr in sc.snr_db_list:
@@ -260,8 +212,9 @@ def _validate_scenario(sc: Scenario) -> None:
     mu = sc.multiuser
     if mu is not None and not isinstance(mu, MultiuserSetup):
         raise ConfigError(f"multiuser must be a MultiuserSetup, got {mu!r}")
-    kinds = [("M", sc.M, int), ("N", sc.N, int), ("cp_len", sc.cp_len, int),
-             ("delta_f_hz", sc.delta_f_hz, float)]
+    kinds = [("frame.M", sc.M, int), ("frame.N", sc.N, int), ("frame.cp_len", sc.cp_len, int),
+             ("frame.delta_f_hz", sc.delta_f_hz, float), ("scheme", sc.scheme, str),
+             ("constellation", sc.constellation, str)]
     choices = [("equalizer", sc.equalizer, EQUALIZERS),
                ("channel_mode", sc.channel_mode, CHANNEL_MODES)]
     if mu is not None:
@@ -271,9 +224,9 @@ def _validate_scenario(sc: Scenario) -> None:
                     ("multiuser.spreader", mu.spreader, ("dft", "gaussian"))]
     try:
         for i, tap in enumerate(sc.channel_taps or ()):
-            keys = [f"channel.taps[{i}].{k}" for k in ("delay_bin", "doppler_bin", "re", "im")]
+            keys = [f"channel.taps[{i}].{k}" for k in _TAP_KEYS]
             kinds += zip(keys, tap, (int, int, float, float))
-        for key, value in zip(("L_max", "V_max"), sc.channel_random or ()):
+        for key, value in zip(_RANDOM_KEYS, sc.channel_random or ()):
             kinds.append((f"channel.random.{key}", value, int))
         for key, value, kind in kinds:
             if not _is_kind(value, kind):
@@ -306,7 +259,7 @@ def _validate_scenario(sc: Scenario) -> None:
             raise ConfigError("equalizer 'ml' is not supported with multiuser scenarios")
         budget = mu.power_budget
         if budget is not None and not (_is_kind(budget, float) and budget > 0):
-            raise ConfigError(f"power_budget must be a positive number, got {budget!r}")
+            raise ConfigError(f"multiuser.power_budget must be a positive number, got {budget!r}")
         if budget is not None and mu.mode != "tf_alloc":
             raise ConfigError("power_budget applies to multiuser mode 'tf_alloc' only")
         if budget is not None and sc.equalizer == "mmse_dd":

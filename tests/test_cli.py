@@ -375,6 +375,11 @@ class TestPaprCcdf:
         assert main(["papr-ccdf", "--config", config_file(trials=10), "--out", str(dest)]) == EXIT_OK
         assert dest.read_text().startswith("papr_db,ccdf")
 
+    def test_workers_is_a_usage_error(self, config_file, capsys):
+        # the CCDF runs in one process, so the flag would be ignored
+        assert main(["papr-ccdf", "--config", config_file(), "--workers", "4"]) == EXIT_CONFIG
+        assert "--workers" in capsys.readouterr().err
+
 
 class TestSelftest:
     def test_all_checks_pass(self, capsys):

@@ -25,10 +25,14 @@ class TestFrameParams:
         cell_area = params.delay_resolution * params.doppler_resolution
         assert cell_area * params.dof == pytest.approx(params.T * params.bandwidth / params.M, rel=1e-12)
 
-    @pytest.mark.parametrize("M,N,df", [(0, 4, 1e3), (4, 0, 1e3), (4, 4, 0.0), (4, 4, -1.0)])
+    @pytest.mark.parametrize("M,N,df", [(0, 4, 1e3), (4, 0, 1e3), (4, 4, 0.0), (4, 4, -1.0),
+                                        (8.7, 2, 1e3), (4, 2.5, 1e3)])
     def test_invalid(self, M, N, df):
         with pytest.raises(ValueError):
             ot.make_frame(M, N, df)
+
+    def test_numpy_integers_accepted(self):
+        assert ot.make_frame(np.int64(8), np.int32(2)) == ot.make_frame(8, 2)
 
 
 class TestTimeSignal:

@@ -142,6 +142,7 @@ class TestScenarioParsing:
         ("trials", 0),
         ("seed", 2**128),
         ("snr_db_list", ()),
+        ("snr_db_list", 10.0),  # once a TypeError: 'float' object is not iterable
         ("snr_db_list", (4000.0,)),  # the noise variance underflows to zero
         ("cp_len", 2),  # cyclic mode takes no prefix
     ])
@@ -153,10 +154,11 @@ class TestScenarioParsing:
     @pytest.mark.parametrize("field,value,named", [
         ("equalizer", "zf", "equalizer"),
         ("channel_mode", "linear", "channel_mode"),
-        ("M", 8.0, "M"),
-        ("N", 2.0, "N"),
-        ("cp_len", 0.0, "cp_len"),
-        ("delta_f_hz", None, "delta_f_hz"),
+        ("M", 8.0, "frame.M"),
+        ("N", 2.0, "frame.N"),
+        ("cp_len", 0.0, "frame.cp_len"),
+        ("delta_f_hz", None, "frame.delta_f_hz"),
+        ("constellation", ["QPSK"], "constellation"),
         ("channel_random", (2, 1), "exactly one"),  # next to the taps
         ("channel_random", (2.0, 1), "L_max"),
         ("channel_taps", None, "exactly one"),  # no channel left
@@ -171,6 +173,16 @@ class TestScenarioParsing:
         sc = scenario_from_dict(base_dict())
         with pytest.raises(ConfigError, match=named):
             replace(sc, **{field: value})
+
+    @pytest.mark.parametrize("over,named", [
+        ({"multiuser": None}, "multiuser"),
+        ({"channel": {"taps": None, "random": {"L_max": 2, "V_max": 1}}}, "taps"),
+        ({"frame": {"M": 8, "N": 2, "cp_len": None}}, "cp_len"),
+        ({"equalizer": None}, "equalizer"),
+    ])
+    def test_null_is_refused_not_read_as_absent(self, over, named):
+        with pytest.raises(ConfigError, match=f"'{named}'.*null"):
+            scenario_from_dict(base_dict(**over))
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_snr_rejected(self, bad):
