@@ -32,6 +32,7 @@ and :func:`dd_domain_operator` through the Doppler DFT (the OTFS view).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -60,12 +61,19 @@ class ChannelTap(NamedTuple):
 
 @dataclass(frozen=True)
 class DDChannelSpec:
-    """Sparse delay-Doppler channel: a tuple of (delay, Doppler, gain) taps."""
+    """Sparse delay-Doppler channel: a tuple of (delay, Doppler, gain) taps.
+
+    Delay and Doppler bins must be integers (Python or numpy).
+    """
 
     taps: tuple
 
     def __post_init__(self):
-        taps = tuple(ChannelTap(int(l), int(k), complex(g)) for (l, k, g) in self.taps)
+        try:
+            bins = [(operator.index(l), operator.index(k)) for l, k, _ in self.taps]
+        except TypeError:
+            raise ValueError(f"tap bins must be integers, got taps {self.taps!r}") from None
+        taps = tuple(ChannelTap(l, k, complex(g)) for (l, k), (*_, g) in zip(bins, self.taps))
         object.__setattr__(self, "taps", taps)
         if not taps:
             raise ValueError("channel must have at least one tap")
@@ -140,11 +148,14 @@ def check_taps(
 def draw_noise(rng: np.random.Generator, noise_var: float, size) -> tuple:
     """Complex AWGN as drawn from ``rng``: (real parts, imaginary parts).
 
-    Two Gaussian draws of ``size`` samples each, real parts first, each of
-    variance ``noise_var / 2``.
+    One standard-normal draw of 2 x ``size`` samples, real parts first,
+    scaled to variance ``noise_var / 2``: the values of two ``normal``
+    draws of ``size`` samples.  The runner draws each trial's unit normals
+    into a (T, 2, samples) stack and scales the stack once, the same values.
     """
-    scale = np.sqrt(noise_var / 2.0)
-    return rng.normal(scale=scale, size=size), rng.normal(scale=scale, size=size)
+    z = rng.standard_normal((2, *np.atleast_1d(size)))
+    z *= np.sqrt(noise_var / 2.0)
+    return z[0], z[1]
 
 
 def apply_channel(
@@ -166,6 +177,8 @@ def apply_channel(
 
     Delay l's row of :func:`delay_band`, built alone and read at the Doppler
     clock, weights the stream delayed by l (rolled or zero-filled by mode).
+    Without ``gains`` the rows are kept for the last channel, frame and
+    prefix applied, so a fixed channel's chunks build them once.
 
     ``sig`` may be a stack of frames (samples of shape (..., frame length)).
     ``gains`` of shape (..., taps) then gives each frame its own tap
@@ -183,26 +196,53 @@ def apply_channel(
     x = sig.samples
     if gains is not None and gains.shape != (*x.shape[:-1], len(ch.taps)):
         raise ValueError(f"gains of shape {gains.shape} do not match {len(ch.taps)} taps")
-    l, k, g = _tap_arrays(ch, gains)
-    S, L, total = params.dof, ch.L_max, x.shape[-1]
-    # the Doppler clock, held at the slot's first body sample in its prefix
-    q = np.maximum(0, np.arange(sig.slot_len) - sig.cp_len)
-    clock = (np.arange(params.N)[:, None] * params.M + q).reshape(-1)
+    L, total = ch.L_max, x.shape[-1]
     # the stream led by the frame's tail (cyclic) or zeros (prefixed)
     lead = x[..., total - L + 1:] if mode == "cyclic" else np.zeros((*x.shape[:-1], L - 1))
     stream = np.concatenate([lead, x], axis=-1)
     r = np.zeros(x.shape, dtype=np.complex128)
     # one delay d (that carries taps) at a time: no temporary outgrows the stream stack
-    for d in np.unique(l):
-        at = l == d
-        ramp = _doppler_ramps(0, k[at], g[..., at], (1, S))[..., 0, :]
-        r += np.take(ramp, (clock - d) % S, axis=-1) * stream[..., L - 1 - d : L - 1 - d + total]
+    if gains is None:
+        rows = _fixed_delay_rows(ch, params, sig.cp_len)
+    else:
+        rows = _delay_rows(ch, params, sig.cp_len, gains)
+    for d, row in rows:
+        r += row * stream[..., L - 1 - d : L - 1 - d + total]
 
     if noise_var > 0:
         noise = draw_noise(rng, noise_var, r.shape)
     if noise is not None:
-        r = r + noise[0] + 1j * noise[1]
+        r.real += noise[0]
+        r.imag += noise[1]
     return replace(sig, samples=r)
+
+
+def _delay_rows(ch: DDChannelSpec, params: FrameParams, cp_len: int, gains=None):
+    """Yields (d, row) for each delay d that carries taps: its :func:`delay_band`
+    row (..., frame length), built alone and read at the Doppler clock."""
+    l, k, g = _tap_arrays(ch, gains)
+    S = params.dof
+    # the Doppler clock, held at the slot's first body sample in its prefix
+    q = np.maximum(0, np.arange(params.M + cp_len) - cp_len)
+    clock = (np.arange(params.N)[:, None] * params.M + q).reshape(-1)
+    for d in np.unique(l):
+        at = l == d
+        ramp = _doppler_ramps(0, k[at], g[..., at], (1, S))[..., 0, :]
+        yield d, np.take(ramp, (clock - d) % S, axis=-1)
+
+
+#: the (channel, frame, prefix) key and the delay rows of the last fixed channel applied
+_fixed_rows = (None, None)
+
+
+def _fixed_delay_rows(ch: DDChannelSpec, params: FrameParams, cp_len: int) -> list:
+    """:func:`_delay_rows` of a fixed channel, kept for the last key only."""
+    global _fixed_rows
+    key = (ch, params, cp_len)
+    if _fixed_rows[0] != key:
+        _fixed_rows = None, None  # the old rows go before the new ones are built
+        _fixed_rows = key, list(_delay_rows(ch, params, cp_len))
+    return _fixed_rows[1]
 
 
 # ---------------------------------------------------------------------------

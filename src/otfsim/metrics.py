@@ -24,9 +24,17 @@ from .frame import TimeSignal
 
 @dataclass(frozen=True, eq=False)
 class Constellation:
+    """Points on a grid of per-axis levels, ``points[i * A + q] = re[i] + 1j * im[q]``,
+    so the nearest point is the nearest level on each axis.
+    """
+
     name: str
     points: np.ndarray
     bits_per_symbol: int
+    #: each axis's ascending decision thresholds (:func:`_axis_slicer`), real axis first
+    thresholds: tuple = field(init=False, repr=False)
+    #: the point index of the level ranks (r_re, r_im), at r_re * A + r_im
+    lookup: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.complex128)
@@ -35,10 +43,37 @@ class Constellation:
             raise ValueError(
                 f"{self.name}: {pts.size} points but {self.bits_per_symbol} bits/symbol"
             )
+        A = len(set(pts.imag.tolist()))
+        re, im = pts[::A].real, pts[:A].imag
+        if not np.array_equal(pts, (re[:, None] + 1j * im).reshape(-1)):
+            raise ValueError(f"{self.name}: points are not a grid of per-axis levels")
+        (t_re, i_re), (t_im, i_im) = _axis_slicer(re), _axis_slicer(im)
+        object.__setattr__(self, "thresholds", (t_re, t_im))
+        object.__setattr__(self, "lookup", (i_re[:, None] * A + i_im).reshape(-1))
 
     @property
     def size(self) -> int:
         return self.points.size
+
+
+def _axis_slicer(levels: np.ndarray) -> tuple:
+    """(thresholds, indices): x's nearest level is ``indices[r]``, r the number
+    of ascending thresholds at or below x.
+
+    It is the level ``argmin(abs(x - levels))`` picks in floating point, the
+    lowest index on a tie (for |x| well below 2**52): threshold r is the least
+    float that argmin puts at or above the r-th lowest level, by bisection.
+    """
+    lv = levels.tolist()
+    order = sorted(range(len(lv)), key=lv.__getitem__)
+    thresholds = []
+    for r in range(1, len(lv)):
+        lo, hi = lv[order[r - 1]], lv[order[r]]
+        while lo < (mid := lo + (hi - lo) / 2) < hi:
+            nearest = min(range(len(lv)), key=lambda i: abs(mid - lv[i]))
+            lo, hi = (lo, mid) if order.index(nearest) >= r else (mid, hi)
+        thresholds.append(hi)
+    return np.array(thresholds), np.array(order)
 
 
 def _gray_axis_levels() -> np.ndarray:
@@ -95,10 +130,22 @@ def map_bits(bits: np.ndarray, constellation: Constellation) -> np.ndarray:
 
 
 def symbol_indices(symbols: np.ndarray, constellation: Constellation) -> np.ndarray:
-    """Nearest-point hard decision, returned as constellation indices."""
-    symbols = np.asarray(symbols, dtype=np.complex128).reshape(-1)
-    d = np.abs(symbols[:, None] - constellation.points[None, :])
-    return np.argmin(d, axis=1)
+    """Nearest-point hard decision, returned as constellation indices.
+
+    Decided on each axis by its thresholds: a tie goes to the lower index,
+    and a symbol with a NaN part to index 0, as the argmin of the distances
+    to all points decides.
+    """
+    z = np.asarray(symbols, dtype=np.complex128).reshape(-1)
+    ranks = np.zeros(z.shape, dtype=np.uint8)
+    for part, thresholds in zip((z.real, z.imag), constellation.thresholds):
+        ranks *= thresholds.size + 1
+        part = np.ascontiguousarray(part)
+        for t in thresholds:
+            ranks += part >= t
+    idx = constellation.lookup.take(ranks)
+    idx[np.isnan(z)] = 0
+    return idx
 
 
 def slice_symbols(symbols: np.ndarray, constellation: Constellation) -> np.ndarray:
@@ -109,9 +156,11 @@ def slice_symbols(symbols: np.ndarray, constellation: Constellation) -> np.ndarr
     symbols = np.asarray(symbols)
     idx = symbol_indices(symbols, constellation)
     bps = constellation.bits_per_symbol
-    shifts = np.arange(bps - 1, -1, -1)
-    bits = (idx[:, None] >> shifts[None, :]) & 1
-    return bits.reshape(*symbols.shape[:-1], -1).astype(np.int64)
+    bits = np.empty((idx.size, bps), dtype=np.int64)
+    for j in range(bps):  # most significant bit first
+        np.right_shift(idx, bps - 1 - j, out=bits[:, j])
+    bits &= 1
+    return bits.reshape(*symbols.shape[:-1], -1)
 
 
 def papr_samples(x: np.ndarray):

@@ -10,9 +10,13 @@ Philox engine::
 
 Within a trial the draw order is fixed (channel, then bits, then noise),
 so results are bit-identical for any worker partition of the trial range
-and any execution order.  Auxiliary system randomness (e.g. a Gaussian
-spreading matrix, a single channel draw for inspection) uses reserved
-counter blocks that no trial stream can reach.
+and any execution order.  The n bits are the values of
+``integers(0, 2, n)``, read from ceil(n/2) raw words (bits 31 and 63 of
+each); the noise is the value of ``channel.draw_noise``, one standard-normal
+draw of real then imaginary parts, scaled by sqrt(noise_var / 2).
+Auxiliary system randomness (e.g. a Gaussian spreading matrix, a single
+channel draw for inspection) uses reserved counter blocks that no trial
+stream can reach.
 
 Execution
 ---------
@@ -57,7 +61,6 @@ from .channel import (
     check_blocks,
     check_taps,
     delay_band,
-    draw_noise,
     effective_matrix,  # noqa: F401 -- unused here; bench/tracing.py wraps runner.effective_matrix
     random_channel,
     slot_operators,
@@ -336,6 +339,13 @@ def system_rng(seed: int, slot: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, int(slot)]))
 
 
+def _word_bits(words: np.ndarray, n: int) -> np.ndarray:
+    """``integers(0, 2, n)`` from its raw words (..., ceil(n/2)): the top bit of
+    each 32-bit half, low half first (bits 31 and 63 of each word)."""
+    halves = words.astype("<u8", copy=False).view("<u4")
+    return (halves[..., :n] >> 31).astype(np.int64)
+
+
 class _TrialStreams:
     """The trial streams of one SNR point, served by a single generator.
 
@@ -436,19 +446,20 @@ class _Link:
         """
         T = stop - start
         ch, gains = self.fixed, []
-        bits = np.empty((T, self.n_bits), dtype=np.int64)
-        noise = None
-        if self.noise_var > 0:
-            noise = (np.empty((T, self.n_samples)), np.empty((T, self.n_samples)))
+        words = np.empty((T, (self.n_bits + 1) // 2), dtype=np.uint64)
+        noise = np.empty((T, 2, self.n_samples)) if self.noise_var > 0 else None
         for i in range(T):
             rng = streams.at(start + i)
             if self.fixed is None:
                 ch = self.channel_for_trial(rng)
                 gains.append([t.gain for t in ch.taps])
-            bits[i] = rng.integers(0, 2, size=self.n_bits)
+            words[i] = rng.bit_generator.random_raw(words.shape[1])
             if noise is not None:
-                noise[0][i], noise[1][i] = draw_noise(rng, self.noise_var, self.n_samples)
-        return ch, np.array(gains) if gains else None, bits, noise
+                rng.standard_normal(out=noise[i])
+        if noise is not None:
+            noise *= np.sqrt(self.noise_var / 2.0)  # draw_noise's values
+            noise = noise[:, 0], noise[:, 1]
+        return ch, np.array(gains) if gains else None, _word_bits(words, self.n_bits), noise
 
     def tf_grid(self, symbols: np.ndarray) -> np.ndarray:
         """The user map: stacked symbols (..., n) -> (..., M, N) time-frequency grid."""

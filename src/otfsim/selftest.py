@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import channel, modem, multiuser, transforms
+from . import channel, modem, multiuser, runner, transforms
 from .frame import interleaved_map, localized_map, make_frame
 from .modem import SchemeConfig
 
@@ -112,6 +112,25 @@ def _check_kron() -> CheckResult:
     return CheckResult("kron_vec_identity", d < _TOL, f"max deviation {d:.3e}")
 
 
+def _check_trial_stream() -> CheckResult:
+    # BPSK on 3 x 3: an odd bit count, after a random channel's draw
+    sc = runner.scenario_from_dict({
+        "frame": {"M": 3, "N": 3, "cp_len": 1}, "scheme": "OTFS", "constellation": "BPSK",
+        "channel": {"random": {"L_max": 2, "V_max": 2}}, "snr_db_list": [3.0],
+        "trials": 4, "seed": _SEED,
+    })
+    link = runner._Link(sc, 0.5)
+    _, _, bits, (re, im) = link.draw(runner._TrialStreams(sc.seed, 0, 0), 0, sc.trials)
+    differ = 0
+    for t in range(sc.trials):
+        rng = runner.trial_rng(sc.seed, 0, t)
+        link.channel_for_trial(rng)
+        n = link.n_samples
+        want = rng.integers(0, 2, link.n_bits), rng.normal(0, 0.5, n), rng.normal(0, 0.5, n)
+        differ += sum(not np.array_equal(a, b) for a, b in zip((bits[t], re[t], im[t]), want))
+    return CheckResult("trial_stream", differ == 0, f"{differ} of {3 * sc.trials} draws differ")
+
+
 _CHECKS = (
     _check_unitarity,
     _check_reductions,
@@ -119,6 +138,7 @@ _CHECKS = (
     _check_tf_views,
     _check_mui_nulls,
     _check_kron,
+    _check_trial_stream,
 )
 
 

@@ -177,6 +177,54 @@ def test_reset_stream_draws_what_trial_rng_draws(snr_index, order):
         assert all(np.array_equal(a, b) for a, b in zip(got, want)), t
 
 
+def stream_state(rng):
+    """The generator state, less the 32-bit half ``integers`` of an odd count
+    leaves buffered: no later draw of a trial reads it, as every one takes
+    whole 64-bit words, and the stream is reset before the next trial."""
+    state = rng.bit_generator.state
+    counter, key = state["state"]["counter"], state["state"]["key"]
+    return counter.tolist(), key.tolist(), state["buffer"].tolist(), state["buffer_pos"]
+
+
+@pytest.mark.parametrize("constellation,M,N,channel", [
+    ("BPSK", 3, 3, {"random": {"L_max": 2, "V_max": 2}}),  # 9 bits: an odd count
+    ("QPSK", 4, 2, {"taps": [{"delay_bin": 1, "doppler_bin": 1, "re": 0.6, "im": 0.8}]}),
+    ("16QAM", 4, 4, {"random": {"L_max": 2, "V_max": 1}}),
+])
+def test_link_draws_are_the_contract_draws(constellation, M, N, channel):
+    # bits read from raw words and noise drawn in one call per trial equal,
+    # bitwise, what rng.integers and draw_noise draw from a fresh trial
+    # stream after the channel; each trial leaves its stream where they do
+    sc = scenario_from_dict({
+        "frame": {"M": M, "N": N, "cp_len": 1}, "scheme": "OTFS",
+        "constellation": constellation, "channel": channel,
+        "snr_db_list": [3.0], "trials": 8, "seed": 2**70 + 5,
+    })
+    link = _Link(sc, 0.7)
+    streams = _TrialStreams(sc.seed, 4, 3)
+    _, gains, bits, noise = link.draw(streams, 3, 8)
+    for i, t in enumerate(range(3, 8)):
+        rng = trial_rng(sc.seed, 4, t)
+        ch = link.channel_for_trial(rng)
+        if gains is not None:
+            assert np.array_equal(gains[i], [tap.gain for tap in ch.taps])
+        assert np.array_equal(bits[i], rng.integers(0, 2, size=link.n_bits))
+        re, im = draw_noise(rng, 0.7, link.n_samples)
+        assert np.array_equal(noise[0][i], re) and np.array_equal(noise[1][i], im)
+        link.draw(streams, t, t + 1)
+        assert stream_state(streams.rng) == stream_state(rng)
+    assert bits.dtype == np.int64 and bits.shape == (5, link.n_bits)
+
+
+def test_draw_noise_is_two_normal_draws():
+    a, b = trial_rng(9, 1, 2), trial_rng(9, 1, 2)
+    re, im = draw_noise(a, 0.3, (2, 5))
+    scale = np.sqrt(0.15)
+    assert np.array_equal(re, b.normal(scale=scale, size=(2, 5)))
+    assert np.array_equal(im, b.normal(scale=scale, size=(2, 5)))
+    assert stream_state(a) == stream_state(b)
+
+
 # ---------------------------------------------------------------------------
 # every layer on a stack of frames equals the same layer frame by frame
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import otfsim as ot
+from otfsim import channel
 from otfsim.channel import (
     COUPLING_GUARD, EFFECTIVE_GUARD, band_blocks, chain_matrix, check_blocks, delay_band,
 )
@@ -70,6 +71,17 @@ class TestChannelSpec:
             ot.DDChannelSpec(taps=((0, 0, 1.0), (0, 0, 0.5)))
         with pytest.raises(ValueError):
             ot.DDChannelSpec(taps=((-1, 0, 1.0),))
+
+    @pytest.mark.parametrize("tap", [(1.9, 0, 1.0), (1, 0.5, 1.0), (2.0, 1, 1.0), (1, 1.0, 1.0)])
+    def test_non_integer_bins_refused(self, tap):
+        # int() would read (1.9, 0.5) as delay 1, Doppler 0
+        with pytest.raises(ValueError, match="integers"):
+            ot.DDChannelSpec(taps=(tap,))
+
+    def test_numpy_integer_bins_accepted(self):
+        ch = ot.DDChannelSpec(taps=((np.int64(2), np.int32(-1), 1.0), (np.uint8(0), 0, 0.5)))
+        assert ch.taps == ((2, -1, 1.0), (0, 0, 0.5))
+        assert all(type(v) is int for t in ch.taps for v in t[:2])
 
     def test_random_channel_power_exact(self):
         rng = np.random.default_rng(0)
@@ -204,6 +216,69 @@ class TestApplyChannel:
         assert np.abs(got - per_tap_channel_oracle(sig, ch, params, mode, gains)).max() <= 1e-12
         got = ot.apply_channel(one, ch, params, mode=mode).samples
         assert np.abs(got - per_tap_channel_oracle(one, ch, params, mode)).max() <= 1e-12
+
+
+class TestFixedDelayRows:
+    """A fixed channel's delay rows, kept for the last channel, frame and prefix."""
+
+    def setup_method(self):
+        self.params = ot.make_frame(16, 4)
+        rng = np.random.default_rng(15)
+        self.ch = ot.random_channel(4, 2, rng)
+        self.X = rng.normal(size=(5, 16, 4)) + 1j * rng.normal(size=(5, 16, 4))
+        self.sig = ot.heisenberg(self.X, self.params, cp_len=3)
+        self.gains = rng.normal(size=(5, len(self.ch.taps))) + 0j
+
+    def apply(self, ch, **kw):
+        return ot.apply_channel(self.sig, ch, self.params, **kw).samples
+
+    def test_kept_rows_equal_a_cold_build_and_the_oracle(self, monkeypatch):
+        monkeypatch.setattr(channel, "_fixed_rows", (None, None))
+        built = []
+        real = channel._delay_rows
+        monkeypatch.setattr(channel, "_delay_rows", lambda *a: built.append(a) or real(*a))
+        cold = self.apply(self.ch)
+        warm = self.apply(self.ch)
+        assert len(built) == 1
+        assert np.array_equal(warm, cold)
+        oracle = per_tap_channel_oracle(self.sig, self.ch, self.params, "per_slot_cp")
+        assert np.abs(warm - oracle).max() <= 1e-12
+        # the same channel and frame with a longer prefix: another clock
+        longer = ot.heisenberg(self.X, self.params, cp_len=5)
+        got = ot.apply_channel(longer, self.ch, self.params).samples
+        oracle = per_tap_channel_oracle(longer, self.ch, self.params, "per_slot_cp")
+        assert len(built) == 2 and np.abs(got - oracle).max() <= 1e-12
+
+    def test_random_gains_between_fixed_calls(self, monkeypatch):
+        monkeypatch.setattr(channel, "_fixed_rows", (None, None))
+        first = self.apply(self.ch)
+        kept = channel._fixed_rows
+        drawn = self.apply(self.ch, gains=self.gains)
+        assert channel._fixed_rows is kept
+        assert np.array_equal(self.apply(self.ch), first)
+        oracle = per_tap_channel_oracle(self.sig, self.ch, self.params, "per_slot_cp", self.gains)
+        assert np.abs(drawn - oracle).max() <= 1e-12
+
+    def test_another_key_replaces_the_rows(self, monkeypatch):
+        # 16 delays of a 64 x 8 frame: holding two channels' rows would
+        # hold 32 frames; one channel's rows and the call's own arrays hold fewer
+        monkeypatch.setattr(channel, "_fixed_rows", (None, None))
+        params = ot.make_frame(64, 8)
+        sig = ot.heisenberg(np.ones((64, 8)), params, cp_len=15)
+        frame = sig.samples.nbytes
+        a, b = (ot.DDChannelSpec(tuple((l, 0, g) for l in range(16))) for g in (1.0, 0.5))
+        tracemalloc.start()
+        try:
+            ot.apply_channel(sig, a, params)
+            assert 16 * frame <= tracemalloc.get_traced_memory()[0] < 17 * frame
+            tracemalloc.reset_peak()
+            ot.apply_channel(sig, b, params)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert channel._fixed_rows[0][0] is b
+        assert 16 * frame <= held < 17 * frame
+        assert peak < 24 * frame
 
 
 class TestNoiseWhiteness:

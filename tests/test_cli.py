@@ -385,7 +385,7 @@ class TestSelftest:
     def test_all_checks_pass(self, capsys):
         assert main(["selftest"]) == EXIT_OK
         out = capsys.readouterr().out
-        assert out.count("[PASS]") == 6 and "[FAIL]" not in out
+        assert out.count("[PASS]") == 7 and "[FAIL]" not in out
 
     def test_library_results(self):
         results = run_selftest()
@@ -396,6 +396,7 @@ class TestSelftest:
             "tf_channel_factored",
             "multiuser_interference_null",
             "kron_vec_identity",
+            "trial_stream",
         ]
         assert all(r.passed for r in results)
 
@@ -406,6 +407,14 @@ class TestSelftest:
         monkeypatch.setattr(otfsim.transforms, "isfft", lambda x: -real(x))
         assert main(["selftest"]) == EXIT_INVARIANT
         assert "[FAIL] transform_unitarity" in capsys.readouterr().out
+
+    def test_injected_stream_misread_caught(self, monkeypatch, capsys):
+        # negative control: bits read from the wrong half of each raw word
+        real = otfsim.runner._word_bits
+        monkeypatch.setattr(otfsim.runner, "_word_bits", lambda w, n: real(w << np.uint64(32), n))
+        assert main(["selftest"]) == EXIT_INVARIANT
+        out = capsys.readouterr().out
+        assert "[FAIL] trial_stream" in out and out.count("[PASS]") == 6
 
     def test_injected_crash_reported_not_raised(self, monkeypatch, capsys):
         def boom(x):

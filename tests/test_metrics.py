@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 import otfsim as ot
 from otfsim.metrics import (
+    Constellation,
     count_errors,
     get_constellation,
     map_bits,
@@ -112,6 +113,55 @@ class TestConstellations:
         idx = symbol_indices(noisy, c)
         for z, i in zip(noisy, idx):
             assert abs(z - c.points[i]) == pytest.approx(np.abs(z - c.points).min())
+
+
+def argmin_slicer(symbols, constellation):
+    """The distance-table slicer the per-axis decisions replaced: the argmin
+    of the distances to every point, the lowest index on a tie."""
+    z = np.asarray(symbols, dtype=np.complex128).reshape(-1)
+    return np.argmin(np.abs(z[:, None] - constellation.points[None, :]), axis=1)
+
+
+@pytest.mark.parametrize("name", ["BPSK", "QPSK", "16QAM"])
+class TestPerAxisSlicer:
+    def test_seeded_points(self, name):
+        c = get_constellation(name)
+        rng = np.random.default_rng(202)
+        spread = rng.choice([0.05, 0.3, 1.0, 3.0], size=10**5)
+        z = (rng.normal(size=10**5) + 1j * rng.normal(size=10**5)) * spread
+        assert np.array_equal(symbol_indices(z, c), argmin_slicer(z, c))
+
+    def test_midpoints_and_their_float_neighbours(self, name):
+        # every midpoint of two points, and the floats either side of it on each axis
+        c = get_constellation(name)
+        mids = ((c.points[:, None] + c.points[None, :]) / 2).reshape(-1)
+        re = [mids.real, *(np.nextafter(mids.real, d) for d in (-np.inf, np.inf))]
+        im = [mids.imag, *(np.nextafter(mids.imag, d) for d in (-np.inf, np.inf))]
+        z = np.concatenate([a + 1j * b for a in re for b in im])
+        assert np.array_equal(symbol_indices(z, c), argmin_slicer(z, c))
+
+    def test_signed_zeros_and_nan(self, name):
+        c = get_constellation(name)
+        parts = [0.0, -0.0, np.nan, 0.4, -0.4]
+        z = np.array([complex(a, b) for a in parts for b in parts])
+        idx = symbol_indices(z, c)
+        assert np.array_equal(idx, argmin_slicer(z, c))
+        assert not idx[np.isnan(z)].any()
+
+    def test_stacks(self, name):
+        c = get_constellation(name)
+        rng = np.random.default_rng(203)
+        z = rng.normal(size=(3, 4, 5)) + 1j * rng.normal(size=(3, 4, 5))
+        assert np.array_equal(symbol_indices(z, c), argmin_slicer(z, c))
+        bits = slice_symbols(z, c)
+        assert bits.shape == (3, 4, 5 * c.bits_per_symbol)
+        assert all(np.array_equal(bits[i], slice_symbols(z[i], c)) for i in range(3))
+
+
+def test_constellation_must_be_a_grid_of_axis_levels():
+    # a rotated QPSK is not decided per axis
+    with pytest.raises(ValueError, match="grid"):
+        Constellation("diamond", np.array([1, 1j, -1, -1j]), 2)
 
 
 class TestPAPR:
