@@ -23,8 +23,9 @@ Both modes implement, on body samples,
     r[s] = sum_taps gain * x[s - l] * exp(2j*pi*k*(s - l)/(M*N)) + noise
 
 with s the body-sample index.  :func:`delay_band` holds this channel as its
-L_max delay diagonals; :func:`apply_channel` builds them one delay at a time
-and :func:`tf_channel` their first column, each with a gain set per frame.
+L_max delay diagonals, and :func:`band_channel` reads the received body
+from them; :func:`apply_channel` builds them one delay at a time and
+:func:`tf_channel` their first column, each with a gain set per frame.
 :func:`band_blocks` scatters them into the dense time-domain blocks, which
 :func:`slot_operators` sees through the per-slot DFT (the OFDM/OSTF view)
 and :func:`dd_domain_operator` through the Doppler DFT (the OTFS view).
@@ -101,26 +102,30 @@ def received_power(ch: DDChannelSpec) -> float:
     return float(sum(abs(t.gain) ** 2 for t in ch.taps))
 
 
+def random_gains(L_max: int, V_max: int, rng: np.random.Generator) -> np.ndarray:
+    """The (L_max, 2*V_max - 1) tap gains of :func:`random_channel`, as drawn from ``rng``.
+
+    I.i.d. circular complex Gaussian of equal power, rescaled so the
+    realised received power is exactly 1.
+    """
+    if L_max < 1 or V_max < 1:
+        raise ValueError(f"spreads must be >= 1, got L_max={L_max} V_max={V_max}")
+    shape = (L_max, 2 * V_max - 1)
+    g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    g *= np.sqrt(1.0 / (shape[0] * shape[1]) / 2.0)
+    g /= np.linalg.norm(g)
+    return g
+
+
 def random_channel(L_max: int, V_max: int, rng: np.random.Generator) -> DDChannelSpec:
     """Draw a random channel on the full delay x Doppler tap grid.
 
     Taps cover delay bins [0, L_max) and Doppler bins (-V_max, V_max)
-    (centered on zero), gains i.i.d. circular complex Gaussian of equal
-    power, rescaled so the realised received power is exactly 1.
+    (centered on zero), delay-major, with the gains of :func:`random_gains`.
     """
-    if L_max < 1 or V_max < 1:
-        raise ValueError(f"spreads must be >= 1, got L_max={L_max} V_max={V_max}")
-    dopplers = np.arange(-(V_max - 1), V_max)
-    shape = (L_max, dopplers.size)
-    g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    g *= np.sqrt(1.0 / (shape[0] * shape[1]) / 2.0)
-    g /= np.linalg.norm(g)
-    taps = [
-        (l, int(dopplers[j]), g[l, j])
-        for l in range(L_max)
-        for j in range(dopplers.size)
-    ]
-    return DDChannelSpec(taps=tuple(taps))
+    g = random_gains(L_max, V_max, rng)
+    dopplers = range(1 - V_max, V_max)
+    return DDChannelSpec(tuple((l, k, g[l, j]) for l in range(L_max) for j, k in enumerate(dopplers)))
 
 
 def check_taps(
@@ -215,6 +220,33 @@ def apply_channel(
         r.real += noise[0]
         r.imag += noise[1]
     return replace(sig, samples=r)
+
+
+def band_channel(band: np.ndarray, sig: TimeSignal, mode: str, noise: tuple | None = None):
+    """:func:`apply_channel`'s body samples (..., M*N), bitwise, from the channel's
+    :func:`delay_band` (..., L_max, N, M) and the (real, imaginary) ``noise`` pair.
+
+    Each block (a slot in ``per_slot_cp`` mode, the frame in ``cyclic`` mode)
+    takes r[p] = sum_l band_l[p] * x[(p - l) mod B], delays in ascending
+    order, x[p - l] read from the slot's prefix or the frame's tail.
+    """
+    L, N, M = band.shape[-3:]
+    lead = L - 1 if mode == "cyclic" else sig.cp_len
+    if lead < L - 1 or (mode == "cyclic" and sig.cp_len):
+        raise ConfigError(f"a {mode} frame with prefix {sig.cp_len} cannot hold {L} delays")
+    blocks = 1 if mode == "cyclic" else N
+    x = sig.samples.reshape(*sig.samples.shape[:-1], blocks, -1)
+    if mode == "cyclic":
+        x = np.concatenate([x[..., M * N - lead:], x], axis=-1)
+    band = band.reshape(*band.shape[:-2], blocks, -1)
+    r = np.zeros((*x.shape[:-1], band.shape[-1]), dtype=np.complex128)
+    for l in range(L):
+        r += band[..., l, :, :] * x[..., lead - l : lead - l + r.shape[-1]]
+    r = r.reshape(*r.shape[:-2], N, M)
+    if noise is not None:
+        r.real += noise[0].reshape(*r.shape[:-1], -1)[..., sig.cp_len:]
+        r.imag += noise[1].reshape(*r.shape[:-1], -1)[..., sig.cp_len:]
+    return r.reshape(*r.shape[:-2], -1)
 
 
 def _delay_rows(ch: DDChannelSpec, params: FrameParams, cp_len: int, gains=None):

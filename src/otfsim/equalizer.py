@@ -76,17 +76,21 @@ def band_gram(band: np.ndarray, noise_var: float) -> np.ndarray:
     ``band`` (..., L, blocks, B), L <= B, holds the blocks' delay diagonals,
     A[p, (p - l) mod B] = band[..., l, b, p] (``channel.delay_band``).  Gram
     diagonal d, at (p, (p - d) mod B), sums band_l[p] * conj(band_m[p - d])
-    over l - m = d: L^2 vectorised products, never a dense product.
+    over l - m = d: L^2 vectorised products, never a dense product.  In the
+    flat Gram, rows p >= q = d mod B of the diagonal lie at q*B + p*(B + 1)
+    and the wrapped rows p < q at B - q + p*(B + 1): two strided slices.
     """
     L, B = band.shape[-3], band.shape[-1]
-    p = np.arange(B)
     conj = band.conj()
     gram = np.zeros((*band.shape[:-3], band.shape[-2], B * B), dtype=np.complex128)
-    gram[..., p * (B + 1)] = noise_var
+    gram[..., :: B + 1] = noise_var
     for d in range(1 - L, L):
-        late = np.roll(conj, d, axis=-1)  # conj(band) delayed by d round each block
-        gram[..., p * B + (p - d) % B] += sum(
-            band[..., l, :, :] * late[..., l - d, :, :] for l in range(max(0, d), L + min(0, d))
+        q, pairs = d % B, [(l, l - d) for l in range(max(0, d), L + min(0, d))]
+        gram[..., q * B :: B + 1] += sum(
+            band[..., l, :, q:] * conj[..., m, :, : B - q] for l, m in pairs
+        )
+        gram[..., B - q : q * B : B + 1] += sum(
+            band[..., l, :, :q] * conj[..., m, :, B - q :] for l, m in pairs
         )
     return gram.reshape(*gram.shape[:-1], B, B)
 
@@ -101,10 +105,11 @@ def band_filter(band: np.ndarray, noise_var: float):
     call, a call that raises or returns non-finite values is redone frame by
     frame, and only a frame whose own solve fails takes the pseudo-inverse.
     """
+    B = band.shape[-1]
     if band.ndim == 3:  # the inverse, solved against the identity
-        inv = _solve(band_gram(band[None], noise_var), np.eye(band.shape[-1]))[0]
+        inv = _solve(band_gram(band[None], noise_var), np.eye(B))[0]
     else:
-        per = max(1, EFFECTIVE_GUARD**2 // (band[0, 0].size * band.shape[-1]))
+        per = max(1, EFFECTIVE_GUARD**2 // (band[0, 0].size * B))
 
     def equalize(y):
         if band.ndim == 3:
@@ -115,9 +120,12 @@ def band_filter(band: np.ndarray, noise_var: float):
                 for a in range(0, len(y), per)
             ])
         # A^H z: sample p - l of a block takes conj(band_l[p]) * z[p]
-        return sum(
-            np.roll(band[..., l, :, :].conj() * z, -l, axis=-1) for l in range(band.shape[-3])
-        )
+        out = np.zeros(z.shape, dtype=np.complex128)
+        for l in range(band.shape[-3]):
+            w = band[..., l, :, :].conj() * z
+            out[..., : B - l] += w[..., l:]
+            out[..., B - l :] += w[..., :l]
+        return out
 
     return equalize
 

@@ -29,9 +29,13 @@ slicing and counting) then runs once per chunk on the stack.  Each SNR
 point runs one link bound to its noise variance, whose receiver reads a
 channel once for its detector and, on a budgeted downlink, the water-filled
 user amplitudes: a fixed channel's receiver is built once for the point.
-A random chunk is one tap set with a (T, taps) gain stack: its channel, a
+A random chunk is one tap grid with a (T, taps) gain stack: its channel, a
 unitary map's LMMSE and one-tap responses take one call each; ML and
-Gaussian spreading build one detector per draw.
+Gaussian spreading build one detector per draw.  A unitary map's LMMSE
+builds one delay band per chunk (per link for a fixed channel): it forms
+the received body samples and the LMMSE inverts it.  Other links apply the
+channel one delay row at a time, as a whole band of their frames could
+outgrow the stream stack.
 
 Scenario files are strict JSON.  One reader walks each object against its
 key table and refuses unknown, missing and null keys by name; every value
@@ -43,7 +47,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields
 from functools import cached_property, reduce
 from pathlib import Path
@@ -57,12 +60,14 @@ from .channel import (
     FRAME_GUARD,
     DDChannelSpec,
     apply_channel,
+    band_channel,
     chain_matrix,  # noqa: F401 -- unused here; bench/tracing.py wraps runner.chain_matrix
     check_blocks,
     check_taps,
     delay_band,
     effective_matrix,  # noqa: F401 -- unused here; bench/tracing.py wraps runner.effective_matrix
     random_channel,
+    random_gains,
     slot_operators,
     tf_channel,
     windowed_dd_channel,
@@ -390,6 +395,9 @@ class _Link:
         self.cfg = SchemeConfig(sc.scheme, self.params, cp_len=sc.cp_len)
         self.const = get_constellation(sc.constellation)
         self.fixed = None if sc.channel_taps is None else _fixed_channel(sc)
+        if self.fixed is None:  # random_channel's taps; each draw gives their gains
+            L, V = sc.channel_random
+            self.grid = DDChannelSpec(tuple((l, k, 1) for l in range(L) for k in range(1 - V, V)))
         mu = sc.multiuser
         # every user map tiles the grid unitarily except Gaussian spreading,
         # and a unitary map's joint LMMSE is solved on the channel's delay band
@@ -440,26 +448,25 @@ class _Link:
     def draw(self, streams: _TrialStreams, start: int, stop: int):
         """Every draw of trials [start, stop), trial by trial in the contract's order.
 
-        Returns ``(ch, gains, bits, noise)``: the (last drawn) channel, the draws' (T, taps)
-        gains at its tap positions (None for a fixed channel), the (T, n_bits) bits and
-        the noise pair of (T, samples) arrays (None at zero noise variance).
+        Returns ``(ch, gains, bits, noise)``: the fixed channel or the random tap grid, the
+        draws' (T, taps) gains at the grid's taps (None for a fixed channel), the (T, n_bits)
+        bits and the noise pair of (T, samples) arrays (None at zero noise variance).
         """
         T = stop - start
-        ch, gains = self.fixed, []
+        gains = None if self.fixed else np.empty((T, len(self.grid.taps)), dtype=np.complex128)
         words = np.empty((T, (self.n_bits + 1) // 2), dtype=np.uint64)
         noise = np.empty((T, 2, self.n_samples)) if self.noise_var > 0 else None
         for i in range(T):
             rng = streams.at(start + i)
-            if self.fixed is None:
-                ch = self.channel_for_trial(rng)
-                gains.append([t.gain for t in ch.taps])
+            if gains is not None:
+                gains[i] = random_gains(*self.sc.channel_random, rng).reshape(-1)
             words[i] = rng.bit_generator.random_raw(words.shape[1])
             if noise is not None:
                 rng.standard_normal(out=noise[i])
         if noise is not None:
             noise *= np.sqrt(self.noise_var / 2.0)  # draw_noise's values
             noise = noise[:, 0], noise[:, 1]
-        return ch, np.array(gains) if gains else None, _word_bits(words, self.n_bits), noise
+        return self.fixed or self.grid, gains, _word_bits(words, self.n_bits), noise
 
     def tf_grid(self, symbols: np.ndarray) -> np.ndarray:
         """The user map: stacked symbols (..., n) -> (..., M, N) time-frequency grid."""
@@ -507,22 +514,28 @@ class _Link:
             U[:, a:a + m] = self.tf_grid(np.eye(m, n, k=a)).swapaxes(-1, -2).reshape(m, dof).T
         return U
 
-    def receiver(self, ch: DDChannelSpec, gains: np.ndarray | None = None):
+    def band(self, ch: DDChannelSpec, gains: np.ndarray | None = None):
+        """``delay_band`` of ``ch`` on a banded link, after the dense-block guard; else None."""
+        if self.banded:
+            check_blocks(self.params, self.sc.channel_mode)
+            return delay_band(ch, self.params, gains)
+
+    def receiver(self, ch: DDChannelSpec, gains: np.ndarray | None = None, band=None):
         """Returns ``(detect, amp)``: symbol estimates of received body samples
         (..., M*N), and a budgeted downlink's (frames, K) water-filled user amplitudes or None.
 
         ``gains`` (T, taps) gives frame t ``ch``'s taps with gains[t].  A
         unitary map's LMMSE equalises the blocks (slots, or the ``cyclic``
-        frame) of all frames at once on the delay band, one-tap reads one
-        ``tf_channel`` call, for its detector and (a budget implies one-tap)
-        the users' water-filling; ML and Gaussian spreading read each frame's
-        grid through the slot operators T as T U, one detector per draw.
+        frame) of all frames at once on the delay band (``band``, else
+        :meth:`band` of ``ch``), one-tap reads one ``tf_channel`` call, for
+        its detector and (a budget implies one-tap) the users' water-filling;
+        ML and Gaussian spreading read each frame's grid through the slot
+        operators T as T U, one detector per draw.
         """
         sc, params, noise_var = self.sc, self.params, self.noise_var
         if self.banded:
-            check_blocks(params, sc.channel_mode)
             blocks = 1 if sc.channel_mode == "cyclic" else params.N
-            band = delay_band(ch, params, gains)
+            band = self.band(ch, gains) if band is None else band
             equalize = band_filter(band.reshape(*band.shape[:-2], blocks, -1), noise_var)
 
             def detect(body):
@@ -566,10 +579,15 @@ class _Link:
         W = mmse_filter(A, noise_var)
         return (lambda body: (W @ slot_major(body)[..., None])[..., 0]), None
 
+    def _view(self, ch: DDChannelSpec, gains: np.ndarray | None = None):
+        """``(band, (detect, amp))``: the channel's :meth:`band` and the :meth:`receiver` on it."""
+        band = self.band(ch, gains)
+        return band, self.receiver(ch, gains, band)
+
     @cached_property
     def _fixed_rx(self):
-        """The fixed channel's ``receiver``, built once."""
-        return self.receiver(self.fixed)
+        """The fixed channel's :meth:`_view`, built once."""
+        return self._view(self.fixed)
 
     def run_chunk(self, streams: _TrialStreams, start: int, stop: int):
         """Draw, transmit, receive and detect trials [start, stop) as one stack.
@@ -577,12 +595,14 @@ class _Link:
         Returns ((bit errors, symbol errors, bits, symbols), PAPR per trial).
         """
         ch, gains, bits, noise = self.draw(streams, start, stop)
-        detect, amp = self._fixed_rx if gains is None else self.receiver(ch, gains)
+        band, (detect, amp) = self._fixed_rx if gains is None else self._view(ch, gains)
         sig = self.transmit(bits, amp)
         paprs = papr(sig)
-        body = apply_channel(
-            sig, ch, self.params, mode=self.sc.channel_mode, gains=gains, noise=noise
-        ).body
+        mode = self.sc.channel_mode
+        if band is None:  # one delay row at a time: no band of the whole stack is held
+            body = apply_channel(sig, ch, self.params, mode=mode, gains=gains, noise=noise).body
+        else:  # the band the LMMSE equalises with is the channel
+            body = band_channel(band, sig, mode, noise)
         del sig, noise  # the transmitted stacks are not held through detection
         est = detect(body)
         bps = self.const.bits_per_symbol
@@ -639,6 +659,8 @@ def run(sc: Scenario, workers: int = 1) -> list:
     bounds = np.linspace(0, sc.trials, min(workers, sc.trials) + 1).astype(int)
     ranges = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
     jobs = [(sc, si, a, b) for si in range(n_snr) for a, b in ranges]
+    from concurrent.futures import ProcessPoolExecutor  # loaded only when a pool runs
+
     with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as ex:
         parts = list(ex.map(_worker, jobs))
     per_point = len(ranges)

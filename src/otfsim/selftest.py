@@ -131,6 +131,24 @@ def _check_trial_stream() -> CheckResult:
     return CheckResult("trial_stream", differ == 0, f"{differ} of {3 * sc.trials} draws differ")
 
 
+def _check_band_channel() -> CheckResult:
+    # a chunk of a seeded banded link per mode, Doppler -N/2..N/2 and the widest delay each allows
+    differ = 0
+    for mode, cp_len, L in (("per_slot_cp", 2, 3), ("cyclic", 0, 5)):
+        sc = runner.scenario_from_dict({
+            "frame": {"M": 5, "N": 4, "cp_len": cp_len}, "scheme": "OTFS", "constellation": "QPSK",
+            "channel": {"random": {"L_max": L, "V_max": 3}}, "channel_mode": mode,
+            "equalizer": "mmse_dd", "snr_db_list": [3.0], "trials": 3, "seed": _SEED,
+        })
+        link = runner._Link(sc, 0.5)
+        ch, gains, bits, noise = link.draw(runner._TrialStreams(sc.seed, 0, 0), 0, sc.trials)
+        sig = link.transmit(bits)
+        got = channel.band_channel(link.band(ch, gains), sig, mode, noise)
+        want = channel.apply_channel(sig, ch, link.params, mode=mode, gains=gains, noise=noise)
+        differ += int(np.sum(got != want.body))
+    return CheckResult("band_channel", differ == 0, f"{differ} received body samples differ")
+
+
 _CHECKS = (
     _check_unitarity,
     _check_reductions,
@@ -139,6 +157,7 @@ _CHECKS = (
     _check_mui_nulls,
     _check_kron,
     _check_trial_stream,
+    _check_band_channel,
 )
 
 

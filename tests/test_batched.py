@@ -17,7 +17,7 @@ import pytest
 
 import otfsim as ot
 from otfsim import multiuser, runner
-from otfsim.channel import chain_matrix, draw_noise
+from otfsim.channel import band_channel, chain_matrix, draw_noise
 from otfsim.metrics import count_errors, papr, slice_symbols
 from otfsim.runner import _Link, _TrialStreams, run_trial_range, scenario_from_dict, trial_rng
 
@@ -192,9 +192,10 @@ def stream_state(rng):
     ("16QAM", 4, 4, {"random": {"L_max": 2, "V_max": 1}}),
 ])
 def test_link_draws_are_the_contract_draws(constellation, M, N, channel):
-    # bits read from raw words and noise drawn in one call per trial equal,
-    # bitwise, what rng.integers and draw_noise draw from a fresh trial
-    # stream after the channel; each trial leaves its stream where they do
+    # gains drawn without a channel object, bits read from raw words and
+    # noise drawn in one call per trial equal, bitwise, what random_channel,
+    # rng.integers and draw_noise draw from a fresh trial stream; each trial
+    # leaves its stream where they do
     sc = scenario_from_dict({
         "frame": {"M": M, "N": N, "cp_len": 1}, "scheme": "OTFS",
         "constellation": constellation, "channel": channel,
@@ -202,11 +203,14 @@ def test_link_draws_are_the_contract_draws(constellation, M, N, channel):
     })
     link = _Link(sc, 0.7)
     streams = _TrialStreams(sc.seed, 4, 3)
-    _, gains, bits, noise = link.draw(streams, 3, 8)
+    grid, gains, bits, noise = link.draw(streams, 3, 8)
     for i, t in enumerate(range(3, 8)):
         rng = trial_rng(sc.seed, 4, t)
-        ch = link.channel_for_trial(rng)
-        if gains is not None:
+        if gains is None:
+            assert grid is link.fixed
+        else:
+            ch = ot.random_channel(*sc.channel_random, rng)
+            assert [tap[:2] for tap in grid.taps] == [tap[:2] for tap in ch.taps]
             assert np.array_equal(gains[i], [tap.gain for tap in ch.taps])
         assert np.array_equal(bits[i], rng.integers(0, 2, size=link.n_bits))
         re, im = draw_noise(rng, 0.7, link.n_samples)
@@ -214,6 +218,43 @@ def test_link_draws_are_the_contract_draws(constellation, M, N, channel):
         link.draw(streams, t, t + 1)
         assert stream_state(streams.rng) == stream_state(rng)
     assert bits.dtype == np.int64 and bits.shape == (5, link.n_bits)
+
+
+def random_channel_as_written(L_max, V_max, rng):
+    """``random_channel`` before its gains were drawn by a function of their own."""
+    dopplers = np.arange(-(V_max - 1), V_max)
+    shape = (L_max, dopplers.size)
+    g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    g *= np.sqrt(1.0 / (shape[0] * shape[1]) / 2.0)
+    g /= np.linalg.norm(g)
+    taps = [(l, int(dopplers[j]), g[l, j]) for l in range(L_max) for j in range(dopplers.size)]
+    return ot.DDChannelSpec(taps=tuple(taps))
+
+
+@pytest.mark.parametrize("L_max,V_max", [(1, 1), (3, 2), (2, 5), (6, 1)])
+def test_random_channel_draw_is_pinned(L_max, V_max):
+    # the same taps, bitwise, from the same draws, and the stream left where it was
+    for t in range(4):
+        a, b = trial_rng(3, 1, t), trial_rng(3, 1, t)
+        assert ot.random_channel(L_max, V_max, a) == random_channel_as_written(L_max, V_max, b)
+        assert stream_state(a) == stream_state(b)
+        assert np.array_equal(a.normal(size=3), b.normal(size=3))
+
+
+def test_banded_chunk_channel_is_apply_channel():
+    # one chunk of a banded random link per mode, as the runner draws it
+    for mode, cp in (("per_slot_cp", 3), ("cyclic", 0)):
+        sc = scenario_from_dict({
+            "frame": {"M": 7, "N": 4, "cp_len": cp}, "scheme": "OSTF", "constellation": "16QAM",
+            "channel": {"random": {"L_max": 4, "V_max": 3}}, "channel_mode": mode,
+            "equalizer": "mmse_dd", "snr_db_list": [5.0], "trials": 6, "seed": 33,
+        })
+        link = _Link(sc, 0.2)
+        ch, gains, bits, noise = link.draw(_TrialStreams(sc.seed, 0, 0), 0, 6)
+        sig = link.transmit(bits)
+        want = ot.apply_channel(sig, ch, link.params, mode=mode, gains=gains, noise=noise)
+        got = band_channel(link.band(ch, gains), sig, mode, noise)
+        assert np.array_equal(got, want.body)
 
 
 def test_draw_noise_is_two_normal_draws():

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 import otfsim as ot
 from otfsim import channel
 from otfsim.channel import (
-    COUPLING_GUARD, EFFECTIVE_GUARD, band_blocks, chain_matrix, check_blocks, delay_band,
+    COUPLING_GUARD, EFFECTIVE_GUARD, band_blocks, chain_matrix, check_blocks, delay_band, draw_noise,
 )
 from otfsim.errors import ConfigError, GuardError
 
@@ -673,3 +673,56 @@ class TestDelayBand:
             assert np.array_equal(rx[idx], ot.apply_channel(one, own, params).samples)
         with pytest.raises(ValueError, match="taps"):
             delay_band(ch, params, gains[..., 1:])
+
+
+class TestBandChannel:
+    """The received body formed from the delay band, against ``apply_channel``'s."""
+
+    def draw_case(self, rng, mode):
+        """A frame, a channel at its widest delay and Doppler +-N/2, and a signal stack."""
+        M, N = int(rng.integers(1, 10)), int(rng.choice([1, 2, 3, 4, 5, 8]))
+        widest = M - 1 if mode == "cyclic" else int(rng.integers(0, M))
+        cp = 0 if mode == "cyclic" else int(rng.integers(widest, M))
+        k = N // 2
+        spots = [(l, v) for l in range(widest + 1) for v in range(-k, k + 1)]
+        at = [(widest, int(rng.choice([-k, k])))]
+        at += [spots[i] for i in rng.permutation(len(spots))[:int(rng.integers(0, 5))]]
+        at = list(dict.fromkeys(at))  # no tap position twice
+        ch = ot.DDChannelSpec(tuple((l, v, rng.normal() + 1j * rng.normal()) for l, v in at))
+        T = int(rng.integers(1, 5))
+        lead = () if rng.random() < 0.2 else (T,)
+        gains = None
+        if lead and rng.random() < 0.7:  # a (T, taps) gain stack
+            gains = rng.normal(size=(T, len(at))) + 1j * rng.normal(size=(T, len(at)))
+        X = rng.normal(size=(*lead, M, N)) + 1j * rng.normal(size=(*lead, M, N))
+        return ot.make_frame(M, N), ch, gains, ot.heisenberg(X, ot.make_frame(M, N), cp_len=cp)
+
+    def test_seeded_draws_equal_apply_channel_bitwise(self):
+        rng = np.random.default_rng(2026)
+        seen = set()
+        for case in range(240):
+            mode = ("per_slot_cp", "cyclic")[case % 2]
+            params, ch, gains, sig = self.draw_case(rng, mode)
+            noise = draw_noise(rng, 0.3, sig.samples.shape) if case % 3 else None
+            want = ot.apply_channel(sig, ch, params, mode=mode, gains=gains, noise=noise).body
+            got = channel.band_channel(delay_band(ch, params, gains), sig, mode, noise)
+            assert got.shape == want.shape and np.array_equal(got, want), case
+            M, N = params.M, params.N
+            seen |= {(mode, gains is None, sig.samples.ndim > 1, noise is None),
+                     "odd M" * (M % 2), "N = 1" * (N == 1), "prefix full" * (ch.L_max - 1 == sig.cp_len > 0),
+                     "+N/2" * any(2 * t.doppler_bin == N > 1 for t in ch.taps),
+                     "-N/2" * any(-2 * t.doppler_bin == N > 1 for t in ch.taps)}
+        flags = {"odd M", "N = 1", "prefix full", "+N/2", "-N/2"}
+        assert flags <= seen
+        combos = {(m, fixed, stacked, quiet) for m in ("per_slot_cp", "cyclic")
+                  for fixed, stacked in ((True, False), (True, True), (False, True))
+                  for quiet in (True, False)}
+        assert combos <= seen
+
+    def test_short_prefix_refused(self):
+        params = ot.make_frame(6, 2)
+        band = delay_band(ot.DDChannelSpec(((3, 0, 1.0),)), params)
+        with pytest.raises(ConfigError, match="prefix"):
+            channel.band_channel(band, ot.heisenberg(np.ones((6, 2)), params, cp_len=2), "per_slot_cp")
+        with pytest.raises(ConfigError, match="prefix"):
+            channel.band_channel(band, ot.heisenberg(np.ones((6, 2)), params, cp_len=3), "cyclic")

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import otfsim as ot
+import otfsim.channel
 import otfsim.transforms
 from otfsim.cli import (
     EXIT_CONFIG, EXIT_GUARD, EXIT_INVARIANT, EXIT_OK, SNR_GRID_CAP, _parse_snr_grid, main,
@@ -385,7 +386,7 @@ class TestSelftest:
     def test_all_checks_pass(self, capsys):
         assert main(["selftest"]) == EXIT_OK
         out = capsys.readouterr().out
-        assert out.count("[PASS]") == 7 and "[FAIL]" not in out
+        assert out.count("[PASS]") == 8 and "[FAIL]" not in out
 
     def test_library_results(self):
         results = run_selftest()
@@ -397,6 +398,7 @@ class TestSelftest:
             "multiuser_interference_null",
             "kron_vec_identity",
             "trial_stream",
+            "band_channel",
         ]
         assert all(r.passed for r in results)
 
@@ -414,7 +416,17 @@ class TestSelftest:
         monkeypatch.setattr(otfsim.runner, "_word_bits", lambda w, n: real(w << np.uint64(32), n))
         assert main(["selftest"]) == EXIT_INVARIANT
         out = capsys.readouterr().out
-        assert "[FAIL] trial_stream" in out and out.count("[PASS]") == 6
+        assert "[FAIL] trial_stream" in out and out.count("[PASS]") == 7
+
+    def test_injected_band_misread_caught(self, monkeypatch, capsys):
+        # negative control: the band read one sample late round each block
+        real = otfsim.channel.band_channel
+        monkeypatch.setattr(
+            otfsim.channel, "band_channel", lambda band, *a: real(np.roll(band, 1, axis=-1), *a)
+        )
+        assert main(["selftest"]) == EXIT_INVARIANT
+        out = capsys.readouterr().out
+        assert "[FAIL] band_channel" in out and out.count("[PASS]") == 7
 
     def test_injected_crash_reported_not_raised(self, monkeypatch, capsys):
         def boom(x):

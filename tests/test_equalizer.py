@@ -225,6 +225,27 @@ def random_band(rng, shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
+def gram_by_roll(band, noise_var):
+    """The band Gram as it was first written: each diagonal scattered by an
+    index table from a rolled copy of the band (the oracle of ``band_gram``)."""
+    L, B = band.shape[-3], band.shape[-1]
+    p = np.arange(B)
+    conj = band.conj()
+    gram = np.zeros((*band.shape[:-3], band.shape[-2], B * B), dtype=np.complex128)
+    gram[..., p * (B + 1)] = noise_var
+    for d in range(1 - L, L):
+        late = np.roll(conj, d, axis=-1)  # conj(band) delayed by d round each block
+        gram[..., p * B + (p - d) % B] += sum(
+            band[..., l, :, :] * late[..., l - d, :, :] for l in range(max(0, d), L + min(0, d))
+        )
+    return gram.reshape(*gram.shape[:-1], B, B)
+
+
+def adjoint_by_roll(band, z):
+    """A^H z of the band's blocks by rolled products, the oracle of ``band_filter``'s last step."""
+    return sum(np.roll(band[..., l, :, :].conj() * z, -l, axis=-1) for l in range(band.shape[-3]))
+
+
 class TestBandLMMSE:
     # (L, B): wide blocks, the band as wide as the block, and Gram
     # diagonals that alias round small blocks
@@ -238,6 +259,24 @@ class TestBandLMMSE:
         y = random_band(rng, (2, 3, B))
         want = (mmse_filter(A, 0.3) @ y[..., None])[..., 0]
         assert_allclose(band_filter(band, 0.3)(y), want, atol=1e-12)
+
+    @pytest.mark.parametrize("L,B", [(3, 8), (3, 3), (3, 4), (5, 5), (1, 1), (2, 7)])
+    @pytest.mark.parametrize("lead", [(), (4,), (2, 3)])
+    def test_gram_and_adjoint_equal_the_rolled_oracles_bitwise(self, L, B, lead):
+        # strided slices write each diagonal, aliased ones (2L - 1 > B) included,
+        # in the order and with the products of the rolled index scatter
+        rng = np.random.default_rng(315)
+        band = random_band(rng, (*lead, L, 3, B))
+        gram = band_gram(band, 0.3)
+        assert np.array_equal(gram, gram_by_roll(band, 0.3))
+        if len(lead) == 2:
+            return  # band_filter takes one band for every frame, or one per frame
+        y = random_band(rng, (4, 3, B))
+        if lead:  # one band per frame: the stack is solved
+            z = np.linalg.solve(gram, y[..., None])[..., 0]
+        else:  # one band for every frame: its inverse is formed once
+            z = (np.linalg.solve(gram_by_roll(band[None], 0.3)[0], np.eye(B)) @ y[..., None])[..., 0]
+        assert np.array_equal(band_filter(band, 0.3)(y), adjoint_by_roll(band, z))
 
     def test_filter_is_the_lmmse_of_the_blocks(self):
         # one band for every frame (its Gram inverse formed once), and one

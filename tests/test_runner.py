@@ -4,6 +4,7 @@ import copy
 import json
 import random
 from dataclasses import replace
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -356,6 +357,24 @@ class TestExecution:
         assert merged.total_bits == whole.total_bits
         assert merged.trials == whole.trials == 9
         assert_allclose(merged.papr_values, whole.papr_values)
+
+    @pytest.mark.parametrize("mode,cp", [("per_slot_cp", 2), ("cyclic", 0)])
+    def test_banded_random_range_equals_its_splits_bitwise(self, mode, cp, monkeypatch):
+        # chunks of 3 trials: the splits start and end inside chunks and on their edges
+        sc = scenario_from_dict(base_dict(
+            frame={"M": 5, "N": 4, "cp_len": cp}, channel={"random": {"L_max": 3, "V_max": 3}},
+            channel_mode=mode, equalizer="mmse_dd", constellation="16QAM", snr_db_list=[8.0],
+            trials=10,
+        ))
+        monkeypatch.setattr(otfsim.runner, "CHUNK_SAMPLES", 3 * _Link(sc).n_samples)
+        whole = run_trial_range(sc, 0, 0, 10)
+        for cuts in ([0, 4, 10], [0, 1, 2, 7, 10], [0, 3, 6, 9, 10]):
+            parts = [run_trial_range(sc, 0, a, b) for a, b in zip(cuts[:-1], cuts[1:])]
+            merged = reduce(lambda x, y: x.merge(y), parts)
+            assert (merged.bit_errors, merged.symbol_errors, merged.total_bits) == (
+                whole.bit_errors, whole.symbol_errors, whole.total_bits)
+            assert np.array_equal(merged.papr_values, whole.papr_values)
+        assert whole.bit_errors > 0
 
     def test_worker_count_does_not_change_output(self):
         sc = scenario_from_dict(base_dict(trials=6))
