@@ -98,36 +98,42 @@ def band_gram(band: np.ndarray, noise_var: float) -> np.ndarray:
 def band_filter(band: np.ndarray, noise_var: float):
     """The LMMSE of periodic-banded blocks, y -> A^H (A A^H + noise_var I)^-1 y.
 
-    A ``band`` (L, blocks, B) serves every frame of y (..., blocks, B), and
-    its Gram inverse is formed once.  A ``band`` (T, L, blocks, B) gives
-    frame t of y (T, blocks, B) its own blocks: the Grams of as many frames
-    as fit ``EFFECTIVE_GUARD**2`` entries (one at least) are solved in one
-    call, a call that raises or returns non-finite values is redone frame by
-    frame, and only a frame whose own solve fails takes the pseudo-inverse.
+    A ``band`` (L, blocks, B) serves every frame of y (..., blocks, B): its
+    filter W, A^H of the columns of the Gram inverse, is formed once and
+    applied as one product per block, the frames on the trailing axis.  A
+    ``band`` (T, L, blocks, B) gives frame t of y (T, blocks, B) its own
+    blocks: the Grams of as many frames as fit ``EFFECTIVE_GUARD**2``
+    entries (one at least) are solved in one call, a call that raises or
+    returns non-finite values is redone frame by frame, and only a frame
+    whose own solve fails takes the pseudo-inverse.
     """
     B = band.shape[-1]
-    if band.ndim == 3:  # the inverse, solved against the identity
+    if band.ndim == 3:
         inv = _solve(band_gram(band[None], noise_var), np.eye(B))[0]
-    else:
-        per = max(1, EFFECTIVE_GUARD**2 // (band[0, 0].size * B))
+        W = _band_adjoint(band, inv.transpose(2, 0, 1)).transpose(1, 2, 0)
 
-    def equalize(y):
-        if band.ndim == 3:
-            z = (inv @ y[..., None])[..., 0]
-        else:
-            z = np.concatenate([
-                _solve(band_gram(band[a:a + per], noise_var), y[a:a + per, ..., None])[..., 0]
-                for a in range(0, len(y), per)
-            ])
-        # A^H z: sample p - l of a block takes conj(band_l[p]) * z[p]
-        out = np.zeros(z.shape, dtype=np.complex128)
-        for l in range(band.shape[-3]):
-            w = band[..., l, :, :].conj() * z
-            out[..., : B - l] += w[..., l:]
-            out[..., B - l :] += w[..., :l]
-        return out
+        def apply(y):
+            z = W @ y.reshape(-1, *y.shape[-2:]).transpose(1, 2, 0)  # (blocks, B, frames)
+            return z.transpose(2, 0, 1).reshape(y.shape)
 
-    return equalize
+        return apply
+    per = max(1, EFFECTIVE_GUARD**2 // (band[0, 0].size * B))
+    return lambda y: _band_adjoint(band, np.concatenate([
+        _solve(band_gram(band[a:a + per], noise_var), y[a:a + per, ..., None])[..., 0]
+        for a in range(0, len(y), per)
+    ]))
+
+
+def _band_adjoint(band: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """A^H z of the band's blocks: sample p - l of a block takes conj(band_l[p]) * z[p]."""
+    B = band.shape[-1]
+    out = np.zeros_like(z, dtype=np.complex128)  # in z's memory order
+    w = np.empty_like(out)  # one product held at a time
+    for l in range(band.shape[-3]):
+        np.multiply(band[..., l, :, :].conj(), z, out=w)
+        out[..., : B - l] += w[..., l:]
+        out[..., B - l :] += w[..., :l]
+    return out
 
 
 def _solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -33,9 +33,12 @@ A random chunk is one tap grid with a (T, taps) gain stack: its channel, a
 unitary map's LMMSE and one-tap responses take one call each; ML and
 Gaussian spreading build one detector per draw.  A unitary map's LMMSE
 builds one delay band per chunk (per link for a fixed channel): it forms
-the received body samples and the LMMSE inverts it.  Other links apply the
-channel one delay row at a time, as a whole band of their frames could
-outgrow the stream stack.
+the received body samples and the LMMSE inverts it, a fixed channel's as
+one filter per block.  Other links apply the channel one delay row at a
+time, as a whole band of their frames could outgrow the stream stack.
+Single-user OTFS and ``dd_mapped`` links synthesise from the delay-Doppler
+grid and their LMMSE reads it back, each by one DFT across slots at each
+delay; every other link goes through its time-frequency grid.
 
 Scenario files are strict JSON.  One reader walks each object against its
 key table and refuses unknown, missing and null keys by name; every value
@@ -74,7 +77,7 @@ from .channel import (
 )
 from .equalizer import ML_GUARD_BITS, band_filter, ml_detect, mmse_filter, one_tap_tf
 from .errors import ConfigError, GuardError
-from .frame import FrameParams, interleaved_allocation, localized_allocation, make_frame
+from .frame import FrameParams, interleaved_allocation, localized_allocation, make_frame, user_cells
 from .metrics import (
     LinkResult,
     count_errors,
@@ -85,6 +88,8 @@ from .metrics import (
 )
 from .modem import SchemeConfig
 from .transforms import (
+    dd_analysis,
+    dd_synthesis,
     heisenberg,
     slot_dft,
     wigner,  # noqa: F401 -- unused here; bench/tracing.py wraps runner.wigner
@@ -380,7 +385,9 @@ class _Link:
     A single user is one block on the scheme's payload grid; a downlink
     is the K user blocks of its allocation, superposed on the time-
     frequency grid by ``multiuser.downlink_superpose`` and separated by
-    its adjoint ``multiuser.downlink_split``.  Symbols, bits and detector
+    its adjoint ``multiuser.downlink_split`` (a ``dd_mapped`` downlink's
+    transmitter and LMMSE place and read them on the delay-Doppler grid at
+    their cells instead).  Symbols, bits and detector
     output are stacked user by user, each block flattened row-major.
     Every stage takes a stack of frames along leading axes.  A link serves
     one SNR point: its noise variance is fixed when it is built, and its
@@ -407,6 +414,11 @@ class _Link:
             self.users, self.K, self.block = None, 1, self.params.dof
         else:
             self._init_users(sc)
+        # OTFS and dd_mapped links are synthesised and read on the DD grid, a downlink's
+        # symbols at its users' cells, a permutation.  SC-FDMA keeps the ISFFT: through
+        # dd_synthesis its body would be its symbols, at a PAPR of 0 dB for QPSK.
+        self.dd = sc.scheme == "OTFS" and (mu is None or mu.mode == "dd_mapped")
+        self.cells = np.concatenate([user_cells(*u) for u in self.users]) if self.dd and mu else None
         self.n_bits = self.K * self.block * self.const.bits_per_symbol
         self.n_samples = sc.N * (sc.M + sc.cp_len)
         self.chunk = max(1, CHUNK_SAMPLES // self.n_samples)
@@ -496,7 +508,14 @@ class _Link:
         symbols = map_bits(bits, self.const)
         if amp is not None:
             symbols = symbols * np.repeat(amp, self.block, axis=-1)
-        return heisenberg(self.tf_grid(symbols), self.params, cp_len=self.sc.cp_len)
+        if not self.dd:
+            return heisenberg(self.tf_grid(symbols), self.params, cp_len=self.sc.cp_len)
+        if self.cells is not None:
+            grid = np.empty_like(symbols)
+            grid[..., self.cells] = symbols
+            symbols = grid
+        grid = symbols.reshape(*symbols.shape[:-1], self.params.N, self.params.M)
+        return dd_synthesis(grid, self.params, cp_len=self.sc.cp_len)
 
     @cached_property
     def _map_matrix(self) -> np.ndarray:
@@ -539,8 +558,11 @@ class _Link:
             equalize = band_filter(band.reshape(*band.shape[:-2], blocks, -1), noise_var)
 
             def detect(body):
-                z = equalize(body.reshape(*body.shape[:-1], blocks, -1))
-                return self.adjoint(slot_dft(z.reshape(body.shape), params).swapaxes(-1, -2))
+                z = equalize(body.reshape(*body.shape[:-1], blocks, -1)).reshape(body.shape)
+                if not self.dd:
+                    return self.adjoint(slot_dft(z, params).swapaxes(-1, -2))
+                x = dd_analysis(z.reshape(*z.shape[:-1], params.N, params.M)).reshape(body.shape)
+                return x if self.cells is None else x[..., self.cells]
 
             return detect, None
         if sc.equalizer == "one_tap_tf":

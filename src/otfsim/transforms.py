@@ -10,6 +10,8 @@ Normalization is fixed and unitary everywhere:
   optionally with a per-slot cyclic prefix prepended
 * the receive side applies the exact adjoints, so every round trip is an
   identity and Parseval holds at machine precision.
+* delay-Doppler -> time: the ISFFT's delay DFT cancels the per-slot inverse
+  DFT, leaving one inverse DFT across slots at each delay (``dd_synthesis``).
 
 Every transform also takes a stack of grids or frames: leading axes index
 independent frames and the maps act on the last axes, so one call serves
@@ -71,16 +73,35 @@ def heisenberg(x_tf: np.ndarray, params: FrameParams, cp_len: int = 0) -> TimeSi
     x_tf = np.asarray(x_tf, dtype=np.complex128)
     if x_tf.shape[-2:] != (params.M, params.N):
         raise ValueError(f"expected TF grid {(params.M, params.N)}, got {x_tf.shape}")
+    # (..., N, M): rows = slots
+    return _slot_signal(np.fft.ifft(x_tf, axis=-2, norm="ortho").swapaxes(-1, -2), params, cp_len)
+
+
+def dd_synthesis(x_dd: np.ndarray, params: FrameParams, cp_len: int = 0) -> TimeSignal:
+    """``heisenberg(isfft(x_dd))`` of an (..., N, M) delay-Doppler grid, in one transform:
+    s[n*M + p] = (1/sqrt(N)) * sum_k x_dd[k, p] * exp(2j*pi*n*k/N).
+    """
+    x_dd = np.asarray(x_dd, dtype=np.complex128)
+    if x_dd.shape[-2:] != (params.N, params.M):
+        raise ValueError(f"expected DD grid {(params.N, params.M)}, got {x_dd.shape}")
+    return _slot_signal(np.fft.ifft(x_dd, axis=-2, norm="ortho"), params, cp_len)
+
+
+def dd_analysis(body: np.ndarray) -> np.ndarray:
+    """``sfft(wigner(...))`` of (..., N, M) slot bodies: the adjoint of :func:`dd_synthesis`."""
+    return np.fft.fft(body, axis=-2, norm="ortho")
+
+
+def _slot_signal(body: np.ndarray, params: FrameParams, cp_len: int) -> TimeSignal:
+    """The TimeSignal of (..., N, M) slot bodies, each led by a copy of its last ``cp_len`` samples."""
     if not 0 <= cp_len < params.M:
         raise ValueError(f"cp_len must be in [0, M), got {cp_len}")
-    # (..., N, M): rows = slots
-    body = np.fft.ifft(x_tf, axis=-2, norm="ortho").swapaxes(-1, -2)
     if cp_len:
         slots = np.concatenate([body[..., params.M - cp_len:], body], axis=-1)
     else:
         slots = body
     return TimeSignal(
-        samples=slots.reshape(*x_tf.shape[:-2], -1),
+        samples=slots.reshape(*body.shape[:-2], -1),
         cp_len=cp_len,
         sample_rate=params.bandwidth,
         num_slots=params.N,

@@ -274,9 +274,12 @@ class TestBandLMMSE:
         y = random_band(rng, (4, 3, B))
         if lead:  # one band per frame: the stack is solved
             z = np.linalg.solve(gram, y[..., None])[..., 0]
-        else:  # one band for every frame: its inverse is formed once
-            z = (np.linalg.solve(gram_by_roll(band[None], 0.3)[0], np.eye(B)) @ y[..., None])[..., 0]
-        assert np.array_equal(band_filter(band, 0.3)(y), adjoint_by_roll(band, z))
+            want = adjoint_by_roll(band, z)
+        else:  # one band for every frame: W = A^H of the inverse's columns, formed once
+            inv = np.linalg.solve(gram_by_roll(band[None], 0.3)[0], np.eye(B))
+            W = adjoint_by_roll(band, inv.transpose(2, 0, 1)).transpose(1, 2, 0)
+            want = (W @ y.transpose(1, 2, 0)).transpose(2, 0, 1)  # frames trailing
+        assert np.array_equal(band_filter(band, 0.3)(y), want)
 
     def test_filter_is_the_lmmse_of_the_blocks(self):
         # one band for every frame (its Gram inverse formed once), and one

@@ -14,8 +14,9 @@ from numpy.testing import assert_allclose
 import otfsim as ot
 import otfsim.runner
 from otfsim.channel import EFFECTIVE_GUARD, chain_matrix
+from otfsim.equalizer import band_filter
 from otfsim.errors import ConfigError, GuardError
-from otfsim.metrics import LinkResult
+from otfsim.metrics import LinkResult, map_bits
 from otfsim.runner import (
     CSV_HEADER,
     MultiuserSetup,
@@ -29,6 +30,7 @@ from otfsim.runner import (
     system_rng,
     trial_rng,
 )
+from otfsim.transforms import slot_dft
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -820,6 +822,78 @@ class TestBandLMMSE:
         for t in range(5):
             alone = link.receiver(ch, gains[t:t + 1])[0](rx.body[t:t + 1])
             assert np.array_equal(got[t:t + 1], alone)
+
+    @pytest.mark.parametrize("scheme,M,N,mu,dd", [
+        ("OTFS", 8, 4, None, True),
+        ("OTFS", 7, 1, None, True),
+        ("OTFS", 8, 4, {"mode": "dd_mapped", "K_d": 2, "K_D": 2}, True),
+        ("OTFS", 9, 4, {"mode": "dd_mapped", "K_d": 3, "K_D": 2, "mapping": "interleaved"}, True),
+        ("SCFDMA", 8, 1, None, False),
+        ("OTFS", 8, 4, {"mode": "tf_alloc", "K_d": 2, "K_D": 2}, False),
+    ])
+    def test_dd_transmit_is_the_tf_map_synthesised(self, scheme, M, N, mu, dd):
+        # OTFS and dd_mapped synthesise from the DD grid; every other link,
+        # SC-FDMA included, is still the Heisenberg transform of its TF map
+        link = self.link(scheme, M, N, mu, "per_slot_cp")
+        assert link.dd == dd
+        bits = np.random.default_rng(73).integers(0, 2, size=(2, 3, link.n_bits))
+        got = link.transmit(bits).samples
+        want = ot.heisenberg(
+            link.tf_grid(map_bits(bits, link.const)), link.params, link.sc.cp_len
+        ).samples
+        assert got.shape == want.shape == (2, 3, link.n_samples)
+        if dd:
+            assert np.abs(got - want).max() < 1e-12
+        else:
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("channel_mode", ["per_slot_cp", "cyclic"])
+    @pytest.mark.parametrize("scheme,M,N,mu", [
+        ("OTFS", 8, 4, None),
+        ("OTFS", 7, 1, None),
+        ("OTFS", 8, 4, {"mode": "dd_mapped", "K_d": 2, "K_D": 2}),
+        ("OTFS", 9, 4, {"mode": "dd_mapped", "K_d": 3, "K_D": 2, "mapping": "interleaved"}),
+    ])
+    def test_dd_read_is_the_slot_dft_and_the_map_adjoint(self, scheme, M, N, mu, channel_mode):
+        # the equalised blocks read in DD against the per-slot DFT and the
+        # map's adjoint, for one channel serving every frame and for a
+        # chunk's own gains
+        link = self.link(scheme, M, N, mu, channel_mode)
+        assert link.dd
+        ch, gains, rx = self.received(link, np.random.default_rng(74), 3)
+        blocks = 1 if channel_mode == "cyclic" else N
+        for g in (None, gains):
+            band = link.band(ch, g)
+            equalize = band_filter(band.reshape(*band.shape[:-2], blocks, -1), link.noise_var)
+            z = equalize(rx.body.reshape(3, blocks, -1)).reshape(rx.body.shape)
+            want = link.adjoint(slot_dft(z, link.params).swapaxes(-1, -2))
+            got = link.receiver(ch, g)[0](rx.body)
+            assert got.shape == want.shape == (3, M * N)
+            assert np.abs(got - want).max() < 1e-12
+
+    def test_fixed_cyclic_filter_peaks_at_a_few_blocks(self):
+        # a fixed channel's cyclic filter is one B x B matrix, B = M*N; the
+        # solve of its Gram against the identity sets the peak, and forming
+        # W, A^H of the inverse's columns, holds one product of the band at
+        # a time beside the inverse and W
+        import tracemalloc
+
+        d = base_dict(
+            frame={"M": 16, "N": 8, "cp_len": 0},
+            channel={"taps": [{"delay_bin": 0, "doppler_bin": 0, "re": 0.8, "im": 0.0},
+                              {"delay_bin": 2, "doppler_bin": -1, "re": 0.0, "im": 0.6}]},
+            equalizer="mmse_dd",
+        )
+        link = _Link(scenario_from_dict(d), 0.1)
+        link.receiver(link.fixed)  # warm caches
+        block_bytes = 16 * link.params.dof**2
+        tracemalloc.start()
+        try:
+            link.receiver(link.fixed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * block_bytes  # the solve alone takes about 3.5
 
     def test_memory_is_linear_in_the_band(self):
         # 16 x 1024 with delays 0..15 and Doppler bins -512..512: 16400 taps,

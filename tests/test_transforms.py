@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import otfsim as ot
+from otfsim.transforms import dd_analysis, dd_synthesis
 
 SIZES = [(1, 1), (2, 1), (1, 4), (4, 2), (8, 4), (4, 8)]
 
@@ -148,6 +149,29 @@ class TestHeisenberg:
         params = ot.make_frame(4, 2)
         with pytest.raises(ValueError):
             ot.heisenberg(np.zeros((4, 2)), params, cp_len=4)
+
+
+class TestDDSynthesis:
+    # odd M, N = 1, and a prefix or none; a (2, 3) stack of grids
+    @pytest.mark.parametrize("M,N,cp", [(8, 4, 0), (8, 4, 3), (7, 3, 2), (9, 1, 0), (5, 1, 4)])
+    def test_is_heisenberg_of_the_isfft(self, M, N, cp):
+        params = ot.make_frame(M, N)
+        rng = np.random.default_rng(23)
+        x = rng.normal(size=(2, 3, N, M)) + 1j * rng.normal(size=(2, 3, N, M))
+        got, want = dd_synthesis(x, params, cp), ot.heisenberg(ot.isfft(x), params, cp)
+        assert (got.cp_len, got.num_slots, got.sample_rate) == (cp, N, params.bandwidth)
+        assert got.samples.shape == want.samples.shape == (2, 3, N * (M + cp))
+        assert np.abs(got.samples - want.samples).max() < 1e-12
+        body = got.body.reshape(2, 3, N, M)
+        assert np.abs(dd_analysis(body) - ot.sfft(ot.wigner(want, params))).max() < 1e-12
+        assert np.abs(dd_analysis(body) - x).max() < 1e-12
+
+    def test_refuses_a_grid_of_another_frame_and_a_long_prefix(self):
+        params = ot.make_frame(4, 2)
+        with pytest.raises(ValueError):
+            dd_synthesis(np.zeros((4, 2)), params)
+        with pytest.raises(ValueError):
+            dd_synthesis(np.zeros((2, 4)), params, cp_len=4)
 
 
 class TestBasisWaveforms:
