@@ -15,7 +15,10 @@ Every scheme's precoding and every user map but Gaussian spreading is
 unitary, so the Monte-Carlo runner's joint LMMSE is :func:`band_filter` on
 each time-domain block (a slot in ``per_slot_cp`` mode, the frame in
 ``cyclic`` mode), whose channel is periodic-banded (``channel.delay_band``),
-then the per-slot DFT and the map's adjoint.  Gaussian spreading and ML
+then the per-slot DFT and the map's adjoint.  A random draw's blocks of B
+samples are solved by periodic block cyclic reduction in O(B K) entries,
+K >= L - 1, without a dense Gram; a fixed channel's filter, formed once,
+and blocks that do not split take the dense Gram.  Gaussian spreading and ML
 read the grid through ``channel.slot_operators``; :func:`mmse_filter` of
 those blocks and :func:`mmse_dd` are the references tests compare to.
 
@@ -25,6 +28,8 @@ the pseudo-inverse.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -102,10 +107,12 @@ def band_filter(band: np.ndarray, noise_var: float):
     filter W, A^H of the columns of the Gram inverse, is formed once and
     applied as one product per block, the frames on the trailing axis.  A
     ``band`` (T, L, blocks, B) gives frame t of y (T, blocks, B) its own
-    blocks: the Grams of as many frames as fit ``EFFECTIVE_GUARD**2``
-    entries (one at least) are solved in one call, a call that raises or
-    returns non-finite values is redone frame by frame, and only a frame
-    whose own solve fails takes the pseudo-inverse.
+    blocks, solved by periodic block cyclic reduction (:func:`_reduce`)
+    where B splits into two or more block rows of K >= L - 1 samples, in
+    O(B * K) entries and no dense Gram; an odd B, or one too short to
+    split, takes the dense Gram stack (:func:`_dense_solve`).  A frame
+    whose reduction is not finite is redone through the dense solve on its
+    own, and only a frame whose own solve fails takes the pseudo-inverse.
     """
     B = band.shape[-1]
     if band.ndim == 3:
@@ -117,11 +124,191 @@ def band_filter(band: np.ndarray, noise_var: float):
             return z.transpose(2, 0, 1).reshape(y.shape)
 
         return apply
-    per = max(1, EFFECTIVE_GUARD**2 // (band[0, 0].size * B))
-    return lambda y: _band_adjoint(band, np.concatenate([
+    nb, _ = reduction_split(band.shape[-3], B)
+    solve = _dense_solve if nb == 1 else _reduce_solve
+    return lambda y: _band_adjoint(band, solve(band, y, noise_var))
+
+
+def reduction_split(L: int, B: int) -> tuple:
+    """(nb, K): the most block rows nb, a power of two, that leave K = B/nb >= max(1, L - 1)."""
+    nb = B & -B  # the largest power of two dividing B
+    while nb > 1 and B // nb < max(1, L - 1):
+        nb //= 2
+    return nb, B // nb
+
+
+def reduction_entries(L: int, blocks: int, B: int) -> int:
+    """Complex entries the cyclic reduction of one frame's band holds at its peak, at most.
+
+    About 12 (K + 1) entries a sample for the block rows, their products,
+    pivots and every level's eliminated rows, and 6 L for the band, its
+    wrapped copy and the Gram diagonals (tracemalloc, K = 1 to 16, L = 1 to 17).
+    """
+    return blocks * B * (12 * (reduction_split(L, B)[1] + 1) + 6 * L)
+
+
+def check_reduction(L: int, blocks: int, B: int) -> None:
+    """Refuse a cyclic reduction above ``EFFECTIVE_GUARD**2`` working entries a frame.
+
+    Checked before the band is built.
+    """
+    size = reduction_entries(L, blocks, B)
+    if size > EFFECTIVE_GUARD**2:
+        raise GuardError(
+            f"band LMMSE working set of {size} entries exceeds guard {EFFECTIVE_GUARD**2}"
+        )
+
+
+def _dense_solve(band: np.ndarray, y: np.ndarray, noise_var: float) -> np.ndarray:
+    """Gram^-1 y of a band stack (T, L, blocks, B) against y (T, blocks, B) by dense Grams.
+
+    The Grams of as many frames as fit ``EFFECTIVE_GUARD**2`` entries (one
+    at least) are solved in one call (``_solve``'s rule).
+    """
+    per = max(1, EFFECTIVE_GUARD**2 // (band[0, 0].size * band.shape[-1]))
+    return np.concatenate([
         _solve(band_gram(band[a:a + per], noise_var), y[a:a + per, ..., None])[..., 0]
         for a in range(0, len(y), per)
-    ]))
+    ])
+
+
+def _reduce_solve(band: np.ndarray, y: np.ndarray, noise_var: float) -> np.ndarray:
+    """Gram^-1 y of a band stack by :func:`_reduce`, as many frames a call as fit
+    ``EFFECTIVE_GUARD**2`` working entries; non-finite frames redone by :func:`_dense_solve`."""
+    L, blocks, B = band.shape[-3:]
+    per = max(1, EFFECTIVE_GUARD**2 // reduction_entries(L, blocks, B))
+    z = np.concatenate([_reduce(band[a:a + per], y[a:a + per], noise_var)
+                        for a in range(0, len(y), per)])
+    for t in np.flatnonzero(~np.isfinite(z).all(axis=(1, 2))):
+        z[t] = _dense_solve(band[t:t + 1], y[t:t + 1], noise_var)[0]
+    return z
+
+
+@lru_cache(maxsize=64)
+def _bit_reversal(n: int) -> np.ndarray:
+    """Position q of n = 2^k rows holds row rev(q), q's k bits reversed (an involution)."""
+    q, r = np.arange(n), np.zeros(n, dtype=np.intp)
+    for _ in range(n.bit_length() - 1):
+        r, q = 2 * r + (q & 1), q >> 1
+    return r
+
+
+@lru_cache(maxsize=64)
+def _neighbour(n: int, step: int) -> np.ndarray:
+    """Positions, in bit-reversed order, of row rev(q) + step mod n."""
+    rev = _bit_reversal(n)
+    return rev[(rev + step) % n]
+
+
+@lru_cache(maxsize=64)
+def _block_index(L: int, B: int, K: int) -> np.ndarray:
+    """Rows of [diagonals; their negatives; y; 0] that fill the block rows
+    (K, 3K + 1, B/K) = [D | -Lo | -Up | y], in bit-reversed order (``_bit_reversal``).
+
+    Row i, entry (r, c) of D, Lo and Up is the Gram at (iK + r, (i + j)K + c)
+    for j = 0, -1 and +1: diagonal d = r - c - jK, found at row (d + L - 1)B
+    + iK + r of the 2L - 1 stacked diagonals, and a zero outside the band.
+    """
+    r, c, _ = np.ogrid[:K, :K, :1]
+    p = _bit_reversal(B // K) * K + r
+    S = (2 * L - 1) * B  # rows of the diagonals, and of their negatives
+    cols = []
+    for j in (0, -1, 1):
+        d = r - c - j * K
+        cols.append(np.where(abs(d) < L, (j != 0) * S + (d + L - 1) * B + p, 2 * S + B))
+    return np.concatenate([*cols, 2 * S + p], axis=1)  # y last
+
+
+def _reduce(band: np.ndarray, y: np.ndarray, noise_var: float) -> np.ndarray:
+    """Gram^-1 y of a band stack (T, L, blocks, B) by periodic block cyclic reduction.
+
+    Split into nb block rows of K samples (:func:`reduction_split`), the
+    Gram is periodic block-tridiagonal: row i holds D_i, Lo_i (next to row
+    i - 1) and Up_i (next to row i + 1).  Its 2L - 1 diagonals are L^2
+    products of the band and the band with its ends wrapped, gathered into
+    the blocks by one cached index table.  The block rows are held (K,
+    3K + 1, nb, frames * blocks), the batch trailing, so every step is one
+    elementwise call over the whole stack and a frame's result does not
+    depend on the stack it is solved in.  No pivoting: every pivot block is
+    a Schur complement of a Hermitian positive definite matrix; a singular
+    Gram gives non-finite values, with numpy's warnings silenced.
+    """
+    T, L, blocks, B = band.shape
+    nb, K = reduction_split(L, B)
+    F = T * blocks
+    bt = band.transpose(1, 3, 0, 2).reshape(L, B, F)
+    ext = np.concatenate([bt[:, B - L + 1:], bt, bt[:, :L - 1]], axis=1).conj()
+    S = (2 * L - 1) * B
+    rows = np.zeros((2 * S + B + 1, F), dtype=np.complex128)
+    diag = rows[:S].reshape(2 * L - 1, B, F)
+    for l in range(L):
+        for m in range(L):
+            d = l - m
+            diag[d + L - 1] += bt[l] * ext[m, L - 1 - d : L - 1 - d + B]
+    diag[L - 1] += noise_var
+    np.negative(rows[:S], out=rows[S : 2 * S])
+    rows[2 * S : -1] = y.reshape(F, B).T
+    G = rows[_block_index(L, B, K)]  # (K, 3K + 1, nb, F), rows bit-reversed
+    with np.errstate(all="ignore"):
+        x = _reduce_rows(G, K)[:, _bit_reversal(nb)]
+    return x.transpose(2, 1, 0).reshape(T, blocks, B)
+
+
+def _reduce_rows(G: np.ndarray, K: int) -> np.ndarray:
+    """x (K, n, F) of the periodic block-tridiagonal rows G (K, 3K + 1, n, F) = [D | -Lo | -Up | y].
+
+    Row i reads D_i x_i - (-Lo_i) x_(i-1) - (-Up_i) x_(i+1) = y_i, indices
+    mod n, the rows held in bit-reversed order: the even rows are the first
+    half, the odd ones the second, each in the bit-reversed order of the
+    next level.  Each level solves the odd rows for x_odd = Z_y + Z_Lo
+    x_prev + Z_Up x_next, Z = D^-1 [-Lo | -Up | y], and puts that into the
+    even ones, halving n; two rows are solved as one 2K system.
+    """
+    n, F = G.shape[2:]
+    if n == 2:  # one 2K system: rows 0 and 1 each couple to the other by Lo + Up
+        C = G[:, K : 2 * K] + G[:, 2 * K : 3 * K]
+        M = np.concatenate([
+            np.concatenate([G[:, :K, 0], np.negative(C[:, :, 0]), G[:, 3 * K :, 0]], axis=1),
+            np.concatenate([np.negative(C[:, :, 1]), G[:, :K, 1], G[:, 3 * K :, 1]], axis=1),
+        ])
+        return _gauss_jordan(M)[:, 0].reshape(2, K, F).transpose(1, 0, 2)
+    h = n // 2
+    even, odd = G[:, :, :h], G[:, :, h:]
+    Z = _gauss_jordan(odd)  # in place: G's odd rows are not read again
+    P = _mul(even[:, K : 2 * K], Z[:, :, _neighbour(h, -1)])
+    Q = _mul(even[:, 2 * K : 3 * K], Z)
+    D = even[:, :K] - P[:, K : 2 * K]
+    D -= Q[:, :K]
+    y = even[:, 3 * K :] + P[:, 2 * K :]
+    y += Q[:, 2 * K :]
+    xe = _reduce_rows(np.concatenate([D, P[:, :K], Q[:, K : 2 * K], y], axis=1), K)
+    xo = _mul(Z[:, :K], xe[:, None])[:, 0]
+    xo += _mul(Z[:, K : 2 * K], xe[:, None, _neighbour(h, 1)])[:, 0]
+    xo += Z[:, 2 * K]
+    return np.concatenate([xe, xo], axis=1)
+
+
+def _gauss_jordan(M: np.ndarray) -> np.ndarray:
+    """D^-1 R of M (K, K + m, ...) = [D | R], pivots in order, batch trailing: (K, m, ...).
+
+    Each update spans every row, so no product is a lone element even for
+    one frame: numpy may round a lone complex product apart from its vector
+    kernel, and a frame's result would then depend on its stack.
+    """
+    K = M.shape[0]
+    for k in range(K):
+        row = M[k, k + 1:] / M[k, k]
+        M[:, k + 1:] -= M[:, k, None] * row
+        M[k, k + 1:] = row
+    return M[:, K:]
+
+
+def _mul(A: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """A Z of blocks A (K, K, ...) and Z (K, m, ...), batch trailing, summed in order of k."""
+    out = A[:, 0, None] * Z[0]
+    for k in range(1, A.shape[1]):
+        out += A[:, k, None] * Z[k]
+    return out
 
 
 def _band_adjoint(band: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -197,9 +197,11 @@ def count_errors(tx_bits: np.ndarray, rx_bits: np.ndarray, bits_per_symbol: int 
     if n % bits_per_symbol != 0:
         raise ValueError(f"bit count {n} not divisible by {bits_per_symbol}")
     wrong = tx_bits != rx_bits
-    bit_errors = int(wrong.sum())
-    symbol_errors = int(wrong.reshape(-1, bits_per_symbol).any(axis=1).sum())
-    return bit_errors, symbol_errors
+    columns = wrong.reshape(-1, bits_per_symbol)  # one symbol a row
+    hit = columns[:, 0]
+    for j in range(1, bits_per_symbol):
+        hit = hit | columns[:, j]
+    return int(np.count_nonzero(wrong)), int(np.count_nonzero(hit))
 
 
 @dataclass(frozen=True, eq=False)

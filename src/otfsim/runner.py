@@ -34,8 +34,10 @@ unitary map's LMMSE and one-tap responses take one call each; ML and
 Gaussian spreading build one detector per draw.  A unitary map's LMMSE
 builds one delay band per chunk (per link for a fixed channel): it forms
 the received body samples and the LMMSE inverts it, a fixed channel's as
-one filter per block.  Other links apply the channel one delay row at a
-time, as a whole band of their frames could outgrow the stream stack.
+one filter per block, a random chunk's by one cyclic reduction of every
+frame's blocks, which never forms their dense Gram.  Other links apply
+the channel one delay row at a time, as a whole band of their frames
+could outgrow the stream stack.
 Single-user OTFS and ``dd_mapped`` links synthesise from the delay-Doppler
 grid and their LMMSE reads it back, each by one DFT across slots at each
 delay; every other link goes through its time-frequency grid.
@@ -75,7 +77,15 @@ from .channel import (
     tf_channel,
     windowed_dd_channel,
 )
-from .equalizer import ML_GUARD_BITS, band_filter, ml_detect, mmse_filter, one_tap_tf
+from .equalizer import (
+    ML_GUARD_BITS,
+    band_filter,
+    check_reduction,
+    ml_detect,
+    mmse_filter,
+    one_tap_tf,
+    reduction_split,
+)
 from .errors import ConfigError, GuardError
 from .frame import FrameParams, interleaved_allocation, localized_allocation, make_frame, user_cells
 from .metrics import (
@@ -410,6 +420,8 @@ class _Link:
         # and a unitary map's joint LMMSE is solved on the channel's delay band
         unitary = mu is None or not (mu.mode == "tf_spread" and mu.spreader == "gaussian")
         self.banded = unitary and sc.equalizer == "mmse_dd"
+        # time-domain blocks of a frame: its slots, or the whole cyclic frame
+        self.blocks = 1 if sc.channel_mode == "cyclic" else self.params.N
         if mu is None:
             self.users, self.K, self.block = None, 1, self.params.dof
         else:
@@ -534,9 +546,18 @@ class _Link:
         return U
 
     def band(self, ch: DDChannelSpec, gains: np.ndarray | None = None):
-        """``delay_band`` of ``ch`` on a banded link, after the dense-block guard; else None."""
+        """``delay_band`` of ``ch`` on a banded link, after its LMMSE's guard; else None.
+
+        Random draws are solved by cyclic reduction where the blocks split
+        (``check_reduction``); a fixed channel's filter and an unsplit block
+        are dense (``check_blocks``).
+        """
         if self.banded:
-            check_blocks(self.params, self.sc.channel_mode)
+            B = self.params.dof // self.blocks
+            if gains is None or reduction_split(ch.L_max, B)[0] == 1:
+                check_blocks(self.params, self.sc.channel_mode)
+            else:
+                check_reduction(ch.L_max, self.blocks, B)
             return delay_band(ch, self.params, gains)
 
     def receiver(self, ch: DDChannelSpec, gains: np.ndarray | None = None, band=None):
@@ -553,12 +574,11 @@ class _Link:
         """
         sc, params, noise_var = self.sc, self.params, self.noise_var
         if self.banded:
-            blocks = 1 if sc.channel_mode == "cyclic" else params.N
             band = self.band(ch, gains) if band is None else band
-            equalize = band_filter(band.reshape(*band.shape[:-2], blocks, -1), noise_var)
+            equalize = band_filter(band.reshape(*band.shape[:-2], self.blocks, -1), noise_var)
 
             def detect(body):
-                z = equalize(body.reshape(*body.shape[:-1], blocks, -1)).reshape(body.shape)
+                z = equalize(body.reshape(*body.shape[:-1], self.blocks, -1)).reshape(body.shape)
                 if not self.dd:
                     return self.adjoint(slot_dft(z, params).swapaxes(-1, -2))
                 x = dd_analysis(z.reshape(*z.shape[:-1], params.N, params.M)).reshape(body.shape)

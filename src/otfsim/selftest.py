@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import channel, modem, multiuser, runner, transforms
+from . import channel, equalizer, modem, multiuser, runner, transforms
 from .frame import interleaved_map, localized_map, make_frame
 from .modem import SchemeConfig
 
@@ -149,6 +149,27 @@ def _check_band_channel() -> CheckResult:
     return CheckResult("band_channel", differ == 0, f"{differ} received body samples differ")
 
 
+def _check_band_lmmse() -> CheckResult:
+    # a chunk of a seeded random banded link per mode, solved by cyclic
+    # reduction (4 and 8 block rows) and by the dense Gram stack
+    worst = 0.0
+    for mode, cp_len, L in (("per_slot_cp", 2, 3), ("cyclic", 0, 5)):
+        sc = runner.scenario_from_dict({
+            "frame": {"M": 8, "N": 4, "cp_len": cp_len}, "scheme": "OTFS", "constellation": "QPSK",
+            "channel": {"random": {"L_max": L, "V_max": 2}}, "channel_mode": mode,
+            "equalizer": "mmse_dd", "snr_db_list": [3.0], "trials": 3, "seed": _SEED,
+        })
+        link = runner._Link(sc, 0.5)
+        ch, gains, bits, noise = link.draw(runner._TrialStreams(sc.seed, 0, 0), 0, sc.trials)
+        band = link.band(ch, gains)
+        y = channel.band_channel(band, link.transmit(bits), mode, noise)
+        band, y = band.reshape(sc.trials, L, link.blocks, -1), y.reshape(sc.trials, link.blocks, -1)
+        got = equalizer.band_filter(band, link.noise_var)(y)
+        want = equalizer._band_adjoint(band, equalizer._dense_solve(band, y, link.noise_var))
+        worst = max(worst, np.max(np.abs(got - want)))
+    return CheckResult("band_lmmse", worst < 1e-12, f"max deviation {worst:.3e}")
+
+
 _CHECKS = (
     _check_unitarity,
     _check_reductions,
@@ -158,6 +179,7 @@ _CHECKS = (
     _check_kron,
     _check_trial_stream,
     _check_band_channel,
+    _check_band_lmmse,
 )
 
 

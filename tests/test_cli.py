@@ -12,6 +12,7 @@ import pytest
 
 import otfsim as ot
 import otfsim.channel
+import otfsim.equalizer
 import otfsim.transforms
 from otfsim.cli import (
     EXIT_CONFIG, EXIT_GUARD, EXIT_INVARIANT, EXIT_OK, SNR_GRID_CAP, _parse_snr_grid, main,
@@ -119,8 +120,9 @@ class TestSimulate:
         assert peak < 64 * 2**20
 
     def test_per_slot_lmmse_guard_is_exit_3(self, config_file, capsys):
-        # 65536 x 16 points pass the frame cap, but the per-slot operators
-        # would hold 32 GiB; they are refused before they are allocated
+        # 65536 x 16 points pass the frame cap, but the cyclic reduction of
+        # their band would hold 56.6M entries (864 MiB) at its peak; it is
+        # refused before the band is built
         cfg = config_file(
             frame={"M": 65536, "N": 16, "cp_len": 2},
             channel={"random": {"L_max": 3, "V_max": 2}},
@@ -138,7 +140,28 @@ class TestSimulate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "guard" in captured.err and "Traceback" not in captured.err
+        assert "working set" in captured.err
         assert peak < 256 * 2**20
+
+    def test_random_cyclic_lmmse_peak_is_linear_in_the_band(self, config_file, capsys):
+        # a random 64 x 32 cyclic frame is one 2048-sample block: its dense
+        # Gram would hold 64 MiB, its delay band 96 KiB, and one trial peaks
+        # within 64 bands
+        cfg = config_file(
+            frame={"M": 64, "N": 32},
+            channel={"random": {"L_max": 3, "V_max": 2}},
+            equalizer="mmse_dd",
+            snr_db_list=[10.0],
+            trials=1,
+        )
+        tracemalloc.start()
+        try:
+            assert main(["simulate", "--config", cfg]) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().out.splitlines()[1].startswith("OTFS,10,1,")
+        assert peak < 64 * (3 * 64 * 32 * 16)
 
     def test_water_fill_far_below_the_floors_runs(self, tmp_path, capsys):
         # at -200 dB every user's floor is ~1e20 times the budget; the whole
@@ -386,7 +409,7 @@ class TestSelftest:
     def test_all_checks_pass(self, capsys):
         assert main(["selftest"]) == EXIT_OK
         out = capsys.readouterr().out
-        assert out.count("[PASS]") == 8 and "[FAIL]" not in out
+        assert out.count("[PASS]") == 9 and "[FAIL]" not in out
 
     def test_library_results(self):
         results = run_selftest()
@@ -399,6 +422,7 @@ class TestSelftest:
             "kron_vec_identity",
             "trial_stream",
             "band_channel",
+            "band_lmmse",
         ]
         assert all(r.passed for r in results)
 
@@ -416,7 +440,7 @@ class TestSelftest:
         monkeypatch.setattr(otfsim.runner, "_word_bits", lambda w, n: real(w << np.uint64(32), n))
         assert main(["selftest"]) == EXIT_INVARIANT
         out = capsys.readouterr().out
-        assert "[FAIL] trial_stream" in out and out.count("[PASS]") == 7
+        assert "[FAIL] trial_stream" in out and out.count("[PASS]") == 8
 
     def test_injected_band_misread_caught(self, monkeypatch, capsys):
         # negative control: the band read one sample late round each block
@@ -426,7 +450,15 @@ class TestSelftest:
         )
         assert main(["selftest"]) == EXIT_INVARIANT
         out = capsys.readouterr().out
-        assert "[FAIL] band_channel" in out and out.count("[PASS]") == 7
+        assert "[FAIL] band_channel" in out and out.count("[PASS]") == 8
+
+    def test_injected_reduction_fault_caught(self, monkeypatch, capsys):
+        # negative control: each odd block row's previous neighbour taken as
+        # its next, the band LMMSE's periodic wrap lost
+        monkeypatch.setattr(otfsim.equalizer, "_neighbour", lambda n, step: np.arange(n))
+        assert main(["selftest"]) == EXIT_INVARIANT
+        out = capsys.readouterr().out
+        assert "[FAIL] band_lmmse" in out and out.count("[PASS]") == 8
 
     def test_injected_crash_reported_not_raised(self, monkeypatch, capsys):
         def boom(x):

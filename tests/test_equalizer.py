@@ -7,7 +7,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import otfsim as ot
-from otfsim.channel import band_blocks
+from otfsim import equalizer
+from otfsim.channel import band_blocks, delay_band, random_channel
 from otfsim.equalizer import (
     ML_GUARD_BITS,
     band_filter,
@@ -16,6 +17,7 @@ from otfsim.equalizer import (
     mmse_dd,
     mmse_filter,
     one_tap_tf,
+    reduction_split,
 )
 from otfsim.errors import GuardError
 from otfsim.metrics import get_constellation, map_bits, symbol_indices
@@ -246,6 +248,15 @@ def adjoint_by_roll(band, z):
     return sum(np.roll(band[..., l, :, :].conj() * z, -l, axis=-1) for l in range(band.shape[-3]))
 
 
+def dense_filter(band, noise_var):
+    """``band_filter`` of a band stack through its dense Gram stack, the cyclic reduction's fallback."""
+    return lambda y: equalizer._band_adjoint(band, equalizer._dense_solve(band, y, noise_var))
+
+
+def refuse(*args):
+    raise AssertionError("the other band LMMSE path was taken")
+
+
 class TestBandLMMSE:
     # (L, B): wide blocks, the band as wide as the block, and Gram
     # diagonals that alias round small blocks
@@ -259,6 +270,11 @@ class TestBandLMMSE:
         y = random_band(rng, (2, 3, B))
         want = (mmse_filter(A, 0.3) @ y[..., None])[..., 0]
         assert_allclose(band_filter(band, 0.3)(y), want, atol=1e-12)
+        # blocks that do not split into two rows of L - 1 samples stay dense
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(equalizer, "_reduce" if reduction_split(L, B)[0] == 1 else "_dense_solve", refuse)
+            got = band_filter(band, 0.3)(y)
+        assert_allclose(got, want, atol=1e-12)
 
     @pytest.mark.parametrize("L,B", [(3, 8), (3, 3), (3, 4), (5, 5), (1, 1), (2, 7)])
     @pytest.mark.parametrize("lead", [(), (4,), (2, 3)])
@@ -272,14 +288,15 @@ class TestBandLMMSE:
         if len(lead) == 2:
             return  # band_filter takes one band for every frame, or one per frame
         y = random_band(rng, (4, 3, B))
-        if lead:  # one band per frame: the stack is solved
+        if lead:  # one band per frame: the dense stack is solved
             z = np.linalg.solve(gram, y[..., None])[..., 0]
-            want = adjoint_by_roll(band, z)
+            want, got = adjoint_by_roll(band, z), dense_filter(band, 0.3)(y)
         else:  # one band for every frame: W = A^H of the inverse's columns, formed once
             inv = np.linalg.solve(gram_by_roll(band[None], 0.3)[0], np.eye(B))
             W = adjoint_by_roll(band, inv.transpose(2, 0, 1)).transpose(1, 2, 0)
             want = (W @ y.transpose(1, 2, 0)).transpose(2, 0, 1)  # frames trailing
-        assert np.array_equal(band_filter(band, 0.3)(y), want)
+            got = band_filter(band, 0.3)(y)
+        assert np.array_equal(got, want)
 
     def test_filter_is_the_lmmse_of_the_blocks(self):
         # one band for every frame (its Gram inverse formed once), and one
@@ -294,8 +311,8 @@ class TestBandLMMSE:
 
     @pytest.mark.parametrize("failure", ["raise", "nan"])
     def test_failed_stack_is_redone_trial_by_trial(self, failure, monkeypatch):
-        # the stack's solve fails, and so does trial 1's on its own: only
-        # trial 1 takes the pseudo-inverse, the others solve as alone
+        # the dense stack's solve fails, and so does trial 1's on its own:
+        # only trial 1 takes the pseudo-inverse, the others solve as alone
         rng = np.random.default_rng(312)
         band, y = random_band(rng, (4, 3, 2, 8)), random_band(rng, (4, 2, 8))
         bad = band_gram(band[1:2], 0.2)
@@ -311,12 +328,12 @@ class TestBandLMMSE:
         pinvs = []
         monkeypatch.setattr(np.linalg, "solve", flaky)
         monkeypatch.setattr(np.linalg, "pinv", lambda G: pinvs.append(G) or pinv(G))
-        got = band_filter(band, 0.2)(y)
+        got = dense_filter(band, 0.2)(y)
         monkeypatch.undo()
         assert len(pinvs) == 1 and np.array_equal(pinvs[0], bad)
         for t in (0, 2, 3):
-            assert np.array_equal(got[t:t + 1], band_filter(band[t:t + 1], 0.2)(y[t:t + 1]))
-        assert_allclose(got[1:2], band_filter(band[1:2], 0.2)(y[1:2]), atol=1e-10)
+            assert np.array_equal(got[t:t + 1], dense_filter(band[t:t + 1], 0.2)(y[t:t + 1]))
+        assert_allclose(got[1:2], dense_filter(band[1:2], 0.2)(y[1:2]), atol=1e-10)
 
     def test_singular_gram_takes_the_pseudo_inverse(self):
         # a trial with no channel at zero noise has a zero Gram, stacked or
@@ -331,15 +348,91 @@ class TestBandLMMSE:
             assert np.array_equal(got[t:t + 1], band_filter(band[t:t + 1], 0.0)(y[t:t + 1]))
 
     def test_stack_is_bounded_by_the_guard(self, monkeypatch):
-        # 4 blocks of 8 x 8 are 256 Gram entries a trial; a guard of 23
+        # 4 blocks of 8 x 8 are 256 dense Gram entries a trial; a guard of 23
         # (529 entries) solves 7 trials as 2 + 2 + 2 + 1, bitwise as one stack
-        from otfsim import equalizer
-
         rng = np.random.default_rng(314)
         band, y = random_band(rng, (7, 3, 4, 8)), random_band(rng, (7, 4, 8))
-        whole = band_filter(band, 0.1)(y)
+        whole = dense_filter(band, 0.1)(y)
         sizes, solve = [], np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve", lambda G, b: sizes.append(len(G)) or solve(G, b))
         monkeypatch.setattr(equalizer, "EFFECTIVE_GUARD", 23)
-        assert np.array_equal(band_filter(band, 0.1)(y), whole)
+        assert np.array_equal(dense_filter(band, 0.1)(y), whole)
         assert sizes == [2, 2, 2, 1]
+
+
+def frame_band(rng, mode, L, B, T=3):
+    """The delay bands (T, L, blocks, B) of T random draws of an L-delay channel in ``mode``."""
+    if mode == "per_slot_cp":
+        params = ot.make_frame(B, 3)
+    else:  # one block of B = M * N samples, two slots where the delays fit M
+        params = ot.make_frame(*((B // 2, 2) if L <= B // 2 else (B, 1)))
+    ch = random_channel(L, 2 if params.N > 1 else 1, rng)
+    band = delay_band(ch, params, random_band(rng, (T, len(ch.taps))))
+    return band.reshape(T, L, 1 if mode == "cyclic" else params.N, B)
+
+
+class TestCyclicReduction:
+    @pytest.mark.parametrize("mode", ["per_slot_cp", "cyclic"])
+    @pytest.mark.parametrize("B", [8, 16, 24])
+    @pytest.mark.parametrize("L", [1, 2, 3, 4, 5])
+    def test_matches_the_dense_solve_and_the_blocks(self, mode, B, L, monkeypatch):
+        rng = np.random.default_rng(316)
+        band = frame_band(rng, mode, L, B)
+        y = random_band(rng, band[:, 0].shape)
+        monkeypatch.setattr(equalizer, "_dense_solve", refuse)  # no frame falls back
+        got = band_filter(band, 0.2)(y)
+        monkeypatch.undo()
+        assert_allclose(got, dense_filter(band, 0.2)(y), atol=1e-12)
+        want = (mmse_filter(band_blocks(band), 0.2) @ y[..., None])[..., 0]
+        assert_allclose(got, want, atol=1e-12)
+
+    def test_the_cases_split_into_two_rows_and_more(self):
+        # (nb, K) of the cases above: two and four rows are covered, and K >= L - 1
+        splits = {(L, B): reduction_split(L, B) for B in (8, 16, 24) for L in range(1, 6)}
+        assert splits[4, 8] == splits[5, 8] == (2, 4)
+        assert splits[3, 8] == (4, 2) and splits[5, 16] == (4, 4) and splits[5, 24] == (4, 6)
+        assert splits[1, 16] == (16, 1)
+        assert all(B // nb >= L - 1 and B % nb == 0 for (L, B), (nb, _) in splits.items())
+
+    @pytest.mark.parametrize("blocks", [1, 2])
+    @pytest.mark.parametrize("L,B", [(1, 8), (2, 12), (3, 6), (3, 16), (4, 24), (5, 32)])
+    def test_stack_rows_equal_one_frame_calls_bitwise(self, L, B, blocks):
+        # every step is elementwise over the frames; a one-block frame alone
+        # is a batch of one, whose products numpy must round as in a stack
+        rng = np.random.default_rng(317)
+        band, y = random_band(rng, (5, L, blocks, B)), random_band(rng, (5, blocks, B))
+        got = band_filter(band, 0.1)(y)
+        for t in range(5):
+            assert np.array_equal(got[t:t + 1], band_filter(band[t:t + 1], 0.1)(y[t:t + 1]))
+
+    def test_stack_is_bounded_by_the_guard(self, monkeypatch):
+        # a guard of 60 (3600 working entries) reduces 5 trials as 2 + 2 + 1,
+        # bitwise as one stack
+        rng = np.random.default_rng(319)
+        band, y = random_band(rng, (5, 3, 2, 16)), random_band(rng, (5, 2, 16))
+        whole = band_filter(band, 0.1)(y)
+        assert equalizer.reduction_entries(3, 2, 16) == 2 * 16 * (12 * 3 + 18)  # 1728
+        sizes, reduce = [], equalizer._reduce
+        monkeypatch.setattr(equalizer, "_reduce", lambda b, *a: sizes.append(len(b)) or reduce(b, *a))
+        monkeypatch.setattr(equalizer, "EFFECTIVE_GUARD", 60)
+        assert np.array_equal(band_filter(band, 0.1)(y), whole)
+        assert sizes == [2, 2, 1]
+
+    def test_singular_frame_alone_takes_the_pseudo_inverse(self, monkeypatch):
+        # trial 1 has no channel at zero noise: its reduction divides by a zero
+        # pivot, and only it is redone densely, where its own solve fails
+        rng = np.random.default_rng(318)
+        band, y = random_band(rng, (3, 3, 2, 8)), random_band(rng, (3, 2, 8))
+        band[1] = 0
+        dense, pinvs, pinv = [], [], np.linalg.pinv
+        solve = equalizer._dense_solve
+        monkeypatch.setattr(equalizer, "_dense_solve", lambda b, *a: dense.append(b) or solve(b, *a))
+        monkeypatch.setattr(np.linalg, "pinv", lambda G: pinvs.append(G) or pinv(G))
+        got = band_filter(band, 0.0)(y)
+        monkeypatch.undo()
+        assert len(dense) == 1 and np.array_equal(dense[0], band[1:2])
+        assert len(pinvs) == 1 and np.array_equal(pinvs[0], np.zeros((1, 2, 8, 8)))
+        assert np.array_equal(got[1], np.zeros((2, 8)))
+        for t in (0, 2):
+            assert np.array_equal(got[t:t + 1], band_filter(band[t:t + 1], 0.0)(y[t:t + 1]))
+        assert_allclose(got, (mmse_filter(band_blocks(band), 0.0) @ y[..., None])[..., 0], atol=1e-9)

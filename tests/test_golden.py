@@ -23,10 +23,9 @@ same way: it fixes the transmit chain and its draw order.
 
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from otfsim import modem, runner
+from otfsim import equalizer, modem, runner
 from otfsim.runner import _Link, format_csv, load_scenario, papr_ccdf, run, trial_rng
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -71,20 +70,21 @@ def test_detector_never_probes_the_channel(name, monkeypatch):
 
 @pytest.mark.parametrize("name", ["otfs_mmse_random", "tf_alloc_mmse_random"])
 def test_random_lmmse_solves_once_per_chunk(name, monkeypatch):
-    # the band LMMSE builds no slot operators and no filter: one solve of
-    # its Gram stack per chunk of trials, here 5 trials
+    # the band LMMSE builds no slot operators, no filter and no dense Gram:
+    # one cyclic reduction of its band stack per chunk of trials, here 5 trials
     def refuse(*args, **kwargs):
         raise AssertionError("dense LMMSE built")
 
-    solves = []
-    solve = np.linalg.solve
+    calls = []
+    reduce = equalizer._reduce
     monkeypatch.setattr(runner, "slot_operators", refuse)
     monkeypatch.setattr(runner, "mmse_filter", refuse)
-    monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(1) or solve(*a))
+    monkeypatch.setattr(equalizer, "band_gram", refuse)
+    monkeypatch.setattr(equalizer, "_reduce", lambda *a: calls.append(1) or reduce(*a))
     sc = load_scenario(GOLDEN / f"{name}.json")
     monkeypatch.setattr(runner, "CHUNK_SAMPLES", 5 * _Link(sc).n_samples)
     assert format_csv(run(sc)) == (GOLDEN / f"{name}.csv").read_text()
-    assert len(solves) == -(-sc.trials // 5) * len(sc.snr_db_list)
+    assert len(calls) == -(-sc.trials // 5) * len(sc.snr_db_list)
 
 
 @pytest.mark.parametrize("name", ["otfs_onetap_random", "tf_alloc_water_fill_random"])

@@ -202,6 +202,20 @@ class TestErrorCounting:
         rx = np.array([1, 1, 0, 0])
         assert count_errors(tx, rx, bits_per_symbol=2) == (2, 1)
 
+    @pytest.mark.parametrize("bps", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("lead", [(), (7,), (3, 5)])
+    def test_counts_equal_the_any_oracle(self, bps, lead):
+        # the symbol count ORs the bps columns; the oracle reduces each
+        # symbol's bits with any, over stacks and 1-D input alike
+        rng = np.random.default_rng(200 + bps)
+        tx = rng.integers(0, 2, (*lead, 12 * bps))
+        rx = np.where(rng.random(tx.shape) < 0.1, 1 - tx, tx)
+        wrong = tx != rx
+        want = int(wrong.sum()), int(wrong.reshape(-1, bps).any(axis=1).sum())
+        assert want[1] > 0
+        got = count_errors(tx, rx, bps)
+        assert got == want and all(type(v) is int for v in got)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             count_errors(np.array([0, 1]), np.array([0]))
