@@ -17,8 +17,9 @@ each time-domain block (a slot in ``per_slot_cp`` mode, the frame in
 ``cyclic`` mode), whose channel is periodic-banded (``channel.delay_band``),
 then the per-slot DFT and the map's adjoint.  A random draw's blocks of B
 samples are solved by periodic block cyclic reduction in O(B K) entries,
-K >= L - 1, without a dense Gram; a fixed channel's filter, formed once,
-and blocks that do not split take the dense Gram.  Gaussian spreading and ML
+K >= L - 1, without a dense Gram, where that is measured faster
+(:func:`band_solver`); a fixed channel's filter, formed once, and the
+other blocks take the dense Gram.  Gaussian spreading and ML
 read the grid through ``channel.slot_operators``; :func:`mmse_filter` of
 those blocks and :func:`mmse_dd` are the references tests compare to.
 
@@ -107,12 +108,11 @@ def band_filter(band: np.ndarray, noise_var: float):
     filter W, A^H of the columns of the Gram inverse, is formed once and
     applied as one product per block, the frames on the trailing axis.  A
     ``band`` (T, L, blocks, B) gives frame t of y (T, blocks, B) its own
-    blocks, solved by periodic block cyclic reduction (:func:`_reduce`)
-    where B splits into two or more block rows of K >= L - 1 samples, in
-    O(B * K) entries and no dense Gram; an odd B, or one too short to
-    split, takes the dense Gram stack (:func:`_dense_solve`).  A frame
-    whose reduction is not finite is redone through the dense solve on its
-    own, and only a frame whose own solve fails takes the pseudo-inverse.
+    blocks, solved by periodic block cyclic reduction (:func:`_reduce`) in
+    O(B * K) entries and no dense Gram, or by the dense Gram stack
+    (:func:`_dense_solve`), as :func:`band_solver` picks.  A frame whose
+    reduction is not finite is redone through the dense solve on its own,
+    and only a frame whose own solve fails takes the pseudo-inverse.
     """
     B = band.shape[-1]
     if band.ndim == 3:
@@ -124,8 +124,7 @@ def band_filter(band: np.ndarray, noise_var: float):
             return z.transpose(2, 0, 1).reshape(y.shape)
 
         return apply
-    nb, _ = reduction_split(band.shape[-3], B)
-    solve = _dense_solve if nb == 1 else _reduce_solve
+    solve = band_solver(*band.shape[-3:])
     return lambda y: _band_adjoint(band, solve(band, y, noise_var))
 
 
@@ -147,16 +146,28 @@ def reduction_entries(L: int, blocks: int, B: int) -> int:
     return blocks * B * (12 * (reduction_split(L, B)[1] + 1) + 6 * L)
 
 
-def check_reduction(L: int, blocks: int, B: int) -> None:
-    """Refuse a cyclic reduction above ``EFFECTIVE_GUARD**2`` working entries a frame.
+def band_solver(L: int, blocks: int, B: int):
+    """The solve of a band stack (T, L, blocks, B): :func:`_reduce_solve` or :func:`_dense_solve`.
 
-    Checked before the band is built.
+    Cyclic reduction where B splits into nb >= min(4K, 32) block rows of K
+    samples (:func:`reduction_split`), the measured point past which it
+    beats the dense Gram solve (its cost a sample grows as K^2, the dense
+    solve's as B^2).  A path whose frame would hold more than
+    ``EFFECTIVE_GUARD**2`` entries (``blocks * B**2`` for the dense Gram,
+    :func:`reduction_entries` for the reduction) gives way to the other,
+    and a frame that neither fits is refused, before the band is built.
     """
-    size = reduction_entries(L, blocks, B)
-    if size > EFFECTIVE_GUARD**2:
-        raise GuardError(
-            f"band LMMSE working set of {size} entries exceeds guard {EFFECTIVE_GUARD**2}"
-        )
+    nb, K = reduction_split(L, B)
+    limit, dense = EFFECTIVE_GUARD**2, blocks * B * B
+    reduce = reduction_entries(L, blocks, B)
+    if nb > 1 and reduce <= limit and (nb >= min(4 * K, 32) or dense > limit):
+        return _reduce_solve
+    if dense <= limit:
+        return _dense_solve
+    raise GuardError(
+        f"band LMMSE of {blocks} blocks of {B} samples exceeds guard {limit}: dense Gram "
+        f"{dense} entries, cyclic reduction working set {reduce if nb > 1 else 'none'}"
+    )
 
 
 def _dense_solve(band: np.ndarray, y: np.ndarray, noise_var: float) -> np.ndarray:

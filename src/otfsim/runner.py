@@ -34,8 +34,10 @@ unitary map's LMMSE and one-tap responses take one call each; ML and
 Gaussian spreading build one detector per draw.  A unitary map's LMMSE
 builds one delay band per chunk (per link for a fixed channel): it forms
 the received body samples and the LMMSE inverts it, a fixed channel's as
-one filter per block, a random chunk's by one cyclic reduction of every
-frame's blocks, which never forms their dense Gram.  Other links apply
+one filter per block, a random chunk's by one solve of every frame's
+blocks: a cyclic reduction, which never forms their dense Gram, where
+``band_solver`` measures it faster or the Gram alone would break the
+guard, else the dense Gram stack.  Other links apply
 the channel one delay row at a time, as a whole band of their frames
 could outgrow the stream stack.
 Single-user OTFS and ``dd_mapped`` links synthesise from the delay-Doppler
@@ -80,11 +82,10 @@ from .channel import (
 from .equalizer import (
     ML_GUARD_BITS,
     band_filter,
-    check_reduction,
+    band_solver,
     ml_detect,
     mmse_filter,
     one_tap_tf,
-    reduction_split,
 )
 from .errors import ConfigError, GuardError
 from .frame import FrameParams, interleaved_allocation, localized_allocation, make_frame, user_cells
@@ -548,16 +549,15 @@ class _Link:
     def band(self, ch: DDChannelSpec, gains: np.ndarray | None = None):
         """``delay_band`` of ``ch`` on a banded link, after its LMMSE's guard; else None.
 
-        Random draws are solved by cyclic reduction where the blocks split
-        (``check_reduction``); a fixed channel's filter and an unsplit block
-        are dense (``check_blocks``).
+        A fixed channel's filter is dense (``check_blocks``); random draws
+        are refused only where neither the dense Gram nor the cyclic
+        reduction fits (``band_solver``).
         """
         if self.banded:
-            B = self.params.dof // self.blocks
-            if gains is None or reduction_split(ch.L_max, B)[0] == 1:
+            if gains is None:
                 check_blocks(self.params, self.sc.channel_mode)
             else:
-                check_reduction(ch.L_max, self.blocks, B)
+                band_solver(ch.L_max, self.blocks, self.params.dof // self.blocks)
             return delay_band(ch, self.params, gains)
 
     def receiver(self, ch: DDChannelSpec, gains: np.ndarray | None = None, band=None):

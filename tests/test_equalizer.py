@@ -13,6 +13,7 @@ from otfsim.equalizer import (
     ML_GUARD_BITS,
     band_filter,
     band_gram,
+    band_solver,
     ml_detect,
     mmse_dd,
     mmse_filter,
@@ -253,6 +254,11 @@ def dense_filter(band, noise_var):
     return lambda y: equalizer._band_adjoint(band, equalizer._dense_solve(band, y, noise_var))
 
 
+def reduce_filter(band, noise_var):
+    """``band_filter`` of a band stack through cyclic reduction, whatever ``band_solver`` picks."""
+    return lambda y: equalizer._band_adjoint(band, equalizer._reduce_solve(band, y, noise_var))
+
+
 def refuse(*args):
     raise AssertionError("the other band LMMSE path was taken")
 
@@ -270,9 +276,11 @@ class TestBandLMMSE:
         y = random_band(rng, (2, 3, B))
         want = (mmse_filter(A, 0.3) @ y[..., None])[..., 0]
         assert_allclose(band_filter(band, 0.3)(y), want, atol=1e-12)
-        # blocks that do not split into two rows of L - 1 samples stay dense
+        # blocks this short are faster dense, and those that do not split
+        # into two rows of L - 1 samples can only be dense
+        assert band_solver(L, 3, B) is equalizer._dense_solve
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(equalizer, "_reduce" if reduction_split(L, B)[0] == 1 else "_dense_solve", refuse)
+            mp.setattr(equalizer, "_reduce", refuse)
             got = band_filter(band, 0.3)(y)
         assert_allclose(got, want, atol=1e-12)
 
@@ -380,7 +388,7 @@ class TestCyclicReduction:
         band = frame_band(rng, mode, L, B)
         y = random_band(rng, band[:, 0].shape)
         monkeypatch.setattr(equalizer, "_dense_solve", refuse)  # no frame falls back
-        got = band_filter(band, 0.2)(y)
+        got = reduce_filter(band, 0.2)(y)
         monkeypatch.undo()
         assert_allclose(got, dense_filter(band, 0.2)(y), atol=1e-12)
         want = (mmse_filter(band_blocks(band), 0.2) @ y[..., None])[..., 0]
@@ -394,6 +402,39 @@ class TestCyclicReduction:
         assert splits[1, 16] == (16, 1)
         assert all(B // nb >= L - 1 and B % nb == 0 for (L, B), (nb, _) in splits.items())
 
+    def test_solver_takes_the_measured_faster_path(self):
+        # cyclic reduction from min(4K, 32) block rows of K samples up
+        dense, reduce = equalizer._dense_solve, equalizer._reduce_solve
+        assert band_solver(3, 16, 32) is reduce  # 16 rows of 2, a 32 x 16 slot stack
+        assert band_solver(3, 8, 16) is reduce  # 8 rows of 2
+        assert band_solver(1, 1, 8) is reduce  # 8 rows of 1
+        assert band_solver(3, 3, 8) is dense  # 4 rows of 2
+        assert band_solver(5, 16, 32) is dense  # 8 rows of 4
+        assert band_solver(5, 16, 64) is reduce  # 16 rows of 4
+        assert band_solver(17, 1, 256) is dense  # 16 rows of 16
+        assert band_solver(17, 1, 512) is reduce  # 32 rows of 16
+        assert band_solver(2, 4, 7) is dense  # an odd block does not split
+
+    def test_guard_refuses_only_frames_neither_path_fits(self):
+        dense, reduce = equalizer._dense_solve, equalizer._reduce_solve
+        limit = equalizer.EFFECTIVE_GUARD**2
+        # per_slot_cp 32 x 16384 with 3 delays: the dense Grams hold 4096^2
+        # entries, the reduction would hold 28.3M
+        assert equalizer.reduction_entries(3, 16384, 32) > limit == 16384 * 32**2
+        assert band_solver(3, 16384, 32) is dense
+        # per_slot_cp 512 x 64 with 256 delays: 151M working entries, 16.8M dense
+        assert equalizer.reduction_entries(256, 64, 512) > limit >= 64 * 512**2
+        assert band_solver(256, 64, 512) is dense
+        # 2650 blocks of 80 = 16 rows of 5 are faster dense, but only the
+        # reduction fits
+        assert 2650 * 80**2 > limit >= equalizer.reduction_entries(1, 2650, 80)
+        assert band_solver(1, 2650, 80) is reduce
+        # per_slot_cp 65536 x 16 fits neither, nor does an unsplit block past the guard
+        with pytest.raises(GuardError, match="working set"):
+            band_solver(3, 16, 65536)
+        with pytest.raises(GuardError, match="dense Gram"):
+            band_solver(3, 1, 4097)
+
     @pytest.mark.parametrize("blocks", [1, 2])
     @pytest.mark.parametrize("L,B", [(1, 8), (2, 12), (3, 6), (3, 16), (4, 24), (5, 32)])
     def test_stack_rows_equal_one_frame_calls_bitwise(self, L, B, blocks):
@@ -401,21 +442,21 @@ class TestCyclicReduction:
         # is a batch of one, whose products numpy must round as in a stack
         rng = np.random.default_rng(317)
         band, y = random_band(rng, (5, L, blocks, B)), random_band(rng, (5, blocks, B))
-        got = band_filter(band, 0.1)(y)
+        got = reduce_filter(band, 0.1)(y)
         for t in range(5):
-            assert np.array_equal(got[t:t + 1], band_filter(band[t:t + 1], 0.1)(y[t:t + 1]))
+            assert np.array_equal(got[t:t + 1], reduce_filter(band[t:t + 1], 0.1)(y[t:t + 1]))
 
     def test_stack_is_bounded_by_the_guard(self, monkeypatch):
         # a guard of 60 (3600 working entries) reduces 5 trials as 2 + 2 + 1,
         # bitwise as one stack
         rng = np.random.default_rng(319)
         band, y = random_band(rng, (5, 3, 2, 16)), random_band(rng, (5, 2, 16))
-        whole = band_filter(band, 0.1)(y)
+        whole = reduce_filter(band, 0.1)(y)
         assert equalizer.reduction_entries(3, 2, 16) == 2 * 16 * (12 * 3 + 18)  # 1728
         sizes, reduce = [], equalizer._reduce
         monkeypatch.setattr(equalizer, "_reduce", lambda b, *a: sizes.append(len(b)) or reduce(b, *a))
         monkeypatch.setattr(equalizer, "EFFECTIVE_GUARD", 60)
-        assert np.array_equal(band_filter(band, 0.1)(y), whole)
+        assert np.array_equal(reduce_filter(band, 0.1)(y), whole)
         assert sizes == [2, 2, 1]
 
     def test_singular_frame_alone_takes_the_pseudo_inverse(self, monkeypatch):
@@ -428,11 +469,11 @@ class TestCyclicReduction:
         solve = equalizer._dense_solve
         monkeypatch.setattr(equalizer, "_dense_solve", lambda b, *a: dense.append(b) or solve(b, *a))
         monkeypatch.setattr(np.linalg, "pinv", lambda G: pinvs.append(G) or pinv(G))
-        got = band_filter(band, 0.0)(y)
+        got = reduce_filter(band, 0.0)(y)
         monkeypatch.undo()
         assert len(dense) == 1 and np.array_equal(dense[0], band[1:2])
         assert len(pinvs) == 1 and np.array_equal(pinvs[0], np.zeros((1, 2, 8, 8)))
         assert np.array_equal(got[1], np.zeros((2, 8)))
         for t in (0, 2):
-            assert np.array_equal(got[t:t + 1], band_filter(band[t:t + 1], 0.0)(y[t:t + 1]))
+            assert np.array_equal(got[t:t + 1], reduce_filter(band[t:t + 1], 0.0)(y[t:t + 1]))
         assert_allclose(got, (mmse_filter(band_blocks(band), 0.0) @ y[..., None])[..., 0], atol=1e-9)

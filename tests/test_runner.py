@@ -783,6 +783,27 @@ class TestBandLMMSE:
         Z = (W @ y[..., None])[..., 0].reshape(*Y.shape[:-2], params.N, params.M)
         return link.adjoint(Z.swapaxes(-1, -2))
 
+    @pytest.mark.parametrize("M,N,refused", [(32, 16384, False), (65536, 16, True)])
+    def test_random_band_is_refused_only_where_no_solve_fits(self, M, N, refused, monkeypatch):
+        # per_slot_cp 32 x 16384 with 3 delays: the dense Grams (4096^2
+        # entries) fit where the reduction's 28.3M working entries would not;
+        # 65536 x 16 fits neither; both checked before the band is built
+        d = base_dict(
+            frame={"M": M, "N": N, "cp_len": 2},
+            channel={"random": {"L_max": 3, "V_max": 2}},
+            channel_mode="per_slot_cp",
+            equalizer="mmse_dd",
+        )
+        link = _Link(scenario_from_dict(d), 0.1)
+        monkeypatch.setattr(otfsim.runner, "delay_band", lambda *a: "band")
+        ch = link.channel_for_trial(trial_rng(1, 0, 0))
+        gains = np.array([[t.gain for t in ch.taps]])
+        if refused:
+            with pytest.raises(GuardError, match="working set"):
+                link.band(ch, gains)
+        else:
+            assert link.band(ch, gains) == "band"
+
     @pytest.mark.parametrize("channel_mode", ["per_slot_cp", "cyclic"])
     @pytest.mark.parametrize("scheme,M,N,mu", [
         ("OTFS", 8, 4, None),
