@@ -387,9 +387,14 @@ def delay_band(ch: DDChannelSpec, params: FrameParams, gains: np.ndarray | None 
     """
     check_taps(ch, params)
     l, k, g = _tap_arrays(ch, gains)
-    S, delays = params.dof, np.arange(ch.L_max)[:, None]
-    # each delay's ramp sum_k g * w^(k*s), read at s - l: O(L_max * S) per frame
-    band = _doppler_ramps(l, k, g, (ch.L_max, S))[..., delays, (np.arange(S) - delays) % S]
+    S = params.dof
+    # each delay's ramp sum_k g * w^(k*s), read at s - l: O(L_max * S) per frame,
+    # two slice copies per delay (l < M <= S), the wrapped head and the rest
+    ramps = _doppler_ramps(l, k, g, (ch.L_max, S))
+    band = np.empty_like(ramps)
+    for d in range(ch.L_max):
+        band[..., d, :d] = ramps[..., d, S - d:]
+        band[..., d, d:] = ramps[..., d, :S - d]
     return band.reshape(*g.shape[:-1], ch.L_max, params.N, params.M)
 
 

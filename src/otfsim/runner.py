@@ -27,8 +27,9 @@ of the contract draws, into (T, ...) stacks.  Every layer (bit mapping,
 precoding, synthesis, channel, detection from the received body samples,
 slicing and counting) then runs once per chunk on the stack.  Each SNR
 point runs one link bound to its noise variance, whose receiver reads a
-channel once for its detector and, on a budgeted downlink, the water-filled
-user amplitudes: a fixed channel's receiver is built once for the point.
+channel once for its detector, the received body it detects and, on a
+budgeted downlink, the water-filled user amplitudes: a fixed channel's
+receiver is built once for the point.
 A random chunk is one tap grid with a (T, taps) gain stack: its channel, a
 unitary map's LMMSE and one-tap responses take one call each; ML and
 Gaussian spreading build one detector per draw.  A unitary map's LMMSE
@@ -40,6 +41,8 @@ blocks: a cyclic reduction, which never forms their dense Gram, where
 guard, else the dense Gram stack.  Other links apply
 the channel one delay row at a time, as a whole band of their frames
 could outgrow the stream stack.
+Spreading with the users' selected DFT columns places them on their
+delay-Doppler cells, so a DFT ``tf_spread`` downlink runs as ``dd_mapped``.
 Single-user OTFS and ``dd_mapped`` links synthesise from the delay-Doppler
 grid and their LMMSE reads it back, each by one DFT across slots at each
 delay; every other link goes through its time-frequency grid.
@@ -398,12 +401,12 @@ class _Link:
     frequency grid by ``multiuser.downlink_superpose`` and separated by
     its adjoint ``multiuser.downlink_split`` (a ``dd_mapped`` downlink's
     transmitter and LMMSE place and read them on the delay-Doppler grid at
-    their cells instead).  Symbols, bits and detector
-    output are stacked user by user, each block flattened row-major.
+    their cells instead; a DFT-spread downlink is one).  Symbols, bits and
+    detector output are stacked user by user, each block flattened row-major.
     Every stage takes a stack of frames along leading axes.  A link serves
     one SNR point: its noise variance is fixed when it is built, and its
-    :meth:`receiver` gives the detector and any water-filled user powers
-    of a channel from one view of it.
+    :meth:`receiver` gives the detector, any water-filled user powers and
+    the received body of a channel from one view of it.
     """
 
     def __init__(self, sc: Scenario, noise_var: float = 0.0):
@@ -417,10 +420,13 @@ class _Link:
             L, V = sc.channel_random
             self.grid = DDChannelSpec(tuple((l, k, 1) for l in range(L) for k in range(1 - V, V)))
         mu = sc.multiuser
+        # spreading with the users' selected DFT columns is placing them on their
+        # delay-Doppler cells, so it runs as dd_mapped: tf_spread is Gaussian only
+        dft = mu is not None and mu.mode == "tf_spread" and mu.spreader == "dft"
+        self.mode = "dd_mapped" if dft else None if mu is None else mu.mode
         # every user map tiles the grid unitarily except Gaussian spreading,
         # and a unitary map's joint LMMSE is solved on the channel's delay band
-        unitary = mu is None or not (mu.mode == "tf_spread" and mu.spreader == "gaussian")
-        self.banded = unitary and sc.equalizer == "mmse_dd"
+        self.banded = self.mode != "tf_spread" and sc.equalizer == "mmse_dd"
         # time-domain blocks of a frame: its slots, or the whole cyclic frame
         self.blocks = 1 if sc.channel_mode == "cyclic" else self.params.N
         if mu is None:
@@ -430,7 +436,7 @@ class _Link:
         # OTFS and dd_mapped links are synthesised and read on the DD grid, a downlink's
         # symbols at its users' cells, a permutation.  SC-FDMA keeps the ISFFT: through
         # dd_synthesis its body would be its symbols, at a PAPR of 0 dB for QPSK.
-        self.dd = sc.scheme == "OTFS" and (mu is None or mu.mode == "dd_mapped")
+        self.dd = sc.scheme == "OTFS" and self.mode in (None, "dd_mapped")
         self.cells = np.concatenate([user_cells(*u) for u in self.users]) if self.dd and mu else None
         self.n_bits = self.K * self.block * self.const.bits_per_symbol
         self.n_samples = sc.N * (sc.M + sc.cp_len)
@@ -443,26 +449,17 @@ class _Link:
         self.M_d = sc.M // mu.K_d
         self.N_D = sc.N // mu.K_D
         self.block = self.M_d * self.N_D
-        if mu.mode == "tf_spread":
-            # one reserved stream, drawn sequentially so users differ
-            gauss_rng = system_rng(sc.seed, 1) if mu.spreader == "gaussian" else None
-            self.users = [
-                self._make_pair(fmap, tmap, gauss_rng) for fmap, tmap in self.alloc.users
-            ]
-        else:
+        if self.mode != "tf_spread":
             self.users = list(self.alloc.users)
-
-    def _make_pair(self, fmap, tmap, rng):
-        if self.sc.multiuser.spreader == "dft":
-            return multiuser.dft_spreading_pair(fmap, tmap)
+            return
+        rng = system_rng(sc.seed, 1)  # one reserved stream, drawn sequentially so users differ
 
         def gauss(rows, cols):
             S = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
             return S / np.linalg.norm(S, axis=0, keepdims=True)
 
-        return multiuser.SpreadingPair(
-            S_A=gauss(self.params.M, self.M_d), S_B=gauss(self.params.N, self.N_D)
-        )
+        self.users = [multiuser.SpreadingPair(S_A=gauss(sc.M, self.M_d), S_B=gauss(sc.N, self.N_D))
+                      for _ in self.alloc.users]
 
     def channel_for_trial(self, rng) -> DDChannelSpec:
         if self.fixed is not None:
@@ -502,7 +499,7 @@ class _Link:
             )
         blocks = symbols.reshape(*lead, self.K, self.N_D, self.M_d)
         return multiuser.downlink_superpose(
-            np.moveaxis(blocks, -3, 0), self.users, self.sc.multiuser.mode
+            np.moveaxis(blocks, -3, 0), self.users, self.mode
         )
 
     def adjoint(self, X: np.ndarray) -> np.ndarray:
@@ -510,7 +507,7 @@ class _Link:
         lead = X.shape[:-2]
         if self.users is None:
             return modem.payload_from_tf(self.cfg, X).reshape(*lead, -1)
-        blocks = multiuser.downlink_split(X, self.users, self.sc.multiuser.mode)
+        blocks = multiuser.downlink_split(X, self.users, self.mode)
         return np.concatenate([b.reshape(*lead, -1) for b in blocks], axis=-1)
 
     def transmit(self, bits: np.ndarray, amp=None):
@@ -546,35 +543,30 @@ class _Link:
             U[:, a:a + m] = self.tf_grid(np.eye(m, n, k=a)).swapaxes(-1, -2).reshape(m, dof).T
         return U
 
-    def band(self, ch: DDChannelSpec, gains: np.ndarray | None = None):
-        """``delay_band`` of ``ch`` on a banded link, after its LMMSE's guard; else None.
-
-        A fixed channel's filter is dense (``check_blocks``); random draws
-        are refused only where neither the dense Gram nor the cyclic
-        reduction fits (``band_solver``).
-        """
-        if self.banded:
-            if gains is None:
-                check_blocks(self.params, self.sc.channel_mode)
-            else:
-                band_solver(ch.L_max, self.blocks, self.params.dof // self.blocks)
-            return delay_band(ch, self.params, gains)
-
-    def receiver(self, ch: DDChannelSpec, gains: np.ndarray | None = None, band=None):
-        """Returns ``(detect, amp)``: symbol estimates of received body samples
-        (..., M*N), and a budgeted downlink's (frames, K) water-filled user amplitudes or None.
+    def receiver(self, ch: DDChannelSpec, gains: np.ndarray | None = None):
+        """Returns ``(detect, amp, receive)``: symbol estimates of received body
+        samples (..., M*N), a budgeted downlink's (frames, K) water-filled user
+        amplitudes or None, and the received body of a transmitted stack and
+        its noise, ``receive(sig, noise)``.
 
         ``gains`` (T, taps) gives frame t ``ch``'s taps with gains[t].  A
         unitary map's LMMSE equalises the blocks (slots, or the ``cyclic``
-        frame) of all frames at once on the delay band (``band``, else
-        :meth:`band` of ``ch``), one-tap reads one ``tf_channel`` call, for
-        its detector and (a budget implies one-tap) the users' water-filling;
-        ML and Gaussian spreading read each frame's grid through the slot
-        operators T as T U, one detector per draw.
+        frame) of all frames at once on the delay band, which ``receive``
+        applies as the channel.  The band is built after the guard: a fixed
+        channel's filter is dense (``check_blocks``), random draws are refused
+        only where neither the dense Gram nor the cyclic reduction fits
+        (``band_solver``).  Other links receive by ``apply_channel``.  One-tap
+        reads one ``tf_channel`` call, for its detector and (a budget implies
+        one-tap) the users' water-filling; ML and Gaussian spreading read each
+        frame's grid through the slot operators T as T U, one detector per draw.
         """
-        sc, params, noise_var = self.sc, self.params, self.noise_var
+        sc, params, noise_var, mode = self.sc, self.params, self.noise_var, self.sc.channel_mode
         if self.banded:
-            band = self.band(ch, gains) if band is None else band
+            if gains is None:
+                check_blocks(params, mode)
+            else:
+                band_solver(ch.L_max, self.blocks, params.dof // self.blocks)
+            band = delay_band(ch, params, gains)
             equalize = band_filter(band.reshape(*band.shape[:-2], self.blocks, -1), noise_var)
 
             def detect(body):
@@ -584,7 +576,11 @@ class _Link:
                 x = dd_analysis(z.reshape(*z.shape[:-1], params.N, params.M)).reshape(body.shape)
                 return x if self.cells is None else x[..., self.cells]
 
-            return detect, None
+            return detect, None, lambda sig, noise: band_channel(band, sig, mode, noise)
+
+        def receive(sig, noise):
+            return apply_channel(sig, ch, params, mode=mode, gains=gains, noise=noise).body
+
         if sc.equalizer == "one_tap_tf":
             H = tf_channel(ch, params, gains)
             amp, mu = None, sc.multiuser
@@ -599,14 +595,14 @@ class _Link:
                 amp = np.sqrt(p / self.block)
             return (lambda body: self.adjoint(
                 one_tap_tf(slot_dft(body, params).swapaxes(-1, -2), H, noise_var)
-            )), amp
+            )), amp, receive
         if gains is not None:  # one detector per draw: a stacked filter is no faster and holds more
             at = [(t.delay_bin, t.doppler_bin) for t in ch.taps]
             each = [self.receiver(DDChannelSpec([(*p, g) for p, g in zip(at, gs)]))[0]
                     for gs in gains]
-            return (lambda body: np.stack([d(b) for d, b in zip(each, body)])), None
+            return (lambda body: np.stack([d(b) for d, b in zip(each, body)])), None, receive
         U = self._map_matrix  # refused by its guard before the channel blocks are built
-        T = slot_operators(ch, params, sc.channel_mode)
+        T = slot_operators(ch, params, mode)
         A = (T @ U.reshape(len(T), T.shape[-1], -1)).reshape(params.dof, -1)
 
         def slot_major(body):
@@ -617,19 +613,14 @@ class _Link:
             # held once, not once per frame of the stack
             return (lambda body: np.apply_along_axis(
                 ml_detect, -1, slot_major(body), A, self.const
-            )), None
+            )), None, receive
         W = mmse_filter(A, noise_var)
-        return (lambda body: (W @ slot_major(body)[..., None])[..., 0]), None
-
-    def _view(self, ch: DDChannelSpec, gains: np.ndarray | None = None):
-        """``(band, (detect, amp))``: the channel's :meth:`band` and the :meth:`receiver` on it."""
-        band = self.band(ch, gains)
-        return band, self.receiver(ch, gains, band)
+        return (lambda body: (W @ slot_major(body)[..., None])[..., 0]), None, receive
 
     @cached_property
     def _fixed_rx(self):
-        """The fixed channel's :meth:`_view`, built once."""
-        return self._view(self.fixed)
+        """The fixed channel's :meth:`receiver`, built once."""
+        return self.receiver(self.fixed)
 
     def run_chunk(self, streams: _TrialStreams, start: int, stop: int):
         """Draw, transmit, receive and detect trials [start, stop) as one stack.
@@ -637,14 +628,10 @@ class _Link:
         Returns ((bit errors, symbol errors, bits, symbols), PAPR per trial).
         """
         ch, gains, bits, noise = self.draw(streams, start, stop)
-        band, (detect, amp) = self._fixed_rx if gains is None else self._view(ch, gains)
+        detect, amp, receive = self._fixed_rx if gains is None else self.receiver(ch, gains)
         sig = self.transmit(bits, amp)
         paprs = papr(sig)
-        mode = self.sc.channel_mode
-        if band is None:  # one delay row at a time: no band of the whole stack is held
-            body = apply_channel(sig, ch, self.params, mode=mode, gains=gains, noise=noise).body
-        else:  # the band the LMMSE equalises with is the channel
-            body = band_channel(band, sig, mode, noise)
+        body = receive(sig, noise)
         del sig, noise  # the transmitted stacks are not held through detection
         est = detect(body)
         bps = self.const.bits_per_symbol

@@ -143,7 +143,7 @@ def _check_band_channel() -> CheckResult:
         link = runner._Link(sc, 0.5)
         ch, gains, bits, noise = link.draw(runner._TrialStreams(sc.seed, 0, 0), 0, sc.trials)
         sig = link.transmit(bits)
-        got = channel.band_channel(link.band(ch, gains), sig, mode, noise)
+        got = link.receiver(ch, gains)[2](sig, noise)
         want = channel.apply_channel(sig, ch, link.params, mode=mode, gains=gains, noise=noise)
         differ += int(np.sum(got != want.body))
     return CheckResult("band_channel", differ == 0, f"{differ} received body samples differ")
@@ -161,7 +161,7 @@ def _check_band_lmmse() -> CheckResult:
         })
         link = runner._Link(sc, 0.5)
         ch, gains, bits, noise = link.draw(runner._TrialStreams(sc.seed, 0, 0), 0, sc.trials)
-        band = link.band(ch, gains)
+        band = channel.delay_band(ch, link.params, gains)
         y = channel.band_channel(band, link.transmit(bits), mode, noise)
         band, y = band.reshape(sc.trials, L, link.blocks, -1), y.reshape(sc.trials, link.blocks, -1)
         got = equalizer._band_adjoint(band, equalizer._reduce_solve(band, y, link.noise_var))

@@ -674,6 +674,22 @@ class TestDelayBand:
         with pytest.raises(ValueError, match="taps"):
             delay_band(ch, params, gains[..., 1:])
 
+    def test_slice_reads_are_the_wrapped_gather(self):
+        # delay l's ramp read at s - l by two slice copies is bitwise the
+        # (s - l) mod S fancy index, up to the widest delay, with and without
+        # a gain stack
+        params = ot.make_frame(7, 4)
+        rng = np.random.default_rng(46)
+        ch = ot.random_channel(7, 3, rng)
+        S, delays = params.dof, np.arange(ch.L_max)[:, None]
+        stack = rng.normal(size=(2, 3, len(ch.taps))) + 1j * rng.normal(size=(2, 3, len(ch.taps)))
+        for gains in (None, stack):
+            l, k, g = channel._tap_arrays(ch, gains)
+            ramps = channel._doppler_ramps(l, k, g, (ch.L_max, S))
+            want = ramps[..., delays, (np.arange(S) - delays) % S]
+            got = delay_band(ch, params, gains)
+            assert np.array_equal(got, want.reshape(*g.shape[:-1], ch.L_max, 4, 7))
+
 
 class TestBandChannel:
     """The received body formed from the delay band, against ``apply_channel``'s."""

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import otfsim as ot
-import otfsim.channel
 import otfsim.equalizer
+import otfsim.runner
 import otfsim.transforms
 from otfsim.cli import (
     EXIT_CONFIG, EXIT_GUARD, EXIT_INVARIANT, EXIT_OK, SNR_GRID_CAP, _parse_snr_grid, main,
@@ -443,10 +443,11 @@ class TestSelftest:
         assert "[FAIL] trial_stream" in out and out.count("[PASS]") == 8
 
     def test_injected_band_misread_caught(self, monkeypatch, capsys):
-        # negative control: the band read one sample late round each block
-        real = otfsim.channel.band_channel
+        # negative control: the band read one sample late round each block, at
+        # the name through which the link's receive calls it
+        real = otfsim.runner.band_channel
         monkeypatch.setattr(
-            otfsim.channel, "band_channel", lambda band, *a: real(np.roll(band, 1, axis=-1), *a)
+            otfsim.runner, "band_channel", lambda band, *a: real(np.roll(band, 1, axis=-1), *a)
         )
         assert main(["selftest"]) == EXIT_INVARIANT
         out = capsys.readouterr().out

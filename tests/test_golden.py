@@ -64,7 +64,7 @@ def test_detector_never_probes_the_channel(name, monkeypatch):
     monkeypatch.setattr(modem, "demodulate", refuse)
     sc = load_scenario(GOLDEN / f"{name}.json")
     link = _Link(sc, 0.1)
-    detect, _ = link.receiver(link.channel_for_trial(trial_rng(sc.seed, 0, 0)))
+    detect, _, _ = link.receiver(link.channel_for_trial(trial_rng(sc.seed, 0, 0)))
     assert callable(detect)
 
 

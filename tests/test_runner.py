@@ -13,7 +13,8 @@ from numpy.testing import assert_allclose
 
 import otfsim as ot
 import otfsim.runner
-from otfsim.channel import EFFECTIVE_GUARD, chain_matrix
+from otfsim import multiuser
+from otfsim.channel import EFFECTIVE_GUARD, chain_matrix, delay_band
 from otfsim.equalizer import band_filter
 from otfsim.errors import ConfigError, GuardError
 from otfsim.metrics import LinkResult, map_bits
@@ -21,6 +22,8 @@ from otfsim.runner import (
     CSV_HEADER,
     MultiuserSetup,
     _Link,
+    _noise_var,
+    _TrialStreams,
     format_csv,
     load_scenario,
     papr_ccdf,
@@ -547,6 +550,37 @@ class TestMultiuserExecution:
         assert a.bit_errors == b.bit_errors
         assert_allclose(a.papr_values, b.papr_values, atol=1e-9)
 
+    @pytest.mark.parametrize("channel_mode", ["per_slot_cp", "cyclic"])
+    @pytest.mark.parametrize("mapping", ["localized", "interleaved"])
+    def test_dft_spread_runs_as_its_dd_mapped_twin(self, mapping, channel_mode, monkeypatch):
+        # a DFT tf_spread link places its users on their delay-Doppler cells:
+        # it builds no spreading matrix and spreads by no matrix product, and
+        # its simulate and papr-ccdf output are its dd_mapped twin's bytes
+        from otfsim import multiuser
+
+        def refuse(*a, **k):
+            raise AssertionError("DFT spreading by dense matrices")
+
+        monkeypatch.setattr(multiuser, "dft_spreading_pair", refuse)
+        monkeypatch.setattr(multiuser, "tf_spread", refuse)
+        twin = {"mode": "dd_mapped", "K_d": 2, "K_D": 2, "mapping": mapping}
+        for equalizer in ("mmse_dd", "one_tap_tf"):
+            d = self.mu_dict(
+                frame={"M": 8, "N": 4, "cp_len": 0 if channel_mode == "cyclic" else 2},
+                channel={"random": {"L_max": 3, "V_max": 3}},
+                channel_mode=channel_mode,
+                equalizer=equalizer,
+                snr_db_list=[0.0, 10.0],
+                trials=5,
+                multiuser=twin,
+            )
+            dd = scenario_from_dict(d)
+            spread = scenario_from_dict(
+                {**d, "multiuser": {**twin, "mode": "tf_spread", "spreader": "dft"}}
+            )
+            assert format_csv(run(spread)) == format_csv(run(dd))
+            assert papr_ccdf(spread) == papr_ccdf(dd)
+
     def test_water_fill_shuts_off_weak_user(self, monkeypatch):
         # two-tap channel with a null centred on the upper band; a small
         # budget at low noise concentrates all power on the strong user,
@@ -563,7 +597,7 @@ class TestMultiuserExecution:
         sc = scenario_from_dict(d)
         eng = _Link(sc, 1e-3)
         ch = eng.channel_for_trial(trial_rng(sc.seed, 0, 0))
-        _, (amp,) = eng.receiver(ch)
+        _, (amp,), _ = eng.receiver(ch)
         assert amp[0] > 0 and amp[1] == 0.0
         calls = []
         real = otfsim.runner.multiuser.water_fill
@@ -598,7 +632,7 @@ class TestMultiuserExecution:
         monkeypatch.setattr(
             otfsim.runner.multiuser, "water_fill", lambda g, *a: powers.append(g) or real(g, *a)
         )
-        _, amp = link.receiver(ch, gains)
+        _, amp, _ = link.receiver(ch, gains)
         assert amp.shape == (T, link.K) and len(powers) == T
         for H, got, got_amp in zip(ot.tf_channel(ch, link.params, gains), powers, amp):
             power = np.array([
@@ -704,10 +738,15 @@ class TestMultiuserExecution:
         ch = link.channel_for_trial(rng)
         dim = sc.params.dof
 
+        # dense DFT spreading pairs, so the reference does not take the link's route
+        users = link.users
+        if spreader == "dft" and mode == "tf_spread":
+            users = [multiuser.dft_spreading_pair(f, t) for f, t in link.alloc.users]
+
         def tx(v):
             if mode is None:
                 return modulate(link.cfg, v.reshape(payload_shape(link.cfg)))
-            X = multiuser.downlink_superpose(v.reshape(4, N // 2, 4), link.users, mode)
+            X = multiuser.downlink_superpose(v.reshape(4, N // 2, 4), users, mode)
             return ot.heisenberg(X, sc.params, cp_len=sc.cp_len)
 
         def rx(sig):
@@ -795,14 +834,19 @@ class TestBandLMMSE:
             equalizer="mmse_dd",
         )
         link = _Link(scenario_from_dict(d), 0.1)
-        monkeypatch.setattr(otfsim.runner, "delay_band", lambda *a: "band")
+
+        def built(*a):
+            raise LookupError("band built")
+
+        monkeypatch.setattr(otfsim.runner, "delay_band", built)
         ch = link.channel_for_trial(trial_rng(1, 0, 0))
         gains = np.array([[t.gain for t in ch.taps]])
         if refused:
             with pytest.raises(GuardError, match="working set"):
-                link.band(ch, gains)
+                link.receiver(ch, gains)
         else:
-            assert link.band(ch, gains) == "band"
+            with pytest.raises(LookupError, match="band built"):
+                link.receiver(ch, gains)
 
     @pytest.mark.parametrize("channel_mode", ["per_slot_cp", "cyclic"])
     @pytest.mark.parametrize("scheme,M,N,mu", [
@@ -884,7 +928,7 @@ class TestBandLMMSE:
         ch, gains, rx = self.received(link, np.random.default_rng(74), 3)
         blocks = 1 if channel_mode == "cyclic" else N
         for g in (None, gains):
-            band = link.band(ch, g)
+            band = delay_band(ch, link.params, g)
             equalize = band_filter(band.reshape(*band.shape[:-2], blocks, -1), link.noise_var)
             z = equalize(rx.body.reshape(3, blocks, -1)).reshape(rx.body.shape)
             want = link.adjoint(slot_dft(z, link.params).swapaxes(-1, -2))
@@ -945,6 +989,122 @@ class TestBandLMMSE:
             tracemalloc.stop()
         assert len(ch.taps) == 16400
         assert peak < 10 * band_bytes
+
+
+class TestReceivePath:
+    """Seeded draws of every link kind: its receive and detector against their oracles."""
+
+    #: (scheme, downlink mode and spreader); a None scheme is drawn from the other three
+    KINDS = (("OTFS", None), (None, None), ("OTFS", "dd_mapped-dft"), (None, "dd_mapped-dft"),
+             ("OTFS", "tf_spread-dft"), (None, "tf_spread-dft"), (None, "tf_alloc-dft"),
+             (None, "tf_spread-gaussian"))
+
+    @staticmethod
+    def draw_scenario(rng, scheme, downlink, mode, equalizer):
+        """A scenario of at most 512 grid points, odd M and N = 1 among them, with
+        the widest delay and Doppler bins -N/2..N/2 often, on a random or fixed channel."""
+        scheme = scheme or ("OSTF", "OFDM", "SCFDMA")[rng.integers(3)]
+        M = int(rng.integers(2, 33))
+        N = 1 if scheme in ("OFDM", "SCFDMA") else int(rng.choice([1, 2, 3, 4, 5, 8, 16]))
+        N = min(N, 512 // M)
+        cp = int(rng.integers(0, M)) if mode == "per_slot_cp" else 0
+        widest = cp + 1 if mode == "per_slot_cp" else M
+        L = widest if rng.random() < 0.5 else int(rng.integers(1, widest + 1))
+        V = N // 2 + 1
+        if rng.random() < 0.5:
+            channel = {"random": {"L_max": L, "V_max": V}}
+        else:  # fixed taps at the widest delay and at Doppler -N/2 and +N/2
+            at = {(L - 1, V - 1), (0, 1 - V)} | {
+                (int(rng.integers(L)), int(rng.integers(1 - V, V))) for _ in range(2)}
+            channel = {"taps": [{"delay_bin": l, "doppler_bin": k, "re": float(rng.normal()),
+                                 "im": float(rng.normal())} for l, k in sorted(at)]}
+        d = base_dict(
+            scheme=scheme,
+            frame={"M": M, "N": N, "cp_len": cp},
+            constellation=("QPSK", "16QAM")[rng.integers(2)],
+            channel=channel,
+            channel_mode=mode,
+            equalizer=equalizer,
+            snr_db_list=[float(rng.uniform(-5, 20))],
+            trials=int(rng.integers(2, 6)),
+            seed=int(rng.integers(1 << 20)),
+        )
+        if downlink is not None:
+            mu_mode, spreader = downlink.split("-")
+            d["multiuser"] = {
+                "mode": mu_mode, "spreader": spreader,
+                "K_d": int(rng.choice([k for k in range(1, M + 1) if M % k == 0])),
+                "K_D": int(rng.choice([k for k in range(1, N + 1) if N % k == 0])),
+                "mapping": ("localized", "interleaved")[rng.integers(2)],
+            }
+            if mu_mode == "tf_alloc" and equalizer == "one_tap_tf":
+                d["multiuser"]["power_budget"] = float(rng.uniform(0.5, 2))
+        return scenario_from_dict(d)
+
+    @staticmethod
+    def probed_lmmse(link, ch, gains, rxsig):
+        """Per frame: ``mmse_filter`` of the probed time-frequency chain, then the
+        map's adjoint, with DFT spreading by its dense pairs."""
+        params, mode, cp = link.params, link.sc.channel_mode, link.sc.cp_len
+        mu = link.sc.multiuser
+        adjoint = link.adjoint
+        if mu is not None and mu.mode == "tf_spread":
+            pairs = [multiuser.dft_spreading_pair(f, t) for f, t in link.alloc.users]
+
+            def adjoint(X):
+                blocks = multiuser.downlink_split(X, pairs, "tf_spread")
+                return np.concatenate([b.reshape(-1) for b in blocks])
+
+        Y = ot.wigner(rxsig, params).reshape(len(gains), -1)
+        out = []
+        for y, g in zip(Y, gains):
+            own = ot.DDChannelSpec(tuple((l, k, gt) for (l, k, _), gt in zip(ch.taps, g)))
+
+            def tx(v):
+                return ot.heisenberg(v.reshape(params.M, params.N), params, cp_len=cp)
+
+            def rx(sig):
+                return ot.wigner(ot.apply_channel(sig, own, params, mode=mode), params)
+
+            W = ot.mmse_filter(chain_matrix(tx, rx, params.dof), link.noise_var)
+            out.append(adjoint((W @ y).reshape(params.M, params.N)))
+        return np.array(out)
+
+    def test_receive_detect_and_trial_split_against_oracles(self):
+        # a fixed count of draws: every link kind in both channel modes, twice
+        # with the LMMSE and once with one-tap
+        rng = np.random.default_rng(2026)
+        routes = set()
+        for i in range(6 * len(self.KINDS)):
+            scheme, downlink = self.KINDS[i % len(self.KINDS)]
+            mode = ("per_slot_cp", "cyclic")[i // len(self.KINDS) % 2]
+            equalizer = "one_tap_tf" if i >= 4 * len(self.KINDS) else "mmse_dd"
+            sc = self.draw_scenario(rng, scheme, downlink, mode, equalizer)
+            link = _Link(sc, _noise_var(sc.snr_db_list[0]))
+            ch, gains, bits, noise = link.draw(_TrialStreams(sc.seed, 0, 0), 0, sc.trials)
+            detect, amp, receive = link.receiver(ch, gains)
+            sig = link.transmit(bits, amp)
+            rxsig = ot.apply_channel(sig, ch, link.params, mode=mode, gains=gains, noise=noise)
+            # the received body, bitwise the channel's
+            assert np.array_equal(receive(sig, noise), rxsig.body)
+            if link.banded:
+                g = np.array([[t.gain for t in ch.taps]] * sc.trials) if gains is None else gains
+                want = self.probed_lmmse(link, ch, g, rxsig)
+                assert np.abs(detect(rxsig.body) - want).max() < 1e-10
+            # a trial range is the merge of its split sub-ranges, bitwise
+            cut = int(rng.integers(1, sc.trials))
+            whole = run_trial_range(sc, 0, 0, sc.trials)
+            split = run_trial_range(sc, 0, 0, cut).merge(run_trial_range(sc, 0, cut, sc.trials))
+            assert format_csv([whole]) == format_csv([split])
+            assert np.array_equal(whole.papr_values, split.papr_values)
+            routes.add((downlink, mode, link.banded, link.dd))
+        # the delay band read in DD or TF, and apply_channel, in both modes
+        for mode in ("per_slot_cp", "cyclic"):
+            assert {(None, mode, True, True), (None, mode, True, False),
+                    ("dd_mapped-dft", mode, True, True), ("tf_spread-dft", mode, True, True),
+                    ("tf_spread-dft", mode, True, False), ("tf_alloc-dft", mode, True, False),
+                    (None, mode, False, False),
+                    ("tf_spread-gaussian", mode, False, False)} <= routes
 
 
 @pytest.mark.parametrize("channel", [
