@@ -9,14 +9,11 @@ from .channel import (
     ChannelTap,
     DDChannelSpec,
     apply_channel,
-    coupling_tensor,
     dd_domain_operator,
-    effective_matrix,
     random_channel,
     received_power,
     slot_operators,
     tf_channel,
-    tf_channel_factored,
     windowed_dd_channel,
 )
 from .equalizer import ml_detect, mmse_dd, mmse_filter, one_tap_tf
@@ -59,6 +56,7 @@ from .multiuser import (
     water_fill,
     zf_precode,
 )
+from .oracles import coupling_tensor, effective_matrix, tf_channel_factored
 from .runner import Scenario, load_scenario, run, scenario_from_dict
 from .transforms import (
     ambiguity,

@@ -71,11 +71,9 @@ from .channel import (
     DDChannelSpec,
     apply_channel,
     band_channel,
-    chain_matrix,  # noqa: F401 -- unused here; bench/tracing.py wraps runner.chain_matrix
     check_blocks,
     check_taps,
     delay_band,
-    effective_matrix,  # noqa: F401 -- unused here; bench/tracing.py wraps runner.effective_matrix
     random_channel,
     random_gains,
     slot_operators,
@@ -101,6 +99,7 @@ from .metrics import (
     slice_symbols,
 )
 from .modem import SchemeConfig
+from .oracles import chain_matrix, effective_matrix  # noqa: F401 -- bench/tracing.py wraps them here
 from .transforms import (
     dd_analysis,
     dd_synthesis,
@@ -315,16 +314,17 @@ def _allocation(sc: Scenario):
     return alloc_fn(sc.params, mu.K_d, mu.K_D)
 
 
-def _fixed_channel(sc: Scenario) -> DDChannelSpec:
-    return DDChannelSpec(
-        taps=tuple((l, k, complex(re, im)) for (l, k, re, im) in sc.channel_taps)
-    )
+def scenario_channel(sc: Scenario, rng: np.random.Generator | None) -> DDChannelSpec:
+    """The scenario's fixed channel, or a random channel drawn from ``rng``."""
+    if sc.channel_random is not None:
+        return random_channel(*sc.channel_random, rng)
+    return DDChannelSpec(tuple((l, k, complex(re, im)) for l, k, re, im in sc.channel_taps))
 
 
 def _check_channel(sc: Scenario) -> None:
     """Tap power, and the widest tap the channel can hold against the frame and mode."""
     if sc.channel_taps is not None:
-        ch = _fixed_channel(sc)
+        ch = scenario_channel(sc, None)
         if all(t.gain == 0 for t in ch.taps):
             raise ConfigError("channel taps carry no power (every gain is zero)")
     else:
@@ -415,7 +415,7 @@ class _Link:
         self.params = sc.params
         self.cfg = SchemeConfig(sc.scheme, self.params, cp_len=sc.cp_len)
         self.const = get_constellation(sc.constellation)
-        self.fixed = None if sc.channel_taps is None else _fixed_channel(sc)
+        self.fixed = None if sc.channel_taps is None else scenario_channel(sc, None)
         if self.fixed is None:  # random_channel's taps; each draw gives their gains
             L, V = sc.channel_random
             self.grid = DDChannelSpec(tuple((l, k, 1) for l in range(L) for k in range(1 - V, V)))
@@ -460,12 +460,6 @@ class _Link:
 
         self.users = [multiuser.SpreadingPair(S_A=gauss(sc.M, self.M_d), S_B=gauss(sc.N, self.N_D))
                       for _ in self.alloc.users]
-
-    def channel_for_trial(self, rng) -> DDChannelSpec:
-        if self.fixed is not None:
-            return self.fixed
-        L, V = self.sc.channel_random
-        return random_channel(L, V, rng)
 
     def draw(self, streams: _TrialStreams, start: int, stop: int):
         """Every draw of trials [start, stop), trial by trial in the contract's order.
@@ -557,8 +551,8 @@ class _Link:
         only where neither the dense Gram nor the cyclic reduction fits
         (``band_solver``).  Other links receive by ``apply_channel``.  One-tap
         reads one ``tf_channel`` call, for its detector and (a budget implies
-        one-tap) the users' water-filling; ML and Gaussian spreading read each
-        frame's grid through the slot operators T as T U, one detector per draw.
+        one-tap) the users' water-filling; ML and Gaussian spreading take one
+        :meth:`_dense` detector per draw.
         """
         sc, params, noise_var, mode = self.sc, self.params, self.noise_var, self.sc.channel_mode
         if self.banded:
@@ -596,26 +590,30 @@ class _Link:
             return (lambda body: self.adjoint(
                 one_tap_tf(slot_dft(body, params).swapaxes(-1, -2), H, noise_var)
             )), amp, receive
-        if gains is not None:  # one detector per draw: a stacked filter is no faster and holds more
-            at = [(t.delay_bin, t.doppler_bin) for t in ch.taps]
-            each = [self.receiver(DDChannelSpec([(*p, g) for p, g in zip(at, gs)]))[0]
-                    for gs in gains]
-            return (lambda body: np.stack([d(b) for d, b in zip(each, body)])), None, receive
+        if gains is None:
+            return self._dense(ch), None, receive
+        # one detector per draw: a stacked filter is no faster and holds more
+        at = [(t.delay_bin, t.doppler_bin) for t in ch.taps]
+        each = [self._dense(DDChannelSpec([(*p, g) for p, g in zip(at, gs)])) for gs in gains]
+        return (lambda body: np.stack([d(b) for d, b in zip(each, body)])), None, receive
+
+    def _dense(self, ch: DDChannelSpec):
+        """The ML or LMMSE detector of one channel's frames: each frame's grid is
+        read through the slot operators T as T U, U the :attr:`_map_matrix`."""
+        params = self.params
         U = self._map_matrix  # refused by its guard before the channel blocks are built
-        T = slot_operators(ch, params, mode)
+        T = slot_operators(ch, params, self.sc.channel_mode)
         A = (T @ U.reshape(len(T), T.shape[-1], -1)).reshape(params.dof, -1)
 
         def slot_major(body):
             return slot_dft(body, params).reshape(body.shape)
 
-        if sc.equalizer == "ml":
+        if self.sc.equalizer == "ml":
             # one exhaustive search per frame: its Q^n x rows residuals are
             # held once, not once per frame of the stack
-            return (lambda body: np.apply_along_axis(
-                ml_detect, -1, slot_major(body), A, self.const
-            )), None, receive
-        W = mmse_filter(A, noise_var)
-        return (lambda body: (W @ slot_major(body)[..., None])[..., 0]), None, receive
+            return lambda body: np.apply_along_axis(ml_detect, -1, slot_major(body), A, self.const)
+        W = mmse_filter(A, self.noise_var)
+        return lambda body: (W @ slot_major(body)[..., None])[..., 0]
 
     @cached_property
     def _fixed_rx(self):
@@ -720,13 +718,6 @@ def format_csv(results) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _scenario_channel(sc: Scenario) -> DDChannelSpec:
-    if sc.channel_taps is not None:
-        return _fixed_channel(sc)
-    L, V = sc.channel_random
-    return random_channel(L, V, system_rng(sc.seed, 2))
-
-
 def inspect_channel(sc: Scenario, out_dir) -> list:
     """Write channel diagnostics as CSV files; returns the written paths.
 
@@ -738,7 +729,7 @@ def inspect_channel(sc: Scenario, out_dir) -> list:
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    ch = _scenario_channel(sc)
+    ch = scenario_channel(sc, system_rng(sc.seed, 2))
     params = sc.params
     H = tf_channel(ch, params)
     with np.errstate(divide="ignore"):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import channel, equalizer, modem, multiuser, runner, transforms
+from . import channel, equalizer, modem, multiuser, oracles, runner, transforms
 from .frame import interleaved_map, localized_map, make_frame
 from .modem import SchemeConfig
 
@@ -67,9 +67,7 @@ def _check_channel_oracle() -> CheckResult:
     for M, N in [(8, 4), (4, 8)]:
         params = make_frame(M, N)
         ch = channel.random_channel(3, N // 2 + 1, rng)  # Doppler bins -N/2 .. +N/2
-        A = channel.effective_matrix(
-            SchemeConfig("OTFS", params), ch, mode="cyclic"
-        )
+        A = oracles.effective_matrix(SchemeConfig("OTFS", params), ch, mode="cyclic")
         T = channel.dd_domain_operator(ch, params)
         worst = max(worst, np.max(np.abs(A - T)))
     return CheckResult("channel_dd_oracle", worst < 1e-9, f"max deviation {worst:.3e}")
@@ -79,7 +77,7 @@ def _check_tf_views() -> CheckResult:
     rng = np.random.default_rng(_SEED + 3)
     params = make_frame(16, 8)
     ch = channel.random_channel(4, 3, rng)
-    d = np.max(np.abs(channel.tf_channel(ch, params) - channel.tf_channel_factored(ch, params)))
+    d = np.max(np.abs(channel.tf_channel(ch, params) - oracles.tf_channel_factored(ch, params)))
     return CheckResult("tf_channel_factored", d < _TOL, f"max deviation {d:.3e}")
 
 
@@ -124,7 +122,7 @@ def _check_trial_stream() -> CheckResult:
     differ = 0
     for t in range(sc.trials):
         rng = runner.trial_rng(sc.seed, 0, t)
-        link.channel_for_trial(rng)
+        runner.scenario_channel(sc, rng)
         n = link.n_samples
         want = rng.integers(0, 2, link.n_bits), rng.normal(0, 0.5, n), rng.normal(0, 0.5, n)
         differ += sum(not np.array_equal(a, b) for a, b in zip((bits[t], re[t], im[t]), want))

@@ -17,9 +17,12 @@ import pytest
 
 import otfsim as ot
 from otfsim import multiuser, runner
-from otfsim.channel import chain_matrix, draw_noise
+from otfsim.channel import draw_noise
 from otfsim.metrics import count_errors, papr, slice_symbols
-from otfsim.runner import _Link, _TrialStreams, run_trial_range, scenario_from_dict, trial_rng
+from otfsim.oracles import chain_matrix
+from otfsim.runner import (
+    _Link, _TrialStreams, run_trial_range, scenario_channel, scenario_from_dict, trial_rng,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 SCENARIOS = sorted(p.stem for p in GOLDEN.glob("*.json"))
@@ -49,7 +52,7 @@ def scenario(name):
 
 def run_trial(link, rng):
     """One trial on one frame: (bit errors, symbol errors, bits, symbols, PAPR)."""
-    ch = link.channel_for_trial(rng)
+    ch = scenario_channel(link.sc, rng)
     detect, amp, _ = link.receiver(ch)
     amp = None if amp is None else amp[0]
     bits = rng.integers(0, 2, size=link.n_bits)

@@ -8,10 +8,9 @@ from numpy.testing import assert_allclose
 
 import otfsim as ot
 from otfsim import channel
-from otfsim.channel import (
-    COUPLING_GUARD, EFFECTIVE_GUARD, band_blocks, chain_matrix, check_blocks, delay_band, draw_noise,
-)
+from otfsim.channel import EFFECTIVE_GUARD, band_blocks, check_blocks, delay_band, draw_noise
 from otfsim.errors import ConfigError, GuardError
+from otfsim.oracles import COUPLING_GUARD, chain_matrix
 
 
 def one_tap_response_oracle(taps, M, N):

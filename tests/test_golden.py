@@ -23,10 +23,13 @@ same way: it fixes the transmit chain and its draw order.
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from otfsim import equalizer, modem, runner
-from otfsim.runner import _Link, format_csv, load_scenario, papr_ccdf, run, trial_rng
+from otfsim import equalizer, modem, oracles, runner
+from otfsim.runner import (
+    _Link, format_csv, load_scenario, papr_ccdf, run, scenario_channel, trial_rng,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 SCENARIOS = sorted(p.stem for p in GOLDEN.glob("*.json"))
@@ -61,11 +64,17 @@ def test_detector_never_probes_the_channel(name, monkeypatch):
 
     monkeypatch.setattr(runner, "apply_channel", refuse)
     monkeypatch.setattr(runner, "effective_matrix", refuse)
+    monkeypatch.setattr(oracles, "chain_matrix", refuse)  # every probed builder runs through it
     monkeypatch.setattr(modem, "demodulate", refuse)
     sc = load_scenario(GOLDEN / f"{name}.json")
     link = _Link(sc, 0.1)
-    detect, _, _ = link.receiver(link.channel_for_trial(trial_rng(sc.seed, 0, 0)))
+    draws = [scenario_channel(sc, trial_rng(sc.seed, 0, t)) for t in range(2)]
+    detect, _, _ = link.receiver(draws[0])
     assert callable(detect)
+    # a 2-frame gain stack: the chunk path, one detector per draw for ML and Gaussian spreading
+    gains = np.array([[t.gain for t in ch.taps] for ch in draws])
+    detect, _, _ = link.receiver(draws[0], gains)
+    assert detect(np.zeros((2, sc.params.dof))).shape == (2, link.K * link.block)
 
 
 @pytest.mark.parametrize("name", ["otfs_mmse_random", "tf_alloc_mmse_random"])

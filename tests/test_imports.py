@@ -1,8 +1,12 @@
-"""Every name a library module imports is used in that module.
+"""Library imports: every name a module imports is used there, and the
+brute-force references in ``oracles`` stay out of the library's layers.
 
 ``runner`` keeps three names it never calls: ``bench/tracing.py`` wraps
 the probed builders and ``wigner`` at ``otfsim.runner``, so a module that
-calls them through ``runner`` shows in the per-layer trace.
+calls them through ``runner`` shows in the per-layer trace.  Those two
+probed builders are the only names a library module other than the
+package's ``__init__`` and ``selftest`` takes from ``oracles``; the
+channel layer imports neither ``oracles`` nor the modem whose chain they probe.
 """
 
 import ast
@@ -13,6 +17,9 @@ import pytest
 SRC = Path(__file__).parent.parent / "src" / "otfsim"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
 KEPT = {"runner.py": {"chain_matrix", "effective_matrix", "wigner"}}
+#: what each module may import from ``oracles`` (None: anything); others import nothing
+ORACLE_USERS = {"__init__.py": None, "selftest.py": None,
+                "runner.py": {"chain_matrix", "effective_matrix"}}
 
 
 def imported_and_used(tree: ast.Module):
@@ -27,7 +34,40 @@ def imported_and_used(tree: ast.Module):
     return imported, used
 
 
+def package_imports(tree: ast.Module) -> dict:
+    """Each otfsim module imported -> the names taken from it (None for the module itself)."""
+    taken = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.startswith("otfsim."):
+                    taken.setdefault(a.name.split(".")[1], set()).add(None)
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("otfsim")):
+            module = (node.module or "").removeprefix("otfsim").lstrip(".")
+            for a in node.names:
+                if module:
+                    taken.setdefault(module.split(".")[0], set()).add(a.name)
+                else:  # from . import m
+                    taken.setdefault(a.name, set()).add(None)
+    return taken
+
+
+def parse(name: str) -> ast.Module:
+    return ast.parse((SRC / name).read_text())
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_every_import_is_used(name):
-    imported, used = imported_and_used(ast.parse((SRC / name).read_text()))
+    imported, used = imported_and_used(parse(name))
     assert imported - used <= KEPT.get(name, set())
+
+
+@pytest.mark.parametrize("name", ["__init__.py", *MODULES])
+def test_only_diagnostics_import_the_oracles(name):
+    taken = package_imports(parse(name)).get("oracles", set())
+    allowed = ORACLE_USERS.get(name, set())
+    assert allowed is None or taken <= allowed
+
+
+def test_channel_layer_imports_no_chain():
+    assert not {"modem", "oracles"} & package_imports(parse("channel.py")).keys()

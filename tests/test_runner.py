@@ -14,10 +14,11 @@ from numpy.testing import assert_allclose
 import otfsim as ot
 import otfsim.runner
 from otfsim import multiuser
-from otfsim.channel import EFFECTIVE_GUARD, chain_matrix, delay_band
+from otfsim.channel import EFFECTIVE_GUARD, band_blocks, band_channel, delay_band
 from otfsim.equalizer import band_filter
 from otfsim.errors import ConfigError, GuardError
 from otfsim.metrics import LinkResult, map_bits
+from otfsim.oracles import chain_matrix
 from otfsim.runner import (
     CSV_HEADER,
     MultiuserSetup,
@@ -29,11 +30,12 @@ from otfsim.runner import (
     papr_ccdf,
     run,
     run_trial_range,
+    scenario_channel,
     scenario_from_dict,
     system_rng,
     trial_rng,
 )
-from otfsim.transforms import slot_dft
+from otfsim.transforms import dd_analysis, dd_synthesis, slot_dft
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -446,7 +448,7 @@ class TestExecution:
         d["frame"] = {"M": M, "N": N, "cp_len": 2}
         link = _Link(scenario_from_dict(d), 0.1)
         rng = trial_rng(3, 0, 0)
-        ch = link.channel_for_trial(rng)
+        ch = scenario_channel(link.sc, rng)
         shape = payload_shape(link.cfg)
         x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         rx = ot.apply_channel(modulate(link.cfg, x), ch, link.params, 0.1, rng)
@@ -476,7 +478,7 @@ class TestExecution:
         link = _Link(scenario_from_dict(d), 0.5)
         for t in range(6):
             rng = trial_rng(5, 0, t)
-            ch = link.channel_for_trial(rng)
+            ch = scenario_channel(link.sc, rng)
             x = rng.choice([-1.0, 1.0], size=payload_shape(link.cfg)).astype(complex)
             rx = ot.apply_channel(modulate(link.cfg, x), ch, link.params, 0.5, rng, channel_mode)
             A = ot.effective_matrix(link.cfg, ch, mode=channel_mode)
@@ -596,7 +598,7 @@ class TestMultiuserExecution:
         )
         sc = scenario_from_dict(d)
         eng = _Link(sc, 1e-3)
-        ch = eng.channel_for_trial(trial_rng(sc.seed, 0, 0))
+        ch = scenario_channel(sc, trial_rng(sc.seed, 0, 0))
         _, (amp,), _ = eng.receiver(ch)
         assert amp[0] > 0 and amp[1] == 0.0
         calls = []
@@ -625,7 +627,7 @@ class TestMultiuserExecution:
         ))
         link = _Link(sc, 0.3)
         rng = np.random.default_rng(73)
-        draws = [link.channel_for_trial(rng) for _ in range(T)]
+        draws = [scenario_channel(sc, rng) for _ in range(T)]
         ch, gains = draws[-1], np.array([[t.gain for t in c.taps] for c in draws])
         powers = []
         real = otfsim.runner.multiuser.water_fill
@@ -684,7 +686,7 @@ class TestMultiuserExecution:
             users = [multiuser.dft_spreading_pair(f, t) for f, t in users]
         link = _Link(sc, 0.1)
         rng = trial_rng(4, 0, 0)
-        ch = link.channel_for_trial(rng)
+        ch = scenario_channel(sc, rng)
 
         def tx(v):
             blocks = v.reshape(4, 2, 4)  # 4 users of (N_D, M_d) = (2, 4)
@@ -735,7 +737,7 @@ class TestMultiuserExecution:
         sc = scenario_from_dict(d)
         link = _Link(sc, 0.1)
         rng = trial_rng(6, 0, 0)
-        ch = link.channel_for_trial(rng)
+        ch = scenario_channel(sc, rng)
         dim = sc.params.dof
 
         # dense DFT spreading pairs, so the reference does not take the link's route
@@ -804,8 +806,8 @@ class TestBandLMMSE:
     def received(link, rng, T):
         """T frames through one random tap set with T gain sets: (ch, gains, body)."""
         params = link.params
-        ch = link.channel_for_trial(rng)
-        gains = np.stack([[t.gain for t in link.channel_for_trial(rng).taps] for _ in range(T)])
+        ch = scenario_channel(link.sc, rng)
+        gains = np.stack([[t.gain for t in scenario_channel(link.sc, rng).taps] for _ in range(T)])
         bits = rng.integers(0, 2, size=(T, link.n_bits))
         noise = tuple(rng.normal(scale=0.3, size=(T, link.n_samples)) for _ in range(2))
         rx = ot.apply_channel(
@@ -839,7 +841,7 @@ class TestBandLMMSE:
             raise LookupError("band built")
 
         monkeypatch.setattr(otfsim.runner, "delay_band", built)
-        ch = link.channel_for_trial(trial_rng(1, 0, 0))
+        ch = scenario_channel(link.sc, trial_rng(1, 0, 0))
         gains = np.array([[t.gain for t in ch.taps]])
         if refused:
             with pytest.raises(GuardError, match="working set"):
@@ -976,7 +978,7 @@ class TestBandLMMSE:
         )
         link = _Link(scenario_from_dict(d), 0.1)
         rng = np.random.default_rng(72)
-        ch = link.channel_for_trial(rng)
+        ch = scenario_channel(link.sc, rng)
         gains = np.array([[t.gain for t in ch.taps]])
         body = rng.normal(size=(1, link.params.dof)) + 0j
         band_bytes = 16 * link.params.dof * 16
@@ -1058,7 +1060,7 @@ class TestReceivePath:
         Y = ot.wigner(rxsig, params).reshape(len(gains), -1)
         out = []
         for y, g in zip(Y, gains):
-            own = ot.DDChannelSpec(tuple((l, k, gt) for (l, k, _), gt in zip(ch.taps, g)))
+            own = TestReceivePath.own(ch, g)
 
             def tx(v):
                 return ot.heisenberg(v.reshape(params.M, params.N), params, cp_len=cp)
@@ -1069,6 +1071,42 @@ class TestReceivePath:
             W = ot.mmse_filter(chain_matrix(tx, rx, params.dof), link.noise_var)
             out.append(adjoint((W @ y).reshape(params.M, params.N)))
         return np.array(out)
+
+    @staticmethod
+    def own(ch, g):
+        """``ch``'s taps with the gains ``g``: one frame's channel."""
+        return ot.DDChannelSpec(tuple((l, k, gt) for (l, k, _), gt in zip(ch.taps, g)))
+
+    @staticmethod
+    def check_layers(link, ch, gains, t, body):
+        """Frame t's delay band as dense blocks and read in the delay-Doppler domain,
+        against the probed chain (<= 1e-10), and the stacked band, time-frequency
+        response and per-draw dense detector at row t against frame t's own call."""
+        params, mode, cp = link.params, link.sc.channel_mode, link.sc.cp_len
+        own = TestReceivePath.own(ch, gains[t])
+        band = delay_band(ch, params, gains)
+        assert np.array_equal(band[t], delay_band(own, params))
+        assert np.array_equal(ot.tf_channel(ch, params, gains)[t], ot.tf_channel(own, params))
+
+        def tx(v):  # each slot of the probe led by its last cp samples
+            slots = v.reshape(params.N, params.M)
+            samples = np.concatenate([slots[:, params.M - cp:], slots], axis=1).reshape(-1)
+            return ot.TimeSignal(samples, cp, params.bandwidth, params.N)
+
+        probed = chain_matrix(tx, lambda sig: ot.apply_channel(sig, own, params, mode=mode).body,
+                              params.dof)
+        nb = link.blocks
+        blocks = np.zeros((nb, params.dof // nb, nb, params.dof // nb), dtype=complex)
+        blocks[range(nb), :, range(nb)] = band_blocks(band[t].reshape(ch.L_max, nb, -1))
+        assert np.abs(blocks.reshape(probed.shape) - probed).max() < 1e-10
+        impulses = np.eye(params.dof).reshape(-1, params.N, params.M)
+        y = band_channel(band[t], dd_synthesis(impulses, params, cp_len=cp), mode)
+        closed = dd_analysis(y.reshape(impulses.shape)).reshape(params.dof, -1).T
+        probed = ot.effective_matrix(ot.SchemeConfig("OTFS", params, cp_len=cp), own, mode)
+        assert np.abs(closed - probed).max() < 1e-10
+        if not link.banded and link.sc.equalizer == "mmse_dd":
+            got = link.receiver(ch, gains)[0](body)[t]
+            assert np.array_equal(got, link._dense(own)(body[t]))
 
     def test_receive_detect_and_trial_split_against_oracles(self):
         # a fixed count of draws: every link kind in both channel modes, twice
@@ -1087,8 +1125,11 @@ class TestReceivePath:
             rxsig = ot.apply_channel(sig, ch, link.params, mode=mode, gains=gains, noise=noise)
             # the received body, bitwise the channel's
             assert np.array_equal(receive(sig, noise), rxsig.body)
+            g = np.array([[t.gain for t in ch.taps]] * sc.trials) if gains is None else gains
+            # each frame scaled apart, so that a fixed channel's rows differ too
+            self.check_layers(link, ch, g * np.arange(1, sc.trials + 1)[:, None], i % sc.trials,
+                              rxsig.body)
             if link.banded:
-                g = np.array([[t.gain for t in ch.taps]] * sc.trials) if gains is None else gains
                 want = self.probed_lmmse(link, ch, g, rxsig)
                 assert np.abs(detect(rxsig.body) - want).max() < 1e-10
             # a trial range is the merge of its split sub-ranges, bitwise
