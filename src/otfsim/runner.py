@@ -38,14 +38,14 @@ the received body samples and the LMMSE inverts it, a fixed channel's as
 one filter per block, a random chunk's by one solve of every frame's
 blocks: a cyclic reduction, which never forms their dense Gram, where
 ``band_solver`` measures it faster or the Gram alone would break the
-guard, else the dense Gram stack.  Other links apply
-the channel one delay row at a time, as a whole band of their frames
-could outgrow the stream stack.
-Spreading with the users' selected DFT columns places them on their
-delay-Doppler cells, so a DFT ``tf_spread`` downlink runs as ``dd_mapped``.
-Single-user OTFS and ``dd_mapped`` links synthesise from the delay-Doppler
-grid and their LMMSE reads it back, each by one DFT across slots at each
-delay; every other link goes through its time-frequency grid.
+guard, else the dense Gram stack.  Other links apply the channel one
+delay row at a time, as a whole band of their frames could outgrow the
+stream stack.
+Every link but Gaussian spreading is a cell map: its symbols sit on cells
+of one grid, the (N, M) delay-Doppler grid that the ISFFT spreads for OTFS,
+SC-FDMA and ``dd_mapped`` (a DFT ``tf_spread`` downlink is one), else the
+(M, N) time-frequency grid.  A spread grid other than single-user SC-FDMA's
+is synthesised and read by one DFT across slots at each delay.
 
 Scenario files are strict JSON.  One reader walks each object against its
 key table and refuses unknown, missing and null keys by name; every value
@@ -63,7 +63,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import modem, multiuser
+from . import multiuser
 from .channel import (
     CHANNEL_MODES,
     EFFECTIVE_GUARD,
@@ -104,6 +104,8 @@ from .transforms import (
     dd_analysis,
     dd_synthesis,
     heisenberg,
+    isfft,
+    sfft,
     slot_dft,
     wigner,  # noqa: F401 -- unused here; bench/tracing.py wraps runner.wigner
 )
@@ -396,24 +398,26 @@ class _TrialStreams:
 class _Link:
     """One transmit chain and its receiver, for a single user or a downlink.
 
-    A single user is one block on the scheme's payload grid; a downlink
-    is the K user blocks of its allocation, superposed on the time-
-    frequency grid by ``multiuser.downlink_superpose`` and separated by
-    its adjoint ``multiuser.downlink_split`` (a ``dd_mapped`` downlink's
-    transmitter and LMMSE place and read them on the delay-Doppler grid at
-    their cells instead; a DFT-spread downlink is one).  Symbols, bits and
-    detector output are stacked user by user, each block flattened row-major.
-    Every stage takes a stack of frames along leading axes.  A link serves
-    one SNR point: its noise variance is fixed when it is built, and its
-    :meth:`receiver` gives the detector, any water-filled user powers and
-    the received body of a channel from one view of it.
+    Every link but Gaussian spreading is a cell map: :meth:`place` puts its
+    stacked symbols at ``cells`` of one grid, and :meth:`read` is its
+    adjoint.  The grid is the (N, M) delay-Doppler grid, spread by the ISFFT
+    (``spread``), for OTFS, SC-FDMA and ``dd_mapped``, and the (M, N)
+    time-frequency grid for OSTF, OFDM and ``tf_alloc``.  ``cells`` is None
+    where the symbols fill the grid in order; a downlink's are its users'
+    ``frame.user_cells``, moved to f*N + t on the time-frequency grid.
+    Gaussian ``tf_spread`` keeps its ``SpreadingPair`` objects in ``users``
+    and maps by ``multiuser``.  The scheme label of a downlink picks no route.
+    Symbols, bits and detector output are stacked user by user, each block
+    flattened row-major; every stage takes a stack of frames along leading
+    axes.  A link serves one SNR point: its noise variance is fixed when it
+    is built, and its :meth:`receiver` gives the detector, any water-filled
+    user powers and the received body of a channel from one view of it.
     """
 
     def __init__(self, sc: Scenario, noise_var: float = 0.0):
         self.sc = sc
         self.noise_var = noise_var
-        self.params = sc.params
-        self.cfg = SchemeConfig(sc.scheme, self.params, cp_len=sc.cp_len)
+        self.params = params = sc.params
         self.const = get_constellation(sc.constellation)
         self.fixed = None if sc.channel_taps is None else scenario_channel(sc, None)
         if self.fixed is None:  # random_channel's taps; each draw gives their gains
@@ -428,38 +432,32 @@ class _Link:
         # and a unitary map's joint LMMSE is solved on the channel's delay band
         self.banded = self.mode != "tf_spread" and sc.equalizer == "mmse_dd"
         # time-domain blocks of a frame: its slots, or the whole cyclic frame
-        self.blocks = 1 if sc.channel_mode == "cyclic" else self.params.N
-        if mu is None:
-            self.users, self.K, self.block = None, 1, self.params.dof
-        else:
-            self._init_users(sc)
-        # OTFS and dd_mapped links are synthesised and read on the DD grid, a downlink's
-        # symbols at its users' cells, a permutation.  SC-FDMA keeps the ISFFT: through
-        # dd_synthesis its body would be its symbols, at a PAPR of 0 dB for QPSK.
-        self.dd = sc.scheme == "OTFS" and self.mode in (None, "dd_mapped")
-        self.cells = np.concatenate([user_cells(*u) for u in self.users]) if self.dd and mu else None
+        self.blocks = 1 if sc.channel_mode == "cyclic" else params.N
+        self.spread = self.mode == "dd_mapped" or mu is None and sc.scheme in ("OTFS", "SCFDMA")
+        # a spread grid is synthesised and read on the DD grid.  Single-user SC-FDMA keeps
+        # the ISFFT, as its PAPR pin records: through dd_synthesis its body would be its
+        # symbols, at a PAPR of 0 dB for QPSK.
+        self.dd = self.spread and (mu is not None or sc.scheme != "SCFDMA")
+        self.K, self.block, self.users, self.cells = 1, params.dof, None, None
+        if mu is not None:
+            self.alloc = _allocation(sc)
+            self.M_d, self.N_D = sc.M // mu.K_d, sc.N // mu.K_D
+            self.K, self.block = self.alloc.num_users, self.M_d * self.N_D
+        if self.mode == "tf_spread":
+            rng = system_rng(sc.seed, 1)  # one reserved stream, drawn sequentially so users differ
+
+            def gauss(rows, cols):
+                S = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+                return S / np.linalg.norm(S, axis=0, keepdims=True)
+
+            self.users = [multiuser.SpreadingPair(gauss(sc.M, self.M_d), gauss(sc.N, self.N_D))
+                          for _ in self.alloc.users]
+        elif mu is not None:  # cells t*M + f; f*N + t on the time-frequency grid
+            cells = np.concatenate([user_cells(*u) for u in self.alloc.users])
+            self.cells = cells if self.spread else cells % params.M * params.N + cells // params.M
         self.n_bits = self.K * self.block * self.const.bits_per_symbol
         self.n_samples = sc.N * (sc.M + sc.cp_len)
         self.chunk = max(1, CHUNK_SAMPLES // self.n_samples)
-
-    def _init_users(self, sc: Scenario):
-        mu = sc.multiuser
-        self.alloc = _allocation(sc)
-        self.K = self.alloc.num_users
-        self.M_d = sc.M // mu.K_d
-        self.N_D = sc.N // mu.K_D
-        self.block = self.M_d * self.N_D
-        if self.mode != "tf_spread":
-            self.users = list(self.alloc.users)
-            return
-        rng = system_rng(sc.seed, 1)  # one reserved stream, drawn sequentially so users differ
-
-        def gauss(rows, cols):
-            S = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
-            return S / np.linalg.norm(S, axis=0, keepdims=True)
-
-        self.users = [multiuser.SpreadingPair(S_A=gauss(sc.M, self.M_d), S_B=gauss(sc.N, self.N_D))
-                      for _ in self.alloc.users]
 
     def draw(self, streams: _TrialStreams, start: int, stop: int):
         """Every draw of trials [start, stop), trial by trial in the contract's order.
@@ -484,25 +482,33 @@ class _Link:
             noise = noise[:, 0], noise[:, 1]
         return self.fixed or self.grid, gains, _word_bits(words, self.n_bits), noise
 
+    def place(self, symbols: np.ndarray) -> np.ndarray:
+        """The cell map: stacked symbols (..., n) -> (..., N, M) or (..., M, N) grid."""
+        if self.cells is not None:
+            grid = np.empty_like(symbols)
+            grid[..., self.cells] = symbols
+            symbols = grid
+        N, M = self.params.N, self.params.M
+        return symbols.reshape(*symbols.shape[:-1], *((N, M) if self.spread else (M, N)))
+
+    def read(self, grid: np.ndarray) -> np.ndarray:
+        """Adjoint of :meth:`place`: grid -> stacked symbols."""
+        flat = grid.reshape(*grid.shape[:-2], -1)
+        return flat if self.cells is None else flat[..., self.cells]
+
     def tf_grid(self, symbols: np.ndarray) -> np.ndarray:
         """The user map: stacked symbols (..., n) -> (..., M, N) time-frequency grid."""
-        lead = symbols.shape[:-1]
-        if self.users is None:
-            return modem.tf_from_payload(
-                self.cfg, symbols.reshape(*lead, *modem.payload_shape(self.cfg))
-            )
-        blocks = symbols.reshape(*lead, self.K, self.N_D, self.M_d)
-        return multiuser.downlink_superpose(
-            np.moveaxis(blocks, -3, 0), self.users, self.mode
-        )
+        if self.mode == "tf_spread":
+            blocks = symbols.reshape(*symbols.shape[:-1], self.K, self.N_D, self.M_d)
+            return multiuser.downlink_superpose(np.moveaxis(blocks, -3, 0), self.users, self.mode)
+        return isfft(self.place(symbols)) if self.spread else self.place(symbols)
 
     def adjoint(self, X: np.ndarray) -> np.ndarray:
         """Adjoint of :meth:`tf_grid`: (..., M, N) grid -> stacked symbols."""
-        lead = X.shape[:-2]
-        if self.users is None:
-            return modem.payload_from_tf(self.cfg, X).reshape(*lead, -1)
-        blocks = multiuser.downlink_split(X, self.users, self.mode)
-        return np.concatenate([b.reshape(*lead, -1) for b in blocks], axis=-1)
+        if self.mode == "tf_spread":
+            blocks = multiuser.downlink_split(X, self.users, self.mode)
+            return np.concatenate([b.reshape(*X.shape[:-2], -1) for b in blocks], axis=-1)
+        return self.read(sfft(X) if self.spread else X)
 
     def transmit(self, bits: np.ndarray, amp=None):
         """Synthesise (..., n_bits) bits: a TimeSignal with one frame per bit row.
@@ -512,14 +518,9 @@ class _Link:
         symbols = map_bits(bits, self.const)
         if amp is not None:
             symbols = symbols * np.repeat(amp, self.block, axis=-1)
-        if not self.dd:
-            return heisenberg(self.tf_grid(symbols), self.params, cp_len=self.sc.cp_len)
-        if self.cells is not None:
-            grid = np.empty_like(symbols)
-            grid[..., self.cells] = symbols
-            symbols = grid
-        grid = symbols.reshape(*symbols.shape[:-1], self.params.N, self.params.M)
-        return dd_synthesis(grid, self.params, cp_len=self.sc.cp_len)
+        if self.dd:
+            return dd_synthesis(self.place(symbols), self.params, cp_len=self.sc.cp_len)
+        return heisenberg(self.tf_grid(symbols), self.params, cp_len=self.sc.cp_len)
 
     @cached_property
     def _map_matrix(self) -> np.ndarray:
@@ -565,10 +566,9 @@ class _Link:
 
             def detect(body):
                 z = equalize(body.reshape(*body.shape[:-1], self.blocks, -1)).reshape(body.shape)
-                if not self.dd:
-                    return self.adjoint(slot_dft(z, params).swapaxes(-1, -2))
-                x = dd_analysis(z.reshape(*z.shape[:-1], params.N, params.M)).reshape(body.shape)
-                return x if self.cells is None else x[..., self.cells]
+                if self.dd:
+                    return self.read(dd_analysis(z.reshape(*z.shape[:-1], params.N, params.M)))
+                return self.adjoint(slot_dft(z, params).swapaxes(-1, -2))
 
             return detect, None, lambda sig, noise: band_channel(band, sig, mode, noise)
 

@@ -7,6 +7,8 @@ calls them through ``runner`` shows in the per-layer trace.  Those two
 probed builders are the only names a library module other than the
 package's ``__init__`` and ``selftest`` takes from ``oracles``; the
 channel layer imports neither ``oracles`` nor the modem whose chain they probe.
+The runner places every unitary link on its own cell map, so it takes only
+``SchemeConfig`` from the modem, to validate a scenario's scheme.
 """
 
 import ast
@@ -71,3 +73,7 @@ def test_only_diagnostics_import_the_oracles(name):
 
 def test_channel_layer_imports_no_chain():
     assert not {"modem", "oracles"} & package_imports(parse("channel.py")).keys()
+
+
+def test_runner_takes_only_the_scheme_config_from_the_modem():
+    assert package_imports(parse("runner.py")).get("modem") == {"SchemeConfig"}

@@ -14,8 +14,10 @@ from numpy.testing import assert_allclose
 import otfsim as ot
 import otfsim.runner
 from otfsim import multiuser
-from otfsim.channel import EFFECTIVE_GUARD, band_blocks, band_channel, delay_band
-from otfsim.equalizer import band_filter
+from otfsim.channel import EFFECTIVE_GUARD, band_blocks, band_channel, delay_band, draw_noise
+from otfsim.equalizer import (
+    _band_adjoint, _dense_solve, _reduce_solve, band_filter, band_solver, reduction_split,
+)
 from otfsim.errors import ConfigError, GuardError
 from otfsim.metrics import LinkResult, map_bits
 from otfsim.oracles import chain_matrix
@@ -36,6 +38,7 @@ from otfsim.runner import (
     trial_rng,
 )
 from otfsim.transforms import dd_analysis, dd_synthesis, slot_dft
+from test_channel import per_tap_channel_oracle
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -447,13 +450,14 @@ class TestExecution:
         )
         d["frame"] = {"M": M, "N": N, "cp_len": 2}
         link = _Link(scenario_from_dict(d), 0.1)
+        cfg = ot.SchemeConfig(scheme, link.params, cp_len=2)
         rng = trial_rng(3, 0, 0)
         ch = scenario_channel(link.sc, rng)
-        shape = payload_shape(link.cfg)
+        shape = payload_shape(cfg)
         x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        rx = ot.apply_channel(modulate(link.cfg, x), ch, link.params, 0.1, rng)
-        A = ot.effective_matrix(link.cfg, ch, mode="per_slot_cp")
-        joint = ot.mmse_dd(demodulate(link.cfg, rx), A, 0.1)
+        rx = ot.apply_channel(modulate(cfg, x), ch, link.params, 0.1, rng)
+        A = ot.effective_matrix(cfg, ch, mode="per_slot_cp")
+        joint = ot.mmse_dd(demodulate(cfg, rx), A, 0.1)
         got = link.receiver(ch)[0](rx.body)
         assert got.shape == (x.size,)  # the payload grid, flattened row-major
         assert np.abs(got - joint).max() < 1e-10
@@ -476,13 +480,14 @@ class TestExecution:
         )
         d["frame"] = {"M": M, "N": N, "cp_len": 0 if channel_mode == "cyclic" else 1}
         link = _Link(scenario_from_dict(d), 0.5)
+        cfg = ot.SchemeConfig(scheme, link.params, cp_len=link.sc.cp_len)
         for t in range(6):
             rng = trial_rng(5, 0, t)
             ch = scenario_channel(link.sc, rng)
-            x = rng.choice([-1.0, 1.0], size=payload_shape(link.cfg)).astype(complex)
-            rx = ot.apply_channel(modulate(link.cfg, x), ch, link.params, 0.5, rng, channel_mode)
-            A = ot.effective_matrix(link.cfg, ch, mode=channel_mode)
-            ref = ot.ml_detect(demodulate(link.cfg, rx).reshape(-1), A, link.const)
+            x = rng.choice([-1.0, 1.0], size=payload_shape(cfg)).astype(complex)
+            rx = ot.apply_channel(modulate(cfg, x), ch, link.params, 0.5, rng, channel_mode)
+            A = ot.effective_matrix(cfg, ch, mode=channel_mode)
+            ref = ot.ml_detect(demodulate(cfg, rx).reshape(-1), A, link.const)
             assert np.array_equal(link.receiver(ch)[0](rx.body), ref)
 
     def test_per_slot_mmse_runs_beyond_the_dense_guard(self):
@@ -741,13 +746,18 @@ class TestMultiuserExecution:
         dim = sc.params.dof
 
         # dense DFT spreading pairs, so the reference does not take the link's route
-        users = link.users
-        if spreader == "dft" and mode == "tf_spread":
+        if mode is None:
+            cfg = ot.SchemeConfig(scheme, sc.params, cp_len=sc.cp_len)
+        elif spreader == "gaussian":
+            users = link.users
+        elif mode == "tf_spread":
             users = [multiuser.dft_spreading_pair(f, t) for f, t in link.alloc.users]
+        else:
+            users = link.alloc.users
 
         def tx(v):
             if mode is None:
-                return modulate(link.cfg, v.reshape(payload_shape(link.cfg)))
+                return modulate(cfg, v.reshape(payload_shape(cfg)))
             X = multiuser.downlink_superpose(v.reshape(4, N // 2, 4), users, mode)
             return ot.heisenberg(X, sc.params, cp_len=sc.cp_len)
 
@@ -993,27 +1003,121 @@ class TestBandLMMSE:
         assert peak < 10 * band_bytes
 
 
+class TestCellMap:
+    """Every unitary link is one cell map on an (N, M) grid, spread by the ISFFT or not."""
+
+    @pytest.mark.parametrize("scheme,M,N,mu", [
+        ("OTFS", 8, 4, None),
+        ("OTFS", 7, 1, None),
+        ("OSTF", 9, 2, None),
+        ("OSTF", 5, 1, None),
+        ("OFDM", 7, 1, None),
+        ("SCFDMA", 7, 1, None),
+        ("OTFS", 8, 4, {"mode": "dd_mapped", "K_d": 2, "K_D": 2}),
+        ("OSTF", 9, 4, {"mode": "dd_mapped", "K_d": 3, "K_D": 2, "mapping": "interleaved"}),
+        ("SCFDMA", 9, 1, {"mode": "dd_mapped", "K_d": 3, "K_D": 1}),
+        ("OTFS", 8, 4, {"mode": "tf_alloc", "K_d": 2, "K_D": 2}),
+        ("OSTF", 9, 2, {"mode": "tf_alloc", "K_d": 3, "K_D": 2, "mapping": "interleaved"}),
+        ("OFDM", 7, 1, {"mode": "tf_alloc", "K_d": 7, "K_D": 1}),
+        ("OTFS", 8, 4, {"mode": "tf_spread", "K_d": 2, "K_D": 2}),
+        ("OSTF", 7, 2, {"mode": "tf_spread", "K_d": 7, "K_D": 1, "mapping": "interleaved"}),
+    ])
+    def test_maps_are_the_library_maps(self, scheme, M, N, mu):
+        # the user map, its adjoint and the transmitted frames against the
+        # modem's payload maps or the downlink superposition of the link's
+        # allocation, on a (2, 3) stack of frames
+        from otfsim.modem import payload_from_tf, payload_shape, tf_from_payload
+
+        d = base_dict(scheme=scheme, frame={"M": M, "N": N, "cp_len": 2},
+                      channel_mode="per_slot_cp")
+        if mu is not None:
+            d["multiuser"] = mu
+        link = _Link(scenario_from_dict(d))
+        rng = np.random.default_rng(75)
+        bits = rng.integers(0, 2, size=(2, 3, link.n_bits))
+        symbols = map_bits(bits, link.const)
+        X = rng.normal(size=(2, 3, M, N)) + 1j * rng.normal(size=(2, 3, M, N))
+        amp = None
+        if mu is None:
+            cfg = ot.SchemeConfig(scheme, link.params, cp_len=2)
+            tf = tf_from_payload(cfg, symbols.reshape(2, 3, *payload_shape(cfg)))
+            read = payload_from_tf(cfg, X).reshape(2, 3, -1)
+        else:
+            users = link.alloc.users  # a DFT-spread downlink is dd_mapped on them
+            amp = rng.uniform(0, 2, size=(2, 3, link.K)) * (rng.random((2, 3, link.K)) < 0.8)
+            blocks = (symbols * np.repeat(amp, link.block, axis=-1)).reshape(
+                2, 3, link.K, link.N_D, link.M_d)
+            tf = multiuser.downlink_superpose(np.moveaxis(blocks, 2, 0), users, link.mode)
+            read = np.concatenate([b.reshape(2, 3, -1) for b in multiuser.downlink_split(
+                X, users, link.mode)], axis=-1)
+            symbols = symbols * np.repeat(amp, link.block, axis=-1)
+        assert np.array_equal(link.tf_grid(symbols), tf)
+        assert np.array_equal(link.adjoint(X), read)
+        got = link.transmit(bits, amp).samples
+        want = ot.heisenberg(tf, link.params, cp_len=2).samples
+        assert got.shape == want.shape == (2, 3, link.n_samples)
+        if link.dd:
+            assert np.abs(got - want).max() < 1e-12
+        else:
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("channel_mode", ["per_slot_cp", "cyclic"])
+    @pytest.mark.parametrize("mode,spreader", [("dd_mapped", "dft"), ("tf_spread", "dft")])
+    @pytest.mark.parametrize("equalizer", ["mmse_dd", "one_tap_tf"])
+    @pytest.mark.parametrize("label,N", [("OSTF", 8), ("SCFDMA", 1)])
+    def test_a_downlink_route_does_not_depend_on_its_scheme_label(
+        self, mode, spreader, equalizer, channel_mode, label, N
+    ):
+        # the scheme label of a spread downlink names no precoding: labelled
+        # OSTF or SC-FDMA it transmits, detects and measures PAPR as its OTFS twin does
+        d = base_dict(
+            frame={"M": 16, "N": N, "cp_len": 0 if channel_mode == "cyclic" else 3},
+            channel={"random": {"L_max": 3, "V_max": N // 2 + 1}},
+            channel_mode=channel_mode,
+            equalizer=equalizer,
+            snr_db_list=[4.0, 10.0],
+            trials=20,
+            seed=22,
+            multiuser={"mode": mode, "K_d": 2, "K_D": min(N, 2), "spreader": spreader},
+        )
+        otfs, other = scenario_from_dict(d), scenario_from_dict({**d, "scheme": label})
+        bits = np.random.default_rng(76).integers(0, 2, size=(3, _Link(otfs).n_bits))
+        assert np.array_equal(_Link(other).transmit(bits).samples,
+                              _Link(otfs).transmit(bits).samples)
+        a, b = run(otfs), run(other)
+        for x, y in zip(a, b):
+            assert np.array_equal(x.papr_values, y.papr_values)
+        rows = [[line.partition(",")[2] for line in format_csv(r).splitlines()] for r in (a, b)]
+        assert rows[0] == rows[1]
+
+
 class TestReceivePath:
-    """Seeded draws of every link kind: its receive and detector against their oracles."""
+    """Seeded draws of every link kind: its draws, receive, layers and detector
+    against their oracles."""
 
     #: (scheme, downlink mode and spreader); a None scheme is drawn from the other three
     KINDS = (("OTFS", None), (None, None), ("OTFS", "dd_mapped-dft"), (None, "dd_mapped-dft"),
              ("OTFS", "tf_spread-dft"), (None, "tf_spread-dft"), (None, "tf_alloc-dft"),
-             (None, "tf_spread-gaussian"))
+             ("OTFS", "tf_spread-gaussian"))
+    #: one draw of every kind per round: (channel mode, equalizer, random channel)
+    ROUNDS = (("per_slot_cp", "mmse_dd", True), ("cyclic", "mmse_dd", True),
+              ("per_slot_cp", "mmse_dd", False), ("cyclic", "mmse_dd", False),
+              ("per_slot_cp", "one_tap_tf", True), ("cyclic", "one_tap_tf", False))
 
     @staticmethod
-    def draw_scenario(rng, scheme, downlink, mode, equalizer):
+    def draw_scenario(rng, scheme, downlink, mode, equalizer, random):
         """A scenario of at most 512 grid points, odd M and N = 1 among them, with
-        the widest delay and Doppler bins -N/2..N/2 often, on a random or fixed channel."""
+        the widest delay and Doppler bins -N/2..N/2 often, on a random or fixed channel.
+        Gaussian spreading, which builds a dense detector per draw, gets at most 128."""
         scheme = scheme or ("OSTF", "OFDM", "SCFDMA")[rng.integers(3)]
         M = int(rng.integers(2, 33))
         N = 1 if scheme in ("OFDM", "SCFDMA") else int(rng.choice([1, 2, 3, 4, 5, 8, 16]))
-        N = min(N, 512 // M)
+        N = min(N, (128 if downlink == "tf_spread-gaussian" else 512) // M)
         cp = int(rng.integers(0, M)) if mode == "per_slot_cp" else 0
         widest = cp + 1 if mode == "per_slot_cp" else M
         L = widest if rng.random() < 0.5 else int(rng.integers(1, widest + 1))
         V = N // 2 + 1
-        if rng.random() < 0.5:
+        if random:
             channel = {"random": {"L_max": L, "V_max": V}}
         else:  # fixed taps at the widest delay and at Doppler -N/2 and +N/2
             at = {(L - 1, V - 1), (0, 1 - V)} | {
@@ -1044,9 +1148,23 @@ class TestReceivePath:
         return scenario_from_dict(d)
 
     @staticmethod
-    def probed_lmmse(link, ch, gains, rxsig):
-        """Per frame: ``mmse_filter`` of the probed time-frequency chain, then the
-        map's adjoint, with DFT spreading by its dense pairs."""
+    def check_streams(link, gains, bits, noise):
+        """The draws of trials [0, T) against fresh ``trial_rng(seed, 0, t)`` streams,
+        drawn in the contract's order: channel, bits, noise."""
+        sc = link.sc
+        for t in range(sc.trials):
+            rng = trial_rng(sc.seed, 0, t)
+            drawn = scenario_channel(sc, rng)  # draws only for a random channel
+            if gains is not None:
+                assert np.array_equal(gains[t], [tap.gain for tap in drawn.taps])
+            assert np.array_equal(bits[t], rng.integers(0, 2, link.n_bits))
+            re, im = draw_noise(rng, link.noise_var, link.n_samples)
+            assert np.array_equal(noise[0][t], re) and np.array_equal(noise[1][t], im)
+
+    @staticmethod
+    def probed_lmmse(link, own, body):
+        """``mmse_filter`` of the probed time-frequency chain of one channel, then the
+        map's adjoint, with DFT spreading by its dense pairs, on each frame of ``body``."""
         params, mode, cp = link.params, link.sc.channel_mode, link.sc.cp_len
         mu = link.sc.multiuser
         adjoint = link.adjoint
@@ -1057,20 +1175,15 @@ class TestReceivePath:
                 blocks = multiuser.downlink_split(X, pairs, "tf_spread")
                 return np.concatenate([b.reshape(-1) for b in blocks])
 
-        Y = ot.wigner(rxsig, params).reshape(len(gains), -1)
-        out = []
-        for y, g in zip(Y, gains):
-            own = TestReceivePath.own(ch, g)
+        def tx(v):
+            return ot.heisenberg(v.reshape(params.M, params.N), params, cp_len=cp)
 
-            def tx(v):
-                return ot.heisenberg(v.reshape(params.M, params.N), params, cp_len=cp)
+        def rx(sig):
+            return ot.wigner(ot.apply_channel(sig, own, params, mode=mode), params)
 
-            def rx(sig):
-                return ot.wigner(ot.apply_channel(sig, own, params, mode=mode), params)
-
-            W = ot.mmse_filter(chain_matrix(tx, rx, params.dof), link.noise_var)
-            out.append(adjoint((W @ y).reshape(params.M, params.N)))
-        return np.array(out)
+        W = ot.mmse_filter(chain_matrix(tx, rx, params.dof), link.noise_var)
+        Y = slot_dft(body, params).swapaxes(-1, -2).reshape(len(body), -1)
+        return np.array([adjoint((W @ y).reshape(params.M, params.N)) for y in Y])
 
     @staticmethod
     def own(ch, g):
@@ -1078,15 +1191,26 @@ class TestReceivePath:
         return ot.DDChannelSpec(tuple((l, k, gt) for (l, k, _), gt in zip(ch.taps, g)))
 
     @staticmethod
-    def check_layers(link, ch, gains, t, body):
+    def check_layers(link, ch, gains, t, sig, noise, body):
         """Frame t's delay band as dense blocks and read in the delay-Doppler domain,
-        against the probed chain (<= 1e-10), and the stacked band, time-frequency
-        response and per-draw dense detector at row t against frame t's own call."""
+        against the probed chain (<= 1e-10); the channel of the whole stack against
+        the per-tap oracle (<= 1e-12); and the stacked band, time-frequency response,
+        channel, band channel, band LMMSE and per-draw dense detector at row t
+        against frame t's own call, bitwise.  Returns the names of the band solves
+        checked, each against the dense LMMSE of the probed chain (<= 1e-10)."""
         params, mode, cp = link.params, link.sc.channel_mode, link.sc.cp_len
         own = TestReceivePath.own(ch, gains[t])
         band = delay_band(ch, params, gains)
         assert np.array_equal(band[t], delay_band(own, params))
         assert np.array_equal(ot.tf_channel(ch, params, gains)[t], ot.tf_channel(own, params))
+        rx = ot.apply_channel(sig, ch, params, mode=mode, gains=gains)
+        oracle = per_tap_channel_oracle(sig, ch, params, mode, gains)
+        assert np.abs(rx.samples - oracle).max() < 1e-12
+        frame = ot.TimeSignal(sig.samples[t], cp, sig.sample_rate, params.N)
+        alone = ot.apply_channel(frame, own, params, mode=mode)
+        assert np.array_equal(rx.samples[t], alone.samples)
+        y = band_channel(band, sig, mode, noise)
+        assert np.array_equal(y[t], band_channel(band[t], frame, mode, (noise[0][t], noise[1][t])))
 
         def tx(v):  # each slot of the probe led by its last cp samples
             slots = v.reshape(params.N, params.M)
@@ -1096,9 +1220,23 @@ class TestReceivePath:
         probed = chain_matrix(tx, lambda sig: ot.apply_channel(sig, own, params, mode=mode).body,
                               params.dof)
         nb = link.blocks
-        blocks = np.zeros((nb, params.dof // nb, nb, params.dof // nb), dtype=complex)
-        blocks[range(nb), :, range(nb)] = band_blocks(band[t].reshape(ch.L_max, nb, -1))
-        assert np.abs(blocks.reshape(probed.shape) - probed).max() < 1e-10
+        dense = np.zeros((nb, params.dof // nb, nb, params.dof // nb), dtype=complex)
+        dense[range(nb), :, range(nb)] = band_blocks(band[t].reshape(ch.L_max, nb, -1))
+        assert np.abs(dense.reshape(probed.shape) - probed).max() < 1e-10
+        # each solve of the band LMMSE that fits the band, whichever band_solver picks
+        lmmse = ot.mmse_dd(y[t], probed, link.noise_var)
+        blocks, y = band.reshape(*band.shape[:-2], nb, -1), y.reshape(len(y), nb, -1)
+        sides = [_dense_solve]
+        if reduction_split(ch.L_max, blocks.shape[-1])[0] > 1:
+            sides.append(_reduce_solve)
+        for solve in sides:
+            z = _band_adjoint(blocks, solve(blocks, y, link.noise_var))
+            at = slice(t, t + 1)
+            alone = _band_adjoint(blocks[at], solve(blocks[at], y[at], link.noise_var))
+            assert np.array_equal(z[t], alone[0])
+            assert np.abs(z[t].reshape(-1) - lmmse).max() < 1e-10
+            if solve is band_solver(*blocks.shape[-3:]):
+                assert np.array_equal(band_filter(blocks, link.noise_var)(y), z)
         impulses = np.eye(params.dof).reshape(-1, params.N, params.M)
         y = band_channel(band[t], dd_synthesis(impulses, params, cp_len=cp), mode)
         closed = dd_analysis(y.reshape(impulses.shape)).reshape(params.dof, -1).T
@@ -1107,19 +1245,19 @@ class TestReceivePath:
         if not link.banded and link.sc.equalizer == "mmse_dd":
             got = link.receiver(ch, gains)[0](body)[t]
             assert np.array_equal(got, link._dense(own)(body[t]))
+        return {solve.__name__ for solve in sides}
 
     def test_receive_detect_and_trial_split_against_oracles(self):
-        # a fixed count of draws: every link kind in both channel modes, twice
-        # with the LMMSE and once with one-tap
+        # a fixed count of draws: every link kind in every round
         rng = np.random.default_rng(2026)
-        routes = set()
-        for i in range(6 * len(self.KINDS)):
+        routes, solvers, slots = set(), set(), set()
+        for i in range(len(self.ROUNDS) * len(self.KINDS)):
             scheme, downlink = self.KINDS[i % len(self.KINDS)]
-            mode = ("per_slot_cp", "cyclic")[i // len(self.KINDS) % 2]
-            equalizer = "one_tap_tf" if i >= 4 * len(self.KINDS) else "mmse_dd"
-            sc = self.draw_scenario(rng, scheme, downlink, mode, equalizer)
+            mode, equalizer, random = self.ROUNDS[i // len(self.KINDS)]
+            sc = self.draw_scenario(rng, scheme, downlink, mode, equalizer, random)
             link = _Link(sc, _noise_var(sc.snr_db_list[0]))
             ch, gains, bits, noise = link.draw(_TrialStreams(sc.seed, 0, 0), 0, sc.trials)
+            self.check_streams(link, gains, bits, noise)
             detect, amp, receive = link.receiver(ch, gains)
             sig = link.transmit(bits, amp)
             rxsig = ot.apply_channel(sig, ch, link.params, mode=mode, gains=gains, noise=noise)
@@ -1127,25 +1265,39 @@ class TestReceivePath:
             assert np.array_equal(receive(sig, noise), rxsig.body)
             g = np.array([[t.gain for t in ch.taps]] * sc.trials) if gains is None else gains
             # each frame scaled apart, so that a fixed channel's rows differ too
-            self.check_layers(link, ch, g * np.arange(1, sc.trials + 1)[:, None], i % sc.trials,
-                              rxsig.body)
-            if link.banded:
-                want = self.probed_lmmse(link, ch, g, rxsig)
-                assert np.abs(detect(rxsig.body) - want).max() < 1e-10
+            solvers |= self.check_layers(link, ch, g * np.arange(1, sc.trials + 1)[:, None],
+                                         i % sc.trials, sig, noise, rxsig.body)
+            if link.banded:  # every frame against its probed LMMSE; a random one alone, bitwise
+                got = detect(rxsig.body)
+                if gains is None:  # one channel: one probed filter for every frame
+                    want = self.probed_lmmse(link, ch, rxsig.body)
+                else:
+                    want = np.concatenate([self.probed_lmmse(link, self.own(ch, gt), y[None])
+                                           for gt, y in zip(gains, rxsig.body)])
+                    for t, y in enumerate(rxsig.body):
+                        alone = link.receiver(ch, gains[t:t + 1])[0](y[None])
+                        assert np.array_equal(got[t], alone[0])
+                assert np.abs(got - want).max() < 1e-10
             # a trial range is the merge of its split sub-ranges, bitwise
             cut = int(rng.integers(1, sc.trials))
             whole = run_trial_range(sc, 0, 0, sc.trials)
             split = run_trial_range(sc, 0, 0, cut).merge(run_trial_range(sc, 0, cut, sc.trials))
             assert format_csv([whole]) == format_csv([split])
             assert np.array_equal(whole.papr_values, split.papr_values)
-            routes.add((downlink, mode, link.banded, link.dd))
-        # the delay band read in DD or TF, and apply_channel, in both modes
+            routes.add((downlink, mode, link.banded, link.dd, random))
+            if downlink == "tf_spread-gaussian" and random and equalizer == "mmse_dd":
+                slots.add(link.params.N)
+        # the delay band read in DD or TF, and apply_channel, in both modes; Gaussian
+        # spreading's per-draw detectors on a random channel
         for mode in ("per_slot_cp", "cyclic"):
             assert {(None, mode, True, True), (None, mode, True, False),
                     ("dd_mapped-dft", mode, True, True), ("tf_spread-dft", mode, True, True),
-                    ("tf_spread-dft", mode, True, False), ("tf_alloc-dft", mode, True, False),
-                    (None, mode, False, False),
-                    ("tf_spread-gaussian", mode, False, False)} <= routes
+                    ("tf_alloc-dft", mode, True, False), (None, mode, False, False),
+                    ("tf_spread-gaussian", mode, False, False)} <= {r[:4] for r in routes}
+            assert ("tf_spread-gaussian", mode, False, False, True) in routes
+        assert max(slots) > 1
+        # both solves of band_solver's switch
+        assert solvers == {"_reduce_solve", "_dense_solve"}
 
 
 @pytest.mark.parametrize("channel", [
