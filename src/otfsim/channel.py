@@ -18,16 +18,18 @@ discrete application modes are provided:
     prefix (the prefix samples are discarded by the receiver, so only
     their role as a delay reservoir matters).
 
-Both modes implement, on body samples,
+Both modes implement, on body samples s, with w = exp(2j*pi/(M*N)),
 
-    r[s] = sum_taps gain * x[s - l] * exp(2j*pi*k*(s - l)/(M*N)) + noise
+    r[s] = sum_taps gain * x[s - l] * w^(k*(s - l)) + noise.
 
-with s the body-sample index.  :func:`delay_band` holds this channel as its
-L_max delay diagonals, and :func:`band_channel` reads the received body
-from them; :func:`apply_channel` builds them one delay at a time and
-:func:`tf_channel` their first column, each with a gain set per frame.
-:func:`band_blocks` scatters them into the dense time-domain blocks, which
-:func:`slot_operators` sees through the per-slot DFT (the OFDM/OSTF view)
+As w^(k*(s - l)) = w^(-l*k) * w^(k*s), each tap is a Doppler ramp w^(k*s)
+times its twisted gain gain * w^(-l*k), formed in :func:`_tap_arrays` alone.
+:func:`delay_band` holds the channel as its L_max delay diagonals, those
+ramps, and :func:`band_channel` reads the received body from them;
+:func:`apply_channel` builds them one delay at a time and :func:`tf_channel`
+their first column, each with a gain set per frame.  :func:`band_blocks`
+scatters them into the dense time-domain blocks, which :func:`slot_operators`
+(of one gain set) sees through the per-slot DFT (the OFDM/OSTF view)
 and :func:`dd_domain_operator` through the Doppler DFT (the OTFS view),
 each checked against a brute-force reference in :mod:`otfsim.oracles`.
 """
@@ -248,16 +250,15 @@ def band_channel(band: np.ndarray, sig: TimeSignal, mode: str, noise: tuple | No
 
 def _delay_rows(ch: DDChannelSpec, params: FrameParams, cp_len: int, gains=None):
     """Yields (d, row) for each delay d that carries taps: its :func:`delay_band`
-    row (..., frame length), built alone and read at the Doppler clock."""
-    l, k, g = _tap_arrays(ch, gains)
-    S = params.dof
+    row (..., frame length), the ramp of its twisted gains read at the Doppler clock."""
+    l, k, g = _tap_arrays(ch, params, gains)
     # the Doppler clock, held at the slot's first body sample in its prefix
     q = np.maximum(0, np.arange(params.M + cp_len) - cp_len)
     clock = (np.arange(params.N)[:, None] * params.M + q).reshape(-1)
     for d in np.unique(l):
         at = l == d
-        ramp = _doppler_ramps(0, k[at], g[..., at], (1, S))[..., 0, :]
-        yield d, np.take(ramp, (clock - d) % S, axis=-1)
+        ramp = _doppler_ramps(0, k[at], g[..., at], (1, params.dof))[..., 0, :]
+        yield d, np.take(ramp, clock, axis=-1)
 
 
 #: the (channel, frame, prefix) key and the delay rows of the last fixed channel applied
@@ -284,16 +285,15 @@ def tf_channel(ch: DDChannelSpec, params: FrameParams, gains: np.ndarray | None 
 
     H[m, n] = sum_taps gain * exp(-2j*pi*(m*l/M - n*k/N)) * exp(-2j*pi*l*k/(M*N))
 
-    is the FFT over delay of :func:`delay_band`'s D[l, n, 0], the length-N
-    inverse DFT of delay l's twisted gains; ``gains`` (..., taps) as there.
+    is the FFT over delay of :func:`delay_band`'s D[l, n, 0], the Doppler
+    ramp of delay l's twisted gains on N points; ``gains`` (..., taps) as there.
     Under the ideal-pulse approximation each grid cell sees the scalar
     gain H[m, n]; a delay-only channel is constant across slots and a
     Doppler-only channel constant across subcarriers.
     """
     check_taps(ch, params)
-    l, k, g = _tap_arrays(ch, gains)
-    twisted = g * np.exp(-2j * np.pi * l * k / params.dof)
-    return np.fft.fft(_doppler_ramps(l, k, twisted, (params.M, params.N)), axis=-2)
+    l, k, g = _tap_arrays(ch, params, gains)
+    return np.fft.fft(_doppler_ramps(l, k, g, (params.M, params.N)), axis=-2)
 
 
 def windowed_dd_channel(ch: DDChannelSpec, params: FrameParams) -> np.ndarray:
@@ -312,9 +312,9 @@ def windowed_dd_channel(ch: DDChannelSpec, params: FrameParams) -> np.ndarray:
     them apart.
     """
     check_taps(ch, params)
+    l, k, g = _tap_arrays(ch, params)
     out = np.zeros((params.N, params.M), dtype=np.complex128)
-    for l, k, g in ch.taps:
-        out[k % params.N, l] += params.dof * g * np.exp(-2j * np.pi * l * k / params.dof)
+    np.add.at(out, (k % params.N, l), params.dof * g)
     return out
 
 
@@ -331,12 +331,16 @@ def check_blocks(params: FrameParams, mode: str) -> None:
         )
 
 
-def _tap_arrays(ch: DDChannelSpec, gains: np.ndarray | None = None) -> tuple:
-    """Arrays of the taps' delay bins, Doppler bins and gains (or ``gains``, (..., taps))."""
+def _tap_arrays(ch: DDChannelSpec, params: FrameParams, gains: np.ndarray | None = None) -> tuple:
+    """The taps' delay bins l, Doppler bins k and twisted gains g * w^(-l*k), w = exp(2j*pi/(M*N)).
+
+    g is ``ch``'s gains, or ``gains`` (..., taps) at its tap positions.  The
+    one home of the delay-Doppler cross phase (see the module docstring).
+    """
     l, k, g = (np.array(v) for v in zip(*ch.taps))
     if gains is not None and gains.shape[-1:] != g.shape:
         raise ValueError(f"gains of shape {gains.shape} do not match {g.size} taps")
-    return l, k, g if gains is None else gains
+    return l, k, (g if gains is None else gains) * np.exp(-2j * np.pi * l * k / params.dof)
 
 
 def _doppler_ramps(rows, k, g, shape) -> np.ndarray:
@@ -352,20 +356,14 @@ def delay_band(ch: DDChannelSpec, params: FrameParams, gains: np.ndarray | None 
     Body sample s = n*M + p receives sample s - l, wrapping round its block
     (slot n in ``per_slot_cp`` mode, the frame in ``cyclic`` mode), with
     weight D[l, n, p] = sum over taps at delay l of gain * w^(k*(s - l)),
-    w = exp(2j*pi/(M*N)).  ``gains`` (..., taps) gives each frame its own
-    gains at ``ch``'s tap positions, as in :func:`apply_channel`.
+    w = exp(2j*pi/(M*N)): the Doppler ramps of the twisted gains, one IFFT.
+    ``gains`` (..., taps) gives each frame its own gains at ``ch``'s tap
+    positions, as in :func:`apply_channel`.
     """
     check_taps(ch, params)
-    l, k, g = _tap_arrays(ch, gains)
-    S = params.dof
-    # each delay's ramp sum_k g * w^(k*s), read at s - l: O(L_max * S) per frame,
-    # two slice copies per delay (l < M <= S), the wrapped head and the rest
-    ramps = _doppler_ramps(l, k, g, (ch.L_max, S))
-    band = np.empty_like(ramps)
-    for d in range(ch.L_max):
-        band[..., d, :d] = ramps[..., d, S - d:]
-        band[..., d, d:] = ramps[..., d, :S - d]
-    return band.reshape(*g.shape[:-1], ch.L_max, params.N, params.M)
+    l, k, g = _tap_arrays(ch, params, gains)
+    ramps = _doppler_ramps(l, k, g, (ch.L_max, params.dof))
+    return ramps.reshape(*g.shape[:-1], ch.L_max, params.N, params.M)
 
 
 def band_blocks(band: np.ndarray) -> np.ndarray:
@@ -383,16 +381,18 @@ def band_blocks(band: np.ndarray) -> np.ndarray:
     return A
 
 
-def _time_blocks(ch: DDChannelSpec, params: FrameParams, mode: str) -> np.ndarray:
+def _time_blocks(ch: DDChannelSpec, params: FrameParams, mode: str, gains=None) -> np.ndarray:
     """The time-domain channel of ``mode`` as (blocks, slots, M, slots, M), refused above the guard.
 
     One block of N slots in ``cyclic`` mode, N blocks of one slot in ``per_slot_cp``.
     """
     if mode not in CHANNEL_MODES:
         raise ConfigError(f"unknown channel mode {mode!r}")
+    if gains is not None and np.shape(gains) != (len(ch.taps),):
+        raise ValueError(f"gains of shape {np.shape(gains)} are not one draw's {len(ch.taps)}")
     check_blocks(params, mode)
     blocks = 1 if mode == "cyclic" else params.N
-    band = delay_band(ch, params).reshape(ch.L_max, blocks, -1)
+    band = delay_band(ch, params, gains).reshape(ch.L_max, blocks, -1)
     n, M = params.N // blocks, params.M
     return band_blocks(band).reshape(blocks, n, M, n, M)
 
@@ -417,7 +417,8 @@ def dd_domain_operator(ch: DDChannelSpec, params: FrameParams) -> np.ndarray:
     return np.fft.ifft(H, axis=2, norm="ortho").reshape(params.dof, params.dof)
 
 
-def slot_operators(ch: DDChannelSpec, params: FrameParams, mode: str = "per_slot_cp") -> np.ndarray:
+def slot_operators(ch: DDChannelSpec, params: FrameParams, mode: str = "per_slot_cp",
+                   gains: np.ndarray | None = None) -> np.ndarray:
     """Channel blocks on the slot-major time-frequency grid ``Y.T.reshape(-1)``.
 
     The time-domain channel, :func:`band_blocks` of :func:`delay_band`, seen
@@ -427,7 +428,9 @@ def slot_operators(ch: DDChannelSpec, params: FrameParams, mode: str = "per_slot
     result is the (N, M, M) stack of B_n.  In ``cyclic`` mode delays wrap
     round the block and couple the slots: the result is one (1, M*N, M*N)
     block.  Either is refused by :func:`check_blocks` before it is allocated.
+    ``gains`` (taps,) are one draw's gains at ``ch``'s tap positions, read as
+    :func:`delay_band` reads them; any other shape raises ValueError.
     """
-    H = np.fft.fft(_time_blocks(ch, params, mode), axis=2, norm="ortho")
+    H = np.fft.fft(_time_blocks(ch, params, mode, gains), axis=2, norm="ortho")
     H = np.fft.ifft(H, axis=4, norm="ortho")
     return H.reshape(len(H), H.shape[1] * params.M, -1)

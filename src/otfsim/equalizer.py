@@ -106,7 +106,7 @@ def band_filter(band: np.ndarray, noise_var: float):
 
     A ``band`` (L, blocks, B) serves every frame of y (..., blocks, B): its
     filter W, A^H of the columns of the Gram inverse, is formed once and
-    applied as one product per block, the frames on the trailing axis.  A
+    applied frame by frame, so a frame's estimate is the same in any stack.  A
     ``band`` (T, L, blocks, B) gives frame t of y (T, blocks, B) its own
     blocks, solved by periodic block cyclic reduction (:func:`_reduce`) in
     O(B * K) entries and no dense Gram, or by the dense Gram stack
@@ -118,12 +118,7 @@ def band_filter(band: np.ndarray, noise_var: float):
     if band.ndim == 3:
         inv = _solve(band_gram(band[None], noise_var), np.eye(B))[0]
         W = _band_adjoint(band, inv.transpose(2, 0, 1)).transpose(1, 2, 0)
-
-        def apply(y):
-            z = W @ y.reshape(-1, *y.shape[-2:]).transpose(1, 2, 0)  # (blocks, B, frames)
-            return z.transpose(2, 0, 1).reshape(y.shape)
-
-        return apply
+        return lambda y: (W @ y[..., None])[..., 0]
     solve = band_solver(*band.shape[-3:])
     return lambda y: _band_adjoint(band, solve(band, y, noise_var))
 

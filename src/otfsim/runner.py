@@ -593,16 +593,16 @@ class _Link:
         if gains is None:
             return self._dense(ch), None, receive
         # one detector per draw: a stacked filter is no faster and holds more
-        at = [(t.delay_bin, t.doppler_bin) for t in ch.taps]
-        each = [self._dense(DDChannelSpec([(*p, g) for p, g in zip(at, gs)])) for gs in gains]
+        each = [self._dense(ch, g) for g in gains]
         return (lambda body: np.stack([d(b) for d, b in zip(each, body)])), None, receive
 
-    def _dense(self, ch: DDChannelSpec):
-        """The ML or LMMSE detector of one channel's frames: each frame's grid is
-        read through the slot operators T as T U, U the :attr:`_map_matrix`."""
+    def _dense(self, ch: DDChannelSpec, gains: np.ndarray | None = None):
+        """The ML or LMMSE detector of one channel's frames, ``ch`` or its taps with
+        one draw's ``gains`` (taps,): each frame's grid is read through the slot
+        operators T as T U, U the :attr:`_map_matrix`."""
         params = self.params
         U = self._map_matrix  # refused by its guard before the channel blocks are built
-        T = slot_operators(ch, params, self.sc.channel_mode)
+        T = slot_operators(ch, params, self.sc.channel_mode, gains)
         A = (T @ U.reshape(len(T), T.shape[-1], -1)).reshape(params.dof, -1)
 
         def slot_major(body):

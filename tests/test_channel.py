@@ -559,6 +559,21 @@ class TestSlotOperators:
         with pytest.raises(ValueError):
             ot.slot_operators(ot.DDChannelSpec(taps=((0, 3, 1.0),)), ot.make_frame(8, 4))
 
+    @pytest.mark.parametrize("mode", ["per_slot_cp", "cyclic"])
+    def test_gains_are_one_draw(self, mode):
+        # one draw's (taps,) gains are read as delay_band reads them; a stack,
+        # or a row of another tap count, is refused
+        params = ot.make_frame(8, 4)
+        rng = np.random.default_rng(47)
+        ch = ot.random_channel(3, 2, rng)
+        g = rng.normal(size=len(ch.taps)) + 1j * rng.normal(size=len(ch.taps))
+        own = ot.DDChannelSpec(tuple((l, k, gt) for (l, k, _), gt in zip(ch.taps, g)))
+        got = ot.slot_operators(ch, params, mode, g)
+        assert np.array_equal(got, ot.slot_operators(own, params, mode))
+        for bad in (g[None], np.stack([g, g]), g[1:]):
+            with pytest.raises(ValueError, match="one draw"):
+                ot.slot_operators(ch, params, mode, bad)
+
     @pytest.mark.parametrize("M,N", [(8, 4), (7, 4), (5, 1), (6, 3), (4, 8)])
     def test_cyclic_matches_probed_chain(self, M, N):
         # delays wrap round the whole block; Doppler bins reach -N/2 and +N/2
@@ -673,21 +688,46 @@ class TestDelayBand:
         with pytest.raises(ValueError, match="taps"):
             delay_band(ch, params, gains[..., 1:])
 
-    def test_slice_reads_are_the_wrapped_gather(self):
-        # delay l's ramp read at s - l by two slice copies is bitwise the
-        # (s - l) mod S fancy index, up to the widest delay, with and without
-        # a gain stack
+    @staticmethod
+    def widest_case():
+        """A 7 x 4 frame, a channel on every delay to M - 1 and Doppler -N/2..N/2,
+        and a (2, 3, taps) gain stack."""
         params = ot.make_frame(7, 4)
         rng = np.random.default_rng(46)
         ch = ot.random_channel(7, 3, rng)
-        S, delays = params.dof, np.arange(ch.L_max)[:, None]
         stack = rng.normal(size=(2, 3, len(ch.taps))) + 1j * rng.normal(size=(2, 3, len(ch.taps)))
+        return params, ch, stack
+
+    def test_band_is_the_direct_definition(self):
+        # D[l, n, p] = sum over taps at delay l of g * w^(k*(n*M + p - l)), tap by tap
+        params, ch, stack = self.widest_case()
+        s = np.arange(params.dof)
         for gains in (None, stack):
-            l, k, g = channel._tap_arrays(ch, gains)
-            ramps = channel._doppler_ramps(l, k, g, (ch.L_max, S))
-            want = ramps[..., delays, (np.arange(S) - delays) % S]
+            g = np.array([t.gain for t in ch.taps]) if gains is None else gains
+            want = np.zeros((*g.shape[:-1], ch.L_max, params.dof), dtype=complex)
+            for i, (l, k, _) in enumerate(ch.taps):
+                want[..., l, :] += g[..., i, None] * np.exp(2j * np.pi * k * (s - l) / params.dof)
             got = delay_band(ch, params, gains)
-            assert np.array_equal(got, want.reshape(*g.shape[:-1], ch.L_max, 4, 7))
+            assert np.abs(got - want.reshape(got.shape)).max() <= 1e-12
+
+    @pytest.mark.parametrize("cp", [0, 2])
+    def test_delay_rows_read_the_band_at_the_body_clock(self, cp):
+        # each row's body samples are bitwise the band's row d
+        params, ch, stack = self.widest_case()
+        for gains in (None, stack):
+            band = delay_band(ch, params, gains)
+            rows = dict(channel._delay_rows(ch, params, cp, gains))
+            assert sorted(rows) == list(range(ch.L_max))
+            for d, row in rows.items():
+                body = row.reshape(*row.shape[:-1], params.N, -1)[..., cp:]
+                assert np.array_equal(body, band[..., d, :, :])
+
+    def test_tf_channel_is_the_delay_fft_of_the_band(self):
+        params, ch, stack = self.widest_case()
+        for gains in (None, stack):
+            first = delay_band(ch, params, gains)[..., 0]  # D[l, n, 0]
+            want = np.fft.fft(first, n=params.M, axis=-2)
+            assert np.abs(ot.tf_channel(ch, params, gains) - want).max() <= 1e-12
 
 
 class TestBandChannel:

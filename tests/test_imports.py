@@ -1,5 +1,7 @@
-"""Library imports: every name a module imports is used there, and the
-brute-force references in ``oracles`` stay out of the library's layers.
+"""Library imports: every name a module imports is used there, the
+brute-force references in ``oracles`` stay out of the library's layers, and
+the library and its tests need nothing beyond the standard library, numpy
+and pytest.
 
 ``runner`` keeps three names it never calls: ``bench/tracing.py`` wraps
 the probed builders and ``wigner`` at ``otfsim.runner``, so a module that
@@ -12,11 +14,13 @@ The runner places every unitary link on its own cell map, so it takes only
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).parent.parent / "src" / "otfsim"
+TESTS = Path(__file__).parent
+SRC = TESTS.parent / "src" / "otfsim"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
 KEPT = {"runner.py": {"chain_matrix", "effective_matrix", "wigner"}}
 #: what each module may import from ``oracles`` (None: anything); others import nothing
@@ -77,3 +81,27 @@ def test_channel_layer_imports_no_chain():
 
 def test_runner_takes_only_the_scheme_config_from_the_modem():
     assert package_imports(parse("runner.py")).get("modem") == {"SchemeConfig"}
+
+
+#: the packages a library module or test may import: the runtime is numpy only
+#: (scipy and hypothesis, where installed, are not dependencies); tests add
+#: pytest and their sibling test modules
+ALLOWED = set(sys.stdlib_module_names) | {"numpy", "pytest", "otfsim"}
+
+
+def top_level_imports(tree: ast.Module) -> set:
+    """The top-level package of every absolute import, wherever it is made."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+@pytest.mark.parametrize("path", [*sorted(SRC.glob("*.py")), *sorted(TESTS.glob("*.py"))],
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_imports_are_numpy_only(path):
+    siblings = {p.stem for p in TESTS.glob("*.py")} if path.parent == TESTS else set()
+    assert top_level_imports(ast.parse(path.read_text())) <= ALLOWED | siblings

@@ -1247,6 +1247,28 @@ class TestReceivePath:
             assert np.array_equal(got, link._dense(own)(body[t]))
         return {solve.__name__ for solve in sides}
 
+    @staticmethod
+    def check_gain_rows(link, ch, gains):
+        """Each gain row's slot operators against the probed OSTF chain (<= 1e-10) and,
+        bitwise, against those of its own channel; each row of the stacked
+        time-frequency response against the factored reference (<= 1e-12)."""
+        params, mode, cp = link.params, link.sc.channel_mode, link.sc.cp_len
+        H = ot.tf_channel(ch, params, gains)
+        for g, h in zip(gains, H):
+            own = TestReceivePath.own(ch, g)
+            T = ot.slot_operators(ch, params, mode, g)
+            assert np.array_equal(T, ot.slot_operators(own, params, mode))
+            probed = chain_matrix(
+                lambda v: ot.heisenberg(v.reshape(params.N, params.M).T, params, cp_len=cp),
+                lambda sig: ot.wigner(ot.apply_channel(sig, own, params, mode=mode), params).T,
+                params.dof,
+            )
+            nb, B = len(T), T.shape[-1]
+            dense = np.zeros((nb, B, nb, B), dtype=complex)
+            dense[range(nb), :, range(nb)] = T
+            assert np.abs(dense.reshape(probed.shape) - probed).max() < 1e-10
+            assert np.abs(h - ot.tf_channel_factored(own, params)).max() <= 1e-12
+
     def test_receive_detect_and_trial_split_against_oracles(self):
         # a fixed count of draws: every link kind in every round
         rng = np.random.default_rng(2026)
@@ -1265,12 +1287,15 @@ class TestReceivePath:
             assert np.array_equal(receive(sig, noise), rxsig.body)
             g = np.array([[t.gain for t in ch.taps]] * sc.trials) if gains is None else gains
             # each frame scaled apart, so that a fixed channel's rows differ too
-            solvers |= self.check_layers(link, ch, g * np.arange(1, sc.trials + 1)[:, None],
-                                         i % sc.trials, sig, noise, rxsig.body)
-            if link.banded:  # every frame against its probed LMMSE; a random one alone, bitwise
+            scaled = g * np.arange(1, sc.trials + 1)[:, None]
+            solvers |= self.check_layers(link, ch, scaled, i % sc.trials, sig, noise, rxsig.body)
+            self.check_gain_rows(link, ch, scaled)
+            if link.banded:  # every frame against its probed LMMSE and, bitwise, alone
                 got = detect(rxsig.body)
                 if gains is None:  # one channel: one probed filter for every frame
                     want = self.probed_lmmse(link, ch, rxsig.body)
+                    for t, y in enumerate(rxsig.body):
+                        assert np.array_equal(got[t], detect(y[None])[0])
                 else:
                     want = np.concatenate([self.probed_lmmse(link, self.own(ch, gt), y[None])
                                            for gt, y in zip(gains, rxsig.body)])
