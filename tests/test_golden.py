@@ -12,7 +12,11 @@ and one-tap) and Gaussian ``tf_spread``.  Two were captured later, from
 the per-tap channel before it was rebuilt from the delay band: a
 water-filled ``tf_alloc`` downlink on a random channel
 (``tf_alloc_water_fill_random``) and ``cyclic``-mode one-tap OSTF
-(``ostf_onetap_cyclic_16qam``).  Every scenario is re-run at 1, 2 and 8
+(``ostf_onetap_cyclic_16qam``).  Two pin the dense detectors on random
+channels, captured while they still read the slot operators: ``cyclic``
+Gaussian ``tf_spread`` under the joint LMMSE
+(``tf_spread_gaussian_mmse_random_cyclic``) and single-user ML
+(``otfs_ml_random``).  Every scenario is re-run at 1, 2 and 8
 workers.  A mismatch means a fast path changed a hard decision,
 the RNG draw order or the merge order of trial ranges; do not regenerate
 a CSV to make it pass.
