@@ -29,9 +29,9 @@ ramps, and :func:`band_channel` reads the received body from them;
 :func:`apply_channel` builds them one delay at a time and :func:`tf_channel`
 their first column, each with a gain set per frame.  :func:`band_blocks`
 scatters them into the dense time-domain blocks, which :func:`slot_operators`
-(of one gain set) sees through the per-slot DFT (the OFDM/OSTF view)
-and :func:`dd_domain_operator` through the Doppler DFT (the OTFS view),
-each checked against a brute-force reference in :mod:`otfsim.oracles`.
+sees through the per-slot DFT (the OFDM/OSTF view) and
+:func:`dd_domain_operator` through the Doppler DFT (the OTFS view), each
+checked against a brute-force reference in :mod:`otfsim.oracles`.
 """
 
 from __future__ import annotations
@@ -381,18 +381,16 @@ def band_blocks(band: np.ndarray) -> np.ndarray:
     return A
 
 
-def _time_blocks(ch: DDChannelSpec, params: FrameParams, mode: str, gains=None) -> np.ndarray:
+def _time_blocks(ch: DDChannelSpec, params: FrameParams, mode: str) -> np.ndarray:
     """The time-domain channel of ``mode`` as (blocks, slots, M, slots, M), refused above the guard.
 
     One block of N slots in ``cyclic`` mode, N blocks of one slot in ``per_slot_cp``.
     """
     if mode not in CHANNEL_MODES:
         raise ConfigError(f"unknown channel mode {mode!r}")
-    if gains is not None and np.shape(gains) != (len(ch.taps),):
-        raise ValueError(f"gains of shape {np.shape(gains)} are not one draw's {len(ch.taps)}")
     check_blocks(params, mode)
     blocks = 1 if mode == "cyclic" else params.N
-    band = delay_band(ch, params, gains).reshape(ch.L_max, blocks, -1)
+    band = delay_band(ch, params).reshape(ch.L_max, blocks, -1)
     n, M = params.N // blocks, params.M
     return band_blocks(band).reshape(blocks, n, M, n, M)
 
@@ -417,8 +415,7 @@ def dd_domain_operator(ch: DDChannelSpec, params: FrameParams) -> np.ndarray:
     return np.fft.ifft(H, axis=2, norm="ortho").reshape(params.dof, params.dof)
 
 
-def slot_operators(ch: DDChannelSpec, params: FrameParams, mode: str = "per_slot_cp",
-                   gains: np.ndarray | None = None) -> np.ndarray:
+def slot_operators(ch: DDChannelSpec, params: FrameParams, mode: str = "per_slot_cp") -> np.ndarray:
     """Channel blocks on the slot-major time-frequency grid ``Y.T.reshape(-1)``.
 
     The time-domain channel, :func:`band_blocks` of :func:`delay_band`, seen
@@ -428,9 +425,7 @@ def slot_operators(ch: DDChannelSpec, params: FrameParams, mode: str = "per_slot
     result is the (N, M, M) stack of B_n.  In ``cyclic`` mode delays wrap
     round the block and couple the slots: the result is one (1, M*N, M*N)
     block.  Either is refused by :func:`check_blocks` before it is allocated.
-    ``gains`` (taps,) are one draw's gains at ``ch``'s tap positions, read as
-    :func:`delay_band` reads them; any other shape raises ValueError.
     """
-    H = np.fft.fft(_time_blocks(ch, params, mode, gains), axis=2, norm="ortho")
+    H = np.fft.fft(_time_blocks(ch, params, mode), axis=2, norm="ortho")
     H = np.fft.ifft(H, axis=4, norm="ortho")
     return H.reshape(len(H), H.shape[1] * params.M, -1)

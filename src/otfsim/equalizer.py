@@ -15,13 +15,13 @@ Every scheme's precoding and every user map but Gaussian spreading is
 unitary, so the Monte-Carlo runner's joint LMMSE is :func:`band_filter` on
 each time-domain block (a slot in ``per_slot_cp`` mode, the frame in
 ``cyclic`` mode), whose channel is periodic-banded (``channel.delay_band``),
-then the per-slot DFT and the map's adjoint.  A random draw's blocks of B
-samples are solved by periodic block cyclic reduction in O(B K) entries,
-K >= L - 1, without a dense Gram, where that is measured faster
+then the link's analysis DFT and the map's adjoint.  A random draw's blocks
+of B samples are solved by periodic block cyclic reduction in O(B K)
+entries, K >= L - 1, without a dense Gram, where that is measured faster
 (:func:`band_solver`); a fixed channel's filter, formed once, and the
-other blocks take the dense Gram.  Gaussian spreading and ML
-read the grid through ``channel.slot_operators``; :func:`mmse_filter` of
-those blocks and :func:`mmse_dd` are the references tests compare to.
+other blocks take the dense Gram.  Gaussian spreading and ML read the body
+samples through the same band's dense blocks (``channel.band_blocks``)
+times the user map: :func:`mmse_filter` or :func:`ml_detect` of that.
 
 :func:`band_filter`, :func:`mmse_filter` and :func:`mmse_dd` share one
 singular-Gram rule (``_solve``): only a frame whose own Gram fails takes

@@ -30,17 +30,18 @@ point runs one link bound to its noise variance, whose receiver reads a
 channel once for its detector, the received body it detects and, on a
 budgeted downlink, the water-filled user amplitudes: a fixed channel's
 receiver is built once for the point.
-A random chunk is one tap grid with a (T, taps) gain stack: its channel, a
-unitary map's LMMSE and one-tap responses take one call each; ML and
-Gaussian spreading build one detector per draw.  A unitary map's LMMSE
-builds one delay band per chunk (per link for a fixed channel): it forms
-the received body samples and the LMMSE inverts it, a fixed channel's as
-one filter per block, a random chunk's by one solve of every frame's
-blocks: a cyclic reduction, which never forms their dense Gram, where
-``band_solver`` measures it faster or the Gram alone would break the
-guard, else the dense Gram stack.  Other links apply the channel one
-delay row at a time, as a whole band of their frames could outgrow the
-stream stack.
+A random chunk is one tap grid with a (T, taps) gain stack: its channel,
+delay band and one-tap responses take one call each.  Every detector but
+one-tap reads the channel as one delay band per chunk (per link for a
+fixed channel), which also forms the received body samples.  A unitary
+map's LMMSE inverts it, a fixed channel's as one filter per block, a
+random chunk's by one solve of every frame's blocks: a cyclic reduction,
+which never forms their dense Gram, where ``band_solver`` measures it
+faster or the Gram alone would break the guard, else the dense Gram
+stack.  ML and Gaussian spreading build one dense detector per draw, its
+band's blocks times the user map's body samples.  One-tap applies the
+channel one delay row at a time, as a whole band of a sparse, wide-delay
+channel's frames could outgrow the stream stack.
 Every link but Gaussian spreading is a cell map: its symbols sit on cells
 of one grid, the (N, M) delay-Doppler grid that the ISFFT spreads for OTFS,
 SC-FDMA and ``dd_mapped`` (a DFT ``tf_spread`` downlink is one), else the
@@ -70,13 +71,13 @@ from .channel import (
     FRAME_GUARD,
     DDChannelSpec,
     apply_channel,
+    band_blocks,
     band_channel,
     check_blocks,
     check_taps,
     delay_band,
     random_channel,
     random_gains,
-    slot_operators,
     tf_channel,
     windowed_dd_channel,
 )
@@ -398,13 +399,16 @@ class _TrialStreams:
 class _Link:
     """One transmit chain and its receiver, for a single user or a downlink.
 
-    Every link but Gaussian spreading is a cell map: :meth:`place` puts its
-    stacked symbols at ``cells`` of one grid, and :meth:`read` is its
-    adjoint.  The grid is the (N, M) delay-Doppler grid, spread by the ISFFT
-    (``spread``), for OTFS, SC-FDMA and ``dd_mapped``, and the (M, N)
-    time-frequency grid for OSTF, OFDM and ``tf_alloc``.  ``cells`` is None
-    where the symbols fill the grid in order; a downlink's are its users'
-    ``frame.user_cells``, moved to f*N + t on the time-frequency grid.
+    :meth:`place` is the whole user map, stacked symbols to the grid the link
+    synthesises, and :meth:`read` is its adjoint.  Every link but Gaussian
+    spreading is a cell map: its symbols sit at ``cells`` of one grid, the
+    (N, M) delay-Doppler grid, spread by the ISFFT (``spread``), for OTFS,
+    SC-FDMA and ``dd_mapped``, and the (M, N) time-frequency grid for OSTF,
+    OFDM and ``tf_alloc``.  ``cells`` is None where the symbols fill the grid
+    in order; a downlink's are its users' ``frame.user_cells``, moved to
+    f*N + t on the time-frequency grid.  ``dd`` links synthesise their grid
+    by ``dd_synthesis``; every other grid is time-frequency, single-user
+    SC-FDMA's through the ISFFT, and synthesised by ``heisenberg``.
     Gaussian ``tf_spread`` keeps its ``SpreadingPair`` objects in ``users``
     and maps by ``multiuser``.  The scheme label of a downlink picks no route.
     Symbols, bits and detector output are stacked user by user, each block
@@ -483,32 +487,32 @@ class _Link:
         return self.fixed or self.grid, gains, _word_bits(words, self.n_bits), noise
 
     def place(self, symbols: np.ndarray) -> np.ndarray:
-        """The cell map: stacked symbols (..., n) -> (..., N, M) or (..., M, N) grid."""
+        """The user map: stacked symbols (..., n) -> the grid the link synthesises,
+        (..., N, M) delay-Doppler on the ``dd`` route, else (..., M, N) time-frequency."""
+        if self.mode == "tf_spread":
+            blocks = symbols.reshape(*symbols.shape[:-1], self.K, self.N_D, self.M_d)
+            return multiuser.downlink_superpose(np.moveaxis(blocks, -3, 0), self.users, self.mode)
         if self.cells is not None:
             grid = np.empty_like(symbols)
             grid[..., self.cells] = symbols
             symbols = grid
         N, M = self.params.N, self.params.M
-        return symbols.reshape(*symbols.shape[:-1], *((N, M) if self.spread else (M, N)))
+        grid = symbols.reshape(*symbols.shape[:-1], *((N, M) if self.spread else (M, N)))
+        return isfft(grid) if self.spread and not self.dd else grid
 
     def read(self, grid: np.ndarray) -> np.ndarray:
         """Adjoint of :meth:`place`: grid -> stacked symbols."""
+        if self.mode == "tf_spread":
+            blocks = multiuser.downlink_split(grid, self.users, self.mode)
+            return np.concatenate([b.reshape(*grid.shape[:-2], -1) for b in blocks], axis=-1)
+        if self.spread and not self.dd:
+            grid = sfft(grid)
         flat = grid.reshape(*grid.shape[:-2], -1)
         return flat if self.cells is None else flat[..., self.cells]
 
-    def tf_grid(self, symbols: np.ndarray) -> np.ndarray:
-        """The user map: stacked symbols (..., n) -> (..., M, N) time-frequency grid."""
-        if self.mode == "tf_spread":
-            blocks = symbols.reshape(*symbols.shape[:-1], self.K, self.N_D, self.M_d)
-            return multiuser.downlink_superpose(np.moveaxis(blocks, -3, 0), self.users, self.mode)
-        return isfft(self.place(symbols)) if self.spread else self.place(symbols)
-
-    def adjoint(self, X: np.ndarray) -> np.ndarray:
-        """Adjoint of :meth:`tf_grid`: (..., M, N) grid -> stacked symbols."""
-        if self.mode == "tf_spread":
-            blocks = multiuser.downlink_split(X, self.users, self.mode)
-            return np.concatenate([b.reshape(*X.shape[:-2], -1) for b in blocks], axis=-1)
-        return self.read(sfft(X) if self.spread else X)
+    def _synthesis(self, grid: np.ndarray, cp_len: int):
+        """The TimeSignal of :meth:`place` grids: ``dd_synthesis`` if ``dd``, else ``heisenberg``."""
+        return (dd_synthesis if self.dd else heisenberg)(grid, self.params, cp_len=cp_len)
 
     def transmit(self, bits: np.ndarray, amp=None):
         """Synthesise (..., n_bits) bits: a TimeSignal with one frame per bit row.
@@ -518,24 +522,20 @@ class _Link:
         symbols = map_bits(bits, self.const)
         if amp is not None:
             symbols = symbols * np.repeat(amp, self.block, axis=-1)
-        if self.dd:
-            return dd_synthesis(self.place(symbols), self.params, cp_len=self.sc.cp_len)
-        return heisenberg(self.tf_grid(symbols), self.params, cp_len=self.sc.cp_len)
+        return self._synthesis(self.place(symbols), self.sc.cp_len)
 
     @cached_property
     def _map_matrix(self) -> np.ndarray:
-        """The channel-free user map as a matrix: stacked symbols -> slot-major grid.
-
-        The map of stacks of symbol impulses, one chunk of frames at a time
-        so that no more grids are held, under the probed builders' guard.
-        """
+        """The channel-free user map as a matrix: stacked symbols -> prefix-free body
+        samples, synthesised from stacks of symbol impulses one chunk of frames at a
+        time, so that no more frames are held, under the probed builders' guard."""
         n, dof = self.K * self.block, self.params.dof
         if n > EFFECTIVE_GUARD:
             raise GuardError(f"user map on {n} points exceeds guard {EFFECTIVE_GUARD}")
         U = np.empty((dof, n), dtype=np.complex128)
         for a in range(0, n, self.chunk):
             m = min(self.chunk, n - a)
-            U[:, a:a + m] = self.tf_grid(np.eye(m, n, k=a)).swapaxes(-1, -2).reshape(m, dof).T
+            U[:, a:a + m] = self._synthesis(self.place(np.eye(m, n, k=a)), 0).samples.T
         return U
 
     def receiver(self, ch: DDChannelSpec, gains: np.ndarray | None = None):
@@ -544,37 +544,18 @@ class _Link:
         amplitudes or None, and the received body of a transmitted stack and
         its noise, ``receive(sig, noise)``.
 
-        ``gains`` (T, taps) gives frame t ``ch``'s taps with gains[t].  A
-        unitary map's LMMSE equalises the blocks (slots, or the ``cyclic``
-        frame) of all frames at once on the delay band, which ``receive``
-        applies as the channel.  The band is built after the guard: a fixed
-        channel's filter is dense (``check_blocks``), random draws are refused
-        only where neither the dense Gram nor the cyclic reduction fits
-        (``band_solver``).  Other links receive by ``apply_channel``.  One-tap
+        ``gains`` (T, taps) gives frame t ``ch``'s taps with gains[t].  One-tap
         reads one ``tf_channel`` call, for its detector and (a budget implies
-        one-tap) the users' water-filling; ML and Gaussian spreading take one
-        :meth:`_dense` detector per draw.
+        one-tap) the users' water-filling, and receives by ``apply_channel``.
+        Every other link reads the delay band of all its frames, which
+        ``receive`` applies as the channel, built after the guard.  A unitary
+        map's LMMSE equalises the blocks (slots, or the ``cyclic`` frame) of
+        all frames at once on the band: a fixed channel's filter is dense
+        (``check_blocks``), random draws are refused only where neither the
+        dense Gram nor the cyclic reduction fits (``band_solver``).  ML and
+        Gaussian spreading take one :meth:`_dense` detector per frame's band.
         """
         sc, params, noise_var, mode = self.sc, self.params, self.noise_var, self.sc.channel_mode
-        if self.banded:
-            if gains is None:
-                check_blocks(params, mode)
-            else:
-                band_solver(ch.L_max, self.blocks, params.dof // self.blocks)
-            band = delay_band(ch, params, gains)
-            equalize = band_filter(band.reshape(*band.shape[:-2], self.blocks, -1), noise_var)
-
-            def detect(body):
-                z = equalize(body.reshape(*body.shape[:-1], self.blocks, -1)).reshape(body.shape)
-                if self.dd:
-                    return self.read(dd_analysis(z.reshape(*z.shape[:-1], params.N, params.M)))
-                return self.adjoint(slot_dft(z, params).swapaxes(-1, -2))
-
-            return detect, None, lambda sig, noise: band_channel(band, sig, mode, noise)
-
-        def receive(sig, noise):
-            return apply_channel(sig, ch, params, mode=mode, gains=gains, noise=noise).body
-
         if sc.equalizer == "one_tap_tf":
             H = tf_channel(ch, params, gains)
             amp, mu = None, sc.multiuser
@@ -587,33 +568,54 @@ class _Link:
                 power = np.ascontiguousarray(gathered).mean(axis=-1)
                 p = np.stack([multiuser.water_fill(q, mu.power_budget, noise_var) for q in power])
                 amp = np.sqrt(p / self.block)
-            return (lambda body: self.adjoint(
-                one_tap_tf(slot_dft(body, params).swapaxes(-1, -2), H, noise_var)
-            )), amp, receive
-        if gains is None:
-            return self._dense(ch), None, receive
-        # one detector per draw: a stacked filter is no faster and holds more
-        each = [self._dense(ch, g) for g in gains]
-        return (lambda body: np.stack([d(b) for d, b in zip(each, body)])), None, receive
 
-    def _dense(self, ch: DDChannelSpec, gains: np.ndarray | None = None):
-        """The ML or LMMSE detector of one channel's frames, ``ch`` or its taps with
-        one draw's ``gains`` (taps,): each frame's grid is read through the slot
-        operators T as T U, U the :attr:`_map_matrix`."""
-        params = self.params
+            def detect(body):
+                X = one_tap_tf(slot_dft(body, params).swapaxes(-1, -2), H, noise_var)
+                return self.read(sfft(X) if self.dd else X)
+
+            def receive(sig, noise):
+                return apply_channel(sig, ch, params, mode=mode, gains=gains, noise=noise).body
+
+            return detect, amp, receive
+        if self.banded and gains is not None:
+            band_solver(ch.L_max, self.blocks, params.dof // self.blocks)
+        else:
+            check_blocks(params, mode)
+        band = delay_band(ch, params, gains)
+        blocks = band.reshape(*band.shape[:-2], self.blocks, -1)
+
+        def receive(sig, noise):
+            return band_channel(band, sig, mode, noise)
+
+        if not self.banded:
+            if gains is None:
+                return self._dense(blocks), None, receive
+            # one detector per draw: a stacked filter is no faster and holds more
+            each = [self._dense(b) for b in blocks]
+            return (lambda body: np.stack([d(b) for d, b in zip(each, body)])), None, receive
+        equalize = band_filter(blocks, noise_var)
+
+        def detect(body):
+            z = equalize(body.reshape(*body.shape[:-1], self.blocks, -1)).reshape(body.shape)
+            if self.dd:
+                return self.read(dd_analysis(z.reshape(*z.shape[:-1], params.N, params.M)))
+            return self.read(slot_dft(z, params).swapaxes(-1, -2))
+
+        return detect, None, receive
+
+    def _dense(self, band: np.ndarray):
+        """The ML or LMMSE detector of one channel's frames, given its delay band
+        cut into blocks (L_max, blocks, B): body samples are read as H U, H the
+        ``band_blocks`` and U the :attr:`_map_matrix`."""
         U = self._map_matrix  # refused by its guard before the channel blocks are built
-        T = slot_operators(ch, params, self.sc.channel_mode, gains)
-        A = (T @ U.reshape(len(T), T.shape[-1], -1)).reshape(params.dof, -1)
-
-        def slot_major(body):
-            return slot_dft(body, params).reshape(body.shape)
-
+        H = band_blocks(band)
+        A = (H @ U.reshape(len(H), H.shape[-1], -1)).reshape(self.params.dof, -1)
         if self.sc.equalizer == "ml":
             # one exhaustive search per frame: its Q^n x rows residuals are
             # held once, not once per frame of the stack
-            return lambda body: np.apply_along_axis(ml_detect, -1, slot_major(body), A, self.const)
+            return lambda body: np.apply_along_axis(ml_detect, -1, body, A, self.const)
         W = mmse_filter(A, self.noise_var)
-        return lambda body: (W @ slot_major(body)[..., None])[..., 0]
+        return lambda body: (W @ body[..., None])[..., 0]
 
     @cached_property
     def _fixed_rx(self):

@@ -137,13 +137,15 @@ def test_peak_memory_does_not_grow_with_trials(monkeypatch):
 
 @pytest.mark.parametrize("name", SCENARIOS + sorted(EXTRA))
 def test_user_map_matrix_is_the_probed_map(name, monkeypatch):
-    # built from stacks of 3 symbol impulses, the last one short when 3
-    # does not divide the symbol count
+    # the prefix-free body samples of the link's user map, built from stacks
+    # of 3 symbol impulses, the last one short when 3 does not divide the
+    # symbol count
     sc = scenario(name)
     monkeypatch.setattr(runner, "CHUNK_SAMPLES", 3 * _Link(sc).n_samples)
     link = _Link(sc)
     n = link.K * link.block
-    assert np.array_equal(link._map_matrix, chain_matrix(link.tf_grid, lambda X: X.T, n))
+    probed = chain_matrix(lambda v: link._synthesis(link.place(v), 0), lambda s: s.samples, n)
+    assert np.array_equal(link._map_matrix, probed)
 
 
 def test_user_map_matrix_peak_is_the_matrix():

@@ -559,21 +559,6 @@ class TestSlotOperators:
         with pytest.raises(ValueError):
             ot.slot_operators(ot.DDChannelSpec(taps=((0, 3, 1.0),)), ot.make_frame(8, 4))
 
-    @pytest.mark.parametrize("mode", ["per_slot_cp", "cyclic"])
-    def test_gains_are_one_draw(self, mode):
-        # one draw's (taps,) gains are read as delay_band reads them; a stack,
-        # or a row of another tap count, is refused
-        params = ot.make_frame(8, 4)
-        rng = np.random.default_rng(47)
-        ch = ot.random_channel(3, 2, rng)
-        g = rng.normal(size=len(ch.taps)) + 1j * rng.normal(size=len(ch.taps))
-        own = ot.DDChannelSpec(tuple((l, k, gt) for (l, k, _), gt in zip(ch.taps, g)))
-        got = ot.slot_operators(ch, params, mode, g)
-        assert np.array_equal(got, ot.slot_operators(own, params, mode))
-        for bad in (g[None], np.stack([g, g]), g[1:]):
-            with pytest.raises(ValueError, match="one draw"):
-                ot.slot_operators(ch, params, mode, bad)
-
     @pytest.mark.parametrize("M,N", [(8, 4), (7, 4), (5, 1), (6, 3), (4, 8)])
     def test_cyclic_matches_probed_chain(self, M, N):
         # delays wrap round the whole block; Doppler bins reach -N/2 and +N/2

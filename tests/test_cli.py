@@ -196,18 +196,18 @@ class TestSimulate:
     ):
         # Gaussian spreading is not unitary, so its joint LMMSE needs the
         # probed user map; 128 x 64 points are refused before the first probe
-        # and before the channel's slot blocks are built
+        # and before the channel's dense blocks are built
         import otfsim.runner
 
         def refuse(*args, **kwargs):
-            raise AssertionError("slot operators built before the user-map guard")
+            raise AssertionError("dense blocks built before the user-map guard")
 
         calls = []
         real = otfsim.runner.apply_channel
         monkeypatch.setattr(
             otfsim.runner, "apply_channel", lambda *a, **k: calls.append(1) or real(*a, **k)
         )
-        monkeypatch.setattr(otfsim.runner, "slot_operators", refuse)
+        monkeypatch.setattr(otfsim.runner, "band_blocks", refuse)
         cfg = config_file(
             frame={"M": 128, "N": 64, "cp_len": 1},
             channel_mode="per_slot_cp",

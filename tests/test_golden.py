@@ -83,17 +83,33 @@ def test_detector_never_probes_the_channel(name, monkeypatch):
 
 @pytest.mark.parametrize("name", ["otfs_mmse_random", "tf_alloc_mmse_random"])
 def test_random_lmmse_solves_once_per_chunk(name, monkeypatch):
-    # the band LMMSE builds no slot operators, no filter and no dense Gram:
+    # the band LMMSE builds no dense blocks, no filter and no dense Gram:
     # one cyclic reduction of its band stack per chunk of trials, here 5 trials
     def refuse(*args, **kwargs):
         raise AssertionError("dense LMMSE built")
 
     calls = []
     reduce = equalizer._reduce
-    monkeypatch.setattr(runner, "slot_operators", refuse)
+    monkeypatch.setattr(runner, "band_blocks", refuse)
     monkeypatch.setattr(runner, "mmse_filter", refuse)
     monkeypatch.setattr(equalizer, "band_gram", refuse)
     monkeypatch.setattr(equalizer, "_reduce", lambda *a: calls.append(1) or reduce(*a))
+    sc = load_scenario(GOLDEN / f"{name}.json")
+    monkeypatch.setattr(runner, "CHUNK_SAMPLES", 5 * _Link(sc).n_samples)
+    assert format_csv(run(sc)) == (GOLDEN / f"{name}.csv").read_text()
+    assert len(calls) == -(-sc.trials // 5) * len(sc.snr_db_list)
+
+
+@pytest.mark.parametrize("name", ["tf_spread_gaussian_mmse_random_cyclic", "otfs_ml_random"])
+def test_random_dense_chunk_reads_one_band(name, monkeypatch):
+    # ML and Gaussian spreading read a chunk of random draws, here 5 trials,
+    # through one stacked delay band: the body they detect and every draw's
+    # dense operator
+    calls = []
+    delay_band = runner.delay_band
+    monkeypatch.setattr(
+        runner, "delay_band", lambda *a, **k: calls.append(1) or delay_band(*a, **k)
+    )
     sc = load_scenario(GOLDEN / f"{name}.json")
     monkeypatch.setattr(runner, "CHUNK_SAMPLES", 5 * _Link(sc).n_samples)
     assert format_csv(run(sc)) == (GOLDEN / f"{name}.csv").read_text()

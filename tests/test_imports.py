@@ -10,7 +10,11 @@ probed builders are the only names a library module other than the
 package's ``__init__`` and ``selftest`` takes from ``oracles``; the
 channel layer imports neither ``oracles`` nor the modem whose chain they probe.
 The runner places every unitary link on its own cell map, so it takes only
-``SchemeConfig`` from the modem, to validate a scenario's scheme.
+``SchemeConfig`` from the modem, to validate a scenario's scheme.  Its
+detectors read every channel as the delay band or, for one-tap, its
+response, so it takes neither dense slot view from the channel layer:
+``slot_operators`` and ``dd_domain_operator`` stay library API, checked
+against the oracles.
 """
 
 import ast
@@ -81,6 +85,11 @@ def test_channel_layer_imports_no_chain():
 
 def test_runner_takes_only_the_scheme_config_from_the_modem():
     assert package_imports(parse("runner.py")).get("modem") == {"SchemeConfig"}
+
+
+def test_runner_takes_no_dense_slot_view_from_the_channel():
+    taken = package_imports(parse("runner.py")).get("channel", set())
+    assert not {"slot_operators", "dd_domain_operator"} & taken
 
 
 #: the packages a library module or test may import: the runtime is numpy only

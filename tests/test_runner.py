@@ -60,6 +60,18 @@ def base_dict(**over):
     return d
 
 
+def tf_map(link, symbols):
+    """The link's user map onto the (M, N) time-frequency grid: its
+    :meth:`_Link.place`, taken through the ISFFT on the ``dd`` route."""
+    grid = link.place(symbols)
+    return ot.isfft(grid) if link.dd else grid
+
+
+def tf_read(link, X):
+    """Adjoint of :func:`tf_map`: (M, N) time-frequency grid -> stacked symbols."""
+    return link.read(ot.sfft(X) if link.dd else X)
+
+
 class TestScenarioParsing:
     def test_minimal_with_defaults(self):
         d = base_dict()
@@ -832,7 +844,7 @@ class TestBandLMMSE:
         W = ot.mmse_filter(ot.slot_operators(ch, params, link.sc.channel_mode), link.noise_var)
         y = Y.swapaxes(-1, -2).reshape(*Y.shape[:-2], len(W), -1)
         Z = (W @ y[..., None])[..., 0].reshape(*Y.shape[:-2], params.N, params.M)
-        return link.adjoint(Z.swapaxes(-1, -2))
+        return tf_read(link, Z.swapaxes(-1, -2))
 
     @pytest.mark.parametrize("M,N,refused", [(32, 16384, False), (65536, 16, True)])
     def test_random_band_is_refused_only_where_no_solve_fits(self, M, N, refused, monkeypatch):
@@ -916,7 +928,7 @@ class TestBandLMMSE:
         bits = np.random.default_rng(73).integers(0, 2, size=(2, 3, link.n_bits))
         got = link.transmit(bits).samples
         want = ot.heisenberg(
-            link.tf_grid(map_bits(bits, link.const)), link.params, link.sc.cp_len
+            tf_map(link, map_bits(bits, link.const)), link.params, link.sc.cp_len
         ).samples
         assert got.shape == want.shape == (2, 3, link.n_samples)
         if dd:
@@ -943,7 +955,7 @@ class TestBandLMMSE:
             band = delay_band(ch, link.params, g)
             equalize = band_filter(band.reshape(*band.shape[:-2], blocks, -1), link.noise_var)
             z = equalize(rx.body.reshape(3, blocks, -1)).reshape(rx.body.shape)
-            want = link.adjoint(slot_dft(z, link.params).swapaxes(-1, -2))
+            want = tf_read(link, slot_dft(z, link.params).swapaxes(-1, -2))
             got = link.receiver(ch, g)[0](rx.body)
             assert got.shape == want.shape == (3, M * N)
             assert np.abs(got - want).max() < 1e-12
@@ -1051,8 +1063,8 @@ class TestCellMap:
             read = np.concatenate([b.reshape(2, 3, -1) for b in multiuser.downlink_split(
                 X, users, link.mode)], axis=-1)
             symbols = symbols * np.repeat(amp, link.block, axis=-1)
-        assert np.array_equal(link.tf_grid(symbols), tf)
-        assert np.array_equal(link.adjoint(X), read)
+        assert np.array_equal(tf_map(link, symbols), tf)
+        assert np.array_equal(tf_read(link, X), read)
         got = link.transmit(bits, amp).samples
         want = ot.heisenberg(tf, link.params, cp_len=2).samples
         assert got.shape == want.shape == (2, 3, link.n_samples)
@@ -1103,16 +1115,30 @@ class TestReceivePath:
     ROUNDS = (("per_slot_cp", "mmse_dd", True), ("cyclic", "mmse_dd", True),
               ("per_slot_cp", "mmse_dd", False), ("cyclic", "mmse_dd", False),
               ("per_slot_cp", "one_tap_tf", True), ("cyclic", "one_tap_tf", False))
+    #: single-user ML, drawn after them: one draw of each kind per round
+    ML_KINDS = (("OTFS", None), (None, None))
+    ML_ROUNDS = (("per_slot_cp", "ml", True), ("cyclic", "ml", True),
+                 ("per_slot_cp", "ml", False), ("cyclic", "ml", False))
+
+    @classmethod
+    def draws(cls):
+        """Every (scheme, downlink, channel mode, equalizer, random channel) drawn, in order."""
+        for kinds, rounds in ((cls.KINDS, cls.ROUNDS), (cls.ML_KINDS, cls.ML_ROUNDS)):
+            for i in range(len(rounds) * len(kinds)):
+                yield *kinds[i % len(kinds)], *rounds[i // len(kinds)]
 
     @staticmethod
     def draw_scenario(rng, scheme, downlink, mode, equalizer, random):
         """A scenario of at most 512 grid points, odd M and N = 1 among them, with
         the widest delay and Doppler bins -N/2..N/2 often, on a random or fixed channel.
-        Gaussian spreading, which builds a dense detector per draw, gets at most 128."""
+        Gaussian spreading, which builds a dense detector per draw, gets at most 128;
+        ML at most 8 (16QAM within 4), so that a frame holds at most 16 bits, and at
+        most 3 trials."""
         scheme = scheme or ("OSTF", "OFDM", "SCFDMA")[rng.integers(3)]
-        M = int(rng.integers(2, 33))
+        points = 8 if equalizer == "ml" else 128 if downlink == "tf_spread-gaussian" else 512
+        M = int(rng.integers(2, min(33, points + 1)))
         N = 1 if scheme in ("OFDM", "SCFDMA") else int(rng.choice([1, 2, 3, 4, 5, 8, 16]))
-        N = min(N, (128 if downlink == "tf_spread-gaussian" else 512) // M)
+        N = min(N, points // M)
         cp = int(rng.integers(0, M)) if mode == "per_slot_cp" else 0
         widest = cp + 1 if mode == "per_slot_cp" else M
         L = widest if rng.random() < 0.5 else int(rng.integers(1, widest + 1))
@@ -1124,15 +1150,19 @@ class TestReceivePath:
                 (int(rng.integers(L)), int(rng.integers(1 - V, V))) for _ in range(2)}
             channel = {"taps": [{"delay_bin": l, "doppler_bin": k, "re": float(rng.normal()),
                                  "im": float(rng.normal())} for l, k in sorted(at)]}
+        if equalizer != "ml" or M * N <= 4:
+            constellation = ("QPSK", "16QAM")[rng.integers(2)]
+        else:
+            constellation = "QPSK"
         d = base_dict(
             scheme=scheme,
             frame={"M": M, "N": N, "cp_len": cp},
-            constellation=("QPSK", "16QAM")[rng.integers(2)],
+            constellation=constellation,
             channel=channel,
             channel_mode=mode,
             equalizer=equalizer,
             snr_db_list=[float(rng.uniform(-5, 20))],
-            trials=int(rng.integers(2, 6)),
+            trials=int(rng.integers(2, 4 if equalizer == "ml" else 6)),
             seed=int(rng.integers(1 << 20)),
         )
         if downlink is not None:
@@ -1167,7 +1197,10 @@ class TestReceivePath:
         map's adjoint, with DFT spreading by its dense pairs, on each frame of ``body``."""
         params, mode, cp = link.params, link.sc.channel_mode, link.sc.cp_len
         mu = link.sc.multiuser
-        adjoint = link.adjoint
+
+        def adjoint(X):
+            return tf_read(link, X)
+
         if mu is not None and mu.mode == "tf_spread":
             pairs = [multiuser.dft_spreading_pair(f, t) for f, t in link.alloc.users]
 
@@ -1195,9 +1228,9 @@ class TestReceivePath:
         """Frame t's delay band as dense blocks and read in the delay-Doppler domain,
         against the probed chain (<= 1e-10); the channel of the whole stack against
         the per-tap oracle (<= 1e-12); and the stacked band, time-frequency response,
-        channel, band channel, band LMMSE and per-draw dense detector at row t
-        against frame t's own call, bitwise.  Returns the names of the band solves
-        checked, each against the dense LMMSE of the probed chain (<= 1e-10)."""
+        channel, band channel and band LMMSE at row t against frame t's own call,
+        bitwise.  Returns the names of the band solves checked, each against the
+        dense LMMSE of the probed chain (<= 1e-10)."""
         params, mode, cp = link.params, link.sc.channel_mode, link.sc.cp_len
         own = TestReceivePath.own(ch, gains[t])
         band = delay_band(ch, params, gains)
@@ -1242,22 +1275,44 @@ class TestReceivePath:
         closed = dd_analysis(y.reshape(impulses.shape)).reshape(params.dof, -1).T
         probed = ot.effective_matrix(ot.SchemeConfig("OTFS", params, cp_len=cp), own, mode)
         assert np.abs(closed - probed).max() < 1e-10
-        if not link.banded and link.sc.equalizer == "mmse_dd":
-            got = link.receiver(ch, gains)[0](body)[t]
-            assert np.array_equal(got, link._dense(own)(body[t]))
         return {solve.__name__ for solve in sides}
 
     @staticmethod
+    def check_dense(link, ch, gains, t, body):
+        """The ML or Gaussian-spreading detector of a chunk's band at row t: bitwise
+        frame t's own one-frame call, and against the probed chain of the library's
+        symbol map to the received body, ``ml_detect`` on it or its ``mmse_filter``
+        (<= 1e-10)."""
+        params, mode, cp, sc = link.params, link.sc.channel_mode, link.sc.cp_len, link.sc
+        own = TestReceivePath.own(ch, gains[t])
+        got = link.receiver(ch, gains)[0](body)[t]
+        assert np.array_equal(got, link.receiver(own)[0](body[t]))
+
+        def tx(v):  # the modem's chain, or the users' Gaussian spreading
+            if sc.multiuser is None:
+                cfg = ot.SchemeConfig(sc.scheme, params, cp_len=cp)
+                return ot.modulate(cfg, v.reshape(ot.payload_shape(cfg)))
+            blocks = list(v.reshape(link.K, link.N_D, link.M_d))
+            grid = multiuser.downlink_superpose(blocks, link.users, "tf_spread")
+            return ot.heisenberg(grid, params, cp_len=cp)
+
+        probed = chain_matrix(tx, lambda sig: ot.apply_channel(sig, own, params, mode=mode).body,
+                              link.K * link.block)
+        if sc.equalizer == "ml":
+            assert np.array_equal(got, ot.ml_detect(body[t], probed, link.const))
+        else:
+            assert np.abs(got - ot.mmse_filter(probed, link.noise_var) @ body[t]).max() < 1e-10
+
+    @staticmethod
     def check_gain_rows(link, ch, gains):
-        """Each gain row's slot operators against the probed OSTF chain (<= 1e-10) and,
-        bitwise, against those of its own channel; each row of the stacked
-        time-frequency response against the factored reference (<= 1e-12)."""
+        """Each gain row's slot operators against the probed OSTF chain (<= 1e-10);
+        each row of the stacked time-frequency response against the factored
+        reference (<= 1e-12)."""
         params, mode, cp = link.params, link.sc.channel_mode, link.sc.cp_len
         H = ot.tf_channel(ch, params, gains)
         for g, h in zip(gains, H):
             own = TestReceivePath.own(ch, g)
-            T = ot.slot_operators(ch, params, mode, g)
-            assert np.array_equal(T, ot.slot_operators(own, params, mode))
+            T = ot.slot_operators(own, params, mode)
             probed = chain_matrix(
                 lambda v: ot.heisenberg(v.reshape(params.N, params.M).T, params, cp_len=cp),
                 lambda sig: ot.wigner(ot.apply_channel(sig, own, params, mode=mode), params).T,
@@ -1273,9 +1328,7 @@ class TestReceivePath:
         # a fixed count of draws: every link kind in every round
         rng = np.random.default_rng(2026)
         routes, solvers, slots = set(), set(), set()
-        for i in range(len(self.ROUNDS) * len(self.KINDS)):
-            scheme, downlink = self.KINDS[i % len(self.KINDS)]
-            mode, equalizer, random = self.ROUNDS[i // len(self.KINDS)]
+        for i, (scheme, downlink, mode, equalizer, random) in enumerate(self.draws()):
             sc = self.draw_scenario(rng, scheme, downlink, mode, equalizer, random)
             link = _Link(sc, _noise_var(sc.snr_db_list[0]))
             ch, gains, bits, noise = link.draw(_TrialStreams(sc.seed, 0, 0), 0, sc.trials)
@@ -1290,6 +1343,8 @@ class TestReceivePath:
             scaled = g * np.arange(1, sc.trials + 1)[:, None]
             solvers |= self.check_layers(link, ch, scaled, i % sc.trials, sig, noise, rxsig.body)
             self.check_gain_rows(link, ch, scaled)
+            if not link.banded and equalizer != "one_tap_tf":
+                self.check_dense(link, ch, scaled, i % sc.trials, rxsig.body)
             if link.banded:  # every frame against its probed LMMSE and, bitwise, alone
                 got = detect(rxsig.body)
                 if gains is None:  # one channel: one probed filter for every frame
