@@ -16,7 +16,10 @@ water-filled ``tf_alloc`` downlink on a random channel
 channels, captured while they still read the slot operators: ``cyclic``
 Gaussian ``tf_spread`` under the joint LMMSE
 (``tf_spread_gaussian_mmse_random_cyclic``) and single-user ML
-(``otfs_ml_random``).  Every scenario is re-run at 1, 2 and 8
+(``otfs_ml_random``).  One pins single-user one-tap on a fixed channel
+over several chunks a point, captured while one-tap still received by
+``apply_channel``: ``cyclic`` OSTF with delay gaps and a Doppler tap at
++N/2 (``ostf_onetap_fixed_cyclic``).  Every scenario is re-run at 1, 2 and 8
 workers.  A mismatch means a fast path changed a hard decision,
 the RNG draw order or the merge order of trial ranges; do not regenerate
 a CSV to make it pass.
