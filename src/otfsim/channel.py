@@ -25,13 +25,14 @@ Both modes implement, on body samples s, with w = exp(2j*pi/(M*N)),
 As w^(k*(s - l)) = w^(-l*k) * w^(k*s), each tap is a Doppler ramp w^(k*s)
 times its twisted gain gain * w^(-l*k), formed in :func:`_tap_arrays` alone.
 :func:`delay_band` holds the channel as its L_max delay diagonals, those
-ramps, and :func:`band_channel` reads the received body from them;
-:func:`apply_channel` builds them one delay at a time and :func:`tf_channel`
-their first column, each with a gain set per frame.  :func:`band_blocks`
-scatters them into the dense time-domain blocks, which :func:`slot_operators`
-sees through the per-slot DFT (the OFDM/OSTF view) and
-:func:`dd_domain_operator` through the Doppler DFT (the OTFS view), each
-checked against a brute-force reference in :mod:`otfsim.oracles`.
+ramps, and :func:`delay_rows` builds those that carry taps one at a time:
+:func:`band_channel` reads the received body from either, row by row,
+:func:`apply_channel` the rows at the Doppler clock over the prefixed stream
+and :func:`tf_channel` the band's first column, each with a gain set per
+frame.  :func:`band_blocks` scatters them into the dense time-domain blocks,
+which :func:`slot_operators` sees through the per-slot DFT (the OFDM/OSTF
+view) and :func:`dd_domain_operator` through the Doppler DFT (the OTFS
+view), each checked against a brute-force reference in :mod:`otfsim.oracles`.
 """
 
 from __future__ import annotations
@@ -179,10 +180,9 @@ def apply_channel(
     ``noise`` instead adds a pre-drawn (real, imaginary) pair.  See the
     module docstring for the two modes.
 
-    Delay l's row of :func:`delay_band`, built alone and read at the Doppler
-    clock, weights the stream delayed by l (rolled or zero-filled by mode).
-    Without ``gains`` the rows are kept for the last channel, frame and
-    prefix applied, so a fixed channel's chunks build them once.
+    Delay l's row of :func:`delay_band`, built alone by :func:`delay_rows` and
+    read at the Doppler clock, weights the stream delayed by l (rolled or
+    zero-filled by mode).
 
     ``sig`` may be a stack of frames (samples of shape (..., frame length)).
     ``gains`` of shape (..., taps) then gives each frame its own tap
@@ -205,12 +205,11 @@ def apply_channel(
     lead = x[..., total - L + 1:] if mode == "cyclic" else np.zeros((*x.shape[:-1], L - 1))
     stream = np.concatenate([lead, x], axis=-1)
     r = np.zeros(x.shape, dtype=np.complex128)
+    # the Doppler clock, held at the slot's first body sample in its prefix
+    clock = np.maximum(0, np.arange(params.M + sig.cp_len) - sig.cp_len)
     # one delay d (that carries taps) at a time: no temporary outgrows the stream stack
-    if gains is None:
-        rows = _fixed_delay_rows(ch, params, sig.cp_len)
-    else:
-        rows = _delay_rows(ch, params, sig.cp_len, gains)
-    for d, row in rows:
+    for d, row in delay_rows(ch, params, gains):
+        row = np.take(row, clock, axis=-1).reshape(*row.shape[:-2], -1)
         r += row * stream[..., L - 1 - d : L - 1 - d + total]
 
     if noise_var > 0:
@@ -221,26 +220,27 @@ def apply_channel(
     return replace(sig, samples=r)
 
 
-def band_channel(band: np.ndarray, sig: TimeSignal, mode: str, noise: tuple | None = None):
+def band_channel(rows, sig: TimeSignal, mode: str, noise: tuple | None = None):
     """:func:`apply_channel`'s body samples (..., M*N), bitwise, from the channel's
-    :func:`delay_band` (..., L_max, N, M) and the (real, imaginary) ``noise`` pair.
+    (delay, row) pairs in ascending delay and the (real, imaginary) ``noise`` pair.
 
-    Each block (a slot in ``per_slot_cp`` mode, the frame in ``cyclic`` mode)
-    takes r[p] = sum_l band_l[p] * x[(p - l) mod B], delays in ascending
-    order, x[p - l] read from the slot's prefix or the frame's tail.
+    A row (..., N, M) is :func:`delay_band`'s at that delay: a band's
+    :func:`band_rows`, or the :func:`delay_rows` of the delays that carry
+    taps.  Each block (a slot in ``per_slot_cp`` mode, the frame in
+    ``cyclic`` mode) takes r[p] = sum_d row_d[p] * x[(p - d) mod B], x[p - d]
+    read from the slot's prefix, which must hold d, or round the frame.
     """
-    L, N, M = band.shape[-3:]
-    lead = L - 1 if mode == "cyclic" else sig.cp_len
-    if lead < L - 1 or (mode == "cyclic" and sig.cp_len):
-        raise ConfigError(f"a {mode} frame with prefix {sig.cp_len} cannot hold {L} delays")
-    blocks = 1 if mode == "cyclic" else N
+    N, M = sig.num_slots, sig.body_len
+    blocks, lead = (1, M * N - 1) if mode == "cyclic" else (N, sig.cp_len)
     x = sig.samples.reshape(*sig.samples.shape[:-1], blocks, -1)
-    if mode == "cyclic":
-        x = np.concatenate([x[..., M * N - lead:], x], axis=-1)
-    band = band.reshape(*band.shape[:-2], blocks, -1)
-    r = np.zeros((*x.shape[:-1], band.shape[-1]), dtype=np.complex128)
-    for l in range(L):
-        r += band[..., l, :, :] * x[..., lead - l : lead - l + r.shape[-1]]
+    if mode == "cyclic":  # the frame led by all of it but its first sample
+        x = np.concatenate([x[..., 1:], x], axis=-1)
+    r = np.zeros((*x.shape[:-1], M * N // blocks), dtype=np.complex128)
+    for d, row in rows:
+        if d > lead or mode == "cyclic" and sig.cp_len:
+            raise ConfigError(f"a {mode} frame with prefix {sig.cp_len} cannot hold delay {d}")
+        row = row.reshape(*row.shape[:-2], blocks, -1)
+        r += row * x[..., lead - d : lead - d + r.shape[-1]]
     r = r.reshape(*r.shape[:-2], N, M)
     if noise is not None:
         r.real += noise[0].reshape(*r.shape[:-1], -1)[..., sig.cp_len:]
@@ -248,31 +248,21 @@ def band_channel(band: np.ndarray, sig: TimeSignal, mode: str, noise: tuple | No
     return r.reshape(*r.shape[:-2], -1)
 
 
-def _delay_rows(ch: DDChannelSpec, params: FrameParams, cp_len: int, gains=None):
-    """Yields (d, row) for each delay d that carries taps: its :func:`delay_band`
-    row (..., frame length), the ramp of its twisted gains read at the Doppler clock."""
+def band_rows(band: np.ndarray):
+    """The (delay, row) pairs of a :func:`delay_band` (..., L_max, N, M), in ascending delay."""
+    return enumerate(np.moveaxis(band, -3, 0))
+
+
+def delay_rows(ch: DDChannelSpec, params: FrameParams, gains: np.ndarray | None = None):
+    """Yields (d, row) in ascending delay for each delay d that carries taps:
+    :func:`delay_band`'s row d (..., N, M), built alone, the Doppler ramp of
+    its twisted gains; ``gains`` (..., taps) as there."""
+    check_taps(ch, params)
     l, k, g = _tap_arrays(ch, params, gains)
-    # the Doppler clock, held at the slot's first body sample in its prefix
-    q = np.maximum(0, np.arange(params.M + cp_len) - cp_len)
-    clock = (np.arange(params.N)[:, None] * params.M + q).reshape(-1)
     for d in np.unique(l):
         at = l == d
-        ramp = _doppler_ramps(0, k[at], g[..., at], (1, params.dof))[..., 0, :]
-        yield d, np.take(ramp, clock, axis=-1)
-
-
-#: the (channel, frame, prefix) key and the delay rows of the last fixed channel applied
-_fixed_rows = (None, None)
-
-
-def _fixed_delay_rows(ch: DDChannelSpec, params: FrameParams, cp_len: int) -> list:
-    """:func:`_delay_rows` of a fixed channel, kept for the last key only."""
-    global _fixed_rows
-    key = (ch, params, cp_len)
-    if _fixed_rows[0] != key:
-        _fixed_rows = None, None  # the old rows go before the new ones are built
-        _fixed_rows = key, list(_delay_rows(ch, params, cp_len))
-    return _fixed_rows[1]
+        ramp = _doppler_ramps(0, k[at], g[..., at], (1, params.dof))
+        yield d, ramp.reshape(*g.shape[:-1], params.N, params.M)
 
 
 # ---------------------------------------------------------------------------

@@ -361,12 +361,12 @@ def mmse_dd(y: np.ndarray, h_eff: np.ndarray, noise_var: float) -> np.ndarray:
 def ml_detect(y: np.ndarray, h_eff: np.ndarray, constellation: Constellation) -> np.ndarray:
     """Exhaustive maximum-likelihood detection over the full symbol grid.
 
-    Minimises ||y - H c|| over every candidate symbol vector; ties break
-    to the lowest candidate index (candidates enumerated with the first
-    symbol most significant).  Refuses problems with more than
-    ``ML_GUARD_BITS`` total bits.
+    Minimises ||y - H c|| over every candidate c, formed with H c once per
+    call, for each frame of y (..., rows); ties break to the lowest candidate
+    index (candidates enumerated with the first symbol most significant).
+    Refuses problems with more than ``ML_GUARD_BITS`` total bits.
     """
-    y = np.asarray(y, dtype=np.complex128).reshape(-1)
+    y = np.asarray(y, dtype=np.complex128)
     h_eff = np.asarray(h_eff, dtype=np.complex128)
     n = h_eff.shape[1]
     total_bits = n * constellation.bits_per_symbol
@@ -378,7 +378,8 @@ def ml_detect(y: np.ndarray, h_eff: np.ndarray, constellation: Constellation) ->
     grids = np.meshgrid(*([np.arange(Q)] * n), indexing="ij")
     idx = np.stack([g.reshape(-1) for g in grids], axis=1)  # (Q^n, n), lexicographic
     cands = constellation.points[idx]  # (Q^n, n)
-    resid = y[None, :, None] - h_eff[None, :, :] @ cands[:, :, None]
-    cost = np.sum(np.abs(resid[:, :, 0]) ** 2, axis=1)
-    best = int(np.argmin(cost))  # argmin keeps the first (lowest) index on ties
-    return constellation.points[idx[best]]  # a copy, not a view of the candidate table
+    hc = (h_eff[None, :, :] @ cands[:, :, None])[:, :, 0]
+    # argmin keeps the first (lowest) index on ties
+    best = [np.argmin(np.sum(np.abs(v - hc) ** 2, axis=1)) for v in y.reshape(-1, y.shape[-1])]
+    # a copy, not a view of the candidate table
+    return constellation.points[idx[np.reshape(best, y.shape[:-1])]]

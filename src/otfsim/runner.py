@@ -31,17 +31,18 @@ channel once for its detector, the received body it detects and, on a
 budgeted downlink, the water-filled user amplitudes: a fixed channel's
 receiver is built once for the point.
 A random chunk is one tap grid with a (T, taps) gain stack: its channel,
-delay band and one-tap responses take one call each.  Every detector but
-one-tap reads the channel as one delay band per chunk (per link for a
-fixed channel), which also forms the received body samples.  A unitary
+delay band and one-tap responses take one call each.  Every link receives
+by ``band_channel``, one delay row at a time.  Every detector but one-tap
+reads the channel as one delay band per chunk (per link for a fixed
+channel), whose rows also form the received body.  A unitary
 map's LMMSE inverts it, a fixed channel's as one filter per block, a
 random chunk's by one solve of every frame's blocks: a cyclic reduction,
 which never forms their dense Gram, where ``band_solver`` measures it
 faster or the Gram alone would break the guard, else the dense Gram
 stack.  ML and Gaussian spreading build one dense detector per draw, its
-band's blocks times the user map's body samples.  One-tap applies the
-channel one delay row at a time, as a whole band of a sparse, wide-delay
-channel's frames could outgrow the stream stack.
+band's blocks times the user map's body samples.  One-tap streams the
+rows of the delays that carry taps alone, as a whole band of a sparse,
+wide-delay channel's frames could outgrow the stream stack.
 Every link but Gaussian spreading is a cell map: its symbols sit on cells
 of one grid, the (N, M) delay-Doppler grid that the ISFFT spreads for OTFS,
 SC-FDMA and ``dd_mapped`` (a DFT ``tf_spread`` downlink is one), else the
@@ -70,12 +71,14 @@ from .channel import (
     EFFECTIVE_GUARD,
     FRAME_GUARD,
     DDChannelSpec,
-    apply_channel,
+    apply_channel,  # noqa: F401 -- unused here; bench/tracing.py wraps runner.apply_channel
     band_blocks,
     band_channel,
+    band_rows,
     check_blocks,
     check_taps,
     delay_band,
+    delay_rows,
     random_channel,
     random_gains,
     tf_channel,
@@ -544,21 +547,24 @@ class _Link:
         amplitudes or None, and the received body of a transmitted stack and
         its noise, ``receive(sig, noise)``.
 
-        ``gains`` (T, taps) gives frame t ``ch``'s taps with gains[t].  One-tap
-        reads one ``tf_channel`` call, for its detector and (a budget implies
-        one-tap) the users' water-filling, and receives by ``apply_channel``.
-        Every other link reads the delay band of all its frames, which
-        ``receive`` applies as the channel, built after the guard.  A unitary
-        map's LMMSE equalises the blocks (slots, or the ``cyclic`` frame) of
-        all frames at once on the band: a fixed channel's filter is dense
-        (``check_blocks``), random draws are refused only where neither the
-        dense Gram nor the cyclic reduction fits (``band_solver``).  ML and
-        Gaussian spreading take one :meth:`_dense` detector per frame's band.
+        ``gains`` (T, taps) gives frame t ``ch``'s taps with gains[t].  Every
+        ``receive`` is ``band_channel`` of delay rows.  One-tap reads one
+        ``tf_channel`` call, for its detector and (a budget implies one-tap)
+        the users' water-filling, and the ``delay_rows`` of a fixed channel
+        once, a random chunk's as ``receive`` streams them.  Every other link
+        reads the delay band of all its frames, built after the guard, for
+        its detector and its rows.  A unitary map's LMMSE equalises the blocks
+        (slots, or the ``cyclic`` frame) of all frames at once on the band: a
+        fixed channel's filter is dense (``check_blocks``), random draws are
+        refused only where neither the dense Gram nor the cyclic reduction fits
+        (``band_solver``).  ML and Gaussian spreading take one :meth:`_dense`
+        detector per frame's band.
         """
         sc, params, noise_var, mode = self.sc, self.params, self.noise_var, self.sc.channel_mode
+        amp = None
         if sc.equalizer == "one_tap_tf":
             H = tf_channel(ch, params, gains)
-            amp, mu = None, sc.multiuser
+            mu = sc.multiuser
             if mu is not None and mu.power_budget is not None:
                 # user k's cells f*N + t in np.ix_ order; gathered contiguous,
                 # each user's mean rounds as its lone (f, t) block's does
@@ -573,35 +579,35 @@ class _Link:
                 X = one_tap_tf(slot_dft(body, params).swapaxes(-1, -2), H, noise_var)
                 return self.read(sfft(X) if self.dd else X)
 
-            def receive(sig, noise):
-                return apply_channel(sig, ch, params, mode=mode, gains=gains, noise=noise).body
-
-            return detect, amp, receive
-        if self.banded and gains is not None:
-            band_solver(ch.L_max, self.blocks, params.dof // self.blocks)
+            # a fixed channel's rows are built once, a random chunk's streamed
+            held = None if gains is not None else list(delay_rows(ch, params))
+            rows = lambda: delay_rows(ch, params, gains) if held is None else held
         else:
-            check_blocks(params, mode)
-        band = delay_band(ch, params, gains)
-        blocks = band.reshape(*band.shape[:-2], self.blocks, -1)
+            if self.banded and gains is not None:
+                band_solver(ch.L_max, self.blocks, params.dof // self.blocks)
+            else:
+                check_blocks(params, mode)
+            band = delay_band(ch, params, gains)
+            blocks = band.reshape(*band.shape[:-2], self.blocks, -1)
+            rows = lambda: band_rows(band)
+            if not self.banded and gains is None:
+                detect = self._dense(blocks)
+            elif not self.banded:  # one detector per draw: a stacked filter is no faster
+                each = [self._dense(b) for b in blocks]
+                detect = lambda body: np.stack([d(b) for d, b in zip(each, body)])
+            else:
+                equalize = band_filter(blocks, noise_var)
+
+                def detect(body):
+                    z = equalize(body.reshape(*body.shape[:-1], self.blocks, -1)).reshape(body.shape)
+                    if self.dd:
+                        return self.read(dd_analysis(z.reshape(*z.shape[:-1], params.N, params.M)))
+                    return self.read(slot_dft(z, params).swapaxes(-1, -2))
 
         def receive(sig, noise):
-            return band_channel(band, sig, mode, noise)
+            return band_channel(rows(), sig, mode, noise)
 
-        if not self.banded:
-            if gains is None:
-                return self._dense(blocks), None, receive
-            # one detector per draw: a stacked filter is no faster and holds more
-            each = [self._dense(b) for b in blocks]
-            return (lambda body: np.stack([d(b) for d, b in zip(each, body)])), None, receive
-        equalize = band_filter(blocks, noise_var)
-
-        def detect(body):
-            z = equalize(body.reshape(*body.shape[:-1], self.blocks, -1)).reshape(body.shape)
-            if self.dd:
-                return self.read(dd_analysis(z.reshape(*z.shape[:-1], params.N, params.M)))
-            return self.read(slot_dft(z, params).swapaxes(-1, -2))
-
-        return detect, None, receive
+        return detect, amp, receive
 
     def _dense(self, band: np.ndarray):
         """The ML or LMMSE detector of one channel's frames, given its delay band
@@ -611,9 +617,7 @@ class _Link:
         H = band_blocks(band)
         A = (H @ U.reshape(len(H), H.shape[-1], -1)).reshape(self.params.dof, -1)
         if self.sc.equalizer == "ml":
-            # one exhaustive search per frame: its Q^n x rows residuals are
-            # held once, not once per frame of the stack
-            return lambda body: np.apply_along_axis(ml_detect, -1, body, A, self.const)
+            return lambda body: ml_detect(body, A, self.const)
         W = mmse_filter(A, self.noise_var)
         return lambda body: (W @ body[..., None])[..., 0]
 

@@ -130,20 +130,25 @@ def _check_trial_stream() -> CheckResult:
 
 
 def _check_band_channel() -> CheckResult:
-    # a chunk of a seeded banded link per mode, Doppler -N/2..N/2 and the widest delay each allows
+    # a chunk of a seeded link per mode, banded and one-tap, on a random channel and on a
+    # fixed one with a delay gap: Doppler -N/2..N/2 and the widest delay each mode allows
     differ = 0
     for mode, cp_len, L in (("per_slot_cp", 2, 3), ("cyclic", 0, 5)):
-        sc = runner.scenario_from_dict({
-            "frame": {"M": 5, "N": 4, "cp_len": cp_len}, "scheme": "OTFS", "constellation": "QPSK",
-            "channel": {"random": {"L_max": L, "V_max": 3}}, "channel_mode": mode,
-            "equalizer": "mmse_dd", "snr_db_list": [3.0], "trials": 3, "seed": _SEED,
-        })
-        link = runner._Link(sc, 0.5)
-        ch, gains, bits, noise = link.draw(runner._TrialStreams(sc.seed, 0, 0), 0, sc.trials)
-        sig = link.transmit(bits)
-        got = link.receiver(ch, gains)[2](sig, noise)
-        want = channel.apply_channel(sig, ch, link.params, mode=mode, gains=gains, noise=noise)
-        differ += int(np.sum(got != want.body))
+        fixed = [{"delay_bin": l, "doppler_bin": k, "re": 0.6, "im": 0.2 * l}
+                 for l, k in ((0, 0), (L - 1, 2), (L - 1, -2))]
+        for equalizer, chan in [(e, c) for e in ("mmse_dd", "one_tap_tf")
+                                for c in ({"random": {"L_max": L, "V_max": 3}}, {"taps": fixed})]:
+            sc = runner.scenario_from_dict({
+                "frame": {"M": 5, "N": 4, "cp_len": cp_len}, "scheme": "OTFS", "channel": chan,
+                "constellation": "QPSK", "channel_mode": mode, "equalizer": equalizer,
+                "snr_db_list": [3.0], "trials": 3, "seed": _SEED,
+            })
+            link = runner._Link(sc, 0.5)
+            ch, gains, bits, noise = link.draw(runner._TrialStreams(sc.seed, 0, 0), 0, sc.trials)
+            sig = link.transmit(bits)
+            got = link.receiver(ch, gains)[2](sig, noise)
+            want = channel.apply_channel(sig, ch, link.params, mode=mode, gains=gains, noise=noise)
+            differ += int(np.sum(got != want.body))
     return CheckResult("band_channel", differ == 0, f"{differ} received body samples differ")
 
 
@@ -160,7 +165,7 @@ def _check_band_lmmse() -> CheckResult:
         link = runner._Link(sc, 0.5)
         ch, gains, bits, noise = link.draw(runner._TrialStreams(sc.seed, 0, 0), 0, sc.trials)
         band = channel.delay_band(ch, link.params, gains)
-        y = channel.band_channel(band, link.transmit(bits), mode, noise)
+        y = channel.band_channel(channel.band_rows(band), link.transmit(bits), mode, noise)
         band, y = band.reshape(sc.trials, L, link.blocks, -1), y.reshape(sc.trials, link.blocks, -1)
         got = equalizer._band_adjoint(band, equalizer._reduce_solve(band, y, link.noise_var))
         want = equalizer._band_adjoint(band, equalizer._dense_solve(band, y, link.noise_var))

@@ -44,6 +44,11 @@ EXTRA = {
 }
 
 
+def test_extra_names_are_not_golden_names():
+    # an EXTRA key that a golden also took would run one name twice, the golden's unseen
+    assert not set(EXTRA) & set(SCENARIOS)
+
+
 def scenario(name):
     if name in EXTRA:
         return scenario_from_dict(EXTRA[name])

@@ -8,7 +8,9 @@ from numpy.testing import assert_allclose
 
 import otfsim as ot
 from otfsim import channel
-from otfsim.channel import EFFECTIVE_GUARD, band_blocks, check_blocks, delay_band, draw_noise
+from otfsim.channel import (
+    EFFECTIVE_GUARD, band_blocks, band_rows, check_blocks, delay_band, draw_noise,
+)
 from otfsim.errors import ConfigError, GuardError
 from otfsim.oracles import COUPLING_GUARD, chain_matrix
 
@@ -215,69 +217,6 @@ class TestApplyChannel:
         assert np.abs(got - per_tap_channel_oracle(sig, ch, params, mode, gains)).max() <= 1e-12
         got = ot.apply_channel(one, ch, params, mode=mode).samples
         assert np.abs(got - per_tap_channel_oracle(one, ch, params, mode)).max() <= 1e-12
-
-
-class TestFixedDelayRows:
-    """A fixed channel's delay rows, kept for the last channel, frame and prefix."""
-
-    def setup_method(self):
-        self.params = ot.make_frame(16, 4)
-        rng = np.random.default_rng(15)
-        self.ch = ot.random_channel(4, 2, rng)
-        self.X = rng.normal(size=(5, 16, 4)) + 1j * rng.normal(size=(5, 16, 4))
-        self.sig = ot.heisenberg(self.X, self.params, cp_len=3)
-        self.gains = rng.normal(size=(5, len(self.ch.taps))) + 0j
-
-    def apply(self, ch, **kw):
-        return ot.apply_channel(self.sig, ch, self.params, **kw).samples
-
-    def test_kept_rows_equal_a_cold_build_and_the_oracle(self, monkeypatch):
-        monkeypatch.setattr(channel, "_fixed_rows", (None, None))
-        built = []
-        real = channel._delay_rows
-        monkeypatch.setattr(channel, "_delay_rows", lambda *a: built.append(a) or real(*a))
-        cold = self.apply(self.ch)
-        warm = self.apply(self.ch)
-        assert len(built) == 1
-        assert np.array_equal(warm, cold)
-        oracle = per_tap_channel_oracle(self.sig, self.ch, self.params, "per_slot_cp")
-        assert np.abs(warm - oracle).max() <= 1e-12
-        # the same channel and frame with a longer prefix: another clock
-        longer = ot.heisenberg(self.X, self.params, cp_len=5)
-        got = ot.apply_channel(longer, self.ch, self.params).samples
-        oracle = per_tap_channel_oracle(longer, self.ch, self.params, "per_slot_cp")
-        assert len(built) == 2 and np.abs(got - oracle).max() <= 1e-12
-
-    def test_random_gains_between_fixed_calls(self, monkeypatch):
-        monkeypatch.setattr(channel, "_fixed_rows", (None, None))
-        first = self.apply(self.ch)
-        kept = channel._fixed_rows
-        drawn = self.apply(self.ch, gains=self.gains)
-        assert channel._fixed_rows is kept
-        assert np.array_equal(self.apply(self.ch), first)
-        oracle = per_tap_channel_oracle(self.sig, self.ch, self.params, "per_slot_cp", self.gains)
-        assert np.abs(drawn - oracle).max() <= 1e-12
-
-    def test_another_key_replaces_the_rows(self, monkeypatch):
-        # 16 delays of a 64 x 8 frame: holding two channels' rows would
-        # hold 32 frames; one channel's rows and the call's own arrays hold fewer
-        monkeypatch.setattr(channel, "_fixed_rows", (None, None))
-        params = ot.make_frame(64, 8)
-        sig = ot.heisenberg(np.ones((64, 8)), params, cp_len=15)
-        frame = sig.samples.nbytes
-        a, b = (ot.DDChannelSpec(tuple((l, 0, g) for l in range(16))) for g in (1.0, 0.5))
-        tracemalloc.start()
-        try:
-            ot.apply_channel(sig, a, params)
-            assert 16 * frame <= tracemalloc.get_traced_memory()[0] < 17 * frame
-            tracemalloc.reset_peak()
-            ot.apply_channel(sig, b, params)
-            held, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert channel._fixed_rows[0][0] is b
-        assert 16 * frame <= held < 17 * frame
-        assert peak < 24 * frame
 
 
 class TestNoiseWhiteness:
@@ -695,17 +634,18 @@ class TestDelayBand:
             got = delay_band(ch, params, gains)
             assert np.abs(got - want.reshape(got.shape)).max() <= 1e-12
 
-    @pytest.mark.parametrize("cp", [0, 2])
-    def test_delay_rows_read_the_band_at_the_body_clock(self, cp):
-        # each row's body samples are bitwise the band's row d
+    def test_delay_rows_are_the_band_rows(self):
+        # bitwise the band's rows, in ascending delay, at the delays that carry taps only
         params, ch, stack = self.widest_case()
-        for gains in (None, stack):
-            band = delay_band(ch, params, gains)
-            rows = dict(channel._delay_rows(ch, params, cp, gains))
-            assert sorted(rows) == list(range(ch.L_max))
-            for d, row in rows.items():
-                body = row.reshape(*row.shape[:-1], params.N, -1)[..., cp:]
-                assert np.array_equal(body, band[..., d, :, :])
+        keep = [t.delay_bin in (1, 4, 6) for t in ch.taps]
+        gapped = ot.DDChannelSpec(tuple(t for t, k in zip(ch.taps, keep) if k))
+        for c, drawn in ((ch, stack), (gapped, stack[..., keep])):
+            for gains in (None, drawn):
+                band = delay_band(c, params, gains)
+                rows = list(channel.delay_rows(c, params, gains))
+                assert [d for d, _ in rows] == sorted({t.delay_bin for t in c.taps})
+                for d, row in rows:
+                    assert np.array_equal(row, band[..., d, :, :])
 
     def test_tf_channel_is_the_delay_fft_of_the_band(self):
         params, ch, stack = self.widest_case()
@@ -745,8 +685,11 @@ class TestBandChannel:
             params, ch, gains, sig = self.draw_case(rng, mode)
             noise = draw_noise(rng, 0.3, sig.samples.shape) if case % 3 else None
             want = ot.apply_channel(sig, ch, params, mode=mode, gains=gains, noise=noise).body
-            got = channel.band_channel(delay_band(ch, params, gains), sig, mode, noise)
-            assert got.shape == want.shape and np.array_equal(got, want), case
+            # the rows of the whole band, and those of the delays that carry taps alone
+            for rows in (band_rows(delay_band(ch, params, gains)),
+                         channel.delay_rows(ch, params, gains)):
+                got = channel.band_channel(rows, sig, mode, noise)
+                assert got.shape == want.shape and np.array_equal(got, want), case
             M, N = params.M, params.N
             seen |= {(mode, gains is None, sig.samples.ndim > 1, noise is None),
                      "odd M" * (M % 2), "N = 1" * (N == 1), "prefix full" * (ch.L_max - 1 == sig.cp_len > 0),
@@ -761,8 +704,11 @@ class TestBandChannel:
 
     def test_short_prefix_refused(self):
         params = ot.make_frame(6, 2)
-        band = delay_band(ot.DDChannelSpec(((3, 0, 1.0),)), params)
-        with pytest.raises(ConfigError, match="prefix"):
-            channel.band_channel(band, ot.heisenberg(np.ones((6, 2)), params, cp_len=2), "per_slot_cp")
-        with pytest.raises(ConfigError, match="prefix"):
-            channel.band_channel(band, ot.heisenberg(np.ones((6, 2)), params, cp_len=3), "cyclic")
+        ch = ot.DDChannelSpec(((3, 0, 1.0),))
+        short = ot.heisenberg(np.ones((6, 2)), params, cp_len=2)
+        prefixed = ot.heisenberg(np.ones((6, 2)), params, cp_len=3)
+        for rows in (lambda: band_rows(delay_band(ch, params)), lambda: channel.delay_rows(ch, params)):
+            with pytest.raises(ConfigError, match="prefix"):
+                channel.band_channel(rows(), short, "per_slot_cp")
+            with pytest.raises(ConfigError, match="prefix"):
+                channel.band_channel(rows(), prefixed, "cyclic")

@@ -443,12 +443,14 @@ class TestSelftest:
         assert "[FAIL] trial_stream" in out and out.count("[PASS]") == 8
 
     def test_injected_band_misread_caught(self, monkeypatch, capsys):
-        # negative control: the band read one sample late round each block, at
-        # the name through which the link's receive calls it
+        # negative control: each delay row read one sample late round each slot,
+        # at the name through which the link's receive calls it
         real = otfsim.runner.band_channel
-        monkeypatch.setattr(
-            otfsim.runner, "band_channel", lambda band, *a: real(np.roll(band, 1, axis=-1), *a)
-        )
+
+        def late(rows, *a):
+            return real(((d, np.roll(row, 1, axis=-1)) for d, row in rows), *a)
+
+        monkeypatch.setattr(otfsim.runner, "band_channel", late)
         assert main(["selftest"]) == EXIT_INVARIANT
         out = capsys.readouterr().out
         assert "[FAIL] band_channel" in out and out.count("[PASS]") == 8

@@ -204,6 +204,18 @@ class TestMLDetect:
         with pytest.raises(GuardError):
             ml_detect(np.zeros(n + 1), np.eye(n + 1), c)
 
+    def test_stack_equals_per_frame_calls(self):
+        # one call on a (2, 3, rows) stack equals each frame's 1-D call, bitwise
+        rng = np.random.default_rng(308)
+        c = get_constellation("QPSK")
+        H = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+        y = rng.normal(size=(2, 3, 4)) + 1j * rng.normal(size=(2, 3, 4))
+        got = ml_detect(y, H, c)
+        assert got.shape == (2, 3, 3)
+        for idx in np.ndindex(2, 3):
+            assert np.array_equal(got[idx], ml_detect(y[idx], H, c))
+        assert np.array_equal(ml_detect(y[1, :1], H, c), got[1, :1])
+
     def test_ml_beats_mmse_on_symbol_errors(self):
         # same realisations through both detectors; ML is the floor
         rng = np.random.default_rng(307)

@@ -65,7 +65,8 @@ def test_papr_ccdf_reproduces_golden_csv(name):
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_detector_never_probes_the_channel(name, monkeypatch):
     # every detector reads the received body samples through closed-form
-    # channel operators; the probed chain is a test oracle only
+    # channel operators, and every receive forms them by band_channel; the
+    # probed chain and apply_channel are test oracles only
     def refuse(*args, **kwargs):
         raise AssertionError("detector build probed the channel chain")
 
@@ -80,8 +81,11 @@ def test_detector_never_probes_the_channel(name, monkeypatch):
     assert callable(detect)
     # a 2-frame gain stack: the chunk path, one detector per draw for ML and Gaussian spreading
     gains = np.array([[t.gain for t in ch.taps] for ch in draws])
-    detect, _, _ = link.receiver(draws[0], gains)
+    detect, _, receive = link.receiver(draws[0], gains)
     assert detect(np.zeros((2, sc.params.dof))).shape == (2, link.K * link.block)
+    sig = link.transmit(np.zeros((2, link.n_bits), dtype=np.int64))
+    assert receive(sig, None).shape == (2, sc.params.dof)
+    assert link.receiver(draws[0])[2](sig, None).shape == (2, sc.params.dof)
 
 
 @pytest.mark.parametrize("name", ["otfs_mmse_random", "tf_alloc_mmse_random"])
@@ -133,3 +137,17 @@ def test_random_one_tap_reads_one_response_per_chunk(name, monkeypatch):
     monkeypatch.setattr(runner, "CHUNK_SAMPLES", 5 * _Link(sc).n_samples)
     assert format_csv(run(sc)) == (GOLDEN / f"{name}.csv").read_text()
     assert len(calls) == -(-sc.trials // 5) * len(sc.snr_db_list)
+
+
+def test_fixed_one_tap_builds_its_rows_once_per_link(monkeypatch):
+    # a fixed one-tap link builds its channel's delay rows once, and each of
+    # the point's 3 chunks receives through them
+    calls = []
+    delay_rows = runner.delay_rows
+    monkeypatch.setattr(
+        runner, "delay_rows", lambda *a, **k: calls.append(1) or delay_rows(*a, **k)
+    )
+    sc = load_scenario(GOLDEN / "ostf_onetap_fixed_cyclic.json")
+    assert -(-sc.trials // _Link(sc).chunk) == 3
+    assert format_csv(run(sc)) == (GOLDEN / "ostf_onetap_fixed_cyclic.csv").read_text()
+    assert len(calls) == len(sc.snr_db_list)

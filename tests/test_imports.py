@@ -3,9 +3,11 @@ brute-force references in ``oracles`` stay out of the library's layers, and
 the library and its tests need nothing beyond the standard library, numpy
 and pytest.
 
-``runner`` keeps three names it never calls: ``bench/tracing.py`` wraps
-the probed builders and ``wigner`` at ``otfsim.runner``, so a module that
-calls them through ``runner`` shows in the per-layer trace.  Those two
+``runner`` keeps four names it never calls: ``bench/tracing.py`` wraps
+the probed builders, ``wigner`` and ``apply_channel`` at ``otfsim.runner``,
+so a module that calls them through ``runner`` shows in the per-layer trace.
+Every link receives by ``band_channel``, so ``apply_channel`` stays only as
+the library function and the oracle.  Those two
 probed builders are the only names a library module other than the
 package's ``__init__`` and ``selftest`` takes from ``oracles``; the
 channel layer imports neither ``oracles`` nor the modem whose chain they probe.
@@ -26,7 +28,7 @@ import pytest
 TESTS = Path(__file__).parent
 SRC = TESTS.parent / "src" / "otfsim"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
-KEPT = {"runner.py": {"chain_matrix", "effective_matrix", "wigner"}}
+KEPT = {"runner.py": {"apply_channel", "chain_matrix", "effective_matrix", "wigner"}}
 #: what each module may import from ``oracles`` (None: anything); others import nothing
 ORACLE_USERS = {"__init__.py": None, "selftest.py": None,
                 "runner.py": {"chain_matrix", "effective_matrix"}}
@@ -77,6 +79,12 @@ def test_only_diagnostics_import_the_oracles(name):
     taken = package_imports(parse(name)).get("oracles", set())
     allowed = ORACLE_USERS.get(name, set())
     assert allowed is None or taken <= allowed
+
+
+@pytest.mark.parametrize("name", ["__init__.py", *MODULES])
+def test_no_module_rebinds_a_global(name):
+    # no module-global state: nothing is kept between calls behind the caller's back
+    assert not any(isinstance(node, ast.Global) for node in ast.walk(parse(name)))
 
 
 def test_channel_layer_imports_no_chain():

@@ -14,7 +14,9 @@ from numpy.testing import assert_allclose
 import otfsim as ot
 import otfsim.runner
 from otfsim import multiuser
-from otfsim.channel import EFFECTIVE_GUARD, band_blocks, band_channel, delay_band, draw_noise
+from otfsim.channel import (
+    EFFECTIVE_GUARD, band_blocks, band_channel, band_rows, delay_band, draw_noise,
+)
 from otfsim.equalizer import (
     _band_adjoint, _dense_solve, _reduce_solve, band_filter, band_solver, reduction_split,
 )
@@ -1242,8 +1244,9 @@ class TestReceivePath:
         frame = ot.TimeSignal(sig.samples[t], cp, sig.sample_rate, params.N)
         alone = ot.apply_channel(frame, own, params, mode=mode)
         assert np.array_equal(rx.samples[t], alone.samples)
-        y = band_channel(band, sig, mode, noise)
-        assert np.array_equal(y[t], band_channel(band[t], frame, mode, (noise[0][t], noise[1][t])))
+        y = band_channel(band_rows(band), sig, mode, noise)
+        alone = band_channel(band_rows(band[t]), frame, mode, (noise[0][t], noise[1][t]))
+        assert np.array_equal(y[t], alone)
 
         def tx(v):  # each slot of the probe led by its last cp samples
             slots = v.reshape(params.N, params.M)
@@ -1271,7 +1274,7 @@ class TestReceivePath:
             if solve is band_solver(*blocks.shape[-3:]):
                 assert np.array_equal(band_filter(blocks, link.noise_var)(y), z)
         impulses = np.eye(params.dof).reshape(-1, params.N, params.M)
-        y = band_channel(band[t], dd_synthesis(impulses, params, cp_len=cp), mode)
+        y = band_channel(band_rows(band[t]), dd_synthesis(impulses, params, cp_len=cp), mode)
         closed = dd_analysis(y.reshape(impulses.shape)).reshape(params.dof, -1).T
         probed = ot.effective_matrix(ot.SchemeConfig("OTFS", params, cp_len=cp), own, mode)
         assert np.abs(closed - probed).max() < 1e-10
