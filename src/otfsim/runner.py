@@ -592,7 +592,7 @@ class _Link:
             rows = lambda: band_rows(band)
             if not self.banded and gains is None:
                 detect = self._dense(blocks)
-            elif not self.banded:  # one detector per draw: a stacked filter is no faster
+            elif not self.banded:  # one detector per draw: a stacked filter is no faster and holds more
                 each = [self._dense(b) for b in blocks]
                 detect = lambda body: np.stack([d(b) for d, b in zip(each, body)])
             else:
