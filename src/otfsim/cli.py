@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 
 from . import runner
@@ -94,11 +95,20 @@ def _load(args) -> runner.Scenario:
     return sc
 
 
+@contextmanager
+def _writing(path):
+    """Report an output path that cannot be written as a ConfigError."""
+    try:
+        yield
+    except OSError as e:
+        raise ConfigError(f"cannot write {path}: {e}") from e
+
+
 def _emit(text: str, out):
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w") as f:
+        with _writing(out), open(out, "w") as f:
             f.write(text)
 
 
@@ -118,8 +128,9 @@ def main(argv=None) -> int:
             sc = replace(sc, snr_db_list=_parse_snr_grid(args.snr))
             _emit(runner.format_csv(runner.run(sc, workers=args.workers)), args.out)
         elif args.command == "inspect-channel":
-            for path in runner.inspect_channel(sc, args.out):
-                print(path)
+            with _writing(args.out):
+                paths = runner.inspect_channel(sc, args.out)
+            print(*paths, sep="\n")
         elif args.command == "papr-ccdf":
             _emit(runner.papr_ccdf(sc), args.out)
         return EXIT_OK

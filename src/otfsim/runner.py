@@ -45,9 +45,9 @@ rows of the delays that carry taps alone, as a whole band of a sparse,
 wide-delay channel's frames could outgrow the stream stack.
 Every link but Gaussian spreading is a cell map: its symbols sit on cells
 of one grid, the (N, M) delay-Doppler grid that the ISFFT spreads for OTFS,
-SC-FDMA and ``dd_mapped`` (a DFT ``tf_spread`` downlink is one), else the
-(M, N) time-frequency grid.  A spread grid other than single-user SC-FDMA's
-is synthesised and read by one DFT across slots at each delay.
+SC-FDMA (run as OTFS with N = 1) and ``dd_mapped`` (a DFT ``tf_spread``
+downlink is one), else the (M, N) time-frequency grid.  A spread grid is
+synthesised and read by one DFT across slots at each delay.
 
 Scenario files are strict JSON.  One reader walks each object against its
 key table and refuses unknown, missing and null keys by name; every value
@@ -108,7 +108,6 @@ from .transforms import (
     dd_analysis,
     dd_synthesis,
     heisenberg,
-    isfft,
     sfft,
     slot_dft,
     wigner,  # noqa: F401 -- unused here; bench/tracing.py wraps runner.wigner
@@ -406,12 +405,12 @@ class _Link:
     synthesises, and :meth:`read` is its adjoint.  Every link but Gaussian
     spreading is a cell map: its symbols sit at ``cells`` of one grid, the
     (N, M) delay-Doppler grid, spread by the ISFFT (``spread``), for OTFS,
-    SC-FDMA and ``dd_mapped``, and the (M, N) time-frequency grid for OSTF,
-    OFDM and ``tf_alloc``.  ``cells`` is None where the symbols fill the grid
-    in order; a downlink's are its users' ``frame.user_cells``, moved to
-    f*N + t on the time-frequency grid.  ``dd`` links synthesise their grid
-    by ``dd_synthesis``; every other grid is time-frequency, single-user
-    SC-FDMA's through the ISFFT, and synthesised by ``heisenberg``.
+    SC-FDMA (OTFS with N = 1) and ``dd_mapped``, and the (M, N)
+    time-frequency grid for OSTF, OFDM and ``tf_alloc``.  ``cells`` is None
+    where the symbols fill the grid in order; a downlink's are its users'
+    ``frame.user_cells``, moved to f*N + t on the time-frequency grid.
+    ``spread`` links synthesise their grid by ``dd_synthesis``, every other
+    link by ``heisenberg``.
     Gaussian ``tf_spread`` keeps its ``SpreadingPair`` objects in ``users``
     and maps by ``multiuser``.  The scheme label of a downlink picks no route.
     Symbols, bits and detector output are stacked user by user, each block
@@ -440,11 +439,8 @@ class _Link:
         self.banded = self.mode != "tf_spread" and sc.equalizer == "mmse_dd"
         # time-domain blocks of a frame: its slots, or the whole cyclic frame
         self.blocks = 1 if sc.channel_mode == "cyclic" else params.N
+        # a spread grid is synthesised and read on the DD grid; SC-FDMA is OTFS with N = 1
         self.spread = self.mode == "dd_mapped" or mu is None and sc.scheme in ("OTFS", "SCFDMA")
-        # a spread grid is synthesised and read on the DD grid.  Single-user SC-FDMA keeps
-        # the ISFFT, as its PAPR pin records: through dd_synthesis its body would be its
-        # symbols, at a PAPR of 0 dB for QPSK.
-        self.dd = self.spread and (mu is not None or sc.scheme != "SCFDMA")
         self.K, self.block, self.users, self.cells = 1, params.dof, None, None
         if mu is not None:
             self.alloc = _allocation(sc)
@@ -491,7 +487,7 @@ class _Link:
 
     def place(self, symbols: np.ndarray) -> np.ndarray:
         """The user map: stacked symbols (..., n) -> the grid the link synthesises,
-        (..., N, M) delay-Doppler on the ``dd`` route, else (..., M, N) time-frequency."""
+        (..., N, M) delay-Doppler if ``spread``, else (..., M, N) time-frequency."""
         if self.mode == "tf_spread":
             blocks = symbols.reshape(*symbols.shape[:-1], self.K, self.N_D, self.M_d)
             return multiuser.downlink_superpose(np.moveaxis(blocks, -3, 0), self.users, self.mode)
@@ -500,22 +496,19 @@ class _Link:
             grid[..., self.cells] = symbols
             symbols = grid
         N, M = self.params.N, self.params.M
-        grid = symbols.reshape(*symbols.shape[:-1], *((N, M) if self.spread else (M, N)))
-        return isfft(grid) if self.spread and not self.dd else grid
+        return symbols.reshape(*symbols.shape[:-1], *((N, M) if self.spread else (M, N)))
 
     def read(self, grid: np.ndarray) -> np.ndarray:
         """Adjoint of :meth:`place`: grid -> stacked symbols."""
         if self.mode == "tf_spread":
             blocks = multiuser.downlink_split(grid, self.users, self.mode)
             return np.concatenate([b.reshape(*grid.shape[:-2], -1) for b in blocks], axis=-1)
-        if self.spread and not self.dd:
-            grid = sfft(grid)
         flat = grid.reshape(*grid.shape[:-2], -1)
         return flat if self.cells is None else flat[..., self.cells]
 
     def _synthesis(self, grid: np.ndarray, cp_len: int):
-        """The TimeSignal of :meth:`place` grids: ``dd_synthesis`` if ``dd``, else ``heisenberg``."""
-        return (dd_synthesis if self.dd else heisenberg)(grid, self.params, cp_len=cp_len)
+        """The TimeSignal of :meth:`place` grids, by ``dd_synthesis`` or ``heisenberg``."""
+        return (dd_synthesis if self.spread else heisenberg)(grid, self.params, cp_len=cp_len)
 
     def transmit(self, bits: np.ndarray, amp=None):
         """Synthesise (..., n_bits) bits: a TimeSignal with one frame per bit row.
@@ -577,7 +570,7 @@ class _Link:
 
             def detect(body):
                 X = one_tap_tf(slot_dft(body, params).swapaxes(-1, -2), H, noise_var)
-                return self.read(sfft(X) if self.dd else X)
+                return self.read(sfft(X) if self.spread else X)
 
             # a fixed channel's rows are built once, a random chunk's streamed
             held = None if gains is not None else list(delay_rows(ch, params))
@@ -600,7 +593,7 @@ class _Link:
 
                 def detect(body):
                     z = equalize(body.reshape(*body.shape[:-1], self.blocks, -1)).reshape(body.shape)
-                    if self.dd:
+                    if self.spread:
                         return self.read(dd_analysis(z.reshape(*z.shape[:-1], params.N, params.M)))
                     return self.read(slot_dft(z, params).swapaxes(-1, -2))
 
@@ -743,19 +736,14 @@ def inspect_channel(sc: Scenario, out_dir) -> list:
     hw = np.abs(windowed_dd_channel(ch, params))
     paths = []
 
-    def grid_csv(name, grid):
-        p = out / name
-        rows = [",".join(f"{v:.12g}" for v in row) for row in np.atleast_2d(grid)]
-        p.write_text("\n".join(rows) + "\n")
-        paths.append(p)
+    def write(name, lines):
+        paths.append(out / name)
+        paths[-1].write_text("\n".join(lines) + "\n")
 
-    grid_csv("tf_channel_db.csv", H_db)
-    grid_csv("windowed_dd_abs.csv", hw)
-    tap_lines = ["delay_bin,doppler_bin,re,im"]
-    for l, k, g in ch.taps:
-        tap_lines.append(f"{l},{k},{g.real:.12g},{g.imag:.12g}")
-    (out / "taps.csv").write_text("\n".join(tap_lines) + "\n")
-    paths.append(out / "taps.csv")
+    for name, grid in (("tf_channel_db.csv", H_db), ("windowed_dd_abs.csv", hw)):
+        write(name, [",".join(f"{v:.12g}" for v in row) for row in np.atleast_2d(grid)])
+    write("taps.csv", ["delay_bin,doppler_bin,re,im",
+                       *(f"{l},{k},{g.real:.12g},{g.imag:.12g}" for l, k, g in ch.taps)])
     return paths
 
 

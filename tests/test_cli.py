@@ -196,17 +196,18 @@ class TestSimulate:
     ):
         # Gaussian spreading is not unitary, so its joint LMMSE needs the
         # probed user map; 128 x 64 points are refused before the first probe
-        # and before the channel's dense blocks are built
+        # (a synthesis of symbol impulses) and before the channel's dense
+        # blocks are built
         import otfsim.runner
 
         def refuse(*args, **kwargs):
             raise AssertionError("dense blocks built before the user-map guard")
 
         calls = []
-        real = otfsim.runner.apply_channel
-        monkeypatch.setattr(
-            otfsim.runner, "apply_channel", lambda *a, **k: calls.append(1) or real(*a, **k)
-        )
+        for name in ("heisenberg", "dd_synthesis"):
+            real = getattr(otfsim.runner, name)
+            monkeypatch.setattr(otfsim.runner, name,
+                                lambda *a, real=real, **k: calls.append(1) or real(*a, **k))
         monkeypatch.setattr(otfsim.runner, "band_blocks", refuse)
         cfg = config_file(
             frame={"M": 128, "N": 64, "cp_len": 1},
@@ -403,6 +404,26 @@ class TestPaprCcdf:
         # the CCDF runs in one process, so the flag would be ignored
         assert main(["papr-ccdf", "--config", config_file(), "--workers", "4"]) == EXIT_CONFIG
         assert "--workers" in capsys.readouterr().err
+
+
+class TestUnwritableOutput:
+    # an output that cannot be written is a configuration error, reported as an
+    # unreadable scenario is: exit 1 and one line on stderr, never a traceback
+    @pytest.mark.parametrize("command", [
+        ["simulate"], ["sweep", "--snr", "0:10:10"], ["papr-ccdf"], ["inspect-channel"],
+    ], ids=lambda c: c[0])
+    def test_unwritable_out_is_exit_1(self, config_file, tmp_path, capsys, command):
+        # inspect-channel writes into a directory, which an existing file cannot
+        # be; every other subcommand writes a file, which a missing directory cannot hold
+        taken = tmp_path / "taken"
+        taken.write_text("kept")
+        out = taken if command[0] == "inspect-channel" else tmp_path / "missing" / "x.csv"
+        assert main([*command, "--config", config_file(), "--out", str(out)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: cannot write {out}: ")
+        assert len(captured.err.splitlines()) == 1
+        assert taken.read_text() == "kept"
 
 
 class TestSelftest:

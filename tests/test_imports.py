@@ -16,7 +16,9 @@ The runner places every unitary link on its own cell map, so it takes only
 detectors read every channel as the delay band or, for one-tap, its
 response, so it takes neither dense slot view from the channel layer:
 ``slot_operators`` and ``dd_domain_operator`` stay library API, checked
-against the oracles.
+against the oracles.  Every spread link, SC-FDMA (OTFS with N = 1)
+included, synthesises its delay-Doppler grid by ``dd_synthesis``, so the
+runner takes no ``isfft`` from the transforms.
 """
 
 import ast
@@ -98,6 +100,11 @@ def test_runner_takes_only_the_scheme_config_from_the_modem():
 def test_runner_takes_no_dense_slot_view_from_the_channel():
     taken = package_imports(parse("runner.py")).get("channel", set())
     assert not {"slot_operators", "dd_domain_operator"} & taken
+
+
+def test_runner_takes_no_isfft_from_the_transforms():
+    taken = package_imports(parse("runner.py")).get("transforms", set())
+    assert "isfft" not in taken
 
 
 #: the packages a library module or test may import: the runtime is numpy only

@@ -21,7 +21,7 @@ from otfsim.equalizer import (
     _band_adjoint, _dense_solve, _reduce_solve, band_filter, band_solver, reduction_split,
 )
 from otfsim.errors import ConfigError, GuardError
-from otfsim.metrics import LinkResult, map_bits
+from otfsim.metrics import LinkResult, map_bits, papr
 from otfsim.oracles import chain_matrix
 from otfsim.runner import (
     CSV_HEADER,
@@ -64,14 +64,15 @@ def base_dict(**over):
 
 def tf_map(link, symbols):
     """The link's user map onto the (M, N) time-frequency grid: its
-    :meth:`_Link.place`, taken through the ISFFT on the ``dd`` route."""
+    :meth:`_Link.place`, taken through the ISFFT where the link is ``spread``
+    (OTFS, SC-FDMA as OTFS with N = 1, and ``dd_mapped``)."""
     grid = link.place(symbols)
-    return ot.isfft(grid) if link.dd else grid
+    return ot.isfft(grid) if link.spread else grid
 
 
 def tf_read(link, X):
     """Adjoint of :func:`tf_map`: (M, N) time-frequency grid -> stacked symbols."""
-    return link.read(ot.sfft(X) if link.dd else X)
+    return link.read(ot.sfft(X) if link.spread else X)
 
 
 class TestScenarioParsing:
@@ -914,26 +915,26 @@ class TestBandLMMSE:
             alone = link.receiver(ch, gains[t:t + 1])[0](rx.body[t:t + 1])
             assert np.array_equal(got[t:t + 1], alone)
 
-    @pytest.mark.parametrize("scheme,M,N,mu,dd", [
+    @pytest.mark.parametrize("scheme,M,N,mu,spread", [
         ("OTFS", 8, 4, None, True),
         ("OTFS", 7, 1, None, True),
         ("OTFS", 8, 4, {"mode": "dd_mapped", "K_d": 2, "K_D": 2}, True),
         ("OTFS", 9, 4, {"mode": "dd_mapped", "K_d": 3, "K_D": 2, "mapping": "interleaved"}, True),
-        ("SCFDMA", 8, 1, None, False),
+        ("SCFDMA", 8, 1, None, True),
         ("OTFS", 8, 4, {"mode": "tf_alloc", "K_d": 2, "K_D": 2}, False),
     ])
-    def test_dd_transmit_is_the_tf_map_synthesised(self, scheme, M, N, mu, dd):
-        # OTFS and dd_mapped synthesise from the DD grid; every other link,
-        # SC-FDMA included, is still the Heisenberg transform of its TF map
+    def test_dd_transmit_is_the_tf_map_synthesised(self, scheme, M, N, mu, spread):
+        # OTFS, SC-FDMA (OTFS with N = 1) and dd_mapped synthesise from the DD
+        # grid; every other link is the Heisenberg transform of its TF map
         link = self.link(scheme, M, N, mu, "per_slot_cp")
-        assert link.dd == dd
+        assert link.spread == spread
         bits = np.random.default_rng(73).integers(0, 2, size=(2, 3, link.n_bits))
         got = link.transmit(bits).samples
         want = ot.heisenberg(
             tf_map(link, map_bits(bits, link.const)), link.params, link.sc.cp_len
         ).samples
         assert got.shape == want.shape == (2, 3, link.n_samples)
-        if dd:
+        if spread:
             assert np.abs(got - want).max() < 1e-12
         else:
             assert np.array_equal(got, want)
@@ -950,7 +951,7 @@ class TestBandLMMSE:
         # map's adjoint, for one channel serving every frame and for a
         # chunk's own gains
         link = self.link(scheme, M, N, mu, channel_mode)
-        assert link.dd
+        assert link.spread
         ch, gains, rx = self.received(link, np.random.default_rng(74), 3)
         blocks = 1 if channel_mode == "cyclic" else N
         for g in (None, gains):
@@ -1070,7 +1071,7 @@ class TestCellMap:
         got = link.transmit(bits, amp).samples
         want = ot.heisenberg(tf, link.params, cp_len=2).samples
         assert got.shape == want.shape == (2, 3, link.n_samples)
-        if link.dd:
+        if link.spread:
             assert np.abs(got - want).max() < 1e-12
         else:
             assert np.array_equal(got, want)
@@ -1103,6 +1104,45 @@ class TestCellMap:
             assert np.array_equal(x.papr_values, y.papr_values)
         rows = [[line.partition(",")[2] for line in format_csv(r).splitlines()] for r in (a, b)]
         assert rows[0] == rows[1]
+
+    @pytest.mark.parametrize("channel_mode", ["per_slot_cp", "cyclic"])
+    @pytest.mark.parametrize("random", [False, True])
+    @pytest.mark.parametrize("equalizer", ["mmse_dd", "one_tap_tf"])
+    @pytest.mark.parametrize("one_slot,scheme", [("SCFDMA", "OTFS"), ("OFDM", "OSTF")])
+    def test_a_single_slot_scheme_is_its_2d_scheme_at_one_slot(
+        self, one_slot, scheme, equalizer, random, channel_mode
+    ):
+        # SC-FDMA and OFDM are OTFS and OSTF on an M x 1 frame: the same
+        # simulate rows but for the scheme label, and the same PAPR CCDF
+        taps = [{"delay_bin": l, "doppler_bin": 0, "re": re, "im": im}
+                for l, re, im in ((0, 0.7, 0.1), (1, -0.3, 0.5), (3, 0.2, -0.3))]
+        d = base_dict(
+            scheme=scheme,
+            frame={"M": 16, "N": 1, "cp_len": 0 if channel_mode == "cyclic" else 3},
+            channel={"random": {"L_max": 4, "V_max": 1}} if random else {"taps": taps},
+            channel_mode=channel_mode,
+            equalizer=equalizer,
+            snr_db_list=[4.0, 10.0],
+            trials=12,
+            seed=23,
+        )
+        two_d, single = scenario_from_dict(d), scenario_from_dict({**d, "scheme": one_slot})
+        rows = [[line.partition(",")[2] for line in format_csv(run(sc)).splitlines()]
+                for sc in (two_d, single)]
+        assert rows[0] == rows[1]
+        assert papr_ccdf(single) == papr_ccdf(two_d)
+
+    def test_single_carrier_body_is_its_symbols(self):
+        # single-user SC-FDMA spreads M symbols by the DFT and maps them back
+        # by the IDFT: its body is its symbols, so a constant-modulus block
+        # has a PAPR of exactly 1 (0 dB)
+        d = base_dict(scheme="SCFDMA", frame={"M": 12, "N": 1, "cp_len": 3},
+                      channel_mode="per_slot_cp")
+        link = _Link(scenario_from_dict(d))
+        bits = np.random.default_rng(77).integers(0, 2, size=(5, link.n_bits))
+        sig = link.transmit(bits)
+        assert np.array_equal(sig.body, map_bits(bits, link.const))
+        assert np.array_equal(papr(sig), np.ones(5))
 
 
 class TestReceivePath:
@@ -1367,7 +1407,7 @@ class TestReceivePath:
             split = run_trial_range(sc, 0, 0, cut).merge(run_trial_range(sc, 0, cut, sc.trials))
             assert format_csv([whole]) == format_csv([split])
             assert np.array_equal(whole.papr_values, split.papr_values)
-            routes.add((downlink, mode, link.banded, link.dd, random))
+            routes.add((downlink, mode, link.banded, link.spread, random))
             if downlink == "tf_spread-gaussian" and random and equalizer == "mmse_dd":
                 slots.add(link.params.N)
         # the delay band read in DD or TF, and apply_channel, in both modes; Gaussian
