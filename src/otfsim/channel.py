@@ -220,7 +220,14 @@ def apply_channel(
     return replace(sig, samples=r)
 
 
-def band_channel(rows, sig: TimeSignal, mode: str, noise: tuple | None = None):
+def band_channel(
+    rows,
+    sig: TimeSignal,
+    mode: str,
+    noise: tuple | None = None,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
+):
     """:func:`apply_channel`'s body samples (..., M*N), bitwise, from the channel's
     (delay, row) pairs in ascending delay and the (real, imaginary) ``noise`` pair.
 
@@ -229,22 +236,35 @@ def band_channel(rows, sig: TimeSignal, mode: str, noise: tuple | None = None):
     taps.  Each block (a slot in ``per_slot_cp`` mode, the frame in
     ``cyclic`` mode) takes r[p] = sum_d row_d[p] * x[(p - d) mod B], x[p - d]
     read from the slot's prefix, which must hold d, or round the frame.
+    The sum is formed in ``out`` and each row's products in ``work``, two
+    C-contiguous complex arrays of the body's shape, where given: each
+    delay's samples are copied into ``work`` and multiplied there, so that
+    numpy buffers no strided operand.
     """
-    N, M = sig.num_slots, sig.body_len
-    blocks, lead = (1, M * N - 1) if mode == "cyclic" else (N, sig.cp_len)
+    N, M, cp = sig.num_slots, sig.body_len, sig.cp_len
+    blocks = 1 if mode == "cyclic" else N
     x = sig.samples.reshape(*sig.samples.shape[:-1], blocks, -1)
-    if mode == "cyclic":  # the frame led by all of it but its first sample
-        x = np.concatenate([x[..., 1:], x], axis=-1)
-    r = np.zeros((*x.shape[:-1], M * N // blocks), dtype=np.complex128)
+    shape = (*x.shape[:-1], M * N // blocks)
+    B = shape[-1]
+    if out is None:
+        r = np.zeros(shape, dtype=np.complex128)
+    else:
+        r = out.reshape(shape)
+        r.fill(0)
+    product = np.empty(shape, dtype=np.complex128) if work is None else work.reshape(shape)
     for d, row in rows:
-        if d > lead or mode == "cyclic" and sig.cp_len:
-            raise ConfigError(f"a {mode} frame with prefix {sig.cp_len} cannot hold delay {d}")
-        row = row.reshape(*row.shape[:-2], blocks, -1)
-        r += row * x[..., lead - d : lead - d + r.shape[-1]]
+        if d > (B - 1 if mode == "cyclic" else cp) or mode == "cyclic" and cp:
+            raise ConfigError(f"a {mode} frame with prefix {cp} cannot hold delay {d}")
+        if mode == "cyclic":  # x[(p - d) mod B]: the frame read round from its end
+            np.copyto(product[..., d:], x[..., : B - d])
+            np.copyto(product[..., :d], x[..., B - d :])
+        else:  # x[p - d], from the slot's prefix
+            np.copyto(product, x[..., cp - d : cp - d + B])
+        r += np.multiply(row.reshape(*row.shape[:-2], blocks, -1), product, out=product)
     r = r.reshape(*r.shape[:-2], N, M)
     if noise is not None:
-        r.real += noise[0].reshape(*r.shape[:-1], -1)[..., sig.cp_len:]
-        r.imag += noise[1].reshape(*r.shape[:-1], -1)[..., sig.cp_len:]
+        r.real += noise[0].reshape(*r.shape[:-1], -1)[..., cp:]
+        r.imag += noise[1].reshape(*r.shape[:-1], -1)[..., cp:]
     return r.reshape(*r.shape[:-2], -1)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
@@ -104,12 +105,35 @@ def _writing(path):
         raise ConfigError(f"cannot write {path}: {e}") from e
 
 
-def _emit(text: str, out):
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with _writing(out), open(out, "w") as f:
+@contextmanager
+def _output(path):
+    """Yields ``emit(text)``, which writes the run's output to ``path`` (stdout if None).
+
+    The file is opened before the run, so an unwritable path is reported
+    before any trial runs, without truncating it: it is emptied only when
+    the text is written, and a file this opened is removed if the run fails.
+    """
+    if path is None:
+        yield sys.stdout.write
+        return
+    existed = os.path.lexists(path)
+    with _writing(path):
+        f = open(path, "a")
+
+    def emit(text: str):
+        with _writing(path):
+            if f.seekable():
+                f.truncate(0)
             f.write(text)
+            f.flush()
+
+    try:
+        with f:
+            yield emit
+    except BaseException:
+        if not existed:
+            os.remove(path)
+        raise
 
 
 def main(argv=None) -> int:
@@ -122,17 +146,18 @@ def main(argv=None) -> int:
             return EXIT_OK if all(r.passed for r in results) else EXIT_INVARIANT
 
         sc = _load(args)
-        if args.command == "simulate":
-            _emit(runner.format_csv(runner.run(sc, workers=args.workers)), args.out)
-        elif args.command == "sweep":
-            sc = replace(sc, snr_db_list=_parse_snr_grid(args.snr))
-            _emit(runner.format_csv(runner.run(sc, workers=args.workers)), args.out)
-        elif args.command == "inspect-channel":
+        if args.command == "inspect-channel":
             with _writing(args.out):
                 paths = runner.inspect_channel(sc, args.out)
             print(*paths, sep="\n")
-        elif args.command == "papr-ccdf":
-            _emit(runner.papr_ccdf(sc), args.out)
+            return EXIT_OK
+        if args.command == "sweep":
+            sc = replace(sc, snr_db_list=_parse_snr_grid(args.snr))
+        with _output(args.out) as emit:
+            if args.command == "papr-ccdf":
+                emit(runner.papr_ccdf(sc))
+            else:
+                emit(runner.format_csv(runner.run(sc, workers=args.workers)))
         return EXIT_OK
     except GuardError as e:
         print(f"numerical guard: {e}", file=sys.stderr)

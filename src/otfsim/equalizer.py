@@ -42,12 +42,15 @@ from .metrics import Constellation
 ML_GUARD_BITS = 16
 
 
-def one_tap_tf(y_tf: np.ndarray, h_tf: np.ndarray, noise_var: float) -> np.ndarray:
+def one_tap_tf(
+    y_tf: np.ndarray, h_tf: np.ndarray, noise_var: float, out: np.ndarray | None = None
+) -> np.ndarray:
     """Scalar MMSE per grid cell: conj(H)*Y / (|H|^2 + noise_var).
 
     ``y_tf`` may be a stack of grids that share the response ``h_tf``
     (whose shape must end ``y_tf``'s).  With ``noise_var == 0`` this is
-    zero-forcing and every cell gain must be nonzero.
+    zero-forcing and every cell gain must be nonzero.  ``out``, of
+    ``y_tf``'s shape and memory order, may be ``y_tf`` itself.
     """
     y_tf = np.asarray(y_tf, dtype=np.complex128)
     h_tf = np.asarray(h_tf, dtype=np.complex128)
@@ -57,7 +60,8 @@ def one_tap_tf(y_tf: np.ndarray, h_tf: np.ndarray, noise_var: float) -> np.ndarr
         raise ValueError(f"noise variance must be >= 0, got {noise_var}")
     if noise_var == 0 and np.any(h_tf == 0):
         raise ZeroDivisionError("zero channel gain with zero noise variance")
-    return h_tf.conj() * y_tf / (np.abs(h_tf) ** 2 + noise_var)
+    est = np.multiply(h_tf.conj(), y_tf, out=out)
+    return np.divide(est, np.abs(h_tf) ** 2 + noise_var, out=est)
 
 
 def mmse_filter(h_eff: np.ndarray, noise_var: float) -> np.ndarray:
@@ -104,7 +108,8 @@ def band_gram(band: np.ndarray, noise_var: float) -> np.ndarray:
 def band_filter(band: np.ndarray, noise_var: float):
     """The LMMSE of periodic-banded blocks, y -> A^H (A A^H + noise_var I)^-1 y.
 
-    A ``band`` (L, blocks, B) serves every frame of y (..., blocks, B): its
+    The filter is ``equalize(y, out=None)``, ``out`` a C-contiguous array of
+    y's shape.  A ``band`` (L, blocks, B) serves every frame of y (..., blocks, B): its
     filter W, A^H of the columns of the Gram inverse, is formed once and
     applied frame by frame, so a frame's estimate is the same in any stack.  A
     ``band`` (T, L, blocks, B) gives frame t of y (T, blocks, B) its own
@@ -118,9 +123,10 @@ def band_filter(band: np.ndarray, noise_var: float):
     if band.ndim == 3:
         inv = _solve(band_gram(band[None], noise_var), np.eye(B))[0]
         W = _band_adjoint(band, inv.transpose(2, 0, 1)).transpose(1, 2, 0)
-        return lambda y: (W @ y[..., None])[..., 0]
+        return lambda y, out=None: np.matmul(
+            W, y[..., None], out=None if out is None else out[..., None])[..., 0]
     solve = band_solver(*band.shape[-3:])
-    return lambda y: _band_adjoint(band, solve(band, y, noise_var))
+    return lambda y, out=None: _band_adjoint(band, solve(band, y, noise_var), out)
 
 
 def reduction_split(L: int, B: int) -> tuple:
@@ -317,10 +323,14 @@ def _mul(A: np.ndarray, Z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _band_adjoint(band: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """A^H z of the band's blocks: sample p - l of a block takes conj(band_l[p]) * z[p]."""
+def _band_adjoint(band: np.ndarray, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """A^H z of the band's blocks: sample p - l of a block takes conj(band_l[p]) * z[p],
+    summed in ``out`` (z's shape and memory order) if given."""
     B = band.shape[-1]
-    out = np.zeros_like(z, dtype=np.complex128)  # in z's memory order
+    if out is None:
+        out = np.zeros_like(z, dtype=np.complex128)  # in z's memory order
+    else:
+        out.fill(0)
     w = np.empty_like(out)  # one product held at a time
     for l in range(band.shape[-3]):
         np.multiply(band[..., l, :, :].conj(), z, out=w)

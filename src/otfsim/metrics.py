@@ -110,11 +110,13 @@ def get_constellation(name: str) -> Constellation:
         raise ValueError(f"unknown constellation {name!r}, expected BPSK, QPSK or 16QAM") from None
 
 
-def map_bits(bits: np.ndarray, constellation: Constellation) -> np.ndarray:
+def map_bits(
+    bits: np.ndarray, constellation: Constellation, out: np.ndarray | None = None
+) -> np.ndarray:
     """Map a 0/1 array to symbols along its last axis (length divisible by bits/symbol).
 
     Leading axes index independent frames: bits of shape (..., n) give
-    symbols of shape (..., n / bits_per_symbol).
+    symbols of shape (..., n / bits_per_symbol), written to ``out`` if given.
     """
     bits = np.asarray(bits)
     bps = constellation.bits_per_symbol
@@ -126,7 +128,8 @@ def map_bits(bits: np.ndarray, constellation: Constellation) -> np.ndarray:
         raise ValueError("bits must be 0 or 1, in an integer or bool array")
     groups = bits.reshape(*bits.shape[:-1], -1, bps)
     idx = groups @ (1 << np.arange(bps - 1, -1, -1))
-    return constellation.points[idx]
+    # mode "clip": with "raise", take fills a buffer of out's size and copies it over
+    return constellation.points.take(idx, out=out, mode="clip")
 
 
 def symbol_indices(symbols: np.ndarray, constellation: Constellation) -> np.ndarray:
@@ -140,23 +143,27 @@ def symbol_indices(symbols: np.ndarray, constellation: Constellation) -> np.ndar
     ranks = np.zeros(z.shape, dtype=np.uint8)
     for part, thresholds in zip((z.real, z.imag), constellation.thresholds):
         ranks *= thresholds.size + 1
-        part = np.ascontiguousarray(part)
+        part = np.ascontiguousarray(part)  # compared faster than a strided view
         for t in thresholds:
             ranks += part >= t
+        del part  # freed before the next copy and the lookup
     idx = constellation.lookup.take(ranks)
     idx[np.isnan(z)] = 0
     return idx
 
 
-def slice_symbols(symbols: np.ndarray, constellation: Constellation) -> np.ndarray:
+def slice_symbols(
+    symbols: np.ndarray, constellation: Constellation, out: np.ndarray | None = None
+) -> np.ndarray:
     """Hard-decide symbols back to bits (inverse of map_bits).
 
-    Symbols of shape (..., n) give bits of shape (..., n * bits_per_symbol).
+    Symbols of shape (..., n) give int64 bits of shape (..., n * bits_per_symbol),
+    written to a C-contiguous ``out`` if given.
     """
     symbols = np.asarray(symbols)
     idx = symbol_indices(symbols, constellation)
     bps = constellation.bits_per_symbol
-    bits = np.empty((idx.size, bps), dtype=np.int64)
+    bits = np.empty((idx.size, bps), dtype=np.int64) if out is None else out.reshape(idx.size, bps)
     for j in range(bps):  # most significant bit first
         np.right_shift(idx, bps - 1 - j, out=bits[:, j])
     bits &= 1
@@ -169,8 +176,8 @@ def papr_samples(x: np.ndarray):
     A 1-D array gives a float; an (..., n) stack gives one ratio per row
     of its last axis.
     """
-    x = np.asarray(x)
-    power = np.abs(x) ** 2
+    power = np.abs(np.asarray(x))
+    np.square(power, out=power)
     mean = power.mean(axis=-1)
     if np.any(mean == 0):
         raise ValueError("PAPR of an all-zero signal is undefined")
@@ -178,9 +185,18 @@ def papr_samples(x: np.ndarray):
     return float(ratio) if ratio.ndim == 0 else ratio
 
 
-def papr(sig: TimeSignal):
-    """PAPR of a block at critical sampling, prefixes excluded (one per frame of a stack)."""
-    return papr_samples(sig.body)
+def papr(sig: TimeSignal, work: np.ndarray | None = None):
+    """PAPR of a block at critical sampling, prefixes excluded (one per frame of a stack).
+
+    ``work``, a C-contiguous complex array of the body samples' shape,
+    receives them where the prefixes must be cut out.
+    """
+    if work is None or sig.cp_len == 0:
+        return papr_samples(sig.body)
+    lead = sig.samples.shape[:-1]
+    body = work.reshape(*lead, sig.num_slots, sig.body_len)
+    np.copyto(body, sig.samples.reshape(*lead, sig.num_slots, -1)[..., sig.cp_len:])
+    return papr_samples(body.reshape(*lead, -1))
 
 
 def count_errors(tx_bits: np.ndarray, rx_bits: np.ndarray, bits_per_symbol: int = 1):

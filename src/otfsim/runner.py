@@ -49,6 +49,22 @@ SC-FDMA (run as OTFS with N = 1) and ``dd_mapped`` (a DFT ``tf_spread``
 downlink is one), else the (M, N) time-frequency grid.  A spread grid is
 synthesised and read by one DFT across slots at each delay.
 
+A chunk in the steady state allocates none of its (T, samples) stacks but
+those of a random draw's channel (its band, rows or response, and the
+LMMSE's solve) and of a dense detector's estimate.  Every layer on the
+path takes an ``out`` and writes into a ``_Workspace``, one flat array per
+name, grown by a link's first (longest) chunk: the draw's words, noise and
+bits, the mapped symbols, the user map's grid, the synthesised frame, the
+received body and each delay's products, the detector's slot DFT, one-tap
+and read-out (or its LMMSE and analysis DFT) in one stack, the gathered
+symbols and the decided bits.  One workspace serves a whole ``run`` (every
+SNR point's link is handed it) or one pool job, and goes with it; nothing
+a chunk returns is a view of it (the counts are ints, the PAPR values a
+new array).  A fixed channel's receiver is held by its point's loop, not
+by the link, so a link and its views are freed when the point ends,
+without the cyclic collector.  Calls made without a workspace, by
+``papr_ccdf`` and the tests, allocate as before.
+
 Scenario files are strict JSON.  One reader walks each object against its
 key table and refuses unknown, missing and null keys by name; every value
 rule lives in the validation a ``Scenario`` runs whenever it is built,
@@ -368,11 +384,15 @@ def system_rng(seed: int, slot: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, int(slot)]))
 
 
-def _word_bits(words: np.ndarray, n: int) -> np.ndarray:
+def _word_bits(words: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
     """``integers(0, 2, n)`` from its raw words (..., ceil(n/2)): the top bit of
-    each 32-bit half, low half first (bits 31 and 63 of each word)."""
-    halves = words.astype("<u8", copy=False).view("<u4")
-    return (halves[..., :n] >> 31).astype(np.int64)
+    each 32-bit half, low half first (bits 31 and 63 of each word), as int64
+    (..., n) in ``out`` if given."""
+    halves = words.astype("<u8", copy=False).view("<u4")[..., :n]
+    bits = np.empty(halves.shape, dtype=np.int64) if out is None else out
+    np.copyto(bits, halves)
+    bits >>= 31
+    return bits
 
 
 class _TrialStreams:
@@ -385,7 +405,11 @@ class _TrialStreams:
 
     def __init__(self, seed: int, snr_index: int, first: int):
         self.rng = trial_rng(seed, snr_index, first)
-        self._fresh = self.rng.bit_generator.state
+        state = self.rng.bit_generator.state
+        # held as Python ints, which the state setter reads entry by entry
+        # about 2.5 times faster than numpy scalars
+        self._fresh = {**state, "state": {k: v.tolist() for k, v in state["state"].items()},
+                       "buffer": state["buffer"].tolist()}
 
     def at(self, trial_index: int) -> np.random.Generator:
         self._fresh["state"]["counter"][1] = trial_index
@@ -396,6 +420,35 @@ class _TrialStreams:
 # ---------------------------------------------------------------------------
 # trial execution
 # ---------------------------------------------------------------------------
+
+
+class _Workspace:
+    """The stacks a run's chunks reuse, one flat array per name.
+
+    :meth:`take` gives a C-contiguous view of the named array, grown only
+    when a request outgrows it: the first chunk of a link is its longest,
+    so a short last chunk and every later SNR point reuse its arrays.  The
+    last view of each name is kept, as chunks ask for the same shapes.
+    A name is a role in the chunk, and roles whose uses never overlap share
+    one: ``work`` holds the mapped symbols, then each delay's products, then
+    the detector's grid; ``body`` the body samples gathered for the PAPR,
+    then the received body.
+    """
+
+    def __init__(self):
+        self._arrays = {}
+        self._views = {}
+
+    def take(self, name: str, shape: tuple, dtype=np.complex128) -> np.ndarray:
+        view = self._views.get(name)
+        if view is not None and view.shape == shape and view.dtype == dtype:
+            return view
+        size = math.prod(shape)
+        flat = self._arrays.get(name)
+        if flat is None or flat.size < size or flat.dtype != dtype:
+            flat = self._arrays[name] = np.empty(size, dtype=dtype)
+        view = self._views[name] = flat[:size].reshape(shape)
+        return view
 
 
 class _Link:
@@ -418,11 +471,14 @@ class _Link:
     axes.  A link serves one SNR point: its noise variance is fixed when it
     is built, and its :meth:`receiver` gives the detector, any water-filled
     user powers and the received body of a channel from one view of it.
+    Its per-chunk stacks are views of the ``_Workspace`` ``ws`` it is given
+    (see :meth:`_stack`), else new arrays.
     """
 
-    def __init__(self, sc: Scenario, noise_var: float = 0.0):
+    def __init__(self, sc: Scenario, noise_var: float = 0.0, ws: _Workspace | None = None):
         self.sc = sc
         self.noise_var = noise_var
+        self.ws = ws
         self.params = params = sc.params
         self.const = get_constellation(sc.constellation)
         self.fixed = None if sc.channel_taps is None else scenario_channel(sc, None)
@@ -458,9 +514,20 @@ class _Link:
         elif mu is not None:  # cells t*M + f; f*N + t on the time-frequency grid
             cells = np.concatenate([user_cells(*u) for u in self.alloc.users])
             self.cells = cells if self.spread else cells % params.M * params.N + cells // params.M
+        # where read gathers the symbols: cells of the flat DD grid, or cell f*N + t
+        # of a time-frequency grid at t*M + f of its slot-major memory
+        self.gather = self.cells
+        if not self.spread and self.mode != "tf_spread":
+            f_t = np.arange(params.dof) if self.cells is None else self.cells
+            self.gather = f_t % params.N * params.M + f_t // params.N
         self.n_bits = self.K * self.block * self.const.bits_per_symbol
         self.n_samples = sc.N * (sc.M + sc.cp_len)
         self.chunk = max(1, CHUNK_SAMPLES // self.n_samples)
+
+    def _stack(self, name: str, shape: tuple, dtype=np.complex128) -> np.ndarray:
+        """A C-contiguous stack for one use in a chunk: the workspace's array
+        ``name``, or a new one where the link has no workspace."""
+        return np.empty(shape, dtype) if self.ws is None else self.ws.take(name, shape, dtype)
 
     def draw(self, streams: _TrialStreams, start: int, stop: int):
         """Every draw of trials [start, stop), trial by trial in the contract's order.
@@ -470,9 +537,9 @@ class _Link:
         bits and the noise pair of (T, samples) arrays (None at zero noise variance).
         """
         T = stop - start
-        gains = None if self.fixed else np.empty((T, len(self.grid.taps)), dtype=np.complex128)
-        words = np.empty((T, (self.n_bits + 1) // 2), dtype=np.uint64)
-        noise = np.empty((T, 2, self.n_samples)) if self.noise_var > 0 else None
+        gains = None if self.fixed else self._stack("gains", (T, len(self.grid.taps)))
+        words = self._stack("words", (T, (self.n_bits + 1) // 2), np.uint64)
+        noise = self._stack("noise", (T, 2, self.n_samples), float) if self.noise_var > 0 else None
         for i in range(T):
             rng = streams.at(start + i)
             if gains is not None:
@@ -483,7 +550,8 @@ class _Link:
         if noise is not None:
             noise *= np.sqrt(self.noise_var / 2.0)  # draw_noise's values
             noise = noise[:, 0], noise[:, 1]
-        return self.fixed or self.grid, gains, _word_bits(words, self.n_bits), noise
+        bits = _word_bits(words, self.n_bits, self._stack("bits", (T, self.n_bits), np.int64))
+        return self.fixed or self.grid, gains, bits, noise
 
     def place(self, symbols: np.ndarray) -> np.ndarray:
         """The user map: stacked symbols (..., n) -> the grid the link synthesises,
@@ -492,33 +560,42 @@ class _Link:
             blocks = symbols.reshape(*symbols.shape[:-1], self.K, self.N_D, self.M_d)
             return multiuser.downlink_superpose(np.moveaxis(blocks, -3, 0), self.users, self.mode)
         if self.cells is not None:
-            grid = np.empty_like(symbols)
+            grid = self._stack("grid", symbols.shape)
             grid[..., self.cells] = symbols
             symbols = grid
         N, M = self.params.N, self.params.M
         return symbols.reshape(*symbols.shape[:-1], *((N, M) if self.spread else (M, N)))
 
     def read(self, grid: np.ndarray) -> np.ndarray:
-        """Adjoint of :meth:`place`: grid -> stacked symbols."""
+        """Adjoint of :meth:`place`: grid -> stacked symbols, a view where the
+        symbols fill a delay-Doppler grid in order.  A time-frequency grid is
+        read from the memory of its transpose, which the slot DFT writes."""
+        lead = grid.shape[:-2]
         if self.mode == "tf_spread":
             blocks = multiuser.downlink_split(grid, self.users, self.mode)
-            return np.concatenate([b.reshape(*grid.shape[:-2], -1) for b in blocks], axis=-1)
-        flat = grid.reshape(*grid.shape[:-2], -1)
-        return flat if self.cells is None else flat[..., self.cells]
+            return np.concatenate([b.reshape(*lead, -1) for b in blocks], axis=-1)
+        flat = (grid if self.spread else grid.swapaxes(-1, -2)).reshape(*lead, -1)
+        if self.gather is None:
+            return flat
+        out = self._stack("read", (*lead, len(self.gather)))
+        # mode "clip": with "raise", take fills a buffer of out's size and copies it over
+        return np.take(flat, self.gather, axis=-1, out=out, mode="clip")
 
-    def _synthesis(self, grid: np.ndarray, cp_len: int):
+    def _synthesis(self, grid: np.ndarray, cp_len: int, out: np.ndarray | None = None):
         """The TimeSignal of :meth:`place` grids, by ``dd_synthesis`` or ``heisenberg``."""
-        return (dd_synthesis if self.spread else heisenberg)(grid, self.params, cp_len=cp_len)
+        return (dd_synthesis if self.spread else heisenberg)(grid, self.params, cp_len, out)
 
     def transmit(self, bits: np.ndarray, amp=None):
         """Synthesise (..., n_bits) bits: a TimeSignal with one frame per bit row.
 
         ``amp`` of shape (..., K) scales each user's symbols before the user map.
         """
-        symbols = map_bits(bits, self.const)
+        lead = bits.shape[:-1]
+        symbols = map_bits(bits, self.const, self._stack("work", (*lead, self.K * self.block)))
         if amp is not None:
-            symbols = symbols * np.repeat(amp, self.block, axis=-1)
-        return self._synthesis(self.place(symbols), self.sc.cp_len)
+            symbols *= np.repeat(amp, self.block, axis=-1)
+        frame = self._stack("frame", (*lead, self.n_samples))
+        return self._synthesis(self.place(symbols), self.sc.cp_len, frame)
 
     @cached_property
     def _map_matrix(self) -> np.ndarray:
@@ -568,9 +645,15 @@ class _Link:
                 p = np.stack([multiuser.water_fill(q, mu.power_budget, noise_var) for q in power])
                 amp = np.sqrt(p / self.block)
 
-            def detect(body):
-                X = one_tap_tf(slot_dft(body, params).swapaxes(-1, -2), H, noise_var)
-                return self.read(sfft(X) if self.spread else X)
+            # the response on the slot DFT's (..., N, M) grid: the one-tap then
+            # reads no transposed operand, which numpy would copy to a buffer
+            H_slots = np.ascontiguousarray(H.swapaxes(-1, -2))
+
+            def detect(body):  # the slot DFT, one-tap and read-out in one stack
+                Y = self._stack("work", (*body.shape[:-1], params.N, params.M))
+                slot_dft(body, params, Y)
+                X = one_tap_tf(Y, H_slots, noise_var, Y).swapaxes(-1, -2)
+                return self.read(sfft(X, Y) if self.spread else X)
 
             # a fixed channel's rows are built once, a random chunk's streamed
             held = None if gains is not None else list(delay_rows(ch, params))
@@ -591,14 +674,18 @@ class _Link:
             else:
                 equalize = band_filter(blocks, noise_var)
 
-                def detect(body):
-                    z = equalize(body.reshape(*body.shape[:-1], self.blocks, -1)).reshape(body.shape)
+                def detect(body):  # the LMMSE, then its analysis DFT in the same stack
+                    Y = self._stack("work", (*body.shape[:-1], params.N, params.M))
+                    split = (*body.shape[:-1], self.blocks, -1)
+                    equalize(body.reshape(split), Y.reshape(split))
                     if self.spread:
-                        return self.read(dd_analysis(z.reshape(*z.shape[:-1], params.N, params.M)))
-                    return self.read(slot_dft(z, params).swapaxes(-1, -2))
+                        return self.read(dd_analysis(Y, Y))
+                    return self.read(slot_dft(Y.reshape(body.shape), params, Y).swapaxes(-1, -2))
 
         def receive(sig, noise):
-            return band_channel(rows(), sig, mode, noise)
+            lead = sig.samples.shape[:-1]
+            out, work = (self._stack(name, (*lead, params.dof)) for name in ("body", "work"))
+            return band_channel(rows(), sig, mode, noise, out, work)
 
         return detect, amp, receive
 
@@ -614,41 +701,44 @@ class _Link:
         W = mmse_filter(A, self.noise_var)
         return lambda body: (W @ body[..., None])[..., 0]
 
-    @cached_property
-    def _fixed_rx(self):
-        """The fixed channel's :meth:`receiver`, built once."""
-        return self.receiver(self.fixed)
-
-    def run_chunk(self, streams: _TrialStreams, start: int, stop: int):
+    def run_chunk(self, streams: _TrialStreams, start: int, stop: int, fixed_rx=None):
         """Draw, transmit, receive and detect trials [start, stop) as one stack.
 
-        Returns ((bit errors, symbol errors, bits, symbols), PAPR per trial).
+        ``fixed_rx`` is a fixed channel's :meth:`receiver`, built once by the
+        caller and held there: kept on the link, its closures would make a
+        reference cycle.  Returns ((bit errors, symbol errors, bits, symbols),
+        PAPR per trial), neither a view of the workspace.
         """
         ch, gains, bits, noise = self.draw(streams, start, stop)
-        detect, amp, receive = self._fixed_rx if gains is None else self.receiver(ch, gains)
+        detect, amp, receive = fixed_rx or self.receiver(ch, gains)
         sig = self.transmit(bits, amp)
-        paprs = papr(sig)
-        body = receive(sig, noise)
-        del sig, noise  # the transmitted stacks are not held through detection
-        est = detect(body)
+        paprs = papr(sig, self._stack("body", (stop - start, self.params.dof)))
+        est = detect(receive(sig, noise))
         bps = self.const.bits_per_symbol
         if amp is not None:
             # undo each user's amplitude; users given zero power carry no data
             on = np.broadcast_to(np.repeat(amp > 1e-12, self.block, axis=-1), est.shape)
             est = est[on] / np.broadcast_to(np.repeat(amp, self.block, axis=-1), est.shape)[on]
             bits = bits.reshape(*on.shape, bps)[on].reshape(-1)
-        be, se = count_errors(bits, slice_symbols(est, self.const), bps)
+        decided = self._stack("decided", (*est.shape[:-1], est.shape[-1] * bps), np.int64)
+        be, se = count_errors(bits, slice_symbols(est, self.const, decided), bps)
         return (be, se, bits.size, est.size), paprs
 
 
-def run_trial_range(sc: Scenario, snr_index: int, start: int, stop: int) -> LinkResult:
-    """Run trials [start, stop) of one SNR point; mergeable partial result."""
+def run_trial_range(
+    sc: Scenario, snr_index: int, start: int, stop: int, ws: _Workspace | None = None
+) -> LinkResult:
+    """Run trials [start, stop) of one SNR point; mergeable partial result.
+
+    The chunks use the stacks of ``ws``, a new workspace if None.
+    """
     snr_db = sc.snr_db_list[snr_index]
-    link = _Link(sc, _noise_var(snr_db))  # unit-energy symbols
+    link = _Link(sc, _noise_var(snr_db), _Workspace() if ws is None else ws)  # unit-energy symbols
+    fixed_rx = None if link.fixed is None else link.receiver(link.fixed)
     streams = _TrialStreams(sc.seed, snr_index, start)
     counts, paprs = [0, 0, 0, 0], []
     for a in range(start, stop, link.chunk):
-        chunk_counts, chunk_paprs = link.run_chunk(streams, a, min(a + link.chunk, stop))
+        chunk_counts, chunk_paprs = link.run_chunk(streams, a, min(a + link.chunk, stop), fixed_rx)
         counts = [x + y for x, y in zip(counts, chunk_counts)]
         paprs.append(chunk_paprs)
     be, se, nb, ns = counts
@@ -666,7 +756,7 @@ def run_trial_range(sc: Scenario, snr_index: int, start: int, stop: int) -> Link
 
 def _worker(args):
     sc, snr_index, start, stop = args
-    return run_trial_range(sc, snr_index, start, stop)
+    return run_trial_range(sc, snr_index, start, stop)  # with a workspace of its own
 
 
 def run(sc: Scenario, workers: int = 1) -> list:
@@ -681,7 +771,8 @@ def run(sc: Scenario, workers: int = 1) -> list:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     n_snr = len(sc.snr_db_list)
     if workers == 1 or sc.trials == 1:
-        return [run_trial_range(sc, si, 0, sc.trials) for si in range(n_snr)]
+        ws = _Workspace()  # every point reuses the stacks of the first
+        return [run_trial_range(sc, si, 0, sc.trials, ws) for si in range(n_snr)]
     bounds = np.linspace(0, sc.trials, min(workers, sc.trials) + 1).astype(int)
     ranges = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
     jobs = [(sc, si, a, b) for si in range(n_snr) for a, b in ranges]

@@ -15,7 +15,11 @@ Normalization is fixed and unitary everywhere:
 
 Every transform also takes a stack of grids or frames: leading axes index
 independent frames and the maps act on the last axes, so one call serves
-a chunk of Monte-Carlo trials.
+a chunk of Monte-Carlo trials.  The transforms the runner calls on every
+chunk take an optional ``out`` of the result's shape, which they fill and
+return (the samples of a synthesised TimeSignal); each FFT runs line by
+line, so the values do not depend on where they are written, and ``out``
+may be the input itself.
 
 The FFT-backed fast paths (numpy, norm="ortho") implement the same
 matrices; the test suite checks them against direct double-sum
@@ -51,7 +55,7 @@ def isfft(x_dd: np.ndarray) -> np.ndarray:
     return out
 
 
-def sfft(x_tf: np.ndarray) -> np.ndarray:
+def sfft(x_tf: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Map an (..., M, N) time-frequency grid to the (..., N, M) delay-Doppler grid.
 
     Exact inverse (adjoint) of :func:`isfft`.
@@ -59,12 +63,13 @@ def sfft(x_tf: np.ndarray) -> np.ndarray:
     x_tf = np.asarray(x_tf, dtype=np.complex128)
     if x_tf.ndim < 2:
         raise ValueError(f"expected 2-D time-frequency grid, got shape {x_tf.shape}")
-    out = np.fft.ifft(x_tf, axis=-2, norm="ortho")
-    out = np.fft.fft(out, axis=-1, norm="ortho")
-    return out.swapaxes(-1, -2)
+    tf = np.fft.ifft(x_tf, axis=-2, norm="ortho", out=None if out is None else out.swapaxes(-1, -2))
+    return np.fft.fft(tf, axis=-1, norm="ortho", out=tf).swapaxes(-1, -2)
 
 
-def heisenberg(x_tf: np.ndarray, params: FrameParams, cp_len: int = 0) -> TimeSignal:
+def heisenberg(
+    x_tf: np.ndarray, params: FrameParams, cp_len: int = 0, out: np.ndarray | None = None
+) -> TimeSignal:
     """Synthesise the time signal for an (..., M, N) time-frequency grid.
 
     Each slot (column) becomes M body samples via the unitary inverse DFT;
@@ -73,35 +78,44 @@ def heisenberg(x_tf: np.ndarray, params: FrameParams, cp_len: int = 0) -> TimeSi
     x_tf = np.asarray(x_tf, dtype=np.complex128)
     if x_tf.shape[-2:] != (params.M, params.N):
         raise ValueError(f"expected TF grid {(params.M, params.N)}, got {x_tf.shape}")
-    # (..., N, M): rows = slots
-    return _slot_signal(np.fft.ifft(x_tf, axis=-2, norm="ortho").swapaxes(-1, -2), params, cp_len)
+    slots = _slots(x_tf.shape[:-2], params, cp_len, out)  # (..., N, cp + M): rows = slots
+    np.fft.ifft(x_tf, axis=-2, norm="ortho", out=slots[..., cp_len:].swapaxes(-1, -2))
+    return _slot_signal(slots, params, cp_len)
 
 
-def dd_synthesis(x_dd: np.ndarray, params: FrameParams, cp_len: int = 0) -> TimeSignal:
+def dd_synthesis(
+    x_dd: np.ndarray, params: FrameParams, cp_len: int = 0, out: np.ndarray | None = None
+) -> TimeSignal:
     """``heisenberg(isfft(x_dd))`` of an (..., N, M) delay-Doppler grid, in one transform:
     s[n*M + p] = (1/sqrt(N)) * sum_k x_dd[k, p] * exp(2j*pi*n*k/N).
     """
     x_dd = np.asarray(x_dd, dtype=np.complex128)
     if x_dd.shape[-2:] != (params.N, params.M):
         raise ValueError(f"expected DD grid {(params.N, params.M)}, got {x_dd.shape}")
-    return _slot_signal(np.fft.ifft(x_dd, axis=-2, norm="ortho"), params, cp_len)
+    slots = _slots(x_dd.shape[:-2], params, cp_len, out)
+    np.fft.ifft(x_dd, axis=-2, norm="ortho", out=slots[..., cp_len:])
+    return _slot_signal(slots, params, cp_len)
 
 
-def dd_analysis(body: np.ndarray) -> np.ndarray:
+def dd_analysis(body: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``sfft(wigner(...))`` of (..., N, M) slot bodies: the adjoint of :func:`dd_synthesis`."""
-    return np.fft.fft(body, axis=-2, norm="ortho")
+    return np.fft.fft(body, axis=-2, norm="ortho", out=out)
 
 
-def _slot_signal(body: np.ndarray, params: FrameParams, cp_len: int) -> TimeSignal:
-    """The TimeSignal of (..., N, M) slot bodies, each led by a copy of its last ``cp_len`` samples."""
+def _slots(lead: tuple, params: FrameParams, cp_len: int, out: np.ndarray | None) -> np.ndarray:
+    """The (..., N, cp_len + M) slots of the frames ``out`` (..., N*(cp_len + M)), or new ones."""
     if not 0 <= cp_len < params.M:
         raise ValueError(f"cp_len must be in [0, M), got {cp_len}")
-    if cp_len:
-        slots = np.concatenate([body[..., params.M - cp_len:], body], axis=-1)
-    else:
-        slots = body
+    shape = (*lead, params.N, cp_len + params.M)
+    return np.empty(shape, dtype=np.complex128) if out is None else out.reshape(shape)
+
+
+def _slot_signal(slots: np.ndarray, params: FrameParams, cp_len: int) -> TimeSignal:
+    """The TimeSignal of (..., N, cp_len + M) slots whose bodies are written: each is
+    led by a copy of its last ``cp_len`` samples."""
+    slots[..., :cp_len] = slots[..., params.M:]
     return TimeSignal(
-        samples=slots.reshape(*body.shape[:-2], -1),
+        samples=slots.reshape(*slots.shape[:-2], -1),
         cp_len=cp_len,
         sample_rate=params.bandwidth,
         num_slots=params.N,
@@ -122,10 +136,10 @@ def wigner(sig: TimeSignal, params: FrameParams) -> np.ndarray:
     return slot_dft(sig.body, params).swapaxes(-1, -2)
 
 
-def slot_dft(body: np.ndarray, params: FrameParams) -> np.ndarray:
+def slot_dft(body: np.ndarray, params: FrameParams, out: np.ndarray | None = None) -> np.ndarray:
     """Unitary DFT of each slot of (..., N*M) body samples: (..., N, M), wigner's transpose."""
     body = body.reshape(*body.shape[:-1], params.N, params.M)
-    return np.fft.fft(body, axis=-1, norm="ortho")
+    return np.fft.fft(body, axis=-1, norm="ortho", out=out)
 
 
 def basis_waveform(m: int, n: int, params: FrameParams, cp_len: int = 0) -> TimeSignal:

@@ -425,6 +425,40 @@ class TestUnwritableOutput:
         assert len(captured.err.splitlines()) == 1
         assert taken.read_text() == "kept"
 
+    @pytest.mark.parametrize("command", [
+        ["simulate"], ["sweep", "--snr", "0:10:10"], ["papr-ccdf"],
+    ], ids=lambda c: c[0])
+    def test_unwritable_out_is_reported_before_any_trial(
+        self, config_file, tmp_path, capsys, monkeypatch, command
+    ):
+        calls = []
+        for name in ("run_trial_range", "_Link"):
+            real = getattr(otfsim.runner, name)
+            monkeypatch.setattr(otfsim.runner, name,
+                                lambda *a, real=real, name=name: calls.append(name) or real(*a))
+        out = tmp_path / "missing" / "x.csv"
+        assert main([*command, "--config", config_file(), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: cannot write {out}: ")
+        assert calls == []
+
+    @pytest.mark.parametrize("existed", [True, False], ids=["existing", "new"])
+    def test_failed_run_leaves_the_out_path_as_it_was(self, config_file, tmp_path, existed):
+        # the output is opened before the run but written only after it: a run
+        # refused by a guard neither truncates an existing file nor leaves a new one
+        cfg = config_file(frame={"M": 128, "N": 64}, equalizer="mmse_dd",
+                          snr_db_list=[10.0], trials=1)
+        dest = tmp_path / "out.csv"
+        if existed:
+            dest.write_text("kept")
+        assert main(["simulate", "--config", cfg, "--out", str(dest)]) == EXIT_GUARD
+        assert (dest.read_text() == "kept") if existed else not dest.exists()
+
+    def test_out_replaces_an_existing_file(self, config_file, tmp_path):
+        dest = tmp_path / "out.csv"
+        dest.write_text("x" * 10000)
+        assert main(["simulate", "--config", config_file(), "--out", str(dest)]) == EXIT_OK
+        assert dest.read_text().startswith("scheme,") and "x" not in dest.read_text()
+
 
 class TestSelftest:
     def test_all_checks_pass(self, capsys):
@@ -458,7 +492,8 @@ class TestSelftest:
     def test_injected_stream_misread_caught(self, monkeypatch, capsys):
         # negative control: bits read from the wrong half of each raw word
         real = otfsim.runner._word_bits
-        monkeypatch.setattr(otfsim.runner, "_word_bits", lambda w, n: real(w << np.uint64(32), n))
+        monkeypatch.setattr(otfsim.runner, "_word_bits",
+                            lambda w, n, *a: real(w << np.uint64(32), n, *a))
         assert main(["selftest"]) == EXIT_INVARIANT
         out = capsys.readouterr().out
         assert "[FAIL] trial_stream" in out and out.count("[PASS]") == 8
