@@ -1,6 +1,6 @@
 """Reference operators built the obvious way: the oracles of the closed forms.
 
-:func:`chain_matrix` probes a linear chain one unit impulse at a time;
+:func:`chain_matrix` probes a linear chain by stacks of identity rows;
 :func:`effective_matrix` and :func:`coupling_tensor` probe the real
 modulate -> channel -> demodulate chain, and :func:`tf_channel_factored`
 multiplies dense DFT and embedding matrices.  The runner never calls them.
@@ -21,36 +21,36 @@ COUPLING_GUARD = 512
 
 
 def chain_matrix(tx, rx, dim: int) -> np.ndarray:
-    """Matrix of the linear map rx(channel(tx(e_c))) over all unit impulses.
+    """Matrix of the linear map rx(channel(tx(v))) on length-``dim`` vectors.
 
-    ``tx`` maps a length-``dim`` coefficient vector to a TimeSignal (or
-    anything ``rx`` accepts); ``rx`` maps it back to a coefficient vector.
-    The caller bakes the channel into one of the two closures.  Refuses
-    operators with more than ``EFFECTIVE_GUARD`` input points before any
-    probe runs.
+    ``tx`` maps a (rows, dim) stack of coefficient vectors to a stack of
+    TimeSignals (or anything ``rx`` accepts); ``rx`` maps it back to a stack
+    of coefficient vectors, the stack axis leading.  The caller bakes the
+    channel into one of the two closures.  The identity is probed in blocks
+    of ``EFFECTIVE_GUARD // dim`` rows, each as many entries as one probe at
+    the guard and a fresh slice that is never written.  Refuses operators
+    with more than ``EFFECTIVE_GUARD`` input points before any probe runs.
     """
     if dim > EFFECTIVE_GUARD:
-        raise GuardError(
-            f"probed operator on {dim} points exceeds guard {EFFECTIVE_GUARD}"
-        )
-    cols = []
-    e = np.zeros(dim, dtype=np.complex128)
-    for c in range(dim):
-        e[c] = 1.0
-        # a copy: rx(tx(e)) may be a view of the probe, which is reset below
-        cols.append(np.array(rx(tx(e)), dtype=np.complex128).reshape(-1))
-        e[c] = 0.0
-    return np.column_stack(cols)
+        raise GuardError(f"probed operator on {dim} points exceeds guard {EFFECTIVE_GUARD}")
+    rows, A = EFFECTIVE_GUARD // dim, None
+    for a in range(0, dim, rows):
+        m = min(rows, dim - a)
+        block = np.reshape(rx(tx(np.eye(m, dim, a, dtype=np.complex128))), (m, -1))
+        if A is None:
+            A = np.empty((block.shape[1], dim), dtype=np.complex128)
+        A[:, a:a + m] = block.T
+    return A
 
 
 def effective_matrix(cfg, ch: DDChannelSpec, mode: str = "cyclic") -> np.ndarray:
     """Composed end-to-end operator of modulate -> channel -> demodulate.
 
-    Ground-truth numerical construction: each unit impulse on the scheme's
-    input grid is pushed through the real chain (noiseless) and the
-    responses are collected as columns.  Input/output vectorization is
-    row-major over the scheme's grid — for the delay-Doppler schemes that
-    is (doppler, delay) order.
+    Ground-truth numerical construction: the unit impulses on the scheme's
+    input grid go through the real chain (noiseless) as stacks of frames,
+    and the responses are collected as columns.  Input/output vectorization
+    is row-major over the scheme's grid — for the delay-Doppler schemes
+    that is (doppler, delay) order.
 
     ``cfg`` is a :class:`~otfsim.modem.SchemeConfig`; :func:`chain_matrix`
     refuses grids larger than ``EFFECTIVE_GUARD`` points.
@@ -59,7 +59,7 @@ def effective_matrix(cfg, ch: DDChannelSpec, mode: str = "cyclic") -> np.ndarray
     shape = modem.payload_shape(cfg)
 
     def tx(v):
-        return modem.modulate(cfg, v.reshape(shape))
+        return modem.modulate(cfg, v.reshape(-1, *shape))
 
     def rx(sig):
         return modem.demodulate(cfg, apply_channel(sig, ch, params, 0.0, None, mode))

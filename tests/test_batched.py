@@ -19,10 +19,10 @@ import otfsim as ot
 from otfsim import multiuser, runner
 from otfsim.channel import draw_noise
 from otfsim.metrics import count_errors, papr, slice_symbols
-from otfsim.oracles import chain_matrix
 from otfsim.runner import (
     _Link, _TrialStreams, run_trial_range, scenario_channel, scenario_from_dict, trial_rng,
 )
+from test_channel import impulse_probe
 
 GOLDEN = Path(__file__).parent / "golden"
 SCENARIOS = sorted(p.stem for p in GOLDEN.glob("*.json"))
@@ -144,12 +144,12 @@ def test_peak_memory_does_not_grow_with_trials(monkeypatch):
 def test_user_map_matrix_is_the_probed_map(name, monkeypatch):
     # the prefix-free body samples of the link's user map, built from stacks
     # of 3 symbol impulses, the last one short when 3 does not divide the
-    # symbol count
+    # symbol count, against the map probed one impulse at a time
     sc = scenario(name)
     monkeypatch.setattr(runner, "CHUNK_SAMPLES", 3 * _Link(sc).n_samples)
     link = _Link(sc)
     n = link.K * link.block
-    probed = chain_matrix(lambda v: link._synthesis(link.place(v), 0), lambda s: s.samples, n)
+    probed = impulse_probe(lambda v: link._synthesis(link.place(v), 0), lambda s: s.samples, n)
     assert np.array_equal(link._map_matrix, probed)
 
 

@@ -7,12 +7,18 @@ import pytest
 from numpy.testing import assert_allclose
 
 import otfsim as ot
-from otfsim import channel
+from otfsim import channel, oracles
 from otfsim.channel import (
     EFFECTIVE_GUARD, band_blocks, band_rows, check_blocks, delay_band, draw_noise,
 )
 from otfsim.errors import ConfigError, GuardError
 from otfsim.oracles import COUPLING_GUARD, chain_matrix
+
+
+def impulse_probe(tx, rx, dim):
+    """The one-impulse reference of :func:`chain_matrix`: each unit impulse
+    goes through the stacked closures alone, as a stack of one."""
+    return np.column_stack([np.reshape(rx(tx(e[None])), -1) for e in np.eye(dim, dtype=complex)])
 
 
 def one_tap_response_oracle(taps, M, N):
@@ -398,8 +404,44 @@ class TestEffectiveMatrix:
             chain_matrix(never, never, EFFECTIVE_GUARD + 1)
 
     def test_chain_matrix_keeps_responses_that_view_the_probe(self):
-        # an OFDM payload maps to its grid by a view of the probe vector
-        assert_allclose(chain_matrix(lambda v: v[:, None], lambda X: X.T, 3), np.eye(3))
+        # an OFDM payload maps to its grid by a view of the probe stack; over
+        # several blocks, so that a probe buffer reused across them shows
+        dim, calls = 100, []
+
+        def tx(V):
+            calls.append(len(V))
+            return V[..., None]
+
+        assert_allclose(chain_matrix(tx, lambda X: X[..., 0], dim), np.eye(dim))
+        assert calls == [40, 40, 20]  # blocks of EFFECTIVE_GUARD // dim rows
+
+    def test_effective_matrix_probes_one_block_per_channel_call(self, monkeypatch):
+        # 128 grid points go through in blocks of EFFECTIVE_GUARD // 128 = 32
+        # impulses: one apply_channel call a block, each on a stack of 32
+        calls = []
+        real = oracles.apply_channel
+        monkeypatch.setattr(oracles, "apply_channel",
+                            lambda sig, *a: calls.append(sig.samples.shape) or real(sig, *a))
+        params = ot.make_frame(16, 8)
+        ch = ot.random_channel(3, 2, np.random.default_rng(21))
+        ot.effective_matrix(ot.SchemeConfig("OTFS", params, cp_len=2), ch, "per_slot_cp")
+        assert calls == [(32, 8 * 18)] * 4
+
+    def test_chain_matrix_peak_is_the_matrix_and_one_block(self):
+        # 512 points in blocks of 8 impulses: the matrix, one block's
+        # responses and the chain's work on one block are all that is held
+        params = ot.make_frame(32, 16)
+        ch = ot.random_channel(3, 2, np.random.default_rng(22))
+        cfg = ot.SchemeConfig("OTFS", params, cp_len=2)
+        ot.effective_matrix(cfg, ch, "per_slot_cp")  # warm lazy imports
+        tracemalloc.start()
+        try:
+            A = ot.effective_matrix(cfg, ch, "per_slot_cp")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert A.shape == (512, 512)
+        assert peak < A.nbytes + (EFFECTIVE_GUARD // 512) * 512 * 16 + 2**20
 
 
 class TestCouplingTensor:
@@ -441,15 +483,27 @@ class TestCouplingTensor:
 
 
 def slot_stack_payload_operator(cfg, B):
-    """Payload-grid operator of a slot stack: precode, B_n per slot, undo precoding."""
+    """Payload-grid operator of a slot stack: precode, B_n per slot, undo precoding,
+    applied to the stack of every unit impulse at once."""
     from otfsim.modem import payload_from_tf, payload_shape, tf_from_payload
 
-    cols = []
-    for e in np.eye(cfg.params.dof, dtype=complex):
-        X = tf_from_payload(cfg, e.reshape(payload_shape(cfg)))
-        Y = np.einsum("nij,jn->in", B, X)
-        cols.append(payload_from_tf(cfg, Y).reshape(-1))
-    return np.column_stack(cols)
+    dof = cfg.params.dof
+    X = tf_from_payload(cfg, np.eye(dof, dtype=complex).reshape(dof, *payload_shape(cfg)))
+    Y = np.einsum("nij,cjn->cin", B, X)
+    return payload_from_tf(cfg, Y).reshape(dof, -1).T
+
+
+def probed_slot_chain(ch, params, mode, cp):
+    """The OSTF chain probed slot-major: impulse n*M + m is subcarrier m of slot n,
+    and row n*M + m reads it back, so that the blocks on the diagonal are the
+    slots' ``slot_operators``."""
+    def tx(V):
+        return ot.heisenberg(V.reshape(-1, params.N, params.M).swapaxes(-1, -2), params, cp_len=cp)
+
+    def rx(sig):
+        return ot.wigner(ot.apply_channel(sig, ch, params, mode=mode), params).swapaxes(-1, -2)
+
+    return chain_matrix(tx, rx, params.dof)
 
 
 class TestSlotOperators:
@@ -501,15 +555,9 @@ class TestSlotOperators:
     @pytest.mark.parametrize("M,N", [(8, 4), (7, 4), (5, 1), (6, 3), (4, 8)])
     def test_cyclic_matches_probed_chain(self, M, N):
         # delays wrap round the whole block; Doppler bins reach -N/2 and +N/2
-        from otfsim.transforms import heisenberg, wigner
-
         params = ot.make_frame(M, N)
         ch = ot.random_channel(3, N // 2 + 1, np.random.default_rng(42))
-        probed = chain_matrix(
-            lambda v: heisenberg(v.reshape(N, M).T, params),
-            lambda sig: wigner(ot.apply_channel(sig, ch, params, mode="cyclic"), params).T,
-            params.dof,
-        )
+        probed = probed_slot_chain(ch, params, "cyclic", 0)
         T = ot.slot_operators(ch, params, "cyclic")
         assert T.shape == (1, M * N, M * N)
         assert np.abs(T[0] - probed).max() < 1e-10
@@ -554,10 +602,10 @@ def probed_time_channel(ch, params, mode, cp):
     Each slot of the probe takes the last ``cp`` of its samples as prefix,
     and the receiver strips them.
     """
-    def tx(v):
-        slots = v.reshape(params.N, params.M)
-        samples = np.concatenate([slots[:, params.M - cp:], slots], axis=1).reshape(-1)
-        return ot.TimeSignal(samples, cp, params.bandwidth, params.N)
+    def tx(V):
+        slots = V.reshape(-1, params.N, params.M)
+        samples = np.concatenate([slots[..., params.M - cp:], slots], axis=-1)
+        return ot.TimeSignal(samples.reshape(len(V), -1), cp, params.bandwidth, params.N)
 
     return chain_matrix(tx, lambda sig: ot.apply_channel(sig, ch, params, mode=mode).body, params.dof)
 

@@ -66,15 +66,21 @@ def test_papr_ccdf_reproduces_golden_csv(name):
 def test_detector_never_probes_the_channel(name, monkeypatch):
     # every detector reads the received body samples through closed-form
     # channel operators, and every receive forms them by band_channel; the
-    # probed chain and apply_channel are test oracles only
+    # probed chain and apply_channel are test oracles only, and only ML and
+    # Gaussian spreading, by their scenario, probe their user map
     def refuse(*args, **kwargs):
         raise AssertionError("detector build probed the channel chain")
 
     monkeypatch.setattr(runner, "apply_channel", refuse)
     monkeypatch.setattr(runner, "effective_matrix", refuse)
-    monkeypatch.setattr(oracles, "chain_matrix", refuse)  # every probed builder runs through it
+    # every probed builder runs through it, by the oracles' name or the runner's
+    monkeypatch.setattr(oracles, "chain_matrix", refuse)
+    monkeypatch.setattr(runner, "chain_matrix", refuse)
     monkeypatch.setattr(modem, "demodulate", refuse)
     sc = load_scenario(GOLDEN / f"{name}.json")
+    mu = sc.multiuser
+    if sc.equalizer != "ml" and not (mu and mu.mode == "tf_spread" and mu.spreader == "gaussian"):
+        monkeypatch.setattr(_Link, "_map_matrix", property(refuse))
     link = _Link(sc, 0.1)
     draws = [scenario_channel(sc, trial_rng(sc.seed, 0, t)) for t in range(2)]
     detect, _, _ = link.receiver(draws[0])

@@ -40,7 +40,9 @@ from otfsim.runner import (
     trial_rng,
 )
 from otfsim.transforms import dd_analysis, dd_synthesis, slot_dft
-from test_channel import per_tap_channel_oracle
+from test_channel import (
+    impulse_probe, per_tap_channel_oracle, probed_slot_chain, probed_time_channel,
+)
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -73,6 +75,35 @@ def tf_map(link, symbols):
 def tf_read(link, X):
     """Adjoint of :func:`tf_map`: (M, N) time-frequency grid -> stacked symbols."""
     return link.read(ot.sfft(X) if link.spread else X)
+
+
+def symbol_chain(link, own):
+    """``(tx, rx, dim)`` on stacks: the library's symbol map of the link to its
+    received body on channel ``own``, by the modem for one user and by
+    ``downlink_superpose`` for the users of a downlink, DFT spreading by its
+    dense pairs so that the reference does not take the link's route."""
+    sc, params, cp = link.sc, link.params, link.sc.cp_len
+    mu = sc.multiuser
+    if mu is None:
+        cfg = ot.SchemeConfig(sc.scheme, params, cp_len=cp)
+    elif mu.mode != "tf_spread":
+        users = link.alloc.users
+    elif mu.spreader == "gaussian":
+        users = link.users
+    else:
+        users = [multiuser.dft_spreading_pair(f, t) for f, t in link.alloc.users]
+
+    def tx(V):
+        if mu is None:
+            return ot.modulate(cfg, V.reshape(-1, *ot.payload_shape(cfg)))
+        blocks = list(V.reshape(-1, link.K, link.N_D, link.M_d).swapaxes(0, 1))
+        X = multiuser.downlink_superpose(blocks, users, mu.mode)
+        return ot.heisenberg(X, params, cp_len=cp)
+
+    def rx(sig):
+        return ot.apply_channel(sig, own, params, mode=sc.channel_mode).body
+
+    return tx, rx, link.K * link.block
 
 
 class TestScenarioParsing:
@@ -686,11 +717,8 @@ class TestMultiuserExecution:
     @pytest.mark.parametrize("mode", ["dd_mapped", "tf_alloc", "tf_spread"])
     def test_per_slot_downlink_detector_is_joint_lmmse(self, mode, mapping, monkeypatch):
         # unitary user maps detect per slot on the delay band and never probe
-        # the chain; the result is the LMMSE of the probed chain on the
+        # their user map; the result is the LMMSE of the probed chain on the
         # stacked user vector
-        import otfsim.runner
-        from otfsim import multiuser
-
         sc = scenario_from_dict(self.mu_dict(
             frame={"M": 8, "N": 4, "cp_len": 2},
             channel={"random": {"L_max": 3, "V_max": 2}},
@@ -708,8 +736,8 @@ class TestMultiuserExecution:
         rng = trial_rng(4, 0, 0)
         ch = scenario_channel(sc, rng)
 
-        def tx(v):
-            blocks = v.reshape(4, 2, 4)  # 4 users of (N_D, M_d) = (2, 4)
+        def tx(V):  # a stack of 4 users' blocks of (N_D, M_d) = (2, 4)
+            blocks = list(V.reshape(-1, 4, 2, 4).swapaxes(0, 1))
             X = multiuser.downlink_superpose(blocks, users, mode)
             return ot.heisenberg(X, sc.params, cp_len=2)
 
@@ -721,9 +749,10 @@ class TestMultiuserExecution:
         sig = ot.apply_channel(tx(x), ch, sc.params, 0.1, rng)
 
         def refuse(*a, **k):
-            raise AssertionError("chain_matrix called")
+            raise AssertionError("the user map probed")
 
-        monkeypatch.setattr(otfsim.runner, "chain_matrix", refuse)
+        # the runner's own probe: the dense detector's user map
+        monkeypatch.setattr(_Link, "_map_matrix", property(refuse))
         got = link.receiver(ch)[0](sig.body)
         assert np.abs(got - W @ ot.wigner(sig, sc.params).reshape(-1)).max() < 1e-10
 
@@ -741,9 +770,6 @@ class TestMultiuserExecution:
     def test_detector_is_lmmse_of_the_probed_chain(self, scheme, N, mode, spreader, channel_mode):
         # the detector against the LMMSE of the probed chain on the stacked
         # symbol vector; Doppler bins reach -N/2 and +N/2
-        from otfsim import multiuser
-        from otfsim.modem import modulate, payload_shape
-
         d = self.mu_dict(
             scheme=scheme,
             frame={"M": 8, "N": N, "cp_len": 0 if channel_mode == "cyclic" else 2},
@@ -758,23 +784,7 @@ class TestMultiuserExecution:
         link = _Link(sc, 0.1)
         rng = trial_rng(6, 0, 0)
         ch = scenario_channel(sc, rng)
-        dim = sc.params.dof
-
-        # dense DFT spreading pairs, so the reference does not take the link's route
-        if mode is None:
-            cfg = ot.SchemeConfig(scheme, sc.params, cp_len=sc.cp_len)
-        elif spreader == "gaussian":
-            users = link.users
-        elif mode == "tf_spread":
-            users = [multiuser.dft_spreading_pair(f, t) for f, t in link.alloc.users]
-        else:
-            users = link.alloc.users
-
-        def tx(v):
-            if mode is None:
-                return modulate(cfg, v.reshape(payload_shape(cfg)))
-            X = multiuser.downlink_superpose(v.reshape(4, N // 2, 4), users, mode)
-            return ot.heisenberg(X, sc.params, cp_len=sc.cp_len)
+        tx, _, dim = symbol_chain(link, ch)
 
         def rx(sig):
             return ot.wigner(ot.apply_channel(sig, ch, sc.params, mode=channel_mode), sc.params)
@@ -1235,8 +1245,9 @@ class TestReceivePath:
 
     @staticmethod
     def probed_lmmse(link, own, body):
-        """``mmse_filter`` of the probed time-frequency chain of one channel, then the
-        map's adjoint, with DFT spreading by its dense pairs, on each frame of ``body``."""
+        """``mmse_filter`` of the probed time-frequency chain of one channel, OSTF's
+        ``effective_matrix`` at the link's prefix, then the map's adjoint, with DFT
+        spreading by its dense pairs, on each frame of ``body``."""
         params, mode, cp = link.params, link.sc.channel_mode, link.sc.cp_len
         mu = link.sc.multiuser
 
@@ -1250,13 +1261,8 @@ class TestReceivePath:
                 blocks = multiuser.downlink_split(X, pairs, "tf_spread")
                 return np.concatenate([b.reshape(-1) for b in blocks])
 
-        def tx(v):
-            return ot.heisenberg(v.reshape(params.M, params.N), params, cp_len=cp)
-
-        def rx(sig):
-            return ot.wigner(ot.apply_channel(sig, own, params, mode=mode), params)
-
-        W = ot.mmse_filter(chain_matrix(tx, rx, params.dof), link.noise_var)
+        A = ot.effective_matrix(ot.SchemeConfig("OSTF", params, cp_len=cp), own, mode)
+        W = ot.mmse_filter(A, link.noise_var)
         Y = slot_dft(body, params).swapaxes(-1, -2).reshape(len(body), -1)
         return np.array([adjoint((W @ y).reshape(params.M, params.N)) for y in Y])
 
@@ -1288,13 +1294,7 @@ class TestReceivePath:
         alone = band_channel(band_rows(band[t]), frame, mode, (noise[0][t], noise[1][t]))
         assert np.array_equal(y[t], alone)
 
-        def tx(v):  # each slot of the probe led by its last cp samples
-            slots = v.reshape(params.N, params.M)
-            samples = np.concatenate([slots[:, params.M - cp:], slots], axis=1).reshape(-1)
-            return ot.TimeSignal(samples, cp, params.bandwidth, params.N)
-
-        probed = chain_matrix(tx, lambda sig: ot.apply_channel(sig, own, params, mode=mode).body,
-                              params.dof)
+        probed = probed_time_channel(own, params, mode, cp)
         nb = link.blocks
         dense = np.zeros((nb, params.dof // nb, nb, params.dof // nb), dtype=complex)
         dense[range(nb), :, range(nb)] = band_blocks(band[t].reshape(ch.L_max, nb, -1))
@@ -1326,21 +1326,11 @@ class TestReceivePath:
         frame t's own one-frame call, and against the probed chain of the library's
         symbol map to the received body, ``ml_detect`` on it or its ``mmse_filter``
         (<= 1e-10)."""
-        params, mode, cp, sc = link.params, link.sc.channel_mode, link.sc.cp_len, link.sc
+        sc = link.sc
         own = TestReceivePath.own(ch, gains[t])
         got = link.receiver(ch, gains)[0](body)[t]
         assert np.array_equal(got, link.receiver(own)[0](body[t]))
-
-        def tx(v):  # the modem's chain, or the users' Gaussian spreading
-            if sc.multiuser is None:
-                cfg = ot.SchemeConfig(sc.scheme, params, cp_len=cp)
-                return ot.modulate(cfg, v.reshape(ot.payload_shape(cfg)))
-            blocks = list(v.reshape(link.K, link.N_D, link.M_d))
-            grid = multiuser.downlink_superpose(blocks, link.users, "tf_spread")
-            return ot.heisenberg(grid, params, cp_len=cp)
-
-        probed = chain_matrix(tx, lambda sig: ot.apply_channel(sig, own, params, mode=mode).body,
-                              link.K * link.block)
+        probed = chain_matrix(*symbol_chain(link, own))
         if sc.equalizer == "ml":
             assert np.array_equal(got, ot.ml_detect(body[t], probed, link.const))
         else:
@@ -1356,16 +1346,33 @@ class TestReceivePath:
         for g, h in zip(gains, H):
             own = TestReceivePath.own(ch, g)
             T = ot.slot_operators(own, params, mode)
-            probed = chain_matrix(
-                lambda v: ot.heisenberg(v.reshape(params.N, params.M).T, params, cp_len=cp),
-                lambda sig: ot.wigner(ot.apply_channel(sig, own, params, mode=mode), params).T,
-                params.dof,
-            )
+            probed = probed_slot_chain(own, params, mode, cp)
             nb, B = len(T), T.shape[-1]
             dense = np.zeros((nb, B, nb, B), dtype=complex)
             dense[range(nb), :, range(nb)] = T
             assert np.abs(dense.reshape(probed.shape) - probed).max() < 1e-10
             assert np.abs(h - ot.tf_channel_factored(own, params)).max() <= 1e-12
+
+    @pytest.mark.parametrize("scheme,downlink,mode", [
+        *((s, None, m) for s in ("OTFS", "OSTF", "OFDM", "SCFDMA")
+          for m in ("per_slot_cp", "cyclic")),
+        ("OTFS", "dd_mapped-dft", "per_slot_cp"), ("OSTF", "tf_alloc-dft", "cyclic"),
+        ("OTFS", "tf_spread-dft", "per_slot_cp"), ("OTFS", "tf_spread-gaussian", "cyclic"),
+    ])
+    def test_stacked_probe_is_the_one_impulse_probe(self, scheme, downlink, mode):
+        # the library's probe in blocks of identity rows against one impulse at a
+        # time, bitwise, on each link kind's symbol chain: odd M, and 9 x 8 points
+        # in a block of 56 and a short one
+        N = 1 if scheme in ("OFDM", "SCFDMA") else 8
+        d = base_dict(scheme=scheme, frame={"M": 9, "N": N, "cp_len": 2 * (mode != "cyclic")},
+                      channel={"random": {"L_max": 3, "V_max": N // 2 + 1}}, channel_mode=mode)
+        if downlink is not None:
+            mu_mode, spreader = downlink.split("-")
+            d["multiuser"] = {"mode": mu_mode, "spreader": spreader, "K_d": 3, "K_D": 2}
+        sc = scenario_from_dict(d)
+        link = _Link(sc)
+        tx, rx, dim = symbol_chain(link, scenario_channel(sc, trial_rng(sc.seed, 0, 0)))
+        assert np.array_equal(chain_matrix(tx, rx, dim), impulse_probe(tx, rx, dim))
 
     def test_receive_detect_and_trial_split_against_oracles(self):
         # a fixed count of draws: every link kind in every round
