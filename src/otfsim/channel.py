@@ -279,7 +279,7 @@ def delay_rows(ch: DDChannelSpec, params: FrameParams, gains: np.ndarray | None 
     its twisted gains; ``gains`` (..., taps) as there."""
     check_taps(ch, params)
     l, k, g = _tap_arrays(ch, params, gains)
-    for d in np.unique(l):
+    for d in np.flatnonzero(np.bincount(l)):
         at = l == d
         ramp = _doppler_ramps(0, k[at], g[..., at], (1, params.dof))
         yield d, ramp.reshape(*g.shape[:-1], params.N, params.M)

@@ -43,11 +43,11 @@ stack.  ML and Gaussian spreading build one dense detector per draw, its
 band's blocks times the user map's body samples.  One-tap streams the
 rows of the delays that carry taps alone, as a whole band of a sparse,
 wide-delay channel's frames could outgrow the stream stack.
-Every link but Gaussian spreading is a cell map: its symbols sit on cells
-of one grid, the (N, M) delay-Doppler grid that the ISFFT spreads for OTFS,
-SC-FDMA (run as OTFS with N = 1) and ``dd_mapped`` (a DFT ``tf_spread``
-downlink is one), else the (M, N) time-frequency grid.  A spread grid is
-synthesised and read by one DFT across slots at each delay.
+Every link holds its symbols on one (N, M) grid, and every link but Gaussian
+spreading is a cell map onto it.  The ``spread`` links, OTFS, SC-FDMA (OTFS
+with N = 1) and ``dd_mapped`` (a DFT ``tf_spread`` downlink is one), use the
+delay-Doppler grid and one DFT across slots; every other link uses the
+time-frequency grid, row = slot and column = subcarrier, and a DFT per slot.
 
 A chunk in the steady state allocates none of its (T, samples) stacks but
 those of a random draw's channel (its band, rows or response, and the
@@ -75,6 +75,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import MISSING, dataclass, fields
 from functools import cached_property, reduce
 from pathlib import Path
@@ -454,18 +455,17 @@ class _Workspace:
 class _Link:
     """One transmit chain and its receiver, for a single user or a downlink.
 
-    :meth:`place` is the whole user map, stacked symbols to the grid the link
-    synthesises, and :meth:`read` is its adjoint.  Every link but Gaussian
-    spreading is a cell map: its symbols sit at ``cells`` of one grid, the
-    (N, M) delay-Doppler grid, spread by the ISFFT (``spread``), for OTFS,
-    SC-FDMA (OTFS with N = 1) and ``dd_mapped``, and the (M, N)
-    time-frequency grid for OSTF, OFDM and ``tf_alloc``.  ``cells`` is None
-    where the symbols fill the grid in order; a downlink's are its users'
-    ``frame.user_cells``, moved to f*N + t on the time-frequency grid.
-    ``spread`` links synthesise their grid by ``dd_synthesis``, every other
-    link by ``heisenberg``.
-    Gaussian ``tf_spread`` keeps its ``SpreadingPair`` objects in ``users``
-    and maps by ``multiuser``.  The scheme label of a downlink picks no route.
+    :meth:`place` is the whole user map, stacked symbols to the (N, M) grid the
+    link synthesises (see :meth:`_synthesis`), and :meth:`read` is its adjoint.
+    The grid is delay-Doppler for the ``spread`` links (OTFS, SC-FDMA as OTFS
+    with N = 1, and ``dd_mapped``), else time-frequency (row = slot, column =
+    subcarrier).  Every link but Gaussian spreading is a cell map: symbol j
+    sits at cell ``cells[j]`` of the flat grid, or at cell j where ``cells`` is
+    None (OTFS, SC-FDMA and OFDM).  A mapped downlink's are its users'
+    ``frame.user_cells``; single-user OSTF's put payload symbol f*N + t at cell
+    t*M + f.  Gaussian ``tf_spread`` keeps its ``SpreadingPair`` objects in
+    ``users``, maps by ``multiuser`` and places the transpose of its grid.
+    The scheme label of a downlink picks no route.
     Symbols, bits and detector output are stacked user by user, each block
     flattened row-major; every stage takes a stack of frames along leading
     axes.  A link serves one SNR point: its noise variance is fixed when it
@@ -511,15 +511,10 @@ class _Link:
 
             self.users = [multiuser.SpreadingPair(gauss(sc.M, self.M_d), gauss(sc.N, self.N_D))
                           for _ in self.alloc.users]
-        elif mu is not None:  # cells t*M + f; f*N + t on the time-frequency grid
-            cells = np.concatenate([user_cells(*u) for u in self.alloc.users])
-            self.cells = cells if self.spread else cells % params.M * params.N + cells // params.M
-        # where read gathers the symbols: cells of the flat DD grid, or cell f*N + t
-        # of a time-frequency grid at t*M + f of its slot-major memory
-        self.gather = self.cells
-        if not self.spread and self.mode != "tf_spread":
-            f_t = np.arange(params.dof) if self.cells is None else self.cells
-            self.gather = f_t % params.N * params.M + f_t // params.N
+        elif mu is not None:  # each user's cells t*M + f
+            self.cells = np.concatenate([user_cells(*u) for u in self.alloc.users])
+        elif sc.scheme == "OSTF":  # payload symbol f*N + t at cell t*M + f
+            self.cells = np.arange(params.dof).reshape(params.N, params.M).T.ravel()
         self.n_bits = self.K * self.block * self.const.bits_per_symbol
         self.n_samples = sc.N * (sc.M + sc.cp_len)
         self.chunk = max(1, CHUNK_SAMPLES // self.n_samples)
@@ -554,36 +549,38 @@ class _Link:
         return self.fixed or self.grid, gains, bits, noise
 
     def place(self, symbols: np.ndarray) -> np.ndarray:
-        """The user map: stacked symbols (..., n) -> the grid the link synthesises,
-        (..., N, M) delay-Doppler if ``spread``, else (..., M, N) time-frequency."""
+        """The user map: stacked symbols (..., n) -> the (..., N, M) grid the link
+        synthesises, delay-Doppler if ``spread``, else time-frequency by slot."""
         if self.mode == "tf_spread":
             blocks = symbols.reshape(*symbols.shape[:-1], self.K, self.N_D, self.M_d)
-            return multiuser.downlink_superpose(np.moveaxis(blocks, -3, 0), self.users, self.mode)
+            return multiuser.downlink_superpose(
+                np.moveaxis(blocks, -3, 0), self.users, self.mode).swapaxes(-1, -2)
         if self.cells is not None:
             grid = self._stack("grid", symbols.shape)
             grid[..., self.cells] = symbols
             symbols = grid
-        N, M = self.params.N, self.params.M
-        return symbols.reshape(*symbols.shape[:-1], *((N, M) if self.spread else (M, N)))
+        return symbols.reshape(*symbols.shape[:-1], self.params.N, self.params.M)
 
     def read(self, grid: np.ndarray) -> np.ndarray:
-        """Adjoint of :meth:`place`: grid -> stacked symbols, a view where the
-        symbols fill a delay-Doppler grid in order.  A time-frequency grid is
-        read from the memory of its transpose, which the slot DFT writes."""
+        """Adjoint of :meth:`place`: (..., N, M) grid -> stacked symbols, a view
+        where the symbols fill the grid in order."""
         lead = grid.shape[:-2]
         if self.mode == "tf_spread":
-            blocks = multiuser.downlink_split(grid, self.users, self.mode)
+            blocks = multiuser.downlink_split(grid.swapaxes(-1, -2), self.users, self.mode)
             return np.concatenate([b.reshape(*lead, -1) for b in blocks], axis=-1)
-        flat = (grid if self.spread else grid.swapaxes(-1, -2)).reshape(*lead, -1)
-        if self.gather is None:
+        flat = grid.reshape(*lead, -1)
+        if self.cells is None:
             return flat
-        out = self._stack("read", (*lead, len(self.gather)))
+        out = self._stack("read", (*lead, len(self.cells)))
         # mode "clip": with "raise", take fills a buffer of out's size and copies it over
-        return np.take(flat, self.gather, axis=-1, out=out, mode="clip")
+        return np.take(flat, self.cells, axis=-1, out=out, mode="clip")
 
     def _synthesis(self, grid: np.ndarray, cp_len: int, out: np.ndarray | None = None):
-        """The TimeSignal of :meth:`place` grids, by ``dd_synthesis`` or ``heisenberg``."""
-        return (dd_synthesis if self.spread else heisenberg)(grid, self.params, cp_len, out)
+        """The TimeSignal of :meth:`place` grids: one inverse DFT across slots
+        (``dd_synthesis``) if ``spread``, else within each slot (``heisenberg``)."""
+        if self.spread:
+            return dd_synthesis(grid, self.params, cp_len, out)
+        return heisenberg(grid.swapaxes(-1, -2), self.params, cp_len, out)
 
     def transmit(self, bits: np.ndarray, amp=None):
         """Synthesise (..., n_bits) bits: a TimeSignal with one frame per bit row.
@@ -652,8 +649,8 @@ class _Link:
             def detect(body):  # the slot DFT, one-tap and read-out in one stack
                 Y = self._stack("work", (*body.shape[:-1], params.N, params.M))
                 slot_dft(body, params, Y)
-                X = one_tap_tf(Y, H_slots, noise_var, Y).swapaxes(-1, -2)
-                return self.read(sfft(X, Y) if self.spread else X)
+                X = one_tap_tf(Y, H_slots, noise_var, Y)
+                return self.read(sfft(X.swapaxes(-1, -2), Y) if self.spread else X)
 
             # a fixed channel's rows are built once, a random chunk's streamed
             held = None if gains is not None else list(delay_rows(ch, params))
@@ -680,7 +677,7 @@ class _Link:
                     equalize(body.reshape(split), Y.reshape(split))
                     if self.spread:
                         return self.read(dd_analysis(Y, Y))
-                    return self.read(slot_dft(Y.reshape(body.shape), params, Y).swapaxes(-1, -2))
+                    return self.read(slot_dft(Y.reshape(body.shape), params, Y))
 
         def receive(sig, noise):
             lead = sig.samples.shape[:-1]
@@ -763,9 +760,10 @@ def run(sc: Scenario, workers: int = 1) -> list:
     """Run the full scenario; one LinkResult per SNR point.
 
     Results are independent of ``workers``: each SNR point's trials are
-    partitioned into contiguous ranges, every (SNR point, range) job goes
-    to one process pool, and each point's ranges are merged in trial
-    order.  Every trial owns its RNG stream.
+    partitioned into ``workers`` contiguous ranges (one a trial where fewer),
+    every (SNR point, range) job goes to one process pool of at most the
+    usable CPUs, and each point's ranges are merged in trial order.  Every
+    trial owns its RNG stream.
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
@@ -778,7 +776,8 @@ def run(sc: Scenario, workers: int = 1) -> list:
     jobs = [(sc, si, a, b) for si in range(n_snr) for a, b in ranges]
     from concurrent.futures import ProcessPoolExecutor  # loaded only when a pool runs
 
-    with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as ex:
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    with ProcessPoolExecutor(max_workers=min(workers, len(jobs), cpus or 1)) as ex:
         parts = list(ex.map(_worker, jobs))
     per_point = len(ranges)
     return [

@@ -18,14 +18,18 @@ response, so it takes neither dense slot view from the channel layer:
 ``slot_operators`` and ``dd_domain_operator`` stay library API, checked
 against the oracles.  Every spread link, SC-FDMA (OTFS with N = 1)
 included, synthesises its delay-Doppler grid by ``dd_synthesis``, so the
-runner takes no ``isfft`` from the transforms.
+runner takes no ``isfft`` from the transforms.  A one-tap run loads no
+``numpy.ma``, which ``np.unique`` imports on its first call, at some 20 ms
+a fresh process: every pool worker would pay it.
 """
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from test_cli import child_env
 
 TESTS = Path(__file__).parent
 SRC = TESTS.parent / "src" / "otfsim"
@@ -129,3 +133,13 @@ def top_level_imports(tree: ast.Module) -> set:
 def test_imports_are_numpy_only(path):
     siblings = {p.stem for p in TESTS.glob("*.py")} if path.parent == TESTS else set()
     assert top_level_imports(ast.parse(path.read_text())) <= ALLOWED | siblings
+
+
+@pytest.mark.parametrize("golden", ["otfs_onetap_random", "ostf_onetap_fixed_cyclic"])
+def test_a_one_tap_run_loads_no_masked_arrays(golden):
+    code = ("import sys; from otfsim.runner import load_scenario, run; "
+            "run(load_scenario(sys.argv[1])); print('numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, str(TESTS / "golden" / f"{golden}.json")],
+                          capture_output=True, text=True, timeout=120, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

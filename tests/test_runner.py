@@ -2,6 +2,7 @@
 
 import copy
 import json
+import os
 import random
 from dataclasses import replace
 from functools import reduce
@@ -21,6 +22,7 @@ from otfsim.equalizer import (
     _band_adjoint, _dense_solve, _reduce_solve, band_filter, band_solver, reduction_split,
 )
 from otfsim.errors import ConfigError, GuardError
+from otfsim.frame import user_cells
 from otfsim.metrics import LinkResult, map_bits, papr
 from otfsim.oracles import chain_matrix
 from otfsim.runner import (
@@ -67,14 +69,15 @@ def base_dict(**over):
 def tf_map(link, symbols):
     """The link's user map onto the (M, N) time-frequency grid: its
     :meth:`_Link.place`, taken through the ISFFT where the link is ``spread``
-    (OTFS, SC-FDMA as OTFS with N = 1, and ``dd_mapped``)."""
+    (OTFS, SC-FDMA as OTFS with N = 1, and ``dd_mapped``), else transposed
+    from the slot-major grid."""
     grid = link.place(symbols)
-    return ot.isfft(grid) if link.spread else grid
+    return ot.isfft(grid) if link.spread else grid.swapaxes(-1, -2)
 
 
 def tf_read(link, X):
     """Adjoint of :func:`tf_map`: (M, N) time-frequency grid -> stacked symbols."""
-    return link.read(ot.sfft(X) if link.spread else X)
+    return link.read(ot.sfft(X) if link.spread else X.swapaxes(-1, -2))
 
 
 def symbol_chain(link, own):
@@ -436,6 +439,39 @@ class TestExecution:
         sc = scenario_from_dict(base_dict(trials=6))
         ref = format_csv(run(sc, workers=1))
         assert format_csv(run(sc, workers=3)) == ref
+
+    def test_pool_is_bounded_by_the_usable_cpus(self, monkeypatch):
+        # the trials of each point still split into `workers` ranges, but the
+        # pool starts no more processes than this process may run on; the
+        # fake pool records its size and maps in process, so none is started
+        import concurrent.futures
+
+        opened, jobs = [], []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, args):
+                jobs.append([a[1:] for a in args])
+                return map(fn, args)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        sc = scenario_from_dict(base_dict(snr_db_list=[4.0, 10.0], trials=12))
+        ref = format_csv(run(sc, workers=1))
+        assert format_csv(run(sc, workers=10_000)) == ref
+        assert format_csv(run(sc, workers=8)) == ref
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        assert opened == [min(cpus, 24), min(cpus, 16)]
+        # (point, start, stop): one range per trial, then 8 ranges a point
+        assert jobs[0] == [(si, t, t + 1) for si in range(2) for t in range(12)]
+        assert [len(j) for j in jobs] == [24, 16]
 
     def test_workers_validation(self):
         sc = scenario_from_dict(base_dict())
@@ -1029,7 +1065,8 @@ class TestBandLMMSE:
 
 
 class TestCellMap:
-    """Every unitary link is one cell map on an (N, M) grid, spread by the ISFFT or not."""
+    """Every link places its symbols on one (N, M) grid, and every unitary link
+    is one cell map on it, spread by the ISFFT or not."""
 
     @pytest.mark.parametrize("scheme,M,N,mu", [
         ("OTFS", 8, 4, None),
@@ -1046,11 +1083,12 @@ class TestCellMap:
         ("OFDM", 7, 1, {"mode": "tf_alloc", "K_d": 7, "K_D": 1}),
         ("OTFS", 8, 4, {"mode": "tf_spread", "K_d": 2, "K_D": 2}),
         ("OSTF", 7, 2, {"mode": "tf_spread", "K_d": 7, "K_D": 1, "mapping": "interleaved"}),
+        ("OTFS", 8, 4, {"mode": "tf_spread", "K_d": 2, "K_D": 2, "spreader": "gaussian"}),
     ])
     def test_maps_are_the_library_maps(self, scheme, M, N, mu):
         # the user map, its adjoint and the transmitted frames against the
         # modem's payload maps or the downlink superposition of the link's
-        # allocation, on a (2, 3) stack of frames
+        # allocation or spreading pairs, on a (2, 3) stack of frames
         from otfsim.modem import payload_from_tf, payload_shape, tf_from_payload
 
         d = base_dict(scheme=scheme, frame={"M": M, "N": N, "cp_len": 2},
@@ -1068,7 +1106,8 @@ class TestCellMap:
             tf = tf_from_payload(cfg, symbols.reshape(2, 3, *payload_shape(cfg)))
             read = payload_from_tf(cfg, X).reshape(2, 3, -1)
         else:
-            users = link.alloc.users  # a DFT-spread downlink is dd_mapped on them
+            # a DFT-spread downlink is dd_mapped on its allocation, a Gaussian one spreads by pairs
+            users = link.users or link.alloc.users
             amp = rng.uniform(0, 2, size=(2, 3, link.K)) * (rng.random((2, 3, link.K)) < 0.8)
             blocks = (symbols * np.repeat(amp, link.block, axis=-1)).reshape(
                 2, 3, link.K, link.N_D, link.M_d)
@@ -1076,6 +1115,10 @@ class TestCellMap:
             read = np.concatenate([b.reshape(2, 3, -1) for b in multiuser.downlink_split(
                 X, users, link.mode)], axis=-1)
             symbols = symbols * np.repeat(amp, link.block, axis=-1)
+        assert link.place(symbols).shape[-2:] == (N, M)
+        if link.mode in ("dd_mapped", "tf_alloc"):  # the users' cells, t*M + f as they are
+            assert np.array_equal(link.cells, np.concatenate(
+                [user_cells(*u) for u in link.alloc.users]))
         assert np.array_equal(tf_map(link, symbols), tf)
         assert np.array_equal(tf_read(link, X), read)
         got = link.transmit(bits, amp).samples
