@@ -214,8 +214,8 @@ def _neighbour(n: int, step: int) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _block_index(L: int, B: int, K: int) -> np.ndarray:
-    """Rows of [diagonals; their negatives; y; 0] that fill the block rows
-    (K, 3K + 1, B/K) = [D | -Lo | -Up | y], in bit-reversed order (``_bit_reversal``).
+    """Rows of [diagonals; y; 0] that fill the block rows (K, 3K + 1, B/K)
+    = [D | Lo | Up | y], in bit-reversed order (``_bit_reversal``).
 
     Row i, entry (r, c) of D, Lo and Up is the Gram at (iK + r, (i + j)K + c)
     for j = 0, -1 and +1: diagonal d = r - c - jK, found at row (d + L - 1)B
@@ -223,12 +223,12 @@ def _block_index(L: int, B: int, K: int) -> np.ndarray:
     """
     r, c, _ = np.ogrid[:K, :K, :1]
     p = _bit_reversal(B // K) * K + r
-    S = (2 * L - 1) * B  # rows of the diagonals, and of their negatives
+    S = (2 * L - 1) * B  # rows of the diagonals
     cols = []
     for j in (0, -1, 1):
         d = r - c - j * K
-        cols.append(np.where(abs(d) < L, (j != 0) * S + (d + L - 1) * B + p, 2 * S + B))
-    return np.concatenate([*cols, 2 * S + p], axis=1)  # y last
+        cols.append(np.where(abs(d) < L, (d + L - 1) * B + p, S + B))
+    return np.concatenate([*cols, S + p], axis=1)  # y last
 
 
 def _reduce(band: np.ndarray, y: np.ndarray, noise_var: float) -> np.ndarray:
@@ -238,7 +238,8 @@ def _reduce(band: np.ndarray, y: np.ndarray, noise_var: float) -> np.ndarray:
     Gram is periodic block-tridiagonal: row i holds D_i, Lo_i (next to row
     i - 1) and Up_i (next to row i + 1).  Its 2L - 1 diagonals are L^2
     products of the band and the band with its ends wrapped, gathered into
-    the blocks by one cached index table.  The block rows are held (K,
+    the blocks by one cached index table and the couplings then negated in
+    place, [D | -Lo | -Up | y].  The block rows are held (K,
     3K + 1, nb, frames * blocks), the batch trailing, so every step is one
     elementwise call over the whole stack and a frame's result does not
     depend on the stack it is solved in.  No pivoting: every pivot block is
@@ -251,16 +252,16 @@ def _reduce(band: np.ndarray, y: np.ndarray, noise_var: float) -> np.ndarray:
     bt = band.transpose(1, 3, 0, 2).reshape(L, B, F)
     ext = np.concatenate([bt[:, B - L + 1:], bt, bt[:, :L - 1]], axis=1).conj()
     S = (2 * L - 1) * B
-    rows = np.zeros((2 * S + B + 1, F), dtype=np.complex128)
+    rows = np.zeros((S + B + 1, F), dtype=np.complex128)
     diag = rows[:S].reshape(2 * L - 1, B, F)
     for l in range(L):
         for m in range(L):
             d = l - m
             diag[d + L - 1] += bt[l] * ext[m, L - 1 - d : L - 1 - d + B]
     diag[L - 1] += noise_var
-    np.negative(rows[:S], out=rows[S : 2 * S])
-    rows[2 * S : -1] = y.reshape(F, B).T
+    rows[S:-1] = y.reshape(F, B).T
     G = rows[_block_index(L, B, K)]  # (K, 3K + 1, nb, F), rows bit-reversed
+    np.negative(G[:, K : 3 * K], out=G[:, K : 3 * K])
     with np.errstate(all="ignore"):
         x = _reduce_rows(G, K)[:, _bit_reversal(nb)]
     return x.transpose(2, 1, 0).reshape(T, blocks, B)

@@ -247,7 +247,17 @@ class LinkResult:
 
     @property
     def papr_p99(self) -> float:
-        return float(np.percentile(self.papr_values, 99)) if self.papr_values.size else 0.0
+        """``np.percentile(papr_values, 99)`` by numpy's linear rule, bit for bit,
+        without its ``np.unique`` (which imports ``numpy.ma``)."""
+        v = np.sort(self.papr_values)
+        if not v.size:
+            return 0.0
+        i = (v.size - 1) * 0.99
+        if i >= v.size - 1 or np.isnan(v[-1]):  # numpy's last value, or its NaN
+            return float(v[-1])
+        k = int(i)
+        a, b, t = v[k], v[k + 1], i - k
+        return float(a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t))
 
     def merge(self, other: "LinkResult") -> "LinkResult":
         """Combine two partial results for the same point (associative)."""

@@ -32,7 +32,6 @@ subchannels.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,13 +189,10 @@ def downlink_superpose(user_blocks, users, mode: str) -> np.ndarray:
         check_orthogonal(users)
     blocks = [_check_block(block, *desc) for block, desc in zip(user_blocks, users)]
     lead = blocks[0].shape[:-2]
-    # cell-major (one row per cell, one column per frame of the stack), so
-    # that a user's cells select whole rows; made C-ordered again after, as
-    # a single frame is, so a stack transforms to the bits of its frames
-    grid = np.zeros((shape[0] * shape[1], math.prod(lead)), dtype=np.complex128)
+    grid = np.zeros((*lead, shape[0] * shape[1]), dtype=np.complex128)
     for block, (fmap, tmap) in zip(blocks, users):
-        grid[user_cells(fmap, tmap)] += block.reshape(-1, fmap.size * tmap.size).T
-    grid = np.ascontiguousarray(grid.T).reshape(*lead, *shape)
+        grid[..., user_cells(fmap, tmap)] += block.reshape(*lead, -1)
+    grid = grid.reshape(*lead, *shape)
     return isfft(grid) if mode == "dd_mapped" else grid.swapaxes(-1, -2)
 
 

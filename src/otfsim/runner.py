@@ -428,8 +428,7 @@ class _Workspace:
 
     :meth:`take` gives a C-contiguous view of the named array, grown only
     when a request outgrows it: the first chunk of a link is its longest,
-    so a short last chunk and every later SNR point reuse its arrays.  The
-    last view of each name is kept, as chunks ask for the same shapes.
+    so a short last chunk and every later SNR point reuse its arrays.
     A name is a role in the chunk, and roles whose uses never overlap share
     one: ``work`` holds the mapped symbols, then each delay's products, then
     the detector's grid; ``body`` the body samples gathered for the PAPR,
@@ -438,18 +437,13 @@ class _Workspace:
 
     def __init__(self):
         self._arrays = {}
-        self._views = {}
 
     def take(self, name: str, shape: tuple, dtype=np.complex128) -> np.ndarray:
-        view = self._views.get(name)
-        if view is not None and view.shape == shape and view.dtype == dtype:
-            return view
         size = math.prod(shape)
         flat = self._arrays.get(name)
         if flat is None or flat.size < size or flat.dtype != dtype:
             flat = self._arrays[name] = np.empty(size, dtype=dtype)
-        view = self._views[name] = flat[:size].reshape(shape)
-        return view
+        return flat[:size].reshape(shape)
 
 
 class _Link:
@@ -633,10 +627,9 @@ class _Link:
             H = tf_channel(ch, params, gains)
             mu = sc.multiuser
             if mu is not None and mu.power_budget is not None:
-                # user k's cells f*N + t in np.ix_ order; gathered contiguous,
-                # each user's mean rounds as its lone (f, t) block's does
-                cells = np.array([np.add.outer(np.multiply(f.selected, params.N), t.selected)
-                                  .ravel() for f, t in self.alloc.users])
+                # user k's cells on the (M, N) response, f-major as its lone
+                # (f, t) block; gathered contiguous, each mean rounds as that block's
+                cells = np.array([user_cells(t, f) for f, t in self.alloc.users])
                 gathered = (np.abs(H) ** 2).reshape(-1, params.dof)[:, cells]
                 power = np.ascontiguousarray(gathered).mean(axis=-1)
                 p = np.stack([multiuser.water_fill(q, mu.power_budget, noise_var) for q in power])

@@ -18,9 +18,10 @@ response, so it takes neither dense slot view from the channel layer:
 ``slot_operators`` and ``dd_domain_operator`` stay library API, checked
 against the oracles.  Every spread link, SC-FDMA (OTFS with N = 1)
 included, synthesises its delay-Doppler grid by ``dd_synthesis``, so the
-runner takes no ``isfft`` from the transforms.  A one-tap run loads no
-``numpy.ma``, which ``np.unique`` imports on its first call, at some 20 ms
-a fresh process: every pool worker would pay it.
+runner takes no ``isfft`` from the transforms.  A run and its CSV load no
+``numpy.ma``, which ``np.unique`` (and so ``np.percentile``) imports on
+its first call, at some 20 ms a fresh process: every pool worker and
+every CLI run would pay it.
 """
 
 import ast
@@ -135,10 +136,11 @@ def test_imports_are_numpy_only(path):
     assert top_level_imports(ast.parse(path.read_text())) <= ALLOWED | siblings
 
 
-@pytest.mark.parametrize("golden", ["otfs_onetap_random", "ostf_onetap_fixed_cyclic"])
-def test_a_one_tap_run_loads_no_masked_arrays(golden):
-    code = ("import sys; from otfsim.runner import load_scenario, run; "
-            "run(load_scenario(sys.argv[1])); print('numpy.ma' in sys.modules)")
+@pytest.mark.parametrize("golden", ["otfs_onetap_random", "ostf_onetap_fixed_cyclic",
+                                    "otfs_mmse_random"])
+def test_a_run_and_its_csv_load_no_masked_arrays(golden):
+    code = ("import sys; from otfsim.runner import format_csv, load_scenario, run; "
+            "format_csv(run(load_scenario(sys.argv[1]))); print('numpy.ma' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code, str(TESTS / "golden" / f"{golden}.json")],
                           capture_output=True, text=True, timeout=120, env=child_env())
     assert proc.returncode == 0, proc.stderr

@@ -245,6 +245,15 @@ class TestLinkResult:
         r = self.make(0, 0, 0, 0, 0, [])
         assert r.ber == 0.0 and r.ser == 0.0 and r.papr_mean == 0.0 and r.papr_p99 == 0.0
 
+    def test_p99_is_numpys_percentile_bit_for_bit(self):
+        rng = np.random.default_rng(99)
+        for n in range(1, 401):
+            for v in (rng.standard_normal(n) * 3 + 5, rng.integers(0, 4, n).astype(float)):
+                r = self.make(n, 0, 0, 0, 0, v)
+                assert np.float64(r.papr_p99).tobytes() == np.percentile(v, 99).tobytes(), n
+        v = np.array([1.0, np.nan, 2.0])
+        assert np.isnan(self.make(1, 0, 0, 0, 0, v).papr_p99)
+
     def test_merge_adds_fields(self):
         a = self.make(1, 2, 1, 64, 32, [2.0])
         b = self.make(3, 4, 2, 192, 96, [3.0, 5.0, 1.0])

@@ -362,6 +362,17 @@ def test_downlink_split_inverts_mapped_superpose(mode, alloc_fn, lead):
         assert np.abs(got - want).max() < 1e-12
 
 
+@pytest.mark.parametrize("lead", [(3,), (2, 2)])
+@pytest.mark.parametrize("alloc_fn", ALLOCATIONS)
+@pytest.mark.parametrize("mode", ["dd_mapped", "tf_alloc"])
+def test_a_stack_superposes_to_the_bits_of_its_frames(mode, alloc_fn, lead):
+    _, users, x = downlink_case(mode, alloc_fn, lead, 419)
+    Y = downlink_superpose(x, users, mode)
+    assert Y.shape == (*lead, M, N)
+    for i in np.ndindex(lead):
+        assert np.array_equal(Y[i], downlink_superpose([b[i] for b in x], users, mode))
+
+
 class TestZFPrecode:
     def make_channel_operator(self):
         # well-conditioned composed operator: LOS-dominated channel
