@@ -29,20 +29,12 @@ slicing and counting) then runs once per chunk on the stack.  Each SNR
 point runs one link bound to its noise variance, whose receiver reads a
 channel once for its detector, the received body it detects and, on a
 budgeted downlink, the water-filled user amplitudes: a fixed channel's
-receiver is built once for the point.
-A random chunk is one tap grid with a (T, taps) gain stack: its channel,
-delay band and one-tap responses take one call each.  Every link receives
-by ``band_channel``, one delay row at a time.  Every detector but one-tap
-reads the channel as one delay band per chunk (per link for a fixed
-channel), whose rows also form the received body.  A unitary
-map's LMMSE inverts it, a fixed channel's as one filter per block, a
-random chunk's by one solve of every frame's blocks: a cyclic reduction,
-which never forms their dense Gram, where ``band_solver`` measures it
-faster or the Gram alone would break the guard, else the dense Gram
-stack.  ML and Gaussian spreading build one dense detector per draw, its
-band's blocks times the user map's body samples.  One-tap streams the
-rows of the delays that carry taps alone, as a whole band of a sparse,
-wide-delay channel's frames could outgrow the stream stack.
+receiver is built once for the point, a random chunk's (one tap grid with
+a (T, taps) gain stack) once per chunk.  The link picks its receiver's
+builder once, from its equalizer and map: ``_one_tap``, ``_band_lmmse``
+(a unitary map's LMMSE on the channel's delay band) or ``_dense`` (ML and
+Gaussian spreading, one dense detector per draw).  Every link receives by
+``band_channel`` of its builder's delay rows, one row at a time.
 Every link holds its symbols on one (N, M) grid, and every link but Gaussian
 spreading is a cell map onto it.  The ``spread`` links, OTFS, SC-FDMA (OTFS
 with N = 1) and ``dd_mapped`` (a DFT ``tf_spread`` downlink is one), use the
@@ -487,6 +479,9 @@ class _Link:
         # every user map tiles the grid unitarily except Gaussian spreading,
         # and a unitary map's joint LMMSE is solved on the channel's delay band
         self.banded = self.mode != "tf_spread" and sc.equalizer == "mmse_dd"
+        # the receiver builder, held by name: a bound method would be a reference cycle
+        self.builder = ("_one_tap" if sc.equalizer == "one_tap_tf"
+                        else "_band_lmmse" if self.banded else "_dense")
         # time-domain blocks of a frame: its slots, or the whole cyclic frame
         self.blocks = 1 if sc.channel_mode == "cyclic" else params.N
         # a spread grid is synthesised and read on the DD grid; SC-FDMA is OTFS with N = 1
@@ -608,88 +603,93 @@ class _Link:
         amplitudes or None, and the received body of a transmitted stack and
         its noise, ``receive(sig, noise)``.
 
-        ``gains`` (T, taps) gives frame t ``ch``'s taps with gains[t].  Every
-        ``receive`` is ``band_channel`` of delay rows.  One-tap reads one
-        ``tf_channel`` call, for its detector and (a budget implies one-tap)
-        the users' water-filling, and the ``delay_rows`` of a fixed channel
-        once, a random chunk's as ``receive`` streams them.  Every other link
-        reads the delay band of all its frames, built after the guard, for
-        its detector and its rows.  A unitary map's LMMSE equalises the blocks
-        (slots, or the ``cyclic`` frame) of all frames at once on the band: a
-        fixed channel's filter is dense (``check_blocks``), random draws are
-        refused only where neither the dense Gram nor the cyclic reduction fits
-        (``band_solver``).  ML and Gaussian spreading take one :meth:`_dense`
-        detector per frame's band.
+        ``gains`` (T, taps) gives frame t ``ch``'s taps with gains[t].  The
+        link's builder, :meth:`_one_tap`, :meth:`_band_lmmse` or :meth:`_dense`,
+        gives the detector, the amplitudes and the channel's delay rows, and
+        every ``receive`` is ``band_channel`` of those rows.
         """
-        sc, params, noise_var, mode = self.sc, self.params, self.noise_var, self.sc.channel_mode
-        amp = None
-        if sc.equalizer == "one_tap_tf":
-            H = tf_channel(ch, params, gains)
-            mu = sc.multiuser
-            if mu is not None and mu.power_budget is not None:
-                # user k's cells on the (M, N) response, f-major as its lone
-                # (f, t) block; gathered contiguous, each mean rounds as that block's
-                cells = np.array([user_cells(t, f) for f, t in self.alloc.users])
-                gathered = (np.abs(H) ** 2).reshape(-1, params.dof)[:, cells]
-                power = np.ascontiguousarray(gathered).mean(axis=-1)
-                p = np.stack([multiuser.water_fill(q, mu.power_budget, noise_var) for q in power])
-                amp = np.sqrt(p / self.block)
-
-            # the response on the slot DFT's (..., N, M) grid: the one-tap then
-            # reads no transposed operand, which numpy would copy to a buffer
-            H_slots = np.ascontiguousarray(H.swapaxes(-1, -2))
-
-            def detect(body):  # the slot DFT, one-tap and read-out in one stack
-                Y = self._stack("work", (*body.shape[:-1], params.N, params.M))
-                slot_dft(body, params, Y)
-                X = one_tap_tf(Y, H_slots, noise_var, Y)
-                return self.read(sfft(X.swapaxes(-1, -2), Y) if self.spread else X)
-
-            # a fixed channel's rows are built once, a random chunk's streamed
-            held = None if gains is not None else list(delay_rows(ch, params))
-            rows = lambda: delay_rows(ch, params, gains) if held is None else held
-        else:
-            if self.banded and gains is not None:
-                band_solver(ch.L_max, self.blocks, params.dof // self.blocks)
-            else:
-                check_blocks(params, mode)
-            band = delay_band(ch, params, gains)
-            blocks = band.reshape(*band.shape[:-2], self.blocks, -1)
-            rows = lambda: band_rows(band)
-            if not self.banded and gains is None:
-                detect = self._dense(blocks)
-            elif not self.banded:  # one detector per draw: a stacked filter is no faster and holds more
-                each = [self._dense(b) for b in blocks]
-                detect = lambda body: np.stack([d(b) for d, b in zip(each, body)])
-            else:
-                equalize = band_filter(blocks, noise_var)
-
-                def detect(body):  # the LMMSE, then its analysis DFT in the same stack
-                    Y = self._stack("work", (*body.shape[:-1], params.N, params.M))
-                    split = (*body.shape[:-1], self.blocks, -1)
-                    equalize(body.reshape(split), Y.reshape(split))
-                    if self.spread:
-                        return self.read(dd_analysis(Y, Y))
-                    return self.read(slot_dft(Y.reshape(body.shape), params, Y))
+        detect, amp, rows = getattr(self, self.builder)(ch, gains)
 
         def receive(sig, noise):
-            lead = sig.samples.shape[:-1]
-            out, work = (self._stack(name, (*lead, params.dof)) for name in ("body", "work"))
-            return band_channel(rows(), sig, mode, noise, out, work)
+            shape = (*sig.samples.shape[:-1], self.params.dof)
+            out, work = (self._stack(name, shape) for name in ("body", "work"))
+            return band_channel(rows(), sig, self.sc.channel_mode, noise, out, work)
 
         return detect, amp, receive
 
-    def _dense(self, band: np.ndarray):
-        """The ML or LMMSE detector of one channel's frames, given its delay band
-        cut into blocks (L_max, blocks, B): body samples are read as H U, H the
-        ``band_blocks`` and U the :attr:`_map_matrix`."""
-        U = self._map_matrix  # refused by its guard before the channel blocks are built
-        H = band_blocks(band)
-        A = (H @ U.reshape(len(H), H.shape[-1], -1)).reshape(self.params.dof, -1)
-        if self.sc.equalizer == "ml":
-            return lambda body: ml_detect(body, A, self.const)
-        W = mmse_filter(A, self.noise_var)
-        return lambda body: (W @ body[..., None])[..., 0]
+    def _one_tap(self, ch: DDChannelSpec, gains: np.ndarray | None):
+        """One ``tf_channel`` call for the one-tap detector and a budgeted downlink's
+        water-filling (a budget implies one-tap); the rows of the delays that carry
+        taps alone, a fixed channel's built once and a random chunk's streamed by each
+        receive, as a whole band of a sparse, wide-delay channel could outgrow the stack."""
+        params, noise_var, mu = self.params, self.noise_var, self.sc.multiuser
+        H, amp = tf_channel(ch, params, gains), None
+        if mu is not None and mu.power_budget is not None:
+            # user k's cells on the (M, N) response, f-major as its lone
+            # (f, t) block; gathered contiguous, each mean rounds as that block's
+            cells = np.array([user_cells(t, f) for f, t in self.alloc.users])
+            gathered = (np.abs(H) ** 2).reshape(-1, params.dof)[:, cells]
+            power = np.ascontiguousarray(gathered).mean(axis=-1)
+            p = np.stack([multiuser.water_fill(q, mu.power_budget, noise_var) for q in power])
+            amp = np.sqrt(p / self.block)
+
+        # the response on the slot DFT's (..., N, M) grid: the one-tap then
+        # reads no transposed operand, which numpy would copy to a buffer
+        H_slots = np.ascontiguousarray(H.swapaxes(-1, -2))
+
+        def detect(body):  # the slot DFT, one-tap and read-out in one stack
+            Y = self._stack("work", (*body.shape[:-1], params.N, params.M))
+            slot_dft(body, params, Y)
+            X = one_tap_tf(Y, H_slots, noise_var, Y)
+            return self.read(sfft(X.swapaxes(-1, -2), Y) if self.spread else X)
+
+        held = None if gains is not None else list(delay_rows(ch, params))
+        return detect, amp, lambda: delay_rows(ch, params, gains) if held is None else held
+
+    def _band(self, ch: DDChannelSpec, gains: np.ndarray | None):
+        """Every frame's delay band in blocks (..., L_max, blocks, B), and its rows,
+        built after the guard: ``band_solver`` for a random chunk's band LMMSE,
+        which refuses only where neither solve fits, else ``check_blocks``."""
+        if self.banded and gains is not None:
+            band_solver(ch.L_max, self.blocks, self.params.dof // self.blocks)
+        else:
+            check_blocks(self.params, self.sc.channel_mode)
+        band = delay_band(ch, self.params, gains)
+        return band.reshape(*band.shape[:-2], self.blocks, -1), lambda: band_rows(band)
+
+    def _band_lmmse(self, ch: DDChannelSpec, gains: np.ndarray | None):
+        """A unitary map's LMMSE: ``band_filter`` equalises the blocks of all
+        frames at once on the band, then the map's analysis DFT reads them."""
+        blocks, rows = self._band(ch, gains)
+        equalize, params = band_filter(blocks, self.noise_var), self.params
+
+        def detect(body):  # the LMMSE, then its analysis DFT in the same stack
+            Y = self._stack("work", (*body.shape[:-1], params.N, params.M))
+            split = (*body.shape[:-1], self.blocks, -1)
+            equalize(body.reshape(split), Y.reshape(split))
+            return self.read(dd_analysis(Y, Y) if self.spread
+                             else slot_dft(Y.reshape(body.shape), params, Y))
+
+        return detect, None, rows
+
+    def _dense(self, ch: DDChannelSpec, gains: np.ndarray | None):
+        """ML, or Gaussian spreading's LMMSE: one dense detector per draw, built a draw
+        at a time (a stacked filter is no faster and holds more), of body samples read
+        as H U, H the draw's ``band_blocks`` and U the :attr:`_map_matrix`."""
+        blocks, rows = self._band(ch, gains)
+        # the map's guard refuses it before any channel blocks are built
+        U = self._map_matrix.reshape(self.blocks, -1, self.K * self.block)
+        ops, ml = [], self.sc.equalizer == "ml"
+        for band in blocks.reshape(-1, *blocks.shape[-3:]):
+            A = (band_blocks(band) @ U).reshape(self.params.dof, -1)
+            ops.append(A if ml else mmse_filter(A, self.noise_var))
+
+        def detect(body):  # frame t by draw t, or every frame by the one fixed channel
+            split = body.reshape(len(ops), -1, body.shape[-1])
+            return np.stack([ml_detect(y, op, self.const) if ml else (op @ y[..., None])[..., 0]
+                             for op, y in zip(ops, split)]).reshape(*body.shape[:-1], -1)
+
+        return detect, None, rows
 
     def run_chunk(self, streams: _TrialStreams, start: int, stop: int, fixed_rx=None):
         """Draw, transmit, receive and detect trials [start, stop) as one stack.
