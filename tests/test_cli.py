@@ -191,13 +191,17 @@ class TestSimulate:
         rows = capsys.readouterr().out.splitlines()[1:]
         assert len(rows) == 1 and rows[0].startswith("OTFS,10,2,")
 
+    @pytest.mark.parametrize("channel", [
+        {"taps": [{"delay_bin": 0, "doppler_bin": 0, "re": 1.0, "im": 0.0}]},
+        {"random": {"L_max": 2, "V_max": 2}},
+    ], ids=["fixed", "random"])
     def test_dense_downlink_guard_is_exit_3_before_probing(
-        self, config_file, capsys, monkeypatch
+        self, config_file, capsys, monkeypatch, channel
     ):
         # Gaussian spreading is not unitary, so its joint LMMSE needs the
         # probed user map; 128 x 64 points are refused before the first probe
         # (a synthesis of symbol impulses) and before the channel's dense
-        # blocks are built
+        # blocks are built, for a fixed channel and for each random draw
         import otfsim.runner
 
         def refuse(*args, **kwargs):
@@ -211,6 +215,7 @@ class TestSimulate:
         monkeypatch.setattr(otfsim.runner, "band_blocks", refuse)
         cfg = config_file(
             frame={"M": 128, "N": 64, "cp_len": 1},
+            channel=channel,
             channel_mode="per_slot_cp",
             equalizer="mmse_dd",
             snr_db_list=[10.0],

@@ -20,11 +20,14 @@ from pathlib import Path
 import pytest
 
 from otfsim.errors import ConfigError, GuardError
-from otfsim.runner import format_csv, papr_ccdf, run, scenario_from_dict
+from otfsim.runner import (
+    _Link, _TrialStreams, format_csv, load_scenario, papr_ccdf, run, scenario_from_dict,
+)
 
+GOLDEN = Path(__file__).parent / "golden"
 # kept beside the golden scenarios, not among them: their tests read every
 # golden/*.json as a scenario
-GRID = Path(__file__).parent / "golden" / "grid" / "cells.json"
+GRID = GOLDEN / "grid" / "cells.json"
 #: (mode, mapping, spreader) of each downlink: 2 x 2 users, 2 x 1 where N = 1
 DOWNLINKS = {
     "dd_mapped-localized": ("dd_mapped", "localized", "dft"),
@@ -134,12 +137,52 @@ def test_every_cell_reproduces_its_pin():
 
 @pytest.mark.parametrize("workers, first", [(2, 0), (8, 10)])
 def test_a_tenth_of_the_cells_reproduce_in_a_pool(workers, first):
-    # every tenth cell, at 2 and 8 workers in turn: a pool run costs about
-    # 20 ms, so both counts on every tenth cell would double this test
+    # every tenth cell, at 2 and 8 workers in turn: a pool run of a cell takes
+    # about 20 ms on 2 cores, so both counts on each would double this test
     pins = pinned()
     moved = [name for name, (raw, _) in list(cells().items())[first::20] if "csv" in pins[name]
              and format_csv(run(scenario_from_dict(raw), workers)) != pins[name]["csv"]]
     assert not moved, f"{len(moved)} cells moved at {workers} workers: {moved}"
+
+
+BUILDERS = ("_one_tap", "_band_lmmse", "_dense")
+
+
+def builder_of(sc) -> str:
+    """The one receiver builder of a scenario class: one-tap; the band LMMSE of
+    every map but Gaussian spreading; the dense detector of ML and Gaussian
+    spreading."""
+    if sc.equalizer == "one_tap_tf":
+        return "_one_tap"
+    mu = sc.multiuser
+    gaussian = mu is not None and mu.mode == "tf_spread" and mu.spreader == "gaussian"
+    return "_dense" if sc.equalizer == "ml" or gaussian else "_band_lmmse"
+
+
+def test_every_scenario_class_picks_one_builder(monkeypatch):
+    # every valid cell and every golden picks its class's builder, and runs a
+    # chunk of 2 trials with the other two builders refused
+    def refuse(*args):
+        raise AssertionError("a second builder was called")
+
+    pins = pinned()
+    goldens = [(path.stem, load_scenario(path)) for path in sorted(GOLDEN.glob("*.json"))]
+    wrong = []
+    for name, sc in [(name, scenario_from_dict(raw)) for name, (raw, _) in cells().items()
+                     if "csv" in pins[name]] + goldens:
+        link, want = _Link(sc, 0.1), builder_of(sc)
+        with monkeypatch.context() as m:
+            for other in set(BUILDERS) - {want}:
+                m.setattr(_Link, other, refuse)
+            try:
+                link.run_chunk(_TrialStreams(sc.seed, 0, 0), 0, 2)
+            except AssertionError:
+                wrong.append(name)
+                continue
+        if link.builder != want:
+            wrong.append(name)
+    assert not wrong, f"picked another builder: {wrong}"
+    assert {builder_of(sc) for _, sc in goldens} == set(BUILDERS)
 
 
 if __name__ == "__main__":

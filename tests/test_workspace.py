@@ -309,3 +309,52 @@ def test_reduction_peak_is_within_its_entry_bound(L):
     finally:
         tracemalloc.stop()
     assert peak <= 16 * T * reduction_entries(L, blocks, B)
+
+
+def traced_peak(call) -> int:
+    """tracemalloc's peak over a call, after one call that warms any caches."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("M, N, T", [(32, 16, 14), (64, 32, 3), (16, 8, 40)])
+def test_band_and_band_channel_peaks_are_pinned(M, N, T):
+    # delay_band holds at most 2.25 times the band it returns, and
+    # band_channel 1.1 times the (T, M*N) stack with out and work given, 3.25
+    # times without; 2.03-2.08, 1.017-1.024 and 3.017-3.024 measured (numpy 2.4)
+    p, rng, V = make_frame(M, N), np.random.default_rng(M), N // 2 + 1
+    ch = ot.DDChannelSpec(tuple((l, k, 1) for l in range(3) for k in range(1 - V, V)))
+    gains = complex_stack(rng, T, len(ch.taps))
+    band = delay_band(ch, p, gains)
+    assert traced_peak(lambda: delay_band(ch, p, gains)) <= 2.25 * band.nbytes
+    stack = 16 * T * p.dof
+    for mode, cp_len in (("per_slot_cp", 2), ("cyclic", 0)):
+        sig = dd_synthesis(complex_stack(rng, T, N, M), p, cp_len)
+        noise = tuple(rng.normal(size=(2, *sig.samples.shape)))
+        out, work = np.empty((T, p.dof), complex), np.empty((T, p.dof), complex)
+        given = traced_peak(lambda: band_channel(band_rows(band), sig, mode, noise, out, work))
+        assert given <= 1.1 * stack
+        assert traced_peak(lambda: band_channel(band_rows(band), sig, mode, noise)) <= 3.25 * stack
+
+
+@pytest.mark.parametrize("mode", ["per_slot_cp", "cyclic"])
+@pytest.mark.parametrize("M, N, T", [(8, 4, 3), (8, 4, 14), (16, 8, 14)])
+def test_dense_receiver_holds_one_detector_per_draw(M, N, T, mode):
+    # Gaussian spreading's receiver of a chunk of T random draws holds one
+    # filter of a draw's operator size (16 B * n * M*N) per draw, and at most
+    # 8 more operators at its peak; 4.5-5.7 more measured (numpy 2.4)
+    sc = scenario_from_dict({
+        "frame": {"M": M, "N": N, "cp_len": int(mode == "per_slot_cp")}, "scheme": "OTFS",
+        "constellation": "QPSK", "channel": {"random": {"L_max": 2, "V_max": 2}},
+        "channel_mode": mode, "equalizer": "mmse_dd", "snr_db_list": [10.0], "trials": T,
+        "seed": 1, "multiuser": {"mode": "tf_spread", "K_d": 2, "K_D": 2, "spreader": "gaussian"},
+    })
+    link = _Link(sc, 0.1)
+    gains = complex_stack(np.random.default_rng(M), T, len(link.grid.taps))
+    operator = 16 * link.K * link.block * sc.params.dof
+    assert traced_peak(lambda: link.receiver(link.grid, gains)) <= (T + 8) * operator
