@@ -83,7 +83,8 @@ class TimeSignal:
 
     The last axis of ``samples`` holds ``num_slots`` slots of ``cp_len + M``
     samples each; leading axes, if any, index frames of the same geometry.
-    The body (post-prefix) samples are the information-bearing part.
+    The body (post-prefix) samples are the information-bearing part: every
+    reader of them starts from the one view :attr:`slot_bodies`.
     """
 
     samples: np.ndarray
@@ -116,13 +117,17 @@ class TimeSignal:
         return self.slot_len - self.cp_len
 
     @property
+    def slot_bodies(self) -> np.ndarray:
+        """Each frame's slot bodies, (..., num_slots, body_len): a view of the
+        samples that skips every prefix."""
+        slots = self.samples.reshape(*self.samples.shape[:-1], self.num_slots, self.slot_len)
+        return slots[..., self.cp_len:]
+
+    @property
     def body(self) -> np.ndarray:
-        """Each frame's body samples, prefixes stripped, concatenated in time order."""
-        if self.cp_len == 0:
-            return self.samples
-        lead = self.samples.shape[:-1]
-        blocks = self.samples.reshape(*lead, self.num_slots, self.slot_len)
-        return blocks[..., self.cp_len:].reshape(*lead, -1)
+        """Each frame's body samples, prefixes stripped, concatenated in time order:
+        :attr:`slot_bodies` flattened, a copy where there are prefixes to skip."""
+        return self.slot_bodies.reshape(*self.samples.shape[:-1], -1)
 
 
 @dataclass(frozen=True)
@@ -161,26 +166,27 @@ class MappingMatrix:
         return P
 
 
-def localized_map(ambient: int, block: int, user: int) -> MappingMatrix:
-    """Contiguous allocation: user k gets indices k*block ... k*block+block-1."""
+def _tiling(ambient: int, block: int, user: int) -> int:
+    """The number of users whose ``block``-sized blocks tile ``ambient`` exactly,
+    ``user`` among them, else AllocationError."""
     if block < 1 or ambient % block != 0:
         raise AllocationError(f"block size {block} does not tile ambient dim {ambient}")
     num_users = ambient // block
     if not 0 <= user < num_users:
         raise AllocationError(f"user {user} out of range for {num_users} users")
-    sel = tuple(range(user * block, (user + 1) * block))
-    return MappingMatrix(ambient, sel)
+    return num_users
+
+
+def localized_map(ambient: int, block: int, user: int) -> MappingMatrix:
+    """Contiguous allocation: user k gets indices k*block ... k*block+block-1."""
+    _tiling(ambient, block, user)
+    return MappingMatrix(ambient, tuple(range(user * block, (user + 1) * block)))
 
 
 def interleaved_map(ambient: int, block: int, user: int) -> MappingMatrix:
     """Comb allocation: user k gets indices k, k+K, k+2K, ... with K = ambient/block."""
-    if block < 1 or ambient % block != 0:
-        raise AllocationError(f"block size {block} does not tile ambient dim {ambient}")
-    num_users = ambient // block
-    if not 0 <= user < num_users:
-        raise AllocationError(f"user {user} out of range for {num_users} users")
-    sel = tuple(user + i * num_users for i in range(block))
-    return MappingMatrix(ambient, sel)
+    num_users = _tiling(ambient, block, user)
+    return MappingMatrix(ambient, tuple(user + i * num_users for i in range(block)))
 
 
 @lru_cache(maxsize=1024)

@@ -97,7 +97,6 @@ def _build(name: str) -> Constellation:
             [(lv[i] + 1j * lv[q]) / np.sqrt(10) for i in range(4) for q in range(4)]
         )
         return Constellation("16QAM", pts, 4)
-    raise ValueError(f"unknown constellation {name!r}, expected BPSK, QPSK or 16QAM")
 
 
 _CONSTELLATIONS = {name: _build(name) for name in ("BPSK", "QPSK", "16QAM")}
@@ -189,14 +188,15 @@ def papr(sig: TimeSignal, work: np.ndarray | None = None):
     """PAPR of a block at critical sampling, prefixes excluded (one per frame of a stack).
 
     ``work``, a C-contiguous complex array of the body samples' shape,
-    receives them where the prefixes must be cut out.
+    receives the slot bodies where the prefixes must be cut out: the power
+    array is then the one temporary of the frame's size.
     """
     if work is None or sig.cp_len == 0:
         return papr_samples(sig.body)
-    lead = sig.samples.shape[:-1]
-    body = work.reshape(*lead, sig.num_slots, sig.body_len)
-    np.copyto(body, sig.samples.reshape(*lead, sig.num_slots, -1)[..., sig.cp_len:])
-    return papr_samples(body.reshape(*lead, -1))
+    bodies = sig.slot_bodies
+    body = work.reshape(bodies.shape)
+    np.copyto(body, bodies)
+    return papr_samples(body.reshape(*bodies.shape[:-2], -1))
 
 
 def count_errors(tx_bits: np.ndarray, rx_bits: np.ndarray, bits_per_symbol: int = 1):

@@ -647,19 +647,21 @@ class _Link:
         return detect, amp, lambda: delay_rows(ch, params, gains) if held is None else held
 
     def _band(self, ch: DDChannelSpec, gains: np.ndarray | None):
-        """Every frame's delay band in blocks (..., L_max, blocks, B), and its rows,
-        built after the guard: ``band_solver`` for a random chunk's band LMMSE,
-        which refuses only where neither solve fits, else ``check_blocks``."""
-        if self.banded and gains is not None:
-            band_solver(ch.L_max, self.blocks, self.params.dof // self.blocks)
-        else:
-            check_blocks(self.params, self.sc.channel_mode)
+        """Every frame's delay band in blocks (..., L_max, blocks, B), and its rows;
+        the calling builder has run its guard."""
         band = delay_band(ch, self.params, gains)
         return band.reshape(*band.shape[:-2], self.blocks, -1), lambda: band_rows(band)
 
     def _band_lmmse(self, ch: DDChannelSpec, gains: np.ndarray | None):
         """A unitary map's LMMSE: ``band_filter`` equalises the blocks of all
-        frames at once on the band, then the map's analysis DFT reads them."""
+        frames at once on the band, then the map's analysis DFT reads them.
+        The band is built after the guard: ``check_blocks`` for a fixed channel's
+        filter, ``band_solver`` for a random chunk's, which refuses only where
+        neither solve fits."""
+        if gains is None:
+            check_blocks(self.params, self.sc.channel_mode)
+        else:
+            band_solver(ch.L_max, self.blocks, self.params.dof // self.blocks)
         blocks, rows = self._band(ch, gains)
         equalize, params = band_filter(blocks, self.noise_var), self.params
 
@@ -675,7 +677,9 @@ class _Link:
     def _dense(self, ch: DDChannelSpec, gains: np.ndarray | None):
         """ML, or Gaussian spreading's LMMSE: one dense detector per draw, built a draw
         at a time (a stacked filter is no faster and holds more), of body samples read
-        as H U, H the draw's ``band_blocks`` and U the :attr:`_map_matrix`."""
+        as H U, H the draw's ``band_blocks`` and U the :attr:`_map_matrix`.  The band
+        is built after the ``check_blocks`` guard, fixed or random."""
+        check_blocks(self.params, self.sc.channel_mode)
         blocks, rows = self._band(ch, gains)
         # the map's guard refuses it before any channel blocks are built
         U = self._map_matrix.reshape(self.blocks, -1, self.K * self.block)

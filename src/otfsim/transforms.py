@@ -133,7 +133,7 @@ def wigner(sig: TimeSignal, params: FrameParams) -> np.ndarray:
             f"signal geometry (slots={sig.num_slots}, body={sig.body_len}) "
             f"does not match frame (N={params.N}, M={params.M})"
         )
-    return slot_dft(sig.body, params).swapaxes(-1, -2)
+    return np.fft.fft(sig.slot_bodies, axis=-1, norm="ortho").swapaxes(-1, -2)
 
 
 def slot_dft(body: np.ndarray, params: FrameParams, out: np.ndarray | None = None) -> np.ndarray:

@@ -9,8 +9,6 @@ values for any split of a trial range, chunk boundaries included.
 """
 
 import json
-import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,9 +21,8 @@ from otfsim.runner import (
     _Link, _TrialStreams, run_trial_range, scenario_channel, scenario_from_dict, trial_rng,
 )
 from test_channel import impulse_probe
-
-GOLDEN = Path(__file__).parent / "golden"
-SCENARIOS = sorted(p.stem for p in GOLDEN.glob("*.json"))
+from test_golden import GOLDEN, SCENARIOS
+from test_workspace import traced
 
 # a scenario no golden pins: Gaussian spreading on a random channel
 EXTRA = {
@@ -128,12 +125,7 @@ def test_peak_memory_does_not_grow_with_trials(monkeypatch):
 
     def peak(trials):
         run_trial_range(sc, 0, 0, trials)  # warm caches
-        tracemalloc.start()
-        try:
-            run_trial_range(sc, 0, 0, trials)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return traced(lambda: run_trial_range(sc, 0, 0, trials))[1]
 
     # 40 chunks of 8 trials peak where 4 do, beyond the PAPR values
     # (16 bytes a trial while they are merged) and a handle per chunk
@@ -162,12 +154,7 @@ def test_user_map_matrix_peak_is_the_matrix():
         d, frame={"M": 32, "N": 32, "cp_len": 2}, multiuser=dict(d["multiuser"], K_d=8, K_D=8)
     ))
     link = _Link(sc)
-    tracemalloc.start()
-    try:
-        U = link._map_matrix
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    U, peak = traced(lambda: link._map_matrix)  # not warmed: the build is what is measured
     assert U.shape == (1024, 1024)
     assert peak < U.nbytes + 2**20
 

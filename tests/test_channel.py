@@ -1,7 +1,5 @@
 """Channel application, analytic views and operator-level oracles."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -13,6 +11,7 @@ from otfsim.channel import (
 )
 from otfsim.errors import ConfigError, GuardError
 from otfsim.oracles import COUPLING_GUARD, chain_matrix
+from test_workspace import traced
 
 
 def impulse_probe(tx, rx, dim):
@@ -434,12 +433,7 @@ class TestEffectiveMatrix:
         ch = ot.random_channel(3, 2, np.random.default_rng(22))
         cfg = ot.SchemeConfig("OTFS", params, cp_len=2)
         ot.effective_matrix(cfg, ch, "per_slot_cp")  # warm lazy imports
-        tracemalloc.start()
-        try:
-            A = ot.effective_matrix(cfg, ch, "per_slot_cp")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        A, peak = traced(lambda: ot.effective_matrix(cfg, ch, "per_slot_cp"))
         assert A.shape == (512, 512)
         assert peak < A.nbytes + (EFFECTIVE_GUARD // 512) * 512 * 16 + 2**20
 
@@ -569,12 +563,7 @@ class TestSlotOperators:
         # the blocks and one transform of them, whatever the tap count
         params = ot.make_frame(M, N)
         ch = ot.random_channel(L, min(2, N // 2 + 1), np.random.default_rng(46))
-        tracemalloc.start()
-        try:
-            B = ot.slot_operators(ch, params, mode)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        B, peak = traced(lambda: ot.slot_operators(ch, params, mode))
         assert peak <= 2 * B.nbytes + 2**20
 
     def test_guard_counts_the_blocks_built(self):

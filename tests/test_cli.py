@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +18,8 @@ from otfsim.cli import (
 )
 from otfsim.runner import load_scenario
 from otfsim.selftest import run_selftest
+from test_golden import GOLDEN
+from test_workspace import traced
 
 
 @pytest.fixture
@@ -110,12 +111,8 @@ class TestSimulate:
             snr_db_list=[10.0],
             trials=1,
         )
-        tracemalloc.start()
-        try:
-            assert main(["simulate", "--config", cfg]) == EXIT_GUARD
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak = traced(lambda: main(["simulate", "--config", cfg]))
+        assert code == EXIT_GUARD
         assert "guard" in capsys.readouterr().err
         assert peak < 64 * 2**20
 
@@ -131,12 +128,8 @@ class TestSimulate:
             snr_db_list=[10.0],
             trials=1,
         )
-        tracemalloc.start()
-        try:
-            assert main(["simulate", "--config", cfg]) == EXIT_GUARD
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak = traced(lambda: main(["simulate", "--config", cfg]))
+        assert code == EXIT_GUARD
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "guard" in captured.err and "Traceback" not in captured.err
@@ -154,12 +147,8 @@ class TestSimulate:
             snr_db_list=[10.0],
             trials=1,
         )
-        tracemalloc.start()
-        try:
-            assert main(["simulate", "--config", cfg]) == EXIT_OK
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak = traced(lambda: main(["simulate", "--config", cfg]))
+        assert code == EXIT_OK
         assert capsys.readouterr().out.splitlines()[1].startswith("OTFS,10,1,")
         assert peak < 64 * (3 * 64 * 32 * 16)
 
@@ -167,8 +156,7 @@ class TestSimulate:
         # at -200 dB every user's floor is ~1e20 times the budget; the whole
         # budget goes to the strongest user, where it once rounded away to
         # an all-zero frame and an exit-1 PAPR error after the scenario parsed
-        golden = Path(__file__).parent / "golden" / "tf_alloc_onetap_water_fill.json"
-        d = json.loads(golden.read_text())
+        d = json.loads((GOLDEN / "tf_alloc_onetap_water_fill.json").read_text())
         d["snr_db_list"] = [-200]
         cfg = tmp_path / "sc.json"
         cfg.write_text(json.dumps(d))

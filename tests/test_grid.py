@@ -15,7 +15,6 @@ gives each moved cell and its reason.
 
 import hashlib
 import json
-from pathlib import Path
 
 import pytest
 
@@ -23,10 +22,10 @@ from otfsim.errors import ConfigError, GuardError
 from otfsim.runner import (
     _Link, _TrialStreams, format_csv, load_scenario, papr_ccdf, run, scenario_from_dict,
 )
+from test_golden import GOLDEN, SCENARIOS
 
-GOLDEN = Path(__file__).parent / "golden"
-# kept beside the golden scenarios, not among them: their tests read every
-# golden/*.json as a scenario
+# kept beside the golden scenarios, not among them: test_golden.SCENARIOS
+# reads every golden/*.json as a scenario
 GRID = GOLDEN / "grid" / "cells.json"
 #: (mode, mapping, spreader) of each downlink: 2 x 2 users, 2 x 1 where N = 1
 DOWNLINKS = {
@@ -166,7 +165,7 @@ def test_every_scenario_class_picks_one_builder(monkeypatch):
         raise AssertionError("a second builder was called")
 
     pins = pinned()
-    goldens = [(path.stem, load_scenario(path)) for path in sorted(GOLDEN.glob("*.json"))]
+    goldens = [(name, load_scenario(GOLDEN / f"{name}.json")) for name in SCENARIOS]
     wrong = []
     for name, sc in [(name, scenario_from_dict(raw)) for name, (raw, _) in cells().items()
                      if "csv" in pins[name]] + goldens:

@@ -31,6 +31,7 @@ from pathlib import Path
 
 import pytest
 from test_cli import child_env
+from test_golden import GOLDEN
 
 TESTS = Path(__file__).parent
 SRC = TESTS.parent / "src" / "otfsim"
@@ -141,7 +142,7 @@ def test_imports_are_numpy_only(path):
 def test_a_run_and_its_csv_load_no_masked_arrays(golden):
     code = ("import sys; from otfsim.runner import format_csv, load_scenario, run; "
             "format_csv(run(load_scenario(sys.argv[1]))); print('numpy.ma' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code, str(TESTS / "golden" / f"{golden}.json")],
+    proc = subprocess.run([sys.executable, "-c", code, str(GOLDEN / f"{golden}.json")],
                           capture_output=True, text=True, timeout=120, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"

@@ -6,7 +6,6 @@ import os
 import random
 from dataclasses import replace
 from functools import reduce
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,9 +44,8 @@ from otfsim.transforms import dd_analysis, dd_synthesis, slot_dft
 from test_channel import (
     impulse_probe, per_tap_channel_oracle, probed_slot_chain, probed_time_channel,
 )
-
-
-GOLDEN = Path(__file__).parent / "golden"
+from test_golden import GOLDEN, SCENARIOS
+from test_workspace import traced
 
 
 def base_dict(**over):
@@ -353,8 +351,8 @@ class TestScenarioParsing:
 
         rng = random.Random(20)
         parsed = refused = ran = 0
-        for path in sorted(GOLDEN.glob("*.json")):
-            base = json.loads(path.read_text())
+        for name in SCENARIOS:
+            base = json.loads((GOLDEN / f"{name}.json").read_text())
             for _ in range(150):
                 d = copy.deepcopy(base)
                 for _ in range(rng.randint(1, 2)):
@@ -1014,8 +1012,6 @@ class TestBandLMMSE:
         # solve of its Gram against the identity sets the peak, and forming
         # W, A^H of the inverse's columns, holds one product of the band at
         # a time beside the inverse and W
-        import tracemalloc
-
         d = base_dict(
             frame={"M": 16, "N": 8, "cp_len": 0},
             channel={"taps": [{"delay_bin": 0, "doppler_bin": 0, "re": 0.8, "im": 0.0},
@@ -1025,12 +1021,7 @@ class TestBandLMMSE:
         link = _Link(scenario_from_dict(d), 0.1)
         link.receiver(link.fixed)  # warm caches
         block_bytes = 16 * link.params.dof**2
-        tracemalloc.start()
-        try:
-            link.receiver(link.fixed)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced(lambda: link.receiver(link.fixed))[1]
         assert peak < 4 * block_bytes  # the solve alone takes about 3.5
 
     def test_memory_is_linear_in_the_band(self):
@@ -1039,8 +1030,6 @@ class TestBandLMMSE:
         # 16 * M*N = 262k, and building and applying both detectors (one
         # channel for every frame, and a chunk's own gains) stays within a
         # few bands
-        import tracemalloc
-
         d = base_dict(
             frame={"M": 16, "N": 1024, "cp_len": 15},
             channel={"random": {"L_max": 16, "V_max": 513}},
@@ -1053,13 +1042,12 @@ class TestBandLMMSE:
         gains = np.array([[t.gain for t in ch.taps]])
         body = rng.normal(size=(1, link.params.dof)) + 0j
         band_bytes = 16 * link.params.dof * 16
-        tracemalloc.start()
-        try:
+
+        def detect_both():
             link.receiver(ch)[0](body)
             link.receiver(ch, gains)[0](body)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+
+        peak = traced(detect_both)[1]
         assert len(ch.taps) == 16400
         assert peak < 10 * band_bytes
 
@@ -1484,16 +1472,9 @@ def test_channel_memory_is_linear_in_the_frame(channel):
     # a 512 x 64 cyclic one-tap link with a delay of M - 1: a (delays,
     # M*N) table of the channel would hold 512 frames, while applying the
     # channel and reading its response hold a few frames at a time
-    import tracemalloc
-
     sc = scenario_from_dict(base_dict(frame={"M": 512, "N": 64}, channel=channel, trials=2))
     frame_bytes = 512 * 64 * 16
-    tracemalloc.start()
-    try:
-        run_trial_range(sc, 0, 0, 2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced(lambda: run_trial_range(sc, 0, 0, 2))[1]
     assert peak < 32 * frame_bytes
 
 

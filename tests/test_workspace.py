@@ -32,8 +32,8 @@ from otfsim.frame import make_frame
 from otfsim.metrics import get_constellation, map_bits, papr, slice_symbols
 from otfsim.runner import _Link, _TrialStreams, _Workspace, run_trial_range, scenario_from_dict
 from otfsim.transforms import dd_analysis, dd_synthesis, heisenberg, sfft, slot_dft
+from test_golden import GOLDEN, SCENARIOS
 
-GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).parent.parent / "src"
 # the benchmark's fixed-channel links: 16 x 8 OTFS one-tap, and a 2 x 2-user
 # dd_mapped downlink with the banded LMMSE, on the same two taps
@@ -56,6 +56,17 @@ def same_bits(a, b) -> bool:
 
 def complex_stack(rng, *shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def traced(call):
+    """``(call(), peak)``: the call's value and tracemalloc's peak over the call
+    alone, in bytes.  Every memory pin of the tests is taken here; a caller warms
+    any caches first."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def stale(ws: _Workspace, name: str, shape: tuple, dtype=np.complex128):
@@ -170,7 +181,7 @@ def chunk_outputs(link, streams, start, stop):
     return [np.copy(a) for a in parts] + [gains, noise and np.copy(noise[0])]
 
 
-@pytest.mark.parametrize("name", sorted(p.stem for p in GOLDEN.glob("*.json")))
+@pytest.mark.parametrize("name", SCENARIOS)
 def test_link_with_a_workspace_runs_as_one_without(name, monkeypatch):
     # a chunk of 4 and a short last chunk of 3 from the same arrays, against a
     # link that allocates every stack
@@ -302,24 +313,8 @@ def test_reduction_peak_is_within_its_entry_bound(L):
     rng = np.random.default_rng(L)
     band, y = complex_stack(rng, T, L, blocks, B), complex_stack(rng, T, blocks, B)
     equalizer._reduce_solve(band, y, 0.1)  # warm the index caches
-    tracemalloc.start()
-    try:
-        equalizer._reduce_solve(band, y, 0.1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced(lambda: equalizer._reduce_solve(band, y, 0.1))[1]
     assert peak <= 16 * T * reduction_entries(L, blocks, B)
-
-
-def traced_peak(call) -> int:
-    """tracemalloc's peak over a call, after one call that warms any caches."""
-    call()
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("M, N, T", [(32, 16, 14), (64, 32, 3), (16, 8, 40)])
@@ -330,16 +325,18 @@ def test_band_and_band_channel_peaks_are_pinned(M, N, T):
     p, rng, V = make_frame(M, N), np.random.default_rng(M), N // 2 + 1
     ch = ot.DDChannelSpec(tuple((l, k, 1) for l in range(3) for k in range(1 - V, V)))
     gains = complex_stack(rng, T, len(ch.taps))
-    band = delay_band(ch, p, gains)
-    assert traced_peak(lambda: delay_band(ch, p, gains)) <= 2.25 * band.nbytes
+    band = delay_band(ch, p, gains)  # and warm any caches
+    assert traced(lambda: delay_band(ch, p, gains))[1] <= 2.25 * band.nbytes
     stack = 16 * T * p.dof
     for mode, cp_len in (("per_slot_cp", 2), ("cyclic", 0)):
         sig = dd_synthesis(complex_stack(rng, T, N, M), p, cp_len)
         noise = tuple(rng.normal(size=(2, *sig.samples.shape)))
         out, work = np.empty((T, p.dof), complex), np.empty((T, p.dof), complex)
-        given = traced_peak(lambda: band_channel(band_rows(band), sig, mode, noise, out, work))
+        band_channel(band_rows(band), sig, mode, noise, out, work)  # warm any caches
+        given = traced(lambda: band_channel(band_rows(band), sig, mode, noise, out, work))[1]
         assert given <= 1.1 * stack
-        assert traced_peak(lambda: band_channel(band_rows(band), sig, mode, noise)) <= 3.25 * stack
+        band_channel(band_rows(band), sig, mode, noise)  # warm any caches
+        assert traced(lambda: band_channel(band_rows(band), sig, mode, noise))[1] <= 3.25 * stack
 
 
 @pytest.mark.parametrize("mode", ["per_slot_cp", "cyclic"])
@@ -357,4 +354,5 @@ def test_dense_receiver_holds_one_detector_per_draw(M, N, T, mode):
     link = _Link(sc, 0.1)
     gains = complex_stack(np.random.default_rng(M), T, len(link.grid.taps))
     operator = 16 * link.K * link.block * sc.params.dof
-    assert traced_peak(lambda: link.receiver(link.grid, gains)) <= (T + 8) * operator
+    link.receiver(link.grid, gains)  # warm caches, the map matrix among them
+    assert traced(lambda: link.receiver(link.grid, gains))[1] <= (T + 8) * operator
