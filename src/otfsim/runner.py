@@ -127,6 +127,9 @@ CSV_HEADER = "scheme,snr_db,trials,ber,ser,papr_mean,papr_p99"
 #: time samples (over all frames) stacked in one chunk of trials, at most;
 #: a frame longer than this runs alone
 CHUNK_SAMPLES = 1 << 13
+#: the largest tap power and noise variance a scenario may set, sqrt(float max):
+#: the detectors square them, so a larger one could overflow to a non-finite row
+POWER_CAP = math.sqrt(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -302,6 +305,8 @@ def _validate_scenario(sc: Scenario) -> None:
             raise ConfigError(f"multiuser.power_budget must be a positive number, got {budget!r}")
         if budget is not None and mu.mode != "tf_alloc":
             raise ConfigError("power_budget applies to multiuser mode 'tf_alloc' only")
+        if mu.spreader != "dft" and mu.mode != "tf_spread":
+            raise ConfigError(f"multiuser.spreader {mu.spreader!r} applies to mode 'tf_spread' only")
         if budget is not None and sc.equalizer == "mmse_dd":
             raise ConfigError(
                 "power_budget is incompatible with equalizer 'mmse_dd' "
@@ -341,6 +346,10 @@ def _check_channel(sc: Scenario) -> None:
         ch = scenario_channel(sc, None)
         if all(t.gain == 0 for t in ch.taps):
             raise ConfigError("channel taps carry no power (every gain is zero)")
+        # float products, which overflow to inf where abs(gain) ** 2 would raise
+        power = sum(t.gain.real * t.gain.real + t.gain.imag * t.gain.imag for t in ch.taps)
+        if power > POWER_CAP:
+            raise ConfigError(f"channel.taps carry power {power:.4g}, above {POWER_CAP:.4g}")
     else:
         L, V = sc.channel_random
         if L < 1 or V < 1:
@@ -355,8 +364,9 @@ def _noise_var(snr_db: float) -> float:
         noise_var = 10.0 ** (-snr_db / 10.0)
     except OverflowError:
         noise_var = math.inf
-    if not 0 < noise_var < math.inf:
-        raise ConfigError(f"snr_db {snr_db} gives no positive finite noise variance")
+    if not 0 < noise_var <= POWER_CAP:
+        raise ConfigError(f"snr_db_list entry {snr_db} gives a noise variance of {noise_var:.4g}, "
+                          f"outside (0, {POWER_CAP:.4g}]")
     return noise_var
 
 

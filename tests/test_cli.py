@@ -258,6 +258,10 @@ class TestSimulate:
         {"seed": 2**128},
         # an overflowing noise variance ended in a traceback
         {"snr_db_list": [10.0, -1e308]},
+        # a tap power that overflowed in the detectors: exit 0 with a row of
+        # non-finite estimates
+        {"channel": {"taps": [{"delay_bin": 0, "doppler_bin": 0, "re": 1e200, "im": 0.0}]},
+         "equalizer": "mmse_dd"},
         # a numpy allocation traceback ("Unable to allocate 7.28 TiB")
         {"frame": {"M": 10**12, "N": 2}},
         # a zero noise variance: a ZeroDivisionError traceback from the
@@ -267,7 +271,8 @@ class TestSimulate:
     ], ids=["zero_power_taps", "fixed_delay_over_cp", "random_delay_over_cp",
             "random_doppler_over_half_N", "random_zero_spread", "cyclic_with_cp",
             "power_budget_zero", "power_budget_negative", "seed_over_philox_key",
-            "snr_overflows_noise", "frame_over_cap", "snr_underflows_noise",
+            "snr_overflows_noise", "tap_power_over_cap", "frame_over_cap",
+            "snr_underflows_noise",
             "snr_underflows_noise_mmse"])
     def test_scenario_outside_the_boundary_is_exit_1_before_any_trial(
         self, config_file, capsys, monkeypatch, over

@@ -191,6 +191,10 @@ class TestScenarioParsing:
         ("snr_db_list", [True]),
         ("channel", [1]),
         ("multiuser", "dd_mapped"),
+        # a tap power above POWER_CAP overflowed in the detectors to a non-finite row
+        ("channel", {"taps": [{"delay_bin": 0, "doppler_bin": 0, "re": 1e200, "im": 0.0}]}),
+        ("channel", {"taps": [{"delay_bin": 0, "doppler_bin": 0, "re": 1e308, "im": 1e308}]}),
+        ("snr_db_list", [10.0, -3080.0]),  # a noise variance of 1e308 overflowed in ml
     ])
     def test_bad_values(self, field, value):
         with pytest.raises(ConfigError):
@@ -202,6 +206,8 @@ class TestScenarioParsing:
         ("snr_db_list", ()),
         ("snr_db_list", 10.0),  # once a TypeError: 'float' object is not iterable
         ("snr_db_list", (4000.0,)),  # the noise variance underflows to zero
+        ("snr_db_list", (-1541.3,)),  # its noise variance, 1.35e154, is above POWER_CAP
+        ("channel_taps", ((0, 0, 1e154, 0.0),)),  # its power 1e308 is finite but above the cap
         ("cp_len", 2),  # cyclic mode takes no prefix
     ])
     def test_replaced_copy_is_validated(self, field, value):
@@ -221,6 +227,8 @@ class TestScenarioParsing:
         ("channel_random", (2.0, 1), "L_max"),
         ("channel_taps", None, "exactly one"),  # no channel left
         ("channel_taps", ((0, 0, 1.0, 0.0), (1.5, 0, 1.0, 0.0)), r"taps\[1\].delay_bin"),
+        ("channel_taps", ((0, 0, 1e200, 0.0),), "channel.taps"),
+        ("snr_db_list", (-3080.0,), "snr_db_list"),
         ("multiuser", MultiuserSetup("uplink", 2, 1), "multiuser.mode"),
         ("multiuser", MultiuserSetup("tf_alloc", 2, 1, mapping="random"), "multiuser.mapping"),
         ("multiuser", MultiuserSetup("tf_spread", 2, 1, spreader="walsh"), "multiuser.spreader"),
@@ -302,6 +310,11 @@ class TestScenarioParsing:
         with pytest.raises(ConfigError, match="spread"):
             scenario_from_dict(base_dict(
                 multiuser={"mode": "tf_spread", "K_d": 2, "K_D": 1, "spreader": "walsh"}
+            ))
+        # once parsed and run as plain dd_mapped, its CSV that of the dft spreader
+        with pytest.raises(ConfigError, match="multiuser.spreader"):
+            scenario_from_dict(base_dict(
+                multiuser={"mode": "dd_mapped", "K_d": 2, "K_D": 1, "spreader": "gaussian"}
             ))
 
     def test_power_budget_constraints(self):
