@@ -194,9 +194,8 @@ def papr(sig: TimeSignal, work: np.ndarray | None = None):
     if work is None or sig.cp_len == 0:
         return papr_samples(sig.body)
     bodies = sig.slot_bodies
-    body = work.reshape(bodies.shape)
-    np.copyto(body, bodies)
-    return papr_samples(body.reshape(*bodies.shape[:-2], -1))
+    np.copyto(work.reshape(bodies.shape), bodies)
+    return papr_samples(work)
 
 
 def count_errors(tx_bits: np.ndarray, rx_bits: np.ndarray, bits_per_symbol: int = 1):

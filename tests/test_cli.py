@@ -272,8 +272,7 @@ class TestSimulate:
             "random_doppler_over_half_N", "random_zero_spread", "cyclic_with_cp",
             "power_budget_zero", "power_budget_negative", "seed_over_philox_key",
             "snr_overflows_noise", "tap_power_over_cap", "frame_over_cap",
-            "snr_underflows_noise",
-            "snr_underflows_noise_mmse"])
+            "snr_underflows_noise", "snr_underflows_noise_mmse"])
     def test_scenario_outside_the_boundary_is_exit_1_before_any_trial(
         self, config_file, capsys, monkeypatch, over
     ):
