@@ -98,8 +98,9 @@ class DDChannelSpec:
 
 
 def received_power(ch: DDChannelSpec) -> float:
-    """Total tap power sum_i |gain_i|^2."""
-    return float(sum(abs(t.gain) ** 2 for t in ch.taps))
+    """Total tap power sum_i |gain_i|^2, summed as float products: inf, not an
+    ``OverflowError``, past the float range."""
+    return float(sum(t.gain.real * t.gain.real + t.gain.imag * t.gain.imag for t in ch.taps))
 
 
 def random_gains(L_max: int, V_max: int, rng: np.random.Generator) -> np.ndarray:

@@ -48,17 +48,19 @@ def one_tap_tf(
     """Scalar MMSE per grid cell: conj(H)*Y / (|H|^2 + noise_var).
 
     ``y_tf`` may be a stack of grids that share the response ``h_tf``
-    (whose shape must end ``y_tf``'s).  With ``noise_var == 0`` this is
-    zero-forcing and every cell gain must be nonzero.  ``out``, of
-    ``y_tf``'s shape and memory order, may be ``y_tf`` itself.
+    (whose shape must end ``y_tf``'s).  ``noise_var`` is one variance, or
+    one per grid of the stack's leading shape.  Where a grid's variance is
+    0 this is zero-forcing and every cell gain it reads must be nonzero.
+    ``out``, of ``y_tf``'s shape and memory order, may be ``y_tf`` itself.
     """
     y_tf = np.asarray(y_tf, dtype=np.complex128)
     h_tf = np.asarray(h_tf, dtype=np.complex128)
     if h_tf.ndim > y_tf.ndim or y_tf.shape[y_tf.ndim - h_tf.ndim:] != h_tf.shape:
         raise ValueError(f"grid shapes differ: {y_tf.shape} vs {h_tf.shape}")
-    if noise_var < 0:
-        raise ValueError(f"noise variance must be >= 0, got {noise_var}")
-    if noise_var == 0 and np.any(h_tf == 0):
+    noise_var = np.asarray(noise_var, dtype=float)[..., None, None]  # one per grid
+    if np.any(noise_var < 0):
+        raise ValueError(f"noise variance must be >= 0, got {noise_var.min()}")
+    if np.any((noise_var == 0) & (h_tf == 0)):
         raise ZeroDivisionError("zero channel gain with zero noise variance")
     est = np.multiply(h_tf.conj(), y_tf, out=out)
     return np.divide(est, np.abs(h_tf) ** 2 + noise_var, out=est)
@@ -80,9 +82,10 @@ def mmse_filter(h_eff: np.ndarray, noise_var: float) -> np.ndarray:
     return h_adj @ inv.reshape(gram.shape)
 
 
-def band_gram(band: np.ndarray, noise_var: float) -> np.ndarray:
+def band_gram(band: np.ndarray, noise_var) -> np.ndarray:
     """The Gram A A^H + noise_var I of periodic-banded blocks: (..., blocks, B, B).
 
+    ``noise_var`` is one variance, or one per frame of the leading shape.
     ``band`` (..., L, blocks, B), L <= B, holds the blocks' delay diagonals,
     A[p, (p - l) mod B] = band[..., l, b, p] (``channel.delay_band``).  Gram
     diagonal d, at (p, (p - d) mod B), sums band_l[p] * conj(band_m[p - d])
@@ -93,7 +96,7 @@ def band_gram(band: np.ndarray, noise_var: float) -> np.ndarray:
     L, B = band.shape[-3], band.shape[-1]
     conj = band.conj()
     gram = np.zeros((*band.shape[:-3], band.shape[-2], B * B), dtype=np.complex128)
-    gram[..., :: B + 1] = noise_var
+    gram[..., :: B + 1] = np.asarray(noise_var)[..., None, None]
     for d in range(1 - L, L):
         q, pairs = d % B, [(l, l - d) for l in range(max(0, d), L + min(0, d))]
         gram[..., q * B :: B + 1] += sum(
@@ -105,15 +108,16 @@ def band_gram(band: np.ndarray, noise_var: float) -> np.ndarray:
     return gram.reshape(*gram.shape[:-1], B, B)
 
 
-def band_filter(band: np.ndarray, noise_var: float):
+def band_filter(band: np.ndarray, noise_var):
     """The LMMSE of periodic-banded blocks, y -> A^H (A A^H + noise_var I)^-1 y.
 
     The filter is ``equalize(y, out=None)``, ``out`` a C-contiguous array of
-    y's shape.  A ``band`` (L, blocks, B) serves every frame of y (..., blocks, B): its
-    filter W, A^H of the columns of the Gram inverse, is formed once and
-    applied frame by frame, so a frame's estimate is the same in any stack.  A
-    ``band`` (T, L, blocks, B) gives frame t of y (T, blocks, B) its own
-    blocks, solved by periodic block cyclic reduction (:func:`_reduce`) in
+    y's shape.  A ``band`` (L, blocks, B) and one ``noise_var`` serve every frame
+    of y (..., blocks, B): its filter W, A^H of the columns of the Gram inverse,
+    is formed once and applied frame by frame, so a frame's estimate is the same
+    in any stack.  A ``band`` (T, L, blocks, B) gives frame t of y (T, blocks, B)
+    its own blocks and ``noise_var`` (one, or (T,) one per frame) its own
+    variance, solved by periodic block cyclic reduction (:func:`_reduce`) in
     O(B * K) entries and no dense Gram, or by the dense Gram stack
     (:func:`_dense_solve`), as :func:`band_solver` picks.  A frame whose
     reduction is not finite is redone through the dense solve on its own,
@@ -171,28 +175,31 @@ def band_solver(L: int, blocks: int, B: int):
     )
 
 
-def _dense_solve(band: np.ndarray, y: np.ndarray, noise_var: float) -> np.ndarray:
-    """Gram^-1 y of a band stack (T, L, blocks, B) against y (T, blocks, B) by dense Grams.
+def _dense_solve(band: np.ndarray, y: np.ndarray, noise_var) -> np.ndarray:
+    """Gram^-1 y of a band stack (T, L, blocks, B) against y (T, blocks, B) by dense Grams,
+    ``noise_var`` one variance or (T,) one per frame.
 
     The Grams of as many frames as fit ``EFFECTIVE_GUARD**2`` entries (one
     at least) are solved in one call (``_solve``'s rule).
     """
     per = max(1, EFFECTIVE_GUARD**2 // (band[0, 0].size * band.shape[-1]))
+    noise_var = np.broadcast_to(noise_var, len(y))
     return np.concatenate([
-        _solve(band_gram(band[a:a + per], noise_var), y[a:a + per, ..., None])[..., 0]
+        _solve(band_gram(band[a:a + per], noise_var[a:a + per]), y[a:a + per, ..., None])[..., 0]
         for a in range(0, len(y), per)
     ])
 
 
-def _reduce_solve(band: np.ndarray, y: np.ndarray, noise_var: float) -> np.ndarray:
+def _reduce_solve(band: np.ndarray, y: np.ndarray, noise_var) -> np.ndarray:
     """Gram^-1 y of a band stack by :func:`_reduce`, as many frames a call as fit
     ``EFFECTIVE_GUARD**2`` working entries; non-finite frames redone by :func:`_dense_solve`."""
     L, blocks, B = band.shape[-3:]
     per = max(1, EFFECTIVE_GUARD**2 // reduction_entries(L, blocks, B))
-    z = np.concatenate([_reduce(band[a:a + per], y[a:a + per], noise_var)
+    noise_var = np.broadcast_to(noise_var, len(y))
+    z = np.concatenate([_reduce(band[a:a + per], y[a:a + per], noise_var[a:a + per])
                         for a in range(0, len(y), per)])
     for t in np.flatnonzero(~np.isfinite(z).all(axis=(1, 2))):
-        z[t] = _dense_solve(band[t:t + 1], y[t:t + 1], noise_var)[0]
+        z[t] = _dense_solve(band[t:t + 1], y[t:t + 1], noise_var[t:t + 1])[0]
     return z
 
 
@@ -231,8 +238,9 @@ def _block_index(L: int, B: int, K: int) -> np.ndarray:
     return np.concatenate([*cols, S + p], axis=1)  # y last
 
 
-def _reduce(band: np.ndarray, y: np.ndarray, noise_var: float) -> np.ndarray:
-    """Gram^-1 y of a band stack (T, L, blocks, B) by periodic block cyclic reduction.
+def _reduce(band: np.ndarray, y: np.ndarray, noise_var: np.ndarray) -> np.ndarray:
+    """Gram^-1 y of a band stack (T, L, blocks, B) by periodic block cyclic reduction,
+    ``noise_var`` (T,) one variance per frame.
 
     Split into nb block rows of K samples (:func:`reduction_split`), the
     Gram is periodic block-tridiagonal: row i holds D_i, Lo_i (next to row
@@ -258,7 +266,7 @@ def _reduce(band: np.ndarray, y: np.ndarray, noise_var: float) -> np.ndarray:
         for m in range(L):
             d = l - m
             diag[d + L - 1] += bt[l] * ext[m, L - 1 - d : L - 1 - d + B]
-    diag[L - 1] += noise_var
+    diag[L - 1] += np.repeat(noise_var, blocks)  # frame-major, as F
     rows[S:-1] = y.reshape(F, B).T
     G = rows[_block_index(L, B, K)]  # (K, 3K + 1, nb, F), rows bit-reversed
     np.negative(G[:, K : 3 * K], out=G[:, K : 3 * K])

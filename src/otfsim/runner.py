@@ -20,20 +20,24 @@ stream can reach.
 
 Execution
 ---------
-A range of trials runs in chunks of at most ``CHUNK_SAMPLES`` stacked
-time samples.  One generator serves the range: before each trial it is
-reset to that trial's counter, so it draws exactly what a fresh stream
-of the contract draws, into (T, ...) stacks.  Every layer (bit mapping,
-precoding, synthesis, channel, detection from the received body samples,
-slicing and counting) then runs once per chunk on the stack.  Each SNR
-point runs one link bound to its noise variance, whose receiver reads a
-channel once for its detector, the received body it detects and, on a
-budgeted downlink, the water-filled user amplitudes: a fixed channel's
-receiver is built once for the point, a random chunk's (one tap grid with
-a (T, taps) gain stack) once per chunk.  The link picks its receiver's
-builder once, from its equalizer and map: ``_one_tap``, ``_band_lmmse``
-(a unitary map's LMMSE on the channel's delay band) or ``_dense`` (ML and
-Gaussian spreading, one dense detector per draw).  Every link receives by
+A run's trials run in chunks of at most ``CHUNK_SAMPLES`` stacked time
+samples, cut from its point-major sequence of (SNR point, trial) frames.
+One link and one generator serve the run (or one pool job): before each
+trial the generator is reset to that trial's counter, so it draws exactly
+what a fresh stream of the contract draws, into (T, ...) stacks.  Every
+layer (bit mapping, precoding, synthesis, channel, detection from the
+received body samples, slicing and counting) then runs once per chunk on
+the stack, and the counts and PAPR values split back to their points.
+The noise variance belongs to the SNR point, and a chunk carries each
+frame's.  The link's receiver reads a channel once for its detector, the
+received body it detects and, on a budgeted downlink, the water-filled
+user amplitudes: a random chunk's receiver (one tap grid with a (T, taps)
+gain stack) is built once per chunk, at each frame's noise variance, so
+its chunks cross point boundaries; a fixed channel's is built once per
+point, at the point's, and its chunks end there.  The link picks its
+receiver's builder once, from its equalizer and map: ``_one_tap``,
+``_band_lmmse`` (a unitary map's LMMSE on the channel's delay band) or
+``_dense`` (ML and Gaussian spreading, one dense detector per draw).  Every link receives by
 ``band_channel`` of its builder's delay rows, one row at a time.
 Every link holds its symbols on one (N, M) grid, and every link but Gaussian
 spreading is a cell map onto it.  The ``spread`` links, OTFS, SC-FDMA (OTFS
@@ -45,16 +49,16 @@ A chunk in the steady state allocates none of its (T, samples) stacks but
 those of a random draw's channel (its band, rows or response, and the
 LMMSE's solve) and of a dense detector's estimate.  Every layer on the
 path takes an ``out`` and writes into a ``_Workspace``, one flat array per
-name, grown by a link's first (longest) chunk: the draw's words, noise and
+name, grown by a run's first (longest) chunk: the draw's words, noise and
 bits, the mapped symbols, the user map's grid, the synthesised frame, the
 received body and each delay's products, the detector's slot DFT, one-tap
 and read-out (or its LMMSE and analysis DFT) in one stack, the gathered
-symbols and the decided bits.  One workspace serves a whole ``run`` (every
-SNR point's link is handed it) or one pool job, and goes with it; nothing
-a chunk returns is a view of it (the counts are ints, the PAPR values a
-new array).  A fixed channel's receiver is held by its point's loop, not
-by the link, so a link and its views are freed when the point ends,
-without the cyclic collector.  Calls made without a workspace, by
+symbols and the decided bits.  One workspace serves a whole ``run`` (its
+link is handed it) or one pool job, and goes with it; nothing a chunk
+returns is a view of it (the counts are ints, the PAPR values a new
+array).  A fixed channel's receiver is held by its point's loop, not by
+the link, so the link and its views are freed when the run ends, without
+the cyclic collector.  Calls made without a workspace, by
 ``papr_ccdf`` and the tests, allocate as before.
 
 Scenario files are strict JSON.  One reader walks each object against its
@@ -70,6 +74,7 @@ import math
 import os
 from dataclasses import MISSING, dataclass, fields
 from functools import cached_property, reduce
+from itertools import groupby, islice
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +95,7 @@ from .channel import (
     delay_rows,
     random_channel,
     random_gains,
+    received_power,
     tf_channel,
     windowed_dd_channel,
 )
@@ -346,8 +352,7 @@ def _check_channel(sc: Scenario) -> None:
         ch = scenario_channel(sc, None)
         if all(t.gain == 0 for t in ch.taps):
             raise ConfigError("channel taps carry no power (every gain is zero)")
-        # float products, which overflow to inf where abs(gain) ** 2 would raise
-        power = sum(t.gain.real * t.gain.real + t.gain.imag * t.gain.imag for t in ch.taps)
+        power = received_power(ch)
         if power > POWER_CAP:
             raise ConfigError(f"channel.taps carry power {power:.4g}, above {POWER_CAP:.4g}")
     else:
@@ -399,23 +404,24 @@ def _word_bits(words: np.ndarray, n: int, out: np.ndarray | None = None) -> np.n
 
 
 class _TrialStreams:
-    """The trial streams of one SNR point, served by a single generator.
+    """The trial streams of a run, every SNR point's, served by a single generator.
 
     :meth:`at` resets the generator's counter and output buffer to those
-    of a fresh ``trial_rng(seed, snr_index, t)``, which is much cheaper
-    than building a new generator per trial.
+    of a fresh ``trial_rng(seed, snr_index, trial_index)``, which is much
+    cheaper than building a new generator per trial.
     """
 
-    def __init__(self, seed: int, snr_index: int, first: int):
-        self.rng = trial_rng(seed, snr_index, first)
+    def __init__(self, seed: int):
+        self.rng = trial_rng(seed, 0, 0)
         state = self.rng.bit_generator.state
         # held as Python ints, which the state setter reads entry by entry
         # about 2.5 times faster than numpy scalars
         self._fresh = {**state, "state": {k: v.tolist() for k, v in state["state"].items()},
                        "buffer": state["buffer"].tolist()}
 
-    def at(self, trial_index: int) -> np.random.Generator:
-        self._fresh["state"]["counter"][1] = trial_index
+    def at(self, snr_index: int, trial_index: int) -> np.random.Generator:
+        counter = self._fresh["state"]["counter"]
+        counter[1], counter[2] = trial_index, snr_index
         self.rng.bit_generator.state = self._fresh
         return self.rng
 
@@ -429,8 +435,8 @@ class _Workspace:
     """The stacks a run's chunks reuse, one flat array per name.
 
     :meth:`take` gives a C-contiguous view of the named array, grown only
-    when a request outgrows it: the first chunk of a link is its longest,
-    so a short last chunk and every later SNR point reuse its arrays.
+    when a request outgrows it: the first chunk of a run is its longest,
+    so every later chunk, of any SNR point, reuses its arrays.
     A name is a role in the chunk, and roles whose uses never overlap share
     one: ``work`` holds the mapped symbols, then each delay's products, then
     the detector's grid; ``body`` the body samples gathered for the PAPR,
@@ -464,16 +470,16 @@ class _Link:
     The scheme label of a downlink picks no route.
     Symbols, bits and detector output are stacked user by user, each block
     flattened row-major; every stage takes a stack of frames along leading
-    axes.  A link serves one SNR point: its noise variance is fixed when it
-    is built, and its :meth:`receiver` gives the detector, any water-filled
-    user powers and the received body of a channel from one view of it.
-    Its per-chunk stacks are views of the ``_Workspace`` ``ws`` it is given
-    (see :meth:`_stack`), else new arrays.
+    axes.  A link serves every SNR point of a run and holds no noise
+    variance: that belongs to the point, and a chunk carries each frame's.
+    Its :meth:`receiver` gives the detector, any water-filled user powers
+    and the received body of a channel from one view of it, at the noise
+    variances it is given.  Its per-chunk stacks are views of the
+    ``_Workspace`` ``ws`` it is given (see :meth:`_stack`), else new arrays.
     """
 
-    def __init__(self, sc: Scenario, noise_var: float = 0.0, ws: _Workspace | None = None):
+    def __init__(self, sc: Scenario, ws: _Workspace | None = None):
         self.sc = sc
-        self.noise_var = noise_var
         self.ws = ws
         self.params = params = sc.params
         self.const = get_constellation(sc.constellation)
@@ -523,26 +529,29 @@ class _Link:
         ``name``, or a new one where the link has no workspace."""
         return np.empty(shape, dtype) if self.ws is None else self.ws.take(name, shape, dtype)
 
-    def draw(self, streams: _TrialStreams, start: int, stop: int):
-        """Every draw of trials [start, stop), trial by trial in the contract's order.
+    def draw(self, streams: _TrialStreams, frames, noise_var: np.ndarray | None = None):
+        """Every draw of a chunk's T ``frames``, (snr_index, trial) pairs, trial by trial
+        in the contract's order.
 
-        Returns ``(ch, gains, bits, noise)``: the fixed channel or the random tap grid, the
-        draws' (T, taps) gains at the grid's taps (None for a fixed channel), the (T, n_bits)
-        bits and the noise pair of (T, samples) arrays (None at zero noise variance).
+        ``noise_var`` (T,) is each frame's noise variance, or None to draw no noise.
+        Returns ``(ch, gains, bits, noise)``: the fixed channel or the random tap
+        grid, the draws' (T, taps) gains at the grid's taps (None for a fixed
+        channel), the (T, n_bits) bits and the noise pair of (T, samples) arrays
+        (None where ``noise_var`` is).
         """
-        T = stop - start
+        T = len(frames)
         gains = None if self.fixed else self._stack("gains", (T, len(self.grid.taps)))
         words = self._stack("words", (T, (self.n_bits + 1) // 2), np.uint64)
-        noise = self._stack("noise", (T, 2, self.n_samples), float) if self.noise_var > 0 else None
-        for i in range(T):
-            rng = streams.at(start + i)
+        noise = None if noise_var is None else self._stack("noise", (T, 2, self.n_samples), float)
+        for i, (snr_index, trial) in enumerate(frames):
+            rng = streams.at(snr_index, trial)
             if gains is not None:
                 gains[i] = random_gains(*self.sc.channel_random, rng).reshape(-1)
             words[i] = rng.bit_generator.random_raw(words.shape[1])
             if noise is not None:
                 rng.standard_normal(out=noise[i])
         if noise is not None:
-            noise *= np.sqrt(self.noise_var / 2.0)  # draw_noise's values
+            noise *= np.sqrt(noise_var / 2.0)[:, None, None]  # draw_noise's values
             noise = noise[:, 0], noise[:, 1]
         bits = _word_bits(words, self.n_bits, self._stack("bits", (T, self.n_bits), np.int64))
         return self.fixed or self.grid, gains, bits, noise
@@ -607,18 +616,20 @@ class _Link:
             U[:, a:a + m] = self._synthesis(self.place(np.eye(m, n, k=a)), 0).samples.T
         return U
 
-    def receiver(self, ch: DDChannelSpec, gains: np.ndarray | None = None):
+    def receiver(self, ch: DDChannelSpec, gains: np.ndarray | None, noise_var):
         """Returns ``(detect, amp, receive)``: symbol estimates of received body
         samples (..., M*N), a budgeted downlink's (frames, K) water-filled user
         amplitudes or None, and the received body of a transmitted stack and
         its noise, ``receive(sig, noise)``.
 
-        ``gains`` (T, taps) gives frame t ``ch``'s taps with gains[t].  The
-        link's builder, :meth:`_one_tap`, :meth:`_band_lmmse` or :meth:`_dense`,
-        gives the detector, the amplitudes and the channel's delay rows, and
-        every ``receive`` is ``band_channel`` of those rows.
+        ``gains`` (T, taps) gives frame t ``ch``'s taps with gains[t], and
+        ``noise_var`` is one noise variance, or (T,) frame t's at noise_var[t]
+        where ``gains`` is given.  The link's builder, :meth:`_one_tap`,
+        :meth:`_band_lmmse` or :meth:`_dense`, gives the detector, the
+        amplitudes and the channel's delay rows, and every ``receive`` is
+        ``band_channel`` of those rows.
         """
-        detect, amp, rows = getattr(self, self.builder)(ch, gains)
+        detect, amp, rows = getattr(self, self.builder)(ch, gains, noise_var)
 
         def receive(sig, noise):
             shape = (*sig.samples.shape[:-1], self.params.dof)
@@ -627,12 +638,12 @@ class _Link:
 
         return detect, amp, receive
 
-    def _one_tap(self, ch: DDChannelSpec, gains: np.ndarray | None):
+    def _one_tap(self, ch: DDChannelSpec, gains: np.ndarray | None, noise_var):
         """One ``tf_channel`` call for the one-tap detector and a budgeted downlink's
         water-filling (a budget implies one-tap); the rows of the delays that carry
         taps alone, a fixed channel's built once and a random chunk's streamed by each
         receive, as a whole band of a sparse, wide-delay channel could outgrow the stack."""
-        params, noise_var, mu = self.params, self.noise_var, self.sc.multiuser
+        params, mu = self.params, self.sc.multiuser
         H, amp = tf_channel(ch, params, gains), None
         if mu is not None and mu.power_budget is not None:
             # user k's cells on the (M, N) response, f-major as its lone
@@ -640,7 +651,8 @@ class _Link:
             cells = np.array([user_cells(t, f) for f, t in self.alloc.users])
             gathered = (np.abs(H) ** 2).reshape(-1, params.dof)[:, cells]
             power = np.ascontiguousarray(gathered).mean(axis=-1)
-            p = np.stack([multiuser.water_fill(q, mu.power_budget, noise_var) for q in power])
+            p = np.stack([multiuser.water_fill(q, mu.power_budget, nv)
+                          for q, nv in zip(power, np.broadcast_to(noise_var, len(power)))])
             amp = np.sqrt(p / self.block)
 
         # the response on the slot DFT's (..., N, M) grid: the one-tap then
@@ -662,7 +674,7 @@ class _Link:
         band = delay_band(ch, self.params, gains)
         return band.reshape(*band.shape[:-2], self.blocks, -1), lambda: band_rows(band)
 
-    def _band_lmmse(self, ch: DDChannelSpec, gains: np.ndarray | None):
+    def _band_lmmse(self, ch: DDChannelSpec, gains: np.ndarray | None, noise_var):
         """A unitary map's LMMSE: ``band_filter`` equalises the blocks of all
         frames at once on the band, then the map's analysis DFT reads them.
         The band is built after the guard: ``check_blocks`` for a fixed channel's
@@ -673,7 +685,7 @@ class _Link:
         else:
             band_solver(ch.L_max, self.blocks, self.params.dof // self.blocks)
         blocks, rows = self._band(ch, gains)
-        equalize, params = band_filter(blocks, self.noise_var), self.params
+        equalize, params = band_filter(blocks, noise_var), self.params
 
         def detect(body):  # the LMMSE, then its analysis DFT in the same stack
             Y = self._stack("work", (*body.shape[:-1], params.N, params.M))
@@ -684,7 +696,7 @@ class _Link:
 
         return detect, None, rows
 
-    def _dense(self, ch: DDChannelSpec, gains: np.ndarray | None):
+    def _dense(self, ch: DDChannelSpec, gains: np.ndarray | None, noise_var):
         """ML, or Gaussian spreading's LMMSE: one dense detector per draw, built a draw
         at a time (a stacked filter is no faster and holds more), of body samples read
         as H U, H the draw's ``band_blocks`` and U the :attr:`_map_matrix`.  The band
@@ -694,9 +706,10 @@ class _Link:
         # the map's guard refuses it before any channel blocks are built
         U = self._map_matrix.reshape(self.blocks, -1, self.K * self.block)
         ops, ml = [], self.sc.equalizer == "ml"
-        for band in blocks.reshape(-1, *blocks.shape[-3:]):
+        draws = blocks.reshape(-1, *blocks.shape[-3:])
+        for band, nv in zip(draws, np.broadcast_to(noise_var, len(draws))):
             A = (band_blocks(band) @ U).reshape(self.params.dof, -1)
-            ops.append(A if ml else mmse_filter(A, self.noise_var))
+            ops.append(A if ml else mmse_filter(A, nv))
 
         def detect(body):  # frame t by draw t, or every frame by the one fixed channel
             split = body.reshape(len(ops), -1, body.shape[-1])
@@ -705,28 +718,68 @@ class _Link:
 
         return detect, None, rows
 
-    def run_chunk(self, streams: _TrialStreams, start: int, stop: int, fixed_rx=None):
-        """Draw, transmit, receive and detect trials [start, stop) as one stack.
+    def run_chunk(self, streams: _TrialStreams, frames, noise_var: np.ndarray, fixed_rx=None):
+        """Draw, transmit, receive and detect a chunk's frames as one stack.
 
-        ``fixed_rx`` is a fixed channel's :meth:`receiver`, built once by the
-        caller and held there: kept on the link, its closures would make a
-        reference cycle.  Returns ((bit errors, symbol errors, bits, symbols),
-        PAPR per trial), neither a view of the workspace.
+        ``frames`` and ``noise_var`` are :meth:`draw`'s.  ``fixed_rx``, which a
+        fixed channel needs, is its :meth:`receiver` at the noise variance of every
+        frame, built once by the caller and held there: kept on the link, its
+        closures would make a reference cycle.  Returns {snr_index: LinkResult} of
+        the chunk's frames of each SNR point, no value a view of the workspace.
         """
-        ch, gains, bits, noise = self.draw(streams, start, stop)
-        detect, amp, receive = fixed_rx or self.receiver(ch, gains)
+        ch, gains, bits, noise = self.draw(streams, frames, noise_var)
+        detect, amp, receive = fixed_rx or self.receiver(ch, gains, noise_var)
         sig = self.transmit(bits, amp)
-        paprs = papr(sig, self._stack("body", (stop - start, self.params.dof)))
+        paprs = papr(sig, self._stack("body", (len(frames), self.params.dof)))
         est = detect(receive(sig, noise))
         bps = self.const.bits_per_symbol
-        if amp is not None:
-            # undo each user's amplitude; users given zero power carry no data
+        if amp is not None:  # users given zero power carry no data
             on = np.broadcast_to(np.repeat(amp > 1e-12, self.block, axis=-1), est.shape)
-            est = est[on] / np.broadcast_to(np.repeat(amp, self.block, axis=-1), est.shape)[on]
-            bits = bits.reshape(*on.shape, bps)[on].reshape(-1)
-        decided = self._stack("decided", (*est.shape[:-1], est.shape[-1] * bps), np.int64)
-        be, se = count_errors(bits, slice_symbols(est, self.const, decided), bps)
-        return (be, se, bits.size, est.size), paprs
+            amps = np.broadcast_to(np.repeat(amp, self.block, axis=-1), est.shape)
+        out, rows = {}, slice(0, 0)
+        for snr_index, run in groupby(frames, key=lambda frame: frame[0]):
+            rows = slice(rows.stop, rows.stop + len(list(run)))
+            e, b = est[rows], bits[rows]
+            if amp is not None:  # undo each user's amplitude
+                e, b = e[on[rows]] / amps[rows][on[rows]], b.reshape(*e.shape, bps)[on[rows]]
+            decided = self._stack("decided", (*e.shape[:-1], e.shape[-1] * bps), np.int64)
+            be, se = count_errors(b.reshape(decided.shape), slice_symbols(e, self.const, decided),
+                                  bps)
+            out[snr_index] = LinkResult(self.sc.scheme, self.sc.snr_db_list[snr_index],
+                                        rows.stop - rows.start, be, se, decided.size, e.size,
+                                        paprs[rows])
+        return out
+
+
+def _chunks(points, size: int):
+    """The (snr_index, trial) frames of ``points``, (snr_index, start, stop) each,
+    point-major, in lists of ``size``, the last one short."""
+    frames = ((si, trial) for si, start, stop in points for trial in range(start, stop))
+    while chunk := list(islice(frames, size)):
+        yield chunk
+
+
+def _run_points(sc: Scenario, points, ws: _Workspace) -> list:
+    """One LinkResult per point (snr_index, start, stop), its trials [start, stop);
+    the points' SNR indices are distinct.
+
+    One link, one set of trial streams and the stacks of ``ws`` serve every
+    point.  A random channel's receiver is built per chunk, at each frame's
+    noise variance, so its chunks run on across point boundaries; a fixed
+    channel's is built per point, at the point's, and its chunks end there.
+    """
+    link, streams = _Link(sc, ws), _TrialStreams(sc.seed)
+    noise_var = {si: _noise_var(sc.snr_db_list[si]) for si, _, _ in points}  # unit-energy symbols
+    results = {si: LinkResult(sc.scheme, sc.snr_db_list[si]) for si in noise_var}
+    for group in [points] if link.fixed is None else [[point] for point in points]:
+        fixed_rx = None
+        if link.fixed is not None:
+            fixed_rx = link.receiver(link.fixed, None, noise_var[group[0][0]])
+        for frames in _chunks(group, link.chunk):
+            frame_var = np.array([noise_var[si] for si, _ in frames])
+            for si, part in link.run_chunk(streams, frames, frame_var, fixed_rx).items():
+                results[si] = results[si].merge(part)
+    return list(results.values())
 
 
 def run_trial_range(
@@ -736,31 +789,12 @@ def run_trial_range(
 
     The chunks use the stacks of ``ws``, a new workspace if None.
     """
-    snr_db = sc.snr_db_list[snr_index]
-    link = _Link(sc, _noise_var(snr_db), _Workspace() if ws is None else ws)  # unit-energy symbols
-    fixed_rx = None if link.fixed is None else link.receiver(link.fixed)
-    streams = _TrialStreams(sc.seed, snr_index, start)
-    counts, paprs = [0, 0, 0, 0], []
-    for a in range(start, stop, link.chunk):
-        chunk_counts, chunk_paprs = link.run_chunk(streams, a, min(a + link.chunk, stop), fixed_rx)
-        counts = [x + y for x, y in zip(counts, chunk_counts)]
-        paprs.append(chunk_paprs)
-    be, se, nb, ns = counts
-    return LinkResult(
-        scheme=sc.scheme,
-        snr_db=snr_db,
-        trials=stop - start,
-        bit_errors=be,
-        symbol_errors=se,
-        total_bits=nb,
-        total_symbols=ns,
-        papr_values=np.concatenate(paprs) if paprs else np.empty(0),
-    )
+    return _run_points(sc, [(snr_index, start, stop)], _Workspace() if ws is None else ws)[0]
 
 
 def _worker(args):
     sc, snr_index, start, stop = args
-    return run_trial_range(sc, snr_index, start, stop)  # with a workspace of its own
+    return run_trial_range(sc, snr_index, start, stop)  # with a link and workspace of its own
 
 
 def run(sc: Scenario, workers: int = 1) -> list:
@@ -776,8 +810,7 @@ def run(sc: Scenario, workers: int = 1) -> list:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     n_snr = len(sc.snr_db_list)
     if workers == 1 or sc.trials == 1:
-        ws = _Workspace()  # every point reuses the stacks of the first
-        return [run_trial_range(sc, si, 0, sc.trials, ws) for si in range(n_snr)]
+        return _run_points(sc, [(si, 0, sc.trials) for si in range(n_snr)], _Workspace())
     bounds = np.linspace(0, sc.trials, min(workers, sc.trials) + 1).astype(int)
     ranges = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
     jobs = [(sc, si, a, b) for si in range(n_snr) for a, b in ranges]
@@ -852,12 +885,11 @@ def papr_ccdf(sc: Scenario) -> str:
     downlink's users all get unit power here, and its CCDF is not that of
     the PAPR ``run`` reports.  Returns CSV text ``papr_db,ccdf``.
     """
-    link = _Link(sc)
-    streams = _TrialStreams(sc.seed, 0, 0)
+    link, streams = _Link(sc), _TrialStreams(sc.seed)
     vals = []
-    for a in range(0, sc.trials, link.chunk):
+    for frames in _chunks([(0, 0, sc.trials)], link.chunk):
         # the channel draws keep the draw order aligned with simulate
-        _, _, bits, _ = link.draw(streams, a, min(a + link.chunk, sc.trials))
+        _, _, bits, _ = link.draw(streams, frames)
         vals.extend(10.0 * math.log10(v) for v in papr(link.transmit(bits)))
     vals = np.array(vals)
     hi = float(np.ceil(vals.max() * 4) / 4) if vals.size else 0.0

@@ -117,8 +117,9 @@ def _check_trial_stream() -> CheckResult:
         "channel": {"random": {"L_max": 2, "V_max": 2}}, "snr_db_list": [3.0],
         "trials": 4, "seed": _SEED,
     })
-    link = runner._Link(sc, 0.5)
-    _, _, bits, (re, im) = link.draw(runner._TrialStreams(sc.seed, 0, 0), 0, sc.trials)
+    link = runner._Link(sc)
+    frames = [(0, t) for t in range(sc.trials)]
+    _, _, bits, (re, im) = link.draw(runner._TrialStreams(sc.seed), frames, np.full(sc.trials, 0.5))
     differ = 0
     for t in range(sc.trials):
         rng = runner.trial_rng(sc.seed, 0, t)
@@ -143,10 +144,12 @@ def _check_band_channel() -> CheckResult:
                 "constellation": "QPSK", "channel_mode": mode, "equalizer": equalizer,
                 "snr_db_list": [3.0], "trials": 3, "seed": _SEED,
             })
-            link = runner._Link(sc, 0.5)
-            ch, gains, bits, noise = link.draw(runner._TrialStreams(sc.seed, 0, 0), 0, sc.trials)
+            link = runner._Link(sc)
+            frames = [(0, t) for t in range(sc.trials)]
+            ch, gains, bits, noise = link.draw(runner._TrialStreams(sc.seed), frames,
+                                               np.full(sc.trials, 0.5))
             sig = link.transmit(bits)
-            got = link.receiver(ch, gains)[2](sig, noise)
+            got = link.receiver(ch, gains, 0.5)[2](sig, noise)
             want = channel.apply_channel(sig, ch, link.params, mode=mode, gains=gains, noise=noise)
             differ += int(np.sum(got != want.body))
     return CheckResult("band_channel", differ == 0, f"{differ} received body samples differ")
@@ -162,13 +165,14 @@ def _check_band_lmmse() -> CheckResult:
             "channel": {"random": {"L_max": L, "V_max": 2}}, "channel_mode": mode,
             "equalizer": "mmse_dd", "snr_db_list": [3.0], "trials": 3, "seed": _SEED,
         })
-        link = runner._Link(sc, 0.5)
-        ch, gains, bits, noise = link.draw(runner._TrialStreams(sc.seed, 0, 0), 0, sc.trials)
+        link, noise_var = runner._Link(sc), np.full(sc.trials, 0.5)
+        frames = [(0, t) for t in range(sc.trials)]
+        ch, gains, bits, noise = link.draw(runner._TrialStreams(sc.seed), frames, noise_var)
         band = channel.delay_band(ch, link.params, gains)
         y = channel.band_channel(channel.band_rows(band), link.transmit(bits), mode, noise)
         band, y = band.reshape(sc.trials, L, link.blocks, -1), y.reshape(sc.trials, link.blocks, -1)
-        got = equalizer._band_adjoint(band, equalizer._reduce_solve(band, y, link.noise_var))
-        want = equalizer._band_adjoint(band, equalizer._dense_solve(band, y, link.noise_var))
+        got = equalizer._band_adjoint(band, equalizer._reduce_solve(band, y, noise_var))
+        want = equalizer._band_adjoint(band, equalizer._dense_solve(band, y, noise_var))
         worst = max(worst, np.max(np.abs(got - want)))
     return CheckResult("band_lmmse", worst < 1e-12, f"max deviation {worst:.3e}")
 

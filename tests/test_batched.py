@@ -52,15 +52,15 @@ def scenario(name):
     return scenario_from_dict(json.loads((GOLDEN / f"{name}.json").read_text()))
 
 
-def run_trial(link, rng):
+def run_trial(link, noise_var, rng):
     """One trial on one frame: (bit errors, symbol errors, bits, symbols, PAPR)."""
     ch = scenario_channel(link.sc, rng)
-    detect, amp, _ = link.receiver(ch)
+    detect, amp, _ = link.receiver(ch, None, noise_var)
     amp = None if amp is None else amp[0]
     bits = rng.integers(0, 2, size=link.n_bits)
     sig = link.transmit(bits, amp)
     papr_val = papr(sig)
-    rx = ot.apply_channel(sig, ch, link.params, link.noise_var, rng, mode=link.sc.channel_mode)
+    rx = ot.apply_channel(sig, ch, link.params, noise_var, rng, mode=link.sc.channel_mode)
     est = detect(rx.body)
     bps = link.const.bits_per_symbol
     if amp is not None:
@@ -72,8 +72,9 @@ def run_trial(link, rng):
 
 
 def per_trial_range(sc, snr_index, start, stop):
-    link = _Link(sc, 10.0 ** (-sc.snr_db_list[snr_index] / 10.0))
-    rows = [run_trial(link, trial_rng(sc.seed, snr_index, t)) for t in range(start, stop)]
+    link, noise_var = _Link(sc), 10.0 ** (-sc.snr_db_list[snr_index] / 10.0)
+    rows = [run_trial(link, noise_var, trial_rng(sc.seed, snr_index, t))
+            for t in range(start, stop)]
     counts = tuple(sum(r[i] for r in rows) for i in range(4))
     return counts, np.array([r[4] for r in rows])
 
@@ -168,10 +169,20 @@ def draws(rng):
 @pytest.mark.parametrize("snr_index,order", [(0, range(5, 14)), (3, [7, 2, 2, 9, 0])])
 def test_reset_stream_draws_what_trial_rng_draws(snr_index, order):
     # channel, then bits, then the two noise draws, for trials in any order
-    streams = _TrialStreams(17, snr_index, 5)
+    streams = _TrialStreams(17)
     for t in order:
-        got, want = draws(streams.at(t)), draws(trial_rng(17, snr_index, t))
+        got, want = draws(streams.at(snr_index, t)), draws(trial_rng(17, snr_index, t))
         assert all(np.array_equal(a, b) for a, b in zip(got, want)), t
+
+
+def test_one_stream_serves_interleaved_points():
+    # one run's stream, reset to trials of several points in any order and
+    # with the point changing between calls, draws what each fresh stream draws
+    streams = _TrialStreams(2**90 + 3)
+    for si, t in [(0, 0), (2, 0), (0, 1), (1, 7), (1, 7), (2**32 - 1, 3), (0, 2**63), (2, 1)]:
+        got, want = streams.at(si, t), trial_rng(2**90 + 3, si, t)
+        assert all(np.array_equal(a, b) for a, b in zip(draws(got), draws(want))), (si, t)
+        assert stream_state(got) == stream_state(want), (si, t)
 
 
 def stream_state(rng):
@@ -198,9 +209,9 @@ def test_link_draws_are_the_contract_draws(constellation, M, N, channel):
         "constellation": constellation, "channel": channel,
         "snr_db_list": [3.0], "trials": 8, "seed": 2**70 + 5,
     })
-    link = _Link(sc, 0.7)
-    streams = _TrialStreams(sc.seed, 4, 3)
-    grid, gains, bits, noise = link.draw(streams, 3, 8)
+    link, noise_var = _Link(sc), np.full(5, 0.7)
+    streams = _TrialStreams(sc.seed)
+    grid, gains, bits, noise = link.draw(streams, [(4, t) for t in range(3, 8)], noise_var)
     for i, t in enumerate(range(3, 8)):
         rng = trial_rng(sc.seed, 4, t)
         if gains is None:
@@ -212,7 +223,7 @@ def test_link_draws_are_the_contract_draws(constellation, M, N, channel):
         assert np.array_equal(bits[i], rng.integers(0, 2, size=link.n_bits))
         re, im = draw_noise(rng, 0.7, link.n_samples)
         assert np.array_equal(noise[0][i], re) and np.array_equal(noise[1][i], im)
-        link.draw(streams, t, t + 1)
+        link.draw(streams, [(4, t)], noise_var[:1])
         assert stream_state(streams.rng) == stream_state(rng)
     assert bits.dtype == np.int64 and bits.shape == (5, link.n_bits)
 
@@ -246,11 +257,12 @@ def test_banded_chunk_channel_is_apply_channel():
             "channel": {"random": {"L_max": 4, "V_max": 3}}, "channel_mode": mode,
             "equalizer": "mmse_dd", "snr_db_list": [5.0], "trials": 6, "seed": 33,
         })
-        link = _Link(sc, 0.2)
-        ch, gains, bits, noise = link.draw(_TrialStreams(sc.seed, 0, 0), 0, 6)
+        link, noise_var = _Link(sc), np.full(6, 0.2)
+        frames = [(0, t) for t in range(6)]
+        ch, gains, bits, noise = link.draw(_TrialStreams(sc.seed), frames, noise_var)
         sig = link.transmit(bits)
         want = ot.apply_channel(sig, ch, link.params, mode=mode, gains=gains, noise=noise)
-        got = link.receiver(ch, gains)[2](sig, noise)
+        got = link.receiver(ch, gains, noise_var)[2](sig, noise)
         assert np.array_equal(got, want.body)
 
 

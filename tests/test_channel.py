@@ -1,5 +1,7 @@
 """Channel application, analytic views and operator-level oracles."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -93,6 +95,14 @@ class TestChannelSpec:
         rng = np.random.default_rng(0)
         ch = ot.random_channel(4, 2, rng)
         assert ot.received_power(ch) == pytest.approx(1.0, abs=1e-12)
+
+    def test_received_power_overflows_to_inf(self):
+        # |gain|^2 past the float range is inf, for one tap or as a sum, never
+        # an OverflowError; finite taps sum their squared parts
+        one = ot.DDChannelSpec(((0, 0, 1e200 + 0j),))
+        two = ot.DDChannelSpec(((0, 0, 1e154), (1, 0, 1e154j)))
+        assert ot.received_power(one) == ot.received_power(two) == math.inf
+        assert ot.received_power(ot.DDChannelSpec(((0, 0, 3 + 4j), (2, -1, 1j)))) == 26.0
 
     def test_random_channel_grid(self):
         rng = np.random.default_rng(1)

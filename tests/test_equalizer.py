@@ -62,6 +62,33 @@ class TestOneTap:
             one_tap_tf(np.ones((2, 2)), np.ones((2, 3)), 0.1)
         with pytest.raises(ValueError):
             one_tap_tf(np.ones((2, 2)), np.ones((2, 2)), -0.1)
+        with pytest.raises(ValueError):  # one grid's variance of a stack
+            one_tap_tf(np.ones((3, 2, 2)), np.ones((2, 2)), np.array([0.1, -0.1, 0.2]))
+
+    def test_zero_noise_checks_each_grid_of_a_stack(self):
+        # zero-forcing is refused only for a grid whose own variance is 0 and
+        # whose own response has a zero gain
+        y, h = np.ones((2, 1, 2), dtype=complex), np.array([[[1.0, 0.0]], [[1.0, 1.0]]])
+        with pytest.raises(ZeroDivisionError):
+            one_tap_tf(y, h, np.array([0.0, 0.5]))
+        with pytest.raises(ZeroDivisionError):  # a shared response with a zero gain
+            one_tap_tf(y, h[0], np.array([0.5, 0.0]))
+        out = one_tap_tf(y, h, np.array([0.5, 0.0]))
+        assert out[0, 0, 1] == 0.0 and np.array_equal(out[1], [[1.0, 1.0]])
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_per_grid_noise_rows_equal_one_grid_calls_bitwise(self, shared):
+        # a stack whose grids carry their own variances (one a zero-forcing
+        # grid) against each grid's scalar call, for a shared response and
+        # for one response per grid
+        rng = np.random.default_rng(301)
+        y = rng.normal(size=(4, 8, 4)) + 1j * rng.normal(size=(4, 8, 4))
+        h = rng.normal(size=(4, 8, 4)) + 1j * rng.normal(size=(4, 8, 4))
+        h = h[0] if shared else h
+        noise_var = np.array([0.3, 0.0, 1e-3, 2.5])
+        got = one_tap_tf(y, h, noise_var)
+        for t, nv in enumerate(noise_var):
+            assert np.array_equal(got[t], one_tap_tf(y[t], h if shared else h[t], float(nv)))
 
 
 class TestMMSE:
@@ -367,17 +394,32 @@ class TestBandLMMSE:
         for t in (0, 2):
             assert np.array_equal(got[t:t + 1], band_filter(band[t:t + 1], 0.0)(y[t:t + 1]))
 
-    def test_stack_is_bounded_by_the_guard(self, monkeypatch):
+    @pytest.mark.parametrize("noise_var", [0.1, np.linspace(0.05, 2.0, 7)])
+    def test_stack_is_bounded_by_the_guard(self, noise_var, monkeypatch):
         # 4 blocks of 8 x 8 are 256 dense Gram entries a trial; a guard of 23
-        # (529 entries) solves 7 trials as 2 + 2 + 2 + 1, bitwise as one stack
+        # (529 entries) solves 7 trials as 2 + 2 + 2 + 1, bitwise as one stack,
+        # with one variance or one per frame
         rng = np.random.default_rng(314)
         band, y = random_band(rng, (7, 3, 4, 8)), random_band(rng, (7, 4, 8))
-        whole = dense_filter(band, 0.1)(y)
+        whole = dense_filter(band, noise_var)(y)
         sizes, solve = [], np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve", lambda G, b: sizes.append(len(G)) or solve(G, b))
         monkeypatch.setattr(equalizer, "EFFECTIVE_GUARD", 23)
-        assert np.array_equal(dense_filter(band, 0.1)(y), whole)
+        assert np.array_equal(dense_filter(band, noise_var)(y), whole)
         assert sizes == [2, 2, 2, 1]
+
+    def test_per_frame_noise_rows_equal_one_frame_calls_bitwise(self):
+        # frames of one dense stack, each with its own variance, against each
+        # frame's Gram and solve at its scalar variance
+        rng = np.random.default_rng(320)
+        band, y = random_band(rng, (5, 3, 2, 8)), random_band(rng, (5, 2, 8))
+        noise_var = np.array([0.4, 1e-4, 3.0, 0.4, 0.02])
+        gram, got = band_gram(band, noise_var), dense_filter(band, noise_var)(y)
+        for t, nv in enumerate(noise_var):
+            assert np.array_equal(gram[t], band_gram(band[t], float(nv)))
+            assert np.array_equal(got[t:t + 1], dense_filter(band[t:t + 1], float(nv))(y[t:t + 1]))
+        assert_allclose(got[2], (mmse_filter(band_blocks(band[2]), 3.0) @ y[2, ..., None])[..., 0],
+                        atol=1e-12)
 
 
 def frame_band(rng, mode, L, B, T=3):
@@ -447,28 +489,33 @@ class TestCyclicReduction:
         with pytest.raises(GuardError, match="dense Gram"):
             band_solver(3, 1, 4097)
 
+    @pytest.mark.parametrize("per_frame", [False, True])
     @pytest.mark.parametrize("blocks", [1, 2])
     @pytest.mark.parametrize("L,B", [(1, 8), (2, 12), (3, 6), (3, 16), (4, 24), (5, 32)])
-    def test_stack_rows_equal_one_frame_calls_bitwise(self, L, B, blocks):
+    def test_stack_rows_equal_one_frame_calls_bitwise(self, L, B, blocks, per_frame):
         # every step is elementwise over the frames; a one-block frame alone
-        # is a batch of one, whose products numpy must round as in a stack
+        # is a batch of one, whose products numpy must round as in a stack;
+        # frames with their own variances equal their one-frame scalar calls
         rng = np.random.default_rng(317)
         band, y = random_band(rng, (5, L, blocks, B)), random_band(rng, (5, blocks, B))
-        got = reduce_filter(band, 0.1)(y)
+        noise_var = np.array([0.1, 2.0, 1e-3, 0.1, 0.7]) if per_frame else np.full(5, 0.1)
+        got = reduce_filter(band, noise_var if per_frame else 0.1)(y)
         for t in range(5):
-            assert np.array_equal(got[t:t + 1], reduce_filter(band[t:t + 1], 0.1)(y[t:t + 1]))
+            alone = reduce_filter(band[t:t + 1], float(noise_var[t]))(y[t:t + 1])
+            assert np.array_equal(got[t:t + 1], alone)
 
-    def test_stack_is_bounded_by_the_guard(self, monkeypatch):
+    @pytest.mark.parametrize("noise_var", [0.1, np.array([0.1, 0.5, 2.0, 1e-3, 0.3])])
+    def test_stack_is_bounded_by_the_guard(self, noise_var, monkeypatch):
         # a guard of 60 (3600 working entries) reduces 5 trials as 2 + 2 + 1,
-        # bitwise as one stack
+        # bitwise as one stack, with one variance or one per frame
         rng = np.random.default_rng(319)
         band, y = random_band(rng, (5, 3, 2, 16)), random_band(rng, (5, 2, 16))
-        whole = reduce_filter(band, 0.1)(y)
+        whole = reduce_filter(band, noise_var)(y)
         assert equalizer.reduction_entries(3, 2, 16) == 2 * 16 * (12 * 3 + 18)  # 1728
         sizes, reduce = [], equalizer._reduce
         monkeypatch.setattr(equalizer, "_reduce", lambda b, *a: sizes.append(len(b)) or reduce(b, *a))
         monkeypatch.setattr(equalizer, "EFFECTIVE_GUARD", 60)
-        assert np.array_equal(reduce_filter(band, 0.1)(y), whole)
+        assert np.array_equal(reduce_filter(band, noise_var)(y), whole)
         assert sizes == [2, 2, 1]
 
     def test_singular_frame_alone_takes_the_pseudo_inverse(self, monkeypatch):
@@ -489,3 +536,19 @@ class TestCyclicReduction:
         for t in (0, 2):
             assert np.array_equal(got[t:t + 1], reduce_filter(band[t:t + 1], 0.0)(y[t:t + 1]))
         assert_allclose(got, (mmse_filter(band_blocks(band), 0.0) @ y[..., None])[..., 0], atol=1e-9)
+
+    def test_singular_frame_keeps_its_own_variance_in_the_dense_redo(self, monkeypatch):
+        # only trial 1, with no channel at zero noise, is redone densely, at its
+        # own variance; its neighbours keep theirs, as in their one-frame calls
+        rng = np.random.default_rng(321)
+        band, y = random_band(rng, (3, 3, 2, 8)), random_band(rng, (3, 2, 8))
+        band[1] = 0
+        noise_var, redone, solve = np.array([0.2, 0.0, 1.5]), [], equalizer._dense_solve
+        monkeypatch.setattr(equalizer, "_dense_solve",
+                            lambda b, y, nv: redone.append(nv.tolist()) or solve(b, y, nv))
+        got = reduce_filter(band, noise_var)(y)
+        monkeypatch.undo()
+        assert redone == [[0.0]] and np.array_equal(got[1], np.zeros((2, 8)))
+        for t in (0, 2):
+            alone = reduce_filter(band[t:t + 1], float(noise_var[t]))(y[t:t + 1])
+            assert np.array_equal(got[t:t + 1], alone)

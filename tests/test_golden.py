@@ -81,23 +81,24 @@ def test_detector_never_probes_the_channel(name, monkeypatch):
     mu = sc.multiuser
     if sc.equalizer != "ml" and not (mu and mu.mode == "tf_spread" and mu.spreader == "gaussian"):
         monkeypatch.setattr(_Link, "_map_matrix", property(refuse))
-    link = _Link(sc, 0.1)
+    link = _Link(sc)
     draws = [scenario_channel(sc, trial_rng(sc.seed, 0, t)) for t in range(2)]
-    detect, _, _ = link.receiver(draws[0])
+    detect, _, _ = link.receiver(draws[0], None, 0.1)
     assert callable(detect)
     # a 2-frame gain stack: the chunk path, one detector per draw for ML and Gaussian spreading
     gains = np.array([[t.gain for t in ch.taps] for ch in draws])
-    detect, _, receive = link.receiver(draws[0], gains)
+    detect, _, receive = link.receiver(draws[0], gains, np.array([0.1, 0.2]))
     assert detect(np.zeros((2, sc.params.dof))).shape == (2, link.K * link.block)
     sig = link.transmit(np.zeros((2, link.n_bits), dtype=np.int64))
     assert receive(sig, None).shape == (2, sc.params.dof)
-    assert link.receiver(draws[0])[2](sig, None).shape == (2, sc.params.dof)
+    assert link.receiver(draws[0], None, 0.1)[2](sig, None).shape == (2, sc.params.dof)
 
 
 @pytest.mark.parametrize("name", ["otfs_mmse_random", "tf_alloc_mmse_random"])
 def test_random_lmmse_solves_once_per_chunk(name, monkeypatch):
     # the band LMMSE builds no dense blocks, no filter and no dense Gram:
     # one cyclic reduction of its band stack per chunk of trials, here 5 trials
+    # cut from the run's point-major trials
     def refuse(*args, **kwargs):
         raise AssertionError("dense LMMSE built")
 
@@ -110,14 +111,14 @@ def test_random_lmmse_solves_once_per_chunk(name, monkeypatch):
     sc = load_scenario(GOLDEN / f"{name}.json")
     monkeypatch.setattr(runner, "CHUNK_SAMPLES", 5 * _Link(sc).n_samples)
     assert format_csv(run(sc)) == (GOLDEN / f"{name}.csv").read_text()
-    assert len(calls) == -(-sc.trials // 5) * len(sc.snr_db_list)
+    assert len(calls) == -(-sc.trials * len(sc.snr_db_list) // 5)
 
 
 @pytest.mark.parametrize("name", ["tf_spread_gaussian_mmse_random_cyclic", "otfs_ml_random"])
 def test_random_dense_chunk_reads_one_band(name, monkeypatch):
-    # ML and Gaussian spreading read a chunk of random draws, here 5 trials,
-    # through one stacked delay band: the body they detect and every draw's
-    # dense operator
+    # ML and Gaussian spreading read a chunk of random draws, here 5 trials
+    # of the run's point-major trials, through one stacked delay band: the
+    # body they detect and every draw's dense operator
     calls = []
     delay_band = runner.delay_band
     monkeypatch.setattr(
@@ -126,12 +127,13 @@ def test_random_dense_chunk_reads_one_band(name, monkeypatch):
     sc = load_scenario(GOLDEN / f"{name}.json")
     monkeypatch.setattr(runner, "CHUNK_SAMPLES", 5 * _Link(sc).n_samples)
     assert format_csv(run(sc)) == (GOLDEN / f"{name}.csv").read_text()
-    assert len(calls) == -(-sc.trials // 5) * len(sc.snr_db_list)
+    assert len(calls) == -(-sc.trials * len(sc.snr_db_list) // 5)
 
 
 @pytest.mark.parametrize("name", ["otfs_onetap_random", "tf_alloc_water_fill_random"])
 def test_random_one_tap_reads_one_response_per_chunk(name, monkeypatch):
-    # the one-tap receiver of a chunk of random draws, here 5 trials, reads
+    # the one-tap receiver of a chunk of random draws, here 5 trials of the
+    # run's point-major trials, reads
     # every frame's response from one stacked tf_channel call, and its
     # water-filled amplitudes from the same response
     calls = []
@@ -142,7 +144,7 @@ def test_random_one_tap_reads_one_response_per_chunk(name, monkeypatch):
     sc = load_scenario(GOLDEN / f"{name}.json")
     monkeypatch.setattr(runner, "CHUNK_SAMPLES", 5 * _Link(sc).n_samples)
     assert format_csv(run(sc)) == (GOLDEN / f"{name}.csv").read_text()
-    assert len(calls) == -(-sc.trials // 5) * len(sc.snr_db_list)
+    assert len(calls) == -(-sc.trials * len(sc.snr_db_list) // 5)
 
 
 def test_fixed_one_tap_builds_its_rows_once_per_link(monkeypatch):

@@ -16,6 +16,7 @@ gives each moved cell and its reason.
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from otfsim.errors import ConfigError, GuardError
@@ -169,12 +170,13 @@ def test_every_scenario_class_picks_one_builder(monkeypatch):
     wrong = []
     for name, sc in [(name, scenario_from_dict(raw)) for name, (raw, _) in cells().items()
                      if "csv" in pins[name]] + goldens:
-        link, want = _Link(sc, 0.1), builder_of(sc)
+        link, want = _Link(sc), builder_of(sc)
         with monkeypatch.context() as m:
             for other in set(BUILDERS) - {want}:
                 m.setattr(_Link, other, refuse)
             try:
-                link.run_chunk(_TrialStreams(sc.seed, 0, 0), 0, 2)
+                fixed_rx = None if link.fixed is None else link.receiver(link.fixed, None, 0.1)
+                link.run_chunk(_TrialStreams(sc.seed), [(0, 0), (0, 1)], np.full(2, 0.1), fixed_rx)
             except AssertionError:
                 wrong.append(name)
                 continue

@@ -542,7 +542,7 @@ class TestExecution:
             equalizer="mmse_dd",
         )
         d["frame"] = {"M": M, "N": N, "cp_len": 2}
-        link = _Link(scenario_from_dict(d), 0.1)
+        link = _Link(scenario_from_dict(d))
         cfg = ot.SchemeConfig(scheme, link.params, cp_len=2)
         rng = trial_rng(3, 0, 0)
         ch = scenario_channel(link.sc, rng)
@@ -551,7 +551,7 @@ class TestExecution:
         rx = ot.apply_channel(modulate(cfg, x), ch, link.params, 0.1, rng)
         A = ot.effective_matrix(cfg, ch, mode="per_slot_cp")
         joint = ot.mmse_dd(demodulate(cfg, rx), A, 0.1)
-        got = link.receiver(ch)[0](rx.body)
+        got = link.receiver(ch, None, 0.1)[0](rx.body)
         assert got.shape == (x.size,)  # the payload grid, flattened row-major
         assert np.abs(got - joint).max() < 1e-10
 
@@ -572,7 +572,7 @@ class TestExecution:
             equalizer="ml",
         )
         d["frame"] = {"M": M, "N": N, "cp_len": 0 if channel_mode == "cyclic" else 1}
-        link = _Link(scenario_from_dict(d), 0.5)
+        link = _Link(scenario_from_dict(d))
         cfg = ot.SchemeConfig(scheme, link.params, cp_len=link.sc.cp_len)
         for t in range(6):
             rng = trial_rng(5, 0, t)
@@ -581,7 +581,7 @@ class TestExecution:
             rx = ot.apply_channel(modulate(cfg, x), ch, link.params, 0.5, rng, channel_mode)
             A = ot.effective_matrix(cfg, ch, mode=channel_mode)
             ref = ot.ml_detect(demodulate(cfg, rx).reshape(-1), A, link.const)
-            assert np.array_equal(link.receiver(ch)[0](rx.body), ref)
+            assert np.array_equal(link.receiver(ch, None, 0.5)[0](rx.body), ref)
 
     def test_per_slot_mmse_runs_beyond_the_dense_guard(self):
         # 128 x 64 is refused by the probed effective matrix; the per-slot
@@ -599,6 +599,86 @@ class TestExecution:
         (res,) = run(sc)
         assert res.trials == 1 and res.total_symbols == 128 * 64
         assert res.ber < 0.01
+
+
+class TestPointCrossingChunks:
+    """A run cuts its chunks from the point-major sequence of its (SNR point,
+    trial) frames: a random channel's chunks run on across point boundaries,
+    each frame at its point's noise variance, while a fixed channel's receiver
+    is built per point and its chunks end there."""
+
+    RANDOM = {"random": {"L_max": 3, "V_max": 2}}
+    FIXED = {"taps": [{"delay_bin": 0, "doppler_bin": 0, "re": 0.8, "im": 0.1},
+                      {"delay_bin": 2, "doppler_bin": -1, "re": -0.3, "im": 0.5}]}
+    #: every receiver builder: name -> (scenario keys, the band solve it takes or None)
+    KINDS = {
+        "one_tap": ({}, None),
+        "water_filled_one_tap": ({"multiuser": {"mode": "tf_alloc", "K_d": 2, "K_D": 2,
+                                                "power_budget": 1.0}}, None),
+        "band_dense_side": ({"equalizer": "mmse_dd"}, _dense_solve),
+        "band_reduce_side": ({"equalizer": "mmse_dd", "frame": {"M": 16, "N": 4, "cp_len": 2}},
+                             _reduce_solve),
+        "gaussian_tf_spread": ({"equalizer": "mmse_dd", "multiuser": {
+            "mode": "tf_spread", "K_d": 2, "K_D": 2, "spreader": "gaussian"}}, None),
+        "ml": ({"equalizer": "ml", "constellation": "BPSK", "frame": {"M": 4, "N": 2, "cp_len": 2}},
+               None),
+    }
+
+    def scenario(self, kind, channel, trials):
+        keys, solve = self.KINDS[kind]
+        d = base_dict(frame={"M": 8, "N": 4, "cp_len": 2}, channel=channel,
+                      channel_mode="per_slot_cp", snr_db_list=[0.0, 7.0, 14.0], trials=trials,
+                      seed=41)
+        sc = scenario_from_dict({**d, **keys})
+        if solve is not None:
+            link = _Link(sc)
+            assert band_solver(3, link.blocks, sc.params.dof // link.blocks) is solve
+        return sc
+
+    @staticmethod
+    def counted_run(sc, monkeypatch, chunk):
+        """``run(sc)`` in chunks of ``chunk`` frames: its results, the (snr_index, trial)
+        frames of each chunk and the receivers built."""
+        monkeypatch.setattr(otfsim.runner, "CHUNK_SAMPLES", chunk * _Link(sc).n_samples)
+        chunks, builds = [], []
+        run_chunk, receiver = _Link.run_chunk, _Link.receiver
+        monkeypatch.setattr(_Link, "run_chunk",
+                            lambda self, s, frames, *a: chunks.append(frames)
+                            or run_chunk(self, s, frames, *a))
+        monkeypatch.setattr(_Link, "receiver",
+                            lambda self, *a: builds.append(1) or receiver(self, *a))
+        results = run(sc)
+        monkeypatch.undo()
+        return results, chunks, len(builds)
+
+    # 2 trials a point in chunks of 5: every chunk holds more than one point;
+    # 4 trials a point in chunks of 3: chunks end inside points
+    @pytest.mark.parametrize("trials,chunk", [(2, 5), (4, 3)])
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_random_run_equals_its_per_point_ranges(self, kind, trials, chunk, monkeypatch):
+        sc = self.scenario(kind, self.RANDOM, trials)
+        results, chunks, builds = self.counted_run(sc, monkeypatch, chunk)
+        point_major = [(si, t) for si in range(3) for t in range(trials)]
+        assert [frame for frames in chunks for frame in frames] == point_major
+        assert [len(frames) for frames in chunks][:-1] == [chunk] * (len(chunks) - 1)
+        assert any(len({si for si, _ in frames}) > 1 for frames in chunks)
+        assert builds == len(chunks) == -(-3 * trials // chunk)  # one receiver a chunk
+        alone = [run_trial_range(sc, si, 0, trials) for si in range(3)]
+        assert format_csv(results) == format_csv(alone)
+        for got, want in zip(results, alone):
+            assert np.array_equal(got.papr_values, want.papr_values)
+            assert (got.bit_errors, got.total_bits) == (want.bit_errors, want.total_bits)
+
+    @pytest.mark.parametrize("kind", ["one_tap", "water_filled_one_tap", "band_dense_side"])
+    def test_fixed_run_builds_one_receiver_a_point_and_stops_there(self, kind, monkeypatch):
+        sc = self.scenario(kind, self.FIXED, 4)
+        results, chunks, builds = self.counted_run(sc, monkeypatch, 3)
+        assert builds == 3  # one receiver a point, at its noise variance
+        assert chunks == [[(si, t) for t in trials] for si in range(3)
+                          for trials in (range(3), range(3, 4))]
+        alone = [run_trial_range(sc, si, 0, 4) for si in range(3)]
+        assert format_csv(results) == format_csv(alone)
+        assert all(np.array_equal(r.papr_values, a.papr_values) for r, a in zip(results, alone))
 
 
 class TestMultiuserExecution:
@@ -695,9 +775,9 @@ class TestMultiuserExecution:
             multiuser={"mode": "tf_alloc", "K_d": 2, "K_D": 1, "power_budget": 1e-4},
         )
         sc = scenario_from_dict(d)
-        eng = _Link(sc, 1e-3)
+        eng = _Link(sc)
         ch = scenario_channel(sc, trial_rng(sc.seed, 0, 0))
-        _, (amp,), _ = eng.receiver(ch)
+        _, (amp,), _ = eng.receiver(ch, None, 1e-3)
         assert amp[0] > 0 and amp[1] == 0.0
         calls = []
         real = otfsim.runner.multiuser.water_fill
@@ -723,7 +803,7 @@ class TestMultiuserExecution:
             multiuser={"mode": "tf_alloc", "K_d": K_d, "K_D": K_D, "mapping": mapping,
                        "power_budget": 1.0},
         ))
-        link = _Link(sc, 0.3)
+        link = _Link(sc)
         rng = np.random.default_rng(73)
         draws = [scenario_channel(sc, rng) for _ in range(T)]
         ch, gains = draws[-1], np.array([[t.gain for t in c.taps] for c in draws])
@@ -732,7 +812,7 @@ class TestMultiuserExecution:
         monkeypatch.setattr(
             otfsim.runner.multiuser, "water_fill", lambda g, *a: powers.append(g) or real(g, *a)
         )
-        _, amp, _ = link.receiver(ch, gains)
+        _, amp, _ = link.receiver(ch, gains, np.full(T, 0.3))
         assert amp.shape == (T, link.K) and len(powers) == T
         for H, got, got_amp in zip(ot.tf_channel(ch, link.params, gains), powers, amp):
             power = np.array([
@@ -779,7 +859,7 @@ class TestMultiuserExecution:
         users = list(alloc_fn(sc.params, 2, 2).users)
         if mode == "tf_spread":
             users = [multiuser.dft_spreading_pair(f, t) for f, t in users]
-        link = _Link(sc, 0.1)
+        link = _Link(sc)
         rng = trial_rng(4, 0, 0)
         ch = scenario_channel(sc, rng)
 
@@ -800,7 +880,7 @@ class TestMultiuserExecution:
 
         # the runner's own probe: the dense detector's user map
         monkeypatch.setattr(_Link, "_map_matrix", property(refuse))
-        got = link.receiver(ch)[0](sig.body)
+        got = link.receiver(ch, None, 0.1)[0](sig.body)
         assert np.abs(got - W @ ot.wigner(sig, sc.params).reshape(-1)).max() < 1e-10
 
     @pytest.mark.parametrize("scheme,N,mode,spreader,channel_mode", [
@@ -828,7 +908,7 @@ class TestMultiuserExecution:
         if mode is None:
             del d["multiuser"]
         sc = scenario_from_dict(d)
-        link = _Link(sc, 0.1)
+        link = _Link(sc)
         rng = trial_rng(6, 0, 0)
         ch = scenario_channel(sc, rng)
         tx, _, dim = symbol_chain(link, ch)
@@ -839,7 +919,7 @@ class TestMultiuserExecution:
         W = ot.mmse_filter(chain_matrix(tx, rx, dim), 0.1)
         x = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         sig = ot.apply_channel(tx(x), ch, sc.params, 0.1, rng, channel_mode)
-        got = link.receiver(ch)[0](sig.body)
+        got = link.receiver(ch, None, 0.1)[0](sig.body)
         assert np.abs(got - W @ ot.wigner(sig, sc.params).reshape(-1)).max() < 1e-10
 
     def test_per_slot_downlink_runs_beyond_the_dense_guard(self):
@@ -868,6 +948,8 @@ class TestMultiuserExecution:
 class TestBandLMMSE:
     """The runner's LMMSE of a unitary user map, solved on the delay band."""
 
+    NOISE_VAR = 0.2
+
     @staticmethod
     def link(scheme, M, N, mu, channel_mode):
         cp = 0 if channel_mode == "cyclic" else 3
@@ -880,7 +962,7 @@ class TestBandLMMSE:
         )
         if mu is not None:
             d["multiuser"] = mu
-        link = _Link(scenario_from_dict(d), 0.2)
+        link = _Link(scenario_from_dict(d))
         assert link.banded
         return link
 
@@ -901,7 +983,8 @@ class TestBandLMMSE:
     def dense(link, ch, Y):
         """The block filter of the slot operators, then the map's adjoint."""
         params = link.params
-        W = ot.mmse_filter(ot.slot_operators(ch, params, link.sc.channel_mode), link.noise_var)
+        W = ot.mmse_filter(ot.slot_operators(ch, params, link.sc.channel_mode),
+                           TestBandLMMSE.NOISE_VAR)
         y = Y.swapaxes(-1, -2).reshape(*Y.shape[:-2], len(W), -1)
         Z = (W @ y[..., None])[..., 0].reshape(*Y.shape[:-2], params.N, params.M)
         return tf_read(link, Z.swapaxes(-1, -2))
@@ -917,7 +1000,7 @@ class TestBandLMMSE:
             channel_mode="per_slot_cp",
             equalizer="mmse_dd",
         )
-        link = _Link(scenario_from_dict(d), 0.1)
+        link = _Link(scenario_from_dict(d))
 
         def built(*a):
             raise LookupError("band built")
@@ -927,10 +1010,10 @@ class TestBandLMMSE:
         gains = np.array([[t.gain for t in ch.taps]])
         if refused:
             with pytest.raises(GuardError, match="working set"):
-                link.receiver(ch, gains)
+                link.receiver(ch, gains, 0.1)
         else:
             with pytest.raises(LookupError, match="band built"):
-                link.receiver(ch, gains)
+                link.receiver(ch, gains, 0.1)
 
     @pytest.mark.parametrize("channel_mode", ["per_slot_cp", "cyclic"])
     @pytest.mark.parametrize("scheme,M,N,mu", [
@@ -953,10 +1036,10 @@ class TestBandLMMSE:
         link = self.link(scheme, M, N, mu, channel_mode)
         ch, gains, rx = self.received(link, np.random.default_rng(70), 3)
         Y = ot.wigner(rx, link.params)
-        got = link.receiver(ch)[0](rx.body)
+        got = link.receiver(ch, None, self.NOISE_VAR)[0](rx.body)
         assert got.shape == (3, link.K * link.block)
         assert np.abs(got - self.dense(link, ch, Y)).max() < 1e-10
-        got = link.receiver(ch, gains)[0](rx.body)
+        got = link.receiver(ch, gains, np.full(3, self.NOISE_VAR))[0](rx.body)
         for t in range(3):
             own = ot.DDChannelSpec(taps=tuple(
                 (l, k, g) for (l, k, _), g in zip(ch.taps, gains[t])
@@ -967,9 +1050,10 @@ class TestBandLMMSE:
     def test_chunk_equals_one_trial_detections(self, channel_mode):
         link = self.link("OTFS", 8, 4, {"mode": "dd_mapped", "K_d": 2, "K_D": 2}, channel_mode)
         ch, gains, rx = self.received(link, np.random.default_rng(71), 5)
-        got = link.receiver(ch, gains)[0](rx.body)
+        noise_var = self.NOISE_VAR * np.arange(1, 6)  # each frame its own, as across SNR points
+        got = link.receiver(ch, gains, noise_var)[0](rx.body)
         for t in range(5):
-            alone = link.receiver(ch, gains[t:t + 1])[0](rx.body[t:t + 1])
+            alone = link.receiver(ch, gains[t:t + 1], noise_var[t])[0](rx.body[t:t + 1])
             assert np.array_equal(got[t:t + 1], alone)
 
     @pytest.mark.parametrize("scheme,M,N,mu,spread", [
@@ -1013,10 +1097,10 @@ class TestBandLMMSE:
         blocks = 1 if channel_mode == "cyclic" else N
         for g in (None, gains):
             band = delay_band(ch, link.params, g)
-            equalize = band_filter(band.reshape(*band.shape[:-2], blocks, -1), link.noise_var)
+            equalize = band_filter(band.reshape(*band.shape[:-2], blocks, -1), self.NOISE_VAR)
             z = equalize(rx.body.reshape(3, blocks, -1)).reshape(rx.body.shape)
             want = tf_read(link, slot_dft(z, link.params).swapaxes(-1, -2))
-            got = link.receiver(ch, g)[0](rx.body)
+            got = link.receiver(ch, g, self.NOISE_VAR)[0](rx.body)
             assert got.shape == want.shape == (3, M * N)
             assert np.abs(got - want).max() < 1e-12
 
@@ -1031,10 +1115,10 @@ class TestBandLMMSE:
                               {"delay_bin": 2, "doppler_bin": -1, "re": 0.0, "im": 0.6}]},
             equalizer="mmse_dd",
         )
-        link = _Link(scenario_from_dict(d), 0.1)
-        link.receiver(link.fixed)  # warm caches
+        link = _Link(scenario_from_dict(d))
+        link.receiver(link.fixed, None, 0.1)  # warm caches
         block_bytes = 16 * link.params.dof**2
-        peak = traced(lambda: link.receiver(link.fixed))[1]
+        peak = traced(lambda: link.receiver(link.fixed, None, 0.1))[1]
         assert peak < 4 * block_bytes  # the solve alone takes about 3.5
 
     def test_memory_is_linear_in_the_band(self):
@@ -1049,7 +1133,7 @@ class TestBandLMMSE:
             channel_mode="per_slot_cp",
             equalizer="mmse_dd",
         )
-        link = _Link(scenario_from_dict(d), 0.1)
+        link = _Link(scenario_from_dict(d))
         rng = np.random.default_rng(72)
         ch = scenario_channel(link.sc, rng)
         gains = np.array([[t.gain for t in ch.taps]])
@@ -1057,8 +1141,8 @@ class TestBandLMMSE:
         band_bytes = 16 * link.params.dof * 16
 
         def detect_both():
-            link.receiver(ch)[0](body)
-            link.receiver(ch, gains)[0](body)
+            link.receiver(ch, None, 0.1)[0](body)
+            link.receiver(ch, gains, np.array([0.1]))[0](body)
 
         peak = traced(detect_both)[1]
         assert len(ch.taps) == 16400
@@ -1274,9 +1358,9 @@ class TestReceivePath:
         return scenario_from_dict(d)
 
     @staticmethod
-    def check_streams(link, gains, bits, noise):
+    def check_streams(link, gains, bits, noise, noise_var):
         """The draws of trials [0, T) against fresh ``trial_rng(seed, 0, t)`` streams,
-        drawn in the contract's order: channel, bits, noise."""
+        drawn in the contract's order: channel, bits, noise at frame t's variance."""
         sc = link.sc
         for t in range(sc.trials):
             rng = trial_rng(sc.seed, 0, t)
@@ -1284,11 +1368,11 @@ class TestReceivePath:
             if gains is not None:
                 assert np.array_equal(gains[t], [tap.gain for tap in drawn.taps])
             assert np.array_equal(bits[t], rng.integers(0, 2, link.n_bits))
-            re, im = draw_noise(rng, link.noise_var, link.n_samples)
+            re, im = draw_noise(rng, float(noise_var[t]), link.n_samples)
             assert np.array_equal(noise[0][t], re) and np.array_equal(noise[1][t], im)
 
     @staticmethod
-    def probed_lmmse(link, own, body):
+    def probed_lmmse(link, own, body, noise_var):
         """``mmse_filter`` of the probed time-frequency chain of one channel, OSTF's
         ``effective_matrix`` at the link's prefix, then the map's adjoint, with DFT
         spreading by its dense pairs, on each frame of ``body``."""
@@ -1306,7 +1390,7 @@ class TestReceivePath:
                 return np.concatenate([b.reshape(-1) for b in blocks])
 
         A = ot.effective_matrix(ot.SchemeConfig("OSTF", params, cp_len=cp), own, mode)
-        W = ot.mmse_filter(A, link.noise_var)
+        W = ot.mmse_filter(A, noise_var)
         Y = slot_dft(body, params).swapaxes(-1, -2).reshape(len(body), -1)
         return np.array([adjoint((W @ y).reshape(params.M, params.N)) for y in Y])
 
@@ -1316,13 +1400,14 @@ class TestReceivePath:
         return ot.DDChannelSpec(tuple((l, k, gt) for (l, k, _), gt in zip(ch.taps, g)))
 
     @staticmethod
-    def check_layers(link, ch, gains, t, sig, noise, body):
+    def check_layers(link, ch, gains, t, sig, noise, noise_var):
         """Frame t's delay band as dense blocks and read in the delay-Doppler domain,
         against the probed chain (<= 1e-10); the channel of the whole stack against
         the per-tap oracle (<= 1e-12); and the stacked band, time-frequency response,
-        channel, band channel and band LMMSE at row t against frame t's own call,
-        bitwise.  Returns the names of the band solves checked, each against the
-        dense LMMSE of the probed chain (<= 1e-10)."""
+        channel, band channel and band LMMSE at each frame's variance ``noise_var``
+        (T,), at row t against frame t's own call at its scalar variance, bitwise.
+        Returns the names of the band solves checked, each against the dense LMMSE
+        of the probed chain (<= 1e-10)."""
         params, mode, cp = link.params, link.sc.channel_mode, link.sc.cp_len
         own = TestReceivePath.own(ch, gains[t])
         band = delay_band(ch, params, gains)
@@ -1344,19 +1429,19 @@ class TestReceivePath:
         dense[range(nb), :, range(nb)] = band_blocks(band[t].reshape(ch.L_max, nb, -1))
         assert np.abs(dense.reshape(probed.shape) - probed).max() < 1e-10
         # each solve of the band LMMSE that fits the band, whichever band_solver picks
-        lmmse = ot.mmse_dd(y[t], probed, link.noise_var)
+        lmmse = ot.mmse_dd(y[t], probed, noise_var[t])
         blocks, y = band.reshape(*band.shape[:-2], nb, -1), y.reshape(len(y), nb, -1)
         sides = [_dense_solve]
         if reduction_split(ch.L_max, blocks.shape[-1])[0] > 1:
             sides.append(_reduce_solve)
         for solve in sides:
-            z = _band_adjoint(blocks, solve(blocks, y, link.noise_var))
+            z = _band_adjoint(blocks, solve(blocks, y, noise_var))
             at = slice(t, t + 1)
-            alone = _band_adjoint(blocks[at], solve(blocks[at], y[at], link.noise_var))
+            alone = _band_adjoint(blocks[at], solve(blocks[at], y[at], float(noise_var[t])))
             assert np.array_equal(z[t], alone[0])
             assert np.abs(z[t].reshape(-1) - lmmse).max() < 1e-10
             if solve is band_solver(*blocks.shape[-3:]):
-                assert np.array_equal(band_filter(blocks, link.noise_var)(y), z)
+                assert np.array_equal(band_filter(blocks, noise_var)(y), z)
         impulses = np.eye(params.dof).reshape(-1, params.N, params.M)
         y = band_channel(band_rows(band[t]), dd_synthesis(impulses, params, cp_len=cp), mode)
         closed = dd_analysis(y.reshape(impulses.shape)).reshape(params.dof, -1).T
@@ -1365,20 +1450,20 @@ class TestReceivePath:
         return {solve.__name__ for solve in sides}
 
     @staticmethod
-    def check_dense(link, ch, gains, t, body):
-        """The ML or Gaussian-spreading detector of a chunk's band at row t: bitwise
-        frame t's own one-frame call, and against the probed chain of the library's
-        symbol map to the received body, ``ml_detect`` on it or its ``mmse_filter``
-        (<= 1e-10)."""
+    def check_dense(link, ch, gains, t, body, noise_var):
+        """The ML or Gaussian-spreading detector of a chunk's band at row t, each frame
+        at its variance ``noise_var`` (T,): bitwise frame t's own one-frame call at its
+        scalar variance, and against the probed chain of the library's symbol map to
+        the received body, ``ml_detect`` on it or its ``mmse_filter`` (<= 1e-10)."""
         sc = link.sc
         own = TestReceivePath.own(ch, gains[t])
-        got = link.receiver(ch, gains)[0](body)[t]
-        assert np.array_equal(got, link.receiver(own)[0](body[t]))
+        got = link.receiver(ch, gains, noise_var)[0](body)[t]
+        assert np.array_equal(got, link.receiver(own, None, float(noise_var[t]))[0](body[t]))
         probed = chain_matrix(*symbol_chain(link, own))
         if sc.equalizer == "ml":
             assert np.array_equal(got, ot.ml_detect(body[t], probed, link.const))
         else:
-            assert np.abs(got - ot.mmse_filter(probed, link.noise_var) @ body[t]).max() < 1e-10
+            assert np.abs(got - ot.mmse_filter(probed, noise_var[t]) @ body[t]).max() < 1e-10
 
     @staticmethod
     def check_gain_rows(link, ch, gains):
@@ -1424,10 +1509,15 @@ class TestReceivePath:
         routes, solvers, slots = set(), set(), set()
         for i, (scheme, downlink, mode, equalizer, random) in enumerate(self.draws()):
             sc = self.draw_scenario(rng, scheme, downlink, mode, equalizer, random)
-            link = _Link(sc, _noise_var(sc.snr_db_list[0]))
-            ch, gains, bits, noise = link.draw(_TrialStreams(sc.seed, 0, 0), 0, sc.trials)
-            self.check_streams(link, gains, bits, noise)
-            detect, amp, receive = link.receiver(ch, gains)
+            link, T = _Link(sc), sc.trials
+            # a random chunk's frames each at their own variance, as across SNR
+            # points; a fixed channel's receiver serves one point's
+            noise_var = _noise_var(sc.snr_db_list[0]) * (np.arange(1, T + 1) if random else 1.0)
+            noise_var = np.broadcast_to(noise_var, T)
+            frames = [(0, t) for t in range(T)]
+            ch, gains, bits, noise = link.draw(_TrialStreams(sc.seed), frames, noise_var)
+            self.check_streams(link, gains, bits, noise, noise_var)
+            detect, amp, receive = link.receiver(ch, gains, noise_var if random else noise_var[0])
             sig = link.transmit(bits, amp)
             rxsig = ot.apply_channel(sig, ch, link.params, mode=mode, gains=gains, noise=noise)
             # the received body, bitwise the channel's
@@ -1435,27 +1525,31 @@ class TestReceivePath:
             g = np.array([[t.gain for t in ch.taps]] * sc.trials) if gains is None else gains
             # each frame scaled apart, so that a fixed channel's rows differ too
             scaled = g * np.arange(1, sc.trials + 1)[:, None]
-            solvers |= self.check_layers(link, ch, scaled, i % sc.trials, sig, noise, rxsig.body)
+            solvers |= self.check_layers(link, ch, scaled, i % T, sig, noise, noise_var)
             self.check_gain_rows(link, ch, scaled)
             if not link.banded and equalizer != "one_tap_tf":
-                self.check_dense(link, ch, scaled, i % sc.trials, rxsig.body)
-            if link.banded:  # every frame against its probed LMMSE and, bitwise, alone
-                got = detect(rxsig.body)
-                if gains is None:  # one channel: one probed filter for every frame
-                    want = self.probed_lmmse(link, ch, rxsig.body)
-                    for t, y in enumerate(rxsig.body):
-                        assert np.array_equal(got[t], detect(y[None])[0])
+                self.check_dense(link, ch, scaled, i % T, rxsig.body, noise_var)
+            got = detect(rxsig.body)
+            for t, y in enumerate(rxsig.body):  # every frame bitwise alone, at its variance
+                if gains is None:
+                    assert np.array_equal(got[t], detect(y[None])[0])
                 else:
-                    want = np.concatenate([self.probed_lmmse(link, self.own(ch, gt), y[None])
-                                           for gt, y in zip(gains, rxsig.body)])
-                    for t, y in enumerate(rxsig.body):
-                        alone = link.receiver(ch, gains[t:t + 1])[0](y[None])
-                        assert np.array_equal(got[t], alone[0])
+                    own_detect, own_amp, _ = link.receiver(ch, gains[t:t + 1], noise_var[t])
+                    assert np.array_equal(got[t], own_detect(y[None])[0])
+                    if amp is not None:  # the water-filled amplitudes too
+                        assert np.array_equal(amp[t:t + 1], own_amp)
+            if link.banded:  # every frame against its probed LMMSE
+                if gains is None:  # one channel: one probed filter for every frame
+                    want = self.probed_lmmse(link, ch, rxsig.body, noise_var[0])
+                else:
+                    want = np.concatenate([
+                        self.probed_lmmse(link, self.own(ch, gt), y[None], nv)
+                        for gt, y, nv in zip(gains, rxsig.body, noise_var)])
                 assert np.abs(got - want).max() < 1e-10
             # a trial range is the merge of its split sub-ranges, bitwise
-            cut = int(rng.integers(1, sc.trials))
-            whole = run_trial_range(sc, 0, 0, sc.trials)
-            split = run_trial_range(sc, 0, 0, cut).merge(run_trial_range(sc, 0, cut, sc.trials))
+            cut = int(rng.integers(1, T))
+            whole = run_trial_range(sc, 0, 0, T)
+            split = run_trial_range(sc, 0, 0, cut).merge(run_trial_range(sc, 0, cut, T))
             assert format_csv([whole]) == format_csv([split])
             assert np.array_equal(whole.papr_values, split.papr_values)
             routes.add((downlink, mode, link.banded, link.spread, random))

@@ -6,8 +6,8 @@ what its allocating call gives: on a stack, on one frame, and on a short
 last chunk served by the same workspace arrays, whatever those held before.
 A link given a workspace must run exactly as one without, nothing that
 leaves ``run_chunk`` may be a view of the workspace, and a fixed-channel
-link must be freed as soon as its point ends, with no help from the cyclic
-garbage collector.  The page-fault guard runs ``runner.run`` in a fresh
+run's link must be freed as soon as the run ends, with no help from the
+cyclic garbage collector.  The page-fault guard runs ``runner.run`` in a fresh
 interpreter, so that the heap it measures is the run's own.
 """
 
@@ -171,10 +171,12 @@ class TestLayersWithOut:
             assert np.array_equal(got, (halves[..., :n] >> 31).astype(np.int64))
 
 
-def chunk_outputs(link, streams, start, stop):
-    """Everything a chunk produces along the way, copied out of the workspace."""
-    ch, gains, bits, noise = link.draw(streams, start, stop)
-    detect, amp, receive = link.receiver(ch, gains)
+def chunk_outputs(link, streams, start, stop, noise_var):
+    """Everything a chunk of trials [start, stop) of SNR point 0 produces along
+    the way, copied out of the workspace."""
+    frames = [(0, t) for t in range(start, stop)]
+    ch, gains, bits, noise = link.draw(streams, frames, np.full(stop - start, noise_var))
+    detect, amp, receive = link.receiver(ch, gains, noise_var)
     sig = link.transmit(bits, amp)
     body = receive(sig, noise)
     parts = [bits, sig.samples, body, detect(body)]
@@ -188,10 +190,10 @@ def test_link_with_a_workspace_runs_as_one_without(name, monkeypatch):
     sc = runner.load_scenario(GOLDEN / f"{name}.json")
     monkeypatch.setattr(runner, "CHUNK_SAMPLES", 4 * _Link(sc).n_samples)
     noise_var = runner._noise_var(sc.snr_db_list[0])
-    plain, reused = _Link(sc, noise_var), _Link(sc, noise_var, _Workspace())
+    plain, reused = _Link(sc), _Link(sc, _Workspace())
     for start, stop in ((0, 4), (4, 7)):
-        want = chunk_outputs(plain, _TrialStreams(sc.seed, 0, start), start, stop)
-        got = chunk_outputs(reused, _TrialStreams(sc.seed, 0, start), start, stop)
+        want = chunk_outputs(plain, _TrialStreams(sc.seed), start, stop, noise_var)
+        got = chunk_outputs(reused, _TrialStreams(sc.seed), start, stop, noise_var)
         for g, w in zip(got, want):
             assert (g is None and w is None) or same_bits(g, w)
 
@@ -211,21 +213,26 @@ def test_nothing_that_leaves_a_chunk_views_the_workspace():
         assert not np.shares_memory(first.papr_values, arr)
         assert not np.shares_memory(second.papr_values, arr)
     assert same_bits(first.papr_values, kept)
-    link = _Link(sc, 0.1, ws)
-    counts, paprs = link.run_chunk(_TrialStreams(sc.seed, 0, 0), 0, 7, link.receiver(link.fixed))
-    assert all(type(c) is int for c in counts)
-    assert not any(np.shares_memory(paprs, arr) for arr in workspace_arrays(ws))
+    link = _Link(sc, ws)
+    frames = [(0, 0), (0, 1), (0, 2), (1, 5), (1, 6), (1, 7), (1, 8)]
+    parts = link.run_chunk(_TrialStreams(sc.seed), frames, np.full(7, 0.1),
+                           link.receiver(link.fixed, None, 0.1))
+    assert sorted(parts) == [0, 1] and [r.trials for r in parts.values()] == [3, 4]
+    for r in parts.values():
+        assert all(type(c) is int for c in (r.bit_errors, r.symbol_errors, r.total_bits))
+        assert not any(np.shares_memory(r.papr_values, arr) for arr in workspace_arrays(ws))
 
 
 def test_points_of_a_run_share_one_workspace(monkeypatch):
-    # every point's link is handed the run's workspace, which grows only once
+    # the run's one link is handed the run's workspace, which grows only once
+    # over every point
     sc = scenario_from_dict(ONETAP)
-    seen, made = set(), []
+    seen, made = [], []
     real_init, real_take = _Link.__init__, _Workspace.take
 
-    def init(self, sc, noise_var=0.0, ws=None):
-        seen.add(id(ws))
-        real_init(self, sc, noise_var, ws)
+    def init(self, sc, ws=None):
+        seen.append(id(ws))
+        real_init(self, sc, ws)
 
     def take(self, name, shape, dtype=np.complex128):
         before = self._arrays.get(name)
@@ -237,14 +244,14 @@ def test_points_of_a_run_share_one_workspace(monkeypatch):
     monkeypatch.setattr(_Link, "__init__", init)
     monkeypatch.setattr(_Workspace, "take", take)
     runner.run(sc)
-    assert len(seen) == 1 and None not in seen
+    assert len(seen) == 1 and id(None) not in seen
     assert len(made) == len(set(made))  # each array allocated once in the run
 
 
 @pytest.mark.parametrize("raw", [ONETAP, DOWNLINK], ids=["onetap", "downlink"])
 def test_fixed_channel_links_are_freed_without_the_cyclic_collector(raw, monkeypatch):
-    # a fixed channel's receiver is held by the point's loop, not by its link,
-    # so the link and the stacks it holds go when the point ends
+    # a fixed channel's receiver is held by the point's loop, not by the run's
+    # one link, so the link and the stacks it holds go when the run ends
     sc = scenario_from_dict(dict(raw, trials=60))
     links = []
 
@@ -261,7 +268,7 @@ def test_fixed_channel_links_are_freed_without_the_cyclic_collector(raw, monkeyp
         alive = sum(ref() is not None for ref in links)
     finally:
         gc.enable()
-    assert len(links) == len(sc.snr_db_list) and alive == 0
+    assert len(links) == 1 and alive == 0
 
 
 FAULT_PROBE = textwrap.dedent("""
@@ -351,8 +358,8 @@ def test_dense_receiver_holds_one_detector_per_draw(M, N, T, mode):
         "channel_mode": mode, "equalizer": "mmse_dd", "snr_db_list": [10.0], "trials": T,
         "seed": 1, "multiuser": {"mode": "tf_spread", "K_d": 2, "K_D": 2, "spreader": "gaussian"},
     })
-    link = _Link(sc, 0.1)
+    link, noise_var = _Link(sc), np.full(T, 0.1)
     gains = complex_stack(np.random.default_rng(M), T, len(link.grid.taps))
     operator = 16 * link.K * link.block * sc.params.dof
-    link.receiver(link.grid, gains)  # warm caches, the map matrix among them
-    assert traced(lambda: link.receiver(link.grid, gains))[1] <= (T + 8) * operator
+    link.receiver(link.grid, gains, noise_var)  # warm caches, the map matrix among them
+    assert traced(lambda: link.receiver(link.grid, gains, noise_var))[1] <= (T + 8) * operator
