@@ -394,19 +394,20 @@ class TestBandLMMSE:
         for t in (0, 2):
             assert np.array_equal(got[t:t + 1], band_filter(band[t:t + 1], 0.0)(y[t:t + 1]))
 
-    @pytest.mark.parametrize("noise_var", [0.1, np.linspace(0.05, 2.0, 7)])
-    def test_stack_is_bounded_by_the_guard(self, noise_var, monkeypatch):
+    def test_stack_is_bounded_by_the_guard(self, monkeypatch):
         # 4 blocks of 8 x 8 are 256 dense Gram entries a trial; a guard of 23
         # (529 entries) solves 7 trials as 2 + 2 + 2 + 1, bitwise as one stack,
         # with one variance or one per frame
         rng = np.random.default_rng(314)
         band, y = random_band(rng, (7, 3, 4, 8)), random_band(rng, (7, 4, 8))
-        whole = dense_filter(band, noise_var)(y)
-        sizes, solve = [], np.linalg.solve
-        monkeypatch.setattr(np.linalg, "solve", lambda G, b: sizes.append(len(G)) or solve(G, b))
-        monkeypatch.setattr(equalizer, "EFFECTIVE_GUARD", 23)
-        assert np.array_equal(dense_filter(band, noise_var)(y), whole)
-        assert sizes == [2, 2, 2, 1]
+        solve = np.linalg.solve
+        for noise_var in (0.1, np.linspace(0.05, 2.0, 7)):
+            whole, sizes = dense_filter(band, noise_var)(y), []
+            with monkeypatch.context() as m:
+                m.setattr(np.linalg, "solve", lambda G, b: sizes.append(len(G)) or solve(G, b))
+                m.setattr(equalizer, "EFFECTIVE_GUARD", 23)
+                assert np.array_equal(dense_filter(band, noise_var)(y), whole)
+            assert sizes == [2, 2, 2, 1]
 
     def test_per_frame_noise_rows_equal_one_frame_calls_bitwise(self):
         # frames of one dense stack, each with its own variance, against each
@@ -489,34 +490,34 @@ class TestCyclicReduction:
         with pytest.raises(GuardError, match="dense Gram"):
             band_solver(3, 1, 4097)
 
-    @pytest.mark.parametrize("per_frame", [False, True])
     @pytest.mark.parametrize("blocks", [1, 2])
     @pytest.mark.parametrize("L,B", [(1, 8), (2, 12), (3, 6), (3, 16), (4, 24), (5, 32)])
-    def test_stack_rows_equal_one_frame_calls_bitwise(self, L, B, blocks, per_frame):
+    def test_stack_rows_equal_one_frame_calls_bitwise(self, L, B, blocks):
         # every step is elementwise over the frames; a one-block frame alone
         # is a batch of one, whose products numpy must round as in a stack;
         # frames with their own variances equal their one-frame scalar calls
         rng = np.random.default_rng(317)
         band, y = random_band(rng, (5, L, blocks, B)), random_band(rng, (5, blocks, B))
-        noise_var = np.array([0.1, 2.0, 1e-3, 0.1, 0.7]) if per_frame else np.full(5, 0.1)
-        got = reduce_filter(band, noise_var if per_frame else 0.1)(y)
-        for t in range(5):
-            alone = reduce_filter(band[t:t + 1], float(noise_var[t]))(y[t:t + 1])
-            assert np.array_equal(got[t:t + 1], alone)
+        for noise_var in (0.1, np.array([0.1, 2.0, 1e-3, 0.1, 0.7])):
+            got = reduce_filter(band, noise_var)(y)
+            for t in range(5):
+                one = float(np.broadcast_to(noise_var, 5)[t])
+                assert np.array_equal(got[t:t + 1], reduce_filter(band[t:t + 1], one)(y[t:t + 1]))
 
-    @pytest.mark.parametrize("noise_var", [0.1, np.array([0.1, 0.5, 2.0, 1e-3, 0.3])])
-    def test_stack_is_bounded_by_the_guard(self, noise_var, monkeypatch):
+    def test_stack_is_bounded_by_the_guard(self, monkeypatch):
         # a guard of 60 (3600 working entries) reduces 5 trials as 2 + 2 + 1,
         # bitwise as one stack, with one variance or one per frame
         rng = np.random.default_rng(319)
         band, y = random_band(rng, (5, 3, 2, 16)), random_band(rng, (5, 2, 16))
-        whole = reduce_filter(band, noise_var)(y)
         assert equalizer.reduction_entries(3, 2, 16) == 2 * 16 * (12 * 3 + 18)  # 1728
-        sizes, reduce = [], equalizer._reduce
-        monkeypatch.setattr(equalizer, "_reduce", lambda b, *a: sizes.append(len(b)) or reduce(b, *a))
-        monkeypatch.setattr(equalizer, "EFFECTIVE_GUARD", 60)
-        assert np.array_equal(reduce_filter(band, noise_var)(y), whole)
-        assert sizes == [2, 2, 1]
+        reduce = equalizer._reduce
+        for noise_var in (0.1, np.array([0.1, 0.5, 2.0, 1e-3, 0.3])):
+            whole, sizes = reduce_filter(band, noise_var)(y), []
+            with monkeypatch.context() as m:
+                m.setattr(equalizer, "_reduce", lambda b, *a: sizes.append(len(b)) or reduce(b, *a))
+                m.setattr(equalizer, "EFFECTIVE_GUARD", 60)
+                assert np.array_equal(reduce_filter(band, noise_var)(y), whole)
+            assert sizes == [2, 2, 1]
 
     def test_singular_frame_alone_takes_the_pseudo_inverse(self, monkeypatch):
         # trial 1 has no channel at zero noise: its reduction divides by a zero
