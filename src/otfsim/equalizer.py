@@ -60,7 +60,8 @@ def one_tap_tf(
     noise_var = np.asarray(noise_var, dtype=float)[..., None, None]  # one per grid
     if np.any(noise_var < 0):
         raise ValueError(f"noise variance must be >= 0, got {noise_var.min()}")
-    if np.any((noise_var == 0) & (h_tf == 0)):
+    zero = noise_var == 0
+    if zero.any() and np.any(zero & (h_tf == 0)):
         raise ZeroDivisionError("zero channel gain with zero noise variance")
     est = np.multiply(h_tf.conj(), y_tf, out=out)
     return np.divide(est, np.abs(h_tf) ** 2 + noise_var, out=est)

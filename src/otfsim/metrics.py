@@ -260,17 +260,25 @@ class LinkResult:
 
     def merge(self, other: "LinkResult") -> "LinkResult":
         """Combine two partial results for the same point (associative)."""
-        if (self.scheme, self.snr_db) != (other.scheme, other.snr_db):
-            raise ValueError(
-                f"cannot merge {self.scheme}@{self.snr_db} with {other.scheme}@{other.snr_db}"
-            )
+        return LinkResult.merge_all([self, other])
+
+    @staticmethod
+    def merge_all(parts) -> "LinkResult":
+        """Combine partial results for the same point, in order, in one step:
+        the PAPR values are concatenated once, not once a part."""
+        first = parts[0]
+        for other in parts[1:]:
+            if (first.scheme, first.snr_db) != (other.scheme, other.snr_db):
+                raise ValueError(
+                    f"cannot merge {first.scheme}@{first.snr_db} with {other.scheme}@{other.snr_db}"
+                )
         return LinkResult(
-            scheme=self.scheme,
-            snr_db=self.snr_db,
-            trials=self.trials + other.trials,
-            bit_errors=self.bit_errors + other.bit_errors,
-            symbol_errors=self.symbol_errors + other.symbol_errors,
-            total_bits=self.total_bits + other.total_bits,
-            total_symbols=self.total_symbols + other.total_symbols,
-            papr_values=np.concatenate([self.papr_values, other.papr_values]),
+            scheme=first.scheme,
+            snr_db=first.snr_db,
+            trials=sum(p.trials for p in parts),
+            bit_errors=sum(p.bit_errors for p in parts),
+            symbol_errors=sum(p.symbol_errors for p in parts),
+            total_bits=sum(p.total_bits for p in parts),
+            total_symbols=sum(p.total_symbols for p in parts),
+            papr_values=np.concatenate([p.papr_values for p in parts]),
         )

@@ -73,7 +73,7 @@ import json
 import math
 import os
 from dataclasses import MISSING, dataclass, fields
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import groupby, islice
 from pathlib import Path
 
@@ -770,7 +770,7 @@ def _run_points(sc: Scenario, points, ws: _Workspace) -> list:
     """
     link, streams = _Link(sc, ws), _TrialStreams(sc.seed)
     noise_var = {si: _noise_var(sc.snr_db_list[si]) for si, _, _ in points}  # unit-energy symbols
-    results = {si: LinkResult(sc.scheme, sc.snr_db_list[si]) for si in noise_var}
+    parts = {si: [LinkResult(sc.scheme, sc.snr_db_list[si])] for si in noise_var}
     for group in [points] if link.fixed is None else [[point] for point in points]:
         fixed_rx = None
         if link.fixed is not None:
@@ -778,8 +778,8 @@ def _run_points(sc: Scenario, points, ws: _Workspace) -> list:
         for frames in _chunks(group, link.chunk):
             frame_var = np.array([noise_var[si] for si, _ in frames])
             for si, part in link.run_chunk(streams, frames, frame_var, fixed_rx).items():
-                results[si] = results[si].merge(part)
-    return list(results.values())
+                parts[si].append(part)
+    return [LinkResult.merge_all(point_parts) for point_parts in parts.values()]
 
 
 def run_trial_range(
@@ -821,8 +821,7 @@ def run(sc: Scenario, workers: int = 1) -> list:
         parts = list(ex.map(_worker, jobs))
     per_point = len(ranges)
     return [
-        reduce(lambda a, b: a.merge(b), parts[si * per_point : (si + 1) * per_point])
-        for si in range(n_snr)
+        LinkResult.merge_all(parts[si * per_point : (si + 1) * per_point]) for si in range(n_snr)
     ]
 
 

@@ -276,3 +276,15 @@ class TestLinkResult:
         b = ot.LinkResult(scheme="OFDM", snr_db=10.0)
         with pytest.raises(ValueError):
             a.merge(b)
+
+    def test_merge_all_is_the_chained_merge(self):
+        parts = [self.make(i + 1, i, i % 2, 64, 32, np.arange(i) + 0.25 * i) for i in range(5)]
+        chained = parts[0]
+        for p in parts[1:]:
+            chained = chained.merge(p)
+        m = ot.LinkResult.merge_all(parts)
+        fields = ("trials", "bit_errors", "symbol_errors", "total_bits", "total_symbols")
+        assert [getattr(m, f) for f in fields] == [getattr(chained, f) for f in fields]
+        assert m.papr_values.tobytes() == chained.papr_values.tobytes()
+        with pytest.raises(ValueError):
+            ot.LinkResult.merge_all([*parts, ot.LinkResult(scheme="OTFS", snr_db=11.0)])

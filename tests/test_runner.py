@@ -428,6 +428,26 @@ class TestExecution:
         assert merged.trials == whole.trials == 9
         assert_allclose(merged.papr_values, whole.papr_values)
 
+    def test_a_point_merges_its_chunks_once(self, monkeypatch):
+        # chunks of 2 trials: 5 chunks a point, yet its PAPR values are gathered in one
+        # step, not copied again for every chunk
+        sc = scenario_from_dict(base_dict(snr_db_list=[0.0, 10.0], trials=9))
+        want = format_csv(run(sc))
+        monkeypatch.setattr(otfsim.runner, "CHUNK_SAMPLES", 2 * _Link(sc).n_samples)
+        sizes, real = [], LinkResult.merge_all
+
+        def merge_all(parts):
+            sizes.append(len(parts))
+            return real(parts)
+
+        def merge(self, other):
+            raise AssertionError("a chunk was merged on its own")
+
+        monkeypatch.setattr(LinkResult, "merge_all", staticmethod(merge_all))
+        monkeypatch.setattr(LinkResult, "merge", merge)
+        assert format_csv(run(sc)) == want
+        assert sizes == [6, 6]  # the point's empty start and its 5 chunks
+
     @pytest.mark.parametrize("mode,cp", [("per_slot_cp", 2), ("cyclic", 0)])
     def test_banded_random_range_equals_its_splits_bitwise(self, mode, cp, monkeypatch):
         # chunks of 3 trials: the splits start and end inside chunks and on their edges

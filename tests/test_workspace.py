@@ -219,7 +219,8 @@ def test_nothing_that_leaves_a_chunk_views_the_workspace():
                            link.receiver(link.fixed, None, 0.1))
     assert sorted(parts) == [0, 1] and [r.trials for r in parts.values()] == [3, 4]
     for r in parts.values():
-        assert all(type(c) is int for c in (r.bit_errors, r.symbol_errors, r.total_bits))
+        counts = (r.trials, r.bit_errors, r.symbol_errors, r.total_bits, r.total_symbols)
+        assert all(type(c) is int for c in counts)
         assert not any(np.shares_memory(r.papr_values, arr) for arr in workspace_arrays(ws))
 
 
