@@ -58,7 +58,7 @@ def one_tap_tf(
     if h_tf.ndim > y_tf.ndim or y_tf.shape[y_tf.ndim - h_tf.ndim:] != h_tf.shape:
         raise ValueError(f"grid shapes differ: {y_tf.shape} vs {h_tf.shape}")
     noise_var = np.asarray(noise_var, dtype=float)[..., None, None]  # one per grid
-    if np.any(noise_var < 0):
+    if (noise_var < 0).any():
         raise ValueError(f"noise variance must be >= 0, got {noise_var.min()}")
     zero = noise_var == 0
     if zero.any() and np.any(zero & (h_tf == 0)):
@@ -269,7 +269,12 @@ def _reduce(band: np.ndarray, y: np.ndarray, noise_var: np.ndarray) -> np.ndarra
             diag[d + L - 1] += bt[l] * ext[m, L - 1 - d : L - 1 - d + B]
     diag[L - 1] += np.repeat(noise_var, blocks)  # frame-major, as F
     rows[S:-1] = y.reshape(F, B).T
+    # the band's copies and, once gathered, the rows are freed before the solve:
+    # held through it, four frames' worth could push the heap past glibc's trim
+    # threshold, to be faulted in again by the next chunk
+    del bt, ext, diag
     G = rows[_block_index(L, B, K)]  # (K, 3K + 1, nb, F), rows bit-reversed
+    del rows
     np.negative(G[:, K : 3 * K], out=G[:, K : 3 * K])
     with np.errstate(all="ignore"):
         x = _reduce_rows(G, K)[:, _bit_reversal(nb)]

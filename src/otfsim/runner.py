@@ -28,8 +28,8 @@ what a fresh stream of the contract draws, into (T, ...) stacks.  Every
 layer (bit mapping, precoding, synthesis, channel, detection from the
 received body samples, slicing and counting) then runs once per chunk on
 the stack, and the counts and PAPR values split back to their points.
-The noise variance belongs to the SNR point, and a chunk carries each
-frame's.  The link's receiver reads a channel once for its detector, the
+The noise variance belongs to the SNR point: a random chunk carries each
+frame's, a fixed one its point's.  The link's receiver reads a channel once for its detector, the
 received body it detects and, on a budgeted downlink, the water-filled
 user amplitudes: a random chunk's receiver (one tap grid with a (T, taps)
 gain stack) is built once per chunk, at each frame's noise variance, so
@@ -75,6 +75,7 @@ import os
 from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
 from itertools import groupby, islice
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -533,7 +534,8 @@ class _Link:
         """Every draw of a chunk's T ``frames``, (snr_index, trial) pairs, trial by trial
         in the contract's order.
 
-        ``noise_var`` (T,) is each frame's noise variance, or None to draw no noise.
+        ``noise_var`` (T,) is each frame's noise variance, one for every frame, or
+        None to draw no noise.
         Returns ``(ch, gains, bits, noise)``: the fixed channel or the random tap
         grid, the draws' (T, taps) gains at the grid's taps (None for a fixed
         channel), the (T, n_bits) bits and the noise pair of (T, samples) arrays
@@ -551,7 +553,7 @@ class _Link:
             if noise is not None:
                 rng.standard_normal(out=noise[i])
         if noise is not None:
-            noise *= np.sqrt(noise_var / 2.0)[:, None, None]  # draw_noise's values
+            noise *= np.reshape(np.sqrt(noise_var / 2.0), (-1, 1, 1))  # draw_noise's values
             noise = noise[:, 0], noise[:, 1]
         bits = _word_bits(words, self.n_bits, self._stack("bits", (T, self.n_bits), np.int64))
         return self.fixed or self.grid, gains, bits, noise
@@ -737,7 +739,7 @@ class _Link:
             on = np.broadcast_to(np.repeat(amp > 1e-12, self.block, axis=-1), est.shape)
             amps = np.broadcast_to(np.repeat(amp, self.block, axis=-1), est.shape)
         out, rows = {}, slice(0, 0)
-        for snr_index, run in groupby(frames, key=lambda frame: frame[0]):
+        for snr_index, run in groupby(frames, key=itemgetter(0)):
             rows = slice(rows.stop, rows.stop + len(list(run)))
             e, b = est[rows], bits[rows]
             if amp is not None:  # undo each user's amplitude
@@ -767,17 +769,17 @@ def _run_points(sc: Scenario, points, ws: _Workspace) -> list:
     point.  A random channel's receiver is built per chunk, at each frame's
     noise variance, so its chunks run on across point boundaries; a fixed
     channel's is built per point, at the point's, and its chunks end there.
+    A point's chunk results are merged once, after its last chunk.
     """
     link, streams = _Link(sc, ws), _TrialStreams(sc.seed)
     noise_var = {si: _noise_var(sc.snr_db_list[si]) for si, _, _ in points}  # unit-energy symbols
     parts = {si: [LinkResult(sc.scheme, sc.snr_db_list[si])] for si in noise_var}
     for group in [points] if link.fixed is None else [[point] for point in points]:
-        fixed_rx = None
-        if link.fixed is not None:
-            fixed_rx = link.receiver(link.fixed, None, noise_var[group[0][0]])
+        point_var = None if link.fixed is None else noise_var[group[0][0]]
+        fixed_rx = None if point_var is None else link.receiver(link.fixed, None, point_var)
         for frames in _chunks(group, link.chunk):
-            frame_var = np.array([noise_var[si] for si, _ in frames])
-            for si, part in link.run_chunk(streams, frames, frame_var, fixed_rx).items():
+            var = np.array([noise_var[si] for si, _ in frames]) if point_var is None else point_var
+            for si, part in link.run_chunk(streams, frames, var, fixed_rx).items():
                 parts[si].append(part)
     return [LinkResult.merge_all(point_parts) for point_parts in parts.values()]
 

@@ -211,7 +211,11 @@ def test_link_draws_are_the_contract_draws(constellation, M, N, channel):
     })
     link, noise_var = _Link(sc), np.full(5, 0.7)
     streams = _TrialStreams(sc.seed)
-    grid, gains, bits, noise = link.draw(streams, [(4, t) for t in range(3, 8)], noise_var)
+    frames = [(4, t) for t in range(3, 8)]
+    grid, gains, bits, noise = link.draw(streams, frames, noise_var)
+    # one variance for every frame, as a fixed channel's chunk carries, draws the same
+    one = link.draw(_TrialStreams(sc.seed), frames, 0.7)[3]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(noise, one))
     for i, t in enumerate(range(3, 8)):
         rng = trial_rng(sc.seed, 4, t)
         if gains is None:

@@ -323,6 +323,9 @@ def test_reduction_peak_is_within_its_entry_bound(L):
     equalizer._reduce_solve(band, y, 0.1)  # warm the index caches
     peak = traced(lambda: equalizer._reduce_solve(band, y, 0.1))[1]
     assert peak <= 16 * T * reduction_entries(L, blocks, B)
+    # the band's copies and the gathered rows are gone before the solve: 0.53-0.62
+    # of the bound measured (numpy 2.4), 0.69-0.87 while they were held through it
+    assert peak <= 0.65 * 16 * T * reduction_entries(L, blocks, B)
 
 
 @pytest.mark.parametrize("M, N, T", [(32, 16, 14), (64, 32, 3), (16, 8, 40)])
