@@ -29,16 +29,17 @@ layer (bit mapping, precoding, synthesis, channel, detection from the
 received body samples, slicing and counting) then runs once per chunk on
 the stack, and the counts and PAPR values split back to their points.
 The noise variance belongs to the SNR point: a random chunk carries each
-frame's, a fixed one its point's.  The link's receiver reads a channel once for its detector, the
-received body it detects and, on a budgeted downlink, the water-filled
-user amplitudes: a random chunk's receiver (one tap grid with a (T, taps)
-gain stack) is built once per chunk, at each frame's noise variance, so
-its chunks cross point boundaries; a fixed channel's is built once per
-point, at the point's, and its chunks end there.  The link picks its
-receiver's builder once, from its equalizer and map: ``_one_tap``,
+frame's, a fixed one its point's.  The link's receiver reads a channel once
+for its detector, the received body it detects and, on a budgeted downlink,
+the water-filled user amplitudes: a random chunk's receiver (one tap grid
+with a (T, taps) gain stack) is built once per chunk, at each frame's noise
+variance, so its chunks cross point boundaries; a fixed channel's is built
+once per point, at the point's, and its chunks end there.  The link picks
+its receiver's builder once, from its equalizer and map: ``_one_tap``,
 ``_band_lmmse`` (a unitary map's LMMSE on the channel's delay band) or
-``_dense`` (ML and Gaussian spreading, one dense detector per draw).  Every link receives by
-``band_channel`` of its builder's delay rows, one row at a time.
+``_dense`` (ML and Gaussian spreading, one dense detector per draw).  Every
+link receives by ``band_channel`` of its builder's delay rows, one row at a
+time.
 Every link holds its symbols on one (N, M) grid, and every link but Gaussian
 spreading is a cell map onto it.  The ``spread`` links, OTFS, SC-FDMA (OTFS
 with N = 1) and ``dd_mapped`` (a DFT ``tf_spread`` downlink is one), use the
