@@ -20,15 +20,16 @@ stream can reach.
 
 Execution
 ---------
-A run's trials run in chunks of at most ``CHUNK_SAMPLES`` stacked time
-samples, cut from its point-major sequence of (SNR point, trial) frames.
-One link and one generator serve the run (or one pool job): before each
-trial the generator is reset to that trial's counter, so it draws exactly
-what a fresh stream of the contract draws, into (T, ...) stacks.  Every
-layer (bit mapping, precoding, synthesis, channel, detection from the
-received body samples, slicing and counting) then runs once per chunk on
-the stack, and the counts and PAPR values split back to their points.
-The noise variance belongs to the SNR point: a random chunk carries each
+A run cuts its point-major sequence of (SNR point, trial) frames into one
+contiguous span per process (see :func:`run`), and runs each span's trials
+in chunks of at most ``CHUNK_SAMPLES`` stacked time samples, cut from the
+span.  One link and one generator serve a span: before each trial the
+generator is reset to that trial's counter, so it draws exactly what a
+fresh stream of the contract draws, into (T, ...) stacks.  Every layer
+(bit mapping, precoding, synthesis, channel, detection from the received
+body samples, slicing and counting) then runs once per chunk on the stack,
+and the counts and PAPR values split back to their points.  The noise
+variance belongs to the SNR point: a random chunk carries each
 frame's, a fixed one its point's.  The link's receiver reads a channel once
 for its detector, the received body it detects and, on a budgeted downlink,
 the water-filled user amplitudes: a random chunk's receiver (one tap grid
@@ -50,17 +51,16 @@ A chunk in the steady state allocates none of its (T, samples) stacks but
 those of a random draw's channel (its band, rows or response, and the
 LMMSE's solve) and of a dense detector's estimate.  Every layer on the
 path takes an ``out`` and writes into a ``_Workspace``, one flat array per
-name, grown by a run's first (longest) chunk: the draw's words, noise and
+name, grown by the span's longest chunk: the draw's words, noise and
 bits, the mapped symbols, the user map's grid, the synthesised frame, the
 received body and each delay's products, the detector's slot DFT, one-tap
 and read-out (or its LMMSE and analysis DFT) in one stack, the gathered
-symbols and the decided bits.  One workspace serves a whole ``run`` (its
-link is handed it) or one pool job, and goes with it; nothing a chunk
-returns is a view of it (the counts are ints, the PAPR values a new
-array).  A fixed channel's receiver is held by its point's loop, not by
-the link, so the link and its views are freed when the run ends, without
-the cyclic collector.  Calls made without a workspace, by
-``papr_ccdf`` and the tests, allocate as before.
+symbols and the decided bits.  One workspace serves a span (its link is
+handed it) and goes with it; nothing a chunk returns is a view of it (the
+counts are ints, the PAPR values a new array).  A fixed channel's receiver
+is held by its point's loop, not by the link, so the link and its views
+are freed when the span ends, without the cyclic collector.  Calls made
+without a workspace, by ``papr_ccdf`` and the tests, allocate as before.
 
 Scenario files are strict JSON.  One reader walks each object against its
 key table and refuses unknown, missing and null keys by name; every value
@@ -434,11 +434,12 @@ class _TrialStreams:
 
 
 class _Workspace:
-    """The stacks a run's chunks reuse, one flat array per name.
+    """The stacks a span's chunks reuse, one flat array per name.
 
     :meth:`take` gives a C-contiguous view of the named array, grown only
-    when a request outgrows it: the first chunk of a run is its longest,
-    so every later chunk, of any SNR point, reuses its arrays.
+    when a request outgrows it: a span's first chunk is its longest (unless
+    the span starts late in a fixed channel's point), so every later chunk,
+    of any SNR point, reuses its arrays.
     A name is a role in the chunk, and roles whose uses never overlap share
     one: ``work`` holds the mapped symbols, then each delay's products, then
     the detector's grid; ``body`` the body samples gathered for the PAPR,
@@ -762,17 +763,18 @@ def _chunks(points, size: int):
         yield chunk
 
 
-def _run_points(sc: Scenario, points, ws: _Workspace) -> list:
+def _run_points(sc: Scenario, points, ws: _Workspace | None = None) -> list:
     """One LinkResult per point (snr_index, start, stop), its trials [start, stop);
     the points' SNR indices are distinct.
 
-    One link, one set of trial streams and the stacks of ``ws`` serve every
-    point.  A random channel's receiver is built per chunk, at each frame's
-    noise variance, so its chunks run on across point boundaries; a fixed
-    channel's is built per point, at the point's, and its chunks end there.
-    A point's chunk results are merged once, after its last chunk.
+    One link, one set of trial streams and the stacks of ``ws``, a new
+    workspace if None, serve every point.  A random channel's receiver is
+    built per chunk, at each frame's noise variance, so its chunks run on
+    across point boundaries; a fixed channel's is built per point, at the
+    point's, and its chunks end there.  A point's chunk results are merged
+    once, after its last chunk.
     """
-    link, streams = _Link(sc, ws), _TrialStreams(sc.seed)
+    link, streams = _Link(sc, _Workspace() if ws is None else ws), _TrialStreams(sc.seed)
     noise_var = {si: _noise_var(sc.snr_db_list[si]) for si, _, _ in points}  # unit-energy symbols
     parts = {si: [LinkResult(sc.scheme, sc.snr_db_list[si])] for si in noise_var}
     for group in [points] if link.fixed is None else [[point] for point in points]:
@@ -792,40 +794,37 @@ def run_trial_range(
 
     The chunks use the stacks of ``ws``, a new workspace if None.
     """
-    return _run_points(sc, [(snr_index, start, stop)], _Workspace() if ws is None else ws)[0]
-
-
-def _worker(args):
-    sc, snr_index, start, stop = args
-    return run_trial_range(sc, snr_index, start, stop)  # with a link and workspace of its own
+    return _run_points(sc, [(snr_index, start, stop)], ws)[0]
 
 
 def run(sc: Scenario, workers: int = 1) -> list:
     """Run the full scenario; one LinkResult per SNR point.
 
-    Results are independent of ``workers``: each SNR point's trials are
-    partitioned into ``workers`` contiguous ranges (one a trial where fewer),
-    every (SNR point, range) job goes to one process pool of at most the
-    usable CPUs, and each point's ranges are merged in trial order.  Every
-    trial owns its RNG stream.
+    Results are independent of ``workers``, an integer >= 1: the run's
+    point-major sequence of (SNR point, trial) frames is cut into as many
+    contiguous spans as the least of ``workers``, the usable CPUs and the
+    frames, each a list of (snr_index, start, stop) points.  A lone span runs
+    in this process; otherwise each span is one job of a process pool, with a
+    link and a workspace of its own, and each point's parts are merged in
+    span order, which is trial order.  Every trial owns its RNG stream.
     """
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
-    n_snr = len(sc.snr_db_list)
-    if workers == 1 or sc.trials == 1:
-        return _run_points(sc, [(si, 0, sc.trials) for si in range(n_snr)], _Workspace())
-    bounds = np.linspace(0, sc.trials, min(workers, sc.trials) + 1).astype(int)
-    ranges = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
-    jobs = [(sc, si, a, b) for si in range(n_snr) for a, b in ranges]
+    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) or workers < 1:
+        raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
+    T, n_snr = sc.trials, len(sc.snr_db_list)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    n = min(int(workers), cpus or 1, n_snr * T)
+    cuts = [n_snr * T * i // n for i in range(n + 1)]
+    spans = [[(si, max(a - si * T, 0), min(b - si * T, T)) for si in range(a // T, (b - 1) // T + 1)]
+             for a, b in zip(cuts[:-1], cuts[1:])]
+    if n == 1:
+        return _run_points(sc, spans[0])
     from concurrent.futures import ProcessPoolExecutor  # loaded only when a pool runs
 
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    with ProcessPoolExecutor(max_workers=min(workers, len(jobs), cpus or 1)) as ex:
-        parts = list(ex.map(_worker, jobs))
-    per_point = len(ranges)
-    return [
-        LinkResult.merge_all(parts[si * per_point : (si + 1) * per_point]) for si in range(n_snr)
-    ]
+    with ProcessPoolExecutor(max_workers=n) as ex:
+        parts = [part for results in ex.map(_run_points, [sc] * n, spans) for part in results]
+    points = [si for span in spans for si, _, _ in span]  # point-major, as the parts
+    return [LinkResult.merge_all([part for _, part in point_parts])
+            for _, point_parts in groupby(zip(points, parts), key=itemgetter(0))]
 
 
 # ---------------------------------------------------------------------------

@@ -409,6 +409,48 @@ class TestRNGStreams:
         assert not np.array_equal(s1, t0)
 
 
+#: the usable CPUs a fake pool's process sees
+CPUS = 5
+
+
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """A process pool that maps in this process, on ``CPUS`` usable CPUs: it records
+    each pool's size in ``opened`` and each pool's jobs, their argument tuples, in
+    ``jobs``.  No process is started."""
+    import concurrent.futures
+    from types import SimpleNamespace
+
+    pools = SimpleNamespace(opened=[], jobs=[])
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            pools.opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            pools.jobs.append(list(zip(*iterables)))
+            return (fn(*job) for job in pools.jobs[-1])
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(CPUS)), raising=False)
+    return pools
+
+
+def assert_bitwise(got, want):
+    """Two runs' results: the same CSV, counts and PAPR values, bit for bit."""
+    assert format_csv(got) == format_csv(want)
+    for g, w in zip(got, want, strict=True):
+        assert (g.bit_errors, g.symbol_errors, g.total_bits, g.total_symbols) == (
+            w.bit_errors, w.symbol_errors, w.total_bits, w.total_symbols)
+        assert np.array_equal(g.papr_values, w.papr_values)
+
+
 class TestExecution:
     def test_run_is_deterministic(self):
         sc = scenario_from_dict(base_dict(snr_db_list=[0.0, 10.0], trials=5))
@@ -449,12 +491,14 @@ class TestExecution:
         assert sizes == [6, 6]  # the point's empty start and its 5 chunks
 
     @pytest.mark.parametrize("mode,cp", [("per_slot_cp", 2), ("cyclic", 0)])
-    def test_banded_random_range_equals_its_splits_bitwise(self, mode, cp, monkeypatch):
-        # chunks of 3 trials: the splits start and end inside chunks and on their edges
+    def test_banded_random_range_equals_its_splits_bitwise(self, mode, cp, monkeypatch,
+                                                           in_process_pool):
+        # chunks of 3 trials: the splits start and end inside chunks and on their edges,
+        # and so do a pool's spans of the run's 20 frames, which also end inside points
         sc = scenario_from_dict(base_dict(
             frame={"M": 5, "N": 4, "cp_len": cp}, channel={"random": {"L_max": 3, "V_max": 3}},
-            channel_mode=mode, equalizer="mmse_dd", constellation="16QAM", snr_db_list=[8.0],
-            trials=10,
+            channel_mode=mode, equalizer="mmse_dd", constellation="16QAM",
+            snr_db_list=[8.0, 14.0], trials=10,
         ))
         monkeypatch.setattr(otfsim.runner, "CHUNK_SAMPLES", 3 * _Link(sc).n_samples)
         whole = run_trial_range(sc, 0, 0, 10)
@@ -465,49 +509,62 @@ class TestExecution:
                 whole.bit_errors, whole.symbol_errors, whole.total_bits)
             assert np.array_equal(merged.papr_values, whole.papr_values)
         assert whole.bit_errors > 0
+        ref = run(sc)
+        for workers in (3, 4):
+            assert_bitwise(run(sc, workers), ref)
+        assert in_process_pool.opened == [3, 4]
+        assert [span for _, span in in_process_pool.jobs[0]] == [
+            [(0, 0, 6)], [(0, 6, 10), (1, 0, 3)], [(1, 3, 10)]]
+        assert [span for _, span in in_process_pool.jobs[1]] == [
+            [(0, 0, 5)], [(0, 5, 10)], [(1, 0, 5)], [(1, 5, 10)]]
 
     def test_worker_count_does_not_change_output(self):
         sc = scenario_from_dict(base_dict(trials=6))
         ref = format_csv(run(sc, workers=1))
         assert format_csv(run(sc, workers=3)) == ref
 
-    def test_pool_is_bounded_by_the_usable_cpus(self, monkeypatch):
-        # the trials of each point still split into `workers` ranges, but the
-        # pool starts no more processes than this process may run on; the
-        # fake pool records its size and maps in process, so none is started
-        import concurrent.futures
-
-        opened, jobs = [], []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                opened.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, args):
-                jobs.append([a[1:] for a in args])
-                return map(fn, args)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    def test_a_run_is_cut_into_one_span_a_usable_cpu(self, in_process_pool):
+        # the run's 24 point-major frames on 5 usable CPUs: 5 spans of 4 or 5 frames,
+        # cut inside points, at any larger worker count; a lone span needs no pool
         sc = scenario_from_dict(base_dict(snr_db_list=[4.0, 10.0], trials=12))
-        ref = format_csv(run(sc, workers=1))
-        assert format_csv(run(sc, workers=10_000)) == ref
-        assert format_csv(run(sc, workers=8)) == ref
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        assert opened == [min(cpus, 24), min(cpus, 16)]
-        # (point, start, stop): one range per trial, then 8 ranges a point
-        assert jobs[0] == [(si, t, t + 1) for si in range(2) for t in range(12)]
-        assert [len(j) for j in jobs] == [24, 16]
+        ref = run(sc, workers=1)
+        assert in_process_pool.opened == []
+        for workers in (10_000, 8):
+            assert_bitwise(run(sc, workers=workers), ref)
+        spans = [[(0, 0, 4)], [(0, 4, 9)], [(0, 9, 12), (1, 0, 2)], [(1, 2, 7)], [(1, 7, 12)]]
+        assert in_process_pool.opened == [CPUS, CPUS]
+        assert in_process_pool.jobs == [[(sc, span) for span in spans]] * 2
+        # no more spans than frames: 3 points of one trial open 3 processes
+        sc = scenario_from_dict(base_dict(snr_db_list=[0.0, 4.0, 10.0], trials=1))
+        assert_bitwise(run(sc, workers=10_000), run(sc))
+        assert in_process_pool.opened[2:] == [3]
+        assert in_process_pool.jobs[2] == [(sc, [(si, 0, 1)]) for si in range(3)]
 
-    def test_workers_validation(self):
+    def test_a_run_builds_one_link_a_span(self, in_process_pool, monkeypatch):
+        # onetap_sweep's shape, 10 points of 200 trials: one link (with its trial
+        # streams and workspace) a span, however many workers are asked for
+        sc = scenario_from_dict(base_dict(
+            frame={"M": 16, "N": 8, "cp_len": 4}, channel_mode="per_slot_cp",
+            snr_db_list=list(range(0, 20, 2)), trials=200))
+        builds, init = [], _Link.__init__
+        monkeypatch.setattr(_Link, "__init__",
+                            lambda self, *a, **k: builds.append(1) or init(self, *a, **k))
+        run(sc, workers=10_000)
+        assert in_process_pool.opened == [CPUS]
+        assert len(builds) <= CPUS
+
+    @pytest.mark.parametrize("workers", [0, -1, np.int64(0), 2.5, 2.0, np.float64(2), True, False,
+                                         np.True_, "2", None], ids=repr)
+    def test_workers_validation(self, workers):
         sc = scenario_from_dict(base_dict())
-        with pytest.raises(ConfigError):
-            run(sc, workers=0)
+        with pytest.raises(ConfigError, match="workers must be an integer >= 1"):
+            run(sc, workers=workers)
+
+    def test_numpy_integer_workers(self, in_process_pool):
+        sc = scenario_from_dict(base_dict(snr_db_list=[4.0, 10.0], trials=6))
+        assert_bitwise(run(sc, workers=np.int64(2)), run(sc))
+        assert in_process_pool.opened == [2]
+        assert in_process_pool.jobs == [[(sc, [(0, 0, 6)]), (sc, [(1, 0, 6)])]]
 
     def test_identity_channel_high_snr_error_free(self):
         sc = scenario_from_dict(base_dict(snr_db_list=[60.0], trials=3))
