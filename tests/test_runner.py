@@ -523,7 +523,7 @@ class TestExecution:
         ref = format_csv(run(sc, workers=1))
         assert format_csv(run(sc, workers=3)) == ref
 
-    def test_a_run_is_cut_into_one_span_a_usable_cpu(self, in_process_pool):
+    def test_pool_is_bounded_by_the_usable_cpus(self, in_process_pool):
         # the run's 24 point-major frames on 5 usable CPUs: 5 spans of 4 or 5 frames,
         # cut inside points, at any larger worker count; a lone span needs no pool
         sc = scenario_from_dict(base_dict(snr_db_list=[4.0, 10.0], trials=12))
