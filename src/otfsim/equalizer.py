@@ -120,9 +120,9 @@ def band_filter(band: np.ndarray, noise_var):
     its own blocks and ``noise_var`` (one, or (T,) one per frame) its own
     variance, solved by periodic block cyclic reduction (:func:`_reduce`) in
     O(B * K) entries and no dense Gram, or by the dense Gram stack
-    (:func:`_dense_solve`), as :func:`band_solver` picks.  A frame whose
-    reduction is not finite is redone through the dense solve on its own,
-    and only a frame whose own solve fails takes the pseudo-inverse.
+    (:func:`_dense_solve`), as :func:`band_solver` picks.  The frames whose
+    reduction is not finite are redone through the dense solve, each Gram
+    on its own, and only a frame whose own solve fails takes the pseudo-inverse.
     """
     B = band.shape[-1]
     if band.ndim == 3:
@@ -176,31 +176,32 @@ def band_solver(L: int, blocks: int, B: int):
     )
 
 
-def _dense_solve(band: np.ndarray, y: np.ndarray, noise_var) -> np.ndarray:
-    """Gram^-1 y of a band stack (T, L, blocks, B) against y (T, blocks, B) by dense Grams,
-    ``noise_var`` one variance or (T,) one per frame.
-
-    The Grams of as many frames as fit ``EFFECTIVE_GUARD**2`` entries (one
-    at least) are solved in one call (``_solve``'s rule).
-    """
-    per = max(1, EFFECTIVE_GUARD**2 // (band[0, 0].size * band.shape[-1]))
+def _batched(kernel, entries: int, band: np.ndarray, y: np.ndarray, noise_var) -> np.ndarray:
+    """``kernel(band, y, noise_var)`` of a band stack (T, L, blocks, B) against y
+    (T, blocks, B), ``noise_var`` one variance or (T,) one per frame, called on
+    as many frames at a time as fit ``EFFECTIVE_GUARD**2`` at ``entries`` a frame
+    (one at least), each given (t,) variances."""
+    per = max(1, EFFECTIVE_GUARD**2 // entries)
     noise_var = np.broadcast_to(noise_var, len(y))
-    return np.concatenate([
-        _solve(band_gram(band[a:a + per], noise_var[a:a + per]), y[a:a + per, ..., None])[..., 0]
-        for a in range(0, len(y), per)
-    ])
+    return np.concatenate([kernel(band[a:a + per], y[a:a + per], noise_var[a:a + per])
+                           for a in range(0, len(y), per)])
+
+
+def _dense_solve(band: np.ndarray, y: np.ndarray, noise_var) -> np.ndarray:
+    """Gram^-1 y of a band stack by dense Grams of blocks * B^2 entries a frame,
+    solved in guard-bounded batches (``_batched``, ``_solve``'s rule)."""
+    return _batched(lambda b, v, nv: _solve(band_gram(b, nv), v[..., None])[..., 0],
+                    band[0, 0].size * band.shape[-1], band, y, noise_var)
 
 
 def _reduce_solve(band: np.ndarray, y: np.ndarray, noise_var) -> np.ndarray:
-    """Gram^-1 y of a band stack by :func:`_reduce`, as many frames a call as fit
-    ``EFFECTIVE_GUARD**2`` working entries; non-finite frames redone by :func:`_dense_solve`."""
-    L, blocks, B = band.shape[-3:]
-    per = max(1, EFFECTIVE_GUARD**2 // reduction_entries(L, blocks, B))
-    noise_var = np.broadcast_to(noise_var, len(y))
-    z = np.concatenate([_reduce(band[a:a + per], y[a:a + per], noise_var[a:a + per])
-                        for a in range(0, len(y), per)])
-    for t in np.flatnonzero(~np.isfinite(z).all(axis=(1, 2))):
-        z[t] = _dense_solve(band[t:t + 1], y[t:t + 1], noise_var[t:t + 1])[0]
+    """Gram^-1 y of a band stack by :func:`_reduce` in guard-bounded batches of
+    :func:`reduction_entries` a frame; the non-finite frames are redone together
+    by :func:`_dense_solve`, each frame's Gram still solved on its own."""
+    z = _batched(_reduce, reduction_entries(*band.shape[-3:]), band, y, noise_var)
+    bad = np.flatnonzero(~np.isfinite(z).all(axis=(1, 2)))
+    if bad.size:
+        z[bad] = _dense_solve(band[bad], y[bad], np.broadcast_to(noise_var, len(y))[bad])
     return z
 
 
