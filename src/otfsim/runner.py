@@ -73,6 +73,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
 from itertools import groupby, islice
@@ -201,11 +202,14 @@ _MULTIUSER_KEYS = {f.name: f.default for f in fields(MultiuserSetup)}
 
 
 def _is_kind(value, kind) -> bool:
-    """JSON kind check: booleans are never numbers, numbers must be finite."""
+    """JSON kind check: booleans are never numbers, numbers must be finite.
+
+    The bound is a Python float, whose comparison with an int of any size is exact.
+    """
     if isinstance(value, bool):
         return False
     if kind is float:
-        return isinstance(value, (int, float)) and abs(value) <= np.finfo(float).max
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
     return isinstance(value, kind)
 
 
@@ -315,6 +319,11 @@ def _validate_scenario(sc: Scenario) -> None:
             raise ConfigError("power_budget applies to multiuser mode 'tf_alloc' only")
         if mu.spreader != "dft" and mu.mode != "tf_spread":
             raise ConfigError(f"multiuser.spreader {mu.spreader!r} applies to mode 'tf_spread' only")
+        # each user's Gaussian S_A (M x M_d) and S_B (N x N_D) are drawn when the link is built
+        spread = mu.K_D * sc.M**2 + mu.K_d * sc.N**2
+        if mu.spreader == "gaussian" and spread > EFFECTIVE_GUARD**2:
+            raise ConfigError(f"multiuser.spreader 'gaussian' on {sc.M} x {sc.N} needs {spread} "
+                              f"spreader entries, above {EFFECTIVE_GUARD**2}")
         if budget is not None and sc.equalizer == "mmse_dd":
             raise ConfigError(
                 "power_budget is incompatible with equalizer 'mmse_dd' "

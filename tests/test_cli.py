@@ -16,8 +16,10 @@ import otfsim.transforms
 from otfsim.cli import (
     EXIT_CONFIG, EXIT_GUARD, EXIT_INVARIANT, EXIT_OK, SNR_GRID_CAP, _parse_snr_grid, main,
 )
-from otfsim.runner import load_scenario
+from otfsim.errors import ConfigError
+from otfsim.runner import load_scenario, scenario_from_dict
 from otfsim.selftest import run_selftest
+from fuzz_scenarios import CLEAN, PREVIOUS, mutants, run_case
 from test_golden import GOLDEN
 from test_workspace import traced
 
@@ -98,6 +100,33 @@ class TestSimulate:
 
     def test_bad_scenario_value(self, config_file, capsys):
         assert main(["simulate", "--config", config_file(trials=0)]) == EXIT_CONFIG
+
+    def test_integer_beyond_float_range_is_exit_1(self, tmp_path, capsys):
+        # a tap written as a 401-digit JSON integer is no finite number
+        d = json.loads((GOLDEN / "otfs_mmse_fixed.json").read_text())
+        d["channel"]["taps"][0]["re"] = 10**400
+        cfg = tmp_path / "sc.json"
+        cfg.write_text(json.dumps(d))
+        assert main(["simulate", "--config", str(cfg)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and "config error: channel.taps[0].re" in captured.err
+
+    def test_gaussian_spreaders_past_the_guard_are_refused_before_drawing(self, tmp_path, capsys):
+        # OTFS 8 x 65536 passes the frame cap, but its two users' Gaussian S_B
+        # (65536 x 32768 each) would be drawn, 16 GiB at a time, when the link
+        # is built: K_D M^2 + K_d N^2 entries exceed EFFECTIVE_GUARD^2.  The
+        # peak is the users' cell tables of the allocation check, 11 MB
+        d = json.loads((GOLDEN / "tf_spread_gaussian_mmse_fixed.json").read_text())
+        d["frame"]["N"], d["multiuser"]["K_d"], d["equalizer"] = 65536, 1, "one_tap_tf"
+        d["frame"]["M"], d["trials"] = 8, 1
+        with pytest.raises(ConfigError, match="multiuser.spreader"):
+            scenario_from_dict(d)
+        cfg = tmp_path / "sc.json"
+        cfg.write_text(json.dumps(d))
+        code, peak = traced(lambda: main(["simulate", "--config", str(cfg)]))
+        assert code == EXIT_CONFIG
+        assert "config error: multiuser.spreader" in capsys.readouterr().err
+        assert peak < 16 * 2**20
 
     def test_format_choice_guarded(self, config_file):
         assert main(["simulate", "--config", config_file(), "--format", "json"]) == EXIT_CONFIG
@@ -525,6 +554,23 @@ class TestSelftest:
         assert "RuntimeError" in capsys.readouterr().out
 
 
+class TestScenarioFuzz:
+    def test_mutants_end_cleanly_through_the_cli(self, tmp_path):
+        # 200 seeded mutants of the goldens (fuzz_scenarios.mutants) through
+        # otfsim simulate with warnings as errors, over an existing --out:
+        # each exits 0, 1 or 3 with its message, and nothing escapes main; an
+        # exit-0 CSV has one finite row per SNR point, and a failed run leaves
+        # --out as it was.  A mutant past 1024 grid points or 2 trials is only
+        # parsed; tests/fuzz_scenarios.py runs any number uncapped
+        out, outcomes = tmp_path / "out.csv", {}
+        for name, d in mutants(36, 200):
+            out.write_text(PREVIOUS)
+            outcomes.setdefault(run_case(d, out, capped=True), []).append((name, d))
+        failures = {k: v[0] for k, v in outcomes.items() if k not in CLEAN}
+        assert not failures
+        assert {"exit 0", "exit 1"} <= outcomes.keys()
+
+
 def child_env():
     """Environment for a fresh interpreter that imports this otfsim source tree."""
     src = str(Path(otfsim.__file__).resolve().parents[1])
@@ -552,6 +598,17 @@ class TestParserPlumbing:
         )
         assert proc.returncode == 0, proc.stderr
         assert dest.read_text().startswith("scheme,")
+
+    def test_package_runs_as_a_module(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "otfsim", "selftest"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count("[PASS]") == 9 and "[FAIL]" not in proc.stdout
 
     def test_entrypoint_exit_code_propagates(self, tmp_path):
         proc = subprocess.run(

@@ -1,9 +1,7 @@
 """Scenario parsing, deterministic execution, and CSV output."""
 
-import copy
 import json
 import os
-import random
 from dataclasses import replace
 from functools import reduce
 
@@ -41,6 +39,7 @@ from otfsim.runner import (
     trial_rng,
 )
 from otfsim.transforms import dd_analysis, dd_synthesis, slot_dft
+from fuzz_scenarios import mutants
 from test_channel import (
     impulse_probe, per_tap_channel_oracle, probed_slot_chain, probed_time_channel,
 )
@@ -234,6 +233,11 @@ class TestScenarioParsing:
         ("multiuser", MultiuserSetup("tf_spread", 2, 1, spreader="walsh"), "multiuser.spreader"),
         ("multiuser", MultiuserSetup("tf_alloc", 2.0, 1), "multiuser.K_d"),
         ("multiuser", {"mode": "tf_alloc", "K_d": 2, "K_D": 1}, "MultiuserSetup"),
+        # integers beyond float range, once an OverflowError from their check
+        ("snr_db_list", (10**400,), "snr_db_list"),
+        pytest.param("delta_f_hz", -10**400, "frame.delta_f_hz", id="delta_f_hz-beyond_float"),
+        ("channel_taps", ((0, 0, 10**400, 0.0),), r"taps\[0\].re"),
+        ("multiuser", MultiuserSetup("tf_alloc", 2, 1, power_budget=10**400), "power_budget"),
     ])
     def test_replaced_copy_is_held_to_the_parser_rules(self, field, value, named):
         sc = scenario_from_dict(base_dict())
@@ -348,47 +352,25 @@ class TestScenarioParsing:
         assert load_scenario(p) == scenario_from_dict(base_dict())
 
     def test_mutated_golden_scenarios_parse_or_raise_config_error(self):
-        # seeded mutations of every golden scenario: replace a value with
-        # an ill-typed or out-of-range one, drop a key or add an unknown key;
-        # a mutant that parses and has at most 512 grid points also runs
-        # one trial at one SNR point, which may refuse only by a guard
-        mutants = [None, True, False, 0, -1, 1, 3, 2.7, -0.5, float("nan"),
-                   float("inf"), "x", "", [], [3], {}, {"a": 1}]
-
-        def spots(node):
-            items = node.items() if isinstance(node, dict) else enumerate(node)
-            for key, value in list(items):
-                yield node, key
-                if isinstance(value, (dict, list)):
-                    yield from spots(value)
-
-        rng = random.Random(20)
+        # seeded mutations of every golden scenario (fuzz_scenarios.mutants):
+        # replace a value with an ill-typed, out-of-range or beyond-float one,
+        # drop a key or add an unknown key; a mutant that parses and has at
+        # most 512 grid points also runs one trial at one SNR point, which may
+        # refuse only by a guard
         parsed = refused = ran = 0
-        for name in SCENARIOS:
-            base = json.loads((GOLDEN / f"{name}.json").read_text())
-            for _ in range(150):
-                d = copy.deepcopy(base)
-                for _ in range(rng.randint(1, 2)):
-                    node, key = rng.choice(list(spots(d)))
-                    op = rng.random()
-                    if op < 0.7 or isinstance(node, list):
-                        node[key] = copy.deepcopy(rng.choice(mutants))
-                    elif op < 0.85:
-                        del node[key]
-                    else:
-                        node["extra"] = 1
+        for _, d in mutants(20, 150 * len(SCENARIOS)):
+            try:
+                sc = scenario_from_dict(d)
+                parsed += 1
+            except ConfigError:
+                refused += 1
+                continue
+            if sc.params.dof <= 512:
                 try:
-                    sc = scenario_from_dict(d)
-                    parsed += 1
-                except ConfigError:
-                    refused += 1
-                    continue
-                if sc.params.dof <= 512:
-                    try:
-                        run_trial_range(sc, len(sc.snr_db_list) - 1, 0, 1)
-                        ran += 1
-                    except GuardError:
-                        pass
+                    run_trial_range(sc, len(sc.snr_db_list) - 1, 0, 1)
+                    ran += 1
+                except GuardError:
+                    pass
         assert parsed > 0 and refused > 0 and ran > 0
 
 
