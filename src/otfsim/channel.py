@@ -118,15 +118,22 @@ def random_gains(L_max: int, V_max: int, rng: np.random.Generator) -> np.ndarray
     return g
 
 
-def random_channel(L_max: int, V_max: int, rng: np.random.Generator) -> DDChannelSpec:
-    """Draw a random channel on the full delay x Doppler tap grid.
+def random_grid(L_max: int, V_max: int, gains=1.0) -> DDChannelSpec:
+    """The full delay x Doppler tap grid of :func:`random_channel`.
 
     Taps cover delay bins [0, L_max) and Doppler bins (-V_max, V_max)
-    (centered on zero), delay-major, with the gains of :func:`random_gains`.
+    (centered on zero), delay-major: the order in which
+    ``random_gains(...).reshape(-1)`` holds their gains.  ``gains``
+    broadcasts to the (L_max, 2*V_max - 1) grid.
     """
-    g = random_gains(L_max, V_max, rng)
-    dopplers = range(1 - V_max, V_max)
-    return DDChannelSpec(tuple((l, k, g[l, j]) for l in range(L_max) for j, k in enumerate(dopplers)))
+    g = np.broadcast_to(gains, (L_max, 2 * V_max - 1))
+    return DDChannelSpec(tuple((l, k, g[l, k + V_max - 1])
+                               for l in range(L_max) for k in range(1 - V_max, V_max)))
+
+
+def random_channel(L_max: int, V_max: int, rng: np.random.Generator) -> DDChannelSpec:
+    """Draw a random channel: :func:`random_grid` with the gains of :func:`random_gains`."""
+    return random_grid(L_max, V_max, random_gains(L_max, V_max, rng))
 
 
 def check_taps(

@@ -258,13 +258,17 @@ class UserAllocation:
         return len(self.users)
 
 
-def _tiled_alloc(params: FrameParams, K_d: int, K_D: int, map_fn) -> UserAllocation:
+def user_tiling(params: FrameParams, K_d: int, K_D: int) -> tuple:
+    """The (M_d, N_D) block of each of K_d x K_D users that tile the frame exactly."""
     if K_d < 1 or params.M % K_d != 0:
         raise AllocationError(f"K_d={K_d} gives no exact tiling of M={params.M}")
     if K_D < 1 or params.N % K_D != 0:
         raise AllocationError(f"K_D={K_D} gives no exact tiling of N={params.N}")
-    M_d = params.M // K_d
-    N_D = params.N // K_D
+    return params.M // K_d, params.N // K_D
+
+
+def _tiled_alloc(params: FrameParams, K_d: int, K_D: int, map_fn) -> UserAllocation:
+    M_d, N_D = user_tiling(params, K_d, K_D)
     users = tuple(
         (map_fn(params.M, M_d, kf), map_fn(params.N, N_D, kt))
         for kf in range(K_d)

@@ -16,10 +16,6 @@ from .errors import GuardError
 from .frame import FrameParams, MappingMatrix
 from .transforms import dft_matrix
 
-#: refuse to build coupling tensors above this many grid points
-COUPLING_GUARD = 512
-
-
 def chain_matrix(tx, rx, dim: int) -> np.ndarray:
     """Matrix of the linear map rx(channel(tx(v))) on length-``dim`` vectors.
 
@@ -81,15 +77,12 @@ def coupling_tensor(
     linearity, contracting the tensor with any transmit grid reproduces
     the chain's receive grid exactly.
 
-    Diagnostic (cost grows as (M*N)^2 * M): refuses frames larger than
-    ``COUPLING_GUARD`` points.  ``cp_len`` defaults to the smallest prefix
-    covering the channel in per-slot mode, 0 in cyclic mode.
+    Diagnostic (cost grows as (M*N)^2 * M): :func:`chain_matrix` refuses
+    frames larger than ``EFFECTIVE_GUARD`` points before any probe runs.
+    ``cp_len`` defaults to the smallest prefix covering the channel in
+    per-slot mode, 0 in cyclic mode.
     """
     check_taps(ch, params)
-    if params.dof > COUPLING_GUARD:
-        raise GuardError(
-            f"coupling tensor for {params.dof} grid points exceeds guard {COUPLING_GUARD}"
-        )
     if cp_len is None:
         cp_len = 0 if mode == "cyclic" else max(t.delay_bin for t in ch.taps)
     cfg = modem.SchemeConfig("OSTF", params, cp_len)

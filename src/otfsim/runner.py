@@ -23,14 +23,14 @@ Execution
 A run cuts its point-major sequence of (SNR point, trial) frames into one
 contiguous span per process (see :func:`run`), and runs each span's trials
 in chunks of at most ``CHUNK_SAMPLES`` stacked time samples, cut from the
-span.  One link and one generator serve a span: before each trial the
-generator is reset to that trial's counter, so it draws exactly what a
-fresh stream of the contract draws, into (T, ...) stacks.  Every layer
-(bit mapping, precoding, synthesis, channel, detection from the received
-body samples, slicing and counting) then runs once per chunk on the stack,
-and the counts and PAPR values split back to their points.  The noise
-variance belongs to the SNR point: a random chunk carries each
-frame's, a fixed one its point's.  The link's receiver reads a channel once
+span.  One link serves a span and holds its trial streams, one generator,
+and its workspace: before each trial the generator is reset to that trial's
+counter, so it draws exactly what a fresh stream of the contract draws, into
+(T, ...) stacks.  Every layer (bit mapping, precoding, synthesis, channel,
+detection from the received body samples, slicing and counting) then runs
+once per chunk on the stack, and the counts and PAPR values split back to
+their points.  The noise variance belongs to the SNR point: a random chunk
+carries each frame's, a fixed one its point's.  The link's receiver reads a channel once
 for its detector, the received body it detects and, on a budgeted downlink,
 the water-filled user amplitudes: a random chunk's receiver (one tap grid
 with a (T, taps) gain stack) is built once per chunk, at each frame's noise
@@ -98,6 +98,7 @@ from .channel import (
     delay_rows,
     random_channel,
     random_gains,
+    random_grid,
     received_power,
     tf_channel,
     windowed_dd_channel,
@@ -111,7 +112,8 @@ from .equalizer import (
     one_tap_tf,
 )
 from .errors import ConfigError, GuardError
-from .frame import FrameParams, interleaved_allocation, localized_allocation, make_frame, user_cells
+from .frame import (FrameParams, interleaved_allocation, localized_allocation, make_frame,
+                    user_cells, user_tiling)
 from .metrics import (
     LinkResult,
     count_errors,
@@ -260,8 +262,9 @@ def _validate_scenario(sc: Scenario) -> None:
         raise ConfigError(f"snr_db_list entries must be finite numbers, got {sc.snr_db_list}")
     for snr in sc.snr_db_list:
         _noise_var(snr)
-    if not _is_kind(sc.trials, int) or sc.trials < 1:
-        raise ConfigError(f"trials must be an integer >= 1, got {sc.trials!r}")
+    if not _is_kind(sc.trials, int) or not 1 <= sc.trials <= 2**64:
+        raise ConfigError(f"trials must be an integer from 1 to 2**64 (a trial index keys "
+                          f"a 64-bit Philox counter word), got {sc.trials!r}")
     if not _is_kind(sc.seed, int) or not 0 <= sc.seed < 2**128:
         raise ConfigError("seed must be a nonnegative integer below 2**128 (the Philox key)")
     mu = sc.multiuser
@@ -300,7 +303,7 @@ def _validate_scenario(sc: Scenario) -> None:
         SchemeConfig(sc.scheme, params, cp_len=sc.cp_len)
         _check_channel(sc)
         if mu is not None:
-            _allocation(sc)
+            user_tiling(params, mu.K_d, mu.K_D)
     except (ValueError, TypeError) as e:
         raise ConfigError(str(e)) from e
     bits_total = params.dof * get_constellation(sc.constellation).bits_per_symbol
@@ -342,12 +345,6 @@ def load_scenario(path) -> Scenario:
     except json.JSONDecodeError as e:
         raise ConfigError(f"scenario file {path} is not valid JSON: {e}") from e
     return scenario_from_dict(raw)
-
-
-def _allocation(sc: Scenario):
-    mu = sc.multiuser
-    alloc_fn = localized_allocation if mu.mapping == "localized" else interleaved_allocation
-    return alloc_fn(sc.params, mu.K_d, mu.K_D)
 
 
 def scenario_channel(sc: Scenario, rng: np.random.Generator | None) -> DDChannelSpec:
@@ -415,7 +412,7 @@ def _word_bits(words: np.ndarray, n: int, out: np.ndarray | None = None) -> np.n
 
 
 class _TrialStreams:
-    """The trial streams of a run, every SNR point's, served by a single generator.
+    """The trial streams a link draws from, every SNR point's, served by a single generator.
 
     :meth:`at` resets the generator's counter and output buffer to those
     of a fresh ``trial_rng(seed, snr_index, trial_index)``, which is much
@@ -482,8 +479,9 @@ class _Link:
     The scheme label of a downlink picks no route.
     Symbols, bits and detector output are stacked user by user, each block
     flattened row-major; every stage takes a stack of frames along leading
-    axes.  A link serves every SNR point of a run and holds no noise
-    variance: that belongs to the point, and a chunk carries each frame's.
+    axes.  A link serves every SNR point of a run, draws each frame from its
+    ``streams``, and holds no noise variance: that belongs to the point, and a
+    chunk carries each frame's.
     Its :meth:`receiver` gives the detector, any water-filled user powers
     and the received body of a channel from one view of it, at the noise
     variances it is given.  Its per-chunk stacks are views of the
@@ -493,12 +491,12 @@ class _Link:
     def __init__(self, sc: Scenario, ws: _Workspace | None = None):
         self.sc = sc
         self.ws = ws
+        self.streams = _TrialStreams(sc.seed)
         self.params = params = sc.params
         self.const = get_constellation(sc.constellation)
         self.fixed = None if sc.channel_taps is None else scenario_channel(sc, None)
-        if self.fixed is None:  # random_channel's taps; each draw gives their gains
-            L, V = sc.channel_random
-            self.grid = DDChannelSpec(tuple((l, k, 1) for l in range(L) for k in range(1 - V, V)))
+        if self.fixed is None:  # each draw gives the grid's gains
+            self.grid = random_grid(*sc.channel_random)
         mu = sc.multiuser
         # spreading with the users' selected DFT columns is placing them on their
         # delay-Doppler cells, so it runs as dd_mapped: tf_spread is Gaussian only
@@ -516,8 +514,9 @@ class _Link:
         self.spread = self.mode == "dd_mapped" or mu is None and sc.scheme in ("OTFS", "SCFDMA")
         self.K, self.block, self.users, self.cells = 1, params.dof, None, None
         if mu is not None:
-            self.alloc = _allocation(sc)
-            self.M_d, self.N_D = sc.M // mu.K_d, sc.N // mu.K_D
+            allocate = localized_allocation if mu.mapping == "localized" else interleaved_allocation
+            self.alloc = allocate(params, mu.K_d, mu.K_D)
+            self.M_d, self.N_D = user_tiling(params, mu.K_d, mu.K_D)
             self.K, self.block = self.alloc.num_users, self.M_d * self.N_D
         if self.mode == "tf_spread":
             rng = system_rng(sc.seed, 1)  # one reserved stream, drawn sequentially so users differ
@@ -541,9 +540,9 @@ class _Link:
         ``name``, or a new one where the link has no workspace."""
         return np.empty(shape, dtype) if self.ws is None else self.ws.take(name, shape, dtype)
 
-    def draw(self, streams: _TrialStreams, frames, noise_var: np.ndarray | None = None):
-        """Every draw of a chunk's T ``frames``, (snr_index, trial) pairs, trial by trial
-        in the contract's order.
+    def draw(self, frames, noise_var: np.ndarray | None = None):
+        """Every draw of a chunk's T ``frames``, (snr_index, trial) pairs, from the
+        link's ``streams``, trial by trial in the contract's order.
 
         ``noise_var`` (T,) is each frame's noise variance, one for every frame, or
         None to draw no noise.
@@ -556,8 +555,9 @@ class _Link:
         gains = None if self.fixed else self._stack("gains", (T, len(self.grid.taps)))
         words = self._stack("words", (T, (self.n_bits + 1) // 2), np.uint64)
         noise = None if noise_var is None else self._stack("noise", (T, 2, self.n_samples), float)
+        at = self.streams.at
         for i, (snr_index, trial) in enumerate(frames):
-            rng = streams.at(snr_index, trial)
+            rng = at(snr_index, trial)
             if gains is not None:
                 gains[i] = random_gains(*self.sc.channel_random, rng).reshape(-1)
             words[i] = rng.bit_generator.random_raw(words.shape[1])
@@ -731,7 +731,7 @@ class _Link:
 
         return detect, None, rows
 
-    def run_chunk(self, streams: _TrialStreams, frames, noise_var: np.ndarray, fixed_rx=None):
+    def run_chunk(self, frames, noise_var: np.ndarray, fixed_rx=None):
         """Draw, transmit, receive and detect a chunk's frames as one stack.
 
         ``frames`` and ``noise_var`` are :meth:`draw`'s.  ``fixed_rx``, which a
@@ -740,7 +740,7 @@ class _Link:
         closures would make a reference cycle.  Returns {snr_index: LinkResult} of
         the chunk's frames of each SNR point, no value a view of the workspace.
         """
-        ch, gains, bits, noise = self.draw(streams, frames, noise_var)
+        ch, gains, bits, noise = self.draw(frames, noise_var)
         detect, amp, receive = fixed_rx or self.receiver(ch, gains, noise_var)
         sig = self.transmit(bits, amp)
         paprs = papr(sig, self._stack("body", (len(frames), self.params.dof)))
@@ -776,14 +776,14 @@ def _run_points(sc: Scenario, points, ws: _Workspace | None = None) -> list:
     """One LinkResult per point (snr_index, start, stop), its trials [start, stop);
     the points' SNR indices are distinct.
 
-    One link, one set of trial streams and the stacks of ``ws``, a new
-    workspace if None, serve every point.  A random channel's receiver is
+    One link serves every point: it holds the trial streams, and the stacks
+    of ``ws``, a new workspace if None.  A random channel's receiver is
     built per chunk, at each frame's noise variance, so its chunks run on
     across point boundaries; a fixed channel's is built per point, at the
     point's, and its chunks end there.  A point's chunk results are merged
     once, after its last chunk.
     """
-    link, streams = _Link(sc, _Workspace() if ws is None else ws), _TrialStreams(sc.seed)
+    link = _Link(sc, _Workspace() if ws is None else ws)
     noise_var = {si: _noise_var(sc.snr_db_list[si]) for si, _, _ in points}  # unit-energy symbols
     parts = {si: [LinkResult(sc.scheme, sc.snr_db_list[si])] for si in noise_var}
     for group in [points] if link.fixed is None else [[point] for point in points]:
@@ -791,19 +791,9 @@ def _run_points(sc: Scenario, points, ws: _Workspace | None = None) -> list:
         fixed_rx = None if point_var is None else link.receiver(link.fixed, None, point_var)
         for frames in _chunks(group, link.chunk):
             var = np.array([noise_var[si] for si, _ in frames]) if point_var is None else point_var
-            for si, part in link.run_chunk(streams, frames, var, fixed_rx).items():
+            for si, part in link.run_chunk(frames, var, fixed_rx).items():
                 parts[si].append(part)
     return [LinkResult.merge_all(point_parts) for point_parts in parts.values()]
-
-
-def run_trial_range(
-    sc: Scenario, snr_index: int, start: int, stop: int, ws: _Workspace | None = None
-) -> LinkResult:
-    """Run trials [start, stop) of one SNR point; mergeable partial result.
-
-    The chunks use the stacks of ``ws``, a new workspace if None.
-    """
-    return _run_points(sc, [(snr_index, start, stop)], ws)[0]
 
 
 def run(sc: Scenario, workers: int = 1) -> list:
@@ -895,11 +885,10 @@ def papr_ccdf(sc: Scenario) -> str:
     downlink's users all get unit power here, and its CCDF is not that of
     the PAPR ``run`` reports.  Returns CSV text ``papr_db,ccdf``.
     """
-    link, streams = _Link(sc), _TrialStreams(sc.seed)
-    vals = []
+    link, vals = _Link(sc), []
     for frames in _chunks([(0, 0, sc.trials)], link.chunk):
         # the channel draws keep the draw order aligned with simulate
-        _, _, bits, _ = link.draw(streams, frames)
+        _, _, bits, _ = link.draw(frames)
         vals.extend(10.0 * math.log10(v) for v in papr(link.transmit(bits)))
     vals = np.array(vals)
     hi = float(np.ceil(vals.max() * 4) / 4) if vals.size else 0.0

@@ -119,7 +119,7 @@ def _check_trial_stream() -> CheckResult:
     })
     link = runner._Link(sc)
     frames = [(0, t) for t in range(sc.trials)]
-    _, _, bits, (re, im) = link.draw(runner._TrialStreams(sc.seed), frames, np.full(sc.trials, 0.5))
+    _, _, bits, (re, im) = link.draw(frames, np.full(sc.trials, 0.5))
     differ = 0
     for t in range(sc.trials):
         rng = runner.trial_rng(sc.seed, 0, t)
@@ -146,8 +146,7 @@ def _check_band_channel() -> CheckResult:
             })
             link = runner._Link(sc)
             frames = [(0, t) for t in range(sc.trials)]
-            ch, gains, bits, noise = link.draw(runner._TrialStreams(sc.seed), frames,
-                                               np.full(sc.trials, 0.5))
+            ch, gains, bits, noise = link.draw(frames, np.full(sc.trials, 0.5))
             sig = link.transmit(bits)
             got = link.receiver(ch, gains, 0.5)[2](sig, noise)
             want = channel.apply_channel(sig, ch, link.params, mode=mode, gains=gains, noise=noise)
@@ -167,7 +166,7 @@ def _check_band_lmmse() -> CheckResult:
         })
         link, noise_var = runner._Link(sc), np.full(sc.trials, 0.5)
         frames = [(0, t) for t in range(sc.trials)]
-        ch, gains, bits, noise = link.draw(runner._TrialStreams(sc.seed), frames, noise_var)
+        ch, gains, bits, noise = link.draw(frames, noise_var)
         band = channel.delay_band(ch, link.params, gains)
         y = channel.band_channel(channel.band_rows(band), link.transmit(bits), mode, noise)
         band, y = band.reshape(sc.trials, L, link.blocks, -1), y.reshape(sc.trials, link.blocks, -1)

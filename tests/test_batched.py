@@ -4,7 +4,7 @@
 (T, ...) stacks: a fresh contract stream per trial, one frame at a time
 through the library's single-frame calls, and the noise drawn by
 ``apply_channel`` itself.  It is the reference: the chunked
-``run_trial_range`` must count the same errors and give bitwise-equal PAPR
+``_run_points`` must count the same errors and give bitwise-equal PAPR
 values for any split of a trial range, chunk boundaries included.
 """
 
@@ -18,11 +18,11 @@ from otfsim import multiuser, runner
 from otfsim.channel import draw_noise
 from otfsim.metrics import count_errors, papr, slice_symbols
 from otfsim.runner import (
-    _Link, _TrialStreams, run_trial_range, scenario_channel, scenario_from_dict, trial_rng,
+    _Link, _TrialStreams, scenario_channel, scenario_from_dict, trial_rng,
 )
 from test_channel import impulse_probe
 from test_golden import GOLDEN, SCENARIOS
-from test_workspace import traced
+from test_workspace import traced, trial_range
 
 # a scenario no golden pins: Gaussian spreading on a random channel
 EXTRA = {
@@ -80,7 +80,7 @@ def per_trial_range(sc, snr_index, start, stop):
 
 
 def chunked(sc, snr_index, start, stop):
-    res = run_trial_range(sc, snr_index, start, stop)
+    res = trial_range(sc, snr_index, start, stop)
     counts = (res.bit_errors, res.symbol_errors, res.total_bits, res.total_symbols)
     return counts, res.papr_values
 
@@ -125,8 +125,8 @@ def test_peak_memory_does_not_grow_with_trials(monkeypatch):
     monkeypatch.setattr(runner, "CHUNK_SAMPLES", 8 * _Link(sc).n_samples)
 
     def peak(trials):
-        run_trial_range(sc, 0, 0, trials)  # warm caches
-        return traced(lambda: run_trial_range(sc, 0, 0, trials))[1]
+        trial_range(sc, 0, 0, trials)  # warm caches
+        return traced(lambda: trial_range(sc, 0, 0, trials))[1]
 
     # 40 chunks of 8 trials peak where 4 do, beyond the PAPR values
     # (16 bytes a trial while they are merged) and a handle per chunk
@@ -210,11 +210,10 @@ def test_link_draws_are_the_contract_draws(constellation, M, N, channel):
         "snr_db_list": [3.0], "trials": 8, "seed": 2**70 + 5,
     })
     link, noise_var = _Link(sc), np.full(5, 0.7)
-    streams = _TrialStreams(sc.seed)
     frames = [(4, t) for t in range(3, 8)]
-    grid, gains, bits, noise = link.draw(streams, frames, noise_var)
+    grid, gains, bits, noise = link.draw(frames, noise_var)
     # one variance for every frame, as a fixed channel's chunk carries, draws the same
-    one = link.draw(_TrialStreams(sc.seed), frames, 0.7)[3]
+    one = link.draw(frames, 0.7)[3]
     assert all(a.tobytes() == b.tobytes() for a, b in zip(noise, one))
     for i, t in enumerate(range(3, 8)):
         rng = trial_rng(sc.seed, 4, t)
@@ -227,8 +226,8 @@ def test_link_draws_are_the_contract_draws(constellation, M, N, channel):
         assert np.array_equal(bits[i], rng.integers(0, 2, size=link.n_bits))
         re, im = draw_noise(rng, 0.7, link.n_samples)
         assert np.array_equal(noise[0][i], re) and np.array_equal(noise[1][i], im)
-        link.draw(streams, [(4, t)], noise_var[:1])
-        assert stream_state(streams.rng) == stream_state(rng)
+        link.draw([(4, t)], noise_var[:1])
+        assert stream_state(link.streams.rng) == stream_state(rng)
     assert bits.dtype == np.int64 and bits.shape == (5, link.n_bits)
 
 
@@ -263,7 +262,7 @@ def test_banded_chunk_channel_is_apply_channel():
         })
         link, noise_var = _Link(sc), np.full(6, 0.2)
         frames = [(0, t) for t in range(6)]
-        ch, gains, bits, noise = link.draw(_TrialStreams(sc.seed), frames, noise_var)
+        ch, gains, bits, noise = link.draw(frames, noise_var)
         sig = link.transmit(bits)
         want = ot.apply_channel(sig, ch, link.params, mode=mode, gains=gains, noise=noise)
         got = link.receiver(ch, gains, noise_var)[2](sig, noise)

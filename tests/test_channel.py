@@ -12,7 +12,7 @@ from otfsim.channel import (
     EFFECTIVE_GUARD, band_blocks, band_rows, check_blocks, delay_band, draw_noise,
 )
 from otfsim.errors import ConfigError, GuardError
-from otfsim.oracles import COUPLING_GUARD, chain_matrix
+from otfsim.oracles import chain_matrix
 from test_workspace import traced
 
 
@@ -478,12 +478,21 @@ class TestCouplingTensor:
                         expect = gains[m] if (m, n) == (mp, np_) else 0.0
                         assert H[m, n, mp, np_] == pytest.approx(expect, abs=1e-12)
 
-    def test_size_guard(self):
-        params = ot.make_frame(32, 32)
-        assert params.dof > COUPLING_GUARD
+    def test_size_guard(self, monkeypatch):
+        # chain_matrix's guard refuses the frame before any probe runs
+        params = ot.make_frame(128, 64)
+        assert params.dof > EFFECTIVE_GUARD
+        monkeypatch.setattr(oracles.modem, "modulate", lambda *a: pytest.fail("probed"))
         ch = ot.DDChannelSpec(taps=((0, 0, 1.0),))
         with pytest.raises(GuardError):
             ot.coupling_tensor(ch, params)
+
+    def test_unit_tap_tensor_is_the_identity_on_576_points(self):
+        # within chain_matrix's guard, so one guard, not a stricter second, bounds the frame
+        params = ot.make_frame(24, 24)
+        H = ot.coupling_tensor(ot.DDChannelSpec(taps=((0, 0, 1.0),)), params)
+        assert H.shape == (24, 24, 24, 24)
+        assert np.abs(H.reshape(576, 576) - np.eye(576)).max() < 1e-12
 
 
 def slot_stack_payload_operator(cfg, B):

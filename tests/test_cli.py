@@ -458,7 +458,7 @@ class TestUnwritableOutput:
         self, config_file, tmp_path, capsys, monkeypatch, command
     ):
         calls = []
-        for name in ("run_trial_range", "_Link"):
+        for name in ("_run_points", "_Link"):
             real = getattr(otfsim.runner, name)
             monkeypatch.setattr(otfsim.runner, name,
                                 lambda *a, real=real, name=name: calls.append(name) or real(*a))

@@ -21,7 +21,7 @@ import pytest
 
 from otfsim.errors import ConfigError, GuardError
 from otfsim.runner import (
-    _Link, _TrialStreams, format_csv, load_scenario, papr_ccdf, run, scenario_from_dict,
+    _Link, format_csv, load_scenario, papr_ccdf, run, scenario_from_dict,
 )
 from test_golden import GOLDEN, SCENARIOS
 
@@ -176,7 +176,7 @@ def test_every_scenario_class_picks_one_builder(monkeypatch):
                 m.setattr(_Link, other, refuse)
             try:
                 fixed_rx = None if link.fixed is None else link.receiver(link.fixed, None, 0.1)
-                link.run_chunk(_TrialStreams(sc.seed), [(0, 0), (0, 1)], np.full(2, 0.1), fixed_rx)
+                link.run_chunk([(0, 0), (0, 1)], np.full(2, 0.1), fixed_rx)
             except AssertionError:
                 wrong.append(name)
                 continue

@@ -27,12 +27,10 @@ from otfsim.runner import (
     MultiuserSetup,
     _Link,
     _noise_var,
-    _TrialStreams,
     format_csv,
     load_scenario,
     papr_ccdf,
     run,
-    run_trial_range,
     scenario_channel,
     scenario_from_dict,
     system_rng,
@@ -44,7 +42,7 @@ from test_channel import (
     impulse_probe, per_tap_channel_oracle, probed_slot_chain, probed_time_channel,
 )
 from test_golden import GOLDEN, SCENARIOS
-from test_workspace import traced
+from test_workspace import traced, trial_range
 
 
 def base_dict(**over):
@@ -238,11 +236,17 @@ class TestScenarioParsing:
         pytest.param("delta_f_hz", -10**400, "frame.delta_f_hz", id="delta_f_hz-beyond_float"),
         ("channel_taps", ((0, 0, 10**400, 0.0),), r"taps\[0\].re"),
         ("multiuser", MultiuserSetup("tf_alloc", 2, 1, power_budget=10**400), "power_budget"),
+        # trial index 2**64 would key no 64-bit Philox counter word
+        ("trials", 2**64 + 1, "trials"),
     ])
     def test_replaced_copy_is_held_to_the_parser_rules(self, field, value, named):
         sc = scenario_from_dict(base_dict())
         with pytest.raises(ConfigError, match=named):
             replace(sc, **{field: value})
+
+    def test_trials_up_to_2_to_the_64_parse(self):
+        # the last trial index, 2**64 - 1, still keys a counter word; never run
+        assert scenario_from_dict(base_dict(trials=2**64)).trials == 2**64
 
     @pytest.mark.parametrize("over,named", [
         ({"multiuser": None}, "multiuser"),
@@ -296,6 +300,15 @@ class TestScenarioParsing:
         bad = {"mode": "tf_alloc", "K_d": 3, "K_D": 1}
         with pytest.raises(ConfigError, match="tiling"):
             scenario_from_dict(base_dict(multiuser=bad))
+
+    def test_multiuser_parse_builds_no_allocation(self):
+        # validation checks the tiling alone: the users' cells on 8 x 65536 would
+        # take megabytes, built again by the link that runs them
+        d = base_dict(multiuser={"mode": "dd_mapped", "K_d": 1, "K_D": 2})
+        d["frame"] = {"M": 8, "N": 65536}
+        user_cells.cache_clear()
+        sc, peak = traced(lambda: scenario_from_dict(d))
+        assert sc.params.dof == 8 * 65536 and peak < 1 << 20
 
     def test_multiuser_rejects_ml(self):
         d = base_dict(equalizer="ml", constellation="BPSK",
@@ -367,7 +380,7 @@ class TestScenarioParsing:
                 continue
             if sc.params.dof <= 512:
                 try:
-                    run_trial_range(sc, len(sc.snr_db_list) - 1, 0, 1)
+                    trial_range(sc, len(sc.snr_db_list) - 1, 0, 1)
                     ran += 1
                 except GuardError:
                     pass
@@ -442,9 +455,9 @@ class TestExecution:
 
     def test_partition_merge_identity(self):
         sc = scenario_from_dict(base_dict(snr_db_list=[4.0], trials=9))
-        whole = run_trial_range(sc, 0, 0, 9)
-        left = run_trial_range(sc, 0, 0, 4)
-        right = run_trial_range(sc, 0, 4, 9)
+        whole = trial_range(sc, 0, 0, 9)
+        left = trial_range(sc, 0, 0, 4)
+        right = trial_range(sc, 0, 4, 9)
         merged = left.merge(right)
         assert merged.bit_errors == whole.bit_errors
         assert merged.symbol_errors == whole.symbol_errors
@@ -483,9 +496,9 @@ class TestExecution:
             snr_db_list=[8.0, 14.0], trials=10,
         ))
         monkeypatch.setattr(otfsim.runner, "CHUNK_SAMPLES", 3 * _Link(sc).n_samples)
-        whole = run_trial_range(sc, 0, 0, 10)
+        whole = trial_range(sc, 0, 0, 10)
         for cuts in ([0, 4, 10], [0, 1, 2, 7, 10], [0, 3, 6, 9, 10]):
-            parts = [run_trial_range(sc, 0, a, b) for a, b in zip(cuts[:-1], cuts[1:])]
+            parts = [trial_range(sc, 0, a, b) for a, b in zip(cuts[:-1], cuts[1:])]
             merged = reduce(lambda x, y: x.merge(y), parts)
             assert (merged.bit_errors, merged.symbol_errors, merged.total_bits) == (
                 whole.bit_errors, whole.symbol_errors, whole.total_bits)
@@ -702,8 +715,8 @@ class TestPointCrossingChunks:
         chunks, builds = [], []
         run_chunk, receiver = _Link.run_chunk, _Link.receiver
         monkeypatch.setattr(_Link, "run_chunk",
-                            lambda self, s, frames, *a: chunks.append(frames)
-                            or run_chunk(self, s, frames, *a))
+                            lambda self, frames, *a: chunks.append(frames)
+                            or run_chunk(self, frames, *a))
         monkeypatch.setattr(_Link, "receiver",
                             lambda self, *a: builds.append(1) or receiver(self, *a))
         results = run(sc)
@@ -722,7 +735,7 @@ class TestPointCrossingChunks:
         assert [len(frames) for frames in chunks][:-1] == [chunk] * (len(chunks) - 1)
         assert any(len({si for si, _ in frames}) > 1 for frames in chunks)
         assert builds == len(chunks) == -(-3 * trials // chunk)  # one receiver a chunk
-        alone = [run_trial_range(sc, si, 0, trials) for si in range(3)]
+        alone = [trial_range(sc, si, 0, trials) for si in range(3)]
         assert format_csv(results) == format_csv(alone)
         for got, want in zip(results, alone):
             assert np.array_equal(got.papr_values, want.papr_values)
@@ -735,7 +748,7 @@ class TestPointCrossingChunks:
         assert builds == 3  # one receiver a point, at its noise variance
         assert chunks == [[(si, t) for t in trials] for si in range(3)
                           for trials in (range(3), range(3, 4))]
-        alone = [run_trial_range(sc, si, 0, 4) for si in range(3)]
+        alone = [trial_range(sc, si, 0, 4) for si in range(3)]
         assert format_csv(results) == format_csv(alone)
         assert all(np.array_equal(r.papr_values, a.papr_values) for r, a in zip(results, alone))
 
@@ -894,8 +907,8 @@ class TestMultiuserExecution:
             trials=12,
             multiuser={"mode": mode, "K_d": 2, "K_D": 2},
         ))
-        whole = run_trial_range(sc, 0, 0, 12)
-        fresh = [run_trial_range(sc, 0, t, t + 1) for t in range(12)]
+        whole = trial_range(sc, 0, 0, 12)
+        fresh = [trial_range(sc, 0, t, t + 1) for t in range(12)]
         assert whole.bit_errors == sum(r.bit_errors for r in fresh)
         assert whole.symbol_errors == sum(r.symbol_errors for r in fresh)
 
@@ -1574,7 +1587,7 @@ class TestReceivePath:
             noise_var = _noise_var(sc.snr_db_list[0]) * (np.arange(1, T + 1) if random else 1.0)
             noise_var = np.broadcast_to(noise_var, T)
             frames = [(0, t) for t in range(T)]
-            ch, gains, bits, noise = link.draw(_TrialStreams(sc.seed), frames, noise_var)
+            ch, gains, bits, noise = link.draw(frames, noise_var)
             self.check_streams(link, gains, bits, noise, noise_var)
             detect, amp, receive = link.receiver(ch, gains, noise_var if random else noise_var[0])
             sig = link.transmit(bits, amp)
@@ -1607,8 +1620,8 @@ class TestReceivePath:
                 assert np.abs(got - want).max() < 1e-10
             # a trial range is the merge of its split sub-ranges, bitwise
             cut = int(rng.integers(1, T))
-            whole = run_trial_range(sc, 0, 0, T)
-            split = run_trial_range(sc, 0, 0, cut).merge(run_trial_range(sc, 0, cut, T))
+            whole = trial_range(sc, 0, 0, T)
+            split = trial_range(sc, 0, 0, cut).merge(trial_range(sc, 0, cut, T))
             assert format_csv([whole]) == format_csv([split])
             assert np.array_equal(whole.papr_values, split.papr_values)
             routes.add((downlink, mode, link.banded, link.spread, random))
@@ -1640,7 +1653,7 @@ def test_channel_memory_is_linear_in_the_frame(channel):
     # channel and reading its response hold a few frames at a time
     sc = scenario_from_dict(base_dict(frame={"M": 512, "N": 64}, channel=channel, trials=2))
     frame_bytes = 512 * 64 * 16
-    peak = traced(lambda: run_trial_range(sc, 0, 0, 2))[1]
+    peak = traced(lambda: trial_range(sc, 0, 0, 2))[1]
     assert peak < 32 * frame_bytes
 
 

@@ -30,7 +30,7 @@ from otfsim.channel import band_channel, band_rows, delay_band, delay_rows
 from otfsim.equalizer import band_filter, one_tap_tf, reduction_entries, reduction_split
 from otfsim.frame import make_frame
 from otfsim.metrics import get_constellation, map_bits, papr, slice_symbols
-from otfsim.runner import _Link, _TrialStreams, _Workspace, run_trial_range, scenario_from_dict
+from otfsim.runner import _Link, _run_points, _Workspace, scenario_from_dict
 from otfsim.transforms import dd_analysis, dd_synthesis, heisenberg, sfft, slot_dft
 from test_golden import GOLDEN, SCENARIOS
 
@@ -67,6 +67,12 @@ def traced(call):
         return call(), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def trial_range(sc, snr_index: int, start: int, stop: int, ws: _Workspace | None = None):
+    """Trials [start, stop) of one SNR point, run as a span of that point alone:
+    a mergeable LinkResult."""
+    return _run_points(sc, [(snr_index, start, stop)], ws)[0]
 
 
 def stale(ws: _Workspace, name: str, shape: tuple, dtype=np.complex128):
@@ -171,11 +177,11 @@ class TestLayersWithOut:
             assert np.array_equal(got, (halves[..., :n] >> 31).astype(np.int64))
 
 
-def chunk_outputs(link, streams, start, stop, noise_var):
+def chunk_outputs(link, start, stop, noise_var):
     """Everything a chunk of trials [start, stop) of SNR point 0 produces along
     the way, copied out of the workspace."""
     frames = [(0, t) for t in range(start, stop)]
-    ch, gains, bits, noise = link.draw(streams, frames, np.full(stop - start, noise_var))
+    ch, gains, bits, noise = link.draw(frames, np.full(stop - start, noise_var))
     detect, amp, receive = link.receiver(ch, gains, noise_var)
     sig = link.transmit(bits, amp)
     body = receive(sig, noise)
@@ -192,8 +198,8 @@ def test_link_with_a_workspace_runs_as_one_without(name, monkeypatch):
     noise_var = runner._noise_var(sc.snr_db_list[0])
     plain, reused = _Link(sc), _Link(sc, _Workspace())
     for start, stop in ((0, 4), (4, 7)):
-        want = chunk_outputs(plain, _TrialStreams(sc.seed), start, stop, noise_var)
-        got = chunk_outputs(reused, _TrialStreams(sc.seed), start, stop, noise_var)
+        want = chunk_outputs(plain, start, stop, noise_var)
+        got = chunk_outputs(reused, start, stop, noise_var)
         for g, w in zip(got, want):
             assert (g is None and w is None) or same_bits(g, w)
 
@@ -205,9 +211,9 @@ def workspace_arrays(ws):
 def test_nothing_that_leaves_a_chunk_views_the_workspace():
     sc = scenario_from_dict(ONETAP)
     ws = _Workspace()
-    first = run_trial_range(sc, 0, 0, 120, ws)
+    first = trial_range(sc, 0, 0, 120, ws)
     kept = first.papr_values.copy()
-    second = run_trial_range(sc, 1, 0, 120, ws)
+    second = trial_range(sc, 1, 0, 120, ws)
     assert workspace_arrays(ws)
     for arr in workspace_arrays(ws):
         assert not np.shares_memory(first.papr_values, arr)
@@ -215,8 +221,7 @@ def test_nothing_that_leaves_a_chunk_views_the_workspace():
     assert same_bits(first.papr_values, kept)
     link = _Link(sc, ws)
     frames = [(0, 0), (0, 1), (0, 2), (1, 5), (1, 6), (1, 7), (1, 8)]
-    parts = link.run_chunk(_TrialStreams(sc.seed), frames, np.full(7, 0.1),
-                           link.receiver(link.fixed, None, 0.1))
+    parts = link.run_chunk(frames, np.full(7, 0.1), link.receiver(link.fixed, None, 0.1))
     assert sorted(parts) == [0, 1] and [r.trials for r in parts.values()] == [3, 4]
     for r in parts.values():
         counts = (r.trials, r.bit_errors, r.symbol_errors, r.total_bits, r.total_symbols)
